@@ -3,8 +3,9 @@
 Every adversary follows the session-prover contract (`start`,
 `next_commitment`, `final_response`), keeps its whole state in the value
 passed through those calls, and is deterministic given (state, challenge).
-States are plain picklable values, so a snapshot is a deep copy and
-`state_digest` can certify that a rewind left the adversary untouched.
+States are immutable values (frozen dataclasses and tuples), so a snapshot
+is the state itself, and `state_digest` certifies that a rewind left the
+adversary untouched.
 
 Returning None from `final_response` models an abort: the adversary walks
 away instead of opening, and the verifier rejects.
@@ -12,7 +13,6 @@ away instead of opening, and the verifier rejects.
 
 from __future__ import annotations
 
-import copy
 import hashlib
 import pickle
 from dataclasses import dataclass
@@ -40,7 +40,8 @@ def state_digest(state) -> bytes:
 
 
 def snapshot(state):
-    return copy.deepcopy(state)
+    """The rewind point: prover states are immutable, so the state itself."""
+    return state
 
 
 def honest_wrapper(protocol: IopProtocol, params: ArgParams, witness) -> ArgumentProver:

@@ -39,7 +39,3 @@ class TransportError(IbcsError):
 
 class InfeasibleError(IbcsError):
     """An exhaustive oracle refused to run because its budget is exceeded."""
-
-
-class ExtractionFailure(IbcsError):
-    """The knowledge extractor did not produce a valid witness."""

@@ -11,8 +11,9 @@ a random stop out of T rewinds is exposed with probability at most l_i/T.
 
 Each round gets an error share of epsilon/2k: half of the per-round budget
 is reserved for any degradation of the prover's behaviour under rewinding,
-which exact snapshots (deep copies) make identically zero, and the other
-half caps the missing-position probability through the rewind count
+which exact snapshots make identically zero (prover states are immutable
+values, certified unchanged by `state_digest`), and the other half caps
+the missing-position probability through the rewind count
 T = ceil(l_max / (epsilon/2k)). The experiments report every estimate with
 an explicit confidence radius, so the analytic bounds can be checked
 against measured frequencies at desk scale.
@@ -27,8 +28,8 @@ from typing import Any, Callable, Sequence
 
 from .adversaries import snapshot, state_digest
 from .errors import IbcsError, ParameterError, ProtocolViolation
-from .ibcs import PAD_SYMBOL, ArgParams
-from .iop import IopProtocol, ProofString
+from .ibcs import PAD_SYMBOL, ArgParams, check_openings
+from .iop import IopProtocol, ProofString, QueryPlan
 from .prng import Bits, Prng, derive, seed_root
 from .vc import vc_check
 
@@ -134,24 +135,6 @@ def run_continuation(adversary, state, ctx: ArgContext, continuation: Sequence[B
     return tuple(tail), response
 
 
-def _openings_ok(params: ArgParams, commitments, plan, response, rounds) -> bool:
-    """Commitment-side checks for the given 1-based rounds."""
-    spec = params.iop_spec
-    for j in rounds:
-        cm = commitments[j - 1]
-        opening = response[j - 1]
-        if cm.length != params.vc.capacity:
-            return False
-        if opening.positions != plan.per_round[j - 1]:
-            return False
-        for q, a in zip(opening.positions, opening.answers):
-            if q > spec.proof_lengths[j - 1] and a != PAD_SYMBOL:
-                return False
-        if not vc_check(params.vc, cm, opening.positions, opening.answers, opening.proof):
-            return False
-    return True
-
-
 def _routed_answers(protocol, plan, oracles, response, oracle_rounds: int):
     """Answers with rounds <= oracle_rounds read from extracted oracles."""
     answers = []
@@ -164,33 +147,32 @@ def _routed_answers(protocol, plan, oracles, response, oracle_rounds: int):
     return tuple(answers)
 
 
-def game_predicate(ctx: ArgContext, continuation, tail_commitments, response) -> bool:
+def game_predicate(ctx: ArgContext, plan: QueryPlan, tail_commitments, response) -> bool:
     """The round-i win predicate: decision on oracles below i plus openings,
-    and commitment checks from round i on."""
+    and commitment checks from round i on.
+
+    `plan` is the verifier's plan for the run's full challenge vector.
+    """
     if response is None:
         return False
     protocol, params = ctx.protocol, ctx.params
     i = ctx.round_index
-    full = ctx.challenges + tuple(continuation)
-    try:
-        plan = protocol.verifier_query(full)
-    except ProtocolViolation:
-        return False
     commitments = ctx.commitments + tail_commitments
     if len(response) != protocol.spec.rounds:
         return False
-    if not _openings_ok(params, commitments, plan, response, range(i, protocol.spec.rounds + 1)):
+    if not check_openings(params, commitments, plan, response, range(i, protocol.spec.rounds + 1)):
         return False
     answers = _routed_answers(protocol, plan, ctx.oracles, response, i - 1)
-    return bool(protocol.verifier_decide(full, answers))
+    return bool(protocol.verifier_decide(plan, answers))
 
 
 def sampler(adversary, state, ctx: ArgContext, iterations: int, prng: Prng):
     """Collect accepted round-i openings over `iterations` rewinds.
 
-    Each rewind runs from a snapshot and the snapshot is discarded
-    afterwards, which is the classical stand-in for state repair; the
-    adversary state passed in is certified unchanged on return.
+    Each rewind runs from a snapshot of the same adversary state. Prover
+    states are immutable values, so the snapshot is the state itself; the
+    state is certified unchanged on return, and a prover that mutated it
+    raises ProtocolViolation.
     """
     spec = ctx.protocol.spec
     i = ctx.round_index
@@ -207,12 +189,16 @@ def sampler(adversary, state, ctx: ArgContext, iterations: int, prng: Prng):
         except IbcsError:
             stats.voided += 1
             continue
-        if not game_predicate(ctx, continuation, tail, response):
+        if response is None:
+            continue
+        try:
+            plan = ctx.protocol.verifier_query(ctx.challenges + continuation)
+        except ProtocolViolation:
+            continue
+        if not game_predicate(ctx, plan, tail, response):
             continue
         stats.accepted += 1
-        full = ctx.challenges + continuation
-        queries = ctx.protocol.verifier_query(full).per_round[i - 1]
-        if not knowledge.covers(queries):
+        if not knowledge.covers(plan.per_round[i - 1]):
             opening = response[i - 1]
             knowledge.add(opening.positions, opening.answers, opening.proof)
             stats.recorded += 1
@@ -338,17 +324,6 @@ class ExtractorIopProver:
         )
 
 
-def build_iop_prover(
-    protocol: IopProtocol,
-    params: ArgParams,
-    adversary,
-    epsilon: float,
-    prng: Prng,
-    stop: str = "uniform",
-) -> ExtractorIopProver:
-    return ExtractorIopProver(protocol, params, adversary, epsilon, prng, stop=stop)
-
-
 # ---------------------------------------------------------------------------
 # hybrid experiments
 # ---------------------------------------------------------------------------
@@ -432,13 +407,13 @@ def accept_under_routing(
         return 0
     if len(record.response) != protocol.spec.rounds:
         return 0
-    if not _openings_ok(
+    if not check_openings(
         params, record.commitments, plan, record.response,
         range(1, protocol.spec.rounds + 1),
     ):
         return 0
     answers = _routed_answers(protocol, plan, record.oracles, record.response, oracle_rounds)
-    return protocol.verifier_decide(record.challenges, answers)
+    return protocol.verifier_decide(plan, answers)
 
 
 @dataclass(frozen=True)
@@ -601,8 +576,7 @@ def run_events_experiment(
                 oracles=record.oracles[: i - 1],
             )
             tail = record.commitments[i:]
-            continuation = record.challenges[i - 1 :]
-            if game_predicate(ctx, continuation, tail, record.response):
+            if game_predicate(ctx, plan, tail, record.response):
                 counters.missing += 1
         cm = record.commitments[round_index - 1]
         opening_ok = vc_check(
@@ -736,7 +710,7 @@ def end_to_end_knowledge(
     """
     root = seed_root(seed)
     prng = Prng(derive(root, label, "rewind"))
-    prover = build_iop_prover(protocol, params, adversary, epsilon, prng, stop="full")
+    prover = ExtractorIopProver(protocol, params, adversary, epsilon, prng, stop="full")
     driver = Prng(derive(root, label, "challenges"))
     proof, state = prover.first()
     for i in range(2, protocol.spec.rounds + 1):

@@ -9,8 +9,9 @@ its commitment, and opened padding positions carry the reserved symbol.
 
 A session prover is any object with the three-method interface of
 `ArgumentProver` (`start`, `next_commitment`, `final_response`); the
-scripted adversaries implement the same contract, and all states must be
-deep-copyable so they can be snapshotted and rewound.
+scripted adversaries implement the same contract. Prover states are
+immutable values: each call returns a new state and never changes the one
+it was given, so a rewind reuses a state as it is.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 from typing import Any, Sequence
 
 from .errors import ParameterError, ProtocolViolation
-from .iop import IopProtocol, IopSpec
+from .iop import IopProtocol, IopSpec, QueryPlan
 from .prng import Bits
 from .vc import (
     Commitment,
@@ -154,10 +155,34 @@ class ArgumentProver:
         )
 
 
+def check_openings(params: ArgParams, commitments, plan: QueryPlan, response, rounds) -> bool:
+    """Commitment-side checks of the openings for the given 1-based rounds.
+
+    Each commitment covers the full capacity, each opening answers exactly
+    the planned positions, opened padding carries the reserved symbol, and
+    the opening verifies against its commitment.
+    """
+    spec = params.iop_spec
+    for j in rounds:
+        cm = commitments[j - 1]
+        opening = response[j - 1]
+        if cm.length != params.vc.capacity:
+            return False
+        if opening.positions != plan.per_round[j - 1]:
+            return False
+        # Queried positions past the round's own length must open to the
+        # padding symbol; the honest query function never emits them.
+        for q, a in zip(opening.positions, opening.answers):
+            if q > spec.proof_lengths[j - 1] and a != PAD_SYMBOL:
+                return False
+        if not _vc.vc_check(params.vc, cm, opening.positions, opening.answers, opening.proof):
+            return False
+    return True
+
+
 def arg_verify(params: ArgParams, protocol: IopProtocol, transcript: Transcript) -> int:
     """1 iff the transcript is accepting; malformed shapes yield 0."""
-    spec = protocol.spec
-    k = spec.rounds
+    k = protocol.spec.rounds
     if transcript.instance != protocol.instance:
         return 0
     if len(transcript.commitments) != k or len(transcript.challenges) != k:
@@ -168,23 +193,10 @@ def arg_verify(params: ArgParams, protocol: IopProtocol, transcript: Transcript)
         plan = protocol.verifier_query(transcript.challenges)
     except ProtocolViolation:
         return 0
-    answers = []
-    for i in range(k):
-        cm = transcript.commitments[i]
-        opening = transcript.response[i]
-        if cm.length != params.vc.capacity:
-            return 0
-        if opening.positions != plan.per_round[i]:
-            return 0
-        # Queried positions past the round's own length must open to the
-        # padding symbol; the honest query function never emits them.
-        for q, a in zip(opening.positions, opening.answers):
-            if q > spec.proof_lengths[i] and a != PAD_SYMBOL:
-                return 0
-        if not _vc.vc_check(params.vc, cm, opening.positions, opening.answers, opening.proof):
-            return 0
-        answers.append(opening.answers)
-    return protocol.verifier_decide(transcript.challenges, answers)
+    response = transcript.response
+    if not check_openings(params, transcript.commitments, plan, response, range(1, k + 1)):
+        return 0
+    return protocol.verifier_decide(plan, [opening.answers for opening in response])
 
 
 def position_bits(proof_length: int) -> int:

@@ -11,7 +11,6 @@ enumerate that space directly.
 from __future__ import annotations
 
 import abc
-import copy
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -85,14 +84,14 @@ class ProofString:
 
 @dataclass(frozen=True)
 class QueryPlan:
-    """Per-round query sets, each a strictly increasing 1-based sequence."""
+    """Per-round query sets, each a strictly increasing 1-based sequence.
+
+    `structured` holds the mapped challenges the plan was computed from;
+    `verifier_query` fills it in, and `verifier_decide` reads it.
+    """
 
     per_round: tuple[tuple[int, ...], ...]
-
-
-def snapshot_state(state: Any) -> Any:
-    """Deep copy of a prover state; the classical rewinding primitive."""
-    return copy.deepcopy(state)
+    structured: tuple[int, ...] = ()
 
 
 class IopProtocol(abc.ABC):
@@ -149,22 +148,23 @@ class IopProtocol(abc.ABC):
         return tuple(out)
 
     def verifier_query(self, randomness: Sequence[Bits]) -> QueryPlan:
-        plan = self.query_plan(self.map_challenges(randomness))
-        self._validate_plan(plan)
-        return plan
+        """Validated query plan for one challenge vector.
 
-    def verifier_decide(
-        self, randomness: Sequence[Bits], answers: Sequence[Sequence[int]]
-    ) -> int:
+        Raises ProtocolViolation on malformed randomness or an invalid plan.
+        """
         structured = self.map_challenges(randomness)
         plan = self.query_plan(structured)
         self._validate_plan(plan)
+        return QueryPlan(plan.per_round, structured)
+
+    def verifier_decide(self, plan: QueryPlan, answers: Sequence[Sequence[int]]) -> int:
+        """Decision on the answers to a plan from `verifier_query`; 0 on a shape mismatch."""
         if len(answers) != self.spec.rounds:
             return 0
         for ans, queries in zip(answers, plan.per_round):
             if len(ans) != len(queries):
                 return 0
-        return self.decide(structured, answers)
+        return self.decide(plan.structured, answers)
 
     def _validate_plan(self, plan: QueryPlan):
         if len(plan.per_round) != self.spec.rounds:
@@ -239,33 +239,7 @@ def iop_interact(protocol: IopProtocol, prover, prng: Prng) -> InteractionResult
     except ProtocolViolation as exc:
         return InteractionResult(0, tuple(proofs), tuple(challenges), violation=str(exc))
     plan = protocol.verifier_query(challenges)
-    accept = protocol.verifier_decide(challenges, _read_answers(plan, proofs))
-    return InteractionResult(accept, tuple(proofs), tuple(challenges))
-
-
-def iop_interact_interleaved(protocol: IopProtocol, prover, prng: Prng) -> InteractionResult:
-    """Round-by-round variant: the final challenge is drawn at decision time.
-
-    Consumes the stream in the same order as `iop_interact`, so equal seeds
-    must give byte-identical transcripts and the same accept bit.
-    """
-    spec = protocol.spec
-    proofs: list[ProofString] = []
-    challenges: list[Bits] = []
-    state = None
-    try:
-        for i in range(1, spec.rounds + 1):
-            prev = challenges[-1] if challenges else None
-            proof, state = _collect_round(protocol, prover, state, i, prev)
-            proofs.append(proof)
-            if i < spec.rounds:
-                challenges.append(prng.take_bits(spec.randomness_bits[i - 1]))
-    except ProtocolViolation as exc:
-        return InteractionResult(0, tuple(proofs), tuple(challenges), violation=str(exc))
-    # Decision phase: the verifier samples its final-round randomness locally.
-    challenges.append(prng.take_bits(spec.randomness_bits[spec.rounds - 1]))
-    plan = protocol.verifier_query(challenges)
-    accept = protocol.verifier_decide(challenges, _read_answers(plan, proofs))
+    accept = protocol.verifier_decide(plan, _read_answers(plan, proofs))
     return InteractionResult(accept, tuple(proofs), tuple(challenges))
 
 

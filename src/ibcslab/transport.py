@@ -85,6 +85,13 @@ def decode_frame(data: bytes, offset: int = 0) -> tuple[int, bytes, int]:
     return tag, data[start : start + length], start + length
 
 
+def _recv_frame(channel) -> bytes:
+    """Read one whole frame, header and payload, off a live channel."""
+    header = channel.recv_exact(FRAME_HEADER_BYTES)
+    length = int.from_bytes(header[:4], "big")
+    return header + channel.recv_exact(length) if length else header
+
+
 # ---------------------------------------------------------------------------
 # bit packing
 # ---------------------------------------------------------------------------
@@ -205,49 +212,6 @@ def decode_final_response(
         openings.append(Opening(positions=positions, answers=answers, proof=proof))
     reader.finish()
     return tuple(openings)
-
-
-def encode_opening(opening: Opening, symbol_bytes: int = 8) -> bytes:
-    """Self-contained opening layout: 4-byte query and digest counts, then
-    positions as 4-byte big-endian, fixed-width big-endian symbols, and raw
-    32-byte digests. With an empty proof the payload is just the count
-    fields, the query set, and the answers."""
-    parts = [
-        len(opening.positions).to_bytes(4, "big"),
-        len(opening.proof).to_bytes(4, "big"),
-    ]
-    parts += [q.to_bytes(4, "big") for q in opening.positions]
-    parts += [a.to_bytes(symbol_bytes, "big") for a in opening.answers]
-    parts += list(opening.proof)
-    return b"".join(parts)
-
-
-def decode_opening(payload: bytes, symbol_bytes: int = 8) -> Opening:
-    if len(payload) < 8:
-        raise DecodeError("truncated opening payload")
-    q = int.from_bytes(payload[0:4], "big")
-    pf = int.from_bytes(payload[4:8], "big")
-    want = 8 + q * (4 + symbol_bytes) + pf * DIGEST_BYTES
-    if len(payload) != want:
-        raise DecodeError(
-            f"opening payload must be {want} bytes, got {len(payload)}", offset=8
-        )
-    offset = 8
-    positions = tuple(
-        int.from_bytes(payload[offset + 4 * i : offset + 4 * (i + 1)], "big")
-        for i in range(q)
-    )
-    offset += 4 * q
-    answers = tuple(
-        int.from_bytes(payload[offset + symbol_bytes * i : offset + symbol_bytes * (i + 1)], "big")
-        for i in range(q)
-    )
-    offset += symbol_bytes * q
-    proof = tuple(
-        payload[offset + DIGEST_BYTES * i : offset + DIGEST_BYTES * (i + 1)]
-        for i in range(pf)
-    )
-    return Opening(positions=positions, answers=answers, proof=proof)
 
 
 _GC_KIND = 0x01
@@ -476,21 +440,20 @@ class _FrameLink:
             self.counters.overhead_bytes += FRAME_HEADER_BYTES
 
     def recv(self, expected_tag: int, is_protocol: bool = False) -> bytes:
-        header = self.channel.recv_exact(FRAME_HEADER_BYTES)
-        length = int.from_bytes(header[:4], "big")
-        tag = header[4]
-        payload = self.channel.recv_exact(length) if length else b""
-        self.log += header + payload
+        frame = _recv_frame(self.channel)
+        self.log += frame
         self.counters.recv_frames += 1
+        tag = frame[4]
         if tag != expected_tag:
             raise ProtocolViolation(
                 f"expected frame tag {expected_tag:#x}, received {tag:#x}"
             )
+        payload = frame[FRAME_HEADER_BYTES:]
         if is_protocol:
             self.counters.recv_payload_bytes += len(payload)
             self.counters.overhead_bytes += FRAME_HEADER_BYTES
         else:
-            self.counters.overhead_bytes += len(header) + len(payload)
+            self.counters.overhead_bytes += len(frame)
         return payload
 
 
@@ -602,13 +565,11 @@ def send_public_setup(channel, params: ArgParams, instance):
 def recv_public_setup(channel) -> tuple[int, VcParams, Any]:
     fields = {}
     for expected in (TAG_PARAMS, TAG_INSTANCE):
-        header = channel.recv_exact(FRAME_HEADER_BYTES)
-        length = int.from_bytes(header[:4], "big")
-        tag = header[4]
-        payload = channel.recv_exact(length) if length else b""
+        frame = _recv_frame(channel)
+        tag = frame[4]
         if tag != expected:
             raise ProtocolViolation(f"setup expected tag {expected:#x}, got {tag:#x}")
-        fields[tag] = payload
+        fields[tag] = frame[FRAME_HEADER_BYTES:]
     bound, vc_params = decode_params_fields(fields[TAG_PARAMS])
     instance = decode_instance(fields[TAG_INSTANCE])
     return bound, vc_params, instance

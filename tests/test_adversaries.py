@@ -69,6 +69,27 @@ def test_snapshot_fidelity(k3_setup, all_adversaries):
         assert adversary.final_response(snapshot(state), Bits(72, 77)) == response
 
 
+@pytest.mark.parametrize("setup", ["k3_setup", "sumcheck_true_setup"])
+def test_adversary_states_are_hashable(request, setup):
+    """Rewinding reuses states as they are, so every state a built-in prover
+    hands out, from `start` through each round, is an immutable value."""
+    protocol, params = request.getfixturevalue(setup)[:2]
+    for name in ("honest", "optimal", "abort", "equivocator", "withholder", "grinder"):
+        adversary = make_adversary(name, protocol, params)
+        prng = Prng(derive(seed_root(0), "hashable", name))
+        states = [adversary.start()]
+        prev = None
+        for i in range(protocol.spec.rounds):
+            _, state = adversary.next_commitment(states[-1], prev)
+            states.append(state)
+            prev = prng.take_bits(protocol.spec.randomness_bits[i])
+        for i, state in enumerate(states):
+            try:
+                hash(state)
+            except TypeError as exc:
+                pytest.fail(f"{name} state after round {i} is not hashable: {exc}")
+
+
 def test_honest_wrapper_accepts_always(k3_setup):
     protocol, params, witness = k3_setup
     honest = honest_wrapper(protocol, params, witness)

@@ -14,9 +14,9 @@ from ibcslab.adversaries import (
 from ibcslab.errors import ParameterError, ProtocolViolation
 from ibcslab.extraction import (
     ArgContext,
+    ExtractorIopProver,
     KnowledgeSet,
     RewindBudget,
-    build_iop_prover,
     end_to_end_knowledge,
     error_share,
     fill_oracle,
@@ -153,10 +153,10 @@ def test_sampler_counts_crashes_as_voided(k3_setup):
     assert kset.coverage == set()
 
 
-def test_sampler_isolates_mutating_adversaries(k3_setup):
-    """A prover that scribbles on its state cannot leak across rewinds: each
-    continuation runs on a snapshot, so the base state stays byte-identical
-    and repeated sampling replays the same knowledge set."""
+def test_sampler_rejects_mutating_adversaries(k3_setup):
+    """Prover states are immutable values and every rewind reuses the same
+    state, so a prover that scribbles on its state breaks the rewinding
+    contract: the sampler's state digest catches it and raises."""
     protocol, params, witness = k3_setup
     honest = honest_wrapper(protocol, params, witness)
 
@@ -171,23 +171,18 @@ def test_sampler_isolates_mutating_adversaries(k3_setup):
 
         def final_response(self, state, challenge):
             inner, cell = state
-            cell[0] += 1  # mutation visible only inside this rewind's copy
+            cell[0] += 1  # breaks the contract: changes the state it was given
             return honest.final_response(inner, challenge)
 
     adv = Mutating()
     state0 = adv.start()
     cm, rho = adv.next_commitment(state0, None)
-    from ibcslab.adversaries import state_digest
-
     ctx = ArgContext(
         params=params, protocol=protocol, round_index=1,
         commitments=(cm,), challenges=(), oracles=(),
     )
-    before = state_digest(rho)
-    first, _ = sampler(adv, rho, ctx, 20, Prng(seed_root(5)))
-    assert state_digest(rho) == before
-    again, _ = sampler(adv, rho, ctx, 20, Prng(seed_root(5)))
-    assert again.triples == first.triples
+    with pytest.raises(ProtocolViolation, match="rewinding mutated the adversary state"):
+        sampler(adv, rho, ctx, 20, Prng(seed_root(5)))
 
 
 def test_reductor_budget_and_fill(k3_setup):
@@ -229,7 +224,7 @@ def test_extracted_prover_emits_proper_coloring_mostly(k3_setup):
     proper = 0
     for i in range(trials):
         prng = Prng(derive(seed_root(8), "build", i))
-        prover = build_iop_prover(protocol, params, honest, epsilon, prng)
+        prover = ExtractorIopProver(protocol, params, honest, epsilon, prng)
         proof, _ = prover.first()
         proper += is_proper_coloring(protocol.instance, proof.symbols)
     rate = proper / trials
@@ -240,10 +235,10 @@ def test_extracted_prover_from_abort_is_blank_and_rejected(k3_setup):
     protocol, params, witness = k3_setup
     adv = always_abort(protocol, honest_wrapper(protocol, params, witness))
     prng = Prng(derive(seed_root(9), "blank"))
-    prover = build_iop_prover(protocol, params, adv, 0.5, prng)
+    prover = ExtractorIopProver(protocol, params, adv, 0.5, prng)
     proof, _ = prover.first()
     assert proof.symbols == (0, 0, 0)
-    result = iop_interact(protocol, build_iop_prover(
+    result = iop_interact(protocol, ExtractorIopProver(
         protocol, params, adv, 0.5, Prng(derive(seed_root(9), "blank2"))
     ), Prng(derive(seed_root(9), "verify")))
     assert result.accept == 0
@@ -255,7 +250,7 @@ def test_extracted_prover_is_deterministic_per_seed(k3_setup):
     outs = []
     for _ in range(2):
         prng = Prng(derive(seed_root(10), "det"))
-        prover = build_iop_prover(protocol, params, honest, 0.5, prng)
+        prover = ExtractorIopProver(protocol, params, honest, 0.5, prng)
         proof, _ = prover.first()
         outs.append(proof)
     assert outs[0] == outs[1]

@@ -1,0 +1,86 @@
+"""Golden pins: sha256 digests of CLI reports and transcript files.
+
+Reports and transcripts are pure functions of their argv, so a change that
+keeps behaviour keeps these digests. The instance files are generated in
+code. The two lab pins use the argv and instance paths of the benchmark's
+`lab` workload and equal its `GOLDEN[("extract", 0)]` and
+`GOLDEN[("soundness", 0)]` in `bench/workloads.py`.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+from pathlib import Path
+
+import pytest
+
+from ibcslab import cli
+from ibcslab.toys import complete_graph, dump_graph_text, dump_sumcheck_text, petersen_graph
+
+from helpers import make_sumcheck
+
+LAB_SUMCHECK = ".bench_work/lab/sumcheck-p17-n2-d2.txt"
+LAB_K4 = ".bench_work/lab/k4.txt"
+
+REPORT_PINS = {
+    "lab-extract": (
+        ["extract", "--instance", LAB_SUMCHECK, "--adversary", "grinder:1",
+         "--epsilon", "0.5", "--trials", "10", "--knowledge-trials", "1", "--seed", "0"],
+        "851d638c87a9743f04f25845e1799cb84da3be582a4093877fea55d9d658e4eb",
+    ),
+    "lab-soundness": (
+        ["soundness", "--instance", LAB_K4, "--trials", "200", "--seed", "0"],
+        "57f74bbf58fec4251e6a8bdcad02b2d2b19a2bd20fecafde72d28f08260da04d",
+    ),
+    # Covers the withholder's own query plan and the failure-event path.
+    "k3-withholder-extract": (
+        ["extract", "--instance", "k3.txt", "--adversary", "withholder:1",
+         "--epsilon", "0.5", "--trials", "100", "--knowledge-trials", "4", "--seed", "0"],
+        "5b20da1669a2ea2b8bcd37bde03cab82e7109887723013a48cd271cbe250272e",
+    ),
+}
+
+TRANSCRIPT_PINS = {
+    "petersen.txt": "191aec760492d7e75666b928358b086045e24338c2f071e22881eefb7df3e4bb",
+    "sumcheck-p17-n3-d2.txt": "d65ce7e1c7ccce08f8505a1553ca49dc42a512376d4c6f5b71ef8ff3c220bd72",
+}
+
+
+@pytest.fixture
+def workdir(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    files = {
+        LAB_SUMCHECK: dump_sumcheck_text(make_sumcheck()),
+        LAB_K4: dump_graph_text(complete_graph(4)),
+        "k3.txt": dump_graph_text(complete_graph(3)),
+        "petersen.txt": dump_graph_text(petersen_graph()),
+        "sumcheck-p17-n3-d2.txt": dump_sumcheck_text(make_sumcheck(n=3)),
+    }
+    for name, text in files.items():
+        path = tmp_path / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    return tmp_path
+
+
+def _report(argv: list[str]) -> bytes:
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = cli.main(argv)
+    assert code == 0
+    return buf.getvalue().encode()
+
+
+@pytest.mark.parametrize("name", sorted(REPORT_PINS))
+def test_report_pin(workdir, name):
+    argv, pin = REPORT_PINS[name]
+    assert hashlib.sha256(_report(argv)).hexdigest() == pin
+
+
+@pytest.mark.parametrize("instance", sorted(TRANSCRIPT_PINS))
+def test_prove_transcript_pin(workdir, instance):
+    out = Path("transcript.bin")
+    _report(["prove", "--instance", instance, "--seed", "0", "--out", str(out)])
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == TRANSCRIPT_PINS[instance]

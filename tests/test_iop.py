@@ -11,9 +11,7 @@ from ibcslab.iop import (
     ProofString,
     brute_force_soundness,
     iop_interact,
-    iop_interact_interleaved,
     oracle_cost,
-    snapshot_state,
 )
 from ibcslab.prng import Bits, Prng, derive, seed_root
 from ibcslab.toys import find_coloring, gc_pcp, sumcheck_iop
@@ -43,21 +41,6 @@ def test_honest_completeness_all_seeds(k3):
         assert result.accept == 1
 
 
-def test_interaction_orders_agree(k3, sumcheck_true):
-    protocols = [
-        (gc_pcp(k3), find_coloring(k3)),
-        (sumcheck_iop(sumcheck_true), ()),
-    ]
-    for protocol, witness in protocols:
-        for seed in range(1000):
-            key = derive(seed_root(seed), "order")
-            postponed = iop_interact(protocol, HonestIopProver(protocol, witness), Prng(key))
-            interleaved = iop_interact_interleaved(
-                protocol, HonestIopProver(protocol, witness), Prng(key)
-            )
-            assert postponed == interleaved
-
-
 def test_wrong_length_proof_rejected(k3):
     protocol = gc_pcp(k3)
 
@@ -83,10 +66,10 @@ def test_fixed_seed_fixed_transcript(k3):
 def test_snapshot_replay_is_deterministic(sumcheck_true):
     protocol = sumcheck_iop(sumcheck_true)
     proof, state = protocol.prover_init(())
-    snap = snapshot_state(state)
     challenge = Bits(protocol.spec.randomness_bits[0], 12345)
     first = protocol.prover_next(state, challenge)
-    second = protocol.prover_next(snap, challenge)
+    # states are immutable values: replaying from the same state is a rewind
+    second = protocol.prover_next(state, challenge)
     assert first[0] == second[0]
 
 
@@ -114,9 +97,9 @@ def test_verifier_rejects_malformed_randomness(k3):
 
 def test_decide_shape_mismatch_returns_zero(k3):
     protocol = gc_pcp(k3)
-    randomness = [Bits(protocol.spec.randomness_bits[0], 0)]
-    assert protocol.verifier_decide(randomness, [(0,)]) == 0
-    assert protocol.verifier_decide(randomness, [(0, 1), (2,)]) == 0
+    plan = protocol.verifier_query([Bits(protocol.spec.randomness_bits[0], 0)])
+    assert protocol.verifier_decide(plan, [(0,)]) == 0
+    assert protocol.verifier_decide(plan, [(0, 1), (2,)]) == 0
 
 
 def test_scripted_cheater_never_beats_oracle(k4):

@@ -9,7 +9,7 @@ from ibcslab import transport
 from ibcslab.errors import DecodeError, ProtocolViolation
 from ibcslab.ibcs import ArgumentProver
 from ibcslab.prng import Bits, Prng, derive, seed_root
-from ibcslab.vc import Commitment, vc_commit, vc_gen, vc_open
+from ibcslab.vc import Commitment
 
 from helpers import run_memory_session
 
@@ -251,20 +251,3 @@ def test_codec_identity_large_fuzz(k3_setup):
             assert transport.decode_final_response(params, [cm.length], payload) == response
             samples += 1
 
-
-def test_standalone_opening_codec():
-    params = vc_gen(128, 6, symbol_bits=4)
-    cm, aux = vc_commit(params, [1, 2, 3, 4, 5])
-    opening = vc_open(params, aux, [2, 4])
-    payload = transport.encode_opening(opening)
-    assert transport.decode_opening(payload) == opening
-    # with an empty proof the payload is the counts, query set and answers
-    full = vc_open(params, aux, [1, 2, 3, 4, 5, 6])
-    assert full.proof == ()
-    payload = transport.encode_opening(full)
-    assert len(payload) == 8 + 6 * (4 + 8)
-    assert transport.decode_opening(payload) == full
-    with pytest.raises(DecodeError):
-        transport.decode_opening(payload + b"\x00")
-    with pytest.raises(DecodeError):
-        transport.decode_opening(payload[:4])
