@@ -166,12 +166,15 @@ class Withholder(_WrapperProver):
         self.refuses = refuses
 
     def final_response(self, state, challenge: Bits):
-        inner_state, challenges = state
-        plan = self.protocol.verifier_query(challenges + (challenge,))
-        for round_index, queries in enumerate(plan.per_round, start=1):
-            if any(self.refuses(round_index, q) for q in queries):
+        inner_state, _ = state
+        response = self.inner.final_response(inner_state, challenge)
+        if response is None:
+            return None
+        # The inner prover opens the verifier's plan; refuse on what it opened.
+        for round_index, opening in enumerate(response, start=1):
+            if any(self.refuses(round_index, q) for q in opening.positions):
                 return None
-        return self.inner.final_response(inner_state, challenge)
+        return response
 
 
 class Grinder(_WrapperProver):

@@ -412,6 +412,12 @@ def accept_under_routing(
         range(1, protocol.spec.rounds + 1),
     ):
         return 0
+    return _routed_decision(protocol, plan, record, oracle_rounds)
+
+
+def _routed_decision(
+    protocol: IopProtocol, plan: QueryPlan, record: TrialRecord, oracle_rounds: int
+) -> int:
     answers = _routed_answers(protocol, plan, record.oracles, record.response, oracle_rounds)
     return protocol.verifier_decide(plan, answers)
 
@@ -551,38 +557,36 @@ def run_events_experiment(
         if record.voided:
             counters.voided += 1
             continue
-        counters.accept_openings += accept_under_routing(
-            protocol, params, record, round_index - 1
-        )
-        counters.accept_oracle += accept_under_routing(protocol, params, record, round_index)
         if record.response is None:
             continue
+        i = round_index
         plan = protocol.verifier_query(record.challenges)
-        queries = plan.per_round[round_index - 1]
-        oracle = record.oracles[round_index - 1]
-        opening = record.response[round_index - 1]
+        opened = len(record.response) == spec.rounds
+        checked = [
+            opened and check_openings(params, record.commitments, plan, record.response, (j,))
+            for j in range(1, spec.rounds + 1)
+        ]
+        # The round-i game: openings from round i on verify, and the
+        # decision reads the rounds below i from the extracted oracles.
+        game_won = all(checked[i - 1 :]) and _routed_decision(protocol, plan, record, i - 1)
+        if all(checked[: i - 1]):
+            counters.accept_openings += game_won
+            counters.accept_oracle += all(checked) and _routed_decision(protocol, plan, record, i)
+        queries = plan.per_round[i - 1]
+        oracle = record.oracles[i - 1]
+        opening = record.response[i - 1]
         new_positions = [q for q in queries if q not in oracle.covered]
         if new_positions:
             counters.raw_missing += 1
             # The bound governs the accepting-run event: an accepted rewind
             # with new positions is exactly one more coverage step.
-            i = round_index
-            ctx = ArgContext(
-                params=params,
-                protocol=protocol,
-                round_index=i,
-                commitments=record.commitments[:i],
-                challenges=record.challenges[: i - 1],
-                oracles=record.oracles[: i - 1],
-            )
-            tail = record.commitments[i:]
-            if game_predicate(ctx, plan, tail, record.response):
+            if game_won:
                 counters.missing += 1
-        cm = record.commitments[round_index - 1]
-        opening_ok = vc_check(
-            params.vc, cm, opening.positions, opening.answers, opening.proof
-        )
-        if opening_ok and opening.positions == queries:
+        cm = record.commitments[i - 1]
+        # A conflict needs a covered position, so some rewind won the round-i
+        # game against this same commitment: the round-i check then says
+        # exactly that the opening verifies at the planned positions.
+        if checked[i - 1]:
             conflicts = [
                 q
                 for q, a in zip(opening.positions, opening.answers)
@@ -590,9 +594,7 @@ def run_events_experiment(
             ]
             if conflicts:
                 counters.disagreements += 1
-                pair = _binding_pair(
-                    params, record.knowledge[round_index - 1], cm, opening, conflicts
-                )
+                pair = _binding_pair(params, record.knowledge[i - 1], cm, opening, conflicts)
                 if pair is not None:
                     counters.binding_pairs.append(pair)
     return counters

@@ -25,12 +25,14 @@ from __future__ import annotations
 
 import queue
 import socket
+import struct
 from dataclasses import dataclass
 from typing import Any
 
 from .errors import DecodeError, ProtocolViolation, TransportError
 from .ibcs import (
     COMMITMENT_WIRE_BITS,
+    COMMITMENT_WIRE_BYTES,
     ArgParams,
     Transcript,
     arg_verify,
@@ -85,10 +87,21 @@ def decode_frame(data: bytes, offset: int = 0) -> tuple[int, bytes, int]:
     return tag, data[start : start + length], start + length
 
 
-def _recv_frame(channel) -> bytes:
-    """Read one whole frame, header and payload, off a live channel."""
+def _recv_frame(channel, expected_tag: int, max_payload: int) -> bytes:
+    """Read one whole frame, header and payload, off a live channel.
+
+    The tag and the declared length are checked before any payload byte is
+    read, so a peer's length field never sizes a read past `max_payload`.
+    """
     header = channel.recv_exact(FRAME_HEADER_BYTES)
     length = int.from_bytes(header[:4], "big")
+    tag = header[4]
+    if tag != expected_tag:
+        raise ProtocolViolation(f"expected frame tag {expected_tag:#x}, received {tag:#x}")
+    if length > max_payload:
+        raise ProtocolViolation(
+            f"frame tag {tag:#x} declares {length} payload bytes, at most {max_payload} allowed"
+        )
     return header + channel.recv_exact(length) if length else header
 
 
@@ -178,6 +191,22 @@ def final_response_bits(params: ArgParams, response) -> int:
     return total
 
 
+def final_response_max_bytes(params: ArgParams) -> int:
+    """Longest final-response payload a decoder can accept.
+
+    Per round: the q_i positions and answers, and at most (q_i + 1) digests
+    per tree level, since only the opened leaves' ancestors and the first
+    padding leaf's ancestor can lack a sibling.
+    """
+    spec = params.iop_spec
+    bits = sum(
+        q * (position_bits(length) + spec.symbol_bits)
+        + (q + 1) * params.vc.levels * 8 * DIGEST_BYTES
+        for q, length in zip(spec.query_counts, spec.proof_lengths)
+    )
+    return (bits + 7) // 8
+
+
 def encode_final_response(params: ArgParams, response) -> bytes:
     spec = params.iop_spec
     writer = _BitWriter()
@@ -246,13 +275,7 @@ def decode_instance(payload: bytes):
         m = int.from_bytes(body[4:8], "big")
         if len(body) != 8 + 8 * m:
             raise DecodeError("graph instance length mismatch", offset=len(body))
-        edges = tuple(
-            (
-                int.from_bytes(body[8 + 8 * j : 12 + 8 * j], "big"),
-                int.from_bytes(body[12 + 8 * j : 16 + 8 * j], "big"),
-            )
-            for j in range(m)
-        )
+        edges = tuple(struct.iter_unpack(">II", body[8:]))
         return GraphColoringInstance(n, edges)
     if kind == _SC_KIND:
         if len(body) < 20:
@@ -282,6 +305,11 @@ def protocol_for_instance(instance) -> IopProtocol:
 def encode_params(params: ArgParams) -> bytes:
     blob = params.vc.to_bytes()
     return params.instance_bound.to_bytes(4, "big") + len(blob).to_bytes(2, "big") + blob
+
+
+# Parameter payload: bound, blob length, and a VcParams encoding whose hash
+# name and domain tag are at most 255 bytes each.
+_PARAMS_MAX_BYTES = 6 + 14 + 2 * 255
 
 
 def decode_params_fields(payload: bytes) -> tuple[int, VcParams]:
@@ -329,6 +357,11 @@ def memory_channel_pair() -> tuple[MemoryChannel, MemoryChannel]:
     return MemoryChannel(b_to_a, a_to_b), MemoryChannel(a_to_b, b_to_a)
 
 
+# Largest single socket read: buffers grow with the bytes that arrive, not
+# with the length a peer declares.
+_RECV_CHUNK_BYTES = 1 << 16
+
+
 class TcpChannel:
     def __init__(self, sock: socket.socket):
         self._sock = sock
@@ -345,7 +378,7 @@ class TcpChannel:
         got = 0
         while got < n:
             try:
-                chunk = self._sock.recv(n - got)
+                chunk = self._sock.recv(min(n - got, _RECV_CHUNK_BYTES))
             except OSError as exc:
                 raise TransportError(f"receive failed: {exc}") from exc
             if not chunk:
@@ -439,15 +472,10 @@ class _FrameLink:
             self.counters.sent_payload_bytes += len(payload)
             self.counters.overhead_bytes += FRAME_HEADER_BYTES
 
-    def recv(self, expected_tag: int, is_protocol: bool = False) -> bytes:
-        frame = _recv_frame(self.channel)
+    def recv(self, expected_tag: int, max_payload: int, is_protocol: bool = False) -> bytes:
+        frame = _recv_frame(self.channel, expected_tag, max_payload)
         self.log += frame
         self.counters.recv_frames += 1
-        tag = frame[4]
-        if tag != expected_tag:
-            raise ProtocolViolation(
-                f"expected frame tag {expected_tag:#x}, received {tag:#x}"
-            )
         payload = frame[FRAME_HEADER_BYTES:]
         if is_protocol:
             self.counters.recv_payload_bytes += len(payload)
@@ -491,7 +519,7 @@ def run_session(
             commitments.append(cm)
             link.send(TAG_COMMIT, encode_commitment(cm), COMMITMENT_WIRE_BITS)
             nbits = spec.randomness_bits[i - 1]
-            payload = link.recv(TAG_CHALLENGE, is_protocol=True)
+            payload = link.recv(TAG_CHALLENGE, (nbits + 7) // 8, is_protocol=True)
             r_i = decode_challenge(payload, nbits)
             counters.recv_protocol_bits += nbits
             challenges.append(r_i)
@@ -504,7 +532,7 @@ def run_session(
             encode_final_response(params, response),
             final_response_bits(params, response),
         )
-        decision_payload = link.recv(TAG_DECISION)
+        decision_payload = link.recv(TAG_DECISION, 1)
         decision = int(decision_payload[0]) if decision_payload else 0
     elif role == "verifier":
         if prng is None:
@@ -512,7 +540,7 @@ def run_session(
         commitments = []
         challenges = []
         for i in range(1, k + 1):
-            payload = link.recv(TAG_COMMIT, is_protocol=True)
+            payload = link.recv(TAG_COMMIT, COMMITMENT_WIRE_BYTES, is_protocol=True)
             commitments.append(decode_commitment(payload))
             counters.recv_protocol_bits += COMMITMENT_WIRE_BITS
             # Public coin: the challenge is read straight off the stream,
@@ -520,7 +548,7 @@ def run_session(
             r_i = prng.take_bits(spec.randomness_bits[i - 1])
             challenges.append(r_i)
             link.send(TAG_CHALLENGE, encode_challenge(r_i), r_i.nbits)
-        payload = link.recv(TAG_FINAL, is_protocol=True)
+        payload = link.recv(TAG_FINAL, final_response_max_bytes(params), is_protocol=True)
         try:
             response = decode_final_response(
                 params, [cm.length for cm in commitments], payload
@@ -563,15 +591,11 @@ def send_public_setup(channel, params: ArgParams, instance):
 
 
 def recv_public_setup(channel) -> tuple[int, VcParams, Any]:
-    fields = {}
-    for expected in (TAG_PARAMS, TAG_INSTANCE):
-        frame = _recv_frame(channel)
-        tag = frame[4]
-        if tag != expected:
-            raise ProtocolViolation(f"setup expected tag {expected:#x}, got {tag:#x}")
-        fields[tag] = frame[FRAME_HEADER_BYTES:]
-    bound, vc_params = decode_params_fields(fields[TAG_PARAMS])
-    instance = decode_instance(fields[TAG_INSTANCE])
+    """Read the parameter frame, then an instance frame of at most the bound's bytes."""
+    frame = _recv_frame(channel, TAG_PARAMS, _PARAMS_MAX_BYTES)
+    bound, vc_params = decode_params_fields(frame[FRAME_HEADER_BYTES:])
+    frame = _recv_frame(channel, TAG_INSTANCE, bound)
+    instance = decode_instance(frame[FRAME_HEADER_BYTES:])
     return bound, vc_params, instance
 
 

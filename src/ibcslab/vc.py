@@ -17,13 +17,27 @@ Multi-proofs list the sibling digests that cannot be derived from the
 opened leaves (or from padding), in bottom-up, left-to-right order with
 duplicates removed. The proof length is therefore forced: verification
 fails on any extra or missing digest.
+
+Padding leaves and all-padding subtrees depend only on the parameters and
+the committed length, so their digests are computed once per
+(params, length) pair, level by level, and kept in a bounded LRU cache
+(`PADDING_CACHE_SIZE` entries). Only the ancestors of the opened leaves
+and of the first padding leaf can lack a sibling, so with the cache warm:
+
+    vc_check, vc_open, proof_digest_count : O(q log width) work for q positions;
+                                            check hashes at most (q+1)(levels+1)
+    vc_commit                              : hashes the data leaves and the
+                                            nodes above them, about 2 * length
+
+A cold cache costs one pass of about 2 * (width - length) hashes.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import DecodeError, MessageError, ParameterError, QueryError
 
@@ -36,6 +50,9 @@ _PAD_MARK = b"\x02"
 
 _SUPPORTED_SECURITY = (128, 256)
 _SUPPORTED_HASHES = ("sha256",)
+
+# Parameter sets (with committed lengths) whose padding digests stay cached.
+PADDING_CACHE_SIZE = 16
 
 
 def _next_pow2(n: int) -> int:
@@ -167,6 +184,31 @@ def _node_digest(params: VcParams, left: bytes, right: bytes) -> bytes:
     return hashlib.sha256(params.domain_tag + _NODE_MARK + left + right).digest()
 
 
+@functools.lru_cache(maxsize=PADDING_CACHE_SIZE)
+def _padding_layers(params: VcParams, length: int) -> tuple[tuple[bytes, ...], ...]:
+    """Digests of the all-padding nodes past a committed length, per level.
+
+    Level h holds the nodes from ceil(length / 2**h) to the level's end,
+    the ones whose every leaf lies past `length`. They depend only on
+    (params, length), never on the message. Callers pass a validated
+    1 <= length <= capacity, so an entry is at most two digests per leaf
+    of a tree the public parameters already size.
+    """
+    layer = tuple(_pad_digest(params, j) for j in range(length + 1, params.width + 1))
+    layers = [layer]
+    first = length
+    for level in range(1, params.levels + 1):
+        # Node i of this level has children 2i and 2i + 1 of the last one,
+        # which starts at index `first`.
+        start, first = first, (first + 1) // 2
+        layer = tuple(
+            _node_digest(params, layer[2 * i - start], layer[2 * i + 1 - start])
+            for i in range(first, params.width >> level)
+        )
+        layers.append(layer)
+    return tuple(layers)
+
+
 def vc_commit(params: VcParams, message: Sequence[int]) -> tuple[Commitment, CommitAux]:
     if len(message) > params.capacity:
         raise MessageError(
@@ -179,17 +221,19 @@ def vc_commit(params: VcParams, message: Sequence[int]) -> tuple[Commitment, Com
         if not 0 <= symbol < bound:
             raise MessageError(f"symbol at position {j} outside alphabet range")
 
-    leaves = [_leaf_digest(params, j, s) for j, s in enumerate(message, start=1)]
-    leaves += [_pad_digest(params, j) for j in range(len(message) + 1, params.width + 1)]
-    layers = [tuple(leaves)]
-    while len(layers[-1]) > 1:
+    length = len(message)
+    padding = _padding_layers(params, length)
+    layer = [_leaf_digest(params, j, s) for j, s in enumerate(message, start=1)]
+    layer += padding[0]
+    layers = [tuple(layer)]
+    first = length
+    for level in range(1, len(padding)):
+        # Nodes below `first` hold a data leaf; the rest come from the cache.
+        first = (first + 1) // 2
         prev = layers[-1]
-        layers.append(
-            tuple(
-                _node_digest(params, prev[2 * i], prev[2 * i + 1])
-                for i in range(len(prev) // 2)
-            )
-        )
+        layer = [_node_digest(params, prev[2 * i], prev[2 * i + 1]) for i in range(first)]
+        layer += padding[level]
+        layers.append(tuple(layer))
     aux = CommitAux(layers=tuple(layers), message=tuple(message))
     return Commitment(root=layers[-1][0], length=len(message)), aux
 
@@ -206,38 +250,44 @@ def _canonical_positions(params: VcParams, positions: Sequence[int]) -> tuple[in
     return tuple(sorted(pos))
 
 
-def _known_leaf_indices(params: VcParams, length: int, positions: Sequence[int]) -> set[int]:
-    # 0-based leaf indices the verifier can reconstruct unaided: the opened
-    # positions plus every padding leaf (message-independent).
-    return {q - 1 for q in positions} | set(range(length, params.width))
+def _proof_slots(params: VcParams, length: int, known: Iterable[int]) -> list[tuple[int, int]]:
+    """(level, index) of each supplied sibling, bottom-up and left-to-right.
 
-
-def _proof_slots(params: VcParams, known: set[int]) -> list[tuple[int, int]]:
-    """(level, index) of each supplied sibling, bottom-up and left-to-right."""
+    `known` holds the 0-based indices of the opened leaves. A node is
+    derivable when it is an ancestor of an opened leaf or of a padding leaf;
+    the padding ancestors on level h are the indices from `length >> h` on.
+    A slot is a sibling of a derivable node that is not derivable itself.
+    """
     slots: list[tuple[int, int]] = []
-    frontier = known
-    for level in range(params.levels):
-        parents = {i // 2 for i in frontier}
-        for parent in sorted(parents):
-            for child in (2 * parent, 2 * parent + 1):
-                if child not in frontier:
-                    slots.append((level, child))
-        frontier = parents
+    opened = set(known)
+    width = params.width
+    for level in range(width.bit_length() - 1):
+        pad_start = length >> level
+        # Slots lie below pad_start: siblings of the opened nodes, which come
+        # out in increasing order, then the left sibling of pad_start when
+        # that first padding ancestor is a right child.
+        frontier = sorted(opened)
+        if length < width and pad_start & 1 and pad_start not in opened:
+            frontier.append(pad_start)
+        for i in frontier:
+            sibling = i ^ 1
+            if sibling < pad_start and sibling not in opened:
+                slots.append((level, sibling))
+        opened = {i >> 1 for i in opened}
     return slots
 
 
 def proof_digest_count(params: VcParams, length: int, positions: Sequence[int]) -> int:
     """Canonical multi-proof length for a query set; used by codecs and accounting."""
-    known = _known_leaf_indices(params, length, positions)
-    return len(_proof_slots(params, known))
+    return len(_proof_slots(params, length, (q - 1 for q in positions)))
 
 
 def vc_open(params: VcParams, aux: CommitAux, positions: Sequence[int]) -> Opening:
     pos = _canonical_positions(params, positions)
     length = len(aux.message)
     answers = tuple(aux.message[q - 1] if q <= length else 0 for q in pos)
-    known = _known_leaf_indices(params, length, pos)
-    proof = tuple(aux.layers[level][index] for level, index in _proof_slots(params, known))
+    slots = _proof_slots(params, length, (q - 1 for q in pos))
+    proof = tuple(aux.layers[level][index] for level, index in slots)
     return Opening(positions=pos, answers=answers, proof=proof)
 
 
@@ -262,44 +312,45 @@ def vc_check(
         return 0
     if not 1 <= cm.length <= params.capacity:
         return 0
+    length = cm.length
     bound = 1 << params.symbol_bits
-    values: dict[int, bytes] = {}
     for q, a in zip(pos, ans):
         if not 1 <= q <= params.capacity or not 0 <= a < bound:
             return 0
-        if q > cm.length:
-            # Padding position: only the reserved symbol is openable.
-            if a != 0:
-                return 0
-            values[q - 1] = _pad_digest(params, q)
-        else:
-            values[q - 1] = _leaf_digest(params, q, a)
-    for j in range(cm.length, params.width):
-        values.setdefault(j, _pad_digest(params, j + 1))
-
-    known = _known_leaf_indices(params, cm.length, pos)
-    slots = _proof_slots(params, known)
+        # Padding position: only the reserved symbol is openable.
+        if q > length and a != 0:
+            return 0
+    slots = _proof_slots(params, length, (q - 1 for q in pos))
     if len(pf) != len(slots):
         return 0
     if any(len(d) != DIGEST_BYTES for d in pf):
         return 0
 
-    supplied: dict[tuple[int, int], bytes] = {
-        slot: digest for slot, digest in zip(slots, pf)
+    supplied = dict(zip(slots, pf))
+    padding = _padding_layers(params, length)
+    values = {
+        q - 1: _leaf_digest(params, q, a) if q <= length else padding[0][q - 1 - length]
+        for q, a in zip(pos, ans)
     }
-    level_values = values
-    frontier = known
-    for level in range(params.levels):
-        parents = sorted({i // 2 for i in frontier})
+    first = length  # the first all-padding node on the current level
+    for level in range(len(padding) - 1):
+        pad_layer = padding[level]
+        parents = {i >> 1 for i in values}
+        next_first = (first + 1) // 2
+        boundary = length >> (level + 1)
+        if boundary < next_first:
+            # Holds both data and padding leaves: neither opened nor cached.
+            parents.add(boundary)
         next_values: dict[int, bytes] = {}
         for parent in parents:
             children = []
-            for child in (2 * parent, 2 * parent + 1):
-                if child in frontier:
-                    children.append(level_values[child])
+            for i in (2 * parent, 2 * parent + 1):
+                if i in values:
+                    children.append(values[i])
+                elif i >= first:
+                    children.append(pad_layer[i - first])
                 else:
-                    children.append(supplied[(level, child)])
+                    children.append(supplied[(level, i)])
             next_values[parent] = _node_digest(params, children[0], children[1])
-        level_values = next_values
-        frontier = set(parents)
-    return 1 if level_values.get(0) == cm.root else 0
+        values, first = next_values, next_first
+    return 1 if values.get(0) == cm.root else 0

@@ -127,6 +127,28 @@ def test_withholder_refusing_everything_never_accepts(k3_setup):
     assert estimate.value == 0.0
 
 
+def test_withholder_plans_each_challenge_vector_once(k3_setup, monkeypatch):
+    protocol, params, witness = k3_setup
+    honest = honest_wrapper(protocol, params, witness)
+    withholder = Withholder(protocol, honest, lambda r, q: q == 1)
+    calls = []
+    real = type(protocol).verifier_query
+    monkeypatch.setattr(
+        type(protocol), "verifier_query", lambda self, r: calls.append(r) or real(self, r)
+    )
+    prng = Prng(derive(seed_root(21), "withholder"))
+    outcomes = set()
+    for _ in range(40):
+        state = withholder.start()
+        _, state = withholder.next_commitment(state, None)
+        calls.clear()
+        challenge = prng.take_bits(protocol.spec.randomness_bits[0])
+        response = withholder.final_response(state, challenge)
+        assert len(calls) == 1
+        outcomes.add(response is None)
+    assert outcomes == {True, False}
+
+
 def test_grinder_measure(k3_setup):
     protocol, params, witness = k3_setup
     honest = honest_wrapper(protocol, params, witness)

@@ -17,7 +17,13 @@ from pathlib import Path
 import pytest
 
 from ibcslab import cli
-from ibcslab.toys import complete_graph, dump_graph_text, dump_sumcheck_text, petersen_graph
+from ibcslab.toys import (
+    canonical_graph,
+    complete_graph,
+    dump_graph_text,
+    dump_sumcheck_text,
+    petersen_graph,
+)
 
 from helpers import make_sumcheck
 
@@ -45,7 +51,14 @@ REPORT_PINS = {
 TRANSCRIPT_PINS = {
     "petersen.txt": "191aec760492d7e75666b928358b086045e24338c2f071e22881eefb7df3e4bb",
     "sumcheck-p17-n3-d2.txt": "d65ce7e1c7ccce08f8505a1553ca49dc42a512376d4c6f5b71ef8ff3c220bd72",
+    # Padding-heavy: 2**k + 1 symbols in a tree of width 2**(k + 1).
+    "cycle-33.txt": "e238566d92a3906052537854e29dc69b6e73c19bf8f6934a6ce7773903321ae9",
+    "cycle-257.txt": "f4dde67a4a699e21274eb1bce5a203d84999b750be20dbc6b3dd0965029ebc76",
 }
+
+
+def _cycle(n: int):
+    return canonical_graph(n, [(i, i % n + 1) for i in range(1, n + 1)])
 
 
 @pytest.fixture
@@ -57,6 +70,8 @@ def workdir(tmp_path, monkeypatch):
         "k3.txt": dump_graph_text(complete_graph(3)),
         "petersen.txt": dump_graph_text(petersen_graph()),
         "sumcheck-p17-n3-d2.txt": dump_sumcheck_text(make_sumcheck(n=3)),
+        "cycle-33.txt": dump_graph_text(_cycle(33)),
+        "cycle-257.txt": dump_graph_text(_cycle(257)),
     }
     for name, text in files.items():
         path = tmp_path / name

@@ -6,10 +6,10 @@ import threading
 import pytest
 
 from ibcslab import transport
-from ibcslab.errors import DecodeError, ProtocolViolation
+from ibcslab.errors import DecodeError, IbcsError, ProtocolViolation, TransportError
 from ibcslab.ibcs import ArgumentProver
 from ibcslab.prng import Bits, Prng, derive, seed_root
-from ibcslab.vc import Commitment
+from ibcslab.vc import Commitment, proof_digest_count
 
 from helpers import run_memory_session
 
@@ -251,3 +251,114 @@ def test_codec_identity_large_fuzz(k3_setup):
             assert transport.decode_final_response(params, [cm.length], payload) == response
             samples += 1
 
+
+class _ScriptedChannel:
+    """A channel that feeds fixed bytes and records every read size."""
+
+    def __init__(self, data: bytes):
+        self._data = data
+        self.reads: list[int] = []
+
+    def send_bytes(self, data: bytes):
+        pass
+
+    def recv_exact(self, n: int) -> bytes:
+        self.reads.append(n)
+        if n > len(self._data):
+            raise TransportError("scripted channel ran dry")
+        out, self._data = self._data[:n], self._data[n:]
+        return out
+
+
+def _header(length: int, tag: int) -> bytes:
+    return length.to_bytes(4, "big") + bytes([tag])
+
+
+def _session_prefixes(params, protocol, witness):
+    """Valid frames a role reads before the frame under test, keyed by (role, its tag)."""
+    prover = ArgumentProver(protocol, params, witness)
+    cm, _ = prover.next_commitment(prover.start(), None)
+    commit = transport.encode_frame(transport.TAG_COMMIT, transport.encode_commitment(cm))
+    nbits = protocol.spec.randomness_bits[0]
+    challenge = transport.encode_frame(transport.TAG_CHALLENGE, Bits(nbits, 1).to_bytes())
+    return {
+        ("verifier", transport.TAG_COMMIT): b"",
+        ("verifier", transport.TAG_FINAL): commit,
+        ("prover", transport.TAG_CHALLENGE): b"",
+        ("prover", transport.TAG_DECISION): challenge,
+    }
+
+
+@pytest.mark.parametrize("length", [0xFFFFFFFF, "limit+1"])
+def test_oversized_frame_rejected_before_its_payload_is_read(k3_setup, length):
+    protocol, params, witness = k3_setup
+    nbits = protocol.spec.randomness_bits[0]
+    limits = {
+        transport.TAG_COMMIT: 36,
+        transport.TAG_CHALLENGE: (nbits + 7) // 8,
+        transport.TAG_FINAL: transport.final_response_max_bytes(params),
+        transport.TAG_DECISION: 1,
+    }
+    for (role, tag), prefix in _session_prefixes(params, protocol, witness).items():
+        declared = limits[tag] + 1 if length == "limit+1" else length
+        channel = _ScriptedChannel(prefix + _header(declared, tag) + bytes(64))
+        kwargs = (
+            {"prover": ArgumentProver(protocol, params, witness)}
+            if role == "prover"
+            else {"prng": Prng(derive(seed_root(0), "session", 0))}
+        )
+        with pytest.raises(IbcsError, match="payload bytes"):
+            transport.run_session(role, channel, params, protocol, **kwargs)
+        assert sum(channel.reads) == len(prefix) + transport.FRAME_HEADER_BYTES
+
+
+def test_final_response_limit_covers_every_committed_length(k3_setup):
+    protocol, params, witness = k3_setup
+    prover = ArgumentProver(protocol, params, witness)
+    _, v_res = run_memory_session(protocol, params, prover, seed=5)
+    honest = transport.encode_final_response(params, v_res.transcript.response)
+    assert len(honest) <= transport.final_response_max_bytes(params)
+    q = protocol.spec.query_counts[0]
+    for length in (0, 1, params.vc.capacity, params.vc.width, 0xFFFFFFFF):
+        for positions in ([1], [2, 3], [1, params.vc.capacity]):
+            count = proof_digest_count(params.vc, length, positions[:q])
+            assert count <= (q + 1) * params.vc.levels
+
+
+class _DripSocket:
+    """Socket stand-in that returns what it holds, then end of stream."""
+
+    def __init__(self, data: bytes):
+        self._data = data
+        self.sizes: list[int] = []
+
+    def settimeout(self, _seconds):
+        pass
+
+    def recv(self, n: int) -> bytes:
+        self.sizes.append(n)
+        out, self._data = self._data[:n], self._data[n:]
+        return out
+
+
+def test_tcp_reads_in_bounded_chunks():
+    sock = _DripSocket(bytes(200_000))
+    channel = transport.TcpChannel(sock)
+    with pytest.raises(TransportError, match="closed mid-frame"):
+        channel.recv_exact(0xFFFFFFFF)
+    assert max(sock.sizes) <= 1 << 16
+    assert sum(sock.sizes[:-1]) >= 200_000
+
+
+def test_setup_rejects_instance_longer_than_its_bound(k3_setup):
+    protocol, params, _ = k3_setup
+    blob = params.vc.to_bytes()
+    short_bound = (4).to_bytes(4, "big") + len(blob).to_bytes(2, "big") + blob
+    payload = transport.encode_instance(protocol.instance)
+    channel = _ScriptedChannel(
+        transport.encode_frame(transport.TAG_PARAMS, short_bound)
+        + transport.encode_frame(transport.TAG_INSTANCE, payload)
+    )
+    with pytest.raises(ProtocolViolation, match="at most 4 allowed"):
+        transport.recv_public_setup(channel)
+    assert channel.reads == [5, len(short_bound), 5]

@@ -6,9 +6,12 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ibcslab import vc as vc_module
 from ibcslab.errors import MessageError, ParameterError, QueryError
 from ibcslab.vc import (
     DEFAULT_DOMAIN_TAG,
+    DIGEST_BYTES,
+    Commitment,
     Opening,
     params_from_bytes,
     proof_digest_count,
@@ -17,6 +20,8 @@ from ibcslab.vc import (
     vc_gen,
     vc_open,
 )
+
+import vc_reference
 
 
 def test_tree_width_rounds_up():
@@ -256,3 +261,142 @@ def test_aux_layers_are_internally_consistent():
         len(layer) == (params.width + (1 << j) - 1) // (1 << j)
         for j, layer in enumerate(aux.layers)
     )
+
+
+# ---------------------------------------------------------------------------
+# differential tests against the Θ(width) reference in vc_reference.py
+# ---------------------------------------------------------------------------
+
+
+def _tampered(rng, params, length, opening):
+    """A batch of inputs near an honest opening, most of them invalid."""
+    pos, ans, pf = opening.positions, opening.answers, opening.proof
+    bound = 1 << params.symbol_bits
+    out = [(length, pos, ans, pf)]
+    i = rng.randrange(len(pos))
+    flipped = list(ans)
+    flipped[i] = (flipped[i] + 1) % bound
+    out.append((length, pos, tuple(flipped), pf))
+    if pf:
+        j = rng.randrange(len(pf))
+        digest = bytearray(pf[j])
+        digest[rng.randrange(DIGEST_BYTES)] ^= 1
+        out.append((length, pos, ans, pf[:j] + (bytes(digest),) + pf[j + 1 :]))
+        out.append((length, pos, ans, pf[:-1]))
+    out.append((length, pos, ans, pf + (bytes(DIGEST_BYTES),)))
+    shifted = sorted({min(q + 1, params.capacity) for q in pos})
+    out.append((length, tuple(shifted), ans[: len(shifted)], pf))
+    out.append((rng.randint(1, params.capacity), pos, ans, pf))
+    return out
+
+
+def _assert_matches_reference(rng, params, message, queries, tampered=None):
+    length = len(message)
+    cm, aux = vc_commit(params, message)
+    layers = vc_reference.commit_layers(params, message)
+    assert aux.layers == layers
+    assert cm.root == layers[-1][0]
+    opening = vc_open(params, aux, queries)
+    assert opening.proof == vc_reference.open_proof(params, layers, length, queries)
+    assert proof_digest_count(params, length, queries) == vc_reference.proof_digest_count(
+        params, length, queries
+    )
+    assert vc_check(params, cm, opening.positions, opening.answers, opening.proof) == 1
+    variants = _tampered(rng, params, length, opening)
+    for claimed, pos, ans, pf in variants if tampered is None else rng.sample(variants, tampered):
+        claimed_cm = Commitment(cm.root, claimed)
+        assert vc_check(params, claimed_cm, pos, ans, pf) == vc_reference.check(
+            params, cm.root, claimed, pos, ans, pf
+        )
+
+
+def test_every_capacity_and_length_matches_reference():
+    rng = random.Random(2024)
+    for capacity in range(1, 81):
+        params = vc_gen(128, capacity, symbol_bits=rng.choice([1, 3, 8]))
+        for length in range(1, capacity + 1):
+            message = [rng.randrange(1 << params.symbol_bits) for _ in range(length)]
+            queries = sorted(rng.sample(range(1, capacity + 1), rng.randint(1, min(capacity, 4))))
+            _assert_matches_reference(rng, params, message, queries, tampered=2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_sparse_paths_match_reference(data):
+    capacity = data.draw(
+        st.one_of(st.sampled_from([1, 2, 4, 8, 16, 32, 64]), st.integers(1, 80)), label="capacity"
+    )
+    symbol_bits = data.draw(st.sampled_from([1, 2, 5, 8]), label="symbol_bits")
+    length = data.draw(st.integers(1, capacity), label="length")
+    message = data.draw(
+        st.lists(
+            st.integers(0, (1 << symbol_bits) - 1), min_size=length, max_size=length
+        ),
+        label="message",
+    )
+    pool = range(1, capacity + 1)
+    if length < capacity and data.draw(st.booleans(), label="padding only"):
+        pool = range(length + 1, capacity + 1)
+    queries = sorted(data.draw(st.sets(st.sampled_from(pool), min_size=1), label="queries"))
+    rng = random.Random(data.draw(st.integers(0, 2**32), label="tamper seed"))
+    params = vc_gen(128, capacity, symbol_bits=symbol_bits)
+    _assert_matches_reference(rng, params, message, queries)
+
+
+def test_proof_digest_count_matches_reference_for_any_declared_length():
+    # Decoders size proofs from a peer's committed length, which may be 0
+    # or past the capacity; the count must still follow the same rule.
+    params = vc_gen(128, 21, symbol_bits=4)
+    for length in (0, 1, 20, 21, 22, 31, 32, 33, 1 << 20):
+        for queries in ([1], [5, 21], [2, 3, 17], list(range(1, 22))):
+            assert proof_digest_count(params, length, queries) == (
+                vc_reference.proof_digest_count(params, length, queries)
+            )
+
+
+class _CountingHashlib:
+    def __init__(self):
+        self.calls = 0
+
+    def sha256(self, *args):
+        self.calls += 1
+        return hashlib.sha256(*args)
+
+
+@pytest.mark.parametrize("k", range(4, 17))
+def test_check_hashes_grow_with_queries_times_depth(monkeypatch, k):
+    capacity = (1 << k) + 1
+    params = vc_gen(128, capacity, symbol_bits=2)
+    message = [j % 4 for j in range(capacity)]
+    cm, aux = vc_commit(params, message)
+    for queries in ([1], [capacity], [2, capacity - 1], [1, 2, 3, 1 << (k - 1), capacity]):
+        opening = vc_open(params, aux, queries)
+        counter = _CountingHashlib()
+        monkeypatch.setattr(vc_module, "hashlib", counter)
+        assert vc_check(params, cm, opening.positions, opening.answers, opening.proof) == 1
+        monkeypatch.undo()
+        assert counter.calls <= (len(queries) + 1) * (params.levels + 1)
+
+
+def test_short_message_check_reads_padding_from_cache(monkeypatch):
+    params = vc_gen(128, 1 << 12, symbol_bits=8)
+    cm, aux = vc_commit(params, [7, 8, 9])
+    opening = vc_open(params, aux, [2, 4000])
+    counter = _CountingHashlib()
+    monkeypatch.setattr(vc_module, "hashlib", counter)
+    assert vc_check(params, cm, opening.positions, opening.answers, opening.proof) == 1
+    assert counter.calls <= 3 * (params.levels + 1)
+
+
+def test_padding_cache_is_bounded_and_sees_only_valid_lengths():
+    info = vc_module._padding_layers.cache_info()
+    assert info.maxsize == vc_module.PADDING_CACHE_SIZE
+    params = vc_gen(128, 9, symbol_bits=4)
+    cm, aux = vc_commit(params, [1, 2, 3])
+    opening = vc_open(params, aux, [1])
+    before = vc_module._padding_layers.cache_info()
+    for length in (0, 10, 16, 1 << 31):
+        claimed = Commitment(cm.root, length)
+        assert vc_check(params, claimed, opening.positions, opening.answers, opening.proof) == 0
+    after = vc_module._padding_layers.cache_info()
+    assert (after.hits, after.misses) == (before.hits, before.misses)
