@@ -1,11 +1,13 @@
 """Scripted, rewindable argument provers for the extraction experiments.
 
 Every adversary follows the session-prover contract (`start`,
-`next_commitment`, `final_response`), keeps its whole state in the value
-passed through those calls, and is deterministic given (state, challenge).
-States are immutable values (frozen dataclasses and tuples), so a snapshot
-is the state itself, and `state_digest` certifies that a rewind left the
-adversary untouched.
+`next_commitment(state, challenge)`, `final_response(state, plan)`), keeps
+its whole state in the value passed through those calls, and is
+deterministic given (state, challenge) and (state, plan). The caller owns
+the query plan: whoever drew the challenges computes it once and passes it
+in, and the adversary only decides what to open. States are immutable
+values (frozen dataclasses and tuples), so a snapshot is the state itself,
+and `state_digest` certifies that a rewind left the adversary untouched.
 
 Returning None from `final_response` models an abort: the adversary walks
 away instead of opening, and the verifier rejects.
@@ -21,7 +23,7 @@ from typing import Callable, Sequence
 
 from .errors import InstanceError, ParameterError, ProtocolViolation
 from .ibcs import ArgParams, ArgumentProver, pad_proof_string
-from .iop import IopProtocol
+from .iop import IopProtocol, QueryPlan
 from .prng import Bits, map_to_range
 from .toys import (
     GraphColoringIop,
@@ -91,11 +93,10 @@ class ScriptedProver:
             i + 1, challenges, state.strings + (symbols,), state.auxes + (aux,)
         )
 
-    def final_response(self, state: _ScriptState, challenge: Bits):
+    def final_response(self, state: _ScriptState, plan: QueryPlan):
         spec = self.protocol.spec
         if state.next_round != spec.rounds + 1:
             raise ProtocolViolation("final response requested before all commitments")
-        plan = self.protocol.verifier_query(state.challenges + (challenge,))
         return tuple(
             vc_open(self.params.vc, state.auxes[i], plan.per_round[i])
             for i in range(spec.rounds)
@@ -136,21 +137,18 @@ def optimal_sumcheck_cheater(
 
 
 class _WrapperProver:
-    """Shared plumbing for adversaries that decorate an inner prover."""
+    """Shared plumbing for adversaries that decorate an inner prover; the
+    states and commitments are the inner prover's own."""
 
     def __init__(self, protocol: IopProtocol, inner):
         self.protocol = protocol
         self.inner = inner
 
     def start(self):
-        return (self.inner.start(), ())
+        return self.inner.start()
 
     def next_commitment(self, state, challenge: Bits | None):
-        inner_state, challenges = state
-        cm, inner_state = self.inner.next_commitment(inner_state, challenge)
-        if challenge is not None:
-            challenges = challenges + (challenge,)
-        return cm, (inner_state, challenges)
+        return self.inner.next_commitment(state, challenge)
 
 
 class Withholder(_WrapperProver):
@@ -158,23 +156,19 @@ class Withholder(_WrapperProver):
 
     Runs where a refused position is queried end in an abort, so those
     positions can never enter a knowledge set: the extracted oracle stays
-    blind there, which is exactly the missing-position stress case.
+    blind there, which is exactly the missing-position stress case. The
+    refusal is read off the plan, before the inner prover opens anything.
     """
 
     def __init__(self, protocol: IopProtocol, inner, refuses: Callable[[int, int], bool]):
         super().__init__(protocol, inner)
         self.refuses = refuses
 
-    def final_response(self, state, challenge: Bits):
-        inner_state, _ = state
-        response = self.inner.final_response(inner_state, challenge)
-        if response is None:
-            return None
-        # The inner prover opens the verifier's plan; refuse on what it opened.
-        for round_index, opening in enumerate(response, start=1):
-            if any(self.refuses(round_index, q) for q in opening.positions):
+    def final_response(self, state, plan: QueryPlan):
+        for round_index, queries in enumerate(plan.per_round, start=1):
+            if any(self.refuses(round_index, q) for q in queries):
                 return None
-        return response
+        return self.inner.final_response(state, plan)
 
 
 class Grinder(_WrapperProver):
@@ -191,11 +185,10 @@ class Grinder(_WrapperProver):
         self.predicate = predicate
         self.measure = measure
 
-    def final_response(self, state, challenge: Bits):
-        inner_state, challenges = state
-        if not self.predicate(challenges + (challenge,)):
+    def final_response(self, state, plan: QueryPlan):
+        if not self.predicate(plan.randomness):
             return None
-        return self.inner.final_response(inner_state, challenge)
+        return self.inner.final_response(state, plan)
 
 
 def grinder_on_leading_bits(
@@ -219,7 +212,6 @@ def always_abort(protocol: IopProtocol, inner) -> Grinder:
 @dataclass(frozen=True)
 class _EquivState:
     next_round: int
-    challenges: tuple[Bits, ...]
     auxes: tuple[CommitAux, ...]
 
 
@@ -247,7 +239,7 @@ class Equivocator:
             raise ParameterError("one A and one B string required per round")
 
     def start(self) -> _EquivState:
-        return _EquivState(1, (), ())
+        return _EquivState(1, ())
 
     def next_commitment(self, state: _EquivState, challenge: Bits | None):
         i = state.next_round
@@ -255,12 +247,10 @@ class Equivocator:
             raise ProtocolViolation("all commitment rounds already sent")
         if (challenge is None) != (i == 1):
             raise ProtocolViolation("challenge expected exactly from round 2 on")
-        challenges = state.challenges if challenge is None else state.challenges + (challenge,)
         cm, aux = vc_commit(self.params.vc, self.a[i - 1])
-        return cm, _EquivState(i + 1, challenges, state.auxes + (aux,))
+        return cm, _EquivState(i + 1, state.auxes + (aux,))
 
-    def final_response(self, state: _EquivState, challenge: Bits):
-        plan = self.protocol.verifier_query(state.challenges + (challenge,))
+    def final_response(self, state: _EquivState, plan: QueryPlan):
         openings = []
         for i, queries in enumerate(plan.per_round):
             honest = vc_open(self.params.vc, state.auxes[i], queries)

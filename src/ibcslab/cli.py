@@ -21,7 +21,6 @@ import argparse
 import hashlib
 import json
 import sys
-import threading
 from fractions import Fraction
 from pathlib import Path
 
@@ -67,10 +66,6 @@ def load_instance_path(path: str, spec_hint: str | None):
     if kind == "sumcheck":
         return load_sumcheck_text(text), ()
     raise InstanceError(f"unknown spec selector {kind!r}")
-
-
-def build_protocol(instance):
-    return transport.protocol_for_instance(instance)
 
 
 def setup_for(instance, protocol, security_bits: int):
@@ -138,26 +133,14 @@ def _check_formula(params, result) -> dict:
 
 def cmd_prove(args, argv) -> int:
     instance, file_witness = load_instance_path(args.instance, args.spec)
-    protocol = build_protocol(instance)
+    protocol = transport.protocol_for_instance(instance)
     params = setup_for(instance, protocol, args.security)
     witness = resolve_witness(protocol, file_witness, args.witness)
     prover = ArgumentProver(protocol, params, witness)
 
     if args.transport == "memory":
-        chan_p, chan_v = transport.memory_channel_pair()
         prng = Prng(derive(seed_root(args.seed), "session", 0))
-        box: dict = {}
-
-        def run_verifier():
-            box["verifier"] = transport.run_session(
-                "verifier", chan_v, params, protocol, prng=prng
-            )
-
-        thread = threading.Thread(target=run_verifier)
-        thread.start()
-        result = transport.run_session("prover", chan_p, params, protocol, prover=prover)
-        thread.join()
-        verifier_result = box["verifier"]
+        result, verifier_result = transport.memory_session(params, protocol, prover, prng)
         decision = verifier_result.decision
     else:
         host, port = args.connect.rsplit(":", 1)
@@ -217,7 +200,7 @@ def cmd_verify(args, argv) -> int:
         own_instance, _ = load_instance_path(args.instance, args.spec)
         if own_instance != instance:
             raise InstanceError("peer proposed a different instance than configured")
-    protocol = build_protocol(instance)
+    protocol = transport.protocol_for_instance(instance)
     params = arg_setup(vc_params.security_bits, bound, protocol.spec)
     if params.vc != vc_params:
         raise ParameterError("peer parameters do not match the derived parameters")
@@ -260,7 +243,7 @@ def _iop_soundness_oracle(protocol):
 
 def cmd_soundness(args, argv) -> int:
     instance, file_witness = load_instance_path(args.instance, args.spec)
-    protocol = build_protocol(instance)
+    protocol = transport.protocol_for_instance(instance)
     if protocol.in_language() and not args.force:
         print(
             "error: instance is in the language; not a soundness instance "
@@ -331,7 +314,7 @@ def cmd_soundness(args, argv) -> int:
 
 def cmd_extract(args, argv) -> int:
     instance, file_witness = load_instance_path(args.instance, args.spec)
-    protocol = build_protocol(instance)
+    protocol = transport.protocol_for_instance(instance)
     params = setup_for(instance, protocol, args.security)
     adversary = make_adversary(args.adversary, protocol, params, file_witness or None)
     k = protocol.spec.rounds

@@ -121,8 +121,9 @@ class SamplerStats:
 def run_continuation(adversary, state, ctx: ArgContext, continuation: Sequence[Bits]):
     """Play rounds i+1..k and the final opening from a snapshot.
 
-    `continuation` supplies (r_i, ..., r_k). Returns the tail commitments
-    and the final response (None on abort).
+    `continuation` supplies (r_i, ..., r_k). Returns the tail commitments,
+    the verifier's plan for the full challenge vector, which the adversary
+    is asked to open, and the final response (None on abort).
     """
     spec = ctx.protocol.spec
     i = ctx.round_index
@@ -131,8 +132,9 @@ def run_continuation(adversary, state, ctx: ArgContext, continuation: Sequence[B
     for m in range(i + 1, spec.rounds + 1):
         cm, current = adversary.next_commitment(current, continuation[m - 1 - i])
         tail.append(cm)
-    response = adversary.final_response(current, continuation[-1])
-    return tuple(tail), response
+    plan = ctx.protocol.verifier_query(ctx.challenges + tuple(continuation))
+    response = adversary.final_response(current, plan)
+    return tuple(tail), plan, response
 
 
 def _routed_answers(protocol, plan, oracles, response, oracle_rounds: int):
@@ -185,15 +187,9 @@ def sampler(adversary, state, ctx: ArgContext, iterations: int, prng: Prng):
             prng.take_bits(spec.randomness_bits[m]) for m in range(i - 1, spec.rounds)
         )
         try:
-            tail, response = run_continuation(adversary, snapshot(state), ctx, continuation)
+            tail, plan, response = run_continuation(adversary, snapshot(state), ctx, continuation)
         except IbcsError:
             stats.voided += 1
-            continue
-        if response is None:
-            continue
-        try:
-            plan = ctx.protocol.verifier_query(ctx.challenges + continuation)
-        except ProtocolViolation:
             continue
         if not game_predicate(ctx, plan, tail, response):
             continue
@@ -338,6 +334,7 @@ class TrialRecord:
     oracles: tuple[ExtractedOracle, ...]
     knowledge: tuple[KnowledgeSet, ...]
     budgets: tuple[RewindBudget, ...]
+    plan: QueryPlan | None  # the plan of `challenges` the adversary opened
     response: tuple | None
     voided: bool = False
 
@@ -361,6 +358,7 @@ def run_hybrid_trial(
     oracles: tuple[ExtractedOracle, ...] = ()
     knowledge: tuple[KnowledgeSet, ...] = ()
     budgets: tuple[RewindBudget, ...] = ()
+    plan = None
     state = adversary.start()
     try:
         for i in range(1, k + 1):
@@ -381,14 +379,15 @@ def run_hybrid_trial(
                 knowledge += (kset,)
                 budgets += (budget,)
             challenges.append(prng.take_bits(spec.randomness_bits[i - 1]))
-        response = adversary.final_response(state, challenges[-1])
+        plan = protocol.verifier_query(challenges)
+        response = adversary.final_response(state, plan)
     except IbcsError:
         return TrialRecord(
-            tuple(challenges), tuple(commitments), oracles, knowledge, budgets,
+            tuple(challenges), tuple(commitments), oracles, knowledge, budgets, plan,
             response=None, voided=True,
         )
     return TrialRecord(
-        tuple(challenges), tuple(commitments), oracles, knowledge, budgets, response
+        tuple(challenges), tuple(commitments), oracles, knowledge, budgets, plan, response
     )
 
 
@@ -401,18 +400,14 @@ def accept_under_routing(
         return 0
     if oracle_rounds > len(record.oracles):
         raise ParameterError("routing needs more oracles than the trial extracted")
-    try:
-        plan = protocol.verifier_query(record.challenges)
-    except ProtocolViolation:
-        return 0
     if len(record.response) != protocol.spec.rounds:
         return 0
     if not check_openings(
-        params, record.commitments, plan, record.response,
+        params, record.commitments, record.plan, record.response,
         range(1, protocol.spec.rounds + 1),
     ):
         return 0
-    return _routed_decision(protocol, plan, record, oracle_rounds)
+    return _routed_decision(protocol, record.plan, record, oracle_rounds)
 
 
 def _routed_decision(
@@ -560,7 +555,7 @@ def run_events_experiment(
         if record.response is None:
             continue
         i = round_index
-        plan = protocol.verifier_query(record.challenges)
+        plan = record.plan
         opened = len(record.response) == spec.rounds
         checked = [
             opened and check_openings(params, record.commitments, plan, record.response, (j,))

@@ -7,9 +7,11 @@ positions the IOP verifier queries. The argument verifier accepts iff the
 IOP decision accepts on the opened answers, every opening verifies against
 its commitment, and opened padding positions carry the reserved symbol.
 
-A session prover is any object with the three-method interface of
-`ArgumentProver` (`start`, `next_commitment`, `final_response`); the
-scripted adversaries implement the same contract. Prover states are
+A session prover is any object with the interface of `ArgumentProver`:
+`start()`, `next_commitment(state, challenge)` and `final_response(state,
+plan)`; the scripted adversaries implement the same contract. The caller
+that drew the challenges owns `plan`, the `verifier_query` result for the
+full challenge vector, and the prover only opens it. Prover states are
 immutable values: each call returns a new state and never changes the one
 it was given, so a rewind reuses a state as it is.
 """
@@ -99,9 +101,7 @@ class Transcript:
 class _ProverState:
     next_round: int
     iop_state: Any
-    padded: tuple[tuple[int, ...], ...]
     auxes: tuple[CommitAux, ...]
-    challenges: tuple[Bits, ...]
 
 
 class ArgumentProver:
@@ -115,7 +115,7 @@ class ArgumentProver:
         self.witness = witness
 
     def start(self) -> _ProverState:
-        return _ProverState(1, None, (), (), ())
+        return _ProverState(1, None, ())
 
     def next_commitment(self, state: _ProverState, challenge: Bits | None):
         spec = self.protocol.spec
@@ -126,29 +126,17 @@ class ArgumentProver:
             if challenge is not None:
                 raise ProtocolViolation("round 1 takes no incoming challenge")
             proof, iop_state = self.protocol.prover_init(self.witness)
-            challenges = state.challenges
         else:
             if challenge is None:
                 raise ProtocolViolation(f"round {i} requires the round-{i - 1} challenge")
             proof, iop_state = self.protocol.prover_next(state.iop_state, challenge)
-            challenges = state.challenges + (challenge,)
-        padded = pad_proof_string(spec, proof.symbols)
-        cm, aux = vc_commit(self.params.vc, padded)
-        new_state = _ProverState(
-            next_round=i + 1,
-            iop_state=iop_state,
-            padded=state.padded + (padded,),
-            auxes=state.auxes + (aux,),
-            challenges=challenges,
-        )
-        return cm, new_state
+        cm, aux = vc_commit(self.params.vc, pad_proof_string(spec, proof.symbols))
+        return cm, _ProverState(i + 1, iop_state, state.auxes + (aux,))
 
-    def final_response(self, state: _ProverState, challenge: Bits):
+    def final_response(self, state: _ProverState, plan: QueryPlan):
         spec = self.protocol.spec
         if state.next_round != spec.rounds + 1:
             raise ProtocolViolation("final response requested before all commitments")
-        challenges = state.challenges + (challenge,)
-        plan = self.protocol.verifier_query(challenges)
         return tuple(
             vc_open(self.params.vc, state.auxes[i], plan.per_round[i])
             for i in range(spec.rounds)

@@ -86,12 +86,13 @@ class ProofString:
 class QueryPlan:
     """Per-round query sets, each a strictly increasing 1-based sequence.
 
-    `structured` holds the mapped challenges the plan was computed from;
-    `verifier_query` fills it in, and `verifier_decide` reads it.
+    `verifier_query` fills in `randomness`, the challenge vector, and
+    `structured`, its mapped challenges, which `verifier_decide` reads.
     """
 
     per_round: tuple[tuple[int, ...], ...]
     structured: tuple[int, ...] = ()
+    randomness: tuple[Bits, ...] = ()
 
 
 class IopProtocol(abc.ABC):
@@ -155,7 +156,7 @@ class IopProtocol(abc.ABC):
         structured = self.map_challenges(randomness)
         plan = self.query_plan(structured)
         self._validate_plan(plan)
-        return QueryPlan(plan.per_round, structured)
+        return QueryPlan(plan.per_round, structured, tuple(randomness))
 
     def verifier_decide(self, plan: QueryPlan, answers: Sequence[Sequence[int]]) -> int:
         """Decision on the answers to a plan from `verifier_query`; 0 on a shape mismatch."""

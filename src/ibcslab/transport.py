@@ -26,6 +26,7 @@ from __future__ import annotations
 import queue
 import socket
 import struct
+import threading
 from dataclasses import dataclass
 from typing import Any
 
@@ -328,9 +329,10 @@ def decode_params_fields(payload: bytes) -> tuple[int, VcParams]:
 
 
 class MemoryChannel:
-    """One endpoint of an in-process duplex byte stream."""
+    """One endpoint of an in-process duplex byte stream; `close` queues an
+    end-of-stream marker (None) that fails the peer's next read at once."""
 
-    def __init__(self, inbox: "queue.Queue[bytes]", outbox: "queue.Queue[bytes]"):
+    def __init__(self, inbox: "queue.Queue[bytes | None]", outbox: "queue.Queue[bytes | None]"):
         self._inbox = inbox
         self._outbox = outbox
         self._buffer = b""
@@ -341,19 +343,22 @@ class MemoryChannel:
     def recv_exact(self, n: int) -> bytes:
         while len(self._buffer) < n:
             try:
-                self._buffer += self._inbox.get(timeout=30)
+                chunk = self._inbox.get(timeout=30)
             except queue.Empty as exc:
                 raise TransportError("peer sent nothing for 30 s") from exc
+            if chunk is None:
+                raise TransportError("peer closed the channel")
+            self._buffer += chunk
         out, self._buffer = self._buffer[:n], self._buffer[n:]
         return out
 
     def close(self):
-        pass
+        self._outbox.put(None)
 
 
 def memory_channel_pair() -> tuple[MemoryChannel, MemoryChannel]:
-    a_to_b: queue.Queue[bytes] = queue.Queue()
-    b_to_a: queue.Queue[bytes] = queue.Queue()
+    a_to_b: queue.Queue[bytes | None] = queue.Queue()
+    b_to_a: queue.Queue[bytes | None] = queue.Queue()
     return MemoryChannel(b_to_a, a_to_b), MemoryChannel(a_to_b, b_to_a)
 
 
@@ -524,7 +529,7 @@ def run_session(
             counters.recv_protocol_bits += nbits
             challenges.append(r_i)
             prev = r_i
-        response = prover.final_response(state, challenges[-1])
+        response = prover.final_response(state, protocol.verifier_query(challenges))
         if response is None:
             raise ProtocolViolation("prover aborted instead of opening")
         link.send(
@@ -575,6 +580,37 @@ def run_session(
         response=tuple(response),
     )
     return SessionResult(decision, transcript, counters, bytes(link.log))
+
+
+def memory_session(params: ArgParams, protocol: IopProtocol, prover, prng: Prng):
+    """One in-process session, the verifier in a thread: (prover, verifier) results.
+
+    Each end closes its channel when it stops, so a failure ends the other
+    end's wait at once; a failed verifier's error is raised over the
+    prover's closed-channel error.
+    """
+    chan_p, chan_v = memory_channel_pair()
+    outcome: dict = {}
+
+    def verifier():
+        try:
+            outcome["result"] = run_session("verifier", chan_v, params, protocol, prng=prng)
+        except Exception as exc:
+            outcome["error"] = exc
+        finally:
+            chan_v.close()
+
+    thread = threading.Thread(target=verifier)
+    thread.start()
+    try:
+        prover_result = run_session("prover", chan_p, params, protocol, prover=prover)
+    finally:
+        chan_p.close()
+        thread.join()
+        error = outcome.get("error")
+        if error is not None and not isinstance(error, TransportError):
+            raise error
+    return prover_result, outcome["result"]
 
 
 # ---------------------------------------------------------------------------
@@ -629,6 +665,9 @@ def parse_transcript(data: bytes) -> tuple[ArgParams, IopProtocol, Transcript]:
     tag, payload, offset = decode_frame(data, offset)
     if tag != TAG_INSTANCE:
         raise DecodeError("transcript must carry the instance after parameters")
+    if len(payload) > bound:
+        at = offset - len(payload)
+        raise DecodeError(f"instance is {len(payload)} bytes, at most {bound} allowed", offset=at)
     instance = decode_instance(payload)
     protocol = protocol_for_instance(instance)
     params = ArgParams(vc=vc_params, instance_bound=bound, iop_spec=protocol.spec)

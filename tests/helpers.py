@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import threading
-
 from ibcslab import transport
 from ibcslab.prng import Prng, derive, seed_root
 from ibcslab.toys import SumcheckInstance
@@ -20,15 +18,5 @@ def make_sumcheck(p=17, n=2, d=2, coeffs=None, false_claim=False):
 
 def run_memory_session(protocol, params, prover, seed=0, session=0):
     """Drive one full session over the in-memory transport."""
-    chan_p, chan_v = transport.memory_channel_pair()
     prng = Prng(derive(seed_root(seed), "session", session))
-    box = {}
-
-    def verifier():
-        box["v"] = transport.run_session("verifier", chan_v, params, protocol, prng=prng)
-
-    thread = threading.Thread(target=verifier)
-    thread.start()
-    prover_result = transport.run_session("prover", chan_p, params, protocol, prover=prover)
-    thread.join()
-    return prover_result, box["v"]
+    return transport.memory_session(params, protocol, prover, prng)

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from ibcslab import ibcs
 from ibcslab.adversaries import (
     Equivocator,
     ScriptedProver,
@@ -38,7 +39,7 @@ def _drive_full_run(protocol, adversary, prng):
         commitments.append(cm)
         prev = prng.take_bits(spec.randomness_bits[i])
         challenges.append(prev)
-    response = adversary.final_response(state, challenges[-1])
+    response = adversary.final_response(state, protocol.verifier_query(challenges))
     return challenges, commitments, response
 
 
@@ -63,10 +64,11 @@ def test_snapshot_fidelity(k3_setup, all_adversaries):
         cm, state = adversary.next_commitment(state, None)
         before = state_digest(state)
         copy_ = snapshot(state)
-        response = adversary.final_response(copy_, Bits(72, 77))
+        plan = protocol.verifier_query([Bits(72, 77)])
+        response = adversary.final_response(copy_, plan)
         assert state_digest(state) == before, name
         # replaying from the untouched state gives identical output
-        assert adversary.final_response(snapshot(state), Bits(72, 77)) == response
+        assert adversary.final_response(snapshot(state), plan) == response
 
 
 @pytest.mark.parametrize("setup", ["k3_setup", "sumcheck_true_setup"])
@@ -127,24 +129,30 @@ def test_withholder_refusing_everything_never_accepts(k3_setup):
     assert estimate.value == 0.0
 
 
-def test_withholder_plans_each_challenge_vector_once(k3_setup, monkeypatch):
+def test_refusing_withholder_opens_nothing(k3_setup, monkeypatch):
+    """The withholder refuses on the plan it is handed, before its inner
+    prover opens anything, and plans nothing itself."""
     protocol, params, witness = k3_setup
     honest = honest_wrapper(protocol, params, witness)
     withholder = Withholder(protocol, honest, lambda r, q: q == 1)
-    calls = []
-    real = type(protocol).verifier_query
-    monkeypatch.setattr(
-        type(protocol), "verifier_query", lambda self, r: calls.append(r) or real(self, r)
-    )
     prng = Prng(derive(seed_root(21), "withholder"))
+    plans = [
+        protocol.verifier_query([prng.take_bits(protocol.spec.randomness_bits[0])])
+        for _ in range(40)
+    ]
+    _, state = withholder.next_commitment(withholder.start(), None)
+    opened = []
+    real_open = ibcs.vc_open
+    monkeypatch.setattr(ibcs, "vc_open", lambda *a: opened.append(a) or real_open(*a))
+    monkeypatch.setattr(
+        type(protocol), "verifier_query", lambda *a: pytest.fail("the withholder planned")
+    )
     outcomes = set()
-    for _ in range(40):
-        state = withholder.start()
-        _, state = withholder.next_commitment(state, None)
-        calls.clear()
-        challenge = prng.take_bits(protocol.spec.randomness_bits[0])
-        response = withholder.final_response(state, challenge)
-        assert len(calls) == 1
+    for plan in plans:
+        opened.clear()
+        response = withholder.final_response(state, plan)
+        assert (response is None) == (1 in plan.per_round[0])
+        assert len(opened) == (0 if response is None else protocol.spec.rounds)
         outcomes.add(response is None)
     assert outcomes == {True, False}
 

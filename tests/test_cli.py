@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+import threading
 import time
 
 import pytest
@@ -63,6 +64,21 @@ def test_prove_unsatisfiable_without_witness_errors(capsys, k4_file):
     code = main(["prove", "--instance", k4_file, "--seed", "1"])
     capsys.readouterr()
     assert code == 2
+
+
+def test_prove_invalid_witness_fails_at_once(capsys, k3_file):
+    """A failing prover closes its end of the in-memory session, so the
+    verifier thread stops at once and is joined before `main` returns."""
+    threads = threading.active_count()
+    start = time.monotonic()
+    code = main(["prove", "--instance", k3_file, "--witness", "0,1"])
+    elapsed = time.monotonic() - start
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "witness length" in err
+    assert "Traceback" not in err
+    assert elapsed < 2
+    assert threading.active_count() == threads
 
 
 def test_verify_transcript_roundtrip(capsys, tmp_path, k3_file):

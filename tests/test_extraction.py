@@ -143,7 +143,7 @@ def test_sampler_counts_crashes_as_voided(k3_setup):
         def next_commitment(self, state, challenge):
             return honest.next_commitment(state, challenge)
 
-        def final_response(self, state, challenge):
+        def final_response(self, state, plan):
             raise ProtocolViolation("synthetic crash")
 
     adv = Crashing()
@@ -169,10 +169,10 @@ def test_sampler_rejects_mutating_adversaries(k3_setup):
             cm, inner = honest.next_commitment(inner, challenge)
             return cm, (inner, cell)
 
-        def final_response(self, state, challenge):
+        def final_response(self, state, plan):
             inner, cell = state
             cell[0] += 1  # breaks the contract: changes the state it was given
-            return honest.final_response(inner, challenge)
+            return honest.final_response(inner, plan)
 
     adv = Mutating()
     state0 = adv.start()

@@ -100,12 +100,13 @@ def test_padding_rule_fills_reserved_symbol():
     protocol = MixedLengthIop()
     assert pad_proof_string(protocol.spec, (1, 2, 3)) == (1, 2, 3, PAD_SYMBOL, PAD_SYMBOL)
     params = arg_setup(128, 8, protocol.spec)
-    prover = ArgumentProver(protocol, params, None)
-    cm1, state = prover.next_commitment(prover.start(), None)
-    assert state.padded[0] == (1, 2, 3, 0, 0)
     # no padding when l_i == l_max
-    cm2, state = prover.next_commitment(state, Bits(72, 5))
-    assert state.padded[1] == protocol.strings[1]
+    assert pad_proof_string(protocol.spec, protocol.strings[1]) == protocol.strings[1]
+    prover = ArgumentProver(protocol, params, None)
+    state = prover.start()
+    for symbols, challenge in zip(protocol.strings, (None, Bits(72, 5))):
+        cm, state = prover.next_commitment(state, challenge)
+        assert cm == vc_commit(params.vc, pad_proof_string(protocol.spec, symbols))[0]
 
 
 def test_commit_deterministic_under_snapshot(sumcheck_true):
@@ -132,7 +133,7 @@ def _honest_transcript(protocol, params, witness, seed=0):
         commitments.append(cm)
         prev = prng.take_bits(protocol.spec.randomness_bits[i])
         challenges.append(prev)
-    response = prover.final_response(state, challenges[-1])
+    response = prover.final_response(state, protocol.verifier_query(challenges))
     return Transcript(
         instance=protocol.instance,
         commitments=tuple(commitments),
@@ -275,7 +276,7 @@ def test_prover_state_machine(k3_setup):
     prover = ArgumentProver(protocol, params, witness)
     state = prover.start()
     with pytest.raises(ProtocolViolation):
-        prover.final_response(state, Bits(72, 0))
+        prover.final_response(state, protocol.verifier_query([Bits(72, 0)]))
     cm, state = prover.next_commitment(state, None)
     with pytest.raises(ProtocolViolation):
         prover.next_commitment(state, Bits(72, 0))

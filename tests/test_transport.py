@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import dataclasses
 import random
 import threading
+import time
 
 import pytest
 
@@ -61,7 +63,7 @@ def test_codec_fuzz_roundtrip(k3_setup, sumcheck_true_setup):
                 challenges.append(prev)
                 payload = transport.encode_challenge(prev)
                 assert transport.decode_challenge(payload, prev.nbits) == prev
-            response = prover.final_response(state, challenges[-1])
+            response = prover.final_response(state, protocol.verifier_query(challenges))
             payload = transport.encode_final_response(params, response)
             decoded = transport.decode_final_response(
                 params, [cm.length for cm in commitments], payload
@@ -77,8 +79,7 @@ def test_final_response_decode_rejects_trailing_garbage(k3_setup):
     prover = ArgumentProver(protocol, params, witness)
     state = prover.start()
     cm, state = prover.next_commitment(state, None)
-    challenge = Bits(72, 11)
-    response = prover.final_response(state, challenge)
+    response = prover.final_response(state, protocol.verifier_query([Bits(72, 11)]))
     payload = transport.encode_final_response(params, response)
     with pytest.raises(DecodeError):
         transport.decode_final_response(params, [cm.length], payload + b"\x00")
@@ -101,6 +102,30 @@ def test_memory_session_accepts(k3_setup):
     assert p_res.decision == v_res.decision == 1
     assert p_res.transcript == v_res.transcript
     assert p_res.frame_bytes == v_res.frame_bytes
+
+
+def test_memory_session_raises_the_verifiers_error_at_once(k3_setup):
+    """A verifier that fails closes its end, so the prover waiting for the
+    decision stops at once and the verifier's error is the one raised."""
+    protocol, params, witness = k3_setup
+    honest = ArgumentProver(protocol, params, witness)
+
+    class ExtraDigest:
+        start = honest.start
+        next_commitment = honest.next_commitment
+
+        def final_response(self, state, plan):
+            return tuple(
+                dataclasses.replace(o, proof=o.proof + (bytes(32),))
+                for o in honest.final_response(state, plan)
+            )
+
+    threads = threading.active_count()
+    start = time.monotonic()
+    with pytest.raises(ProtocolViolation, match="undecodable final response"):
+        run_memory_session(protocol, params, ExtraDigest(), seed=5)
+    assert time.monotonic() - start < 2
+    assert threading.active_count() == threads
 
 
 def test_session_frame_count(k3_setup, sumcheck_true_setup):
@@ -226,6 +251,15 @@ def test_transcript_file_roundtrip(k3_setup):
         transport.parse_transcript(blob + b"\x00")
 
 
+def test_transcript_rejects_instance_longer_than_its_bound(k3_setup):
+    protocol, params, witness = k3_setup
+    _, v_res = run_memory_session(protocol, params, ArgumentProver(protocol, params, witness))
+    short = dataclasses.replace(params, instance_bound=4)
+    blob = transport.serialize_transcript(short, v_res.transcript)
+    with pytest.raises(DecodeError, match="at most 4 allowed"):
+        transport.parse_transcript(blob)
+
+
 def test_codec_identity_large_fuzz(k3_setup):
     """Round-trip identity over 10^5 randomly drawn protocol payloads."""
     protocol, params, witness = k3_setup
@@ -246,7 +280,7 @@ def test_codec_identity_large_fuzz(k3_setup):
             assert transport.decode_commitment(transport.encode_commitment(cm)) == cm
             samples += 1
         if samples % 100 == 0:
-            response = prover.final_response(state, challenge)
+            response = prover.final_response(state, protocol.verifier_query([challenge]))
             payload = transport.encode_final_response(params, response)
             assert transport.decode_final_response(params, [cm.length], payload) == response
             samples += 1
