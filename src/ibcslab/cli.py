@@ -73,6 +73,13 @@ def setup_for(instance, protocol, security_bits: int):
     return arg_setup(security_bits, bound, protocol.spec)
 
 
+def require_security(params, security_bits: int):
+    """A verifier never adopts a proposer's security level."""
+    found = params.vc.security_bits
+    if found != security_bits:
+        raise ParameterError(f"parameters are for lambda={found}, but --lambda is {security_bits}")
+
+
 def parse_witness_flag(value: str):
     return tuple(int(f) for f in value.replace(",", " ").split())
 
@@ -174,6 +181,7 @@ def cmd_verify(args, argv) -> int:
     if args.transcript:
         data = Path(args.transcript).read_bytes()
         params, protocol, transcript = transport.parse_transcript(data)
+        require_security(params, args.security)
         decision = arg_verify(params, protocol, transcript)
         report = {
             "experiment": "verify",
@@ -200,10 +208,8 @@ def cmd_verify(args, argv) -> int:
         own_instance, _ = load_instance_path(args.instance, args.spec)
         if own_instance != instance:
             raise InstanceError("peer proposed a different instance than configured")
-    protocol = transport.protocol_for_instance(instance)
-    params = arg_setup(vc_params.security_bits, bound, protocol.spec)
-    if params.vc != vc_params:
-        raise ParameterError("peer parameters do not match the derived parameters")
+    params, protocol = transport.verifier_setup(bound, vc_params, instance)
+    require_security(params, args.security)
     prng = Prng(derive(seed_root(args.seed), "session", 0))
     result = transport.run_session("verifier", channel, params, protocol, prng=prng)
     channel.close()

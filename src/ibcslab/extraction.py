@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any, Callable, Sequence
+from typing import Any, Sequence
 
 from .adversaries import snapshot, state_digest
 from .errors import IbcsError, ParameterError, ProtocolViolation
@@ -137,7 +137,7 @@ def run_continuation(adversary, state, ctx: ArgContext, continuation: Sequence[B
     return tuple(tail), plan, response
 
 
-def _routed_answers(protocol, plan, oracles, response, oracle_rounds: int):
+def _routed_answers(plan, oracles, response, oracle_rounds: int):
     """Answers with rounds <= oracle_rounds read from extracted oracles."""
     answers = []
     for j, queries in enumerate(plan.per_round, start=1):
@@ -164,7 +164,7 @@ def game_predicate(ctx: ArgContext, plan: QueryPlan, tail_commitments, response)
         return False
     if not check_openings(params, commitments, plan, response, range(i, protocol.spec.rounds + 1)):
         return False
-    answers = _routed_answers(protocol, plan, ctx.oracles, response, i - 1)
+    answers = _routed_answers(plan, ctx.oracles, response, i - 1)
     return bool(protocol.verifier_decide(plan, answers))
 
 
@@ -256,6 +256,7 @@ class _ExtractorState:
     commitments: tuple
     challenges: tuple[Bits, ...]
     oracles: tuple[ExtractedOracle, ...]
+    budgets: tuple[RewindBudget, ...]
 
 
 class ExtractorIopProver:
@@ -282,9 +283,8 @@ class ExtractorIopProver:
         self.share = error_share(epsilon, protocol.spec.rounds)
         self.prng = prng
         self.stop = stop
-        self.budgets: list[RewindBudget] = []
 
-    def _extract_round(self, adv_state, commitments, challenges, oracles):
+    def _extract_round(self, adv_state, commitments, challenges, oracles, budgets):
         i = len(commitments) + 1
         prev = challenges[-1] if challenges else None
         cm, rho = self.adversary.next_commitment(adv_state, prev)
@@ -299,17 +299,17 @@ class ExtractorIopProver:
         oracle, _, budget, _ = reductor(
             self.adversary, rho, ctx, self.share, self.prng, stop=self.stop
         )
-        self.budgets.append(budget)
         state = _ExtractorState(
             adversary_state=rho,
             commitments=commitments + (cm,),
             challenges=challenges,
             oracles=oracles + (oracle,),
+            budgets=budgets + (budget,),
         )
         return ProofString(i, oracle.symbols), state
 
     def first(self):
-        return self._extract_round(self.adversary.start(), (), (), ())
+        return self._extract_round(self.adversary.start(), (), (), (), ())
 
     def next_round(self, state: _ExtractorState, challenge: Bits):
         return self._extract_round(
@@ -317,6 +317,7 @@ class ExtractorIopProver:
             state.commitments,
             state.challenges + (challenge,),
             state.oracles,
+            state.budgets,
         )
 
 
@@ -413,7 +414,7 @@ def accept_under_routing(
 def _routed_decision(
     protocol: IopProtocol, plan: QueryPlan, record: TrialRecord, oracle_rounds: int
 ) -> int:
-    answers = _routed_answers(protocol, plan, record.oracles, record.response, oracle_rounds)
+    answers = _routed_answers(plan, record.oracles, record.response, oracle_rounds)
     return protocol.verifier_decide(plan, answers)
 
 
@@ -444,15 +445,12 @@ def hybrid_value(
     trials: int,
     seed: int,
     epsilon: float,
-    predicate: Callable[[Any], bool] | None = None,
     label: str = "hybrid",
 ) -> Estimate:
     """Monte-Carlo estimate of the hybrid's acceptance with confidence radius."""
     if trials < 1:
         raise ParameterError("at least one trial required")
     root = seed_root(seed)
-    if predicate is not None and not predicate(protocol.instance):
-        return Estimate(0, trials, hoeffding_radius(trials))
     successes = 0
     for trial in range(trials):
         prng = Prng(derive(root, label, oracle_rounds, trial))
@@ -720,5 +718,5 @@ def end_to_end_knowledge(
         success=success,
         witness=witness if success else None,
         oracles=oracles,
-        budgets=tuple(prover.budgets),
+        budgets=state.budgets,
     )

@@ -60,18 +60,10 @@ class ArgParams:
             raise ParameterError("commitment symbol width must match the alphabet")
 
 
-def arg_setup(
-    security_bits: int,
-    instance_bound: int,
-    iop_spec: IopSpec,
-    domain_tag: bytes = _vc.DEFAULT_DOMAIN_TAG,
-) -> ArgParams:
+def arg_setup(security_bits: int, instance_bound: int, iop_spec: IopSpec) -> ArgParams:
     """One commitment parameter set sized for the longest round."""
     params = vc_gen(
-        security_bits,
-        capacity=iop_spec.max_proof_length,
-        symbol_bits=iop_spec.symbol_bits,
-        domain_tag=domain_tag,
+        security_bits, capacity=iop_spec.max_proof_length, symbol_bits=iop_spec.symbol_bits
     )
     return ArgParams(vc=params, instance_bound=instance_bound, iop_spec=iop_spec)
 

@@ -62,10 +62,6 @@ class IopSpec:
         return sum(self.proof_lengths)
 
     @property
-    def total_queries(self) -> int:
-        return sum(self.query_counts)
-
-    @property
     def max_queries(self) -> int:
         # Largest per-round query count; the bound calculator takes this as
         # the q_max argument of the error functions.

@@ -18,7 +18,8 @@ separately from protocol bits.
 Sessions drive the mandated message order (commit, challenge, repeated,
 then one batched response) over any reliable ordered channel; in-memory
 queues and TCP sockets are provided and produce identical frame bytes
-under identical seeds.
+under identical seeds. A stored transcript is read by the live verifier's
+setup check, frame reader and round reader, through a byte cursor.
 """
 
 from __future__ import annotations
@@ -30,12 +31,13 @@ import threading
 from dataclasses import dataclass
 from typing import Any
 
-from .errors import DecodeError, ProtocolViolation, TransportError
+from .errors import DecodeError, IbcsError, ParameterError, ProtocolViolation, TransportError
 from .ibcs import (
     COMMITMENT_WIRE_BITS,
     COMMITMENT_WIRE_BYTES,
     ArgParams,
     Transcript,
+    arg_setup,
     arg_verify,
     position_bits,
 )
@@ -74,36 +76,60 @@ def encode_frame(tag: int, payload: bytes) -> bytes:
     return len(payload).to_bytes(4, "big") + bytes([tag]) + payload
 
 
-def decode_frame(data: bytes, offset: int = 0) -> tuple[int, bytes, int]:
-    """Decode one frame at `offset`; returns (tag, payload, next offset)."""
-    if len(data) - offset < FRAME_HEADER_BYTES:
-        raise DecodeError("truncated frame header", offset=offset)
-    length = int.from_bytes(data[offset : offset + 4], "big")
-    tag = data[offset + 4]
-    if tag not in _KNOWN_TAGS:
-        raise DecodeError(f"unknown frame tag {tag:#x}", offset=offset + 4)
-    start = offset + FRAME_HEADER_BYTES
-    if len(data) - start < length:
-        raise DecodeError("truncated frame payload", offset=start)
-    return tag, data[start : start + length], start + length
+class _ByteCursor:
+    """A stored transcript read like a channel; `offset` is the next byte."""
+
+    def __init__(self, data: bytes, offset: int = 0):
+        self._data = data
+        self.offset = offset
+
+    def recv_exact(self, n: int) -> bytes:
+        left = len(self._data) - self.offset
+        if n > left:
+            raise DecodeError(f"truncated: {n} bytes needed, {left} left", offset=self.offset)
+        self.offset += n
+        return self._data[self.offset - n : self.offset]
 
 
-def _recv_frame(channel, expected_tag: int, max_payload: int) -> bytes:
-    """Read one whole frame, header and payload, off a live channel.
+def _violation(channel, message: str, back: int) -> IbcsError:
+    """A ProtocolViolation on a live channel; on a stored transcript, a
+    DecodeError naming the offset `back` bytes before the cursor."""
+    if isinstance(channel, _ByteCursor):
+        return DecodeError(message, offset=channel.offset - back)
+    return ProtocolViolation(message)
 
-    The tag and the declared length are checked before any payload byte is
-    read, so a peer's length field never sizes a read past `max_payload`.
+
+def _recv_frame(channel, expected_tag: int | None, max_payload: int) -> bytes:
+    """Read one whole frame, header and payload, off a channel or a cursor.
+
+    The tag (any known tag when `expected_tag` is None) and the declared
+    length are checked before any payload byte is read, so a length field
+    never sizes a read past `max_payload`.
     """
     header = channel.recv_exact(FRAME_HEADER_BYTES)
     length = int.from_bytes(header[:4], "big")
     tag = header[4]
-    if tag != expected_tag:
-        raise ProtocolViolation(f"expected frame tag {expected_tag:#x}, received {tag:#x}")
+    if expected_tag is None:
+        if tag not in _KNOWN_TAGS:
+            raise _violation(channel, f"unknown frame tag {tag:#x}", back=1)
+    elif tag != expected_tag:
+        raise _violation(
+            channel, f"expected frame tag {expected_tag:#x}, received {tag:#x}", back=1
+        )
     if length > max_payload:
-        raise ProtocolViolation(
-            f"frame tag {tag:#x} declares {length} payload bytes, at most {max_payload} allowed"
+        raise _violation(
+            channel,
+            f"frame tag {tag:#x} declares {length} payload bytes, at most {max_payload} allowed",
+            back=FRAME_HEADER_BYTES,
         )
     return header + channel.recv_exact(length) if length else header
+
+
+def decode_frame(data: bytes, offset: int = 0) -> tuple[int, bytes, int]:
+    """Decode one frame of any known tag at `offset`; returns (tag, payload, next offset)."""
+    cursor = _ByteCursor(data, offset)
+    frame = _recv_frame(cursor, None, len(data))
+    return frame[4], frame[FRAME_HEADER_BYTES:], cursor.offset
 
 
 # ---------------------------------------------------------------------------
@@ -460,9 +486,9 @@ class SessionResult:
 class _FrameLink:
     """Orders frames over a channel and keeps the running byte tallies."""
 
-    def __init__(self, channel, counters: SessionCounters):
+    def __init__(self, channel):
         self.channel = channel
-        self.counters = counters
+        self.counters = SessionCounters()
         self.log = bytearray()
 
     def send(self, tag: int, payload: bytes, protocol_bits: int | None):
@@ -490,6 +516,37 @@ class _FrameLink:
         return payload
 
 
+def _recv_challenge(link: _FrameLink, nbits: int) -> Bits:
+    payload = link.recv(TAG_CHALLENGE, (nbits + 7) // 8, is_protocol=True)
+    link.counters.recv_protocol_bits += nbits
+    return decode_challenge(payload, nbits)
+
+
+def _read_rounds(
+    link: _FrameLink, params: ArgParams, protocol: IopProtocol, challenge
+) -> Transcript:
+    """Read the k commitment/challenge pairs and the final response, each
+    frame capped by its exact maximum.
+
+    `challenge(link, nbits)` supplies each round's challenge: a live
+    verifier draws and sends it, a stored transcript reads its frame.
+    """
+    commitments = []
+    challenges = []
+    for nbits in protocol.spec.randomness_bits:
+        payload = link.recv(TAG_COMMIT, COMMITMENT_WIRE_BYTES, is_protocol=True)
+        commitments.append(decode_commitment(payload))
+        link.counters.recv_protocol_bits += COMMITMENT_WIRE_BITS
+        challenges.append(challenge(link, nbits))
+    payload = link.recv(TAG_FINAL, final_response_max_bytes(params), is_protocol=True)
+    try:
+        response = decode_final_response(params, [cm.length for cm in commitments], payload)
+    except DecodeError as exc:
+        raise _violation(link.channel, f"undecodable final response: {exc}", len(payload)) from exc
+    link.counters.recv_protocol_bits += final_response_bits(params, response)
+    return Transcript(protocol.instance, tuple(commitments), tuple(challenges), response)
+
+
 def run_session(
     role: str,
     channel,
@@ -507,28 +564,18 @@ def run_session(
     unexpected frame aborts with ProtocolViolation before a decision is
     reached: a reordered or malformed session can never accept.
     """
-    spec = protocol.spec
-    counters = SessionCounters()
-    link = _FrameLink(channel, counters)
-    k = spec.rounds
-
+    link = _FrameLink(channel)
     if role == "prover":
         if prover is None:
             raise ProtocolViolation("prover role requires a session prover")
         state = prover.start()
         commitments = []
         challenges: list[Bits] = []
-        prev: Bits | None = None
-        for i in range(1, k + 1):
-            cm, state = prover.next_commitment(state, prev)
+        for nbits in protocol.spec.randomness_bits:
+            cm, state = prover.next_commitment(state, challenges[-1] if challenges else None)
             commitments.append(cm)
             link.send(TAG_COMMIT, encode_commitment(cm), COMMITMENT_WIRE_BITS)
-            nbits = spec.randomness_bits[i - 1]
-            payload = link.recv(TAG_CHALLENGE, (nbits + 7) // 8, is_protocol=True)
-            r_i = decode_challenge(payload, nbits)
-            counters.recv_protocol_bits += nbits
-            challenges.append(r_i)
-            prev = r_i
+            challenges.append(_recv_challenge(link, nbits))
         response = prover.final_response(state, protocol.verifier_query(challenges))
         if response is None:
             raise ProtocolViolation("prover aborted instead of opening")
@@ -537,49 +584,28 @@ def run_session(
             encode_final_response(params, response),
             final_response_bits(params, response),
         )
+        transcript = Transcript(
+            protocol.instance, tuple(commitments), tuple(challenges), tuple(response)
+        )
         decision_payload = link.recv(TAG_DECISION, 1)
         decision = int(decision_payload[0]) if decision_payload else 0
     elif role == "verifier":
         if prng is None:
             raise ProtocolViolation("verifier role requires a challenge stream")
-        commitments = []
-        challenges = []
-        for i in range(1, k + 1):
-            payload = link.recv(TAG_COMMIT, COMMITMENT_WIRE_BYTES, is_protocol=True)
-            commitments.append(decode_commitment(payload))
-            counters.recv_protocol_bits += COMMITMENT_WIRE_BITS
+
+        def draw(link: _FrameLink, nbits: int) -> Bits:
             # Public coin: the challenge is read straight off the stream,
             # before anything of the commitment is interpreted.
-            r_i = prng.take_bits(spec.randomness_bits[i - 1])
-            challenges.append(r_i)
+            r_i = prng.take_bits(nbits)
             link.send(TAG_CHALLENGE, encode_challenge(r_i), r_i.nbits)
-        payload = link.recv(TAG_FINAL, final_response_max_bytes(params), is_protocol=True)
-        try:
-            response = decode_final_response(
-                params, [cm.length for cm in commitments], payload
-            )
-        except DecodeError as exc:
-            raise ProtocolViolation(f"undecodable final response: {exc}") from exc
-        counters.recv_protocol_bits += final_response_bits(params, response)
-        transcript = Transcript(
-            instance=protocol.instance,
-            commitments=tuple(commitments),
-            challenges=tuple(challenges),
-            response=response,
-        )
+            return r_i
+
+        transcript = _read_rounds(link, params, protocol, draw)
         decision = arg_verify(params, protocol, transcript)
         link.send(TAG_DECISION, bytes([decision]), None)
-        return SessionResult(decision, transcript, counters, bytes(link.log))
     else:
         raise ProtocolViolation(f"unknown session role {role!r}")
-
-    transcript = Transcript(
-        instance=protocol.instance,
-        commitments=tuple(commitments),
-        challenges=tuple(challenges),
-        response=tuple(response),
-    )
-    return SessionResult(decision, transcript, counters, bytes(link.log))
+    return SessionResult(decision, transcript, link.counters, bytes(link.log))
 
 
 def memory_session(params: ArgParams, protocol: IopProtocol, prover, prng: Prng):
@@ -635,6 +661,19 @@ def recv_public_setup(channel) -> tuple[int, VcParams, Any]:
     return bound, vc_params, instance
 
 
+def verifier_setup(bound: int, vc_params: VcParams, instance) -> tuple[ArgParams, IopProtocol]:
+    """The argument parameters and protocol of a proposed public setup.
+
+    The parameters must be exactly those `arg_setup` derives for the
+    instance at the proposed security level and bound.
+    """
+    protocol = protocol_for_instance(instance)
+    params = arg_setup(vc_params.security_bits, bound, protocol.spec)
+    if params.vc != vc_params:
+        raise ParameterError("peer parameters do not match the derived parameters")
+    return params, protocol
+
+
 def protocol_frames(params: ArgParams, transcript: Transcript) -> bytes:
     """The 2k+1 protocol frames of a transcript, in the mandated order."""
     out = bytearray()
@@ -655,45 +694,13 @@ def serialize_transcript(params: ArgParams, transcript: Transcript) -> bytes:
 
 
 def parse_transcript(data: bytes) -> tuple[ArgParams, IopProtocol, Transcript]:
+    """Read a stored transcript with the live verifier's setup, frame and
+    round readers; a malformed file raises DecodeError naming its offset."""
     if not data.startswith(TRANSCRIPT_MAGIC):
         raise DecodeError("not a transcript file (bad magic)", offset=0)
-    offset = len(TRANSCRIPT_MAGIC)
-    tag, payload, offset = decode_frame(data, offset)
-    if tag != TAG_PARAMS:
-        raise DecodeError("transcript must start with a parameter frame")
-    bound, vc_params = decode_params_fields(payload)
-    tag, payload, offset = decode_frame(data, offset)
-    if tag != TAG_INSTANCE:
-        raise DecodeError("transcript must carry the instance after parameters")
-    if len(payload) > bound:
-        at = offset - len(payload)
-        raise DecodeError(f"instance is {len(payload)} bytes, at most {bound} allowed", offset=at)
-    instance = decode_instance(payload)
-    protocol = protocol_for_instance(instance)
-    params = ArgParams(vc=vc_params, instance_bound=bound, iop_spec=protocol.spec)
-
-    spec = protocol.spec
-    commitments = []
-    challenges = []
-    for i in range(spec.rounds):
-        tag, payload, offset = decode_frame(data, offset)
-        if tag != TAG_COMMIT:
-            raise DecodeError(f"expected commitment frame for round {i + 1}")
-        commitments.append(decode_commitment(payload))
-        tag, payload, offset = decode_frame(data, offset)
-        if tag != TAG_CHALLENGE:
-            raise DecodeError(f"expected challenge frame for round {i + 1}")
-        challenges.append(decode_challenge(payload, spec.randomness_bits[i]))
-    tag, payload, offset = decode_frame(data, offset)
-    if tag != TAG_FINAL:
-        raise DecodeError("expected the batched final response frame")
-    response = decode_final_response(params, [cm.length for cm in commitments], payload)
-    if offset != len(data):
-        raise DecodeError("trailing bytes after transcript", offset=offset)
-    transcript = Transcript(
-        instance=instance,
-        commitments=tuple(commitments),
-        challenges=tuple(challenges),
-        response=response,
-    )
+    cursor = _ByteCursor(data, len(TRANSCRIPT_MAGIC))
+    params, protocol = verifier_setup(*recv_public_setup(cursor))
+    transcript = _read_rounds(_FrameLink(cursor), params, protocol, _recv_challenge)
+    if cursor.offset != len(data):
+        raise DecodeError("trailing bytes after transcript", offset=cursor.offset)
     return params, protocol, transcript

@@ -92,6 +92,16 @@ def test_verify_transcript_roundtrip(capsys, tmp_path, k3_file):
     assert report["results"]["decision"] == 1
 
 
+def test_verify_transcript_rejects_another_lambda(capsys, tmp_path, k3_file):
+    out = tmp_path / "transcript.bin"
+    run_cli(capsys, ["prove", "--instance", k3_file, "--seed", "3", "--out", str(out)])
+    code = main(["verify", "--transcript", str(out), "--lambda", "256"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "lambda=128, but --lambda is 256" in captured.err
+
+
 def test_verify_corrupted_transcript_fails(capsys, tmp_path, k3_file):
     out = tmp_path / "transcript.bin"
     run_cli(capsys, ["prove", "--instance", k3_file, "--seed", "3", "--out", str(out)])
@@ -141,6 +151,35 @@ def test_tcp_split_matches_memory(tmp_path, k3_file):
             verifier.kill()
     assert prover_out.read_bytes() == mem_out.read_bytes()
     assert verifier_out.read_bytes() == mem_out.read_bytes()
+
+
+def test_verify_listen_rejects_another_lambda(tmp_path, k3_file):
+    port_file = tmp_path / "port.txt"
+    verifier = subprocess.Popen(
+        [sys.executable, "-m", "ibcslab.cli", "verify", "--listen", "127.0.0.1:0",
+         "--ready-fd", str(port_file), "--lambda", "256"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    try:
+        for _ in range(100):
+            if port_file.exists() and port_file.read_text().strip():
+                break
+            time.sleep(0.05)
+        port = port_file.read_text().strip()
+        prover = subprocess.run(
+            [sys.executable, "-m", "ibcslab.cli", "prove", "--instance", k3_file,
+             "--transport", "tcp", "--connect", f"127.0.0.1:{port}"],
+            capture_output=True,
+            timeout=30,
+        )
+        _, err = verifier.communicate(timeout=30)
+    finally:
+        if verifier.poll() is None:
+            verifier.kill()
+    assert verifier.returncode == 2
+    assert "lambda=128" in err.decode()
+    assert prover.returncode == 2
 
 
 def test_soundness_refuses_satisfiable(capsys, k3_file):

@@ -31,7 +31,7 @@ from ibcslab.extraction import (
     theorem_bounds,
 )
 from ibcslab.iop import IopSpec, iop_interact
-from ibcslab.prng import Prng, derive, seed_root
+from ibcslab.prng import Bits, Prng, derive, seed_root
 from ibcslab.toys import is_proper_coloring
 
 
@@ -416,3 +416,20 @@ def test_run_hybrid_trial_records_budgets(sumcheck_true_setup):
         protocol.spec.max_proof_length, error_share(0.5, 2)
     )
     assert all(b.max_rewinds == expected_limit for b in record.budgets)
+
+
+def test_extractor_reused_reports_each_runs_own_budgets(sumcheck_true_setup):
+    """Budgets live in the extractor's returned state, so a second run from
+    the same extractor object reports its own k budgets, not 2k."""
+    protocol, params = sumcheck_true_setup
+    honest = honest_wrapper(protocol, params, ())
+    prover = ExtractorIopProver(
+        protocol, params, honest, 0.5, Prng(derive(seed_root(21), "reuse")), stop="full"
+    )
+    runs = []
+    for _ in range(2):
+        _, state = prover.first()
+        _, state = prover.next_round(state, Bits(protocol.spec.randomness_bits[0], 5))
+        runs.append(state.budgets)
+    assert len(runs[0]) == protocol.spec.rounds == 2
+    assert runs[0] == runs[1]

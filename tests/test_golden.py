@@ -56,6 +56,13 @@ TRANSCRIPT_PINS = {
     "cycle-257.txt": "f4dde67a4a699e21274eb1bce5a203d84999b750be20dbc6b3dd0965029ebc76",
 }
 
+# `verify --transcript` reports on the transcripts pinned above.
+VERIFY_PINS = {
+    "petersen.txt": "d14694270f94f73e4fb13e0649110abd5828f321fd055ff62b02daabbd4a57aa",
+    "sumcheck-p17-n3-d2.txt": "3d4d89fac5cce097e904e257e55d42c080a0a06dc3f8ab171e08263ea098e536",
+    "cycle-33.txt": "06e1e9e3ab78e763fcf5923c752b9feeda8ac7a6b8000a6cb4dc2537c2d3cbf5",
+}
+
 
 def _cycle(n: int):
     return canonical_graph(n, [(i, i % n + 1) for i in range(1, n + 1)])
@@ -99,3 +106,10 @@ def test_prove_transcript_pin(workdir, instance):
     out = Path("transcript.bin")
     _report(["prove", "--instance", instance, "--seed", "0", "--out", str(out)])
     assert hashlib.sha256(out.read_bytes()).hexdigest() == TRANSCRIPT_PINS[instance]
+
+
+@pytest.mark.parametrize("instance", sorted(VERIFY_PINS))
+def test_verify_report_pin(workdir, instance):
+    _report(["prove", "--instance", instance, "--seed", "0", "--out", "transcript.bin"])
+    report = _report(["verify", "--transcript", "transcript.bin"])
+    assert hashlib.sha256(report).hexdigest() == VERIFY_PINS[instance]

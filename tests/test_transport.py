@@ -8,8 +8,8 @@ import time
 import pytest
 
 from ibcslab import transport
-from ibcslab.errors import DecodeError, IbcsError, ProtocolViolation, TransportError
-from ibcslab.ibcs import ArgumentProver
+from ibcslab.errors import DecodeError, IbcsError, ParameterError, ProtocolViolation, TransportError
+from ibcslab.ibcs import ArgumentProver, arg_setup
 from ibcslab.prng import Bits, Prng, derive, seed_root
 from ibcslab.vc import Commitment, proof_digest_count
 
@@ -396,3 +396,61 @@ def test_setup_rejects_instance_longer_than_its_bound(k3_setup):
     with pytest.raises(ProtocolViolation, match="at most 4 allowed"):
         transport.recv_public_setup(channel)
     assert channel.reads == [5, len(short_bound), 5]
+
+
+def _frame_offsets(blob: bytes) -> list[tuple[int, int]]:
+    """(tag, start offset) of every frame after the transcript magic."""
+    out = []
+    offset = len(transport.TRANSCRIPT_MAGIC)
+    while offset < len(blob):
+        tag, _, end = transport.decode_frame(blob, offset)
+        out.append((tag, offset))
+        offset = end
+    return out
+
+
+@pytest.mark.parametrize("length", [0xFFFFFFFF, "limit+1"])
+def test_stored_oversized_frame_rejected_at_its_offset(sumcheck_true_setup, length):
+    """Replay caps commitment, challenge and final-response frames like a
+    live verifier, and names the offset of the offending length field."""
+    protocol, _ = sumcheck_true_setup
+    params = arg_setup(128, len(transport.encode_instance(protocol.instance)), protocol.spec)
+    prover = ArgumentProver(protocol, params, ())
+    _, v_res = run_memory_session(protocol, params, prover, seed=4)
+    blob = transport.serialize_transcript(params, v_res.transcript)
+    limits = {
+        transport.TAG_COMMIT: 36,
+        transport.TAG_CHALLENGE: (protocol.spec.randomness_bits[0] + 7) // 8,
+        transport.TAG_FINAL: transport.final_response_max_bytes(params),
+    }
+    checked = set()
+    for tag, start in _frame_offsets(blob):
+        if tag not in limits:
+            continue
+        declared = limits[tag] + 1 if length == "limit+1" else length
+        bad = blob[:start] + declared.to_bytes(4, "big") + blob[start + 4 :]
+        with pytest.raises(DecodeError, match="payload bytes") as info:
+            transport.parse_transcript(bad)
+        assert info.value.offset == start
+        checked.add(tag)
+    assert checked == set(limits)
+
+
+def test_stored_parameters_must_match_the_derived_ones(k3_setup):
+    protocol, params, witness = k3_setup
+    _, v_res = run_memory_session(protocol, params, ArgumentProver(protocol, params, witness))
+    other = dataclasses.replace(params, vc=dataclasses.replace(params.vc, domain_tag=b"other"))
+    blob = transport.serialize_transcript(other, v_res.transcript)
+    with pytest.raises(ParameterError, match="do not match the derived parameters"):
+        transport.parse_transcript(blob)
+
+
+def test_stored_frame_with_the_wrong_tag_names_its_offset(k3_setup):
+    protocol, params, witness = k3_setup
+    _, v_res = run_memory_session(protocol, params, ArgumentProver(protocol, params, witness))
+    blob = transport.serialize_transcript(params, v_res.transcript)
+    (_, start), = [(t, s) for t, s in _frame_offsets(blob) if t == transport.TAG_CHALLENGE]
+    bad = blob[: start + 4] + bytes([transport.TAG_COMMIT]) + blob[start + 5 :]
+    with pytest.raises(DecodeError, match="expected frame tag 0x2, received 0x1") as info:
+        transport.parse_transcript(bad)
+    assert info.value.offset == start + 4
