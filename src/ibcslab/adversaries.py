@@ -9,6 +9,14 @@ in, and the adversary only decides what to open. States are immutable
 values (frozen dataclasses and tuples), so a snapshot is the state itself,
 and `state_digest` certifies that a rewind left the adversary untouched.
 
+The adversaries that commit (`ScriptedProver`, `Equivocator`, and the
+honest `ArgumentProver` the wrappers decorate) each commit through their
+own `ibcs.CommitMemo`. The CLI builds one adversary per report, so the
+report's trials and rewinds share it, and a message committed before is
+not hashed again. The memo is bounded by `ibcs.COMMIT_MEMO_ENTRIES` entries
+and `ibcs.COMMIT_MEMO_BYTES` bytes of commitment trees; no two adversary
+objects share one.
+
 Returning None from `final_response` models an abort: the adversary walks
 away instead of opening, and the verifier rejects.
 """
@@ -22,7 +30,7 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .errors import InstanceError, ParameterError, ProtocolViolation
-from .ibcs import ArgParams, ArgumentProver, pad_proof_string
+from .ibcs import ArgParams, ArgumentProver, CommitMemo, pad_proof_string
 from .iop import IopProtocol, QueryPlan
 from .prng import Bits, map_to_range
 from .toys import (
@@ -33,7 +41,7 @@ from .toys import (
     find_coloring,
     poly_eval,
 )
-from .vc import CommitAux, Opening, vc_commit, vc_open
+from .vc import CommitAux, Opening, vc_open
 
 
 def state_digest(state) -> bytes:
@@ -72,6 +80,7 @@ class ScriptedProver:
         self.protocol = protocol
         self.params = params
         self.strategy = strategy
+        self.commits = CommitMemo(params.vc)
 
     def start(self) -> _ScriptState:
         return _ScriptState(1, (), (), ())
@@ -87,8 +96,7 @@ class ScriptedProver:
         symbols = tuple(self.strategy(i, challenges, state.strings))
         if len(symbols) != spec.proof_lengths[i - 1]:
             raise ProtocolViolation(f"strategy emitted a wrong-length round {i} string")
-        padded = pad_proof_string(spec, symbols)
-        cm, aux = vc_commit(self.params.vc, padded)
+        cm, aux = self.commits.commit(pad_proof_string(spec, symbols))
         return cm, _ScriptState(
             i + 1, challenges, state.strings + (symbols,), state.auxes + (aux,)
         )
@@ -237,6 +245,7 @@ class Equivocator:
         self.b = tuple(pad_proof_string(spec, s) for s in strings_b)
         if len(self.a) != spec.rounds or len(self.b) != spec.rounds:
             raise ParameterError("one A and one B string required per round")
+        self.commits = CommitMemo(params.vc)
 
     def start(self) -> _EquivState:
         return _EquivState(1, ())
@@ -247,7 +256,7 @@ class Equivocator:
             raise ProtocolViolation("all commitment rounds already sent")
         if (challenge is None) != (i == 1):
             raise ProtocolViolation("challenge expected exactly from round 2 on")
-        cm, aux = vc_commit(self.params.vc, self.a[i - 1])
+        cm, aux = self.commits.commit(self.a[i - 1])
         return cm, _EquivState(i + 1, state.auxes + (aux,))
 
     def final_response(self, state: _EquivState, plan: QueryPlan):

@@ -202,12 +202,16 @@ def cmd_verify(args, argv) -> int:
         actual = listener.getsockname()[1]
         with open(args.ready_fd, "w") as fh:
             fh.write(str(actual))
-    channel = transport.tcp_accept(listener)
-    bound, vc_params, instance = transport.recv_public_setup(channel)
+    # The verifier's own instance, when it has one, sizes the read of the peer's.
+    own_instance = None
+    max_instance_bytes = transport.INSTANCE_MAX_BYTES
     if args.instance:
         own_instance, _ = load_instance_path(args.instance, args.spec)
-        if own_instance != instance:
-            raise InstanceError("peer proposed a different instance than configured")
+        max_instance_bytes = len(transport.encode_instance(own_instance))
+    channel = transport.tcp_accept(listener)
+    bound, vc_params, instance = transport.recv_public_setup(channel, max_instance_bytes)
+    if own_instance is not None and own_instance != instance:
+        raise InstanceError("peer proposed a different instance than configured")
     params, protocol = transport.verifier_setup(bound, vc_params, instance)
     require_security(params, args.security)
     prng = Prng(derive(seed_root(args.seed), "session", 0))

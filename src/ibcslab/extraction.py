@@ -8,6 +8,11 @@ opening into a knowledge set. Stopping after a uniformly random number of
 rewinds caps the probability that the real verifier later queries a
 position the knowledge set missed: coverage can grow at most l_i times, so
 a random stop out of T rewinds is exposed with probability at most l_i/T.
+The same cap means that once coverage holds all l_i positions no later
+rewind can change the knowledge set, so the sampler stops there. It still
+advances the shared random stream past the bits the skipped rewinds would
+have drawn, so every later draw, and with it every report, is the same as
+under the full loop.
 
 Each round gets an error share of epsilon/2k: half of the per-round budget
 is reserved for any degradation of the prover's behaviour under rewinding,
@@ -112,10 +117,13 @@ class ArgContext:
 
 @dataclass
 class SamplerStats:
+    """Per-call sampler counts; `rewinds` run, `skipped` left out at saturation."""
+
     rewinds: int = 0
     accepted: int = 0
     recorded: int = 0
     voided: int = 0
+    skipped: int = 0
 
 
 def run_continuation(adversary, state, ctx: ArgContext, continuation: Sequence[Bits]):
@@ -175,13 +183,23 @@ def sampler(adversary, state, ctx: ArgContext, iterations: int, prng: Prng):
     states are immutable values, so the snapshot is the state itself; the
     state is certified unchanged on return, and a prover that mutated it
     raises ProtocolViolation.
+
+    Once coverage holds all l_i positions, every later rewind is covered,
+    so it can record nothing: the remaining rewinds are skipped, and
+    `skip_bits` moves the stream past the continuation bits they would
+    have drawn. The stream ends where the full loop leaves it, so the
+    caller's later draws are unchanged.
     """
     spec = ctx.protocol.spec
     i = ctx.round_index
     before = state_digest(state)
     knowledge = KnowledgeSet(proof_length=spec.proof_lengths[i - 1])
     stats = SamplerStats()
-    for _ in range(iterations):
+    for run in range(iterations):
+        if len(knowledge.coverage) == knowledge.proof_length:
+            stats.skipped = iterations - run
+            prng.skip_bits(stats.skipped * sum(spec.randomness_bits[i - 1 :]))
+            break
         stats.rewinds += 1
         continuation = tuple(
             prng.take_bits(spec.randomness_bits[m]) for m in range(i - 1, spec.rounds)
@@ -257,6 +275,7 @@ class _ExtractorState:
     challenges: tuple[Bits, ...]
     oracles: tuple[ExtractedOracle, ...]
     budgets: tuple[RewindBudget, ...]
+    rewinds: Prng  # this run's rewind stream
 
 
 class ExtractorIopProver:
@@ -266,6 +285,10 @@ class ExtractorIopProver:
     round-i continuation, and emit the reconstructed string as the IOP
     message. Thanks to exact snapshots the adversary continues from the
     same state the reductor received.
+
+    `rewinds` names the rewind stream by its key: each run (each `first()`)
+    starts a fresh `Prng` on that key and carries it in its state, so a
+    reused extractor draws the same stopping times on every run.
     """
 
     def __init__(
@@ -274,17 +297,17 @@ class ExtractorIopProver:
         params: ArgParams,
         adversary,
         epsilon: float,
-        prng: Prng,
+        rewinds: Prng,
         stop: str = "uniform",
     ):
         self.protocol = protocol
         self.params = params
         self.adversary = adversary
         self.share = error_share(epsilon, protocol.spec.rounds)
-        self.prng = prng
+        self.rewind_key = rewinds.key
         self.stop = stop
 
-    def _extract_round(self, adv_state, commitments, challenges, oracles, budgets):
+    def _extract_round(self, adv_state, commitments, challenges, oracles, budgets, rewinds):
         i = len(commitments) + 1
         prev = challenges[-1] if challenges else None
         cm, rho = self.adversary.next_commitment(adv_state, prev)
@@ -297,7 +320,7 @@ class ExtractorIopProver:
             oracles=oracles,
         )
         oracle, _, budget, _ = reductor(
-            self.adversary, rho, ctx, self.share, self.prng, stop=self.stop
+            self.adversary, rho, ctx, self.share, rewinds, stop=self.stop
         )
         state = _ExtractorState(
             adversary_state=rho,
@@ -305,11 +328,14 @@ class ExtractorIopProver:
             challenges=challenges,
             oracles=oracles + (oracle,),
             budgets=budgets + (budget,),
+            rewinds=rewinds,
         )
         return ProofString(i, oracle.symbols), state
 
     def first(self):
-        return self._extract_round(self.adversary.start(), (), (), (), ())
+        return self._extract_round(
+            self.adversary.start(), (), (), (), (), Prng(self.rewind_key)
+        )
 
     def next_round(self, state: _ExtractorState, challenge: Bits):
         return self._extract_round(
@@ -318,6 +344,7 @@ class ExtractorIopProver:
             state.challenges + (challenge,),
             state.oracles,
             state.budgets,
+            state.rewinds,
         )
 
 
@@ -704,8 +731,8 @@ def end_to_end_knowledge(
     reported, never silent.
     """
     root = seed_root(seed)
-    prng = Prng(derive(root, label, "rewind"))
-    prover = ExtractorIopProver(protocol, params, adversary, epsilon, prng, stop="full")
+    rewinds = Prng(derive(root, label, "rewind"))
+    prover = ExtractorIopProver(protocol, params, adversary, epsilon, rewinds, stop="full")
     driver = Prng(derive(root, label, "challenges"))
     proof, state = prover.first()
     for i in range(2, protocol.spec.rounds + 1):

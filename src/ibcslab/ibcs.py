@@ -14,10 +14,19 @@ that drew the challenges owns `plan`, the `verifier_query` result for the
 full challenge vector, and the prover only opens it. Prover states are
 immutable values: each call returns a new state and never changes the one
 it was given, so a rewind reuses a state as it is.
+
+Each prover commits through its own `CommitMemo`, which lives as long as
+the prover object: one session for the CLI's and the benchmark's session
+provers, which are built per session, and one report for the adversaries
+the CLI builds per report, whose trials and rewinds commit the same padded
+strings again and again. A memo holds at most `COMMIT_MEMO_ENTRIES`
+commitments and at most `COMMIT_MEMO_BYTES` of commitment trees, counted
+as 2 * width digests per tree (512 KiB at width 8192).
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Sequence
 
@@ -89,6 +98,39 @@ class Transcript:
         return 2 * self.rounds + 1
 
 
+# Bounds of one prover's commit memo: entries, and bytes of commitment trees.
+COMMIT_MEMO_ENTRIES = 64
+COMMIT_MEMO_BYTES = 4 << 20
+
+
+class CommitMemo:
+    """One prover's commitments, keyed by the padded message it committed.
+
+    A hit returns the very (commitment, aux) pair of the first commit; the
+    least recently used entry is dropped when a bound would be exceeded,
+    and a parameter set whose single tree exceeds the byte bound is never
+    cached. Misses call the module's `vc_commit`, looked up at call time.
+    """
+
+    def __init__(self, params: VcParams):
+        self.params = params
+        self.entry_bytes = 2 * params.width * _vc.DIGEST_BYTES
+        self.capacity = min(COMMIT_MEMO_ENTRIES, COMMIT_MEMO_BYTES // self.entry_bytes)
+        self.entries: OrderedDict[tuple[int, ...], tuple[Commitment, CommitAux]] = OrderedDict()
+
+    def commit(self, message: tuple[int, ...]) -> tuple[Commitment, CommitAux]:
+        pair = self.entries.get(message)
+        if pair is not None:
+            self.entries.move_to_end(message)
+            return pair
+        pair = vc_commit(self.params, message)
+        if self.capacity:
+            self.entries[message] = pair
+            if len(self.entries) > self.capacity:
+                self.entries.popitem(last=False)
+        return pair
+
+
 @dataclass(frozen=True)
 class _ProverState:
     next_round: int
@@ -105,6 +147,7 @@ class ArgumentProver:
         self.protocol = protocol
         self.params = params
         self.witness = witness
+        self.commits = CommitMemo(params.vc)
 
     def start(self) -> _ProverState:
         return _ProverState(1, None, ())
@@ -122,7 +165,7 @@ class ArgumentProver:
             if challenge is None:
                 raise ProtocolViolation(f"round {i} requires the round-{i - 1} challenge")
             proof, iop_state = self.protocol.prover_next(state.iop_state, challenge)
-        cm, aux = vc_commit(self.params.vc, pad_proof_string(spec, proof.symbols))
+        cm, aux = self.commits.commit(pad_proof_string(spec, proof.symbols))
         return cm, _ProverState(i + 1, iop_state, state.auxes + (aux,))
 
     def final_response(self, state: _ProverState, plan: QueryPlan):

@@ -96,6 +96,11 @@ class Prng:
         self._buf = 0
         self._buf_bits = 0
 
+    @property
+    def key(self) -> bytes:
+        """The stream key: `Prng(key)` restarts the stream from its first bit."""
+        return self._key
+
     def _refill(self):
         block = hashlib.sha256(
             _STREAM_PREFIX + self._key + self._counter.to_bytes(8, "big")
@@ -114,6 +119,26 @@ class Prng:
         self._buf &= (1 << shift) - 1
         self._buf_bits = shift
         return Bits(nbits, value)
+
+    def skip_bits(self, nbits: int):
+        """Advance the stream past `nbits` bits without producing them.
+
+        Leaves the stream exactly where `take_bits(nbits)` would, at the
+        cost of at most one block: the buffered bits go first, whole
+        256-bit blocks are skipped by moving the counter, and the rest is
+        dropped from the next block.
+        """
+        if nbits < 0:
+            raise ParameterError("cannot skip a negative number of bits")
+        if nbits > self._buf_bits:
+            nbits -= self._buf_bits
+            self._buf, self._buf_bits = 0, 0
+            self._counter += nbits // 256
+            nbits %= 256
+            if nbits:
+                self._refill()
+        self._buf_bits -= nbits
+        self._buf &= (1 << self._buf_bits) - 1
 
     def take_below(self, m: int) -> int:
         """Uniform draw from [0, m) up to a bias below 2**-64."""

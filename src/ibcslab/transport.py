@@ -516,10 +516,18 @@ class _FrameLink:
         return payload
 
 
+def _undecodable(link: _FrameLink, what: str, payload: bytes, exc: DecodeError) -> IbcsError:
+    """The error for a payload just read that does not decode, at the payload's start."""
+    return _violation(link.channel, f"undecodable {what}: {exc}", len(payload))
+
+
 def _recv_challenge(link: _FrameLink, nbits: int) -> Bits:
     payload = link.recv(TAG_CHALLENGE, (nbits + 7) // 8, is_protocol=True)
     link.counters.recv_protocol_bits += nbits
-    return decode_challenge(payload, nbits)
+    try:
+        return decode_challenge(payload, nbits)
+    except DecodeError as exc:
+        raise _undecodable(link, "challenge", payload, exc) from exc
 
 
 def _read_rounds(
@@ -535,14 +543,17 @@ def _read_rounds(
     challenges = []
     for nbits in protocol.spec.randomness_bits:
         payload = link.recv(TAG_COMMIT, COMMITMENT_WIRE_BYTES, is_protocol=True)
-        commitments.append(decode_commitment(payload))
+        try:
+            commitments.append(decode_commitment(payload))
+        except DecodeError as exc:
+            raise _undecodable(link, "commitment", payload, exc) from exc
         link.counters.recv_protocol_bits += COMMITMENT_WIRE_BITS
         challenges.append(challenge(link, nbits))
     payload = link.recv(TAG_FINAL, final_response_max_bytes(params), is_protocol=True)
     try:
         response = decode_final_response(params, [cm.length for cm in commitments], payload)
     except DecodeError as exc:
-        raise _violation(link.channel, f"undecodable final response: {exc}", len(payload)) from exc
+        raise _undecodable(link, "final response", payload, exc) from exc
     link.counters.recv_protocol_bits += final_response_bits(params, response)
     return Transcript(protocol.instance, tuple(commitments), tuple(challenges), response)
 
@@ -652,11 +663,23 @@ def send_public_setup(channel, params: ArgParams, instance):
         channel.send_bytes(encode_frame(tag, payload))
 
 
-def recv_public_setup(channel) -> tuple[int, VcParams, Any]:
-    """Read the parameter frame, then an instance frame of at most the bound's bytes."""
+# Largest instance frame a verifier reads when it has no instance of its
+# own to size the read: the peer's bound field allows up to 4 GiB.
+INSTANCE_MAX_BYTES = 1 << 24
+
+
+def recv_public_setup(
+    channel, max_instance_bytes: int = INSTANCE_MAX_BYTES
+) -> tuple[int, VcParams, Any]:
+    """Read the parameter frame, then an instance frame of at most
+    min(the peer's bound, `max_instance_bytes`) bytes.
+
+    A verifier that holds the instance passes its encoding's length, so a
+    peer's length field never sizes its memory past what it expects.
+    """
     frame = _recv_frame(channel, TAG_PARAMS, _PARAMS_MAX_BYTES)
     bound, vc_params = decode_params_fields(frame[FRAME_HEADER_BYTES:])
-    frame = _recv_frame(channel, TAG_INSTANCE, bound)
+    frame = _recv_frame(channel, TAG_INSTANCE, min(bound, max_instance_bytes))
     instance = decode_instance(frame[FRAME_HEADER_BYTES:])
     return bound, vc_params, instance
 

@@ -253,3 +253,20 @@ def test_make_adversary_selector(k3_setup, k4_setup):
         make_adversary("nonsense", protocol, params, witness)
     with pytest.raises(InstanceError):
         make_adversary("honest", k4_protocol, k4_params, None)
+
+
+def test_provers_never_share_a_commit_memo(k3_setup, monkeypatch):
+    """Each prover object commits through its own memo: a second object
+    commits a message again, its first object does not."""
+    protocol, params, witness = k3_setup
+    calls = []
+    real = ibcs.vc_commit
+    monkeypatch.setattr(ibcs, "vc_commit", lambda p, m: calls.append(m) or real(p, m))
+    for name in ("honest", "optimal", "equivocator"):
+        provers = [make_adversary(name, protocol, params, witness) for _ in range(2)]
+        assert provers[0].commits is not provers[1].commits
+        calls.clear()
+        for prover in (provers[0], provers[0], provers[1]):
+            prover.next_commitment(prover.start(), None)
+        assert len(calls) == 2, name
+        assert len(provers[0].commits.entries) == len(provers[1].commits.entries) == 1

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import socket
 import subprocess
 import sys
 import threading
@@ -8,8 +9,10 @@ import time
 
 import pytest
 
+from ibcslab import transport
 from ibcslab.cli import main
-from ibcslab.toys import dump_graph_text, dump_sumcheck_text, find_coloring
+from ibcslab.ibcs import arg_setup
+from ibcslab.toys import dump_graph_text, dump_sumcheck_text, find_coloring, gc_pcp
 
 from helpers import make_sumcheck
 
@@ -180,6 +183,39 @@ def test_verify_listen_rejects_another_lambda(tmp_path, k3_file):
     assert verifier.returncode == 2
     assert "lambda=128" in err.decode()
     assert prover.returncode == 2
+
+
+def test_verify_listen_with_instance_caps_the_peer_instance(tmp_path, k3_file, k3):
+    """With --instance the verifier reads at most its own instance's encoding:
+    a peer declaring a 2**31-byte instance is refused before its payload."""
+    port_file = tmp_path / "port.txt"
+    verifier = subprocess.Popen(
+        [sys.executable, "-m", "ibcslab.cli", "verify", "--listen", "127.0.0.1:0",
+         "--ready-fd", str(port_file), "--instance", k3_file],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    declared = 1 << 31
+    blob = arg_setup(128, 64, gc_pcp(k3).spec).vc.to_bytes()
+    fields = declared.to_bytes(4, "big") + len(blob).to_bytes(2, "big") + blob
+    try:
+        for _ in range(100):
+            if port_file.exists() and port_file.read_text().strip():
+                break
+            time.sleep(0.05)
+        port = int(port_file.read_text().strip())
+        with socket.create_connection(("127.0.0.1", port), timeout=30) as peer:
+            peer.sendall(
+                transport.encode_frame(transport.TAG_PARAMS, fields)
+                + declared.to_bytes(4, "big") + bytes([transport.TAG_INSTANCE])
+            )
+            _, err = verifier.communicate(timeout=30)
+    finally:
+        if verifier.poll() is None:
+            verifier.kill()
+    own = len(transport.encode_instance(k3))
+    assert verifier.returncode == 2
+    assert f"declares {declared} payload bytes, at most {own} allowed" in err.decode()
 
 
 def test_soundness_refuses_satisfiable(capsys, k3_file):

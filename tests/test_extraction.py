@@ -10,6 +10,7 @@ from ibcslab.adversaries import (
     always_abort,
     grinder_on_leading_bits,
     honest_wrapper,
+    make_adversary,
 )
 from ibcslab.errors import ParameterError, ProtocolViolation
 from ibcslab.extraction import (
@@ -33,6 +34,8 @@ from ibcslab.extraction import (
 from ibcslab.iop import IopSpec, iop_interact
 from ibcslab.prng import Bits, Prng, derive, seed_root
 from ibcslab.toys import is_proper_coloring
+
+from sampler_reference import full_sampler
 
 
 def test_hoeffding_radius_formula():
@@ -119,8 +122,86 @@ def test_sampler_covers_all_queryable_positions(k3_setup):
     ctx, rho = _round1_context(protocol, params, honest)
     kset, stats = sampler(honest, rho, ctx, 100, Prng(derive(seed_root(2), "cover")))
     assert kset.coverage == queryable
-    assert stats.accepted == 100
+    assert stats.accepted == stats.rewinds
+    assert stats.rewinds + stats.skipped == 100
     assert len(kset.triples) <= protocol.spec.proof_lengths[0]
+
+
+def _context_at(protocol, params, adversary, round_index):
+    """The adversary at the start of round `round_index`'s continuation, under
+    fixed earlier challenges, with the lower rounds' oracles fully extracted."""
+    spec = protocol.spec
+    share = error_share(0.5, spec.rounds)
+    state = adversary.start()
+    commitments, challenges, oracles = (), (), ()
+    for i in range(1, round_index + 1):
+        cm, state = adversary.next_commitment(state, challenges[-1] if challenges else None)
+        ctx = ArgContext(params, protocol, i, commitments + (cm,), challenges, oracles)
+        if i == round_index:
+            return ctx, state
+        oracle, *_ = reductor(
+            adversary, state, ctx, share, Prng(derive(seed_root(41), "lower", i)), stop="full"
+        )
+        commitments, oracles = ctx.commitments, oracles + (oracle,)
+        challenges += (Bits(spec.randomness_bits[i - 1], 5 * i),)
+
+
+class _Crashing:
+    """Commits like `inner`, then crashes instead of opening."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def start(self):
+        return self.inner.start()
+
+    def next_commitment(self, state, challenge):
+        return self.inner.next_commitment(state, challenge)
+
+    def final_response(self, state, plan):
+        raise ProtocolViolation("synthetic crash")
+
+
+def _sampler_case(name, k3_setup, sumcheck_true_setup):
+    """(adversary, protocol, params, round index) of a differential case."""
+    k3_protocol, k3_params, witness = k3_setup
+    honest_k3 = honest_wrapper(k3_protocol, k3_params, witness)
+    if name.startswith("honest-sumcheck"):
+        protocol, params = sumcheck_true_setup
+        return honest_wrapper(protocol, params, ()), protocol, params, int(name[-1])
+    adversary = {
+        "honest-k3": lambda: honest_k3,
+        "withholder": lambda: Withholder(k3_protocol, honest_k3, lambda r, q: q == 1),
+        "grinder": lambda: grinder_on_leading_bits(k3_protocol, honest_k3, 1),
+        "equivocator": lambda: make_adversary("equivocator", k3_protocol, k3_params, witness),
+        "crashing": lambda: _Crashing(honest_k3),
+    }[name]()
+    return adversary, k3_protocol, k3_params, 1
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["honest-k3", "honest-sumcheck-1", "honest-sumcheck-2", "withholder", "grinder",
+     "equivocator", "crashing"],
+)
+def test_sampler_matches_the_full_loop(name, k3_setup, sumcheck_true_setup):
+    """Stopping at saturation changes neither the knowledge set nor where
+    the shared stream stands afterwards."""
+    adversary, protocol, params, round_index = _sampler_case(name, k3_setup, sumcheck_true_setup)
+    ctx, state = _context_at(protocol, params, adversary, round_index)
+    iterations = 60
+    key = derive(seed_root(40), "differential", name)
+    fast, full = Prng(key), Prng(key)
+    knowledge, stats = sampler(adversary, state, ctx, iterations, fast)
+    expected, recorded = full_sampler(adversary, state, ctx, iterations, full)
+    assert knowledge.triples == expected.triples
+    assert knowledge.coverage == expected.coverage
+    assert fast.take_bits(512) == full.take_bits(512)
+    assert stats.rewinds + stats.skipped == iterations
+    assert stats.recorded == recorded
+    if name.startswith("honest"):
+        assert stats.skipped > 0
+        assert len(knowledge.coverage) == knowledge.proof_length
 
 
 def test_sampler_abort_adversary_collects_nothing(k3_setup):
@@ -432,4 +513,20 @@ def test_extractor_reused_reports_each_runs_own_budgets(sumcheck_true_setup):
         _, state = prover.next_round(state, Bits(protocol.spec.randomness_bits[0], 5))
         runs.append(state.budgets)
     assert len(runs[0]) == protocol.spec.rounds == 2
+    assert runs[0] == runs[1]
+
+
+def test_extractor_reused_draws_the_same_stopping_times(sumcheck_true_setup):
+    """Each run restarts the rewind stream from its key, so a reused
+    extractor with uniform stopping times repeats its budgets and oracles."""
+    protocol, params = sumcheck_true_setup
+    honest = honest_wrapper(protocol, params, ())
+    prover = ExtractorIopProver(
+        protocol, params, honest, 0.5, Prng(derive(seed_root(22), "reuse")), stop="uniform"
+    )
+    runs = []
+    for _ in range(2):
+        _, state = prover.first()
+        _, state = prover.next_round(state, Bits(protocol.spec.randomness_bits[0], 5))
+        runs.append((state.budgets, state.oracles))
     assert runs[0] == runs[1]

@@ -12,11 +12,12 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from ibcslab import cli
+from ibcslab import adversaries, cli, extraction, ibcs, transport, vc
 from ibcslab.toys import (
     canonical_graph,
     complete_graph,
@@ -113,3 +114,41 @@ def test_verify_report_pin(workdir, instance):
     _report(["prove", "--instance", instance, "--seed", "0", "--out", "transcript.bin"])
     report = _report(["verify", "--transcript", "transcript.bin"])
     assert hashlib.sha256(report).hexdigest() == VERIFY_PINS[instance]
+
+
+# Work the two lab reports do: rewinds the sampler runs and skips after
+# saturation, and `vc_commit` calls. Wall time on a small shared host is
+# noisy; these counts are exact. A change may lower the rewinds run and the
+# commits; raising either brings back work the sampler or the per-prover
+# commit memo saves. Run plus skipped rewinds are fixed by the report.
+LAB_WORK = {
+    "lab-extract": {"rewinds": 211, "skipped": 631, "vc_commit": 18},
+    "lab-soundness": {"rewinds": 0, "skipped": 0, "vc_commit": 5},
+}
+
+
+@pytest.mark.parametrize("name", sorted(LAB_WORK))
+def test_lab_work_counts(workdir, monkeypatch, name):
+    counts = Counter()
+    real_sampler = extraction.sampler
+    real_commit = vc.vc_commit
+
+    def sampler(*args):
+        knowledge, stats = real_sampler(*args)
+        counts["rewinds"] += stats.rewinds
+        counts["skipped"] += stats.skipped
+        return knowledge, stats
+
+    def commit(*args):
+        counts["vc_commit"] += 1
+        return real_commit(*args)
+
+    monkeypatch.setattr(extraction, "sampler", sampler)
+    for module in (vc, ibcs, adversaries, extraction, transport, cli):
+        if getattr(module, "vc_commit", None) is real_commit:
+            monkeypatch.setattr(module, "vc_commit", commit)
+    _report(REPORT_PINS[name][0])
+    work = LAB_WORK[name]
+    assert counts["rewinds"] + counts["skipped"] == work["rewinds"] + work["skipped"]
+    assert counts["rewinds"] <= work["rewinds"]
+    assert counts["vc_commit"] <= work["vc_commit"]

@@ -4,9 +4,11 @@ import copy
 
 import pytest
 
+from ibcslab import ibcs
 from ibcslab.errors import ParameterError, ProtocolViolation
 from ibcslab.ibcs import (
     ArgumentProver,
+    CommitMemo,
     PAD_SYMBOL,
     Transcript,
     arg_setup,
@@ -280,3 +282,51 @@ def test_prover_state_machine(k3_setup):
     cm, state = prover.next_commitment(state, None)
     with pytest.raises(ProtocolViolation):
         prover.next_commitment(state, Bits(72, 0))
+
+
+def test_commit_memo_holds_its_entry_and_byte_bounds(k3_setup, monkeypatch):
+    _, params, _ = k3_setup
+    vc = params.vc
+    entry = 2 * vc.width * 32
+    messages = [(j % 3, j // 3 % 3, j // 9 % 3) for j in range(12)]
+    for max_entries, max_bytes, held in (
+        (3, 100 * entry, 3),  # the entry bound binds
+        (100, 2 * entry + entry // 2, 2),  # the byte bound binds
+        (100, entry - 1, 0),  # one tree exceeds the byte bound: nothing is kept
+    ):
+        monkeypatch.setattr(ibcs, "COMMIT_MEMO_ENTRIES", max_entries)
+        monkeypatch.setattr(ibcs, "COMMIT_MEMO_BYTES", max_bytes)
+        memo = CommitMemo(vc)
+        assert memo.entry_bytes == entry
+        for message in messages:
+            assert memo.commit(message) == vc_commit(vc, message)
+            assert len(memo.entries) <= max_entries
+            assert len(memo.entries) * entry <= max_bytes
+        assert len(memo.entries) == held
+
+
+def test_commit_memo_hits_and_drops_the_least_recently_used(k3_setup, monkeypatch):
+    _, params, _ = k3_setup
+    calls = []
+    real = ibcs.vc_commit
+    monkeypatch.setattr(ibcs, "vc_commit", lambda p, m: calls.append(m) or real(p, m))
+    a, b, c = (0, 1, 2), (1, 2, 0), (2, 0, 1)
+    monkeypatch.setattr(ibcs, "COMMIT_MEMO_ENTRIES", 2)
+    memo = CommitMemo(params.vc)
+    first = memo.commit(a)
+    memo.commit(b)
+    assert memo.commit(a) is first  # a hit is the very pair first committed
+    memo.commit(c)  # drops b, the least recently used
+    assert memo.commit(a) is first
+    memo.commit(b)
+    assert calls == [a, b, c, b]
+
+
+def test_honest_prover_state_holds_the_memo_pair(k3_setup):
+    protocol, params, witness = k3_setup
+    prover = ArgumentProver(protocol, params, witness)
+    cm, state = prover.next_commitment(prover.start(), None)
+    proof, _ = protocol.prover_init(witness)
+    memo_cm, memo_aux = prover.commits.commit(pad_proof_string(protocol.spec, proof.symbols))
+    assert memo_cm is cm
+    assert memo_aux is state.auxes[0]

@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from ibcslab.errors import DecodeError, ParameterError
 from ibcslab.prng import (
@@ -80,3 +80,28 @@ def test_take_below_range():
     values = {prng.take_below(13) for _ in range(500)}
     assert values <= set(range(13))
     assert len(values) == 13
+
+
+@given(
+    consumed=st.integers(min_value=0, max_value=700),
+    n=st.one_of(st.integers(min_value=0, max_value=2000), st.integers(0, 8).map(lambda j: 256 * j)),
+    m=st.integers(min_value=0, max_value=600),
+)
+@example(consumed=0, n=0, m=9)
+@example(consumed=0, n=512, m=300)
+@example(consumed=100, n=256, m=1)
+@example(consumed=100, n=156, m=256)
+@example(consumed=255, n=1, m=256)
+def test_skip_bits_lands_where_take_bits_does(consumed, n, m):
+    key = derive(seed_root(3), "skip")
+    skipped, taken = Prng(key), Prng(key)
+    skipped.take_bits(consumed)
+    taken.take_bits(consumed)
+    skipped.skip_bits(n)
+    taken.take_bits(n)
+    assert skipped.take_bits(m) == taken.take_bits(m)
+
+
+def test_skip_bits_rejects_negative():
+    with pytest.raises(ParameterError):
+        Prng(seed_root(1)).skip_bits(-1)

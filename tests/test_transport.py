@@ -454,3 +454,54 @@ def test_stored_frame_with_the_wrong_tag_names_its_offset(k3_setup):
     with pytest.raises(DecodeError, match="expected frame tag 0x2, received 0x1") as info:
         transport.parse_transcript(bad)
     assert info.value.offset == start + 4
+
+
+def _shortened(blob: bytes, start: int) -> bytes:
+    """`blob` with the frame at `start` one payload byte shorter."""
+    tag, payload, end = transport.decode_frame(blob, start)
+    return blob[:start] + transport.encode_frame(tag, payload[:-1]) + blob[end:]
+
+
+@pytest.mark.parametrize(
+    "tag, what", [(transport.TAG_COMMIT, "commitment"), (transport.TAG_CHALLENGE, "challenge")]
+)
+def test_short_payload_is_a_typed_error(k3_setup, tag, what):
+    """A 35-byte commitment or a short challenge is a ProtocolViolation on a
+    live channel and a DecodeError at the payload's offset in a stored file."""
+    protocol, params, witness = k3_setup
+    nbytes = 36 if tag == transport.TAG_COMMIT else (protocol.spec.randomness_bits[0] + 7) // 8
+    role, kwargs = (
+        ("verifier", {"prng": Prng(derive(seed_root(0), "session", 0))})
+        if tag == transport.TAG_COMMIT
+        else ("prover", {"prover": ArgumentProver(protocol, params, witness)})
+    )
+    channel = _ScriptedChannel(transport.encode_frame(tag, bytes(nbytes - 1)))
+    with pytest.raises(ProtocolViolation, match=f"undecodable {what}"):
+        transport.run_session(role, channel, params, protocol, **kwargs)
+
+    _, v_res = run_memory_session(protocol, params, ArgumentProver(protocol, params, witness))
+    blob = transport.serialize_transcript(params, v_res.transcript)
+    (start,) = [s for t, s in _frame_offsets(blob) if t == tag]
+    with pytest.raises(DecodeError, match=f"undecodable {what}") as info:
+        transport.parse_transcript(_shortened(blob, start))
+    assert info.value.offset == start + transport.FRAME_HEADER_BYTES
+
+
+@pytest.mark.parametrize("own_instance", [False, True])
+def test_setup_never_reads_a_declared_huge_instance(k3_setup, own_instance):
+    """A peer declares a 2**31-byte instance under a 2**31 bound: the
+    verifier's own cap rejects the frame before any payload byte is read."""
+    protocol, params, _ = k3_setup
+    declared = 1 << 31
+    blob = params.vc.to_bytes()
+    fields = declared.to_bytes(4, "big") + len(blob).to_bytes(2, "big") + blob
+    channel = _ScriptedChannel(
+        transport.encode_frame(transport.TAG_PARAMS, fields)
+        + _header(declared, transport.TAG_INSTANCE)
+        + bytes(64)
+    )
+    own = len(transport.encode_instance(protocol.instance))
+    args, cap = ((own,), own) if own_instance else ((), transport.INSTANCE_MAX_BYTES)
+    with pytest.raises(ProtocolViolation, match=f"at most {cap} allowed"):
+        transport.recv_public_setup(channel, *args)
+    assert channel.reads == [5, len(fields), 5]
