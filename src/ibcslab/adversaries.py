@@ -9,9 +9,14 @@ in, and the adversary only decides what to open. States are immutable
 values (frozen dataclasses and tuples), so a snapshot is the state itself,
 and `state_digest` certifies that a rewind left the adversary untouched.
 
-The adversaries that commit (`ScriptedProver`, `Equivocator`, and the
-honest `ArgumentProver` the wrappers decorate) each commit through their
-own `ibcs.CommitMemo`. The CLI builds one adversary per report, so the
+A scripted adversary is a compiled strategy: `ScriptedProver` is the
+`ibcs.ArgumentProver` of an IOP prover that plays the strategy, so it
+commits and opens exactly as the honest prover does, and `Equivocator` is
+a `ScriptedProver` over its A strings that answers from B. The wrappers
+(`Withholder`, `Grinder`) decorate another prover's openings.
+
+Every compiled prover commits through its own `ibcs.CommitMemo`. The CLI
+builds one adversary per report, so the
 report's trials and rewinds share it, and a message committed before is
 not hashed again. The memo is bounded by `ibcs.COMMIT_MEMO_ENTRIES` entries
 and `ibcs.COMMIT_MEMO_BYTES` bytes of commitment trees; no two adversary
@@ -25,13 +30,12 @@ from __future__ import annotations
 
 import hashlib
 import pickle
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .errors import InstanceError, ParameterError, ProtocolViolation
-from .ibcs import ArgParams, ArgumentProver, CommitMemo, pad_proof_string
-from .iop import IopProtocol, QueryPlan
+from .errors import InstanceError, ParameterError
+from .ibcs import ArgParams, ArgumentProver, pad_proof_string
+from .iop import IopProtocol, ProofString, QueryPlan
 from .prng import Bits, map_to_range
 from .toys import (
     GraphColoringIop,
@@ -41,7 +45,7 @@ from .toys import (
     find_coloring,
     poly_eval,
 )
-from .vc import CommitAux, Opening, vc_open
+from .vc import Opening
 
 
 def state_digest(state) -> bytes:
@@ -65,50 +69,34 @@ def honest_wrapper(protocol: IopProtocol, params: ArgParams, witness) -> Argumen
 Strategy = Callable[[int, tuple[Bits, ...], tuple[tuple[int, ...], ...]], Sequence[int]]
 
 
-@dataclass(frozen=True)
-class _ScriptState:
-    next_round: int
-    challenges: tuple[Bits, ...]
-    strings: tuple[tuple[int, ...], ...]
-    auxes: tuple[CommitAux, ...]
+class _StrategyIopProver:
+    """An IOP prover that plays a strategy; its state is (challenges, strings)."""
+
+    def __init__(self, strategy: Strategy):
+        self.strategy = strategy
+
+    def first(self):
+        symbols = tuple(self.strategy(1, (), ()))
+        return ProofString(1, symbols), ((), (symbols,))
+
+    def next_round(self, state, challenge: Bits):
+        challenges, strings = state
+        challenges += (challenge,)
+        i = len(strings) + 1
+        symbols = tuple(self.strategy(i, challenges, strings))
+        return ProofString(i, symbols), (challenges, strings + (symbols,))
 
 
-class ScriptedProver:
-    """Commits whatever a strategy dictates, then opens those strings honestly."""
+class ScriptedProver(ArgumentProver):
+    """The compiled strategy: commits whatever it dictates, then opens those strings."""
+
+    # Bound here rather than inherited: bench/tracing.py wraps methods by
+    # `vars(cls)[name]`, and times the adversaries apart from honest provers.
+    next_commitment = ArgumentProver.next_commitment
+    final_response = ArgumentProver.final_response
 
     def __init__(self, protocol: IopProtocol, params: ArgParams, strategy: Strategy):
-        self.protocol = protocol
-        self.params = params
-        self.strategy = strategy
-        self.commits = CommitMemo(params.vc)
-
-    def start(self) -> _ScriptState:
-        return _ScriptState(1, (), (), ())
-
-    def next_commitment(self, state: _ScriptState, challenge: Bits | None):
-        spec = self.protocol.spec
-        i = state.next_round
-        if i > spec.rounds:
-            raise ProtocolViolation("all commitment rounds already sent")
-        if (challenge is None) != (i == 1):
-            raise ProtocolViolation("challenge expected exactly from round 2 on")
-        challenges = state.challenges if challenge is None else state.challenges + (challenge,)
-        symbols = tuple(self.strategy(i, challenges, state.strings))
-        if len(symbols) != spec.proof_lengths[i - 1]:
-            raise ProtocolViolation(f"strategy emitted a wrong-length round {i} string")
-        cm, aux = self.commits.commit(pad_proof_string(spec, symbols))
-        return cm, _ScriptState(
-            i + 1, challenges, state.strings + (symbols,), state.auxes + (aux,)
-        )
-
-    def final_response(self, state: _ScriptState, plan: QueryPlan):
-        spec = self.protocol.spec
-        if state.next_round != spec.rounds + 1:
-            raise ProtocolViolation("final response requested before all commitments")
-        return tuple(
-            vc_open(self.params.vc, state.auxes[i], plan.per_round[i])
-            for i in range(spec.rounds)
-        )
+        super().__init__(protocol, params, iop_prover=_StrategyIopProver(strategy))
 
 
 def fixed_string_prover(
@@ -217,19 +205,18 @@ def always_abort(protocol: IopProtocol, inner) -> Grinder:
     return Grinder(protocol, inner, lambda _c: False, measure=Fraction(0))
 
 
-@dataclass(frozen=True)
-class _EquivState:
-    next_round: int
-    auxes: tuple[CommitAux, ...]
-
-
-class Equivocator:
+class Equivocator(ScriptedProver):
     """Commits to the A strings but answers from B, reusing A's proofs.
 
     Wherever A and B differ at a queried position the opening carries a
     digest chain for the A symbol with the B answer attached, so the
     commitment check must fail; a success would be a position-binding break.
     """
+
+    # Bound here rather than inherited, as in `ScriptedProver`; `_open_a` is
+    # the honest opening under a name the tracer does not wrap.
+    next_commitment = ArgumentProver.next_commitment
+    _open_a = ArgumentProver.final_response
 
     def __init__(
         self,
@@ -239,49 +226,36 @@ class Equivocator:
         strings_b: Sequence[Sequence[int]],
     ):
         spec = protocol.spec
-        self.protocol = protocol
-        self.params = params
-        self.a = tuple(pad_proof_string(spec, s) for s in strings_a)
+        a = tuple(tuple(s) for s in strings_a)
         self.b = tuple(pad_proof_string(spec, s) for s in strings_b)
-        if len(self.a) != spec.rounds or len(self.b) != spec.rounds:
+        if len(a) != spec.rounds or len(self.b) != spec.rounds:
             raise ParameterError("one A and one B string required per round")
-        self.commits = CommitMemo(params.vc)
+        super().__init__(protocol, params, lambda i, _c, _s: a[i - 1])
 
-    def start(self) -> _EquivState:
-        return _EquivState(1, ())
+    def final_response(self, state, plan: QueryPlan):
+        return tuple(
+            Opening(opening.positions, tuple(b[q - 1] for q in opening.positions), opening.proof)
+            for opening, b in zip(self._open_a(state, plan), self.b)
+        )
 
-    def next_commitment(self, state: _EquivState, challenge: Bits | None):
-        i = state.next_round
-        if i > self.protocol.spec.rounds:
-            raise ProtocolViolation("all commitment rounds already sent")
-        if (challenge is None) != (i == 1):
-            raise ProtocolViolation("challenge expected exactly from round 2 on")
-        cm, aux = self.commits.commit(self.a[i - 1])
-        return cm, _EquivState(i + 1, state.auxes + (aux,))
 
-    def final_response(self, state: _EquivState, plan: QueryPlan):
-        openings = []
-        for i, queries in enumerate(plan.per_round):
-            honest = vc_open(self.params.vc, state.auxes[i], queries)
-            answers = tuple(self.b[i][q - 1] for q in queries)
-            openings.append(Opening(positions=honest.positions, answers=answers, proof=honest.proof))
-        return tuple(openings)
+def _optimal_cheater(protocol: IopProtocol, params: ArgParams) -> ScriptedProver:
+    """The protocol's optimal scripted cheat."""
+    if isinstance(protocol, GraphColoringIop):
+        return optimal_gc_cheater(protocol, params)
+    if isinstance(protocol, SumcheckIop):
+        return optimal_sumcheck_cheater(protocol, params)
+    raise ParameterError(f"no optimal cheat for {type(protocol)!r}")
 
 
 def default_cheat_base(protocol: IopProtocol, params: ArgParams, witness=None):
     """Honest play when a witness exists, otherwise the optimal scripted cheat."""
-    if witness is not None:
-        return honest_wrapper(protocol, params, witness)
-    if isinstance(protocol, GraphColoringIop):
-        w = find_coloring(protocol.instance)
-        if w is not None:
-            return honest_wrapper(protocol, params, w)
-        return optimal_gc_cheater(protocol, params)
-    if isinstance(protocol, SumcheckIop):
-        if protocol.in_language():
-            return honest_wrapper(protocol, params, ())
-        return optimal_sumcheck_cheater(protocol, params)
-    raise ParameterError(f"no default strategy for {type(protocol)!r}")
+    if witness is None:
+        try:
+            witness = _find_witness(protocol)
+        except InstanceError:
+            return _optimal_cheater(protocol, params)
+    return honest_wrapper(protocol, params, witness)
 
 
 def make_adversary(name: str, protocol: IopProtocol, params: ArgParams, witness=None):
@@ -292,11 +266,7 @@ def make_adversary(name: str, protocol: IopProtocol, params: ArgParams, witness=
             witness = _find_witness(protocol)
         return honest_wrapper(protocol, params, witness)
     if base_name == "optimal":
-        if isinstance(protocol, GraphColoringIop):
-            return optimal_gc_cheater(protocol, params)
-        if isinstance(protocol, SumcheckIop):
-            return optimal_sumcheck_cheater(protocol, params)
-        raise ParameterError(f"no optimal cheat for {type(protocol)!r}")
+        return _optimal_cheater(protocol, params)
     base = default_cheat_base(protocol, params, witness)
     if base_name == "abort":
         return always_abort(protocol, base)

@@ -112,7 +112,7 @@ def config_block(args, argv: list[str], **extra) -> dict:
         if skip:
             skip = False
             continue
-        if token in ("--out", "--transcript-out"):
+        if token == "--out":
             skip = True
             continue
         kept.append(token)
@@ -269,7 +269,7 @@ def cmd_soundness(args, argv) -> int:
         if oracle_value is None
         else {"fraction": str(oracle_value), "value": float(oracle_value)},
         "oracle": oracle_kind,
-        "epsilon": args.epsilon,
+        "epsilon": float(args.epsilon),
         "trials": args.trials,
         "radius": radius,
         "adversaries": {},
@@ -289,7 +289,7 @@ def cmd_soundness(args, argv) -> int:
             args.json,
         )
         return 2
-    bounds = theorem_bounds(protocol.spec, Fraction(0), Fraction(0), Fraction(args.epsilon), oracle_value)
+    bounds = theorem_bounds(protocol.spec, Fraction(0), Fraction(0), args.epsilon, oracle_value)
     threshold = float(bounds.soundness_bound) + 3 * radius
     results["bound"] = {
         "soundness_bound": float(bounds.soundness_bound),
@@ -376,7 +376,7 @@ def cmd_extract(args, argv) -> int:
         "chain_check": {
             "h0": chain["0"]["value"],
             "hk": chain[str(k)]["value"],
-            "epsilon": args.epsilon,
+            "epsilon": float(args.epsilon),
             "slack": slack,
             "pass": chain_ok,
         },
@@ -438,7 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("soundness", help="oracle vs scripted adversaries")
     common(p)
-    p.add_argument("--epsilon", type=float, default=0.1)
+    p.add_argument("--epsilon", type=Fraction, default=Fraction(1, 10))
     p.add_argument("--trials", type=int, default=10_000)
     p.add_argument("--adversary", default=DEFAULT_ADVERSARIES)
     p.add_argument("--force", action="store_true", help="measure even in-language instances")
@@ -446,7 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("extract", help="hybrid chain, failure events, knowledge pipeline")
     common(p)
-    p.add_argument("--epsilon", type=float, default=0.5)
+    p.add_argument("--epsilon", type=Fraction, default=Fraction(1, 2))
     p.add_argument("--trials", type=int, default=2_000)
     p.add_argument("--knowledge-trials", type=int, default=200)
     p.add_argument("--adversary", default="honest")

@@ -7,13 +7,16 @@ positions the IOP verifier queries. The argument verifier accepts iff the
 IOP decision accepts on the opened answers, every opening verifies against
 its commitment, and opened padding positions carry the reserved symbol.
 
-A session prover is any object with the interface of `ArgumentProver`:
+`ArgumentProver` is that compilation, written once: it turns any IOP
+prover (an object with `first()` and `next_round(state, challenge)`, each
+returning a `ProofString` and the next state) into a session prover with
 `start()`, `next_commitment(state, challenge)` and `final_response(state,
-plan)`; the scripted adversaries implement the same contract. The caller
-that drew the challenges owns `plan`, the `verifier_query` result for the
-full challenge vector, and the prover only opens it. Prover states are
-immutable values: each call returns a new state and never changes the one
-it was given, so a rewind reuses a state as it is.
+plan)`. The honest prover compiles `iop.HonestIopProver`; the scripted
+adversaries compile their strategies. The caller that drew the challenges
+owns `plan`, the `verifier_query` result for the full challenge vector,
+and the prover only opens it. Prover states are immutable values: each
+call returns a new state and never changes the one it was given, so a
+rewind reuses a state as it is.
 
 Each prover commits through its own `CommitMemo`, which lives as long as
 the prover object: one session for the CLI's and the benchmark's session
@@ -31,7 +34,7 @@ from dataclasses import dataclass
 from typing import Any, Sequence
 
 from .errors import ParameterError, ProtocolViolation
-from .iop import IopProtocol, IopSpec, QueryPlan
+from .iop import HonestIopProver, IopProtocol, IopSpec, QueryPlan
 from .prng import Bits
 from .vc import (
     Commitment,
@@ -139,14 +142,20 @@ class _ProverState:
 
 
 class ArgumentProver:
-    """Honest argument prover: commit round by round, then open the queries."""
+    """The compiled prover: commit to each round's string, then open the plan.
 
-    def __init__(self, protocol: IopProtocol, params: ArgParams, witness):
+    It compiles `iop_prover`, by default the protocol's honest prover on
+    `witness`. Every compiled prover gets the same checks: the parameters
+    fit the protocol's shape, a challenge arrives exactly from round 2 on,
+    and each round's string has the round's length l_i.
+    """
+
+    def __init__(self, protocol: IopProtocol, params: ArgParams, witness=None, *, iop_prover=None):
         if params.iop_spec != protocol.spec:
             raise ParameterError("parameters were generated for a different IOP shape")
         self.protocol = protocol
         self.params = params
-        self.witness = witness
+        self.iop_prover = HonestIopProver(protocol, witness) if iop_prover is None else iop_prover
         self.commits = CommitMemo(params.vc)
 
     def start(self) -> _ProverState:
@@ -157,14 +166,17 @@ class ArgumentProver:
         i = state.next_round
         if i > spec.rounds:
             raise ProtocolViolation("all commitment rounds already sent")
+        if (challenge is None) != (i == 1):
+            raise ProtocolViolation("challenge expected exactly from round 2 on")
         if i == 1:
-            if challenge is not None:
-                raise ProtocolViolation("round 1 takes no incoming challenge")
-            proof, iop_state = self.protocol.prover_init(self.witness)
+            proof, iop_state = self.iop_prover.first()
         else:
-            if challenge is None:
-                raise ProtocolViolation(f"round {i} requires the round-{i - 1} challenge")
-            proof, iop_state = self.protocol.prover_next(state.iop_state, challenge)
+            proof, iop_state = self.iop_prover.next_round(state.iop_state, challenge)
+        if len(proof.symbols) != spec.proof_lengths[i - 1]:
+            raise ProtocolViolation(
+                f"round {i} string has length {len(proof.symbols)}, "
+                f"expected {spec.proof_lengths[i - 1]}"
+            )
         cm, aux = self.commits.commit(pad_proof_string(spec, proof.symbols))
         return cm, _ProverState(i + 1, iop_state, state.auxes + (aux,))
 

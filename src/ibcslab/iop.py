@@ -6,6 +6,12 @@ uniform bit strings; protocols map them onto structured spaces (an edge
 index, a field element) with `map_to_range`, which is why each round also
 declares the size of its structured challenge space: exhaustive oracles
 enumerate that space directly.
+
+An IOP prover is any object with `first()` and `next_round(state,
+challenge)`, each returning the round's `ProofString` and the next state.
+`iop_interact` runs one against the verifier, and `ibcs.ArgumentProver`
+compiles one into an argument prover; `HonestIopProver` is the protocol's
+own prover in that form.
 """
 
 from __future__ import annotations
@@ -56,20 +62,6 @@ class IopSpec:
     @property
     def max_proof_length(self) -> int:
         return max(self.proof_lengths)
-
-    @property
-    def total_length(self) -> int:
-        return sum(self.proof_lengths)
-
-    @property
-    def max_queries(self) -> int:
-        # Largest per-round query count; the bound calculator takes this as
-        # the q_max argument of the error functions.
-        return max(self.query_counts)
-
-    @property
-    def total_randomness(self) -> int:
-        return sum(self.randomness_bits)
 
 
 @dataclass(frozen=True)
@@ -176,7 +168,7 @@ class IopProtocol(abc.ABC):
 
 
 class HonestIopProver:
-    """Adapter exposing a protocol's honest prover through the prover contract."""
+    """The protocol's honest prover as an IOP prover, on a fixed witness."""
 
     def __init__(self, protocol: IopProtocol, witness):
         self.protocol = protocol

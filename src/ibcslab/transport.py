@@ -516,9 +516,9 @@ class _FrameLink:
         return payload
 
 
-def _undecodable(link: _FrameLink, what: str, payload: bytes, exc: DecodeError) -> IbcsError:
+def _undecodable(channel, what: str, payload: bytes, exc: DecodeError) -> IbcsError:
     """The error for a payload just read that does not decode, at the payload's start."""
-    return _violation(link.channel, f"undecodable {what}: {exc}", len(payload))
+    return _violation(channel, f"undecodable {what}: {exc}", len(payload))
 
 
 def _recv_challenge(link: _FrameLink, nbits: int) -> Bits:
@@ -527,7 +527,7 @@ def _recv_challenge(link: _FrameLink, nbits: int) -> Bits:
     try:
         return decode_challenge(payload, nbits)
     except DecodeError as exc:
-        raise _undecodable(link, "challenge", payload, exc) from exc
+        raise _undecodable(link.channel, "challenge", payload, exc) from exc
 
 
 def _read_rounds(
@@ -546,14 +546,14 @@ def _read_rounds(
         try:
             commitments.append(decode_commitment(payload))
         except DecodeError as exc:
-            raise _undecodable(link, "commitment", payload, exc) from exc
+            raise _undecodable(link.channel, "commitment", payload, exc) from exc
         link.counters.recv_protocol_bits += COMMITMENT_WIRE_BITS
         challenges.append(challenge(link, nbits))
     payload = link.recv(TAG_FINAL, final_response_max_bytes(params), is_protocol=True)
     try:
         response = decode_final_response(params, [cm.length for cm in commitments], payload)
     except DecodeError as exc:
-        raise _undecodable(link, "final response", payload, exc) from exc
+        raise _undecodable(link.channel, "final response", payload, exc) from exc
     link.counters.recv_protocol_bits += final_response_bits(params, response)
     return Transcript(protocol.instance, tuple(commitments), tuple(challenges), response)
 
@@ -677,10 +677,16 @@ def recv_public_setup(
     A verifier that holds the instance passes its encoding's length, so a
     peer's length field never sizes its memory past what it expects.
     """
-    frame = _recv_frame(channel, TAG_PARAMS, _PARAMS_MAX_BYTES)
-    bound, vc_params = decode_params_fields(frame[FRAME_HEADER_BYTES:])
-    frame = _recv_frame(channel, TAG_INSTANCE, min(bound, max_instance_bytes))
-    instance = decode_instance(frame[FRAME_HEADER_BYTES:])
+    payload = _recv_frame(channel, TAG_PARAMS, _PARAMS_MAX_BYTES)[FRAME_HEADER_BYTES:]
+    try:
+        bound, vc_params = decode_params_fields(payload)
+    except DecodeError as exc:
+        raise _undecodable(channel, "parameters", payload, exc) from exc
+    payload = _recv_frame(channel, TAG_INSTANCE, min(bound, max_instance_bytes))[FRAME_HEADER_BYTES:]
+    try:
+        instance = decode_instance(payload)
+    except DecodeError as exc:
+        raise _undecodable(channel, "instance", payload, exc) from exc
     return bound, vc_params, instance
 
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from ibcslab import ibcs
+from ibcslab import ibcs, transport
 from ibcslab.adversaries import (
     Equivocator,
     ScriptedProver,
@@ -19,12 +19,14 @@ from ibcslab.adversaries import (
     snapshot,
     state_digest,
 )
-from ibcslab.errors import InstanceError, ParameterError
+from ibcslab.errors import InstanceError, ParameterError, ProtocolViolation
 from ibcslab.extraction import hoeffding_radius, measure_acceptance
-from ibcslab.ibcs import arg_verify, Transcript
-from ibcslab.prng import Bits, Prng, derive, seed_root
-from ibcslab.toys import best_coloring, sumcheck_exact_cheat_value
+from ibcslab.ibcs import ArgumentProver, arg_setup, arg_verify, Transcript
+from ibcslab.prng import Bits, Prng, derive, map_to_range, seed_root
+from ibcslab.toys import best_coloring, sumcheck_exact_cheat_value, sumcheck_iop
 from ibcslab.vc import vc_check
+
+from helpers import make_sumcheck, run_memory_session
 
 
 def _drive_full_run(protocol, adversary, prng):
@@ -234,10 +236,53 @@ def test_scripted_prover_validates_lengths(k3_setup):
     with pytest.raises(ParameterError):
         fixed_string_prover(protocol, params, [(0, 1, 2), (0, 1, 2)])
     bad = ScriptedProver(protocol, params, lambda i, c, s: (0,))
-    from ibcslab.errors import ProtocolViolation
-
     with pytest.raises(ProtocolViolation):
         bad.next_commitment(bad.start(), None)
+
+
+@pytest.mark.parametrize("name", ["honest", "optimal", "equivocator"])
+def test_compiled_provers_share_the_round_checks(sumcheck_true_setup, name):
+    """Honest, scripted and equivocating play all take a challenge exactly
+    from round 2 on and open only after the last commitment."""
+    protocol, params = sumcheck_true_setup
+    prover = make_adversary(name, protocol, params, ())
+    challenge = Bits(protocol.spec.randomness_bits[0], 0)
+    with pytest.raises(ProtocolViolation):
+        prover.next_commitment(prover.start(), challenge)
+    _, state = prover.next_commitment(prover.start(), None)
+    with pytest.raises(ProtocolViolation):
+        prover.next_commitment(state, None)
+    plan = protocol.verifier_query([challenge] * protocol.spec.rounds)
+    with pytest.raises(ProtocolViolation):
+        prover.final_response(state, plan)
+
+
+def _honest_strategy_cases(k3_setup):
+    protocol, params, witness = k3_setup
+    yield protocol, params, witness, lambda _i, _c, _s: witness
+    protocol = sumcheck_iop(make_sumcheck(n=3))
+    params = arg_setup(128, len(transport.encode_instance(protocol.instance)), protocol.spec)
+    p = protocol.instance.prime
+    yield protocol, params, (), lambda _i, c, _s: protocol.round_polynomial(
+        tuple(map_to_range(r, p) for r in c)
+    )
+
+
+def test_scripted_honest_strategy_is_the_honest_prover(k3_setup):
+    """A strategy that computes the honest round strings from the challenges
+    compiles to the honest prover: memory sessions on K3 and on the n=3
+    sumcheck give byte-identical transcripts."""
+    for protocol, params, witness, strategy in _honest_strategy_cases(k3_setup):
+        for seed in range(3):
+            blobs = []
+            for prover in (
+                ArgumentProver(protocol, params, witness),
+                ScriptedProver(protocol, params, strategy),
+            ):
+                _, v_res = run_memory_session(protocol, params, prover, seed=seed)
+                assert v_res.decision == 1
+                blobs.append(transport.serialize_transcript(params, v_res.transcript))
+            assert blobs[0] == blobs[1]
 
 
 def test_make_adversary_selector(k3_setup, k4_setup):

@@ -271,6 +271,19 @@ def test_extract_report_and_replay(capsys, k3_file):
     assert report2 == report
 
 
+def test_extract_epsilon_is_an_exact_decimal(capsys, k3_file):
+    """T = ceil(l / (epsilon / 2k)) with l = 3 and k = 1 is 20 at epsilon =
+    3/10; the binary float nearest 0.3 would give 21."""
+    code, report = run_cli(
+        capsys,
+        ["extract", "--instance", k3_file, "--trials", "20",
+         "--knowledge-trials", "2", "--seed", "1", "--epsilon", "0.3"],
+    )
+    assert code == 0
+    assert report["results"]["events"]["1"]["max_rewinds"] == 20
+    assert report["results"]["chain_check"]["epsilon"] == 0.3
+
+
 def test_soundness_replay_identical(capsys, k4_file):
     argv = ["soundness", "--instance", k4_file, "--trials", "200", "--seed", "9"]
     code, report = run_cli(capsys, argv)

@@ -30,6 +30,7 @@ from helpers import make_sumcheck
 
 LAB_SUMCHECK = ".bench_work/lab/sumcheck-p17-n2-d2.txt"
 LAB_K4 = ".bench_work/lab/k4.txt"
+FALSE_SUMCHECK = "sumcheck-p17-n2-d2-false.txt"
 
 REPORT_PINS = {
     "lab-extract": (
@@ -46,6 +47,18 @@ REPORT_PINS = {
         ["extract", "--instance", "k3.txt", "--adversary", "withholder:1",
          "--epsilon", "0.5", "--trials", "100", "--knowledge-trials", "4", "--seed", "0"],
         "5b20da1669a2ea2b8bcd37bde03cab82e7109887723013a48cd271cbe250272e",
+    ),
+    # The scripted sumcheck cheats: the default adversary set, whose optimal
+    # cheater and equivocator commit strategy strings, and the equivocator's
+    # rewinds through the extractor.
+    "sumcheck-soundness": (
+        ["soundness", "--instance", FALSE_SUMCHECK, "--trials", "200", "--seed", "0"],
+        "f87fc07524681210844c237327a75c7c81c89a9f5d0b581e5b0eb95ea7e936a5",
+    ),
+    "sumcheck-equivocator-extract": (
+        ["extract", "--instance", LAB_SUMCHECK, "--adversary", "equivocator",
+         "--epsilon", "0.5", "--trials", "10", "--knowledge-trials", "1", "--seed", "0"],
+        "624737ab4db70285f122cc7de78098a3851ddcc29e8ff0532a810b6917b01ec4",
     ),
 }
 
@@ -75,6 +88,7 @@ def workdir(tmp_path, monkeypatch):
     files = {
         LAB_SUMCHECK: dump_sumcheck_text(make_sumcheck()),
         LAB_K4: dump_graph_text(complete_graph(4)),
+        FALSE_SUMCHECK: dump_sumcheck_text(make_sumcheck(false_claim=True)),
         "k3.txt": dump_graph_text(complete_graph(3)),
         "petersen.txt": dump_graph_text(petersen_graph()),
         "sumcheck-p17-n3-d2.txt": dump_sumcheck_text(make_sumcheck(n=3)),

@@ -27,9 +27,6 @@ def test_spec_validation():
         IopSpec(1, 3, 3, (2,), (72,), (1,), "x")  # wrong symbol width
     spec = IopSpec(2, 17, 5, (3, 3), (72, 72), (3, 3), "x")
     assert spec.max_proof_length == 3
-    assert spec.total_length == 6
-    assert spec.max_queries == 3
-    assert spec.total_randomness == 144
 
 
 def test_honest_completeness_all_seeds(k3):

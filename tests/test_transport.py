@@ -487,6 +487,27 @@ def test_short_payload_is_a_typed_error(k3_setup, tag, what):
     assert info.value.offset == start + transport.FRAME_HEADER_BYTES
 
 
+@pytest.mark.parametrize(
+    "tag, what", [(transport.TAG_PARAMS, "parameters"), (transport.TAG_INSTANCE, "instance")]
+)
+def test_undecodable_setup_payload_is_a_typed_error(k3_setup, tag, what):
+    """A parameter frame whose blob is a byte short of its declared length,
+    or an instance frame a byte short of its edge list, is a ProtocolViolation
+    live and a DecodeError at the payload's offset in a stored file."""
+    protocol, params, witness = k3_setup
+    _, v_res = run_memory_session(protocol, params, ArgumentProver(protocol, params, witness))
+    blob = transport.serialize_transcript(params, v_res.transcript)
+    (start,) = [s for t, s in _frame_offsets(blob) if t == tag]
+    bad = _shortened(blob, start)
+    channel = _ScriptedChannel(bad[len(transport.TRANSCRIPT_MAGIC) :])
+    with pytest.raises(ProtocolViolation, match=f"undecodable {what}"):
+        transport.recv_public_setup(channel)
+
+    with pytest.raises(DecodeError, match=f"undecodable {what}") as info:
+        transport.parse_transcript(bad)
+    assert info.value.offset == start + transport.FRAME_HEADER_BYTES
+
+
 @pytest.mark.parametrize("own_instance", [False, True])
 def test_setup_never_reads_a_declared_huge_instance(k3_setup, own_instance):
     """A peer declares a 2**31-byte instance under a 2**31 bound: the
