@@ -26,10 +26,12 @@ class ProtocolViolation(IbcsError):
 
 
 class DecodeError(IbcsError):
-    """Wire payload could not be decoded."""
+    """Wire payload could not be decoded; `reason` is the message without
+    the offset."""
 
     def __init__(self, message: str, offset: int | None = None):
         super().__init__(message if offset is None else f"{message} (offset {offset})")
+        self.reason = message
         self.offset = offset
 
 

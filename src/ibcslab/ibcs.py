@@ -113,22 +113,28 @@ class CommitMemo:
     least recently used entry is dropped when a bound would be exceeded,
     and a parameter set whose single tree exceeds the byte bound is never
     cached. Misses call the module's `vc_commit`, looked up at call time.
+    Entries are filed under the message's hash, computed once per commit,
+    and keep the message, so a hash collision is a miss.
     """
 
     def __init__(self, params: VcParams):
         self.params = params
         self.entry_bytes = 2 * params.width * _vc.DIGEST_BYTES
         self.capacity = min(COMMIT_MEMO_ENTRIES, COMMIT_MEMO_BYTES // self.entry_bytes)
-        self.entries: OrderedDict[tuple[int, ...], tuple[Commitment, CommitAux]] = OrderedDict()
+        self.entries: OrderedDict[int, tuple[tuple[int, ...], tuple[Commitment, CommitAux]]] = (
+            OrderedDict()
+        )
 
     def commit(self, message: tuple[int, ...]) -> tuple[Commitment, CommitAux]:
-        pair = self.entries.get(message)
-        if pair is not None:
-            self.entries.move_to_end(message)
-            return pair
+        h = hash(message)
+        entry = self.entries.get(h)
+        if entry is not None and entry[0] == message:
+            self.entries.move_to_end(h)
+            return entry[1]
         pair = vc_commit(self.params, message)
         if self.capacity:
-            self.entries[message] = pair
+            self.entries[h] = (message, pair)
+            self.entries.move_to_end(h)  # it may replace a colliding entry in place
             if len(self.entries) > self.capacity:
                 self.entries.popitem(last=False)
         return pair

@@ -12,6 +12,12 @@ challenge)`, each returning the round's `ProofString` and the next state.
 `iop_interact` runs one against the verifier, and `ibcs.ArgumentProver`
 compiles one into an argument prover; `HonestIopProver` is the protocol's
 own prover in that form.
+
+`verifier_query` maps the challenges on every call but plans and validates
+each structured challenge vector once per protocol object: it keeps the
+validated queries of the first `PLAN_CACHE_ENTRIES` distinct vectors for
+the object's lifetime (one report for the CLI, which builds one protocol
+per report), and never keeps a plan that failed validation.
 """
 
 from __future__ import annotations
@@ -68,6 +74,11 @@ class IopSpec:
 class ProofString:
     round_index: int
     symbols: tuple[int, ...]
+
+
+# Distinct structured challenge vectors whose validated plans one protocol
+# object keeps.
+PLAN_CACHE_ENTRIES = 1 << 9
 
 
 @dataclass(frozen=True)
@@ -140,11 +151,21 @@ class IopProtocol(abc.ABC):
         """Validated query plan for one challenge vector.
 
         Raises ProtocolViolation on malformed randomness or an invalid plan.
+        The challenges are mapped on every call; the validated per-round
+        queries are kept per structured vector, for the first
+        `PLAN_CACHE_ENTRIES` distinct vectors this protocol object plans.
+        A plan that fails validation is never kept.
         """
         structured = self.map_challenges(randomness)
-        plan = self.query_plan(structured)
-        self._validate_plan(plan)
-        return QueryPlan(plan.per_round, structured, tuple(randomness))
+        plans = self.__dict__.setdefault("_plans", {})
+        per_round = plans.get(structured)
+        if per_round is None:
+            plan = self.query_plan(structured)
+            self._validate_plan(plan)
+            per_round = plan.per_round
+            if len(plans) < PLAN_CACHE_ENTRIES:
+                plans[structured] = per_round
+        return QueryPlan(per_round, structured, tuple(randomness))
 
     def verifier_decide(self, plan: QueryPlan, answers: Sequence[Sequence[int]]) -> int:
         """Decision on the answers to a plan from `verifier_query`; 0 on a shape mismatch."""

@@ -162,13 +162,16 @@ class _BitWriter:
 
 
 class _BitReader:
+    """Reads bit fields off a payload; errors name their payload offset."""
+
     def __init__(self, data: bytes):
         self._value = int.from_bytes(data, "big")
+        self._nbytes = len(data)
         self._remaining = 8 * len(data)
 
     def take(self, nbits: int) -> int:
         if nbits > self._remaining:
-            raise DecodeError("bit field extends past the payload end")
+            raise DecodeError("bit field extends past the payload end", offset=self._nbytes)
         self._remaining -= nbits
         out = self._value >> self._remaining
         self._value &= (1 << self._remaining) - 1
@@ -179,9 +182,12 @@ class _BitReader:
 
     def finish(self):
         if self._remaining >= 8:
-            raise DecodeError(f"{self._remaining} trailing bits after payload")
+            raise DecodeError(
+                f"{self._remaining} trailing bits after payload",
+                offset=self._nbytes - self._remaining // 8,
+            )
         if self._value:
-            raise DecodeError("nonzero padding bits at payload end")
+            raise DecodeError("nonzero padding bits at payload end", offset=self._nbytes - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +307,7 @@ def decode_instance(payload: bytes):
         n = int.from_bytes(body[0:4], "big")
         m = int.from_bytes(body[4:8], "big")
         if len(body) != 8 + 8 * m:
-            raise DecodeError("graph instance length mismatch", offset=len(body))
+            raise DecodeError("graph instance length mismatch")
         edges = tuple(struct.iter_unpack(">II", body[8:]))
         return GraphColoringInstance(n, edges)
     if kind == _SC_KIND:
@@ -313,7 +319,7 @@ def decode_instance(payload: bytes):
         s = int.from_bytes(body[12:20], "big")
         count = (d + 1) ** n
         if len(body) != 20 + 8 * count:
-            raise DecodeError("sumcheck instance length mismatch", offset=len(body))
+            raise DecodeError("sumcheck instance length mismatch")
         coeffs = tuple(
             int.from_bytes(body[20 + 8 * j : 28 + 8 * j], "big") for j in range(count)
         )
@@ -345,8 +351,11 @@ def decode_params_fields(payload: bytes) -> tuple[int, VcParams]:
     bound = int.from_bytes(payload[0:4], "big")
     blob_len = int.from_bytes(payload[4:6], "big")
     if len(payload) != 6 + blob_len:
-        raise DecodeError("parameter payload length mismatch", offset=len(payload))
-    return bound, params_from_bytes(payload[6:])
+        raise DecodeError("parameter payload length mismatch")
+    try:
+        return bound, params_from_bytes(payload[6:])
+    except DecodeError as exc:
+        raise DecodeError(exc.reason, None if exc.offset is None else 6 + exc.offset) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -517,8 +526,14 @@ class _FrameLink:
 
 
 def _undecodable(channel, what: str, payload: bytes, exc: DecodeError) -> IbcsError:
-    """The error for a payload just read that does not decode, at the payload's start."""
-    return _violation(channel, f"undecodable {what}: {exc}", len(payload))
+    """The error for a payload just read that does not decode.
+
+    Decoders name offsets within their payload, or none when the payload
+    fails as a whole; a stored transcript's error names one file offset,
+    the payload's start plus the decoder's offset.
+    """
+    back = len(payload) - (exc.offset or 0)
+    return _violation(channel, f"undecodable {what}: {exc.reason}", back)
 
 
 def _recv_challenge(link: _FrameLink, nbits: int) -> Bits:

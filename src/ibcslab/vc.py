@@ -30,12 +30,24 @@ and of the first padding leaf can lack a sibling, so with the cache warm:
                                             nodes above them, about 2 * length
 
 A cold cache costs one pass of about 2 * (width - length) hashes.
+
+`vc_check` runs its cheap shape checks (positions, answers, proof length
+and digest sizes) on every call, then looks the root reconstruction up in
+a process-wide memo keyed by its full input: parameters, root, committed
+length, positions, answers and proof. Verifiers in the laboratory check the
+same few openings thousands of times per report. The memo drops its least
+recently used entry past `CHECK_MEMO_ENTRIES` entries or `CHECK_MEMO_BYTES`
+bytes, counting an entry as 32 bytes per proof digest and per opened
+position, and never keeps an input counted above the byte bound; so its
+memory is bounded by constants, whatever a peer sends.
 """
 
 from __future__ import annotations
 
 import functools
 import hashlib
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -53,6 +65,11 @@ _SUPPORTED_HASHES = ("sha256",)
 
 # Parameter sets (with committed lengths) whose padding digests stay cached.
 PADDING_CACHE_SIZE = 16
+
+# Bounds of the `vc_check` memo: entries, and bytes counted as one digest per
+# proof digest and per opened position.
+CHECK_MEMO_ENTRIES = 256
+CHECK_MEMO_BYTES = 4 << 10
 
 
 def _next_pow2(n: int) -> int:
@@ -238,6 +255,44 @@ def vc_commit(params: VcParams, message: Sequence[int]) -> tuple[Commitment, Com
     return Commitment(root=layers[-1][0], length=len(message)), aux
 
 
+class _CheckMemo:
+    """`vc_check` results by full input, the least recently used dropped first.
+
+    Entries are filed under the input's hash and keep the input, so a hash
+    collision is a miss, never a wrong result. An input counted above
+    `CHECK_MEMO_BYTES` is never kept. A lock keeps the bookkeeping whole
+    when session verifiers check from several threads.
+    """
+
+    def __init__(self):
+        self.entries: OrderedDict[int, tuple[tuple, int, int]] = OrderedDict()
+        self.bytes = 0
+        self.lock = threading.Lock()
+
+    def get(self, h: int, key: tuple) -> int | None:
+        with self.lock:
+            entry = self.entries.get(h)
+            if entry is None or entry[0] != key:
+                return None
+            self.entries.move_to_end(h)
+            return entry[1]
+
+    def put(self, h: int, key: tuple, result: int, weight: int):
+        if weight > CHECK_MEMO_BYTES:
+            return
+        with self.lock:
+            old = self.entries.pop(h, None)
+            if old is not None:
+                self.bytes -= old[2]
+            self.entries[h] = (key, result, weight)
+            self.bytes += weight
+            while len(self.entries) > CHECK_MEMO_ENTRIES or self.bytes > CHECK_MEMO_BYTES:
+                self.bytes -= self.entries.popitem(last=False)[1][2]
+
+
+_check_memo = _CheckMemo()
+
+
 def _canonical_positions(params: VcParams, positions: Sequence[int]) -> tuple[int, ...]:
     pos = tuple(positions)
     if not pos:
@@ -326,6 +381,18 @@ def vc_check(
     if any(len(d) != DIGEST_BYTES for d in pf):
         return 0
 
+    key = (params, cm.root, length, pos, ans, pf)
+    h = hash(key)
+    result = _check_memo.get(h, key)
+    if result is None:
+        result = 1 if _reconstruct_root(params, length, pos, ans, pf, slots) == cm.root else 0
+        _check_memo.put(h, key, result, DIGEST_BYTES * (len(pf) + len(pos)))
+    return result
+
+
+def _reconstruct_root(params, length, pos, ans, pf, slots) -> bytes | None:
+    """The root a shape-checked opening derives, from its leaves, the
+    supplied siblings and the cached padding digests."""
     supplied = dict(zip(slots, pf))
     padding = _padding_layers(params, length)
     values = {
@@ -353,4 +420,4 @@ def vc_check(
                     children.append(supplied[(level, i)])
             next_values[parent] = _node_digest(params, children[0], children[1])
         values, first = next_values, next_first
-    return 1 if values.get(0) == cm.root else 0
+    return values.get(0)

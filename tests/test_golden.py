@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from ibcslab import adversaries, cli, extraction, ibcs, transport, vc
+from ibcslab import adversaries, cli, extraction, ibcs, iop, transport, vc
 from ibcslab.toys import (
     canonical_graph,
     complete_graph,
@@ -131,13 +131,20 @@ def test_verify_report_pin(workdir, instance):
 
 
 # Work the two lab reports do: rewinds the sampler runs and skips after
-# saturation, and `vc_commit` calls. Wall time on a small shared host is
-# noisy; these counts are exact. A change may lower the rewinds run and the
-# commits; raising either brings back work the sampler or the per-prover
-# commit memo saves. Run plus skipped rewinds are fixed by the report.
+# saturation, `vc_commit` calls, `vc_check` root reconstructions (check-memo
+# misses, counted from an empty memo) and query-plan validations. Wall time
+# on a small shared host is noisy; these counts are exact. A change may
+# lower the rewinds run and the other counts; raising one brings back work
+# the sampler, the per-prover commit memo, the check memo or the
+# per-protocol plan cache saves. Run plus skipped rewinds are fixed by the
+# report.
 LAB_WORK = {
-    "lab-extract": {"rewinds": 211, "skipped": 631, "vc_commit": 18},
-    "lab-soundness": {"rewinds": 0, "skipped": 0, "vc_commit": 5},
+    "lab-extract": {
+        "rewinds": 211, "skipped": 631, "vc_commit": 18, "reconstruct": 16, "validate": 154,
+    },
+    "lab-soundness": {
+        "rewinds": 0, "skipped": 0, "vc_commit": 5, "reconstruct": 9, "validate": 6,
+    },
 }
 
 
@@ -146,6 +153,8 @@ def test_lab_work_counts(workdir, monkeypatch, name):
     counts = Counter()
     real_sampler = extraction.sampler
     real_commit = vc.vc_commit
+    real_reconstruct = vc._reconstruct_root
+    real_validate = iop.IopProtocol._validate_plan
 
     def sampler(*args):
         knowledge, stats = real_sampler(*args)
@@ -157,12 +166,23 @@ def test_lab_work_counts(workdir, monkeypatch, name):
         counts["vc_commit"] += 1
         return real_commit(*args)
 
+    def reconstruct(*args):
+        counts["reconstruct"] += 1
+        return real_reconstruct(*args)
+
+    def validate(*args):
+        counts["validate"] += 1
+        return real_validate(*args)
+
     monkeypatch.setattr(extraction, "sampler", sampler)
     for module in (vc, ibcs, adversaries, extraction, transport, cli):
         if getattr(module, "vc_commit", None) is real_commit:
             monkeypatch.setattr(module, "vc_commit", commit)
+    monkeypatch.setattr(vc, "_reconstruct_root", reconstruct)
+    monkeypatch.setattr(iop.IopProtocol, "_validate_plan", validate)
+    monkeypatch.setattr(vc, "_check_memo", vc._CheckMemo())
     _report(REPORT_PINS[name][0])
     work = LAB_WORK[name]
     assert counts["rewinds"] + counts["skipped"] == work["rewinds"] + work["skipped"]
-    assert counts["rewinds"] <= work["rewinds"]
-    assert counts["vc_commit"] <= work["vc_commit"]
+    for key in ("rewinds", "vc_commit", "reconstruct", "validate"):
+        assert counts[key] <= work[key], key

@@ -322,6 +322,22 @@ def test_commit_memo_hits_and_drops_the_least_recently_used(k3_setup, monkeypatc
     assert calls == [a, b, c, b]
 
 
+def test_commit_memo_hashes_each_message_once(k3_setup):
+    _, params, _ = k3_setup
+    hashes = []
+
+    class CountingTuple(tuple):
+        def __hash__(self):
+            hashes.append(self)
+            return super().__hash__()
+
+    memo = CommitMemo(params.vc)
+    message = CountingTuple((0, 1, 2))
+    for _ in range(3):  # a miss, then two hits
+        assert memo.commit(message) == vc_commit(params.vc, message)
+    assert len(hashes) == 3
+
+
 def test_honest_prover_state_holds_the_memo_pair(k3_setup):
     protocol, params, witness = k3_setup
     prover = ArgumentProver(protocol, params, witness)

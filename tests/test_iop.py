@@ -4,17 +4,20 @@ from fractions import Fraction
 
 import pytest
 
+from ibcslab.adversaries import make_adversary
 from ibcslab.errors import InfeasibleError, ParameterError, ProtocolViolation
+from ibcslab.ibcs import arg_setup
 from ibcslab.iop import (
     HonestIopProver,
     IopSpec,
     ProofString,
+    QueryPlan,
     brute_force_soundness,
     iop_interact,
     oracle_cost,
 )
-from ibcslab.prng import Bits, Prng, derive, seed_root
-from ibcslab.toys import find_coloring, gc_pcp, sumcheck_iop
+from ibcslab.prng import Bits, Prng, derive, map_to_range, seed_root
+from ibcslab.toys import GraphColoringIop, find_coloring, gc_pcp, sumcheck_iop
 from helpers import make_sumcheck
 
 
@@ -119,3 +122,49 @@ def test_scripted_cheater_never_beats_oracle(k4):
         prng = Prng(derive(seed_root(seed), "mc-oracle"))
         accepted += iop_interact(protocol, FixedProver(), prng).accept
     assert accepted / trials <= float(oracle) + 3 * hoeffding_radius(trials)
+
+
+def test_invalid_plan_raises_on_every_call(k3):
+    planned = []
+
+    class BadPlanIop(GraphColoringIop):
+        def query_plan(self, structured):
+            planned.append(structured)
+            return QueryPlan(((2, 1),))  # not increasing
+
+    protocol = BadPlanIop(k3)
+    challenge = [Bits(protocol.spec.randomness_bits[0], 0)]
+    for _ in range(3):
+        with pytest.raises(ProtocolViolation, match="not increasing"):
+            protocol.verifier_query(challenge)
+    assert len(planned) == 3
+
+
+def test_cached_plan_carries_the_callers_randomness(k3):
+    """Two challenge bit strings that map to one edge share its cached plan,
+    but each plan carries its own bit string, which the grinder reads."""
+    planned = []
+
+    class CountingIop(GraphColoringIop):
+        def query_plan(self, structured):
+            planned.append(structured)
+            return super().query_plan(structured)
+
+    protocol = CountingIop(k3)
+    params = arg_setup(128, 64, protocol.spec)
+    nbits = protocol.spec.randomness_bits[0]
+    edges = protocol.challenge_space(1)
+    low = Bits(nbits, 0)  # leading bit 0: grinder:1 opens
+    high = next(  # leading bit 1: grinder:1 aborts
+        bits
+        for bits in (Bits(nbits, (1 << (nbits - 1)) + j) for j in range(64))
+        if map_to_range(bits, edges) == map_to_range(low, edges)
+    )
+    grinder = make_adversary("grinder:1", protocol, params, find_coloring(k3))
+    _, state = grinder.next_commitment(grinder.start(), None)
+    for bits, opens in ((low, True), (high, False), (low, True)):
+        plan = protocol.verifier_query([bits])
+        assert plan.randomness == (bits,)
+        assert plan == gc_pcp(k3).verifier_query([bits])
+        assert (grinder.final_response(state, plan) is not None) == opens
+    assert len(planned) == 1

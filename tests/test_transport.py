@@ -508,6 +508,50 @@ def test_undecodable_setup_payload_is_a_typed_error(k3_setup, tag, what):
     assert info.value.offset == start + transport.FRAME_HEADER_BYTES
 
 
+@pytest.mark.parametrize(
+    "tag, what, fault",
+    [
+        (transport.TAG_PARAMS, "parameters", "trailing"),
+        (transport.TAG_INSTANCE, "instance", "short"),
+        (transport.TAG_COMMIT, "commitment", "short"),
+        (transport.TAG_CHALLENGE, "challenge", "short"),
+        (transport.TAG_FINAL, "final response", "short"),
+        (transport.TAG_FINAL, "final response", "trailing"),
+    ],
+)
+def test_undecodable_stored_payload_names_one_file_offset(k3_setup, tag, what, fault):
+    """The error names one offset, the failing byte's file position, in its
+    message and in `.offset`: a decoder's offset within its payload is
+    moved to the file, and a payload that fails as a whole is located at
+    its start."""
+    protocol, params, witness = k3_setup
+    _, v_res = run_memory_session(protocol, params, ArgumentProver(protocol, params, witness))
+    blob = transport.serialize_transcript(params, v_res.transcript)
+    (start,) = [s for t, s in _frame_offsets(blob) if t == tag]
+    if fault == "short":
+        bad = _shortened(blob, start)
+        _, payload, end = transport.decode_frame(bad, start)
+        # A short final response runs out of bits at its end; the other
+        # payloads fail as a whole.
+        offset = end if tag == transport.TAG_FINAL else end - len(payload)
+    else:
+        # One zero byte past what the decoder reads: for the parameters,
+        # inside the VcParams encoding, whose declared length covers it.
+        _, payload, end = transport.decode_frame(blob, start)
+        if tag == transport.TAG_PARAMS:
+            vc_blob = payload[6:] + b"\x00"
+            payload = payload[:4] + len(vc_blob).to_bytes(2, "big") + vc_blob
+        else:
+            payload += b"\x00"
+        bad = blob[:start] + transport.encode_frame(tag, payload) + blob[end:]
+        offset = start + transport.FRAME_HEADER_BYTES + len(payload) - 1
+    with pytest.raises(DecodeError, match=f"undecodable {what}: ") as info:
+        transport.parse_transcript(bad)
+    assert info.value.offset == offset
+    assert str(info.value).count("(offset") == 1
+    assert str(info.value).endswith(f"(offset {offset})")
+
+
 @pytest.mark.parametrize("own_instance", [False, True])
 def test_setup_never_reads_a_declared_huge_instance(k3_setup, own_instance):
     """A peer declares a 2**31-byte instance under a 2**31 bound: the

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import hashlib
 import random
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -400,3 +402,164 @@ def test_padding_cache_is_bounded_and_sees_only_valid_lengths():
         assert vc_check(params, claimed, opening.positions, opening.answers, opening.proof) == 0
     after = vc_module._padding_layers.cache_info()
     assert (after.hits, after.misses) == (before.hits, before.misses)
+
+
+def _fresh_memo(mp: pytest.MonkeyPatch):
+    memo = vc_module._CheckMemo()
+    mp.setattr(vc_module, "_check_memo", memo)
+    return memo
+
+
+def _count_reconstructions(mp: pytest.MonkeyPatch) -> list:
+    calls = []
+    real = vc_module._reconstruct_root
+    mp.setattr(vc_module, "_reconstruct_root", lambda *a: calls.append(a) or real(*a))
+    return calls
+
+
+_CHANGED_FIELDS = ("domain tag", "root", "length", "positions", "answers", "proof")
+
+
+def _change_one_field(data, args, capacity, symbol_bits):
+    field = data.draw(st.sampled_from(_CHANGED_FIELDS), label="field")
+    if field == "domain tag":
+        tag = data.draw(st.binary(min_size=1, max_size=8).filter(lambda t: t != DEFAULT_DOMAIN_TAG))
+        args["params"] = vc_gen(128, capacity, symbol_bits=symbol_bits, domain_tag=tag)
+    elif field == "root":
+        root = bytearray(args["root"])
+        root[data.draw(st.integers(0, DIGEST_BYTES - 1))] ^= data.draw(st.integers(1, 255))
+        args["root"] = bytes(root)
+    elif field == "length":
+        length = args["length"]
+        args["length"] = data.draw(st.integers(0, capacity + 2).filter(lambda n: n != length))
+    elif field in ("positions", "answers"):
+        values = args[field]
+        j = data.draw(st.integers(0, len(values) - 1))
+        top = capacity + 1 if field == "positions" else 1 << symbol_bits
+        values[j] = data.draw(st.integers(0, top).filter(lambda v: v != values[j]))
+    else:
+        proof = args["proof"]
+        if proof and data.draw(st.booleans(), label="flip a byte"):
+            j = data.draw(st.integers(0, len(proof) - 1))
+            digest = bytearray(proof[j])
+            digest[data.draw(st.integers(0, DIGEST_BYTES - 1))] ^= 1
+            proof[j] = bytes(digest)
+        else:
+            proof.append(bytes(DIGEST_BYTES))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_memoized_opening_with_one_field_changed_matches_reference(data):
+    """The check memo is exact: once an honest opening is memoized, the same
+    input with any one field changed is checked as the reference checks it,
+    on its first call (a miss) and its second (a hit, if it was kept)."""
+    capacity = data.draw(st.integers(1, 40), label="capacity")
+    symbol_bits = data.draw(st.sampled_from([1, 2, 8]), label="symbol_bits")
+    length = data.draw(st.integers(1, capacity), label="length")
+    message = data.draw(
+        st.lists(st.integers(0, (1 << symbol_bits) - 1), min_size=length, max_size=length),
+        label="message",
+    )
+    queries = data.draw(st.sets(st.integers(1, capacity), min_size=1, max_size=4), label="queries")
+    params = vc_gen(128, capacity, symbol_bits=symbol_bits)
+    cm, aux = vc_commit(params, message)
+    opening = vc_open(params, aux, queries)
+    args = {
+        "params": params,
+        "root": cm.root,
+        "length": cm.length,
+        "positions": list(opening.positions),
+        "answers": list(opening.answers),
+        "proof": list(opening.proof),
+    }
+
+    def check(a):
+        cm = Commitment(a["root"], a["length"])
+        return vc_check(a["params"], cm, a["positions"], a["answers"], a["proof"])
+
+    with pytest.MonkeyPatch.context() as mp:
+        _fresh_memo(mp)
+        calls = _count_reconstructions(mp)
+        assert check(args) == check(args) == 1
+        assert len(calls) == 1
+        _change_one_field(data, args, capacity, symbol_bits)
+        assert check(args) == check(args) == vc_reference.check(*args.values())
+
+
+def test_check_memo_holds_its_entry_and_byte_bounds(monkeypatch):
+    params = vc_gen(128, 64, symbol_bits=4)
+    cm, aux = vc_commit(params, [j % 16 for j in range(64)])
+    openings = [vc_open(params, aux, [j, 64 - j]) for j in range(1, 32)]
+    weight = DIGEST_BYTES * (len(openings[0].proof) + 2)
+    assert all(DIGEST_BYTES * (len(o.proof) + 2) == weight for o in openings)
+    for max_entries, max_bytes, held in (
+        (3, 100 * weight, 3),  # the entry bound binds
+        (100, 2 * weight + weight // 2, 2),  # the byte bound binds
+        (100, weight - 1, 0),  # one input exceeds the byte bound: nothing is kept
+    ):
+        monkeypatch.setattr(vc_module, "CHECK_MEMO_ENTRIES", max_entries)
+        monkeypatch.setattr(vc_module, "CHECK_MEMO_BYTES", max_bytes)
+        memo = _fresh_memo(monkeypatch)
+        for o in openings:
+            assert vc_check(params, cm, o.positions, o.answers, o.proof) == 1
+            assert len(memo.entries) <= max_entries
+            assert memo.bytes == sum(w for _, _, w in memo.entries.values()) <= max_bytes
+        assert len(memo.entries) == held
+
+
+def test_check_memo_keeps_the_recently_used_and_no_malformed_input(monkeypatch):
+    params = vc_gen(128, 16, symbol_bits=4)
+    cm, aux = vc_commit(params, list(range(16)))
+    a, b, c = (vc_open(params, aux, [j]) for j in (1, 2, 3))
+    monkeypatch.setattr(vc_module, "CHECK_MEMO_ENTRIES", 2)
+    memo = _fresh_memo(monkeypatch)
+    calls = _count_reconstructions(monkeypatch)
+    for o in (a, b, a, c, a, b):  # c drops b, the least recently used
+        assert vc_check(params, cm, o.positions, o.answers, o.proof) == 1
+    assert [call[1:3] for call in calls] == [
+        (cm.length, o.positions) for o in (a, b, c, b)
+    ]
+    # A proof of the wrong length is refused before the memo is consulted.
+    before = dict(memo.entries)
+    for proof in (a.proof[:-1], a.proof + (bytes(DIGEST_BYTES),)):
+        assert vc_check(params, cm, a.positions, a.answers, proof) == 0
+    assert memo.entries == before
+    assert len(calls) == 4
+
+
+def test_check_memo_stays_whole_under_threads(monkeypatch):
+    """Session verifiers may check from several threads at once: with more
+    threads than cores and a short switch interval, every check is right and
+    the memo's byte count equals the weights it holds."""
+    params = vc_gen(128, 32, symbol_bits=4)
+    cm, aux = vc_commit(params, [j % 16 for j in range(32)])
+    openings = [vc_open(params, aux, [j, 33 - j]) for j in range(1, 17)]
+    monkeypatch.setattr(vc_module, "CHECK_MEMO_ENTRIES", 5)
+    memo = _fresh_memo(monkeypatch)
+    errors = []
+
+    def work(seed):
+        rng = random.Random(seed)
+        try:
+            for _ in range(2000):
+                o = rng.choice(openings)
+                if vc_check(params, cm, o.positions, o.answers, o.proof) != 1:
+                    errors.append("wrong result")
+        except Exception as exc:  # recorded, so the main thread can fail on it
+            errors.append(repr(exc))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(seed,)) for seed in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert len(memo.entries) <= 5
+    assert memo.bytes == sum(w for _, _, w in memo.entries.values())
