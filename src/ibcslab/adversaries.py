@@ -15,12 +15,13 @@ commits and opens exactly as the honest prover does, and `Equivocator` is
 a `ScriptedProver` over its A strings that answers from B. The wrappers
 (`Withholder`, `Grinder`) decorate another prover's openings.
 
-Every compiled prover commits through its own `ibcs.CommitMemo`. The CLI
-builds one adversary per report, so the
+Every compiled prover commits through its own `ibcs.CommitMemo`, a
+`memo.BoundedMemo`. The CLI builds one adversary per report, so the
 report's trials and rewinds share it, and a message committed before is
 not hashed again. The memo is bounded by `ibcs.COMMIT_MEMO_ENTRIES` entries
 and `ibcs.COMMIT_MEMO_BYTES` bytes of commitment trees; no two adversary
-objects share one.
+objects share one. The wrappers hold no memo of their own: they commit
+through the prover they wrap.
 
 Returning None from `final_response` models an abort: the adversary walks
 away instead of opening, and the verifier rejects.

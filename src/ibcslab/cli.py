@@ -97,12 +97,18 @@ def resolve_witness(protocol, file_witness, flag_value):
     return ()
 
 
-def emit(report: dict, out_path: str | None) -> str:
+def emit(experiment: str, args, argv: list[str], results: dict, **config):
+    """Print the report envelope around `results`, and write it to --json."""
+    report = {
+        "experiment": experiment,
+        "artifact_version": __version__,
+        "config": config_block(args, argv, **config),
+        "results": results,
+    }
     blob = json.dumps(report, indent=2, sort_keys=True)
-    if out_path:
-        Path(out_path).write_text(blob + "\n")
+    if args.json:
+        Path(args.json).write_text(blob + "\n")
     print(blob)
-    return blob
 
 
 def config_block(args, argv: list[str], **extra) -> dict:
@@ -138,6 +144,21 @@ def _check_formula(params, result) -> dict:
     return stats.to_dict()
 
 
+def _session_results(params, result, decision: int, out_path: str | None) -> dict:
+    """Results of one live session; writes its transcript to `out_path`."""
+    stats = _check_formula(params, result)
+    blob = transport.serialize_transcript(params, result.transcript)
+    if out_path:
+        Path(out_path).write_bytes(blob)
+    return {
+        "decision": decision,
+        "message_count": result.transcript.message_count,
+        "comm": stats,
+        "counters": result.counters.to_dict(),
+        "transcript_sha256": hashlib.sha256(blob).hexdigest(),
+    }
+
+
 def cmd_prove(args, argv) -> int:
     instance, file_witness = load_instance_path(args.instance, args.spec)
     protocol = transport.protocol_for_instance(instance)
@@ -157,23 +178,8 @@ def cmd_prove(args, argv) -> int:
         channel.close()
         decision = result.decision
 
-    stats = _check_formula(params, result)
-    blob = transport.serialize_transcript(params, result.transcript)
-    if args.out:
-        Path(args.out).write_bytes(blob)
-    report = {
-        "experiment": "prove",
-        "artifact_version": __version__,
-        "config": config_block(args, argv, instance=args.instance, transport=args.transport),
-        "results": {
-            "decision": decision,
-            "message_count": result.transcript.message_count,
-            "comm": stats,
-            "counters": result.counters.to_dict(),
-            "transcript_sha256": hashlib.sha256(blob).hexdigest(),
-        },
-    }
-    emit(report, args.json)
+    results = _session_results(params, result, decision, args.out)
+    emit("prove", args, argv, results, instance=args.instance, transport=args.transport)
     return 0 if decision == 1 else 1
 
 
@@ -183,17 +189,12 @@ def cmd_verify(args, argv) -> int:
         params, protocol, transcript = transport.parse_transcript(data)
         require_security(params, args.security)
         decision = arg_verify(params, protocol, transcript)
-        report = {
-            "experiment": "verify",
-            "artifact_version": __version__,
-            "config": config_block(args, argv, transcript=str(args.transcript)),
-            "results": {
-                "decision": decision,
-                "message_count": transcript.message_count,
-                "comm": comm_stats(params, transcript).to_dict(),
-            },
+        results = {
+            "decision": decision,
+            "message_count": transcript.message_count,
+            "comm": comm_stats(params, transcript).to_dict(),
         }
-        emit(report, args.json)
+        emit("verify", args, argv, results, transcript=str(args.transcript))
         return 0 if decision == 1 else 1
 
     host, port = args.listen.rsplit(":", 1)
@@ -218,23 +219,8 @@ def cmd_verify(args, argv) -> int:
     result = transport.run_session("verifier", channel, params, protocol, prng=prng)
     channel.close()
     listener.close()
-    stats = _check_formula(params, result)
-    blob = transport.serialize_transcript(params, result.transcript)
-    if args.out:
-        Path(args.out).write_bytes(blob)
-    report = {
-        "experiment": "verify",
-        "artifact_version": __version__,
-        "config": config_block(args, argv, transport="tcp"),
-        "results": {
-            "decision": result.decision,
-            "message_count": result.transcript.message_count,
-            "comm": stats,
-            "counters": result.counters.to_dict(),
-            "transcript_sha256": hashlib.sha256(blob).hexdigest(),
-        },
-    }
-    emit(report, args.json)
+    results = _session_results(params, result, result.decision, args.out)
+    emit("verify", args, argv, results, transport="tcp")
     return 0 if result.decision == 1 else 1
 
 
@@ -274,20 +260,10 @@ def cmd_soundness(args, argv) -> int:
         "radius": radius,
         "adversaries": {},
     }
-    exit_code = 0
+    config = {"instance": args.instance, "adversaries": args.adversary}
     if oracle_value is None:
         results["note"] = "exhaustive oracle infeasible at the configured budget"
-        emit(
-            {
-                "experiment": "soundness",
-                "artifact_version": __version__,
-                "config": config_block(
-                    args, argv, instance=args.instance, adversaries=args.adversary
-                ),
-                "results": results,
-            },
-            args.json,
-        )
+        emit("soundness", args, argv, results, **config)
         return 2
     bounds = theorem_bounds(protocol.spec, Fraction(0), Fraction(0), args.epsilon, oracle_value)
     threshold = float(bounds.soundness_bound) + 3 * radius
@@ -306,23 +282,13 @@ def cmd_soundness(args, argv) -> int:
         all_pass = all_pass and ok
         results["adversaries"][name] = {"acceptance": estimate.to_dict(), "pass": ok}
     results["pass"] = all_pass
-    if not all_pass:
-        exit_code = 1
-    emit(
-        {
-            "experiment": "soundness",
-            "artifact_version": __version__,
-            "config": config_block(
-                args, argv, instance=args.instance, adversaries=args.adversary
-            ),
-            "results": results,
-        },
-        args.json,
-    )
-    return exit_code
+    emit("soundness", args, argv, results, **config)
+    return 0 if all_pass else 1
 
 
 def cmd_extract(args, argv) -> int:
+    if args.knowledge_trials < 1:
+        raise ParameterError("at least one knowledge trial required")
     instance, file_witness = load_instance_path(args.instance, args.spec)
     protocol = transport.protocol_for_instance(instance)
     params = setup_for(instance, protocol, args.security)
@@ -392,18 +358,18 @@ def cmd_extract(args, argv) -> int:
         },
         "pass": chain_ok and events_ok and knowledge_ok,
     }
-    emit(
-        {
-            "experiment": "extract",
-            "artifact_version": __version__,
-            "config": config_block(
-                args, argv, instance=args.instance, adversary=args.adversary
-            ),
-            "results": results,
-        },
-        args.json,
-    )
+    emit("extract", args, argv, results, instance=args.instance, adversary=args.adversary)
     return 0 if results["pass"] else 1
+
+
+def epsilon_arg(text: str) -> Fraction:
+    """--epsilon as an exact decimal or fraction, also representable as a float."""
+    try:
+        value = Fraction(text)
+        float(value)
+    except (ValueError, ZeroDivisionError, OverflowError):
+        raise argparse.ArgumentTypeError(f"invalid epsilon value: {text!r}") from None
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -438,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("soundness", help="oracle vs scripted adversaries")
     common(p)
-    p.add_argument("--epsilon", type=Fraction, default=Fraction(1, 10))
+    p.add_argument("--epsilon", type=epsilon_arg, default=Fraction(1, 10))
     p.add_argument("--trials", type=int, default=10_000)
     p.add_argument("--adversary", default=DEFAULT_ADVERSARIES)
     p.add_argument("--force", action="store_true", help="measure even in-language instances")
@@ -446,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("extract", help="hybrid chain, failure events, knowledge pipeline")
     common(p)
-    p.add_argument("--epsilon", type=Fraction, default=Fraction(1, 2))
+    p.add_argument("--epsilon", type=epsilon_arg, default=Fraction(1, 2))
     p.add_argument("--trials", type=int, default=2_000)
     p.add_argument("--knowledge-trials", type=int, default=200)
     p.add_argument("--adversary", default="honest")

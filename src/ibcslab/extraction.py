@@ -83,7 +83,6 @@ class ExtractedOracle:
 class RewindBudget:
     max_rewinds: int
     stop_time: int
-    error_share: Fraction
 
     def __post_init__(self):
         if not 0 <= self.stop_time <= self.max_rewinds:
@@ -145,16 +144,31 @@ def run_continuation(adversary, state, ctx: ArgContext, continuation: Sequence[B
     return tuple(tail), plan, response
 
 
-def _routed_answers(plan, oracles, response, oracle_rounds: int):
-    """Answers with rounds <= oracle_rounds read from extracted oracles."""
-    answers = []
-    for j, queries in enumerate(plan.per_round, start=1):
-        if j <= oracle_rounds:
-            symbols = oracles[j - 1].symbols
-            answers.append(tuple(symbols[q - 1] for q in queries))
-        else:
-            answers.append(response[j - 1].answers)
-    return tuple(answers)
+def routed_decision(
+    params: ArgParams,
+    protocol: IopProtocol,
+    commitments,
+    plan: QueryPlan,
+    response,
+    oracles: Sequence[ExtractedOracle],
+    checked_rounds,
+) -> int:
+    """The hybrid verifier: the IOP decision with rounds 1..len(oracles)
+    answered by the extracted oracles and the rest by the openings.
+
+    It accepts only if the openings of `checked_rounds` (1-based) pass
+    their commitment checks; a missing or misshapen response rejects.
+    """
+    if response is None or len(response) != protocol.spec.rounds:
+        return 0
+    if not check_openings(params, commitments, plan, response, checked_rounds):
+        return 0
+    m = len(oracles)
+    answers = tuple(
+        tuple(oracles[j].symbols[q - 1] for q in queries) if j < m else response[j].answers
+        for j, queries in enumerate(plan.per_round)
+    )
+    return protocol.verifier_decide(plan, answers)
 
 
 def game_predicate(ctx: ArgContext, plan: QueryPlan, tail_commitments, response) -> bool:
@@ -163,17 +177,11 @@ def game_predicate(ctx: ArgContext, plan: QueryPlan, tail_commitments, response)
 
     `plan` is the verifier's plan for the run's full challenge vector.
     """
-    if response is None:
-        return False
-    protocol, params = ctx.protocol, ctx.params
-    i = ctx.round_index
+    checked = range(ctx.round_index, ctx.protocol.spec.rounds + 1)
     commitments = ctx.commitments + tail_commitments
-    if len(response) != protocol.spec.rounds:
-        return False
-    if not check_openings(params, commitments, plan, response, range(i, protocol.spec.rounds + 1)):
-        return False
-    answers = _routed_answers(plan, ctx.oracles, response, i - 1)
-    return bool(protocol.verifier_decide(plan, answers))
+    return bool(
+        routed_decision(ctx.params, ctx.protocol, commitments, plan, response, ctx.oracles, checked)
+    )
 
 
 def sampler(adversary, state, ctx: ArgContext, iterations: int, prng: Prng):
@@ -257,7 +265,7 @@ def reductor(
         stop_time = limit
     else:
         raise ParameterError(f"unknown stopping rule {stop!r}")
-    budget = RewindBudget(max_rewinds=limit, stop_time=stop_time, error_share=share)
+    budget = RewindBudget(max_rewinds=limit, stop_time=stop_time)
     knowledge, stats = sampler(adversary, state, ctx, stop_time, prng)
     oracle = fill_oracle(i, spec.proof_lengths[i - 1], knowledge)
     return oracle, knowledge, budget, stats
@@ -422,27 +430,16 @@ def run_hybrid_trial(
 def accept_under_routing(
     protocol: IopProtocol, params: ArgParams, record: TrialRecord, oracle_rounds: int
 ) -> int:
-    """Hybrid verifier: oracles answer rounds <= oracle_rounds, openings the
-    rest; commitment checks apply to every round."""
+    """Hybrid verifier on a trial: oracles answer rounds <= oracle_rounds,
+    openings the rest; commitment checks apply to every round."""
     if record.response is None:
         return 0
     if oracle_rounds > len(record.oracles):
         raise ParameterError("routing needs more oracles than the trial extracted")
-    if len(record.response) != protocol.spec.rounds:
-        return 0
-    if not check_openings(
-        params, record.commitments, record.plan, record.response,
-        range(1, protocol.spec.rounds + 1),
-    ):
-        return 0
-    return _routed_decision(protocol, record.plan, record, oracle_rounds)
-
-
-def _routed_decision(
-    protocol: IopProtocol, plan: QueryPlan, record: TrialRecord, oracle_rounds: int
-) -> int:
-    answers = _routed_answers(plan, record.oracles, record.response, oracle_rounds)
-    return protocol.verifier_decide(plan, answers)
+    return routed_decision(
+        params, protocol, record.commitments, record.plan, record.response,
+        record.oracles[:oracle_rounds], range(1, protocol.spec.rounds + 1),
+    )
 
 
 @dataclass(frozen=True)
@@ -580,21 +577,26 @@ def run_events_experiment(
         if record.response is None:
             continue
         i = round_index
-        plan = record.plan
-        opened = len(record.response) == spec.rounds
+        plan, commitments, response = record.plan, record.commitments, record.response
+        opened = len(response) == spec.rounds
         checked = [
-            opened and check_openings(params, record.commitments, plan, record.response, (j,))
+            opened and check_openings(params, commitments, plan, response, (j,))
             for j in range(1, spec.rounds + 1)
         ]
         # The round-i game: openings from round i on verify, and the
-        # decision reads the rounds below i from the extracted oracles.
-        game_won = all(checked[i - 1 :]) and _routed_decision(protocol, plan, record, i - 1)
+        # decision reads the rounds below i from the extracted oracles. Each
+        # round was checked once above, so the hybrid verifier checks none.
+        game_won = all(checked[i - 1 :]) and routed_decision(
+            params, protocol, commitments, plan, response, record.oracles[: i - 1], ()
+        )
         if all(checked[: i - 1]):
             counters.accept_openings += game_won
-            counters.accept_oracle += all(checked) and _routed_decision(protocol, plan, record, i)
+            counters.accept_oracle += all(checked) and routed_decision(
+                params, protocol, commitments, plan, response, record.oracles, ()
+            )
         queries = plan.per_round[i - 1]
         oracle = record.oracles[i - 1]
-        opening = record.response[i - 1]
+        opening = response[i - 1]
         new_positions = [q for q in queries if q not in oracle.covered]
         if new_positions:
             counters.raw_missing += 1
@@ -602,7 +604,7 @@ def run_events_experiment(
             # with new positions is exactly one more coverage step.
             if game_won:
                 counters.missing += 1
-        cm = record.commitments[i - 1]
+        cm = commitments[i - 1]
         # A conflict needs a covered position, so some rewind won the round-i
         # game against this same commitment: the round-i check then says
         # exactly that the opening verifies at the planned positions.

@@ -18,23 +18,24 @@ and the prover only opens it. Prover states are immutable values: each
 call returns a new state and never changes the one it was given, so a
 rewind reuses a state as it is.
 
-Each prover commits through its own `CommitMemo`, which lives as long as
-the prover object: one session for the CLI's and the benchmark's session
-provers, which are built per session, and one report for the adversaries
-the CLI builds per report, whose trials and rewinds commit the same padded
-strings again and again. A memo holds at most `COMMIT_MEMO_ENTRIES`
-commitments and at most `COMMIT_MEMO_BYTES` of commitment trees, counted
-as 2 * width digests per tree (512 KiB at width 8192).
+Each prover commits through its own `CommitMemo`, a `memo.BoundedMemo`
+that lives as long as the prover object: one session for the CLI's and the
+benchmark's session provers, which are built per session, and one report
+for the adversaries the CLI builds per report, whose trials and rewinds
+commit the same padded strings again and again. A memo holds at most
+`COMMIT_MEMO_ENTRIES` commitments and at most `COMMIT_MEMO_BYTES` of
+commitment trees, counted as 2 * width digests per tree (512 KiB at width
+8192).
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Sequence
 
 from .errors import ParameterError, ProtocolViolation
 from .iop import HonestIopProver, IopProtocol, IopSpec, QueryPlan
+from .memo import BoundedMemo
 from .prng import Bits
 from .vc import (
     Commitment,
@@ -106,37 +107,26 @@ COMMIT_MEMO_ENTRIES = 64
 COMMIT_MEMO_BYTES = 4 << 20
 
 
-class CommitMemo:
+class CommitMemo(BoundedMemo):
     """One prover's commitments, keyed by the padded message it committed.
 
-    A hit returns the very (commitment, aux) pair of the first commit; the
-    least recently used entry is dropped when a bound would be exceeded,
-    and a parameter set whose single tree exceeds the byte bound is never
-    cached. Misses call the module's `vc_commit`, looked up at call time.
-    Entries are filed under the message's hash, computed once per commit,
-    and keep the message, so a hash collision is a miss.
+    A hit returns the very (commitment, aux) pair of the first commit; a
+    parameter set whose single tree exceeds the byte bound is never cached.
+    Misses call the module's `vc_commit`, looked up at call time. The
+    message is hashed once per commit.
     """
 
     def __init__(self, params: VcParams):
+        super().__init__(COMMIT_MEMO_ENTRIES, COMMIT_MEMO_BYTES)
         self.params = params
         self.entry_bytes = 2 * params.width * _vc.DIGEST_BYTES
-        self.capacity = min(COMMIT_MEMO_ENTRIES, COMMIT_MEMO_BYTES // self.entry_bytes)
-        self.entries: OrderedDict[int, tuple[tuple[int, ...], tuple[Commitment, CommitAux]]] = (
-            OrderedDict()
-        )
 
     def commit(self, message: tuple[int, ...]) -> tuple[Commitment, CommitAux]:
         h = hash(message)
-        entry = self.entries.get(h)
-        if entry is not None and entry[0] == message:
-            self.entries.move_to_end(h)
-            return entry[1]
-        pair = vc_commit(self.params, message)
-        if self.capacity:
-            self.entries[h] = (message, pair)
-            self.entries.move_to_end(h)  # it may replace a colliding entry in place
-            if len(self.entries) > self.capacity:
-                self.entries.popitem(last=False)
+        pair = self.get(h, message)
+        if pair is None:
+            pair = vc_commit(self.params, message)
+            self.put(h, message, pair, self.entry_bytes)
         return pair
 
 

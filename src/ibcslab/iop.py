@@ -14,21 +14,24 @@ compiles one into an argument prover; `HonestIopProver` is the protocol's
 own prover in that form.
 
 `verifier_query` maps the challenges on every call but plans and validates
-each structured challenge vector once per protocol object: it keeps the
-validated queries of the first `PLAN_CACHE_ENTRIES` distinct vectors for
-the object's lifetime (one report for the CLI, which builds one protocol
-per report), and never keeps a plan that failed validation.
+each structured challenge vector once while it stays in the protocol
+object's plan cache, a `memo.BoundedMemo` of the `PLAN_CACHE_ENTRIES` most
+recently used vectors that lives as long as the object (one report for the
+CLI, which builds one protocol per report). A plan that failed validation
+is never kept.
 """
 
 from __future__ import annotations
 
 import abc
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Sequence
 
 from .errors import InfeasibleError, ParameterError, ProtocolViolation
+from .memo import BoundedMemo
 from .prng import Bits, Prng, map_to_range
 
 
@@ -76,8 +79,7 @@ class ProofString:
     symbols: tuple[int, ...]
 
 
-# Distinct structured challenge vectors whose validated plans one protocol
-# object keeps.
+# Structured challenge vectors whose validated plans one protocol object keeps.
 PLAN_CACHE_ENTRIES = 1 << 9
 
 
@@ -152,20 +154,27 @@ class IopProtocol(abc.ABC):
 
         Raises ProtocolViolation on malformed randomness or an invalid plan.
         The challenges are mapped on every call; the validated per-round
-        queries are kept per structured vector, for the first
-        `PLAN_CACHE_ENTRIES` distinct vectors this protocol object plans.
-        A plan that fails validation is never kept.
+        queries are looked up by structured vector in `_plans`. A plan that
+        fails validation is never kept.
         """
         structured = self.map_challenges(randomness)
-        plans = self.__dict__.setdefault("_plans", {})
-        per_round = plans.get(structured)
+        h = hash(structured)
+        per_round = self._plans.get(h, structured)
         if per_round is None:
             plan = self.query_plan(structured)
             self._validate_plan(plan)
             per_round = plan.per_round
-            if len(plans) < PLAN_CACHE_ENTRIES:
-                plans[structured] = per_round
+            weight = 8 * (len(structured) + sum(map(len, per_round)))
+            self._plans.put(h, structured, per_round, weight)
         return QueryPlan(per_round, structured, tuple(randomness))
+
+    @functools.cached_property
+    def _plans(self) -> BoundedMemo:
+        """Validated queries by structured vector, counted as 8 bytes per
+        challenge and per query; every validated plan has the spec's shape,
+        so the byte bound is what `PLAN_CACHE_ENTRIES` plans weigh."""
+        plan_bytes = 8 * (self.spec.rounds + sum(self.spec.query_counts))
+        return BoundedMemo(PLAN_CACHE_ENTRIES, PLAN_CACHE_ENTRIES * plan_bytes)
 
     def verifier_decide(self, plan: QueryPlan, answers: Sequence[Sequence[int]]) -> int:
         """Decision on the answers to a plan from `verifier_query`; 0 on a shape mismatch."""

@@ -31,27 +31,26 @@ and of the first padding leaf can lack a sibling, so with the cache warm:
 
 A cold cache costs one pass of about 2 * (width - length) hashes.
 
-`vc_check` runs its cheap shape checks (positions, answers, proof length
-and digest sizes) on every call, then looks the root reconstruction up in
-a process-wide memo keyed by its full input: parameters, root, committed
-length, positions, answers and proof. Verifiers in the laboratory check the
-same few openings thousands of times per report. The memo drops its least
-recently used entry past `CHECK_MEMO_ENTRIES` entries or `CHECK_MEMO_BYTES`
-bytes, counting an entry as 32 bytes per proof digest and per opened
-position, and never keeps an input counted above the byte bound; so its
-memory is bounded by constants, whatever a peer sends.
+`vc_check` first looks its full input (parameters, root, committed length,
+positions, answers and proof) up in a process-wide `memo.BoundedMemo`, so a
+repeated check costs one lookup; verifiers in the laboratory check the same
+few openings thousands of times per report. Only a miss runs the shape
+checks (positions, answers, proof length and digest sizes) and the root
+reconstruction, and only an input that passes the shape checks is kept.
+An entry counts 32 bytes per proof digest and per opened position; the
+memo holds at most `CHECK_MEMO_BYTES` of them, and so at most
+`CHECK_MEMO_BYTES // 32` entries, whatever a peer sends.
 """
 
 from __future__ import annotations
 
 import functools
 import hashlib
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import DecodeError, MessageError, ParameterError, QueryError
+from .memo import BoundedMemo
 
 DIGEST_BYTES = 32
 DEFAULT_DOMAIN_TAG = b"ibcslab/vc/1"
@@ -66,9 +65,8 @@ _SUPPORTED_HASHES = ("sha256",)
 # Parameter sets (with committed lengths) whose padding digests stay cached.
 PADDING_CACHE_SIZE = 16
 
-# Bounds of the `vc_check` memo: entries, and bytes counted as one digest per
-# proof digest and per opened position.
-CHECK_MEMO_ENTRIES = 256
+# Bytes of the `vc_check` memo, counted as one digest per proof digest and
+# per opened position.
 CHECK_MEMO_BYTES = 4 << 10
 
 
@@ -255,42 +253,8 @@ def vc_commit(params: VcParams, message: Sequence[int]) -> tuple[Commitment, Com
     return Commitment(root=layers[-1][0], length=len(message)), aux
 
 
-class _CheckMemo:
-    """`vc_check` results by full input, the least recently used dropped first.
-
-    Entries are filed under the input's hash and keep the input, so a hash
-    collision is a miss, never a wrong result. An input counted above
-    `CHECK_MEMO_BYTES` is never kept. A lock keeps the bookkeeping whole
-    when session verifiers check from several threads.
-    """
-
-    def __init__(self):
-        self.entries: OrderedDict[int, tuple[tuple, int, int]] = OrderedDict()
-        self.bytes = 0
-        self.lock = threading.Lock()
-
-    def get(self, h: int, key: tuple) -> int | None:
-        with self.lock:
-            entry = self.entries.get(h)
-            if entry is None or entry[0] != key:
-                return None
-            self.entries.move_to_end(h)
-            return entry[1]
-
-    def put(self, h: int, key: tuple, result: int, weight: int):
-        if weight > CHECK_MEMO_BYTES:
-            return
-        with self.lock:
-            old = self.entries.pop(h, None)
-            if old is not None:
-                self.bytes -= old[2]
-            self.entries[h] = (key, result, weight)
-            self.bytes += weight
-            while len(self.entries) > CHECK_MEMO_ENTRIES or self.bytes > CHECK_MEMO_BYTES:
-                self.bytes -= self.entries.popitem(last=False)[1][2]
-
-
-_check_memo = _CheckMemo()
+# Every kept input opens at least one position, so it weighs at least one digest.
+_check_memo = BoundedMemo(CHECK_MEMO_BYTES // DIGEST_BYTES, CHECK_MEMO_BYTES)
 
 
 def _canonical_positions(params: VcParams, positions: Sequence[int]) -> tuple[int, ...]:
@@ -361,33 +325,37 @@ def vc_check(
     pos = tuple(positions)
     ans = tuple(answers)
     pf = tuple(proof)
-    if not pos or len(pos) != len(ans):
-        return 0
-    if len(set(pos)) != len(pos) or list(pos) != sorted(pos):
-        return 0
-    if not 1 <= cm.length <= params.capacity:
-        return 0
-    length = cm.length
-    bound = 1 << params.symbol_bits
-    for q, a in zip(pos, ans):
-        if not 1 <= q <= params.capacity or not 0 <= a < bound:
-            return 0
-        # Padding position: only the reserved symbol is openable.
-        if q > length and a != 0:
-            return 0
-    slots = _proof_slots(params, length, (q - 1 for q in pos))
-    if len(pf) != len(slots):
-        return 0
-    if any(len(d) != DIGEST_BYTES for d in pf):
-        return 0
-
-    key = (params, cm.root, length, pos, ans, pf)
+    key = (params, cm.root, cm.length, pos, ans, pf)
     h = hash(key)
     result = _check_memo.get(h, key)
     if result is None:
-        result = 1 if _reconstruct_root(params, length, pos, ans, pf, slots) == cm.root else 0
+        slots = _shape_slots(params, cm.length, pos, ans, pf)
+        if slots is None:
+            return 0
+        result = 1 if _reconstruct_root(params, cm.length, pos, ans, pf, slots) == cm.root else 0
         _check_memo.put(h, key, result, DIGEST_BYTES * (len(pf) + len(pos)))
     return result
+
+
+def _shape_slots(params, length, pos, ans, pf) -> list[tuple[int, int]] | None:
+    """The proof slots of a well-formed opening, None for a malformed one."""
+    if not pos or len(pos) != len(ans):
+        return None
+    if len(set(pos)) != len(pos) or list(pos) != sorted(pos):
+        return None
+    if not 1 <= length <= params.capacity:
+        return None
+    bound = 1 << params.symbol_bits
+    for q, a in zip(pos, ans):
+        if not 1 <= q <= params.capacity or not 0 <= a < bound:
+            return None
+        # Padding position: only the reserved symbol is openable.
+        if q > length and a != 0:
+            return None
+    slots = _proof_slots(params, length, (q - 1 for q in pos))
+    if len(pf) != len(slots) or any(len(d) != DIGEST_BYTES for d in pf):
+        return None
+    return slots
 
 
 def _reconstruct_root(params, length, pos, ans, pf, slots) -> bytes | None:

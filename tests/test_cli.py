@@ -9,7 +9,7 @@ import time
 
 import pytest
 
-from ibcslab import transport
+from ibcslab import cli, transport
 from ibcslab.cli import main
 from ibcslab.ibcs import arg_setup
 from ibcslab.toys import dump_graph_text, dump_sumcheck_text, find_coloring, gc_pcp
@@ -282,6 +282,32 @@ def test_extract_epsilon_is_an_exact_decimal(capsys, k3_file):
     assert code == 0
     assert report["results"]["events"]["1"]["max_rewinds"] == 20
     assert report["results"]["chain_check"]["epsilon"] == 0.3
+
+
+def test_extract_refuses_zero_knowledge_trials_before_any_trial(capsys, monkeypatch, k3_file):
+    ran = []
+    monkeypatch.setattr(cli, "hybrid_value", lambda *args: ran.append(args))
+    code = main(["extract", "--instance", k3_file, "--trials", "20", "--knowledge-trials", "0"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.splitlines() == ["error: at least one knowledge trial required"]
+    assert captured.out == "" and ran == []
+
+
+@pytest.mark.parametrize("command", ["soundness", "extract"])
+@pytest.mark.parametrize("epsilon", ["1/0", "1e400"])
+def test_epsilon_that_is_no_float_is_a_usage_error(capsys, k3_file, command, epsilon):
+    """1/0 divides by zero and 1e400 overflows a float: both are usage
+    errors, not tracebacks, on each subcommand that takes --epsilon."""
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--instance", k3_file, "--trials", "10", "--epsilon", epsilon])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ")
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert errors == [
+        f"ibcslab {command}: error: argument --epsilon: invalid epsilon value: {epsilon!r}"
+    ]
 
 
 def test_soundness_replay_identical(capsys, k4_file):

@@ -51,7 +51,7 @@ def test_rewind_budget_example():
     assert rewind_budget_limit(64, error_share(0.5, 2)) == 512
     assert rewind_budget_limit(3, error_share(0.5, 1)) == 12
     with pytest.raises(ParameterError):
-        RewindBudget(max_rewinds=4, stop_time=5, error_share=Fraction(1, 4))
+        RewindBudget(max_rewinds=4, stop_time=5)
 
 
 def test_knowledge_set_invariants():

@@ -18,6 +18,7 @@ from pathlib import Path
 import pytest
 
 from ibcslab import adversaries, cli, extraction, ibcs, iop, transport, vc
+from ibcslab.memo import BoundedMemo
 from ibcslab.toys import (
     canonical_graph,
     complete_graph,
@@ -180,7 +181,8 @@ def test_lab_work_counts(workdir, monkeypatch, name):
             monkeypatch.setattr(module, "vc_commit", commit)
     monkeypatch.setattr(vc, "_reconstruct_root", reconstruct)
     monkeypatch.setattr(iop.IopProtocol, "_validate_plan", validate)
-    monkeypatch.setattr(vc, "_check_memo", vc._CheckMemo())
+    production = vc._check_memo
+    monkeypatch.setattr(vc, "_check_memo", BoundedMemo(production.max_entries, production.max_bytes))
     _report(REPORT_PINS[name][0])
     work = LAB_WORK[name]
     assert counts["rewinds"] + counts["skipped"] == work["rewinds"] + work["skipped"]

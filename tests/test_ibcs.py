@@ -285,24 +285,22 @@ def test_prover_state_machine(k3_setup):
 
 
 def test_commit_memo_holds_its_entry_and_byte_bounds(k3_setup, monkeypatch):
+    """A prover's memo has the module's bounds and counts a tree as 2 * width
+    digests; a tree heavier than the byte bound is never kept."""
     _, params, _ = k3_setup
     vc = params.vc
     entry = 2 * vc.width * 32
     messages = [(j % 3, j // 3 % 3, j // 9 % 3) for j in range(12)]
-    for max_entries, max_bytes, held in (
-        (3, 100 * entry, 3),  # the entry bound binds
-        (100, 2 * entry + entry // 2, 2),  # the byte bound binds
-        (100, entry - 1, 0),  # one tree exceeds the byte bound: nothing is kept
-    ):
-        monkeypatch.setattr(ibcs, "COMMIT_MEMO_ENTRIES", max_entries)
-        monkeypatch.setattr(ibcs, "COMMIT_MEMO_BYTES", max_bytes)
-        memo = CommitMemo(vc)
-        assert memo.entry_bytes == entry
-        for message in messages:
-            assert memo.commit(message) == vc_commit(vc, message)
-            assert len(memo.entries) <= max_entries
-            assert len(memo.entries) * entry <= max_bytes
-        assert len(memo.entries) == held
+    memo = CommitMemo(vc)
+    assert (memo.max_entries, memo.max_bytes) == (ibcs.COMMIT_MEMO_ENTRIES, ibcs.COMMIT_MEMO_BYTES)
+    for message in messages:
+        assert memo.commit(message) == vc_commit(vc, message)
+    assert [w for _, _, w in memo.entries.values()] == [entry] * len(messages)
+    monkeypatch.setattr(ibcs, "COMMIT_MEMO_BYTES", entry - 1)
+    memo = CommitMemo(vc)
+    for message in messages:
+        assert memo.commit(message) == vc_commit(vc, message)
+    assert len(memo.entries) == 0
 
 
 def test_commit_memo_hits_and_drops_the_least_recently_used(k3_setup, monkeypatch):

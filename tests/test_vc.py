@@ -2,14 +2,13 @@ from __future__ import annotations
 
 import hashlib
 import random
-import sys
-import threading
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ibcslab import vc as vc_module
 from ibcslab.errors import MessageError, ParameterError, QueryError
+from ibcslab.memo import BoundedMemo
 from ibcslab.vc import (
     DEFAULT_DOMAIN_TAG,
     DIGEST_BYTES,
@@ -404,8 +403,9 @@ def test_padding_cache_is_bounded_and_sees_only_valid_lengths():
     assert (after.hits, after.misses) == (before.hits, before.misses)
 
 
-def _fresh_memo(mp: pytest.MonkeyPatch):
-    memo = vc_module._CheckMemo()
+def _fresh_memo(mp: pytest.MonkeyPatch, max_entries: int | None = None):
+    production = vc_module._check_memo
+    memo = BoundedMemo(max_entries or production.max_entries, production.max_bytes)
     mp.setattr(vc_module, "_check_memo", memo)
     return memo
 
@@ -488,39 +488,44 @@ def test_memoized_opening_with_one_field_changed_matches_reference(data):
 
 
 def test_check_memo_holds_its_entry_and_byte_bounds(monkeypatch):
-    params = vc_gen(128, 64, symbol_bits=4)
-    cm, aux = vc_commit(params, [j % 16 for j in range(64)])
-    openings = [vc_open(params, aux, [j, 64 - j]) for j in range(1, 32)]
-    weight = DIGEST_BYTES * (len(openings[0].proof) + 2)
-    assert all(DIGEST_BYTES * (len(o.proof) + 2) == weight for o in openings)
-    for max_entries, max_bytes, held in (
-        (3, 100 * weight, 3),  # the entry bound binds
-        (100, 2 * weight + weight // 2, 2),  # the byte bound binds
-        (100, weight - 1, 0),  # one input exceeds the byte bound: nothing is kept
-    ):
-        monkeypatch.setattr(vc_module, "CHECK_MEMO_ENTRIES", max_entries)
-        monkeypatch.setattr(vc_module, "CHECK_MEMO_BYTES", max_bytes)
-        memo = _fresh_memo(monkeypatch)
-        for o in openings:
-            assert vc_check(params, cm, o.positions, o.answers, o.proof) == 1
-            assert len(memo.entries) <= max_entries
-            assert memo.bytes == sum(w for _, _, w in memo.entries.values()) <= max_bytes
-        assert len(memo.entries) == held
+    """An entry weighs one digest per proof digest and per opened position,
+    so the entry bound derived from the byte bound never binds first, and
+    an opening heavier than the byte bound is never kept."""
+    production = vc_module._check_memo
+    assert production.max_bytes == vc_module.CHECK_MEMO_BYTES
+    assert production.max_entries == vc_module.CHECK_MEMO_BYTES // DIGEST_BYTES
+    params = vc_gen(128, 256, symbol_bits=4)
+    cm, aux = vc_commit(params, [j % 16 for j in range(256)])
+    memo = _fresh_memo(monkeypatch)
+    for j in range(1, 200):
+        o = vc_open(params, aux, [j])
+        assert vc_check(params, cm, o.positions, o.answers, o.proof) == 1
+        key, _, weight = memo.entries[next(reversed(memo.entries))]
+        assert key[3] == o.positions
+        assert weight == DIGEST_BYTES * (len(o.proof) + 1)
+        assert memo.bytes == sum(w for _, _, w in memo.entries.values()) <= memo.max_bytes
+    # Every position, no proof digest: 256 digests, twice the byte bound.
+    everything = vc_open(params, aux, range(1, 257))
+    assert everything.proof == ()
+    before = dict(memo.entries)
+    for _ in range(2):
+        e = everything
+        assert vc_check(params, cm, e.positions, e.answers, e.proof) == 1
+    assert memo.entries == before
 
 
 def test_check_memo_keeps_the_recently_used_and_no_malformed_input(monkeypatch):
     params = vc_gen(128, 16, symbol_bits=4)
     cm, aux = vc_commit(params, list(range(16)))
     a, b, c = (vc_open(params, aux, [j]) for j in (1, 2, 3))
-    monkeypatch.setattr(vc_module, "CHECK_MEMO_ENTRIES", 2)
-    memo = _fresh_memo(monkeypatch)
+    memo = _fresh_memo(monkeypatch, max_entries=2)
     calls = _count_reconstructions(monkeypatch)
     for o in (a, b, a, c, a, b):  # c drops b, the least recently used
         assert vc_check(params, cm, o.positions, o.answers, o.proof) == 1
     assert [call[1:3] for call in calls] == [
         (cm.length, o.positions) for o in (a, b, c, b)
     ]
-    # A proof of the wrong length is refused before the memo is consulted.
+    # A proof of the wrong length is a miss, refused and never kept.
     before = dict(memo.entries)
     for proof in (a.proof[:-1], a.proof + (bytes(DIGEST_BYTES),)):
         assert vc_check(params, cm, a.positions, a.answers, proof) == 0
@@ -528,38 +533,16 @@ def test_check_memo_keeps_the_recently_used_and_no_malformed_input(monkeypatch):
     assert len(calls) == 4
 
 
-def test_check_memo_stays_whole_under_threads(monkeypatch):
-    """Session verifiers may check from several threads at once: with more
-    threads than cores and a short switch interval, every check is right and
-    the memo's byte count equals the weights it holds."""
-    params = vc_gen(128, 32, symbol_bits=4)
-    cm, aux = vc_commit(params, [j % 16 for j in range(32)])
-    openings = [vc_open(params, aux, [j, 33 - j]) for j in range(1, 17)]
-    monkeypatch.setattr(vc_module, "CHECK_MEMO_ENTRIES", 5)
-    memo = _fresh_memo(monkeypatch)
-    errors = []
-
-    def work(seed):
-        rng = random.Random(seed)
-        try:
-            for _ in range(2000):
-                o = rng.choice(openings)
-                if vc_check(params, cm, o.positions, o.answers, o.proof) != 1:
-                    errors.append("wrong result")
-        except Exception as exc:  # recorded, so the main thread can fail on it
-            errors.append(repr(exc))
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=work, args=(seed,)) for seed in range(6)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(thread.is_alive() for thread in threads)
-    assert errors == []
-    assert len(memo.entries) <= 5
-    assert memo.bytes == sum(w for _, _, w in memo.entries.values())
+def test_check_memo_hit_skips_the_shape_work(monkeypatch):
+    params = vc_gen(128, 16, symbol_bits=4)
+    cm, aux = vc_commit(params, list(range(16)))
+    o = vc_open(params, aux, [3, 9])
+    _fresh_memo(monkeypatch)
+    calls = []
+    real = vc_module._proof_slots
+    monkeypatch.setattr(vc_module, "_proof_slots", lambda *a: calls.append(a) or real(*a))
+    assert vc_check(params, cm, o.positions, o.answers, o.proof) == 1
+    assert len(calls) == 1
+    for _ in range(3):
+        assert vc_check(params, cm, list(o.positions), list(o.answers), list(o.proof)) == 1
+    assert len(calls) == 1
