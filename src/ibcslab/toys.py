@@ -31,29 +31,38 @@ GC_COLORS = 3
 
 @dataclass(frozen=True)
 class GraphColoringInstance:
-    """Simple graph with 1-based vertices and lexicographically sorted edges."""
+    """Simple graph with 1-based vertices and lexicographically sorted edges.
+
+    A valid edge list is exactly one that is strictly increasing in
+    lexicographic order with 1 <= u < v <= vertex_count for each edge
+    (u, v): strict increase rules out duplicates and unsorted lists alike,
+    so one pass that carries the previous edge checks the whole rule.
+    """
 
     vertex_count: int
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        if self.vertex_count < 1:
+        n = self.vertex_count
+        if n < 1:
             raise InstanceError("graph needs at least one vertex")
         if not self.edges:
             raise InstanceError("graph needs at least one edge")
-        seen = set()
+        pu = pv = 0  # the previous edge; (0, 0) precedes every valid edge
         for u, v in self.edges:
-            if not (1 <= u <= self.vertex_count and 1 <= v <= self.vertex_count):
-                raise InstanceError(f"edge ({u}, {v}) references a missing vertex")
-            if u == v:
-                raise InstanceError(f"self-loop at vertex {u}")
-            if u > v:
+            if not 1 <= u < v <= n:
+                if not (1 <= u <= n and 1 <= v <= n):
+                    raise InstanceError(f"edge ({u}, {v}) references a missing vertex")
+                if u == v:
+                    raise InstanceError(f"self-loop at vertex {u}")
                 raise InstanceError(f"edge ({u}, {v}) not in canonical (u < v) order")
-            if (u, v) in seen:
-                raise InstanceError(f"duplicate edge ({u}, {v})")
-            seen.add((u, v))
-        if tuple(sorted(self.edges)) != self.edges:
-            raise InstanceError("edge list not lexicographically sorted")
+            if u < pu or (u == pu and v <= pv):
+                if u == pu and v == pv:
+                    raise InstanceError(f"duplicate edge ({u}, {v})")
+                raise InstanceError(
+                    f"edge ({u}, {v}) not lexicographically after ({pu}, {pv})"
+                )
+            pu, pv = u, v
 
 
 def canonical_graph(vertex_count: int, edges) -> GraphColoringInstance:
@@ -184,13 +193,32 @@ def gc_pcp(instance: GraphColoringInstance) -> GraphColoringIop:
 
 
 def is_prime(p: int) -> bool:
+    """Deterministic Miller-Rabin primality test.
+
+    With the first twelve primes as bases the test is exact for every
+    p below 318665857834031151167461 (about 3.2 * 10**23), far above the
+    8-byte primes the wire carries, and costs a dozen modular
+    exponentiations whatever p a peer sends.
+    """
     if p < 2:
         return False
-    f = 2
-    while f * f <= p:
-        if p % f == 0:
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    for b in bases:
+        if p % b == 0:
+            return p == b
+    d, s = p - 1, 0
+    while not d & 1:
+        d, s = d >> 1, s + 1
+    for b in bases:
+        x = pow(b, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        f += 1
     return True
 
 
@@ -210,6 +238,9 @@ class SumcheckInstance:
     claimed_sum: int
 
     def __post_init__(self):
+        # The wire carries the prime in 8 bytes; a larger one cannot be sent.
+        if self.prime >= 1 << 64:
+            raise InstanceError(f"prime {self.prime} does not fit in 64 bits")
         if not is_prime(self.prime):
             raise InstanceError(f"{self.prime} is not prime")
         if self.variables < 1:

@@ -31,7 +31,14 @@ import threading
 from dataclasses import dataclass
 from typing import Any
 
-from .errors import DecodeError, IbcsError, ParameterError, ProtocolViolation, TransportError
+from .errors import (
+    DecodeError,
+    IbcsError,
+    InstanceError,
+    ParameterError,
+    ProtocolViolation,
+    TransportError,
+)
 from .ibcs import (
     COMMITMENT_WIRE_BITS,
     COMMITMENT_WIRE_BYTES,
@@ -298,6 +305,10 @@ def encode_instance(instance) -> bytes:
 
 
 def decode_instance(payload: bytes):
+    """The instance a payload encodes. A payload that is malformed, or that
+    decodes into an instance its constructor refuses (a self-loop, a
+    duplicate edge, a composite prime), raises DecodeError with no offset:
+    the payload fails as a whole."""
     if not payload:
         raise DecodeError("empty instance payload")
     kind, body = payload[0], payload[1:]
@@ -309,8 +320,8 @@ def decode_instance(payload: bytes):
         if len(body) != 8 + 8 * m:
             raise DecodeError("graph instance length mismatch")
         edges = tuple(struct.iter_unpack(">II", body[8:]))
-        return GraphColoringInstance(n, edges)
-    if kind == _SC_KIND:
+        make, fields = GraphColoringInstance, (n, edges)
+    elif kind == _SC_KIND:
         if len(body) < 20:
             raise DecodeError("truncated sumcheck instance")
         p = int.from_bytes(body[0:8], "big")
@@ -323,8 +334,13 @@ def decode_instance(payload: bytes):
         coeffs = tuple(
             int.from_bytes(body[20 + 8 * j : 28 + 8 * j], "big") for j in range(count)
         )
-        return SumcheckInstance(p, n, d, coeffs, s)
-    raise DecodeError(f"unknown instance kind {kind:#x}")
+        make, fields = SumcheckInstance, (p, n, d, coeffs, s)
+    else:
+        raise DecodeError(f"unknown instance kind {kind:#x}")
+    try:
+        return make(*fields)
+    except InstanceError as exc:
+        raise DecodeError(f"invalid instance: {exc}") from exc
 
 
 def protocol_for_instance(instance) -> IopProtocol:

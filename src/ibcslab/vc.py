@@ -44,8 +44,10 @@ memo holds at most `CHECK_MEMO_BYTES` of them, and so at most
 
 from __future__ import annotations
 
+import bisect
 import functools
 import hashlib
+import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -182,21 +184,31 @@ def vc_gen(
     return VcParams(security_bits, capacity, symbol_bits, "sha256", domain_tag)
 
 
-def _leaf_digest(params: VcParams, position: int, symbol: int) -> bytes:
-    block = symbol.to_bytes(params.symbol_bytes, "big")
-    return hashlib.sha256(
-        params.domain_tag + _LEAF_MARK + position.to_bytes(8, "big") + block
-    ).digest()
+def _leaf_layer(
+    params: VcParams, mark: bytes, positions: Iterable[int], symbols: Iterable[int]
+) -> list[bytes]:
+    """H(tag || mark || BE64(j) || symbol block) for each (j, symbol) pair.
+
+    Data leaves take `_LEAF_MARK`; padding leaves take `_PAD_MARK` and the
+    symbol 0, whose block is the reserved all-zero block.
+    """
+    prefix = params.domain_tag + mark
+    width = params.symbol_bytes
+    out = []
+    for j, s in zip(positions, symbols):
+        tail = j.to_bytes(8, "big") + s.to_bytes(width, "big")
+        out.append(hashlib.sha256(prefix + tail).digest())
+    return out
 
 
-def _pad_digest(params: VcParams, position: int) -> bytes:
-    return hashlib.sha256(
-        params.domain_tag + _PAD_MARK + position.to_bytes(8, "big") + bytes(params.symbol_bytes)
-    ).digest()
-
-
-def _node_digest(params: VcParams, left: bytes, right: bytes) -> bytes:
-    return hashlib.sha256(params.domain_tag + _NODE_MARK + left + right).digest()
+def _node_layer(params: VcParams, children: Iterable[bytes]) -> list[bytes]:
+    """H(tag || 0x01 || left || right) for each consecutive pair of children."""
+    prefix = params.domain_tag + _NODE_MARK
+    out = []
+    it = iter(children)
+    for left, right in zip(it, it):
+        out.append(hashlib.sha256(prefix + left + right).digest())
+    return out
 
 
 @functools.lru_cache(maxsize=PADDING_CACHE_SIZE)
@@ -209,18 +221,16 @@ def _padding_layers(params: VcParams, length: int) -> tuple[tuple[bytes, ...], .
     1 <= length <= capacity, so an entry is at most two digests per leaf
     of a tree the public parameters already size.
     """
-    layer = tuple(_pad_digest(params, j) for j in range(length + 1, params.width + 1))
-    layers = [layer]
+    zeros = itertools.repeat(0, params.width - length)
+    layer = _leaf_layer(params, _PAD_MARK, range(length + 1, params.width + 1), zeros)
+    layers = [tuple(layer)]
     first = length
-    for level in range(1, params.levels + 1):
-        # Node i of this level has children 2i and 2i + 1 of the last one,
-        # which starts at index `first`.
+    for _ in range(params.levels):
+        # The last level starts at node `start` and this one at its parent
+        # ceil(start / 2), whose children sit at offset 2 * first - start.
         start, first = first, (first + 1) // 2
-        layer = tuple(
-            _node_digest(params, layer[2 * i - start], layer[2 * i + 1 - start])
-            for i in range(first, params.width >> level)
-        )
-        layers.append(layer)
+        layer = _node_layer(params, itertools.islice(layer, 2 * first - start, None))
+        layers.append(tuple(layer))
     return tuple(layers)
 
 
@@ -238,15 +248,14 @@ def vc_commit(params: VcParams, message: Sequence[int]) -> tuple[Commitment, Com
 
     length = len(message)
     padding = _padding_layers(params, length)
-    layer = [_leaf_digest(params, j, s) for j, s in enumerate(message, start=1)]
+    layer = _leaf_layer(params, _LEAF_MARK, range(1, length + 1), message)
     layer += padding[0]
     layers = [tuple(layer)]
     first = length
     for level in range(1, len(padding)):
         # Nodes below `first` hold a data leaf; the rest come from the cache.
         first = (first + 1) // 2
-        prev = layers[-1]
-        layer = [_node_digest(params, prev[2 * i], prev[2 * i + 1]) for i in range(first)]
+        layer = _node_layer(params, itertools.islice(layers[-1], 2 * first))
         layer += padding[level]
         layers.append(tuple(layer))
     aux = CommitAux(layers=tuple(layers), message=tuple(message))
@@ -363,10 +372,11 @@ def _reconstruct_root(params, length, pos, ans, pf, slots) -> bytes | None:
     supplied siblings and the cached padding digests."""
     supplied = dict(zip(slots, pf))
     padding = _padding_layers(params, length)
-    values = {
-        q - 1: _leaf_digest(params, q, a) if q <= length else padding[0][q - 1 - length]
-        for q, a in zip(pos, ans)
-    }
+    # Positions are sorted, so the data positions come first.
+    k = bisect.bisect_right(pos, length)
+    leaves = _leaf_layer(params, _LEAF_MARK, pos[:k], ans[:k])
+    leaves += (padding[0][q - 1 - length] for q in pos[k:])
+    values = {q - 1: digest for q, digest in zip(pos, leaves)}
     first = length  # the first all-padding node on the current level
     for level in range(len(padding) - 1):
         pad_layer = padding[level]
@@ -376,9 +386,8 @@ def _reconstruct_root(params, length, pos, ans, pf, slots) -> bytes | None:
         if boundary < next_first:
             # Holds both data and padding leaves: neither opened nor cached.
             parents.add(boundary)
-        next_values: dict[int, bytes] = {}
+        children = []
         for parent in parents:
-            children = []
             for i in (2 * parent, 2 * parent + 1):
                 if i in values:
                     children.append(values[i])
@@ -386,6 +395,6 @@ def _reconstruct_root(params, length, pos, ans, pf, slots) -> bytes | None:
                     children.append(pad_layer[i - first])
                 else:
                     children.append(supplied[(level, i)])
-            next_values[parent] = _node_digest(params, children[0], children[1])
-        values, first = next_values, next_first
+        values = dict(zip(parents, _node_layer(params, children)))
+        first = next_first
     return values.get(0)

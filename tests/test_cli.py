@@ -117,6 +117,15 @@ def test_verify_corrupted_transcript_fails(capsys, tmp_path, k3_file):
     assert code != 0
 
 
+def _wait_for_port(port_file) -> str:
+    """The port a `verify --listen --ready-fd` process wrote, once written."""
+    for _ in range(100):
+        if port_file.exists() and port_file.read_text().strip():
+            break
+        time.sleep(0.05)
+    return port_file.read_text().strip()
+
+
 def test_tcp_split_matches_memory(tmp_path, k3_file):
     mem_out = tmp_path / "memory.bin"
     subprocess.run(
@@ -127,59 +136,52 @@ def test_tcp_split_matches_memory(tmp_path, k3_file):
     )
     port_file = tmp_path / "port.txt"
     verifier_out = tmp_path / "tcp_verifier.bin"
-    verifier = subprocess.Popen(
+    with subprocess.Popen(
         [sys.executable, "-m", "ibcslab.cli", "verify", "--listen", "127.0.0.1:0",
          "--ready-fd", str(port_file), "--seed", "11", "--out", str(verifier_out)],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
-    )
-    try:
-        for _ in range(100):
-            if port_file.exists() and port_file.read_text().strip():
-                break
-            time.sleep(0.05)
-        port = port_file.read_text().strip()
-        prover_out = tmp_path / "tcp_prover.bin"
-        prover = subprocess.run(
-            [sys.executable, "-m", "ibcslab.cli", "prove", "--instance", k3_file,
-             "--seed", "11", "--transport", "tcp", "--connect", f"127.0.0.1:{port}",
-             "--out", str(prover_out)],
-            capture_output=True,
-            timeout=30,
-        )
-        assert prover.returncode == 0, prover.stderr.decode()
-        assert verifier.wait(timeout=30) == 0
-    finally:
-        if verifier.poll() is None:
-            verifier.kill()
+    ) as verifier:
+        try:
+            port = _wait_for_port(port_file)
+            prover_out = tmp_path / "tcp_prover.bin"
+            prover = subprocess.run(
+                [sys.executable, "-m", "ibcslab.cli", "prove", "--instance", k3_file,
+                 "--seed", "11", "--transport", "tcp", "--connect", f"127.0.0.1:{port}",
+                 "--out", str(prover_out)],
+                capture_output=True,
+                timeout=30,
+            )
+            assert prover.returncode == 0, prover.stderr.decode()
+            verifier.communicate(timeout=30)
+            assert verifier.returncode == 0
+        finally:
+            if verifier.poll() is None:
+                verifier.kill()
     assert prover_out.read_bytes() == mem_out.read_bytes()
     assert verifier_out.read_bytes() == mem_out.read_bytes()
 
 
 def test_verify_listen_rejects_another_lambda(tmp_path, k3_file):
     port_file = tmp_path / "port.txt"
-    verifier = subprocess.Popen(
+    with subprocess.Popen(
         [sys.executable, "-m", "ibcslab.cli", "verify", "--listen", "127.0.0.1:0",
          "--ready-fd", str(port_file), "--lambda", "256"],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
-    )
-    try:
-        for _ in range(100):
-            if port_file.exists() and port_file.read_text().strip():
-                break
-            time.sleep(0.05)
-        port = port_file.read_text().strip()
-        prover = subprocess.run(
-            [sys.executable, "-m", "ibcslab.cli", "prove", "--instance", k3_file,
-             "--transport", "tcp", "--connect", f"127.0.0.1:{port}"],
-            capture_output=True,
-            timeout=30,
-        )
-        _, err = verifier.communicate(timeout=30)
-    finally:
-        if verifier.poll() is None:
-            verifier.kill()
+    ) as verifier:
+        try:
+            port = _wait_for_port(port_file)
+            prover = subprocess.run(
+                [sys.executable, "-m", "ibcslab.cli", "prove", "--instance", k3_file,
+                 "--transport", "tcp", "--connect", f"127.0.0.1:{port}"],
+                capture_output=True,
+                timeout=30,
+            )
+            _, err = verifier.communicate(timeout=30)
+        finally:
+            if verifier.poll() is None:
+                verifier.kill()
     assert verifier.returncode == 2
     assert "lambda=128" in err.decode()
     assert prover.returncode == 2
@@ -189,30 +191,26 @@ def test_verify_listen_with_instance_caps_the_peer_instance(tmp_path, k3_file, k
     """With --instance the verifier reads at most its own instance's encoding:
     a peer declaring a 2**31-byte instance is refused before its payload."""
     port_file = tmp_path / "port.txt"
-    verifier = subprocess.Popen(
+    declared = 1 << 31
+    blob = arg_setup(128, 64, gc_pcp(k3).spec).vc.to_bytes()
+    fields = declared.to_bytes(4, "big") + len(blob).to_bytes(2, "big") + blob
+    with subprocess.Popen(
         [sys.executable, "-m", "ibcslab.cli", "verify", "--listen", "127.0.0.1:0",
          "--ready-fd", str(port_file), "--instance", k3_file],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
-    )
-    declared = 1 << 31
-    blob = arg_setup(128, 64, gc_pcp(k3).spec).vc.to_bytes()
-    fields = declared.to_bytes(4, "big") + len(blob).to_bytes(2, "big") + blob
-    try:
-        for _ in range(100):
-            if port_file.exists() and port_file.read_text().strip():
-                break
-            time.sleep(0.05)
-        port = int(port_file.read_text().strip())
-        with socket.create_connection(("127.0.0.1", port), timeout=30) as peer:
-            peer.sendall(
-                transport.encode_frame(transport.TAG_PARAMS, fields)
-                + declared.to_bytes(4, "big") + bytes([transport.TAG_INSTANCE])
-            )
-            _, err = verifier.communicate(timeout=30)
-    finally:
-        if verifier.poll() is None:
-            verifier.kill()
+    ) as verifier:
+        try:
+            port = int(_wait_for_port(port_file))
+            with socket.create_connection(("127.0.0.1", port), timeout=30) as peer:
+                peer.sendall(
+                    transport.encode_frame(transport.TAG_PARAMS, fields)
+                    + declared.to_bytes(4, "big") + bytes([transport.TAG_INSTANCE])
+                )
+                _, err = verifier.communicate(timeout=30)
+        finally:
+            if verifier.poll() is None:
+                verifier.kill()
     own = len(transport.encode_instance(k3))
     assert verifier.returncode == 2
     assert f"declares {declared} payload bytes, at most {own} allowed" in err.decode()

@@ -1,9 +1,13 @@
 from __future__ import annotations
 
 import itertools
+import random
+import re
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ibcslab.errors import InstanceError, ProtocolViolation
 from ibcslab.prng import Bits
@@ -17,6 +21,7 @@ from ibcslab.toys import (
     dump_sumcheck_text,
     find_coloring,
     gc_pcp,
+    is_prime,
     is_proper_coloring,
     load_graph_text,
     load_sumcheck_text,
@@ -25,6 +30,7 @@ from ibcslab.toys import (
     sumcheck_iop,
 )
 from helpers import make_sumcheck
+import toys_reference
 
 
 def test_graph_instance_validation():
@@ -37,6 +43,93 @@ def test_graph_instance_validation():
     with pytest.raises(InstanceError):
         GraphColoringInstance(2, ((1, 3),))
     assert canonical_graph(3, [(3, 1), (2, 1)]).edges == ((1, 2), (1, 3))
+
+
+@st.composite
+def _edge_lists(draw):
+    """(vertex_count, edges): arbitrary pairs, or a valid list with at most
+    one fault (a duplicate anywhere, two edges swapped, one edge replaced
+    by any pair, out-of-range and self-loops included)."""
+    n = draw(st.integers(1, 6))
+    vertex = st.integers(0, n + 1)
+    if draw(st.booleans()):
+        return n, tuple(draw(st.lists(st.tuples(vertex, vertex), max_size=8)))
+    pool = list(itertools.combinations(range(1, n + 1), 2))
+    edges = sorted(draw(st.sets(st.sampled_from(pool), max_size=8))) if pool else []
+    fault = draw(st.sampled_from(["none", "duplicate", "swap", "replace"]))
+    if edges and fault == "duplicate":
+        edge = edges[draw(st.integers(0, len(edges) - 1))]
+        edges.insert(draw(st.integers(0, len(edges))), edge)
+    elif edges and fault == "swap":
+        i = draw(st.integers(0, len(edges) - 1))
+        j = draw(st.integers(0, len(edges) - 1))
+        edges[i], edges[j] = edges[j], edges[i]
+    elif edges and fault == "replace":
+        edges[draw(st.integers(0, len(edges) - 1))] = draw(st.tuples(vertex, vertex))
+    return n, tuple(edges)
+
+
+@settings(max_examples=600, deadline=None)
+@given(_edge_lists())
+def test_graph_validation_accepts_exactly_what_the_reference_accepts(case):
+    n, edges = case
+    try:
+        GraphColoringInstance(n, edges)
+        accepted = True
+    except InstanceError:
+        accepted = False
+    assert accepted == toys_reference.graph_edges_valid(n, edges)
+
+
+@pytest.mark.parametrize(
+    "edges, message",
+    [
+        (((1, 2), (1, 3), (1, 2)), "edge (1, 2) not lexicographically after (1, 3)"),
+        (((1, 2), (1, 2), (2, 3)), "duplicate edge (1, 2)"),
+        (((1, 3), (1, 2)), "edge (1, 2) not lexicographically after (1, 3)"),
+        (((2, 3), (1, 4)), "edge (1, 4) not lexicographically after (2, 3)"),
+        (((0, 2),), "edge (0, 2) references a missing vertex"),
+        (((1, 2), (1, 5)), "edge (1, 5) references a missing vertex"),
+        (((1, 2), (3, 2)), "edge (3, 2) not in canonical (u < v) order"),
+        (((1, 2), (3, 3)), "self-loop at vertex 3"),
+        (((0, 0),), "edge (0, 0) references a missing vertex"),
+        # the first offending edge is named, not a later one
+        (((1, 3), (2, 1), (1, 2), (4, 4)), "edge (2, 1) not in canonical (u < v) order"),
+    ],
+)
+def test_graph_validation_names_the_first_offending_edge(edges, message):
+    assert not toys_reference.graph_edges_valid(4, edges)
+    with pytest.raises(InstanceError, match=f"^{re.escape(message)}$"):
+        GraphColoringInstance(4, edges)
+
+
+def test_is_prime_matches_trial_division():
+    limit = 10**5
+    assert [p for p in range(limit + 1) if is_prime(p)] == [
+        p for p in range(limit + 1) if toys_reference.is_prime_trial(p)
+    ]
+    rng = random.Random(20261018)
+    for _ in range(300):
+        p = rng.randrange(limit, 1 << 32)
+        assert is_prime(p) == toys_reference.is_prime_trial(p), p
+    # strong pseudoprimes to the first few prime bases, and a product of
+    # the two largest primes below 2**32
+    for p in (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+              341550071728321, 3825123056546413051, 4294967291 * 4294967279):
+        assert not is_prime(p), p
+    for p in ((1 << 61) - 1, (1 << 64) - 59, 4294967291, 4294967279):
+        assert is_prime(p), p
+
+
+def test_sumcheck_prime_costs_the_same_at_any_size():
+    """A peer-chosen 64-bit prime is checked in microseconds, not by trial
+    division; a prime past 64 bits, which the wire cannot carry, is refused."""
+    start = time.perf_counter()
+    SumcheckInstance((1 << 61) - 1, 1, 1, (0, 1), 1)
+    SumcheckInstance((1 << 64) - 59, 1, 1, (0, 1), 1)
+    assert time.perf_counter() - start < 1
+    with pytest.raises(InstanceError, match="does not fit in 64 bits"):
+        SumcheckInstance((1 << 89) - 1, 1, 1, (0, 1), 1)
 
 
 def test_gc_query_plan_first_edge(k3):

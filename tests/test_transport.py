@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import random
+import re
 import threading
 import time
 
@@ -11,9 +12,10 @@ from ibcslab import transport
 from ibcslab.errors import DecodeError, IbcsError, ParameterError, ProtocolViolation, TransportError
 from ibcslab.ibcs import ArgumentProver, arg_setup
 from ibcslab.prng import Bits, Prng, derive, seed_root
+from ibcslab.toys import SumcheckInstance, sumcheck_iop
 from ibcslab.vc import Commitment, proof_digest_count
 
-from helpers import run_memory_session
+from helpers import make_sumcheck, run_memory_session
 
 
 def test_frame_roundtrip_and_errors():
@@ -570,3 +572,59 @@ def test_setup_never_reads_a_declared_huge_instance(k3_setup, own_instance):
     with pytest.raises(ProtocolViolation, match=f"at most {cap} allowed"):
         transport.recv_public_setup(channel, *args)
     assert channel.reads == [5, len(fields), 5]
+
+
+def _graph_payload(vertex_count: int, edges) -> bytes:
+    """A graph instance payload, written field by field so that it may
+    carry an edge list the instance constructor refuses."""
+    body = vertex_count.to_bytes(4, "big") + len(edges).to_bytes(4, "big")
+    body += b"".join(u.to_bytes(4, "big") + v.to_bytes(4, "big") for u, v in edges)
+    return bytes([transport._GC_KIND]) + body
+
+
+@pytest.mark.parametrize(
+    "payload, reason",
+    [
+        (_graph_payload(3, ((1, 2), (2, 2), (2, 3))), "self-loop at vertex 2"),
+        (_graph_payload(3, ((1, 2), (1, 2), (2, 3))), "duplicate edge (1, 2)"),
+        (_graph_payload(3, ((1, 2), (1, 3), (1, 2))), "edge (1, 2) not lexicographically"),
+        (None, "21 is not prime"),
+    ],
+)
+def test_invalid_decoded_instance_is_a_located_decode_error(k3_setup, payload, reason):
+    """An instance payload that decodes into an instance its constructor
+    refuses is a ProtocolViolation live and a DecodeError at the instance
+    payload's offset in a stored file."""
+    if payload is None:
+        protocol = sumcheck_iop(make_sumcheck(p=17, n=1, d=1))
+        params, witness = arg_setup(128, 64, protocol.spec), ()
+    else:
+        protocol, params, witness = k3_setup
+    _, v_res = run_memory_session(protocol, params, ArgumentProver(protocol, params, witness))
+    blob = transport.serialize_transcript(params, v_res.transcript)
+    (start,) = [s for t, s in _frame_offsets(blob) if t == transport.TAG_INSTANCE]
+    _, good, end = transport.decode_frame(blob, start)
+    if payload is None:
+        # The composite 21 in place of the prime 17: every field stays in range.
+        payload = good[:1] + (21).to_bytes(8, "big") + good[9:]
+    assert len(payload) == len(good)
+    bad = blob[:start] + transport.encode_frame(transport.TAG_INSTANCE, payload) + blob[end:]
+    message = f"undecodable instance: invalid instance: {re.escape(reason)}"
+
+    channel = _ScriptedChannel(bad[len(transport.TRANSCRIPT_MAGIC) :])
+    with pytest.raises(ProtocolViolation, match=message):
+        transport.recv_public_setup(channel)
+
+    with pytest.raises(DecodeError, match=message) as info:
+        transport.parse_transcript(bad)
+    assert info.value.offset == start + transport.FRAME_HEADER_BYTES
+
+
+def test_hostile_prime_decodes_in_bounded_time():
+    """A 2**61 - 1 sumcheck prime, which trial division would take minutes
+    to confirm, decodes at once."""
+    instance = SumcheckInstance((1 << 61) - 1, 1, 1, (0, 1), 1)
+    payload = transport.encode_instance(instance)
+    start = time.perf_counter()
+    assert transport.decode_instance(payload) == instance
+    assert time.perf_counter() - start < 1

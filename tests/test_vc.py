@@ -389,6 +389,25 @@ def test_short_message_check_reads_padding_from_cache(monkeypatch):
     assert counter.calls <= 3 * (params.levels + 1)
 
 
+@pytest.mark.parametrize("length", [1, 5, 13, 16])
+def test_commit_hashes_each_node_once_through_the_module_hashlib(monkeypatch, length):
+    """A cold commit hashes each of the 2 * width - 1 tree nodes once, and a
+    warm one only the data leaves and their ancestors, each as one
+    `vc.hashlib.sha256` call (the benchmark counts hashes there)."""
+    params = vc_gen(128, 16, symbol_bits=3, domain_tag=b"count/%d" % length)
+    message = [j % 8 for j in range(length)]
+    counter = _CountingHashlib()
+    monkeypatch.setattr(vc_module, "hashlib", counter)
+    cold, _ = vc_commit(params, message)
+    assert counter.calls == 2 * params.width - 1
+    counter.calls = 0
+    warm, _ = vc_commit(params, message)
+    assert counter.calls == sum(-(-length >> h) for h in range(params.levels + 1))
+    monkeypatch.undo()
+    assert cold == warm
+    assert cold.root == vc_reference.commit_layers(params, message)[-1][0]
+
+
 def test_padding_cache_is_bounded_and_sees_only_valid_lengths():
     info = vc_module._padding_layers.cache_info()
     assert info.maxsize == vc_module.PADDING_CACHE_SIZE

@@ -1,0 +1,35 @@
+"""Reference predicates for the instance checks in `ibcslab.toys`.
+
+These are the straightforward forms of the rules the library checks in
+one pass: a set of seen edges plus a final sort for graphs, and trial
+division for primes. The library must accept exactly what they accept.
+"""
+
+from __future__ import annotations
+
+
+def graph_edges_valid(vertex_count: int, edges) -> bool:
+    """Whether (vertex_count, edges) is a simple graph with at least one
+    edge, every edge (u, v) in canonical u < v order, no duplicate, and
+    the list lexicographically sorted."""
+    if vertex_count < 1 or not edges:
+        return False
+    seen = set()
+    for u, v in edges:
+        if not (1 <= u <= vertex_count and 1 <= v <= vertex_count):
+            return False
+        if u == v or u > v or (u, v) in seen:
+            return False
+        seen.add((u, v))
+    return tuple(sorted(edges)) == tuple(edges)
+
+
+def is_prime_trial(p: int) -> bool:
+    if p < 2:
+        return False
+    f = 2
+    while f * f <= p:
+        if p % f == 0:
+            return False
+        f += 1
+    return True
