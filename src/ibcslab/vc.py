@@ -5,31 +5,35 @@ set of positions with a single proof. Hash inputs are domain separated:
 
     data leaf j   : H(tag || 0x00 || BE64(j) || symbol block)
     internal node : H(tag || 0x01 || left || right)
-    padding leaf j: H(tag || 0x02 || BE64(j) || zero block)
+    padding leaf  : H(tag || 0x02 || zero block)
 
 Positions are 1-based. The tree width is the least power of two at or
-above the capacity; leaves past the committed length hash a reserved
-all-zero block so the tree shape is independent of the message length.
-Padding leaves are recomputable by the verifier, so they never appear in
-proofs, and a padding position opens to the reserved symbol 0.
+above the capacity; leaves past the committed length are padding leaves,
+so the tree shape is independent of the message length. A padding leaf
+hashes no position, so every all-padding node on level h has one digest
+Z_h = H(tag || 0x01 || Z_{h-1} || Z_{h-1}): the "default hashes" of sparse
+Merkle trees (Dahlberg, Pulls and Peeters, "Efficient Sparse Merkle
+Trees", NordSec 2016). Padding is recomputable by the verifier, so it
+never appears in proofs, and a padding position opens to the reserved
+symbol 0. Data leaves keep their position, which is what binds a symbol
+to its place.
 
 Multi-proofs list the sibling digests that cannot be derived from the
 opened leaves (or from padding), in bottom-up, left-to-right order with
 duplicates removed. The proof length is therefore forced: verification
 fails on any extra or missing digest.
 
-Padding leaves and all-padding subtrees depend only on the parameters and
-the committed length, so their digests are computed once per
-(params, length) pair, level by level, and kept in a bounded LRU cache
-(`PADDING_CACHE_SIZE` entries). Only the ancestors of the opened leaves
-and of the first padding leaf can lack a sibling, so with the cache warm:
+Z_0, ..., Z_levels depend only on the parameters: they cost levels + 1
+hashes once per parameter set and stay in a bounded LRU cache
+(`PADDING_CACHE_SIZE` parameter sets), whatever length a peer claims.
+Only the ancestors of the opened leaves and of the first padding leaf can
+lack a sibling, so:
 
     vc_check, vc_open, proof_digest_count : O(q log width) work for q positions;
-                                            check hashes at most (q+1)(levels+1)
+                                            check hashes at most (q+1)(levels+1),
+                                            plus levels + 1 for a cold cache
     vc_commit                              : hashes the data leaves and the
                                             nodes above them, about 2 * length
-
-A cold cache costs one pass of about 2 * (width - length) hashes.
 
 `vc_check` first looks its full input (parameters, root, committed length,
 positions, answers and proof) up in a process-wide `memo.BoundedMemo`, so a
@@ -47,7 +51,6 @@ from __future__ import annotations
 import bisect
 import functools
 import hashlib
-import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -55,7 +58,7 @@ from .errors import DecodeError, MessageError, ParameterError, QueryError
 from .memo import BoundedMemo
 
 DIGEST_BYTES = 32
-DEFAULT_DOMAIN_TAG = b"ibcslab/vc/1"
+DEFAULT_DOMAIN_TAG = b"ibcslab/vc/2"
 
 _LEAF_MARK = b"\x00"
 _NODE_MARK = b"\x01"
@@ -64,7 +67,7 @@ _PAD_MARK = b"\x02"
 _SUPPORTED_SECURITY = (128, 256)
 _SUPPORTED_HASHES = ("sha256",)
 
-# Parameter sets (with committed lengths) whose padding digests stay cached.
+# Parameter sets whose padding digests stay cached.
 PADDING_CACHE_SIZE = 16
 
 # Bytes of the `vc_check` memo, counted as one digest per proof digest and
@@ -184,15 +187,9 @@ def vc_gen(
     return VcParams(security_bits, capacity, symbol_bits, "sha256", domain_tag)
 
 
-def _leaf_layer(
-    params: VcParams, mark: bytes, positions: Iterable[int], symbols: Iterable[int]
-) -> list[bytes]:
-    """H(tag || mark || BE64(j) || symbol block) for each (j, symbol) pair.
-
-    Data leaves take `_LEAF_MARK`; padding leaves take `_PAD_MARK` and the
-    symbol 0, whose block is the reserved all-zero block.
-    """
-    prefix = params.domain_tag + mark
+def _leaf_layer(params: VcParams, positions: Iterable[int], symbols: Iterable[int]) -> list[bytes]:
+    """H(tag || 0x00 || BE64(j) || symbol block) for each (j, symbol) pair."""
+    prefix = params.domain_tag + _LEAF_MARK
     width = params.symbol_bytes
     out = []
     for j, s in zip(positions, symbols):
@@ -212,26 +209,14 @@ def _node_layer(params: VcParams, children: Iterable[bytes]) -> list[bytes]:
 
 
 @functools.lru_cache(maxsize=PADDING_CACHE_SIZE)
-def _padding_layers(params: VcParams, length: int) -> tuple[tuple[bytes, ...], ...]:
-    """Digests of the all-padding nodes past a committed length, per level.
-
-    Level h holds the nodes from ceil(length / 2**h) to the level's end,
-    the ones whose every leaf lies past `length`. They depend only on
-    (params, length), never on the message. Callers pass a validated
-    1 <= length <= capacity, so an entry is at most two digests per leaf
-    of a tree the public parameters already size.
-    """
-    zeros = itertools.repeat(0, params.width - length)
-    layer = _leaf_layer(params, _PAD_MARK, range(length + 1, params.width + 1), zeros)
-    layers = [tuple(layer)]
-    first = length
+def _padding_digests(params: VcParams) -> tuple[bytes, ...]:
+    """(Z_0, ..., Z_levels): the digest of an all-padding node on each level."""
+    z = hashlib.sha256(params.domain_tag + _PAD_MARK + bytes(params.symbol_bytes)).digest()
+    digests = [z]
     for _ in range(params.levels):
-        # The last level starts at node `start` and this one at its parent
-        # ceil(start / 2), whose children sit at offset 2 * first - start.
-        start, first = first, (first + 1) // 2
-        layer = _node_layer(params, itertools.islice(layer, 2 * first - start, None))
-        layers.append(tuple(layer))
-    return tuple(layers)
+        z = _node_layer(params, (z, z))[0]
+        digests.append(z)
+    return tuple(digests)
 
 
 def vc_commit(params: VcParams, message: Sequence[int]) -> tuple[Commitment, CommitAux]:
@@ -246,18 +231,13 @@ def vc_commit(params: VcParams, message: Sequence[int]) -> tuple[Commitment, Com
         if not 0 <= symbol < bound:
             raise MessageError(f"symbol at position {j} outside alphabet range")
 
-    length = len(message)
-    padding = _padding_layers(params, length)
-    layer = _leaf_layer(params, _LEAF_MARK, range(1, length + 1), message)
-    layer += padding[0]
-    layers = [tuple(layer)]
-    first = length
-    for level in range(1, len(padding)):
-        # Nodes below `first` hold a data leaf; the rest come from the cache.
-        first = (first + 1) // 2
-        layer = _node_layer(params, itertools.islice(layers[-1], 2 * first))
-        layer += padding[level]
-        layers.append(tuple(layer))
+    # `layer` holds the nodes of a level that cover a data leaf; the rest are Z_h.
+    layer = _leaf_layer(params, range(1, len(message) + 1), message)
+    layers = []
+    for level, z in enumerate(_padding_digests(params)):
+        layers.append(tuple(layer) + (z,) * ((params.width >> level) - len(layer)))
+        # An odd data part pairs its last node with Z_h; an even one drops it.
+        layer = _node_layer(params, layers[-1][: len(layer) + 1])
     aux = CommitAux(layers=tuple(layers), message=tuple(message))
     return Commitment(root=layers[-1][0], length=len(message)), aux
 
@@ -369,32 +349,27 @@ def _shape_slots(params, length, pos, ans, pf) -> list[tuple[int, int]] | None:
 
 def _reconstruct_root(params, length, pos, ans, pf, slots) -> bytes | None:
     """The root a shape-checked opening derives, from its leaves, the
-    supplied siblings and the cached padding digests."""
+    supplied siblings and the padding digests."""
     supplied = dict(zip(slots, pf))
-    padding = _padding_layers(params, length)
+    padding = _padding_digests(params)
     # Positions are sorted, so the data positions come first.
     k = bisect.bisect_right(pos, length)
-    leaves = _leaf_layer(params, _LEAF_MARK, pos[:k], ans[:k])
-    leaves += (padding[0][q - 1 - length] for q in pos[k:])
+    leaves = _leaf_layer(params, pos[:k], ans[:k]) + [padding[0]] * (len(pos) - k)
     values = {q - 1: digest for q, digest in zip(pos, leaves)}
-    first = length  # the first all-padding node on the current level
-    for level in range(len(padding) - 1):
-        pad_layer = padding[level]
+    for level in range(params.levels):
+        first = -(-length >> level)  # the first all-padding node on this level
         parents = {i >> 1 for i in values}
-        next_first = (first + 1) // 2
-        boundary = length >> (level + 1)
-        if boundary < next_first:
-            # Holds both data and padding leaves: neither opened nor cached.
-            parents.add(boundary)
+        if length % (2 << level):
+            # Holds both data and padding leaves: neither opened nor a Z.
+            parents.add(length >> (level + 1))
         children = []
         for parent in parents:
             for i in (2 * parent, 2 * parent + 1):
                 if i in values:
                     children.append(values[i])
                 elif i >= first:
-                    children.append(pad_layer[i - first])
+                    children.append(padding[level])
                 else:
                     children.append(supplied[(level, i)])
         values = dict(zip(parents, _node_layer(params, children)))
-        first = next_first
     return values.get(0)

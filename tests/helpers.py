@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 from ibcslab import transport
 from ibcslab.prng import Prng, derive, seed_root
 from ibcslab.toys import SumcheckInstance
@@ -20,3 +22,14 @@ def run_memory_session(protocol, params, prover, seed=0, session=0):
     """Drive one full session over the in-memory transport."""
     prng = Prng(derive(seed_root(seed), "session", session))
     return transport.memory_session(params, protocol, prover, prng)
+
+
+class CountingHashlib:
+    """Stands in for a module's `hashlib`, counting its sha256 calls."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def sha256(self, *args):
+        self.calls += 1
+        return hashlib.sha256(*args)

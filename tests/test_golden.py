@@ -64,11 +64,11 @@ REPORT_PINS = {
 }
 
 TRANSCRIPT_PINS = {
-    "petersen.txt": "191aec760492d7e75666b928358b086045e24338c2f071e22881eefb7df3e4bb",
-    "sumcheck-p17-n3-d2.txt": "d65ce7e1c7ccce08f8505a1553ca49dc42a512376d4c6f5b71ef8ff3c220bd72",
+    "petersen.txt": "37cfd8e9fa7bbc7e930d8d2ed6e2c6f0a25507d5cdf24d6ff1f09bee29b65990",
+    "sumcheck-p17-n3-d2.txt": "fe4460143c2f5eb4dd03bd927241854ac12846d40200af1a9ddd153ed09ff6bd",
     # Padding-heavy: 2**k + 1 symbols in a tree of width 2**(k + 1).
-    "cycle-33.txt": "e238566d92a3906052537854e29dc69b6e73c19bf8f6934a6ce7773903321ae9",
-    "cycle-257.txt": "f4dde67a4a699e21274eb1bce5a203d84999b750be20dbc6b3dd0965029ebc76",
+    "cycle-33.txt": "dc2b4755a6b770fc3c54b932c6ea1edaf2c810d1b8a3126258748a86d1bafb57",
+    "cycle-257.txt": "744f6a83b4bc9628c6c3948bd9684a0b74cf6cd82d47c6e9ca01bbd506964f93",
 }
 
 # `verify --transcript` reports on the transcripts pinned above.

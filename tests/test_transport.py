@@ -8,14 +8,15 @@ import time
 
 import pytest
 
-from ibcslab import transport
+from ibcslab import transport, vc
 from ibcslab.errors import DecodeError, IbcsError, ParameterError, ProtocolViolation, TransportError
-from ibcslab.ibcs import ArgumentProver, arg_setup
+from ibcslab.ibcs import ArgumentProver, arg_setup, arg_verify
+from ibcslab.memo import BoundedMemo
 from ibcslab.prng import Bits, Prng, derive, seed_root
-from ibcslab.toys import SumcheckInstance, sumcheck_iop
+from ibcslab.toys import SumcheckInstance, canonical_graph, gc_pcp, sumcheck_iop
 from ibcslab.vc import Commitment, proof_digest_count
 
-from helpers import make_sumcheck, run_memory_session
+from helpers import CountingHashlib, make_sumcheck, run_memory_session
 
 
 def test_frame_roundtrip_and_errors():
@@ -445,6 +446,38 @@ def test_stored_parameters_must_match_the_derived_ones(k3_setup):
     blob = transport.serialize_transcript(other, v_res.transcript)
     with pytest.raises(ParameterError, match="do not match the derived parameters"):
         transport.parse_transcript(blob)
+
+
+def test_stored_transcript_under_the_old_padding_rule_is_refused(k3_setup):
+    # "ibcslab/vc/1" hashed each padding leaf's position; its digests never
+    # meet the ones of the current rule.
+    protocol, params, witness = k3_setup
+    _, v_res = run_memory_session(protocol, params, ArgumentProver(protocol, params, witness))
+    old = dataclasses.replace(params, vc=dataclasses.replace(params.vc, domain_tag=b"ibcslab/vc/1"))
+    blob = transport.serialize_transcript(old, v_res.transcript)
+    with pytest.raises(ParameterError, match="do not match the derived parameters"):
+        transport.parse_transcript(blob)
+
+
+def test_stored_claim_of_a_wide_graph_costs_queries_times_depth(monkeypatch):
+    """A one-edge graph on 65537 vertices pads its width-2**17 tree with
+    65535 leaves; verifying its stored transcript hashes O(q log width)."""
+    protocol = gc_pcp(canonical_graph(65537, [(1, 2)]))
+    params = arg_setup(128, 64, protocol.spec)
+    witness = (1, 2) + (1,) * 65535
+    _, v_res = run_memory_session(protocol, params, ArgumentProver(protocol, params, witness))
+    blob = transport.serialize_transcript(params, v_res.transcript)
+    production = vc._check_memo
+    monkeypatch.setattr(vc, "_check_memo", BoundedMemo(production.max_entries, production.max_bytes))
+    vc._padding_digests.cache_clear()
+    counter = CountingHashlib()
+    monkeypatch.setattr(vc, "hashlib", counter)
+    stored_params, stored_protocol, transcript = transport.parse_transcript(blob)
+    assert arg_verify(stored_params, stored_protocol, transcript) == 1
+    monkeypatch.undo()
+    levels = params.vc.levels
+    checks = sum((len(opening.positions) + 1) * (levels + 1) for opening in transcript.response)
+    assert counter.calls <= checks + levels + 1
 
 
 def test_stored_frame_with_the_wrong_tag_names_its_offset(k3_setup):

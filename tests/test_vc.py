@@ -23,6 +23,7 @@ from ibcslab.vc import (
 )
 
 import vc_reference
+from helpers import CountingHashlib
 
 
 def test_tree_width_rounds_up():
@@ -355,15 +356,6 @@ def test_proof_digest_count_matches_reference_for_any_declared_length():
             )
 
 
-class _CountingHashlib:
-    def __init__(self):
-        self.calls = 0
-
-    def sha256(self, *args):
-        self.calls += 1
-        return hashlib.sha256(*args)
-
-
 @pytest.mark.parametrize("k", range(4, 17))
 def test_check_hashes_grow_with_queries_times_depth(monkeypatch, k):
     capacity = (1 << k) + 1
@@ -372,7 +364,7 @@ def test_check_hashes_grow_with_queries_times_depth(monkeypatch, k):
     cm, aux = vc_commit(params, message)
     for queries in ([1], [capacity], [2, capacity - 1], [1, 2, 3, 1 << (k - 1), capacity]):
         opening = vc_open(params, aux, queries)
-        counter = _CountingHashlib()
+        counter = CountingHashlib()
         monkeypatch.setattr(vc_module, "hashlib", counter)
         assert vc_check(params, cm, opening.positions, opening.answers, opening.proof) == 1
         monkeypatch.undo()
@@ -383,7 +375,7 @@ def test_short_message_check_reads_padding_from_cache(monkeypatch):
     params = vc_gen(128, 1 << 12, symbol_bits=8)
     cm, aux = vc_commit(params, [7, 8, 9])
     opening = vc_open(params, aux, [2, 4000])
-    counter = _CountingHashlib()
+    counter = CountingHashlib()
     monkeypatch.setattr(vc_module, "hashlib", counter)
     assert vc_check(params, cm, opening.positions, opening.answers, opening.proof) == 1
     assert counter.calls <= 3 * (params.levels + 1)
@@ -391,35 +383,67 @@ def test_short_message_check_reads_padding_from_cache(monkeypatch):
 
 @pytest.mark.parametrize("length", [1, 5, 13, 16])
 def test_commit_hashes_each_node_once_through_the_module_hashlib(monkeypatch, length):
-    """A cold commit hashes each of the 2 * width - 1 tree nodes once, and a
-    warm one only the data leaves and their ancestors, each as one
+    """A warm commit hashes only the data leaves and their ancestors, and a
+    cold one adds the levels + 1 padding digests, each as one
     `vc.hashlib.sha256` call (the benchmark counts hashes there)."""
     params = vc_gen(128, 16, symbol_bits=3, domain_tag=b"count/%d" % length)
     message = [j % 8 for j in range(length)]
-    counter = _CountingHashlib()
+    warm_calls = sum(-(-length >> h) for h in range(params.levels + 1))
+    counter = CountingHashlib()
     monkeypatch.setattr(vc_module, "hashlib", counter)
     cold, _ = vc_commit(params, message)
-    assert counter.calls == 2 * params.width - 1
+    assert counter.calls == warm_calls + params.levels + 1
     counter.calls = 0
     warm, _ = vc_commit(params, message)
-    assert counter.calls == sum(-(-length >> h) for h in range(params.levels + 1))
+    assert counter.calls == warm_calls
     monkeypatch.undo()
     assert cold == warm
     assert cold.root == vc_reference.commit_layers(params, message)[-1][0]
 
 
-def test_padding_cache_is_bounded_and_sees_only_valid_lengths():
-    info = vc_module._padding_layers.cache_info()
-    assert info.maxsize == vc_module.PADDING_CACHE_SIZE
-    params = vc_gen(128, 9, symbol_bits=4)
+def test_padding_digests_are_keyed_by_params_alone(monkeypatch):
+    assert vc_module._padding_digests.cache_info().maxsize == vc_module.PADDING_CACHE_SIZE
+    params = vc_gen(128, 9, symbol_bits=4, domain_tag=b"keyed by params")
+    _fresh_memo(monkeypatch)
+    vc_module._padding_digests.cache_clear()
+    for length in range(1, params.capacity + 1):
+        cm, aux = vc_commit(params, [1] * length)
+        opening = vc_open(params, aux, [1, params.capacity])
+        assert vc_check(params, cm, opening.positions, opening.answers, opening.proof) == 1
+    info = vc_module._padding_digests.cache_info()
+    assert (info.misses, info.currsize) == (1, 1)
+    # Z_h is the digest of every all-padding node on level h.
+    padding = vc_module._padding_digests(params)
+    assert len(padding) == params.levels + 1
+    layers = vc_reference.commit_layers(params, [1])
+    assert padding[:-1] == tuple(layer[-1] for layer in layers[:-1])
     cm, aux = vc_commit(params, [1, 2, 3])
     opening = vc_open(params, aux, [1])
-    before = vc_module._padding_layers.cache_info()
+    before = vc_module._padding_digests.cache_info()
     for length in (0, 10, 16, 1 << 31):
         claimed = Commitment(cm.root, length)
         assert vc_check(params, claimed, opening.positions, opening.answers, opening.proof) == 0
-    after = vc_module._padding_layers.cache_info()
-    assert (after.hits, after.misses) == (before.hits, before.misses)
+    after = vc_module._padding_digests.cache_info()
+    assert (after.hits, after.misses, after.currsize) == (
+        before.hits, before.misses, before.currsize
+    )
+
+
+def test_cold_check_costs_queries_times_depth_whatever_the_claimed_width(monkeypatch):
+    """The padding a peer's capacity implies costs levels + 1 hashes, not
+    about 2 * (width - length)."""
+    params = vc_gen(128, (1 << 20) + 1, symbol_bits=2)
+    cm, aux = vc_commit(params, [3])
+    for queries in ([1], [2], [params.capacity], [1, 2, 1 << 19, params.capacity]):
+        opening = vc_open(params, aux, queries)
+        _fresh_memo(monkeypatch)
+        vc_module._padding_digests.cache_clear()
+        counter = CountingHashlib()
+        monkeypatch.setattr(vc_module, "hashlib", counter)
+        assert vc_check(params, cm, opening.positions, opening.answers, opening.proof) == 1
+        monkeypatch.undo()
+        bound = (len(queries) + 1) * (params.levels + 1) + params.levels + 1
+        assert counter.calls <= bound, queries
 
 
 def _fresh_memo(mp: pytest.MonkeyPatch, max_entries: int | None = None):

@@ -2,8 +2,10 @@
 
 This is the straightforward form of the scheme in `ibcslab.vc`: it hashes
 every padding leaf and walks the full frontier of derivable nodes on every
-call. Roots, proofs, proof lengths and check results of the library must
-equal the ones computed here.
+call, where the library reads one cached digest per level for all-padding
+nodes. A padding leaf hashes the reserved zero block and no position, so
+all padding leaves are equal. Roots, proofs, proof lengths and check
+results of the library must equal the ones computed here.
 """
 
 from __future__ import annotations
@@ -20,10 +22,8 @@ def leaf_digest(params: VcParams, position: int, symbol: int) -> bytes:
     ).digest()
 
 
-def pad_digest(params: VcParams, position: int) -> bytes:
-    return hashlib.sha256(
-        params.domain_tag + b"\x02" + position.to_bytes(8, "big") + bytes(params.symbol_bytes)
-    ).digest()
+def pad_digest(params: VcParams) -> bytes:
+    return hashlib.sha256(params.domain_tag + b"\x02" + bytes(params.symbol_bytes)).digest()
 
 
 def node_digest(params: VcParams, left: bytes, right: bytes) -> bytes:
@@ -32,7 +32,7 @@ def node_digest(params: VcParams, left: bytes, right: bytes) -> bytes:
 
 def commit_layers(params: VcParams, message) -> tuple[tuple[bytes, ...], ...]:
     leaves = [leaf_digest(params, j, s) for j, s in enumerate(message, start=1)]
-    leaves += [pad_digest(params, j) for j in range(len(message) + 1, params.width + 1)]
+    leaves += [pad_digest(params) for _ in range(len(message) + 1, params.width + 1)]
     layers = [tuple(leaves)]
     while len(layers[-1]) > 1:
         prev = layers[-1]
@@ -84,11 +84,11 @@ def check(params: VcParams, root: bytes, length: int, positions, answers, proof)
         if q > length:
             if a != 0:
                 return 0
-            values[q - 1] = pad_digest(params, q)
+            values[q - 1] = pad_digest(params)
         else:
             values[q - 1] = leaf_digest(params, q, a)
     for j in range(length, params.width):
-        values.setdefault(j, pad_digest(params, j + 1))
+        values.setdefault(j, pad_digest(params))
 
     known = known_leaf_indices(params, length, pos)
     slots = proof_slots(params, known)
