@@ -25,6 +25,18 @@ through the prover they wrap.
 
 Returning None from `final_response` models an abort: the adversary walks
 away instead of opening, and the verifier rejects.
+
+An adversary may declare `view(randomness)`, the hashable part of a raw
+challenge vector that its behaviour reads (the contract is in `ibcs`), and
+`extraction` then runs each continuation from one rewind point once per
+view. The honest prover, `fixed_string_prover`, `optimal_sumcheck_cheater`
+and `Equivocator` declare the structured vector: they ignore their
+challenges or read them through `map_to_range`. A general
+`ScriptedProver(strategy)` declares none, since its strategy is handed the
+raw bits. `Withholder` passes its inner prover's view through, since it
+reads only the plan; `Grinder` adds its predicate bit to the inner view,
+since the predicate reads the raw bits of the challenges. A wrapper of a
+prover without a view has none.
 """
 
 from __future__ import annotations
@@ -35,7 +47,7 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .errors import InstanceError, ParameterError
-from .ibcs import ArgParams, ArgumentProver, pad_proof_string
+from .ibcs import ArgParams, ArgumentProver, pad_proof_string, structured_view
 from .iop import IopProtocol, ProofString, QueryPlan
 from .prng import Bits, map_to_range
 from .toys import (
@@ -96,8 +108,8 @@ class ScriptedProver(ArgumentProver):
     next_commitment = ArgumentProver.next_commitment
     final_response = ArgumentProver.final_response
 
-    def __init__(self, protocol: IopProtocol, params: ArgParams, strategy: Strategy):
-        super().__init__(protocol, params, iop_prover=_StrategyIopProver(strategy))
+    def __init__(self, protocol: IopProtocol, params: ArgParams, strategy: Strategy, view=None):
+        super().__init__(protocol, params, iop_prover=_StrategyIopProver(strategy), view=view)
 
 
 def fixed_string_prover(
@@ -106,7 +118,9 @@ def fixed_string_prover(
     frozen = tuple(tuple(s) for s in strings)
     if len(frozen) != protocol.spec.rounds:
         raise ParameterError("one scripted string required per round")
-    return ScriptedProver(protocol, params, lambda i, _c, _s: frozen[i - 1])
+    return ScriptedProver(
+        protocol, params, lambda i, _c, _s: frozen[i - 1], view=structured_view(protocol)
+    )
 
 
 def optimal_gc_cheater(protocol: GraphColoringIop, params: ArgParams) -> ScriptedProver:
@@ -130,16 +144,18 @@ def optimal_sumcheck_cheater(
             required = poly_eval(strings[i - 2], structured[i - 2], p)
         return plan.table_for(structured, required)
 
-    return ScriptedProver(protocol, params, strategy)
+    return ScriptedProver(protocol, params, strategy, view=structured_view(protocol))
 
 
 class _WrapperProver:
     """Shared plumbing for adversaries that decorate an inner prover; the
-    states and commitments are the inner prover's own."""
+    states and commitments are the inner prover's own, and so is the view
+    unless the wrapper reads more."""
 
     def __init__(self, protocol: IopProtocol, inner):
         self.protocol = protocol
         self.inner = inner
+        self.view = getattr(inner, "view", None)
 
     def start(self):
         return self.inner.start()
@@ -181,6 +197,9 @@ class Grinder(_WrapperProver):
         super().__init__(protocol, inner)
         self.predicate = predicate
         self.measure = measure
+        inner_view = self.view
+        if inner_view is not None:
+            self.view = lambda randomness: (inner_view(randomness), bool(predicate(randomness)))
 
     def final_response(self, state, plan: QueryPlan):
         if not self.predicate(plan.randomness):
@@ -192,8 +211,9 @@ def grinder_on_leading_bits(
     protocol: IopProtocol, inner, zero_bits: int
 ) -> Grinder:
     """Accept set: the first `zero_bits` bits of r_1 are all zero (measure 2**-n)."""
-    if not 0 <= zero_bits <= protocol.spec.randomness_bits[0]:
-        raise ParameterError("zero-bit count exceeds the round-1 randomness")
+    width = protocol.spec.randomness_bits[0]
+    if not 0 <= zero_bits <= width:
+        raise ParameterError(f"zero-bit count must lie in [0, {width}], got {zero_bits}")
 
     def predicate(challenges: tuple[Bits, ...]) -> bool:
         first = challenges[0]
@@ -231,7 +251,9 @@ class Equivocator(ScriptedProver):
         self.b = tuple(pad_proof_string(spec, s) for s in strings_b)
         if len(a) != spec.rounds or len(self.b) != spec.rounds:
             raise ParameterError("one A and one B string required per round")
-        super().__init__(protocol, params, lambda i, _c, _s: a[i - 1])
+        super().__init__(
+            protocol, params, lambda i, _c, _s: a[i - 1], view=structured_view(protocol)
+        )
 
     def final_response(self, state, plan: QueryPlan):
         return tuple(
@@ -259,9 +281,36 @@ def default_cheat_base(protocol: IopProtocol, params: ArgParams, witness=None):
     return honest_wrapper(protocol, params, witness)
 
 
+def _int_option(name: str, option: str, low: int, high: int, what: str) -> int:
+    """The selector's integer option within [low, high]; 1 when absent."""
+    if not option:
+        return 1
+    try:
+        value = int(option)
+    except ValueError:
+        raise ParameterError(f"adversary {name!r}: {what} {option!r} is not an integer") from None
+    if not low <= value <= high:
+        raise ParameterError(f"adversary {name!r}: {what} must lie in [{low}, {high}], got {value}")
+    return value
+
+
 def make_adversary(name: str, protocol: IopProtocol, params: ArgParams, witness=None):
-    """CLI selector: honest | optimal | abort | equivocator | withholder[:pos] | grinder[:bits]."""
+    """CLI selector: honest | optimal | abort | equivocator | withholder[:pos] | grinder[:bits].
+
+    A withholder refuses one position in [1, l_max]; a grinder wants that
+    many leading zero bits of r_1, in [0, |r_1|]; both default to 1. The
+    other selectors take no option.
+    """
     base_name, _, option = name.partition(":")
+    spec = protocol.spec
+    if base_name == "withholder":
+        refused = _int_option(name, option, 1, spec.max_proof_length, "position")
+    elif base_name == "grinder":
+        bits = _int_option(name, option, 0, spec.randomness_bits[0], "zero-bit count")
+    elif base_name not in ("honest", "optimal", "abort", "equivocator"):
+        raise ParameterError(f"unknown adversary {name!r}")
+    elif option:
+        raise ParameterError(f"adversary {name!r}: {base_name} takes no option")
     if base_name == "honest":
         if witness is None:
             witness = _find_witness(protocol)
@@ -272,17 +321,13 @@ def make_adversary(name: str, protocol: IopProtocol, params: ArgParams, witness=
     if base_name == "abort":
         return always_abort(protocol, base)
     if base_name == "withholder":
-        refused = int(option) if option else 1
         return Withholder(protocol, base, lambda _r, q: q == refused)
     if base_name == "grinder":
-        bits = int(option) if option else 1
         return grinder_on_leading_bits(protocol, base, bits)
-    if base_name == "equivocator":
-        strings = _honest_strings(protocol, witness)
-        altered = [list(s) for s in strings]
-        altered[0][0] = (altered[0][0] + 1) % protocol.spec.alphabet_size
-        return Equivocator(protocol, params, strings, [tuple(s) for s in altered])
-    raise ParameterError(f"unknown adversary {name!r}")
+    strings = _honest_strings(protocol, witness)
+    altered = [list(s) for s in strings]
+    altered[0][0] = (altered[0][0] + 1) % spec.alphabet_size
+    return Equivocator(protocol, params, strings, [tuple(s) for s in altered])
 
 
 def _find_witness(protocol: IopProtocol):

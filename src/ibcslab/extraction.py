@@ -22,19 +22,37 @@ the missing-position probability through the rewind count
 T = ceil(l_max / (epsilon/2k)). The experiments report every estimate with
 an explicit confidence radius, so the analytic bounds can be checked
 against measured frequencies at desk scale.
+
+The extractor is grey-box: it relies on each prover being deterministic
+given its view (the `view(randomness)` contract in `ibcs`). A continuation
+from one rewind point ends in one of three outcomes, voided (the adversary
+raised an `IbcsError`), lost, or won with its round-i opening, and that
+outcome depends only on the view of the challenge vector. So each
+adversary with a view gets one `memo.BoundedMemo` of outcomes, bounded by
+`ibcs.OUTCOME_MEMO_ENTRIES` and `ibcs.OUTCOME_MEMO_BYTES` and living as
+long as the adversary object (one report for the CLI), keyed by (rewind
+point, view). A round-i rewind point is (`state_digest(state)`, ctx); a
+zero-oracle hybrid trial starts from `start()`, which is deterministic, so
+its point is (params, protocol). Either way the lab draws exactly the bits
+it would draw anyway, and a repeated view is replayed into the same
+counters, knowledge sets and trial records instead of running the
+commit/open/plan/check path again. An adversary without a view is always
+run.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Sequence
 
 from .adversaries import snapshot, state_digest
 from .errors import IbcsError, ParameterError, ProtocolViolation
-from .ibcs import PAD_SYMBOL, ArgParams, check_openings
+from .ibcs import OUTCOME_MEMO_BYTES, OUTCOME_MEMO_ENTRIES, PAD_SYMBOL, ArgParams, check_openings
 from .iop import IopProtocol, ProofString, QueryPlan
+from .memo import BoundedMemo
 from .prng import Bits, Prng, derive, seed_root
 from .vc import vc_check
 
@@ -116,13 +134,49 @@ class ArgContext:
 
 @dataclass
 class SamplerStats:
-    """Per-call sampler counts; `rewinds` run, `skipped` left out at saturation."""
+    """Per-call sampler counts: `rewinds` drawn, of which `replayed` were
+    served from the outcome memo, and `skipped` left out at saturation."""
 
     rewinds: int = 0
     accepted: int = 0
     recorded: int = 0
     voided: int = 0
     skipped: int = 0
+    replayed: int = 0
+
+
+# Outcomes of a rewind that records nothing; a won rewind's outcome is its
+# round-i opening.
+VOIDED = "voided"
+LOST = "lost"
+
+_outcome_memos: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def outcome_memo(adversary) -> BoundedMemo:
+    """The adversary's memo of continuation outcomes, made on first use;
+    an outcome is weighed as 32 bytes per digest and 8 per other value."""
+    memo = _outcome_memos.get(adversary)
+    if memo is None:
+        memo = _outcome_memos[adversary] = BoundedMemo(OUTCOME_MEMO_ENTRIES, OUTCOME_MEMO_BYTES)
+    return memo
+
+
+def _opening_weight(opening) -> int:
+    return 32 * len(opening.proof) + 8 * (len(opening.positions) + len(opening.answers))
+
+
+def _split_bits(bits: Bits, widths: Sequence[int]) -> tuple[Bits, ...]:
+    """`bits` cut into consecutive strings of `widths`, as successive
+    `take_bits` calls would have drawn them."""
+    if len(widths) == 1:
+        return (bits,)
+    out = []
+    shift = bits.nbits
+    for width in widths:
+        shift -= width
+        out.append(Bits(width, (bits.value >> shift) & ((1 << width) - 1)))
+    return tuple(out)
 
 
 def run_continuation(adversary, state, ctx: ArgContext, continuation: Sequence[Bits]):
@@ -184,6 +238,17 @@ def game_predicate(ctx: ArgContext, plan: QueryPlan, tail_commitments, response)
     )
 
 
+def _rewind(adversary, state, ctx: ArgContext, continuation: tuple[Bits, ...]):
+    """One continuation's outcome: VOIDED, LOST or the won round-i opening."""
+    try:
+        tail, plan, response = run_continuation(adversary, snapshot(state), ctx, continuation)
+    except IbcsError:
+        return VOIDED
+    if not game_predicate(ctx, plan, tail, response):
+        return LOST
+    return response[ctx.round_index - 1]
+
+
 def sampler(adversary, state, ctx: ArgContext, iterations: int, prng: Prng):
     """Collect accepted round-i openings over `iterations` rewinds.
 
@@ -191,6 +256,12 @@ def sampler(adversary, state, ctx: ArgContext, iterations: int, prng: Prng):
     states are immutable values, so the snapshot is the state itself; the
     state is certified unchanged on return, and a prover that mutated it
     raises ProtocolViolation.
+
+    Each rewind draws its continuation (r_i, ..., r_k) with one
+    `take_bits`. An adversary with a view has each outcome looked up by
+    (rewind point, view) in its outcome memo, and a hit is replayed
+    (`stats.replayed`) rather than run; a won opening's positions are the
+    planned round-i queries, which is what the knowledge set tests.
 
     Once coverage holds all l_i positions, every later rewind is covered,
     so it can record nothing: the remaining rewinds are skipped, and
@@ -203,26 +274,43 @@ def sampler(adversary, state, ctx: ArgContext, iterations: int, prng: Prng):
     before = state_digest(state)
     knowledge = KnowledgeSet(proof_length=spec.proof_lengths[i - 1])
     stats = SamplerStats()
+    widths = spec.randomness_bits[i - 1 :]
+    drawn = sum(widths)
+    view = getattr(adversary, "view", None)
+    if view is not None:
+        memo = outcome_memo(adversary)
+        point = (before, ctx)
+        # Equal points have equal state digests, so the digest's hash files a
+        # point; the key holds all of it, so unequal points never share a value.
+        point_hash = hash(before)
+        fixed = ctx.challenges
     for run in range(iterations):
         if len(knowledge.coverage) == knowledge.proof_length:
             stats.skipped = iterations - run
-            prng.skip_bits(stats.skipped * sum(spec.randomness_bits[i - 1 :]))
+            prng.skip_bits(stats.skipped * drawn)
             break
         stats.rewinds += 1
-        continuation = tuple(
-            prng.take_bits(spec.randomness_bits[m]) for m in range(i - 1, spec.rounds)
-        )
-        try:
-            tail, plan, response = run_continuation(adversary, snapshot(state), ctx, continuation)
-        except IbcsError:
+        continuation = _split_bits(prng.take_bits(drawn), widths)
+        if view is None:
+            outcome = _rewind(adversary, state, ctx, continuation)
+        else:
+            seen = view(fixed + continuation)
+            h, key = hash((point_hash, seen)), (point, seen)
+            outcome = memo.get(h, key)
+            if outcome is None:
+                outcome = _rewind(adversary, state, ctx, continuation)
+                weight = 8 if outcome is VOIDED or outcome is LOST else _opening_weight(outcome)
+                memo.put(h, key, outcome, weight)
+            else:
+                stats.replayed += 1
+        if outcome is VOIDED:
             stats.voided += 1
             continue
-        if not game_predicate(ctx, plan, tail, response):
+        if outcome is LOST:
             continue
         stats.accepted += 1
-        if not knowledge.covers(plan.per_round[i - 1]):
-            opening = response[i - 1]
-            knowledge.add(opening.positions, opening.answers, opening.proof)
+        if not knowledge.covers(outcome.positions):
+            knowledge.add(outcome.positions, outcome.answers, outcome.proof)
             stats.recorded += 1
     if state_digest(state) != before:
         raise ProtocolViolation("rewinding mutated the adversary state")
@@ -383,11 +471,60 @@ def run_hybrid_trial(
     epsilon: float,
     prng: Prng,
 ) -> TrialRecord:
-    """One execution with rounds 1..oracle_rounds rewound and extracted."""
+    """One execution with rounds 1..oracle_rounds rewound and extracted.
+
+    A zero-oracle trial of an adversary with a view reads its challenge
+    vector ahead (`peek_bits`) and looks its outcome up by that vector's
+    view in the adversary's outcome memo; only a miss plays the trial, on
+    that vector. Either way the stream then moves past the challenges the
+    trial drew, which are all k unless the adversary raised before the
+    last one. The record carries this trial's own challenges, and its
+    plan's `randomness` is this trial's vector.
+    """
+    spec = protocol.spec
+    if not 0 <= oracle_rounds <= spec.rounds:
+        raise ParameterError("oracle rounds must lie in [0, k]")
+    view = getattr(adversary, "view", None)
+    if oracle_rounds or view is None:
+        return _play_trial(protocol, params, adversary, oracle_rounds, epsilon, prng)
+    widths = spec.randomness_bits
+    raw = _split_bits(prng.peek_bits(sum(widths)), widths)
+    memo = outcome_memo(adversary)
+    seen = view(raw)
+    # Equal keys have equal protocols, so hashing the protocol suffices.
+    h, key = hash((protocol, seen)), (params, protocol, seen)
+    outcome = memo.get(h, key)
+    if outcome is None:
+        record = _play_trial(protocol, params, adversary, 0, epsilon, prng, raw)
+        outcome = (
+            len(record.challenges), record.commitments, record.plan, record.response,
+            record.voided,
+        )
+        weight = 8 * len(raw) + 36 * len(record.commitments)
+        weight += sum(map(_opening_weight, record.response or ()))
+        memo.put(h, key, outcome, weight)
+    else:
+        drawn, commitments, plan, response, voided = outcome
+        if plan is not None:
+            plan = QueryPlan(plan.per_round, plan.structured, raw)
+        record = TrialRecord(raw[:drawn], commitments, (), (), (), plan, response, voided)
+    prng.skip_bits(sum(widths[: len(record.challenges)]))
+    return record
+
+
+def _play_trial(
+    protocol: IopProtocol,
+    params: ArgParams,
+    adversary,
+    oracle_rounds: int,
+    epsilon: float,
+    prng: Prng,
+    raw: Sequence[Bits] | None = None,
+) -> TrialRecord:
+    """The trial itself; it draws each challenge from `prng` as its round
+    comes, or takes it from `raw`, a zero-oracle trial's read-ahead vector."""
     spec = protocol.spec
     k = spec.rounds
-    if not 0 <= oracle_rounds <= k:
-        raise ParameterError("oracle rounds must lie in [0, k]")
     share = error_share(epsilon, k) if oracle_rounds else None
     challenges: list[Bits] = []
     commitments = []
@@ -414,7 +551,10 @@ def run_hybrid_trial(
                 oracles += (oracle,)
                 knowledge += (kset,)
                 budgets += (budget,)
-            challenges.append(prng.take_bits(spec.randomness_bits[i - 1]))
+            if raw is None:
+                challenges.append(prng.take_bits(spec.randomness_bits[i - 1]))
+            else:
+                challenges.append(raw[i - 1])
         plan = protocol.verifier_query(challenges)
         response = adversary.final_response(state, plan)
     except IbcsError:

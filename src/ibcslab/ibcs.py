@@ -26,6 +26,22 @@ commit the same padded strings again and again. A memo holds at most
 `COMMIT_MEMO_ENTRIES` commitments and at most `COMMIT_MEMO_BYTES` of
 commitment trees, counted as 2 * width digests per tree (512 KiB at width
 8192).
+
+A session prover may also declare a view: `view(randomness)` returns the
+hashable part of a raw challenge vector (r_1, ..., r_k), of the spec's
+widths, that its behaviour reads. Two vectors with equal views must make
+the prover, started from the same state, send the same commitments and
+the same openings for their plans, and must map to the same structured
+challenges, which is all the verifier reads of them. The rewinding lab in
+`extraction` relies on that to run each (rewind point, view) once; it
+keeps the outcomes in one `memo.BoundedMemo` per adversary object, bounded
+by `OUTCOME_MEMO_ENTRIES` entries and `OUTCOME_MEMO_BYTES` bytes. A prover
+without a view has `view = None` and is never replayed. `ArgumentProver`
+declares `structured_view(protocol)`, the vector of structured challenges,
+when it compiles the honest prover, which reads each challenge only
+through `map_to_range` onto its round's challenge space; a compiled
+strategy declares a view only when its caller passes one, since a
+strategy is handed the raw bits.
 """
 
 from __future__ import annotations
@@ -105,6 +121,10 @@ class Transcript:
 # Bounds of one prover's commit memo: entries, and bytes of commitment trees.
 COMMIT_MEMO_ENTRIES = 64
 COMMIT_MEMO_BYTES = 4 << 20
+# Bounds of one adversary's memo of rewind and trial outcomes in `extraction`:
+# entries, and bytes as `extraction` weighs an outcome.
+OUTCOME_MEMO_ENTRIES = 1 << 12
+OUTCOME_MEMO_BYTES = 1 << 20
 
 
 class CommitMemo(BoundedMemo):
@@ -137,21 +157,46 @@ class _ProverState:
     auxes: tuple[CommitAux, ...]
 
 
+def structured_view(protocol: IopProtocol):
+    """The view of a prover that reads each challenge only as its structured
+    value: the vector of `map_to_range(r_i, challenge_space(i))`.
+
+    Bits of the spec's widths always have the slack `map_to_range` checks
+    for, so the view reduces them without that check.
+    """
+    spaces = tuple(protocol.challenge_space(i) for i in range(1, protocol.spec.rounds + 1))
+
+    def view(randomness: Sequence[Bits]) -> tuple[int, ...]:
+        structured = ()
+        for bits, m in zip(randomness, spaces):
+            structured += (bits.value % m,)
+        return structured
+
+    return view
+
+
 class ArgumentProver:
     """The compiled prover: commit to each round's string, then open the plan.
 
     It compiles `iop_prover`, by default the protocol's honest prover on
-    `witness`. Every compiled prover gets the same checks: the parameters
-    fit the protocol's shape, a challenge arrives exactly from round 2 on,
-    and each round's string has the round's length l_i.
+    `witness`, whose view is `structured_view(protocol)`; a caller that
+    passes its own `iop_prover` passes its `view`, if it has one. Every
+    compiled prover gets the same checks: the parameters fit the protocol's
+    shape, a challenge arrives exactly from round 2 on, and each round's
+    string has the round's length l_i.
     """
 
-    def __init__(self, protocol: IopProtocol, params: ArgParams, witness=None, *, iop_prover=None):
+    def __init__(
+        self, protocol: IopProtocol, params: ArgParams, witness=None, *, iop_prover=None, view=None
+    ):
         if params.iop_spec != protocol.spec:
             raise ParameterError("parameters were generated for a different IOP shape")
+        if iop_prover is None:
+            iop_prover, view = HonestIopProver(protocol, witness), structured_view(protocol)
         self.protocol = protocol
         self.params = params
-        self.iop_prover = HonestIopProver(protocol, witness) if iop_prover is None else iop_prover
+        self.iop_prover = iop_prover
+        self.view = view
         self.commits = CommitMemo(params.vc)
 
     def start(self) -> _ProverState:

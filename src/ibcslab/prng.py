@@ -120,6 +120,15 @@ class Prng:
         self._buf_bits = shift
         return Bits(nbits, value)
 
+    def peek_bits(self, nbits: int) -> Bits:
+        """The next `nbits` bits, left in the stream: `take_bits(nbits)`
+        returns them next, and `skip_bits` moves past any prefix of them."""
+        if nbits < 0:
+            raise ParameterError("cannot draw a negative number of bits")
+        while self._buf_bits < nbits:
+            self._refill()
+        return Bits(nbits, self._buf >> (self._buf_bits - nbits))
+
     def skip_bits(self, nbits: int):
         """Advance the stream past `nbits` bits without producing them.
 

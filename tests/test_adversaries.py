@@ -315,3 +315,26 @@ def test_provers_never_share_a_commit_memo(k3_setup, monkeypatch):
             prover.next_commitment(prover.start(), None)
         assert len(calls) == 2, name
         assert len(provers[0].commits.entries) == len(provers[1].commits.entries) == 1
+
+
+def test_views_follow_what_each_adversary_reads(sumcheck_true_setup):
+    """The compiled honest prover and the scripted cheats that map their
+    challenges declare the structured vector; a wrapper passes its inner
+    view through, and a grinder adds its predicate bit; a general strategy,
+    handed raw bits, declares none, and so does any wrapper of it."""
+    protocol, params = sumcheck_true_setup
+    spec = protocol.spec
+    prng = Prng(derive(seed_root(12), "views"))
+    vectors = [tuple(prng.take_bits(w) for w in spec.randomness_bits) for _ in range(20)]
+    for name in ("honest", "optimal", "abort", "equivocator", "withholder:2", "grinder:3"):
+        adversary = make_adversary(name, protocol, params, ())
+        for r in vectors:
+            structured = protocol.map_challenges(r)
+            if name.startswith(("abort", "grinder")):
+                assert adversary.view(r) == (structured, adversary.predicate(r))
+            else:
+                assert adversary.view(r) == structured
+    scripted = ScriptedProver(protocol, params, lambda i, _c, _s: (0,) * spec.proof_lengths[i - 1])
+    assert scripted.view is None
+    assert Withholder(protocol, scripted, lambda _r, _q: False).view is None
+    assert grinder_on_leading_bits(protocol, scripted, 1).view is None

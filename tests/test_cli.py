@@ -292,6 +292,41 @@ def test_extract_refuses_zero_knowledge_trials_before_any_trial(capsys, monkeypa
     assert captured.out == "" and ran == []
 
 
+# K4 has proof length 4 and 72-bit challenges.
+BAD_ADVERSARY_OPTIONS = {
+    "grinder:x": "zero-bit count 'x' is not an integer",
+    "withholder:abc": "position 'abc' is not an integer",
+    "withholder:-3": "position must lie in [1, 4], got -3",
+    "withholder:99": "position must lie in [1, 4], got 99",
+    "grinder:-1": "zero-bit count must lie in [0, 72], got -1",
+    "grinder:73": "zero-bit count must lie in [0, 72], got 73",
+    "equivocator:5": "equivocator takes no option",
+    "optimal:2": "optimal takes no option",
+    "abort:1": "abort takes no option",
+}
+
+
+@pytest.mark.parametrize("adversary", list(BAD_ADVERSARY_OPTIONS))
+def test_soundness_refuses_a_bad_adversary_option(capsys, k4_file, adversary):
+    """An option that is no integer, lies outside its range or goes to a
+    selector without options is a parameter error, before any trial runs."""
+    code = main(["soundness", "--instance", k4_file, "--trials", "10", "--adversary", adversary])
+    captured = capsys.readouterr()
+    assert code == 2
+    message = BAD_ADVERSARY_OPTIONS[adversary]
+    assert captured.err.splitlines() == [f"error: adversary {adversary!r}: {message}"]
+    assert captured.out == ""
+
+
+def test_extract_refuses_a_withholder_past_the_proof(capsys, k3_file):
+    code = main(["extract", "--instance", k3_file, "--trials", "10", "--adversary", "withholder:4"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.splitlines() == [
+        "error: adversary 'withholder:4': position must lie in [1, 3], got 4"
+    ]
+
+
 @pytest.mark.parametrize("command", ["soundness", "extract"])
 @pytest.mark.parametrize("epsilon", ["1/0", "1e400"])
 def test_epsilon_that_is_no_float_is_a_usage_error(capsys, k3_file, command, epsilon):

@@ -185,20 +185,31 @@ def _sampler_case(name, k3_setup, sumcheck_true_setup):
      "equivocator", "crashing"],
 )
 def test_sampler_matches_the_full_loop(name, k3_setup, sumcheck_true_setup):
-    """Stopping at saturation changes neither the knowledge set nor where
-    the shared stream stands afterwards."""
+    """Stopping at saturation and replaying outcomes from the memo change
+    neither the knowledge set nor where the shared stream stands afterwards.
+
+    The same adversary object is sampled twice from the same point on the
+    same stream: with a view, every rewind of the second call is replayed;
+    without one (`crashing`), none is."""
     adversary, protocol, params, round_index = _sampler_case(name, k3_setup, sumcheck_true_setup)
     ctx, state = _context_at(protocol, params, adversary, round_index)
     iterations = 60
     key = derive(seed_root(40), "differential", name)
-    fast, full = Prng(key), Prng(key)
-    knowledge, stats = sampler(adversary, state, ctx, iterations, fast)
+    full = Prng(key)
     expected, recorded = full_sampler(adversary, state, ctx, iterations, full)
-    assert knowledge.triples == expected.triples
-    assert knowledge.coverage == expected.coverage
-    assert fast.take_bits(512) == full.take_bits(512)
-    assert stats.rewinds + stats.skipped == iterations
-    assert stats.recorded == recorded
+    after = full.take_bits(512)
+    for _ in range(2):
+        fast = Prng(key)
+        knowledge, stats = sampler(adversary, state, ctx, iterations, fast)
+        assert knowledge.triples == expected.triples
+        assert knowledge.coverage == expected.coverage
+        assert fast.take_bits(512) == after
+        assert stats.rewinds + stats.skipped == iterations
+        assert stats.recorded == recorded
+    if getattr(adversary, "view", None) is None:
+        assert stats.replayed == 0
+    else:
+        assert stats.replayed == stats.rewinds > 0
     if name.startswith("honest"):
         assert stats.skipped > 0
         assert len(knowledge.coverage) == knowledge.proof_length

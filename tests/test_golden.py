@@ -131,20 +131,23 @@ def test_verify_report_pin(workdir, instance):
     assert hashlib.sha256(report).hexdigest() == VERIFY_PINS[instance]
 
 
-# Work the two lab reports do: rewinds the sampler runs and skips after
+# Work the two lab reports do: rewinds the sampler draws and skips after
 # saturation, `vc_commit` calls, `vc_check` root reconstructions (check-memo
 # misses, counted from an empty memo) and query-plan validations. Wall time
 # on a small shared host is noisy; these counts are exact. A change may
-# lower the rewinds run and the other counts; raising one brings back work
+# lower the rewinds drawn and the other counts; raising one brings back work
 # the sampler, the per-prover commit memo, the check memo or the
-# per-protocol plan cache saves. Run plus skipped rewinds are fixed by the
-# report.
+# per-protocol plan cache saves. Drawn plus skipped rewinds are fixed by the
+# report. `replayed` is exact: the drawn rewinds served from the
+# adversary's outcome memo, whose keys (rewind point, view) the report fixes.
 LAB_WORK = {
     "lab-extract": {
         "rewinds": 211, "skipped": 631, "vc_commit": 18, "reconstruct": 16, "validate": 154,
+        "replayed": 51,
     },
     "lab-soundness": {
         "rewinds": 0, "skipped": 0, "vc_commit": 5, "reconstruct": 9, "validate": 6,
+        "replayed": 0,
     },
 }
 
@@ -161,6 +164,7 @@ def test_lab_work_counts(workdir, monkeypatch, name):
         knowledge, stats = real_sampler(*args)
         counts["rewinds"] += stats.rewinds
         counts["skipped"] += stats.skipped
+        counts["replayed"] += stats.replayed
         return knowledge, stats
 
     def commit(*args):
@@ -186,5 +190,6 @@ def test_lab_work_counts(workdir, monkeypatch, name):
     _report(REPORT_PINS[name][0])
     work = LAB_WORK[name]
     assert counts["rewinds"] + counts["skipped"] == work["rewinds"] + work["skipped"]
+    assert counts["replayed"] == work["replayed"]
     for key in ("rewinds", "vc_commit", "reconstruct", "validate"):
         assert counts[key] <= work[key], key

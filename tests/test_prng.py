@@ -105,3 +105,31 @@ def test_skip_bits_lands_where_take_bits_does(consumed, n, m):
 def test_skip_bits_rejects_negative():
     with pytest.raises(ParameterError):
         Prng(seed_root(1)).skip_bits(-1)
+
+
+
+@given(
+    consumed=st.integers(min_value=0, max_value=700),
+    n=st.integers(min_value=0, max_value=700),
+    prefix=st.integers(min_value=0, max_value=700),
+)
+@example(consumed=0, n=0, prefix=0)
+@example(consumed=100, n=412, prefix=156)
+def test_peek_bits_leaves_the_stream_where_it_was(consumed, n, prefix):
+    """A peek returns the bits `take_bits` draws next, and skipping a prefix
+    of them lands where taking that prefix does."""
+    prefix = min(prefix, n)
+    key = derive(seed_root(3), "peek")
+    peeked, taken = Prng(key), Prng(key)
+    peeked.take_bits(consumed)
+    taken.take_bits(consumed)
+    ahead = peeked.peek_bits(n)
+    assert peeked.peek_bits(n) == ahead
+    assert taken.take_bits(prefix).value == ahead.value >> (n - prefix)
+    peeked.skip_bits(prefix)
+    assert peeked.take_bits(n) == taken.take_bits(n)
+
+
+def test_peek_bits_rejects_negative():
+    with pytest.raises(ParameterError):
+        Prng(seed_root(1)).peek_bits(-1)
