@@ -16,12 +16,14 @@ a `ScriptedProver` over its A strings that answers from B. The wrappers
 (`Withholder`, `Grinder`) decorate another prover's openings.
 
 Every compiled prover commits through its own `ibcs.CommitMemo`, a
-`memo.BoundedMemo`. The CLI builds one adversary per report, so the
-report's trials and rewinds share it, and a message committed before is
-not hashed again. The memo is bounded by `ibcs.COMMIT_MEMO_ENTRIES` entries
-and `ibcs.COMMIT_MEMO_BYTES` bytes of commitment trees; no two adversary
-objects share one. The wrappers hold no memo of their own: they commit
-through the prover they wrap.
+`memo.BoundedMemo`. The CLI builds its adversaries once per report, so
+the report's trials and rewinds share it, and a message committed before
+is not hashed again. The memo is bounded by `ibcs.COMMIT_MEMO_ENTRIES`
+entries and `ibcs.COMMIT_MEMO_BYTES` bytes of commitment trees; no two
+adversary objects share one. The wrappers hold no memo of their own: they
+commit through the prover they wrap, and `make_adversaries` builds one
+cheat base for all the selectors of a report, so every wrapper among them
+commits through that one base.
 
 Returning None from `final_response` models an abort: the adversary walks
 away instead of opening, and the verifier rejects.
@@ -41,6 +43,7 @@ prover without a view has none.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import pickle
 from fractions import Fraction
@@ -123,9 +126,13 @@ def fixed_string_prover(
     )
 
 
-def optimal_gc_cheater(protocol: GraphColoringIop, params: ArgParams) -> ScriptedProver:
-    """Commits the coloring maximizing satisfied edges; acceptance is the oracle value."""
-    coloring, _ = best_coloring(protocol.instance)
+def optimal_gc_cheater(
+    protocol: GraphColoringIop, params: ArgParams, coloring: Sequence[int] | None = None
+) -> ScriptedProver:
+    """Commits the coloring maximizing satisfied edges (`best_coloring`'s
+    unless given); acceptance is the oracle value."""
+    if coloring is None:
+        coloring, _ = best_coloring(protocol.instance)
     return fixed_string_prover(protocol, params, (coloring,))
 
 
@@ -262,25 +269,6 @@ class Equivocator(ScriptedProver):
         )
 
 
-def _optimal_cheater(protocol: IopProtocol, params: ArgParams) -> ScriptedProver:
-    """The protocol's optimal scripted cheat."""
-    if isinstance(protocol, GraphColoringIop):
-        return optimal_gc_cheater(protocol, params)
-    if isinstance(protocol, SumcheckIop):
-        return optimal_sumcheck_cheater(protocol, params)
-    raise ParameterError(f"no optimal cheat for {type(protocol)!r}")
-
-
-def default_cheat_base(protocol: IopProtocol, params: ArgParams, witness=None):
-    """Honest play when a witness exists, otherwise the optimal scripted cheat."""
-    if witness is None:
-        try:
-            witness = _find_witness(protocol)
-        except InstanceError:
-            return _optimal_cheater(protocol, params)
-    return honest_wrapper(protocol, params, witness)
-
-
 def _int_option(name: str, option: str, low: int, high: int, what: str) -> int:
     """The selector's integer option within [low, high]; 1 when absent."""
     if not option:
@@ -294,6 +282,20 @@ def _int_option(name: str, option: str, low: int, high: int, what: str) -> int:
     return value
 
 
+def _parse_selector(name: str, spec) -> tuple[str, int | None]:
+    """A selector's kind and its integer option (None for kinds without one)."""
+    kind, _, option = name.partition(":")
+    if kind == "withholder":
+        return kind, _int_option(name, option, 1, spec.max_proof_length, "position")
+    if kind == "grinder":
+        return kind, _int_option(name, option, 0, spec.randomness_bits[0], "zero-bit count")
+    if kind not in ("honest", "optimal", "abort", "equivocator"):
+        raise ParameterError(f"unknown adversary {name!r}")
+    if option:
+        raise ParameterError(f"adversary {name!r}: {kind} takes no option")
+    return kind, None
+
+
 def make_adversary(name: str, protocol: IopProtocol, params: ArgParams, witness=None):
     """CLI selector: honest | optimal | abort | equivocator | withholder[:pos] | grinder[:bits].
 
@@ -301,33 +303,69 @@ def make_adversary(name: str, protocol: IopProtocol, params: ArgParams, witness=
     many leading zero bits of r_1, in [0, |r_1|]; both default to 1. The
     other selectors take no option.
     """
-    base_name, _, option = name.partition(":")
-    spec = protocol.spec
-    if base_name == "withholder":
-        refused = _int_option(name, option, 1, spec.max_proof_length, "position")
-    elif base_name == "grinder":
-        bits = _int_option(name, option, 0, spec.randomness_bits[0], "zero-bit count")
-    elif base_name not in ("honest", "optimal", "abort", "equivocator"):
-        raise ParameterError(f"unknown adversary {name!r}")
-    elif option:
-        raise ParameterError(f"adversary {name!r}: {base_name} takes no option")
-    if base_name == "honest":
+    return make_adversaries([name], protocol, params, witness)[0]
+
+
+def make_adversaries(names: Sequence[str], protocol: IopProtocol, params: ArgParams, witness=None):
+    """One adversary per selector of `make_adversary`, for one report.
+
+    Every selector is validated before anything is built. The wrappers
+    (abort, withholder, grinder) decorate one cheat base: honest play when
+    a witness is given or found, otherwise the optimal scripted cheat,
+    which the optimal selector also returns. The witness search, the best
+    coloring and the cheat base are each built at most once for all the
+    selectors, so a report builds one `SumcheckCheatPlan` at most. Each
+    wrapper is its own object, with its own outcome memo; the base's
+    commit memo serves them all.
+    """
+    selectors = [_parse_selector(name, protocol.spec) for name in names]
+    missing = None  # why the instance has no witness
+    if any(kind != "optimal" for kind, _ in selectors):
         if witness is None:
-            witness = _find_witness(protocol)
-        return honest_wrapper(protocol, params, witness)
-    if base_name == "optimal":
-        return _optimal_cheater(protocol, params)
-    base = default_cheat_base(protocol, params, witness)
-    if base_name == "abort":
-        return always_abort(protocol, base)
-    if base_name == "withholder":
-        return Withholder(protocol, base, lambda _r, q: q == refused)
-    if base_name == "grinder":
-        return grinder_on_leading_bits(protocol, base, bits)
-    strings = _honest_strings(protocol, witness)
-    altered = [list(s) for s in strings]
-    altered[0][0] = (altered[0][0] + 1) % spec.alphabet_size
-    return Equivocator(protocol, params, strings, [tuple(s) for s in altered])
+            try:
+                witness = _find_witness(protocol)
+            except InstanceError as exc:
+                missing = exc
+        elif not protocol.check_witness(witness):
+            raise InstanceError("honest wrapper needs a valid witness")
+
+    @functools.cache
+    def coloring():
+        return best_coloring(protocol.instance)[0]
+
+    @functools.cache
+    def optimal():
+        if isinstance(protocol, GraphColoringIop):
+            return optimal_gc_cheater(protocol, params, coloring())
+        if isinstance(protocol, SumcheckIop):
+            return optimal_sumcheck_cheater(protocol, params)
+        raise ParameterError(f"no optimal cheat for {type(protocol)!r}")
+
+    @functools.cache
+    def base():
+        return optimal() if witness is None else honest_wrapper(protocol, params, witness)
+
+    adversaries = []
+    for kind, option in selectors:
+        if kind == "honest":
+            if witness is None:
+                raise missing
+            adversary = base()
+        elif kind == "optimal":
+            adversary = optimal()
+        elif kind == "abort":
+            adversary = always_abort(protocol, base())
+        elif kind == "withholder":
+            adversary = Withholder(protocol, base(), lambda _r, q, refused=option: q == refused)
+        elif kind == "grinder":
+            adversary = grinder_on_leading_bits(protocol, base(), option)
+        else:
+            strings = _honest_strings(protocol, witness, coloring)
+            altered = [list(s) for s in strings]
+            altered[0][0] = (altered[0][0] + 1) % protocol.spec.alphabet_size
+            adversary = Equivocator(protocol, params, strings, [tuple(s) for s in altered])
+        adversaries.append(adversary)
+    return adversaries
 
 
 def _find_witness(protocol: IopProtocol):
@@ -343,17 +381,16 @@ def _find_witness(protocol: IopProtocol):
     raise ParameterError(f"cannot derive a witness for {type(protocol)!r}")
 
 
-def _honest_strings(protocol: IopProtocol, witness=None):
+def _honest_strings(protocol: IopProtocol, witness, coloring):
     """Round strings the honest prover sends under all-zero challenges.
 
-    Falls back to the best available coloring (or the empty sumcheck
-    witness) when no valid witness exists; the equivocator only needs some
-    fixed strings to commit to.
+    Falls back to `coloring()`, the best coloring (or to the empty
+    sumcheck witness), when no valid witness exists; the equivocator only
+    needs some fixed strings to commit to.
     """
     if witness is None:
         if isinstance(protocol, GraphColoringIop):
-            found = find_coloring(protocol.instance)
-            witness = found if found is not None else best_coloring(protocol.instance)[0]
+            witness = coloring()
         elif isinstance(protocol, SumcheckIop):
             witness = ()
         else:

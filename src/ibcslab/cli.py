@@ -25,7 +25,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
-from .adversaries import make_adversary
+from .adversaries import make_adversaries, make_adversary
 from .errors import IbcsError, InfeasibleError, InstanceError, ParameterError
 from .extraction import (
     end_to_end_knowledge,
@@ -203,14 +203,20 @@ def cmd_verify(args, argv) -> int:
         actual = listener.getsockname()[1]
         with open(args.ready_fd, "w") as fh:
             fh.write(str(actual))
-    # The verifier's own instance, when it has one, sizes the read of the peer's.
-    own_instance = None
+    # The verifier's own instance, when it has one, sizes the read of the
+    # peer's, and the peer's parameter frame must be the one it derives.
+    own_instance = own_params = None
     max_instance_bytes = transport.INSTANCE_MAX_BYTES
     if args.instance:
         own_instance, _ = load_instance_path(args.instance, args.spec)
         max_instance_bytes = len(transport.encode_instance(own_instance))
+        own_params = setup_for(
+            own_instance, transport.protocol_for_instance(own_instance), args.security
+        )
     channel = transport.tcp_accept(listener)
-    bound, vc_params, instance = transport.recv_public_setup(channel, max_instance_bytes)
+    bound, vc_params, instance = transport.recv_public_setup(
+        channel, max_instance_bytes, own_params
+    )
     if own_instance is not None and own_instance != instance:
         raise InstanceError("peer proposed a different instance than configured")
     params, protocol = transport.verifier_setup(bound, vc_params, instance)
@@ -272,9 +278,9 @@ def cmd_soundness(args, argv) -> int:
         "threshold_with_slack": threshold,
     }
     all_pass = True
-    for name in args.adversary.split(","):
-        name = name.strip()
-        adversary = make_adversary(name, protocol, params, file_witness or None)
+    names = [name.strip() for name in args.adversary.split(",")]
+    adversaries = make_adversaries(names, protocol, params, file_witness or None)
+    for name, adversary in zip(names, adversaries):
         estimate = measure_acceptance(
             protocol, params, adversary, args.trials, args.seed, label=f"accept:{name}"
         )

@@ -36,8 +36,15 @@ zero-oracle hybrid trial starts from `start()`, which is deterministic, so
 its point is (params, protocol). Either way the lab draws exactly the bits
 it would draw anyway, and a repeated view is replayed into the same
 counters, knowledge sets and trial records instead of running the
-commit/open/plan/check path again. An adversary without a view is always
-run.
+commit/open/plan/check path again. A zero-oracle outcome also keeps the
+trial's full-opening decision, which reads only the structured challenges
+(fixed by the view) and the stored commitments, plan and response, so a
+replayed trial is not decided again either. An adversary without a view,
+and a trial with oracles, is always run.
+
+The per-trial stream keys of a hybrid value or an events experiment are
+`derive(root, label, r, trial)`; they come from one `prng.derive_stem`,
+which hashes the shared prefix once.
 """
 
 from __future__ import annotations
@@ -53,7 +60,7 @@ from .errors import IbcsError, ParameterError, ProtocolViolation
 from .ibcs import OUTCOME_MEMO_BYTES, OUTCOME_MEMO_ENTRIES, PAD_SYMBOL, ArgParams, check_openings
 from .iop import IopProtocol, ProofString, QueryPlan
 from .memo import BoundedMemo
-from .prng import Bits, Prng, derive, seed_root
+from .prng import Bits, Prng, derive, derive_stem, seed_root
 from .vc import vc_check
 
 CONFIDENCE_DELTA = 1e-6
@@ -461,6 +468,9 @@ class TrialRecord:
     plan: QueryPlan | None  # the plan of `challenges` the adversary opened
     response: tuple | None
     voided: bool = False
+    # A zero-oracle trial's full-opening decision, `accept_under_routing(...,
+    # 0)`, when the trial went through the outcome memo; None otherwise.
+    decision: int | None = None
 
 
 def run_hybrid_trial(
@@ -476,10 +486,12 @@ def run_hybrid_trial(
     A zero-oracle trial of an adversary with a view reads its challenge
     vector ahead (`peek_bits`) and looks its outcome up by that vector's
     view in the adversary's outcome memo; only a miss plays the trial, on
-    that vector. Either way the stream then moves past the challenges the
-    trial drew, which are all k unless the adversary raised before the
-    last one. The record carries this trial's own challenges, and its
-    plan's `randomness` is this trial's vector.
+    that vector, and decides it, and the record carries that decision
+    (`TrialRecord.decision`), also when it is replayed. Either way the
+    stream then moves past the challenges the trial drew, which are all k
+    unless the adversary raised before the last one. The record carries
+    this trial's own challenges, and its plan's `randomness` is this
+    trial's vector.
     """
     spec = protocol.spec
     if not 0 <= oracle_rounds <= spec.rounds:
@@ -496,18 +508,21 @@ def run_hybrid_trial(
     outcome = memo.get(h, key)
     if outcome is None:
         record = _play_trial(protocol, params, adversary, 0, epsilon, prng, raw)
+        record.decision = accept_under_routing(protocol, params, record, 0)
         outcome = (
             len(record.challenges), record.commitments, record.plan, record.response,
-            record.voided,
+            record.voided, record.decision,
         )
-        weight = 8 * len(raw) + 36 * len(record.commitments)
+        weight = 8 * len(raw) + 36 * len(record.commitments) + 8
         weight += sum(map(_opening_weight, record.response or ()))
         memo.put(h, key, outcome, weight)
     else:
-        drawn, commitments, plan, response, voided = outcome
+        drawn, commitments, plan, response, voided, decision = outcome
         if plan is not None:
             plan = QueryPlan(plan.per_round, plan.structured, raw)
-        record = TrialRecord(raw[:drawn], commitments, (), (), (), plan, response, voided)
+        record = TrialRecord(
+            raw[:drawn], commitments, (), (), (), plan, response, voided, decision
+        )
     prng.skip_bits(sum(widths[: len(record.challenges)]))
     return record
 
@@ -571,9 +586,12 @@ def accept_under_routing(
     protocol: IopProtocol, params: ArgParams, record: TrialRecord, oracle_rounds: int
 ) -> int:
     """Hybrid verifier on a trial: oracles answer rounds <= oracle_rounds,
-    openings the rest; commitment checks apply to every round."""
+    openings the rest; commitment checks apply to every round. A record
+    that carries its zero-oracle decision answers routing 0 with it."""
     if record.response is None:
         return 0
+    if oracle_rounds == 0 and record.decision is not None:
+        return record.decision
     if oracle_rounds > len(record.oracles):
         raise ParameterError("routing needs more oracles than the trial extracted")
     return routed_decision(
@@ -614,10 +632,10 @@ def hybrid_value(
     """Monte-Carlo estimate of the hybrid's acceptance with confidence radius."""
     if trials < 1:
         raise ParameterError("at least one trial required")
-    root = seed_root(seed)
+    trial_key = derive_stem(seed_root(seed), label, oracle_rounds)
     successes = 0
     for trial in range(trials):
-        prng = Prng(derive(root, label, oracle_rounds, trial))
+        prng = Prng(trial_key(trial))
         record = run_hybrid_trial(protocol, params, adversary, oracle_rounds, epsilon, prng)
         successes += accept_under_routing(protocol, params, record, oracle_rounds)
     return Estimate(successes, trials, hoeffding_radius(trials))
@@ -706,10 +724,10 @@ def run_events_experiment(
         max_rewinds=rewind_budget_limit(spec.max_proof_length, share),
         proof_length=spec.proof_lengths[round_index - 1],
     )
-    root = seed_root(seed)
+    trial_key = derive_stem(seed_root(seed), label, round_index)
     for trial in range(trials):
         counters.trials += 1
-        prng = Prng(derive(root, label, round_index, trial))
+        prng = Prng(trial_key(trial))
         record = run_hybrid_trial(protocol, params, adversary, round_index, epsilon, prng)
         if record.voided:
             counters.voided += 1

@@ -26,6 +26,7 @@ from __future__ import annotations
 import abc
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Sequence
@@ -283,6 +284,13 @@ def brute_force_soundness(
     Maximizes round by round: the strategy may pick each proof string as a
     function of all previous structured challenges. Raises InfeasibleError
     rather than returning an approximation when the tree exceeds `budget`.
+
+    The enumeration counts in integers: a node's count is the best, over
+    its proof strings, of the summed counts below it, and a leaf counts the
+    decision. Each round's challenge space has the same size at every
+    node, so the best acceptance is the root count over the product of the
+    challenge-space sizes, one `Fraction` at the end. Each structured
+    vector is planned once.
     """
     cost = oracle_cost(protocol)
     if cost > budget:
@@ -290,23 +298,29 @@ def brute_force_soundness(
             f"strategy tree needs {cost} decision evaluations, budget is {budget}"
         )
     spec = protocol.spec
-    alphabet = range(spec.alphabet_size)
+    spaces = [protocol.challenge_space(i) for i in range(1, spec.rounds + 1)]
+    candidates = [
+        tuple(itertools.product(range(spec.alphabet_size), repeat=length))
+        for length in spec.proof_lengths
+    ]
+    plans: dict[tuple[int, ...], tuple[tuple[int, ...], ...]] = {}
 
-    def best(i: int, structured: tuple[int, ...], proofs: tuple[tuple[int, ...], ...]):
-        if i > spec.rounds:
-            plan = protocol.query_plan(structured)
+    def best(i: int, structured: tuple[int, ...], proofs: tuple[tuple[int, ...], ...]) -> int:
+        if i == spec.rounds:
+            per_round = plans.get(structured)
+            if per_round is None:
+                per_round = plans[structured] = protocol.query_plan(structured).per_round
             answers = tuple(
                 tuple(proof[q - 1] for q in queries)
-                for proof, queries in zip(proofs, plan.per_round)
+                for proof, queries in zip(proofs, per_round)
             )
-            return Fraction(protocol.decide(structured, answers))
-        space = protocol.challenge_space(i)
-        value = Fraction(0)
-        for candidate in itertools.product(alphabet, repeat=spec.proof_lengths[i - 1]):
-            total = Fraction(0)
-            for challenge in range(space):
-                total += best(i + 1, structured + (challenge,), proofs + (candidate,))
-            value = max(value, total / space)
-        return value
+            return protocol.decide(structured, answers)
+        return max(
+            sum(
+                best(i + 1, structured + (challenge,), proofs + (candidate,))
+                for challenge in range(spaces[i])
+            )
+            for candidate in candidates[i]
+        )
 
-    return best(1, (), ())
+    return Fraction(best(0, (), ()), math.prod(spaces))

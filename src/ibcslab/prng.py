@@ -5,12 +5,18 @@ Every random choice in the package flows through a `Prng` keyed by a
 ``derive(root, "session", 0)`` or ``derive(root, "trial", 1234)``.
 Derivation is SHA-256 over length-prefixed parts, so streams are
 independent and reproducible across platforms and processes.
+
+A run of streams that differ only in a last integer part, such as one
+key per trial, comes from `derive_stem(root, label, ...)`: it hashes the
+shared parts once and returns the function i -> `derive(root, label, ...,
+i)`, which copies that hash state and adds only the part for i.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from typing import Callable
 
 from .errors import DecodeError, ParameterError
 
@@ -68,14 +74,36 @@ def _encode_part(part) -> bytes:
     return len(body).to_bytes(4, "big") + body
 
 
-def derive(key: bytes, *parts) -> bytes:
-    """Derive an independent 32-byte stream key from `key` and a label path."""
+def _absorb(key: bytes, parts):
+    """A SHA-256 state that has hashed the derivation prefix, `key` and `parts`."""
     h = hashlib.sha256()
     h.update(_DERIVE_PREFIX)
     h.update(_encode_part(key))
     for part in parts:
         h.update(_encode_part(part))
-    return h.digest()
+    return h
+
+
+def derive(key: bytes, *parts) -> bytes:
+    """Derive an independent 32-byte stream key from `key` and a label path."""
+    return _absorb(key, parts).digest()
+
+
+def derive_stem(key: bytes, *parts) -> Callable[[int], bytes]:
+    """The keys `derive(key, *parts, i)` for integers i >= 0, as one function.
+
+    The prefix, `key` and `parts` are hashed once; each key copies that
+    SHA-256 state and adds the encoded `i`, so it costs one part, not the
+    whole path.
+    """
+    stem = _absorb(key, parts)
+
+    def child(i: int) -> bytes:
+        h = stem.copy()
+        h.update(_encode_part(i))
+        return h.digest()
+
+    return child
 
 
 def seed_root(seed: int) -> bytes:

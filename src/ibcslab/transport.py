@@ -700,19 +700,32 @@ INSTANCE_MAX_BYTES = 1 << 24
 
 
 def recv_public_setup(
-    channel, max_instance_bytes: int = INSTANCE_MAX_BYTES
+    channel, max_instance_bytes: int = INSTANCE_MAX_BYTES, own: ArgParams | None = None
 ) -> tuple[int, VcParams, Any]:
     """Read the parameter frame, then an instance frame of at most
     min(the peer's bound, `max_instance_bytes`) bytes.
 
     A verifier that holds the instance passes its encoding's length, so a
-    peer's length field never sizes its memory past what it expects.
+    peer's length field never sizes its memory past what it expects, and
+    `own`, the parameters it derives for that instance: the peer's
+    parameter payload must then equal `encode_params(own)` byte for byte,
+    or a ParameterError is raised before the instance frame is read.
     """
     payload = _recv_frame(channel, TAG_PARAMS, _PARAMS_MAX_BYTES)[FRAME_HEADER_BYTES:]
     try:
         bound, vc_params = decode_params_fields(payload)
     except DecodeError as exc:
         raise _undecodable(channel, "parameters", payload, exc) from exc
+    if own is not None and payload != (expected := encode_params(own)):
+        at = next(
+            (j for j, (x, y) in enumerate(zip(payload, expected)) if x != y),
+            min(len(payload), len(expected)),
+        )
+        raise ParameterError(
+            f"peer parameters differ from the verifier's own at payload byte {at}: "
+            f"instance bound {bound}, lambda={vc_params.security_bits} proposed; "
+            f"instance bound {own.instance_bound}, lambda={own.vc.security_bits} expected"
+        )
     payload = _recv_frame(channel, TAG_INSTANCE, min(bound, max_instance_bytes))[FRAME_HEADER_BYTES:]
     try:
         instance = decode_instance(payload)

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from ibcslab import ibcs, transport
+from ibcslab import adversaries, ibcs, transport
 from ibcslab.adversaries import (
     Equivocator,
     ScriptedProver,
@@ -13,12 +13,14 @@ from ibcslab.adversaries import (
     fixed_string_prover,
     grinder_on_leading_bits,
     honest_wrapper,
+    make_adversaries,
     make_adversary,
     optimal_gc_cheater,
     optimal_sumcheck_cheater,
     snapshot,
     state_digest,
 )
+from ibcslab.cli import DEFAULT_ADVERSARIES
 from ibcslab.errors import InstanceError, ParameterError, ProtocolViolation
 from ibcslab.extraction import hoeffding_radius, measure_acceptance
 from ibcslab.ibcs import ArgumentProver, arg_setup, arg_verify, Transcript
@@ -298,6 +300,32 @@ def test_make_adversary_selector(k3_setup, k4_setup):
         make_adversary("nonsense", protocol, params, witness)
     with pytest.raises(InstanceError):
         make_adversary("honest", k4_protocol, k4_params, None)
+
+
+def test_make_adversaries_builds_one_cheat_base(monkeypatch):
+    """The default selectors on a false sumcheck share one optimal cheat, so
+    one `SumcheckCheatPlan` serves them all; each selector is its own
+    object (with its own outcome memo) and the wrappers decorate that cheat.
+    Every selector is checked before anything is built."""
+    protocol = sumcheck_iop(make_sumcheck(p=5, n=2, d=1, false_claim=True))
+    params = arg_setup(128, 64, protocol.spec)
+    plans = []
+
+    class CountingPlan(adversaries.SumcheckCheatPlan):
+        def __init__(self, *args):
+            plans.append(1)
+            super().__init__(*args)
+
+    monkeypatch.setattr(adversaries, "SumcheckCheatPlan", CountingPlan)
+    names = DEFAULT_ADVERSARIES.split(",")
+    with pytest.raises(ParameterError):
+        make_adversaries(names + ["nonsense"], protocol, params)
+    assert not plans
+    built = dict(zip(names, make_adversaries(names, protocol, params)))
+    assert len(plans) == 1
+    assert len({id(a) for a in built.values()}) == len(names)
+    for name in ("withholder", "grinder:1", "abort"):
+        assert built[name].inner is built["optimal"]
 
 
 def test_provers_never_share_a_commit_memo(k3_setup, monkeypatch):

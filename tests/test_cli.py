@@ -187,33 +187,57 @@ def test_verify_listen_rejects_another_lambda(tmp_path, k3_file):
     assert prover.returncode == 2
 
 
-def test_verify_listen_with_instance_caps_the_peer_instance(tmp_path, k3_file, k3):
-    """With --instance the verifier reads at most its own instance's encoding:
-    a peer declaring a 2**31-byte instance is refused before its payload."""
+def _listen_with_instance(tmp_path, instance_file, data: bytes) -> tuple[int, str]:
+    """Exit code and stderr of `verify --listen --instance` after a peer sends
+    `data` and keeps its end open until the verifier exits."""
     port_file = tmp_path / "port.txt"
-    declared = 1 << 31
-    blob = arg_setup(128, 64, gc_pcp(k3).spec).vc.to_bytes()
-    fields = declared.to_bytes(4, "big") + len(blob).to_bytes(2, "big") + blob
     with subprocess.Popen(
         [sys.executable, "-m", "ibcslab.cli", "verify", "--listen", "127.0.0.1:0",
-         "--ready-fd", str(port_file), "--instance", k3_file],
+         "--ready-fd", str(port_file), "--instance", instance_file],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
     ) as verifier:
         try:
             port = int(_wait_for_port(port_file))
             with socket.create_connection(("127.0.0.1", port), timeout=30) as peer:
-                peer.sendall(
-                    transport.encode_frame(transport.TAG_PARAMS, fields)
-                    + declared.to_bytes(4, "big") + bytes([transport.TAG_INSTANCE])
-                )
+                peer.sendall(data)
                 _, err = verifier.communicate(timeout=30)
         finally:
             if verifier.poll() is None:
                 verifier.kill()
+    return verifier.returncode, err.decode()
+
+
+def test_verify_listen_with_instance_caps_the_peer_instance(tmp_path, k3_file, k3):
+    """With --instance the verifier reads at most its own instance's encoding:
+    a peer declaring a 2**31-byte instance is refused before its payload."""
+    declared = 1 << 31
     own = len(transport.encode_instance(k3))
-    assert verifier.returncode == 2
-    assert f"declares {declared} payload bytes, at most {own} allowed" in err.decode()
+    fields = transport.encode_params(arg_setup(128, own, gc_pcp(k3).spec))
+    code, err = _listen_with_instance(
+        tmp_path,
+        k3_file,
+        transport.encode_frame(transport.TAG_PARAMS, fields)
+        + declared.to_bytes(4, "big") + bytes([transport.TAG_INSTANCE]),
+    )
+    assert code == 2
+    assert f"declares {declared} payload bytes, at most {own} allowed" in err
+
+
+def test_verify_listen_with_instance_refuses_other_parameter_bytes(tmp_path, k3_file, k3):
+    """With --instance the peer's parameter frame must be the verifier's own
+    byte for byte: another instance bound under the same vc parameters is
+    refused, with one error line, before the verifier reads the instance
+    frame (the peer never sends it and keeps the connection open)."""
+    own = len(transport.encode_instance(k3))
+    fields = transport.encode_params(arg_setup(128, own + 1, gc_pcp(k3).spec))
+    code, err = _listen_with_instance(
+        tmp_path, k3_file, transport.encode_frame(transport.TAG_PARAMS, fields)
+    )
+    assert code == 2
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert f"instance bound {own + 1}, lambda=128 proposed" in err
+    assert f"instance bound {own}, lambda=128 expected" in err
 
 
 def test_soundness_refuses_satisfiable(capsys, k3_file):

@@ -140,14 +140,18 @@ def test_verify_report_pin(workdir, instance):
 # per-protocol plan cache saves. Drawn plus skipped rewinds are fixed by the
 # report. `replayed` is exact: the drawn rewinds served from the
 # adversary's outcome memo, whose keys (rewind point, view) the report fixes.
+# `routed_decision` (hybrid-verifier calls) and `best_coloring` (cheat-base
+# searches) are exact too: a zero-oracle trial decides once per view and
+# keeps its decision with its outcome, and a report builds its cheat base
+# once for all of its adversaries.
 LAB_WORK = {
     "lab-extract": {
         "rewinds": 211, "skipped": 631, "vc_commit": 18, "reconstruct": 16, "validate": 154,
-        "replayed": 51,
+        "replayed": 51, "routed_decision": 209, "best_coloring": 0,
     },
     "lab-soundness": {
         "rewinds": 0, "skipped": 0, "vc_commit": 5, "reconstruct": 9, "validate": 6,
-        "replayed": 0,
+        "replayed": 0, "routed_decision": 21, "best_coloring": 1,
     },
 }
 
@@ -159,6 +163,8 @@ def test_lab_work_counts(workdir, monkeypatch, name):
     real_commit = vc.vc_commit
     real_reconstruct = vc._reconstruct_root
     real_validate = iop.IopProtocol._validate_plan
+    real_routed = extraction.routed_decision
+    real_best = adversaries.best_coloring
 
     def sampler(*args):
         knowledge, stats = real_sampler(*args)
@@ -179,17 +185,28 @@ def test_lab_work_counts(workdir, monkeypatch, name):
         counts["validate"] += 1
         return real_validate(*args)
 
+    def routed(*args):
+        counts["routed_decision"] += 1
+        return real_routed(*args)
+
+    def best(*args):
+        counts["best_coloring"] += 1
+        return real_best(*args)
+
     monkeypatch.setattr(extraction, "sampler", sampler)
     for module in (vc, ibcs, adversaries, extraction, transport, cli):
         if getattr(module, "vc_commit", None) is real_commit:
             monkeypatch.setattr(module, "vc_commit", commit)
     monkeypatch.setattr(vc, "_reconstruct_root", reconstruct)
     monkeypatch.setattr(iop.IopProtocol, "_validate_plan", validate)
+    monkeypatch.setattr(extraction, "routed_decision", routed)
+    monkeypatch.setattr(adversaries, "best_coloring", best)
     production = vc._check_memo
     monkeypatch.setattr(vc, "_check_memo", BoundedMemo(production.max_entries, production.max_bytes))
     _report(REPORT_PINS[name][0])
     work = LAB_WORK[name]
     assert counts["rewinds"] + counts["skipped"] == work["rewinds"] + work["skipped"]
-    assert counts["replayed"] == work["replayed"]
+    for key in ("replayed", "routed_decision", "best_coloring"):
+        assert counts[key] == work[key], key
     for key in ("rewinds", "vc_commit", "reconstruct", "validate"):
         assert counts[key] <= work[key], key

@@ -17,8 +17,9 @@ from ibcslab.iop import (
     oracle_cost,
 )
 from ibcslab.prng import Bits, Prng, derive, map_to_range, seed_root
-from ibcslab.toys import GraphColoringIop, find_coloring, gc_pcp, sumcheck_iop
+from ibcslab.toys import GraphColoringIop, complete_graph, find_coloring, gc_pcp, sumcheck_iop
 from helpers import make_sumcheck
+from iop_reference import fraction_soundness
 
 
 def test_spec_validation():
@@ -78,6 +79,30 @@ def test_brute_force_exact_values(k3, k4, sumcheck_false_n1=None):
     assert brute_force_soundness(gc_pcp(k3)) == Fraction(1)
     false_n1 = make_sumcheck(p=5, n=1, d=1, coeffs=(0, 1), false_claim=True)
     assert brute_force_soundness(sumcheck_iop(false_n1)) == Fraction(1, 5)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: gc_pcp(complete_graph(3)),
+        lambda: gc_pcp(complete_graph(4)),
+        lambda: sumcheck_iop(make_sumcheck(p=5, n=1, d=1, coeffs=(0, 1), false_claim=True)),
+        lambda: sumcheck_iop(make_sumcheck(p=5, n=2, d=1, false_claim=True)),
+        lambda: sumcheck_iop(make_sumcheck(p=5, n=2, d=1)),
+    ],
+    ids=["k3", "k4", "sumcheck-p5-n1-false", "sumcheck-p5-n2-false", "sumcheck-p5-n2-true"],
+)
+def test_brute_force_counts_equal_the_fraction_recursion(make):
+    """Integer leaf counts over the product of the challenge spaces give
+    exactly the node-by-node `Fraction` value, with one plan per vector."""
+    protocol = make()
+    planned = []
+    real_plan = protocol.query_plan
+    protocol.query_plan = lambda structured: planned.append(structured) or real_plan(structured)
+    value = brute_force_soundness(protocol)
+    assert len(planned) == len(set(planned))
+    del protocol.query_plan
+    assert value == fraction_soundness(protocol)
 
 
 def test_brute_force_budget_is_enforced(sumcheck_false):

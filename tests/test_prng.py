@@ -8,6 +8,7 @@ from ibcslab.prng import (
     Bits,
     Prng,
     derive,
+    derive_stem,
     map_to_range,
     randomness_length,
     seed_root,
@@ -133,3 +134,23 @@ def test_peek_bits_leaves_the_stream_where_it_was(consumed, n, prefix):
 def test_peek_bits_rejects_negative():
     with pytest.raises(ParameterError):
         Prng(seed_root(1)).peek_bits(-1)
+
+
+@given(
+    key=st.binary(max_size=64),
+    parts=st.lists(st.one_of(st.text(max_size=16), st.integers(0, 2**64 - 1)), max_size=4),
+    indices=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=4),
+)
+@example(key=b"", parts=[], indices=[0])
+@example(key=bytes(32), parts=["accept:optimal", 0], indices=[0, 1, 0, 999])
+def test_derive_stem_keys_are_the_derived_keys(key, parts, indices):
+    """The stem's i-th key is `derive(key, *parts, i)`, whatever keys were
+    asked for before it."""
+    trial_key = derive_stem(key, *parts)
+    for i in indices:
+        assert trial_key(i) == derive(key, *parts, i)
+
+
+def test_derive_stem_rejects_negative_index():
+    with pytest.raises(ParameterError):
+        derive_stem(seed_root(1), "trial")(-1)

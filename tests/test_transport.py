@@ -607,6 +607,29 @@ def test_setup_never_reads_a_declared_huge_instance(k3_setup, own_instance):
     assert channel.reads == [5, len(fields), 5]
 
 
+def test_setup_with_own_parameters_refuses_other_bytes_before_the_instance(k3_setup):
+    """A verifier that passes its own parameters reads the peer's parameter
+    frame and refuses any other bytes there, before the instance frame; the
+    same VcParams under another instance bound are other bytes."""
+    protocol, _, _ = k3_setup
+    bound = len(transport.encode_instance(protocol.instance))
+    own = arg_setup(128, bound, protocol.spec)
+    other = arg_setup(128, bound + 1, protocol.spec)
+    assert other.vc == own.vc
+    instance_frame = transport.encode_frame(
+        transport.TAG_INSTANCE, transport.encode_instance(protocol.instance)
+    )
+    fields = transport.encode_params(other)
+    channel = _ScriptedChannel(transport.encode_frame(transport.TAG_PARAMS, fields) + instance_frame)
+    with pytest.raises(ParameterError, match="differ from the verifier's own at payload byte 3"):
+        transport.recv_public_setup(channel, bound, own)
+    assert channel.reads == [5, len(fields)]
+    channel = _ScriptedChannel(
+        transport.encode_frame(transport.TAG_PARAMS, transport.encode_params(own)) + instance_frame
+    )
+    assert transport.recv_public_setup(channel, bound, own) == (bound, own.vc, protocol.instance)
+
+
 def _graph_payload(vertex_count: int, edges) -> bytes:
     """A graph instance payload, written field by field so that it may
     carry an edge list the instance constructor refuses."""
