@@ -21,6 +21,7 @@ import argparse
 import hashlib
 import json
 import sys
+from contextlib import closing
 from fractions import Fraction
 from pathlib import Path
 
@@ -172,10 +173,9 @@ def cmd_prove(args, argv) -> int:
         decision = verifier_result.decision
     else:
         host, port = args.connect.rsplit(":", 1)
-        channel = transport.tcp_connect(host, int(port))
-        transport.send_public_setup(channel, params, instance)
-        result = transport.run_session("prover", channel, params, protocol, prover=prover)
-        channel.close()
+        with closing(transport.tcp_connect(host, int(port))) as channel:
+            transport.send_public_setup(channel, params, instance)
+            result = transport.run_session("prover", channel, params, protocol, prover=prover)
         decision = result.decision
 
     results = _session_results(params, result, decision, args.out)
@@ -197,12 +197,6 @@ def cmd_verify(args, argv) -> int:
         emit("verify", args, argv, results, transcript=str(args.transcript))
         return 0 if decision == 1 else 1
 
-    host, port = args.listen.rsplit(":", 1)
-    listener = transport.tcp_listen(host, int(port))
-    if args.ready_fd is not None:
-        actual = listener.getsockname()[1]
-        with open(args.ready_fd, "w") as fh:
-            fh.write(str(actual))
     # The verifier's own instance, when it has one, sizes the read of the
     # peer's, and the peer's parameter frame must be the one it derives.
     own_instance = own_params = None
@@ -213,18 +207,25 @@ def cmd_verify(args, argv) -> int:
         own_params = setup_for(
             own_instance, transport.protocol_for_instance(own_instance), args.security
         )
-    channel = transport.tcp_accept(listener)
-    bound, vc_params, instance = transport.recv_public_setup(
-        channel, max_instance_bytes, own_params
-    )
-    if own_instance is not None and own_instance != instance:
-        raise InstanceError("peer proposed a different instance than configured")
-    params, protocol = transport.verifier_setup(bound, vc_params, instance)
-    require_security(params, args.security)
-    prng = Prng(derive(seed_root(args.seed), "session", 0))
-    result = transport.run_session("verifier", channel, params, protocol, prng=prng)
-    channel.close()
-    listener.close()
+    # One connection per run: the listener closes once it has accepted, and
+    # the connection closes however the session ends.
+    host, port = args.listen.rsplit(":", 1)
+    with transport.tcp_listen(host, int(port)) as listener:
+        if args.ready_fd is not None:
+            actual = listener.getsockname()[1]
+            with open(args.ready_fd, "w") as fh:
+                fh.write(str(actual))
+        channel = transport.tcp_accept(listener)
+    with closing(channel):
+        bound, vc_params, instance = transport.recv_public_setup(
+            channel, max_instance_bytes, own_params
+        )
+        if own_instance is not None and own_instance != instance:
+            raise InstanceError("peer proposed a different instance than configured")
+        params, protocol = transport.verifier_setup(bound, vc_params, instance)
+        require_security(params, args.security)
+        prng = Prng(derive(seed_root(args.seed), "session", 0))
+        result = transport.run_session("verifier", channel, params, protocol, prng=prng)
     results = _session_results(params, result, result.decision, args.out)
     emit("verify", args, argv, results, transport="tcp")
     return 0 if result.decision == 1 else 1

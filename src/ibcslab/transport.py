@@ -20,6 +20,14 @@ then one batched response) over any reliable ordered channel; in-memory
 queues and TCP sockets are provided and produce identical frame bytes
 under identical seeds. A stored transcript is read by the live verifier's
 setup check, frame reader and round reader, through a byte cursor.
+
+An in-memory channel carries each direction on one `queue.SimpleQueue`,
+the cheapest cross-thread handoff, since every protocol message crosses
+it between the prover and verifier threads (see `MemoryChannel`). TCP
+channels set `TCP_NODELAY`: the prover writes three small frames
+(parameters, instance, first commitment) before its first read, and
+Nagle's algorithm could hold each one after the first until the previous
+one is acknowledged.
 """
 
 from __future__ import annotations
@@ -378,12 +386,25 @@ def decode_params_fields(payload: bytes) -> tuple[int, VcParams]:
 # channels
 # ---------------------------------------------------------------------------
 
+# How long any channel read, accept or connect waits before it fails with
+# TransportError.
+RECV_TIMEOUT_S = 30.0
+
 
 class MemoryChannel:
-    """One endpoint of an in-process duplex byte stream; `close` queues an
-    end-of-stream marker (None) that fails the peer's next read at once."""
+    """One endpoint of an in-process duplex byte stream.
 
-    def __init__(self, inbox: "queue.Queue[bytes | None]", outbox: "queue.Queue[bytes | None]"):
+    Each direction is one `queue.SimpleQueue`: it hands a frame over under
+    one lock in C, where a `queue.Queue` builds a mutex and three
+    `Condition`s per queue and counts unfinished tasks on every put, and
+    every message of a session makes that handoff. `close` queues an
+    end-of-stream marker (None) that fails the peer's next read that needs
+    more bytes at once.
+    """
+
+    def __init__(
+        self, inbox: "queue.SimpleQueue[bytes | None]", outbox: "queue.SimpleQueue[bytes | None]"
+    ):
         self._inbox = inbox
         self._outbox = outbox
         self._buffer = b""
@@ -394,9 +415,9 @@ class MemoryChannel:
     def recv_exact(self, n: int) -> bytes:
         while len(self._buffer) < n:
             try:
-                chunk = self._inbox.get(timeout=30)
+                chunk = self._inbox.get(timeout=RECV_TIMEOUT_S)
             except queue.Empty as exc:
-                raise TransportError("peer sent nothing for 30 s") from exc
+                raise TransportError(f"peer sent nothing for {RECV_TIMEOUT_S:g} s") from exc
             if chunk is None:
                 raise TransportError("peer closed the channel")
             self._buffer += chunk
@@ -408,8 +429,8 @@ class MemoryChannel:
 
 
 def memory_channel_pair() -> tuple[MemoryChannel, MemoryChannel]:
-    a_to_b: queue.Queue[bytes | None] = queue.Queue()
-    b_to_a: queue.Queue[bytes | None] = queue.Queue()
+    a_to_b: queue.SimpleQueue[bytes | None] = queue.SimpleQueue()
+    b_to_a: queue.SimpleQueue[bytes | None] = queue.SimpleQueue()
     return MemoryChannel(b_to_a, a_to_b), MemoryChannel(a_to_b, b_to_a)
 
 
@@ -421,7 +442,8 @@ _RECV_CHUNK_BYTES = 1 << 16
 class TcpChannel:
     def __init__(self, sock: socket.socket):
         self._sock = sock
-        self._sock.settimeout(30.0)
+        self._sock.settimeout(RECV_TIMEOUT_S)
+        self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
 
     def send_bytes(self, data: bytes):
         try:
@@ -459,7 +481,7 @@ def tcp_listen(host: str, port: int) -> socket.socket:
 
 
 def tcp_accept(listener: socket.socket) -> TcpChannel:
-    listener.settimeout(30.0)
+    listener.settimeout(RECV_TIMEOUT_S)
     try:
         conn, _ = listener.accept()
     except OSError as exc:
@@ -469,7 +491,7 @@ def tcp_accept(listener: socket.socket) -> TcpChannel:
 
 def tcp_connect(host: str, port: int) -> TcpChannel:
     try:
-        return TcpChannel(socket.create_connection((host, port), timeout=30.0))
+        return TcpChannel(socket.create_connection((host, port), timeout=RECV_TIMEOUT_S))
     except OSError as exc:
         raise TransportError(f"connect to {host}:{port} failed: {exc}") from exc
 

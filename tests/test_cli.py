@@ -187,6 +187,63 @@ def test_verify_listen_rejects_another_lambda(tmp_path, k3_file):
     assert prover.returncode == 2
 
 
+def _record_sockets(monkeypatch) -> list:
+    """Every listener and TCP channel the CLI opens from here on, in order."""
+    opened = []
+    for name in ("tcp_listen", "tcp_accept", "tcp_connect"):
+        def record(*args, _open=getattr(transport, name)):
+            opened.append(_open(*args))
+            return opened[-1]
+
+        monkeypatch.setattr(transport, name, record)
+    return opened
+
+
+def test_verify_listen_closes_its_sockets_when_the_session_fails(
+    monkeypatch, capsys, tmp_path, k3_file
+):
+    opened = _record_sockets(monkeypatch)
+    port_file = tmp_path / "port.txt"
+
+    def peer():
+        port = int(_wait_for_port(port_file))
+        with socket.create_connection(("127.0.0.1", port), timeout=30) as sock:
+            sock.sendall(bytes(4) + bytes([0x99]))  # empty frame, unknown tag
+
+    thread = threading.Thread(target=peer)
+    thread.start()
+    code = main(["verify", "--listen", "127.0.0.1:0", "--ready-fd", str(port_file),
+                 "--instance", k3_file])
+    thread.join(timeout=30)
+    assert not thread.is_alive()
+    assert code == 2
+    assert "received 0x99" in capsys.readouterr().err
+    listener, channel = opened
+    assert listener.fileno() == -1
+    assert channel._sock.fileno() == -1
+
+
+def test_prove_tcp_closes_its_socket_when_the_session_fails(monkeypatch, capsys, k3_file):
+    opened = _record_sockets(monkeypatch)
+    with socket.create_server(("127.0.0.1", 0)) as server:
+        server.settimeout(30)
+        port = server.getsockname()[1]
+
+        def peer():
+            conn, _ = server.accept()
+            conn.close()
+
+        thread = threading.Thread(target=peer)
+        thread.start()
+        code = main(["prove", "--instance", k3_file, "--transport", "tcp",
+                     "--connect", f"127.0.0.1:{port}"])
+        thread.join(timeout=30)
+    assert not thread.is_alive()
+    assert code == 2
+    (channel,) = opened
+    assert channel._sock.fileno() == -1
+
+
 def _listen_with_instance(tmp_path, instance_file, data: bytes) -> tuple[int, str]:
     """Exit code and stderr of `verify --listen --instance` after a peer sends
     `data` and keeps its end open until the verifier exits."""

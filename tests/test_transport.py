@@ -3,10 +3,12 @@ from __future__ import annotations
 import dataclasses
 import random
 import re
+import socket
 import threading
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ibcslab import transport, vc
 from ibcslab.errors import DecodeError, IbcsError, ParameterError, ProtocolViolation, TransportError
@@ -182,6 +184,52 @@ def test_tcp_matches_memory_byte_for_byte(k3_setup):
     assert box["v"].transcript == mem_res.transcript
     assert transport.serialize_transcript(params, box["v"].transcript) == \
         transport.serialize_transcript(params, mem_res.transcript)
+
+
+def test_tcp_channels_disable_nagle_on_both_ends():
+    client, server = _tcp_pair()
+    try:
+        for chan in (client, server):
+            assert chan._sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY) != 0
+    finally:
+        client.close()
+        server.close()
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_memory_channel_delivers_bytes_whole_and_in_order(data):
+    payload = data.draw(st.binary(max_size=300), label="payload")
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(payload)), max_size=8), label="cuts"))
+    reads = data.draw(st.lists(st.integers(0, 80), max_size=12), label="reads")
+    sender, receiver = transport.memory_channel_pair()
+    for lo, hi in zip([0, *cuts], [*cuts, len(payload)]):
+        sender.send_bytes(payload[lo:hi])
+    got = b""
+    for size in reads:
+        got += receiver.recv_exact(min(size, len(payload) - len(got)))
+    got += receiver.recv_exact(len(payload) - len(got))
+    assert got == payload
+
+
+def test_memory_channel_close_fails_only_the_read_that_needs_more_bytes():
+    sender, receiver = transport.memory_channel_pair()
+    sender.send_bytes(b"ab")
+    sender.send_bytes(b"cde")
+    sender.close()
+    assert receiver.recv_exact(3) == b"abc"
+    assert receiver.recv_exact(1) == b"d"
+    start = time.monotonic()
+    with pytest.raises(TransportError, match="peer closed the channel"):
+        receiver.recv_exact(2)
+    assert time.monotonic() - start < transport.RECV_TIMEOUT_S / 10
+
+
+def test_memory_channel_times_out_on_an_empty_inbox(monkeypatch):
+    monkeypatch.setattr(transport, "RECV_TIMEOUT_S", 0.05)
+    _, receiver = transport.memory_channel_pair()
+    with pytest.raises(TransportError, match=r"peer sent nothing for 0\.05 s"):
+        receiver.recv_exact(1)
 
 
 def test_frame_reorder_aborts_without_accepting(k3_setup):
@@ -370,6 +418,9 @@ class _DripSocket:
         self.sizes: list[int] = []
 
     def settimeout(self, _seconds):
+        pass
+
+    def setsockopt(self, *_option):
         pass
 
     def recv(self, n: int) -> bytes:
