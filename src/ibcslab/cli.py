@@ -18,6 +18,7 @@ no timestamps are embedded.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -379,7 +380,9 @@ def epsilon_arg(text: str) -> Fraction:
     return value
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process; `main` runs `cmd_<command>`."""
     parser = argparse.ArgumentParser(
         prog="ibcslab",
         description="commit-and-open argument sessions and rewinding experiments",
@@ -399,7 +402,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--transport", choices=("memory", "tcp"), default="memory")
     p.add_argument("--connect", help="host:port of the listening verifier")
     p.add_argument("--out", help="write the transcript file here")
-    p.set_defaults(func=cmd_prove)
 
     p = sub.add_parser("verify", help="verify live over TCP or replay a transcript")
     common(p)
@@ -407,7 +409,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--transcript", help="verify a stored transcript file")
     p.add_argument("--out", help="write the observed transcript file here")
     p.add_argument("--ready-fd", help=argparse.SUPPRESS)  # test hook: report bound port
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("soundness", help="oracle vs scripted adversaries")
     common(p)
@@ -415,7 +416,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=10_000)
     p.add_argument("--adversary", default=DEFAULT_ADVERSARIES)
     p.add_argument("--force", action="store_true", help="measure even in-language instances")
-    p.set_defaults(func=cmd_soundness)
 
     p = sub.add_parser("extract", help="hybrid chain, failure events, knowledge pipeline")
     common(p)
@@ -423,7 +423,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=2_000)
     p.add_argument("--knowledge-trials", type=int, default=200)
     p.add_argument("--adversary", default="honest")
-    p.set_defaults(func=cmd_extract)
     return parser
 
 
@@ -437,8 +436,10 @@ def main(argv=None) -> int:
         parser.error("verify requires --listen or --transcript")
     if args.command == "prove" and args.transport == "tcp" and not args.connect:
         parser.error("tcp transport requires --connect")
+    # Looked up by name on every call, so a replaced `cmd_*` is the one that runs.
+    command = globals()[f"cmd_{args.command}"]
     try:
-        return args.func(args, argv)
+        return command(args, argv)
     except IbcsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -25,7 +25,11 @@ for the adversaries the CLI builds per report, whose trials and rewinds
 commit the same padded strings again and again. A memo holds at most
 `COMMIT_MEMO_ENTRIES` commitments and at most `COMMIT_MEMO_BYTES` of
 commitment trees, counted as 2 * width digests per tree (512 KiB at width
-8192).
+8192). Its openings go through an `OpeningMemo` of the same lifetime, so a
+(commitment tree, query set) pair that the trials and rewinds open again
+is opened once; it holds at most `OPENING_MEMO_ENTRIES` openings and
+`OPENING_MEMO_BYTES`, counting each entry as the tree it keeps alive plus
+its proof digests.
 
 A session prover may also declare a view: `view(randomness)` returns the
 hashable part of a raw challenge vector (r_1, ..., r_k), of the spec's
@@ -121,6 +125,10 @@ class Transcript:
 # Bounds of one prover's commit memo: entries, and bytes of commitment trees.
 COMMIT_MEMO_ENTRIES = 64
 COMMIT_MEMO_BYTES = 4 << 20
+# Bounds of one prover's opening memo: entries, and bytes of the commitment
+# trees its entries keep plus their proof digests.
+OPENING_MEMO_ENTRIES = 64
+OPENING_MEMO_BYTES = 4 << 20
 # Bounds of one adversary's memo of rewind and trial outcomes in `extraction`:
 # entries, and bytes as `extraction` weighs an outcome.
 OUTCOME_MEMO_ENTRIES = 1 << 12
@@ -148,6 +156,30 @@ class CommitMemo(BoundedMemo):
             pair = vc_commit(self.params, message)
             self.put(h, message, pair, self.entry_bytes)
         return pair
+
+
+class OpeningMemo(BoundedMemo):
+    """One prover's openings, keyed by (commitment tree, queried positions).
+
+    The key holds the tree by identity, so a lookup hashes the q positions,
+    not the width-sized tree; each entry keeps its tree, so that identity
+    cannot pass to another tree while the entry lives. Misses call the
+    module's `vc_open`, looked up at call time.
+    """
+
+    def __init__(self, params: VcParams):
+        super().__init__(OPENING_MEMO_ENTRIES, OPENING_MEMO_BYTES)
+        self.params = params
+        self.tree_bytes = 2 * params.width * _vc.DIGEST_BYTES
+
+    def open(self, aux: CommitAux, positions: Sequence[int]) -> Opening:
+        key = (id(aux), tuple(positions))
+        h = hash(key)
+        entry = self.get(h, key)
+        if entry is None:
+            entry = (aux, vc_open(self.params, aux, key[1]))
+            self.put(h, key, entry, self.tree_bytes + _vc.DIGEST_BYTES * len(entry[1].proof))
+        return entry[1]
 
 
 @dataclass(frozen=True)
@@ -198,6 +230,7 @@ class ArgumentProver:
         self.iop_prover = iop_prover
         self.view = view
         self.commits = CommitMemo(params.vc)
+        self.openings = OpeningMemo(params.vc)
 
     def start(self) -> _ProverState:
         return _ProverState(1, None, ())
@@ -226,8 +259,7 @@ class ArgumentProver:
         if state.next_round != spec.rounds + 1:
             raise ProtocolViolation("final response requested before all commitments")
         return tuple(
-            vc_open(self.params.vc, state.auxes[i], plan.per_round[i])
-            for i in range(spec.rounds)
+            self.openings.open(state.auxes[i], plan.per_round[i]) for i in range(spec.rounds)
         )
 
 

@@ -13,12 +13,14 @@ challenge)`, each returning the round's `ProofString` and the next state.
 compiles one into an argument prover; `HonestIopProver` is the protocol's
 own prover in that form.
 
-`verifier_query` maps the challenges on every call but plans and validates
-each structured challenge vector once while it stays in the protocol
-object's plan cache, a `memo.BoundedMemo` of the `PLAN_CACHE_ENTRIES` most
-recently used vectors that lives as long as the object (one report for the
-CLI, which builds one protocol per report). A plan that failed validation
-is never kept.
+`verifier_query` maps the challenges on every call but plans each
+structured challenge vector once while it stays in the protocol object's
+plan cache, a `memo.BoundedMemo` of the `PLAN_CACHE_ENTRIES` most recently
+used entries that lives as long as the object (one report for the CLI,
+which builds one protocol per report). The same memo keeps the per-round
+query tuples that passed validation, so a tuple that many vectors share
+(every sumcheck vector plans the same one) is validated once while it
+stays there. A plan that failed validation is never kept.
 """
 
 from __future__ import annotations
@@ -80,7 +82,8 @@ class ProofString:
     symbols: tuple[int, ...]
 
 
-# Structured challenge vectors whose validated plans one protocol object keeps.
+# Entries of one protocol object's plan cache: structured challenge vectors
+# with their validated plans, and validated per-round query tuples.
 PLAN_CACHE_ENTRIES = 1 << 9
 
 
@@ -155,25 +158,32 @@ class IopProtocol(abc.ABC):
 
         Raises ProtocolViolation on malformed randomness or an invalid plan.
         The challenges are mapped on every call; the validated per-round
-        queries are looked up by structured vector in `_plans`. A plan that
-        fails validation is never kept.
+        queries are looked up by structured vector in `_plans`, and a
+        planned query tuple is validated unless `_plans` keeps it under
+        itself as one already validated. A plan that fails validation is
+        never kept.
         """
         structured = self.map_challenges(randomness)
         h = hash(structured)
         per_round = self._plans.get(h, structured)
         if per_round is None:
             plan = self.query_plan(structured)
-            self._validate_plan(plan)
             per_round = plan.per_round
-            weight = 8 * (len(structured) + sum(map(len, per_round)))
-            self._plans.put(h, structured, per_round, weight)
+            weight = 8 * sum(map(len, per_round))
+            hq = hash(per_round)
+            if self._plans.get(hq, per_round) is None:
+                self._validate_plan(plan)
+                self._plans.put(hq, per_round, per_round, weight)
+            self._plans.put(h, structured, per_round, weight + 8 * len(structured))
         return QueryPlan(per_round, structured, tuple(randomness))
 
     @functools.cached_property
     def _plans(self) -> BoundedMemo:
-        """Validated queries by structured vector, counted as 8 bytes per
-        challenge and per query; every validated plan has the spec's shape,
-        so the byte bound is what `PLAN_CACHE_ENTRIES` plans weigh."""
+        """Validated queries by structured vector, and validated query
+        tuples by themselves, counted as 8 bytes per challenge and per
+        query; every validated plan has the spec's shape, so the byte bound
+        is what `PLAN_CACHE_ENTRIES` plans weigh. A vector and a query tuple
+        never compare equal, so neither is ever taken for the other."""
         plan_bytes = 8 * (self.spec.rounds + sum(self.spec.query_counts))
         return BoundedMemo(PLAN_CACHE_ENTRIES, PLAN_CACHE_ENTRIES * plan_bytes)
 

@@ -14,11 +14,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 from .errors import InfeasibleError, InstanceError, ProtocolViolation
 from .iop import IopProtocol, IopSpec, ProofString, QueryPlan
+from .memo import BoundedMemo
 from .prng import Bits, map_to_range, randomness_length
 
 GC_COLORS = 3
@@ -222,6 +223,24 @@ def is_prime(p: int) -> bool:
     return True
 
 
+def table_entries(variables: int, degree: int, room: int) -> int | None:
+    """(degree + 1) ** variables, the entries of a coefficient table, or None
+    when that exceeds `room`, the entries there is room for.
+
+    It multiplies only while the product fits, so a header that claims a
+    huge table costs a few steps, never a huge integer. `variables` and
+    `degree` are at least 0.
+    """
+    if degree == 0:
+        return 1
+    size = 1
+    for _ in range(variables):
+        size *= degree + 1
+        if size > room:
+            return None
+    return size
+
+
 @dataclass(frozen=True)
 class SumcheckInstance:
     """Claim that g sums to `claimed_sum` over the boolean cube.
@@ -247,10 +266,11 @@ class SumcheckInstance:
             raise InstanceError("at least one variable required")
         if self.degree < 1:
             raise InstanceError("per-variable degree bound must be at least 1")
-        want = (self.degree + 1) ** self.variables
-        if len(self.coefficients) != want:
+        got = len(self.coefficients)
+        if table_entries(self.variables, self.degree, got) != got:
             raise InstanceError(
-                f"coefficient table must have {want} entries, got {len(self.coefficients)}"
+                f"coefficient table must have (d+1)**n entries for d={self.degree}, "
+                f"n={self.variables}, got {got}"
             )
         if any(not 0 <= c < self.prime for c in self.coefficients):
             raise InstanceError("coefficient outside the field")
@@ -287,8 +307,18 @@ def poly_eval(coeffs: Sequence[int], x: int, p: int) -> int:
     return acc
 
 
+# Challenge prefixes whose round polynomials one sumcheck protocol object keeps.
+ROUND_POLY_MEMO_ENTRIES = 1 << 9
+
+
 class SumcheckIop(IopProtocol):
-    """n rounds; round i sends the d+1 coefficients of g_i, read in full."""
+    """n rounds; round i sends the d+1 coefficients of g_i, read in full.
+
+    `round_polynomial` computes each challenge prefix's polynomial once while
+    it stays in the object's `memo.BoundedMemo` of the
+    `ROUND_POLY_MEMO_ENTRIES` most recently used prefixes, which lives as
+    long as the object (one report for the CLI).
+    """
 
     def __init__(self, instance: SumcheckInstance):
         self.instance = instance
@@ -305,6 +335,24 @@ class SumcheckIop(IopProtocol):
 
     def round_polynomial(self, fixed: Sequence[int]) -> tuple[int, ...]:
         """Coefficients of g_i for i = len(fixed) + 1, ascending degree."""
+        fixed = tuple(fixed)
+        h = hash(fixed)
+        coeffs = self._round_polys.get(h, fixed)
+        if coeffs is None:
+            coeffs = self._sum_out(fixed)
+            self._round_polys.put(h, fixed, coeffs, 8 * (len(fixed) + len(coeffs)))
+        return coeffs
+
+    @cached_property
+    def _round_polys(self) -> BoundedMemo:
+        """Round polynomials by challenge prefix, counted as 8 bytes per
+        challenge and per coefficient."""
+        entry_bytes = 8 * (self.spec.rounds + self.instance.degree + 1)
+        return BoundedMemo(ROUND_POLY_MEMO_ENTRIES, ROUND_POLY_MEMO_ENTRIES * entry_bytes)
+
+    def _sum_out(self, fixed: tuple[int, ...]) -> tuple[int, ...]:
+        """g_i computed from the coefficient table: the prefix fixed, the
+        trailing variables summed over {0,1}."""
         inst = self.instance
         p, d, n = inst.prime, inst.degree, inst.variables
         i = len(fixed) + 1

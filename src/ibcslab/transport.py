@@ -63,6 +63,7 @@ from .toys import (
     SumcheckInstance,
     gc_pcp,
     sumcheck_iop,
+    table_entries,
 )
 from .vc import DIGEST_BYTES, Commitment, Opening, VcParams, params_from_bytes, proof_digest_count
 
@@ -336,8 +337,8 @@ def decode_instance(payload: bytes):
         n = int.from_bytes(body[8:10], "big")
         d = int.from_bytes(body[10:12], "big")
         s = int.from_bytes(body[12:20], "big")
-        count = (d + 1) ** n
-        if len(body) != 20 + 8 * count:
+        count = table_entries(n, d, (len(body) - 20) // 8)
+        if count is None or len(body) != 20 + 8 * count:
             raise DecodeError("sumcheck instance length mismatch")
         coeffs = tuple(
             int.from_bytes(body[20 + 8 * j : 28 + 8 * j], "big") for j in range(count)

@@ -135,16 +135,15 @@ def test_withholder_refusing_everything_never_accepts(k3_setup):
 
 def test_refusing_withholder_opens_nothing(k3_setup, monkeypatch):
     """The withholder refuses on the plan it is handed, before its inner
-    prover opens anything, and plans nothing itself."""
+    prover opens anything, and plans nothing itself. Each plan goes to a
+    fresh withholder, so no opening is served from an earlier plan's memo
+    entry and an accepted plan opens every round."""
     protocol, params, witness = k3_setup
-    honest = honest_wrapper(protocol, params, witness)
-    withholder = Withholder(protocol, honest, lambda r, q: q == 1)
     prng = Prng(derive(seed_root(21), "withholder"))
     plans = [
         protocol.verifier_query([prng.take_bits(protocol.spec.randomness_bits[0])])
         for _ in range(40)
     ]
-    _, state = withholder.next_commitment(withholder.start(), None)
     opened = []
     real_open = ibcs.vc_open
     monkeypatch.setattr(ibcs, "vc_open", lambda *a: opened.append(a) or real_open(*a))
@@ -153,6 +152,9 @@ def test_refusing_withholder_opens_nothing(k3_setup, monkeypatch):
     )
     outcomes = set()
     for plan in plans:
+        honest = honest_wrapper(protocol, params, witness)
+        withholder = Withholder(protocol, honest, lambda r, q: q == 1)
+        _, state = withholder.next_commitment(withholder.start(), None)
         opened.clear()
         response = withholder.final_response(state, plan)
         assert (response is None) == (1 in plan.per_round[0])
@@ -211,6 +213,36 @@ def test_equivocator_openings_fail_commitment_check(k3_setup):
             )
             assert arg_verify(params, protocol, transcript) == 0
     assert hits > 0
+
+
+def test_equivocator_answers_from_b_when_a_is_served_from_the_memo(k3_setup, monkeypatch):
+    """The equivocator's A openings come from its opening memo on a repeated
+    plan, and it still swaps in the B answers, each time anew."""
+    protocol, params, witness = k3_setup
+    altered = list(witness)
+    altered[0] = (altered[0] + 1) % 3
+    adv = Equivocator(protocol, params, [witness], [tuple(altered)])
+    opened = []
+    real_open = ibcs.vc_open
+    monkeypatch.setattr(ibcs, "vc_open", lambda *a: opened.append(a) or real_open(*a))
+    _, state = adv.next_commitment(adv.start(), None)
+    edge = next(j for j, e in enumerate(protocol.instance.edges) if 1 in e)
+    nbits = protocol.spec.randomness_bits[0]
+    bits = next(
+        Bits(nbits, v)
+        for v in range(1 << 12)
+        if map_to_range(Bits(nbits, v), protocol.challenge_space(1)) == edge
+    )
+    plan = protocol.verifier_query([bits])
+    responses = [adv.final_response(state, plan) for _ in range(3)]
+    assert len(opened) == 1
+    honest = adv._open_a(state, plan)[0]
+    for response in responses:
+        (opening,) = response
+        assert opening.proof == honest.proof
+        assert opening.answers == tuple(altered[q - 1] for q in opening.positions)
+        assert opening.answers != honest.answers
+    assert responses[0] == responses[1] == responses[2]
 
 
 def test_optimal_gc_cheater_matches_oracle(k4_setup):

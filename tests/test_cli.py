@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import json
 import socket
 import subprocess
@@ -471,3 +472,69 @@ def test_soundness_infeasible_oracle_reports_explicitly(capsys, tmp_path):
     assert code == 2
     assert report["results"]["oracle"] == "infeasible"
     assert report["results"]["iop_soundness"] is None
+
+
+def test_a_sumcheck_header_claiming_a_huge_table_is_an_error_line(capsys, tmp_path):
+    """(d+1)**n with 5001 digits: one error line and exit 2, not a traceback
+    about printing a huge integer."""
+    path = tmp_path / "huge.txt"
+    path.write_text("17 5000 9 0\n1\n")
+    for command in ("soundness", "prove"):
+        code = main([command, "--instance", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "d=9, n=5000" in lines[0]
+
+
+@pytest.fixture
+def fresh_parser():
+    """The process-wide parser, rebuilt for the test and again after it."""
+    cli.build_parser.cache_clear()
+    yield
+    cli.build_parser.cache_clear()
+
+
+def test_the_parser_is_built_once_and_commands_dispatch_by_name(
+    capsys, monkeypatch, k4_file, fresh_parser
+):
+    """Two `main` calls build one parser; a replaced `cli.cmd_soundness` is
+    the one that runs."""
+    built = []
+    real_init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    ran = []
+    monkeypatch.setattr(cli, "cmd_soundness", lambda args, argv: ran.append(argv) or 7)
+    argv = ["soundness", "--instance", k4_file, "--trials", "10"]
+    assert main(argv) == 7
+    assert main(argv + ["--seed", "3"]) == 7
+    assert ran == [argv, argv + ["--seed", "3"]]
+    assert built.count("ibcslab") == 1
+    assert cli.build_parser() is cli.build_parser()
+    monkeypatch.undo()
+    code, report = run_cli(capsys, argv)
+    assert code == 0 and report["results"]["trials"] == 10
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["soundness"], "soundness requires --instance"),
+        (["extract"], "extract requires --instance"),
+        (["prove"], "prove requires --instance"),
+        (["verify"], "verify requires --listen or --transcript"),
+    ],
+)
+def test_usage_errors_exit_2_from_the_shared_parser(capsys, argv, message):
+    for _ in range(2):  # the second call uses the parser the first one built
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == f"ibcslab: error: {message}"

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from ibcslab import adversaries, cli, extraction, ibcs, iop, transport, vc
+from ibcslab import adversaries, cli, extraction, ibcs, iop, toys, transport, vc
 from ibcslab.memo import BoundedMemo
 from ibcslab.toys import (
     canonical_graph,
@@ -133,25 +133,31 @@ def test_verify_report_pin(workdir, instance):
 
 # Work the two lab reports do: rewinds the sampler draws and skips after
 # saturation, `vc_commit` calls, `vc_check` root reconstructions (check-memo
-# misses, counted from an empty memo) and query-plan validations. Wall time
-# on a small shared host is noisy; these counts are exact. A change may
-# lower the rewinds drawn and the other counts; raising one brings back work
-# the sampler, the per-prover commit memo, the check memo or the
-# per-protocol plan cache saves. Drawn plus skipped rewinds are fixed by the
-# report. `replayed` is exact: the drawn rewinds served from the
-# adversary's outcome memo, whose keys (rewind point, view) the report fixes.
-# `routed_decision` (hybrid-verifier calls) and `best_coloring` (cheat-base
-# searches) are exact too: a zero-oracle trial decides once per view and
-# keeps its decision with its outcome, and a report builds its cheat base
-# once for all of its adversaries.
+# misses, counted from an empty memo), query-plan validations, `vc_open`
+# calls and round polynomials computed. Wall time on a small shared host is
+# noisy; these counts are exact. A change may lower the rewinds drawn and
+# the commit and reconstruction counts; raising one brings back work the
+# sampler, the per-prover commit memo or the check memo saves. Drawn plus
+# skipped rewinds are fixed by the report. `replayed` is exact: the drawn
+# rewinds served from the adversary's outcome memo, whose keys (rewind
+# point, view) the report fixes. `routed_decision` (hybrid-verifier calls)
+# and `best_coloring` (cheat-base searches) are exact too: a zero-oracle
+# trial decides once per view and keeps its decision with its outcome, and
+# a report builds its cheat base once for all of its adversaries. So are
+# `validate`, `vc_open` and `round_polynomial`: each distinct per-round
+# query tuple is validated once per protocol object, each (commitment
+# tree, query set) opened once per prover object, and each challenge
+# prefix's round polynomial computed once per protocol object.
 LAB_WORK = {
     "lab-extract": {
-        "rewinds": 211, "skipped": 631, "vc_commit": 18, "reconstruct": 16, "validate": 154,
-        "replayed": 51, "routed_decision": 209, "best_coloring": 0,
+        "rewinds": 211, "skipped": 631, "vc_commit": 18, "reconstruct": 16, "validate": 1,
+        "replayed": 51, "routed_decision": 209, "best_coloring": 0, "vc_open": 16,
+        "round_polynomial": 18,
     },
     "lab-soundness": {
         "rewinds": 0, "skipped": 0, "vc_commit": 5, "reconstruct": 9, "validate": 6,
-        "replayed": 0, "routed_decision": 21, "best_coloring": 1,
+        "replayed": 0, "routed_decision": 21, "best_coloring": 1, "vc_open": 12,
+        "round_polynomial": 0,
     },
 }
 
@@ -165,6 +171,8 @@ def test_lab_work_counts(workdir, monkeypatch, name):
     real_validate = iop.IopProtocol._validate_plan
     real_routed = extraction.routed_decision
     real_best = adversaries.best_coloring
+    real_open = vc.vc_open
+    real_sum_out = toys.SumcheckIop._sum_out
 
     def sampler(*args):
         knowledge, stats = real_sampler(*args)
@@ -193,10 +201,21 @@ def test_lab_work_counts(workdir, monkeypatch, name):
         counts["best_coloring"] += 1
         return real_best(*args)
 
+    def open_(*args):
+        counts["vc_open"] += 1
+        return real_open(*args)
+
+    def sum_out(*args):
+        counts["round_polynomial"] += 1
+        return real_sum_out(*args)
+
     monkeypatch.setattr(extraction, "sampler", sampler)
     for module in (vc, ibcs, adversaries, extraction, transport, cli):
         if getattr(module, "vc_commit", None) is real_commit:
             monkeypatch.setattr(module, "vc_commit", commit)
+    for module in (vc, ibcs):
+        monkeypatch.setattr(module, "vc_open", open_)
+    monkeypatch.setattr(toys.SumcheckIop, "_sum_out", sum_out)
     monkeypatch.setattr(vc, "_reconstruct_root", reconstruct)
     monkeypatch.setattr(iop.IopProtocol, "_validate_plan", validate)
     monkeypatch.setattr(extraction, "routed_decision", routed)
@@ -206,7 +225,8 @@ def test_lab_work_counts(workdir, monkeypatch, name):
     _report(REPORT_PINS[name][0])
     work = LAB_WORK[name]
     assert counts["rewinds"] + counts["skipped"] == work["rewinds"] + work["skipped"]
-    for key in ("replayed", "routed_decision", "best_coloring"):
+    exact = ("replayed", "routed_decision", "best_coloring", "validate", "vc_open", "round_polynomial")
+    for key in exact:
         assert counts[key] == work[key], key
-    for key in ("rewinds", "vc_commit", "reconstruct", "validate"):
+    for key in ("rewinds", "vc_commit", "reconstruct"):
         assert counts[key] <= work[key], key

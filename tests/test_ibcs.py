@@ -4,11 +4,12 @@ import copy
 
 import pytest
 
-from ibcslab import ibcs
+from ibcslab import ibcs, vc
 from ibcslab.errors import ParameterError, ProtocolViolation
 from ibcslab.ibcs import (
     ArgumentProver,
     CommitMemo,
+    OpeningMemo,
     PAD_SYMBOL,
     Transcript,
     arg_setup,
@@ -344,3 +345,72 @@ def test_honest_prover_state_holds_the_memo_pair(k3_setup):
     memo_cm, memo_aux = prover.commits.commit(pad_proof_string(protocol.spec, proof.symbols))
     assert memo_cm is cm
     assert memo_aux is state.auxes[0]
+
+
+def _committed_state(protocol, params, prover, prng):
+    """The prover's state after all its commitments, with their challenges."""
+    state, challenge, challenges = prover.start(), None, []
+    for i in range(protocol.spec.rounds):
+        _, state = prover.next_commitment(state, challenge)
+        challenge = prng.take_bits(protocol.spec.randomness_bits[i])
+        challenges.append(challenge)
+    return state, challenges
+
+
+def test_a_repeated_plan_is_opened_once(sumcheck_true_setup, monkeypatch):
+    """The same (state, plan) twice on one prover costs one `vc_open` per
+    round and returns equal openings; a lookup never hashes the tree."""
+    protocol, params = sumcheck_true_setup
+    opened = []
+    real = ibcs.vc_open
+    monkeypatch.setattr(ibcs, "vc_open", lambda *a: opened.append(a) or real(*a))
+    prover = ArgumentProver(protocol, params, ())
+    state, challenges = _committed_state(protocol, params, prover, Prng(derive(seed_root(4), "o")))
+    plan = protocol.verifier_query(challenges)
+    first = prover.final_response(state, plan)
+    monkeypatch.setattr(vc.CommitAux, "__hash__", lambda _: pytest.fail("the tree was hashed"))
+    again = prover.final_response(state, plan)
+    assert again == first
+    assert len(opened) == protocol.spec.rounds
+    assert first == tuple(
+        vc_open(params.vc, aux, queries) for aux, queries in zip(state.auxes, plan.per_round)
+    )
+    # Another prover object opens again: no two provers share an opening memo.
+    other = ArgumentProver(protocol, params, ())
+    state, _ = _committed_state(protocol, params, other, Prng(derive(seed_root(4), "o")))
+    assert other.final_response(state, plan) == first
+    assert len(opened) == 2 * protocol.spec.rounds
+
+
+def test_opening_memo_holds_its_entry_and_byte_bounds(sumcheck_true_setup, monkeypatch):
+    """A prover's opening memo has the module's bounds and counts an entry as
+    the tree it keeps (2 * width digests) plus its proof digests; it drops
+    the least recently used entry first and keeps no entry heavier than its
+    byte bound."""
+    protocol, params = sumcheck_true_setup
+    tree = 2 * params.vc.width * 32
+    prover = ArgumentProver(protocol, params, ())
+    memo = prover.openings
+    assert (memo.max_entries, memo.max_bytes) == (
+        ibcs.OPENING_MEMO_ENTRIES,
+        ibcs.OPENING_MEMO_BYTES,
+    )
+    state, _ = _committed_state(protocol, params, prover, Prng(derive(seed_root(5), "o")))
+    aux = state.auxes[0]
+    query_sets = [(1,), (2,), (3,), (1, 2), (2, 3)]
+    for queries in query_sets:
+        opening = memo.open(aux, queries)
+        assert opening == vc_open(params.vc, aux, queries)
+        assert memo.entries[hash((id(aux), queries))] == (
+            (id(aux), queries), (aux, opening), tree + 32 * len(opening.proof)
+        )
+    monkeypatch.setattr(ibcs, "OPENING_MEMO_ENTRIES", 2)
+    memo = OpeningMemo(params.vc)
+    for queries in query_sets:
+        memo.open(aux, queries)
+    assert [key for key, _, _ in memo.entries.values()] == [(id(aux), q) for q in query_sets[-2:]]
+    monkeypatch.setattr(ibcs, "OPENING_MEMO_BYTES", tree)
+    memo = OpeningMemo(params.vc)
+    for queries in query_sets:
+        assert memo.open(aux, queries) == vc_open(params.vc, aux, queries)
+    assert len(memo.entries) == 0

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from ibcslab import iop
 from ibcslab.adversaries import make_adversary
 from ibcslab.errors import InfeasibleError, ParameterError, ProtocolViolation
 from ibcslab.ibcs import arg_setup
@@ -193,3 +194,54 @@ def test_cached_plan_carries_the_callers_randomness(k3):
         assert plan == gc_pcp(k3).verifier_query([bits])
         assert (grinder.final_response(state, plan) is not None) == opens
     assert len(planned) == 1
+
+
+def test_each_distinct_query_tuple_is_validated_once(sumcheck_true_setup, monkeypatch):
+    """Every sumcheck vector plans the same per-round tuple, which is
+    validated once; a graph's plans differ per edge, each validated once;
+    both are still planned once per vector."""
+    validated, planned = [], []
+    real_validate = iop.IopProtocol._validate_plan
+    monkeypatch.setattr(
+        iop.IopProtocol, "_validate_plan", lambda self, p: validated.append(p) or real_validate(self, p)
+    )
+    sc, _ = sumcheck_true_setup
+    protocol = sumcheck_iop(sc.instance)
+    real_plan = type(protocol).query_plan
+    monkeypatch.setattr(
+        type(protocol), "query_plan", lambda self, s: planned.append(s) or real_plan(self, s)
+    )
+    prng = Prng(derive(seed_root(30), "plans"))
+    vectors = [[prng.take_bits(w) for w in protocol.spec.randomness_bits] for _ in range(40)]
+    for vector in vectors + vectors:
+        assert protocol.verifier_query(vector).per_round == real_plan(protocol, ()).per_round
+    assert len(validated) == 1
+    assert len(planned) == len({protocol.map_challenges(v) for v in vectors})
+
+    validated.clear()
+    protocol = gc_pcp(complete_graph(5))
+    nbits = protocol.spec.randomness_bits[0]
+    for value in range(200):
+        protocol.verifier_query([Bits(nbits, value)])
+    assert len(validated) == protocol.challenge_space(1)
+
+
+def test_plan_checks_with_the_plan_cache_off(sumcheck_true_setup, monkeypatch):
+    """With a plan cache that keeps nothing, every vector is planned and
+    validated again, and the plans are the same."""
+    validated = []
+    real_validate = iop.IopProtocol._validate_plan
+    monkeypatch.setattr(
+        iop.IopProtocol, "_validate_plan", lambda self, p: validated.append(p) or real_validate(self, p)
+    )
+    sc, _ = sumcheck_true_setup
+    on = sumcheck_iop(sc.instance)
+    assert on._plans.max_entries == iop.PLAN_CACHE_ENTRIES  # built with the bound in force
+    monkeypatch.setattr(iop, "PLAN_CACHE_ENTRIES", 0)
+    off = sumcheck_iop(sc.instance)
+    prng = Prng(derive(seed_root(31), "plans"))
+    vectors = [[prng.take_bits(w) for w in on.spec.randomness_bits] for _ in range(10)]
+    for vector in vectors:
+        assert off.verifier_query(vector) == on.verifier_query(vector)
+    assert len(validated) == 1 + len(vectors)
+    assert len(off._plans.entries) == 0

@@ -1,8 +1,12 @@
-"""Differential guard for the outcome memo: the lab with the memo on and off.
+"""Differential guard for the lab's memos: the lab with them on and off.
 
-"Off" gives every adversary a memo that keeps no entry, so every rewind and
-every zero-oracle trial runs. Replaying an outcome by its view must not
-change a byte of any report, nor any trial record or stream position.
+"Outcome memo off" gives every adversary a memo that keeps no entry, so
+every rewind and every zero-oracle trial runs. Replaying an outcome by its
+view must not change a byte of any report, nor any trial record or stream
+position. "Work memos off" builds every prover's opening memo, every
+sumcheck protocol's round-polynomial memo and every protocol's plan cache
+with zero entries, so every opening, round polynomial and plan check is
+done again; that must not change a byte of any report either.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ import io
 
 import pytest
 
-from ibcslab import cli, extraction
+from ibcslab import cli, extraction, ibcs, iop, toys
 from ibcslab.adversaries import ScriptedProver
 from ibcslab.extraction import (
     end_to_end_knowledge,
@@ -41,6 +45,12 @@ INSTANCES = {
 
 def _memo_off(monkeypatch):
     monkeypatch.setattr(extraction, "outcome_memo", lambda _adversary: BoundedMemo(0, OUTCOME_MEMO_BYTES))
+
+
+def _work_memos_off(monkeypatch):
+    monkeypatch.setattr(ibcs, "OPENING_MEMO_ENTRIES", 0)
+    monkeypatch.setattr(toys, "ROUND_POLY_MEMO_ENTRIES", 0)
+    monkeypatch.setattr(iop, "PLAN_CACHE_ENTRIES", 0)
 
 
 @pytest.fixture(scope="module")
@@ -78,10 +88,12 @@ def _argvs(command, path):
 @pytest.mark.parametrize("instance", sorted(INSTANCES))
 @pytest.mark.parametrize("command", ["soundness", "extract"])
 def test_reports_are_the_same_with_the_memo_off(instance_files, monkeypatch, command, instance):
-    """Every selector's report, failed ones included, is byte-identical; the
-    memo-on run replays something, and the memo-off run replays nothing."""
-    played, replayed = [], []
-    real_play, real_sampler = extraction._play_trial, extraction.sampler
+    """Every selector's report, failed ones included, is byte-identical with
+    the work memos off and with the outcome memo off; the memo-on run
+    replays something and opens less, the outcome-memo-off run replays
+    nothing, and the work-memos-off run opens every repeated plan again."""
+    played, replayed, opened = [], [], []
+    real_play, real_sampler, real_open = extraction._play_trial, extraction.sampler, ibcs.vc_open
 
     def play(*args):
         played.append(1)
@@ -94,17 +106,21 @@ def test_reports_are_the_same_with_the_memo_off(instance_files, monkeypatch, com
 
     monkeypatch.setattr(extraction, "_play_trial", play)
     monkeypatch.setattr(extraction, "sampler", sampler)
+    monkeypatch.setattr(ibcs, "vc_open", lambda *a: opened.append(1) or real_open(*a))
     runs = {}
-    for mode in ("on", "off"):
-        if mode == "off":
-            _memo_off(monkeypatch)
-        played.clear(), replayed.clear()
-        reports = [_report(argv) for argv in _argvs(command, instance_files[instance])]
-        runs[mode] = reports, len(played), sum(replayed)
-    assert runs["on"][0] == runs["off"][0]
+    for mode, turn_off in (("on", None), ("work-off", _work_memos_off), ("off", _memo_off)):
+        with monkeypatch.context() as patch:
+            if turn_off is not None:
+                turn_off(patch)
+            played.clear(), replayed.clear(), opened.clear()
+            reports = [_report(argv) for argv in _argvs(command, instance_files[instance])]
+        runs[mode] = reports, len(played), sum(replayed), len(opened)
+    assert runs["on"][0] == runs["work-off"][0] == runs["off"][0]
     assert any(code == 0 for code, _, _ in runs["on"][0])
     assert runs["off"][2] == 0
     assert runs["on"][1] < runs["off"][1] or runs["on"][2] > 0
+    assert runs["work-off"][1:3] == runs["on"][1:3]
+    assert runs["on"][3] < runs["work-off"][3]
 
 
 def _parity_prover(protocol, params):

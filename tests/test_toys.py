@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ibcslab import toys
 from ibcslab.errors import InstanceError, ProtocolViolation
 from ibcslab.prng import Bits
 from ibcslab.toys import (
@@ -28,6 +29,7 @@ from ibcslab.toys import (
     poly_eval,
     sumcheck_exact_cheat_value,
     sumcheck_iop,
+    table_entries,
 )
 from helpers import make_sumcheck
 import toys_reference
@@ -194,6 +196,53 @@ def test_sumcheck_instance_validation():
         SumcheckInstance(5, 1, 1, (0,), 0)  # wrong table size
     with pytest.raises(InstanceError):
         SumcheckInstance(5, 1, 1, (0, 9), 0)  # out of field
+
+
+def test_a_huge_claimed_table_is_refused_by_name():
+    """(d+1)**n far past the table there is: the message names n and d, and
+    no huge integer is built or printed."""
+    with pytest.raises(InstanceError, match=r"\(d\+1\)\*\*n entries for d=9, n=5000, got 1$"):
+        SumcheckInstance(17, 5000, 9, (1,), 0)
+    with pytest.raises(InstanceError, match="d=1, n=1, got 3"):
+        SumcheckInstance(5, 1, 1, (0, 0, 0), 0)
+
+
+def test_table_entries_stops_at_the_room_there_is():
+    assert table_entries(2, 2, 9) == 9
+    assert table_entries(2, 2, 8) is None
+    assert table_entries(65535, 65534, 1) is None
+    assert table_entries(65535, 0, 0) == 1
+    assert table_entries(0, 5, 1) == 1
+    for n, d in itertools.product(range(4), range(4)):
+        assert table_entries(n, d, 100) == ((d + 1) ** n if (d + 1) ** n <= 100 else None)
+
+
+def test_round_polynomials_are_computed_once_per_prefix(sumcheck_true, monkeypatch):
+    """A protocol object keeps each prefix's round polynomial; a repeat is the
+    same tuple, a fresh object computes it again, and the memo drops its
+    least recently used prefix first."""
+    sums = []
+    real = toys.SumcheckIop._sum_out
+    monkeypatch.setattr(toys.SumcheckIop, "_sum_out", lambda self, f: sums.append(f) or real(self, f))
+    protocol = sumcheck_iop(sumcheck_true)
+    first = protocol.round_polynomial(())
+    assert protocol.round_polynomial(()) is first
+    assert protocol.round_polynomial([3]) == protocol.round_polynomial((3,))
+    assert sums == [(), (3,)]
+    assert sumcheck_iop(sumcheck_true).round_polynomial(()) == first
+    assert len(sums) == 3
+    memo = protocol._round_polys
+    d, n = sumcheck_true.degree, sumcheck_true.variables
+    assert (memo.max_entries, memo.max_bytes) == (
+        toys.ROUND_POLY_MEMO_ENTRIES,
+        toys.ROUND_POLY_MEMO_ENTRIES * 8 * (n + d + 1),
+    )
+    monkeypatch.setattr(toys, "ROUND_POLY_MEMO_ENTRIES", 2)
+    protocol = sumcheck_iop(sumcheck_true)
+    sums.clear()
+    for fixed in ((), (1,), (), (2,), (1,)):  # (2,) drops (1,), the least recently used
+        protocol.round_polynomial(fixed)
+    assert sums == [(), (1,), (2,), (1,)]
 
 
 def test_sumcheck_round_polynomials():

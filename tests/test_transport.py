@@ -6,6 +6,7 @@ import re
 import socket
 import threading
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -98,6 +99,23 @@ def test_instance_codec_roundtrip(k3, petersen, sumcheck_true):
         transport.decode_instance(b"")
     with pytest.raises(DecodeError):
         transport.decode_instance(b"\x7f")
+
+
+def test_a_sumcheck_header_claiming_a_huge_table_is_refused_in_small_memory(sumcheck_true):
+    """n = 65535 and d = 65534 in a 29-byte payload: the length check refuses
+    it without building (d+1)**n, a 1-Mbit integer."""
+    header = transport.encode_instance(sumcheck_true)[:21]
+    payload = header[:9] + (65535).to_bytes(2, "big") + (65534).to_bytes(2, "big")
+    payload += header[13:21] + bytes(8)
+    assert len(payload) == 29
+    tracemalloc.start()
+    try:
+        with pytest.raises(DecodeError, match="sumcheck instance length mismatch"):
+            transport.decode_instance(payload)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 << 10
 
 
 def test_memory_session_accepts(k3_setup):
