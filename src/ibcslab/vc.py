@@ -18,19 +18,20 @@ never appears in proofs, and a padding position opens to the reserved
 symbol 0. Data leaves keep their position, which is what binds a symbol
 to its place.
 
-Multi-proofs list the sibling digests that cannot be derived from the
-opened leaves (or from padding), in bottom-up, left-to-right order with
-duplicates removed. The proof length is therefore forced: verification
-fails on any extra or missing digest.
+Open, check and `proof_digest_count` share one walk that folds a query
+set's opened data leaves up to the root. On level h the frontier node
+`length >> h` holds the first padding leaf and every node right of it is
+Z_h, so padding never appears in proofs. A multi-proof lists every other
+sibling of a derived node, bottom-up and left to right; the check takes
+them as the walk asks, so a missing or extra digest fails.
 
 Z_0, ..., Z_levels depend only on the parameters: they cost levels + 1
 hashes once per parameter set and stay in a bounded LRU cache
 (`PADDING_CACHE_SIZE` parameter sets), whatever length a peer claims.
-Only the ancestors of the opened leaves and of the first padding leaf can
-lack a sibling, so:
+The walk derives at most q + 1 nodes per level for q positions, so:
 
     vc_check, vc_open, proof_digest_count : O(q log width) work for q positions;
-                                            check hashes at most (q+1)(levels+1),
+                                            check hashes at most q + (q+1) levels,
                                             plus levels + 1 for a cold cache
     vc_commit                              : hashes the data leaves and the
                                             nodes above them, about 2 * length
@@ -39,8 +40,8 @@ lack a sibling, so:
 positions, answers and proof) up in a process-wide `memo.BoundedMemo`, so a
 repeated check costs one lookup; verifiers in the laboratory check the same
 few openings thousands of times per report. Only a miss runs the shape
-checks (positions, answers, proof length and digest sizes) and the root
-reconstruction, and only an input that passes the shape checks is kept.
+checks (positions, answers, digest sizes) and the walk, and only an input
+whose proof is exactly as long as the walk asks is kept.
 An entry counts 32 bytes per proof digest and per opened position; the
 memo holds at most `CHECK_MEMO_BYTES` of them, and so at most
 `CHECK_MEMO_BYTES // 32` entries, whatever a peer sends.
@@ -48,7 +49,6 @@ memo holds at most `CHECK_MEMO_BYTES` of them, and so at most
 
 from __future__ import annotations
 
-import bisect
 import functools
 import hashlib
 from dataclasses import dataclass
@@ -258,45 +258,64 @@ def _canonical_positions(params: VcParams, positions: Sequence[int]) -> tuple[in
     return tuple(sorted(pos))
 
 
-def _proof_slots(params: VcParams, length: int, known: Iterable[int]) -> list[tuple[int, int]]:
-    """(level, index) of each supplied sibling, bottom-up and left-to-right.
+def _walk(params: VcParams, length: int, leaves: list, sibling, layer):
+    """Fold the opened data leaves up to the root and return its value.
 
-    `known` holds the 0-based indices of the opened leaves. A node is
-    derivable when it is an ancestor of an opened leaf or of a padding leaf;
-    the padding ancestors on level h are the indices from `length >> h` on.
-    A slot is a sibling of a derivable node that is not derivable itself.
+    `leaves` lists the (index, value) pairs of the opened data leaves in
+    increasing index order. On level h the frontier node `length >> h` holds
+    the first padding leaf and every node to its right is Z_h. The frontier
+    joins the walk as Z_h on the lowest level where it is odd (below that,
+    it and its sibling are both Z_h), so no all-padding node is hashed and
+    opened padding leaves add nothing. Any other sibling of a derived node is
+    a proof slot: `sibling(level, index)` supplies it, bottom-up and left to
+    right. `layer(children)` turns a level's children, in pairs, into the
+    values of their parents.
     """
-    slots: list[tuple[int, int]] = []
-    opened = set(known)
-    width = params.width
-    for level in range(width.bit_length() - 1):
-        pad_start = length >> level
-        # Slots lie below pad_start: siblings of the opened nodes, which come
-        # out in increasing order, then the left sibling of pad_start when
-        # that first padding ancestor is a right child.
-        frontier = sorted(opened)
-        if length < width and pad_start & 1 and pad_start not in opened:
-            frontier.append(pad_start)
-        for i in frontier:
-            sibling = i ^ 1
-            if sibling < pad_start and sibling not in opened:
-                slots.append((level, sibling))
-        opened = {i >> 1 for i in opened}
-    return slots
+    padding = _padding_digests(params)
+    length = min(length, params.width)  # a codec may size a proof for any claimed length
+    entry = (length & -length).bit_length() - 1  # levels when length is the width
+    nodes = leaves
+    for level in range(params.levels):
+        frontier = length >> level
+        if level == entry:
+            nodes = nodes + [(frontier, padding[level])]
+        parents, children = [], []
+        k, n = 0, len(nodes)
+        while k < n:
+            i, value = nodes[k]
+            k += 1
+            if i & 1:
+                children += (sibling(level, i - 1), value)
+            elif k < n and nodes[k][0] == i + 1:
+                children += (value, nodes[k][1])
+                k += 1
+            else:
+                children += (value, padding[level] if i == frontier else sibling(level, i + 1))
+            parents.append(i >> 1)
+        nodes = list(zip(parents, layer(children)))
+    return nodes[0][1] if nodes else None
+
+
+def _walk_shape(params: VcParams, length: int, positions: Iterable[int], sibling) -> None:
+    """The walk without values: `sibling(level, index)` sees each proof slot."""
+    leaves = [(q - 1, None) for q in sorted(set(positions)) if q <= length]
+    _walk(params, length, leaves, sibling, lambda children: [None] * (len(children) >> 1))
 
 
 def proof_digest_count(params: VcParams, length: int, positions: Sequence[int]) -> int:
     """Canonical multi-proof length for a query set; used by codecs and accounting."""
-    return len(_proof_slots(params, length, (q - 1 for q in positions)))
+    slots = []
+    _walk_shape(params, length, positions, lambda level, index: slots.append(index))
+    return len(slots)
 
 
 def vc_open(params: VcParams, aux: CommitAux, positions: Sequence[int]) -> Opening:
     pos = _canonical_positions(params, positions)
     length = len(aux.message)
     answers = tuple(aux.message[q - 1] if q <= length else 0 for q in pos)
-    slots = _proof_slots(params, length, (q - 1 for q in pos))
-    proof = tuple(aux.layers[level][index] for level, index in slots)
-    return Opening(positions=pos, answers=answers, proof=proof)
+    proof = []
+    _walk_shape(params, length, pos, lambda level, index: proof.append(aux.layers[level][index]))
+    return Opening(positions=pos, answers=answers, proof=tuple(proof))
 
 
 def vc_check(
@@ -318,58 +337,36 @@ def vc_check(
     h = hash(key)
     result = _check_memo.get(h, key)
     if result is None:
-        slots = _shape_slots(params, cm.length, pos, ans, pf)
-        if slots is None:
+        leaves = _opened_leaves(params, cm.length, pos, ans)
+        if leaves is None or any(len(d) != DIGEST_BYTES for d in pf):
             return 0
-        result = 1 if _reconstruct_root(params, cm.length, pos, ans, pf, slots) == cm.root else 0
+        digests = iter(pf)
+        layer = functools.partial(_node_layer, params)
+        try:
+            root = _walk(params, cm.length, leaves, lambda level, index: next(digests), layer)
+        except StopIteration:  # the proof is short
+            return 0
+        if next(digests, None) is not None:  # the proof is long
+            return 0
+        result = 1 if root == cm.root else 0
         _check_memo.put(h, key, result, DIGEST_BYTES * (len(pf) + len(pos)))
     return result
 
 
-def _shape_slots(params, length, pos, ans, pf) -> list[tuple[int, int]] | None:
-    """The proof slots of a well-formed opening, None for a malformed one."""
-    if not pos or len(pos) != len(ans):
-        return None
-    if len(set(pos)) != len(pos) or list(pos) != sorted(pos):
-        return None
-    if not 1 <= length <= params.capacity:
+def _opened_leaves(params, length, pos, ans) -> list[tuple[int, bytes]] | None:
+    """(index, digest) of each opened data leaf, None for a malformed opening."""
+    if not pos or len(pos) != len(ans) or not 1 <= length <= params.capacity:
         return None
     bound = 1 << params.symbol_bits
+    data = []
+    last = 0
     for q, a in zip(pos, ans):
-        if not 1 <= q <= params.capacity or not 0 <= a < bound:
+        if not last < q <= params.capacity or not 0 <= a < bound:
             return None
+        last = q
+        if q <= length:
+            data.append(q)
         # Padding position: only the reserved symbol is openable.
-        if q > length and a != 0:
+        elif a != 0:
             return None
-    slots = _proof_slots(params, length, (q - 1 for q in pos))
-    if len(pf) != len(slots) or any(len(d) != DIGEST_BYTES for d in pf):
-        return None
-    return slots
-
-
-def _reconstruct_root(params, length, pos, ans, pf, slots) -> bytes | None:
-    """The root a shape-checked opening derives, from its leaves, the
-    supplied siblings and the padding digests."""
-    supplied = dict(zip(slots, pf))
-    padding = _padding_digests(params)
-    # Positions are sorted, so the data positions come first.
-    k = bisect.bisect_right(pos, length)
-    leaves = _leaf_layer(params, pos[:k], ans[:k]) + [padding[0]] * (len(pos) - k)
-    values = {q - 1: digest for q, digest in zip(pos, leaves)}
-    for level in range(params.levels):
-        first = -(-length >> level)  # the first all-padding node on this level
-        parents = {i >> 1 for i in values}
-        if length % (2 << level):
-            # Holds both data and padding leaves: neither opened nor a Z.
-            parents.add(length >> (level + 1))
-        children = []
-        for parent in parents:
-            for i in (2 * parent, 2 * parent + 1):
-                if i in values:
-                    children.append(values[i])
-                elif i >= first:
-                    children.append(padding[level])
-                else:
-                    children.append(supplied[(level, i)])
-        values = dict(zip(parents, _node_layer(params, children)))
-    return values.get(0)
+    return list(zip((q - 1 for q in data), _leaf_layer(params, data, ans)))

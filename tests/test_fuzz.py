@@ -6,7 +6,9 @@ rewritten length fields and swapped frames. The mutated file goes to
 verifier through a scripted channel. Whatever the bytes, only `IbcsError`
 subclasses escape, a decision is 0 or 1, and no payload read exceeds the
 cap of its frame. A mutation may still be accepted (a flipped challenge can
-map onto the same queries), so the decision itself is not asserted.
+map onto the same queries), so the decision itself is not asserted; a parsed
+transcript must only get the same decision with a check memo that keeps
+nothing.
 """
 
 from __future__ import annotations
@@ -14,9 +16,10 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ibcslab import transport
+from ibcslab import transport, vc
 from ibcslab.errors import IbcsError, TransportError
 from ibcslab.ibcs import ArgumentProver, arg_setup, arg_verify
+from ibcslab.memo import BoundedMemo
 from ibcslab.prng import Prng, derive, seed_root
 
 from helpers import run_memory_session
@@ -169,7 +172,12 @@ def test_mutated_transcript_replay_is_total(case, data):
             parsed = transport.parse_transcript(mutated)
         except IbcsError:
             return
-    assert arg_verify(*parsed) in (0, 1)
+    decision = arg_verify(*parsed)
+    assert decision in (0, 1)
+    # The check memo is exact: a memo that keeps nothing decides the same.
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(vc, "_check_memo", BoundedMemo(0, 0))
+        assert arg_verify(*parsed) == decision
 
 
 @settings(max_examples=300, deadline=None)

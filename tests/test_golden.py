@@ -167,7 +167,7 @@ def test_lab_work_counts(workdir, monkeypatch, name):
     counts = Counter()
     real_sampler = extraction.sampler
     real_commit = vc.vc_commit
-    real_reconstruct = vc._reconstruct_root
+    real_walk = vc._walk
     real_validate = iop.IopProtocol._validate_plan
     real_routed = extraction.routed_decision
     real_best = adversaries.best_coloring
@@ -185,9 +185,12 @@ def test_lab_work_counts(workdir, monkeypatch, name):
         counts["vc_commit"] += 1
         return real_commit(*args)
 
-    def reconstruct(*args):
-        counts["reconstruct"] += 1
-        return real_reconstruct(*args)
+    def walk(*args):
+        root = real_walk(*args)
+        # Open and proof counts walk the tree without values; a check miss
+        # reconstructs a root.
+        counts["reconstruct"] += root is not None
+        return root
 
     def validate(*args):
         counts["validate"] += 1
@@ -216,7 +219,7 @@ def test_lab_work_counts(workdir, monkeypatch, name):
     for module in (vc, ibcs):
         monkeypatch.setattr(module, "vc_open", open_)
     monkeypatch.setattr(toys.SumcheckIop, "_sum_out", sum_out)
-    monkeypatch.setattr(vc, "_reconstruct_root", reconstruct)
+    monkeypatch.setattr(vc, "_walk", walk)
     monkeypatch.setattr(iop.IopProtocol, "_validate_plan", validate)
     monkeypatch.setattr(extraction, "routed_decision", routed)
     monkeypatch.setattr(adversaries, "best_coloring", best)

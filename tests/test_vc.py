@@ -285,6 +285,10 @@ def _tampered(rng, params, length, opening):
         digest[rng.randrange(DIGEST_BYTES)] ^= 1
         out.append((length, pos, ans, pf[:j] + (bytes(digest),) + pf[j + 1 :]))
         out.append((length, pos, ans, pf[:-1]))
+    if len(pf) > 1:
+        j, k = sorted(rng.sample(range(len(pf)), 2))
+        swapped = pf[:j] + (pf[k],) + pf[j + 1 : k] + (pf[j],) + pf[k + 1 :]
+        out.append((length, pos, ans, swapped))
     out.append((length, pos, ans, pf + (bytes(DIGEST_BYTES),)))
     shifted = sorted({min(q + 1, params.capacity) for q in pos})
     out.append((length, tuple(shifted), ans[: len(shifted)], pf))
@@ -453,10 +457,16 @@ def _fresh_memo(mp: pytest.MonkeyPatch, max_entries: int | None = None):
     return memo
 
 
-def _count_reconstructions(mp: pytest.MonkeyPatch) -> list:
+def _count_walks(mp: pytest.MonkeyPatch) -> list:
+    """Record (length, opened data positions) for each walk up the tree."""
     calls = []
-    real = vc_module._reconstruct_root
-    mp.setattr(vc_module, "_reconstruct_root", lambda *a: calls.append(a) or real(*a))
+    real = vc_module._walk
+
+    def walk(params, length, leaves, *rest):
+        calls.append((length, tuple(i + 1 for i, _ in leaves)))
+        return real(params, length, leaves, *rest)
+
+    mp.setattr(vc_module, "_walk", walk)
     return calls
 
 
@@ -523,7 +533,7 @@ def test_memoized_opening_with_one_field_changed_matches_reference(data):
 
     with pytest.MonkeyPatch.context() as mp:
         _fresh_memo(mp)
-        calls = _count_reconstructions(mp)
+        calls = _count_walks(mp)
         assert check(args) == check(args) == 1
         assert len(calls) == 1
         _change_one_field(data, args, capacity, symbol_bits)
@@ -562,18 +572,16 @@ def test_check_memo_keeps_the_recently_used_and_no_malformed_input(monkeypatch):
     cm, aux = vc_commit(params, list(range(16)))
     a, b, c = (vc_open(params, aux, [j]) for j in (1, 2, 3))
     memo = _fresh_memo(monkeypatch, max_entries=2)
-    calls = _count_reconstructions(monkeypatch)
+    calls = _count_walks(monkeypatch)
     for o in (a, b, a, c, a, b):  # c drops b, the least recently used
         assert vc_check(params, cm, o.positions, o.answers, o.proof) == 1
-    assert [call[1:3] for call in calls] == [
-        (cm.length, o.positions) for o in (a, b, c, b)
-    ]
-    # A proof of the wrong length is a miss, refused and never kept.
+    assert calls == [(cm.length, o.positions) for o in (a, b, c, b)]
+    # A proof one digest short or long is a miss: walked, refused and never kept.
     before = dict(memo.entries)
     for proof in (a.proof[:-1], a.proof + (bytes(DIGEST_BYTES),)):
         assert vc_check(params, cm, a.positions, a.answers, proof) == 0
     assert memo.entries == before
-    assert len(calls) == 4
+    assert len(calls) == 6
 
 
 def test_check_memo_hit_skips_the_shape_work(monkeypatch):
@@ -581,9 +589,7 @@ def test_check_memo_hit_skips_the_shape_work(monkeypatch):
     cm, aux = vc_commit(params, list(range(16)))
     o = vc_open(params, aux, [3, 9])
     _fresh_memo(monkeypatch)
-    calls = []
-    real = vc_module._proof_slots
-    monkeypatch.setattr(vc_module, "_proof_slots", lambda *a: calls.append(a) or real(*a))
+    calls = _count_walks(monkeypatch)
     assert vc_check(params, cm, o.positions, o.answers, o.proof) == 1
     assert len(calls) == 1
     for _ in range(3):
