@@ -6,8 +6,10 @@ its whole state in the value passed through those calls, and is
 deterministic given (state, challenge) and (state, plan). The caller owns
 the query plan: whoever drew the challenges computes it once and passes it
 in, and the adversary only decides what to open. States are immutable
-values (frozen dataclasses and tuples), so a snapshot is the state itself,
-and `state_digest` certifies that a rewind left the adversary untouched.
+values (frozen dataclasses and tuples), so a snapshot is the state itself.
+`rewind_point` is the one rule for what counts as a value: a value is its
+own rewind point and needs no certificate, and any other state is keyed
+by its `state_digest`, which certifies that a rewind left it untouched.
 
 A scripted adversary is a compiled strategy: `ScriptedProver` is the
 `ibcs.ArgumentProver` of an IOP prover that plays the strategy, so it
@@ -43,11 +45,12 @@ prover without a view has none.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import hashlib
 import pickle
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Any, Callable, Sequence
 
 from .errors import InstanceError, ParameterError
 from .ibcs import ArgParams, ArgumentProver, pad_proof_string, structured_view
@@ -72,6 +75,67 @@ def state_digest(state) -> bytes:
 def snapshot(state):
     """The rewind point: prover states are immutable, so the state itself."""
     return state
+
+
+# Exact types of the atoms of a value other than byte and text strings;
+# float is left out, as 0.0 == -0.0.
+_SCALARS = frozenset((int, bool, type(None)))
+
+
+def _value_bytes(state) -> int | None:
+    """The bytes a value keeps (the length of each byte or text string, 8
+    per other atom), or None when `state` is not a value."""
+    kind = type(state)
+    if kind is tuple or kind is frozenset:
+        members = state
+    elif kind is bytes or kind is str:
+        return len(state)
+    elif kind in _SCALARS:
+        return 8
+    else:
+        # The class must itself be a frozen dataclass that compares every
+        # field, so `==` and `hash` read all of its state.
+        declared = vars(kind).get("__dataclass_params__")
+        if declared is None or not (declared.frozen and declared.eq):
+            return None
+        members = []
+        for f in dataclasses.fields(state):
+            if not f.compare:
+                return None
+            members.append(getattr(state, f.name))
+    total = 0
+    for member in members:
+        # Atoms inline: most members of a prover state are digests and ints.
+        kind = type(member)
+        if kind is bytes or kind is str:
+            total += len(member)
+        elif kind in _SCALARS:
+            total += 8
+        else:
+            size = _value_bytes(member)
+            if size is None:
+                return None
+            total += size
+    return total
+
+
+def rewind_point(state) -> tuple[Any, int]:
+    """The point a rewind from `state` is keyed by, and the bytes it keeps.
+
+    A value is an `int`, `bool`, `str`, `bytes` or None, a tuple or
+    frozenset of values, or a frozen dataclass whose fields are values.
+    A value cannot change, so it is its own rewind point and needs no
+    certificate; keys built from it hash and compare the state itself, and
+    it weighs the lengths of its byte and text strings plus 8 bytes per
+    other atom.
+    Every state the library's provers build is a value. Any other state's
+    point is its `state_digest` (32 bytes): the caller must digest the
+    state again when its rewinds are done and refuse a state that changed.
+    """
+    size = _value_bytes(state)
+    if size is None:
+        return state_digest(state), 32
+    return state, size
 
 
 def honest_wrapper(protocol: IopProtocol, params: ArgParams, witness) -> ArgumentProver:

@@ -17,10 +17,11 @@ under the full loop.
 Each round gets an error share of epsilon/2k: half of the per-round budget
 is reserved for any degradation of the prover's behaviour under rewinding,
 which exact snapshots make identically zero (prover states are immutable
-values, certified unchanged by `state_digest`), and the other half caps
-the missing-position probability through the rewind count
-T = ceil(l_max / (epsilon/2k)). The experiments report every estimate with
-an explicit confidence radius, so the analytic bounds can be checked
+values, see `adversaries.rewind_point`), and the other half caps the
+missing-position probability through the rewind count
+T = ceil(l_max / (epsilon/2k)), computed in integers from the exact share,
+which each experiment computes once. The experiments report every estimate
+with an explicit confidence radius, so the analytic bounds can be checked
 against measured frequencies at desk scale.
 
 The extractor is grey-box: it relies on each prover being deterministic
@@ -31,16 +32,18 @@ outcome depends only on the view of the challenge vector. So each
 adversary with a view gets one `memo.BoundedMemo` of outcomes, bounded by
 `ibcs.OUTCOME_MEMO_ENTRIES` and `ibcs.OUTCOME_MEMO_BYTES` and living as
 long as the adversary object (one report for the CLI), keyed by (rewind
-point, view). A round-i rewind point is (`state_digest(state)`, ctx); a
-zero-oracle hybrid trial starts from `start()`, which is deterministic, so
-its point is (params, protocol). Either way the lab draws exactly the bits
-it would draw anyway, and a repeated view is replayed into the same
-counters, knowledge sets and trial records instead of running the
-commit/open/plan/check path again. A zero-oracle outcome also keeps the
-trial's full-opening decision, which reads only the structured challenges
-(fixed by the view) and the stored commitments, plan and response, so a
-replayed trial is not decided again either. An adversary without a view,
-and a trial with oracles, is always run.
+point, view). A round-i rewind point is (`rewind_point(state)`, ctx): a
+state that is a value is keyed by itself, and its entries weigh its bytes
+too, since the key keeps it alive; any other state is keyed by its
+`state_digest`. A zero-oracle hybrid trial starts from `start()`, which
+is deterministic, so its point is (params, protocol). Either way the lab
+draws exactly the bits it would draw anyway, and a repeated view is
+replayed into the same counters, knowledge sets and trial records instead
+of running the commit/open/plan/check path again. A zero-oracle outcome
+also keeps the trial's full-opening decision, which reads only the
+structured challenges (fixed by the view) and the stored commitments, plan
+and response, so a replayed trial is not decided again either. An
+adversary without a view, and a trial with oracles, is always run.
 
 The per-trial stream keys of a hybrid value or an events experiment are
 `derive(root, label, r, trial)`; they come from one `prng.derive_stem`,
@@ -55,7 +58,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Sequence
 
-from .adversaries import snapshot, state_digest
+from .adversaries import rewind_point, snapshot, state_digest
 from .errors import IbcsError, ParameterError, ProtocolViolation
 from .ibcs import OUTCOME_MEMO_BYTES, OUTCOME_MEMO_ENTRIES, PAD_SYMBOL, ArgParams, check_openings
 from .iop import IopProtocol, ProofString, QueryPlan
@@ -116,15 +119,18 @@ class RewindBudget:
 
 def rewind_budget_limit(max_proof_length: int, error_share: Fraction) -> int:
     """T = ceil(l_max / (epsilon / 2k)), the rewind count per round."""
-    if error_share <= 0:
+    if error_share.numerator <= 0:
         raise ParameterError("error share must be positive")
-    return math.ceil(Fraction(max_proof_length) / error_share)
+    return -(-max_proof_length * error_share.denominator // error_share.numerator)
 
 
-def error_share(epsilon: float, rounds: int) -> Fraction:
+def error_share(epsilon: float | Fraction, rounds: int) -> Fraction:
+    """epsilon / 2k, exact: a float epsilon is read as its shortest
+    decimal, as the CLI reads `--epsilon`, so 0.3 is 3/10."""
     if not 0 < epsilon <= 1:
         raise ParameterError("epsilon must be in (0, 1]")
-    return Fraction(epsilon) / (2 * rounds)
+    exact = Fraction(repr(epsilon)) if isinstance(epsilon, float) else Fraction(epsilon)
+    return exact / (2 * rounds)
 
 
 @dataclass(frozen=True)
@@ -162,7 +168,8 @@ _outcome_memos: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 def outcome_memo(adversary) -> BoundedMemo:
     """The adversary's memo of continuation outcomes, made on first use;
-    an outcome is weighed as 32 bytes per digest and 8 per other value."""
+    an outcome is weighed as 32 bytes per digest and 8 per other value,
+    and a rewind's outcome also as the bytes of its rewind point."""
     memo = _outcome_memos.get(adversary)
     if memo is None:
         memo = _outcome_memos[adversary] = BoundedMemo(OUTCOME_MEMO_ENTRIES, OUTCOME_MEMO_BYTES)
@@ -260,9 +267,10 @@ def sampler(adversary, state, ctx: ArgContext, iterations: int, prng: Prng):
     """Collect accepted round-i openings over `iterations` rewinds.
 
     Each rewind runs from a snapshot of the same adversary state. Prover
-    states are immutable values, so the snapshot is the state itself; the
-    state is certified unchanged on return, and a prover that mutated it
-    raises ProtocolViolation.
+    states are immutable values, so the snapshot is the state itself. A
+    state that is a value (`adversaries.rewind_point`) cannot change and
+    is not checked; any other state is digested before and after the
+    rewinds, and a prover that mutated it raises ProtocolViolation.
 
     Each rewind draws its continuation (r_i, ..., r_k) with one
     `take_bits`. An adversary with a view has each outcome looked up by
@@ -278,7 +286,7 @@ def sampler(adversary, state, ctx: ArgContext, iterations: int, prng: Prng):
     """
     spec = ctx.protocol.spec
     i = ctx.round_index
-    before = state_digest(state)
+    state_point, state_bytes = rewind_point(state)
     knowledge = KnowledgeSet(proof_length=spec.proof_lengths[i - 1])
     stats = SamplerStats()
     widths = spec.randomness_bits[i - 1 :]
@@ -286,10 +294,10 @@ def sampler(adversary, state, ctx: ArgContext, iterations: int, prng: Prng):
     view = getattr(adversary, "view", None)
     if view is not None:
         memo = outcome_memo(adversary)
-        point = (before, ctx)
-        # Equal points have equal state digests, so the digest's hash files a
+        point = (state_point, ctx)
+        # Equal points have equal first parts, so that part's hash files a
         # point; the key holds all of it, so unequal points never share a value.
-        point_hash = hash(before)
+        point_hash = hash(state_point)
         fixed = ctx.challenges
     for run in range(iterations):
         if len(knowledge.coverage) == knowledge.proof_length:
@@ -307,7 +315,7 @@ def sampler(adversary, state, ctx: ArgContext, iterations: int, prng: Prng):
             if outcome is None:
                 outcome = _rewind(adversary, state, ctx, continuation)
                 weight = 8 if outcome is VOIDED or outcome is LOST else _opening_weight(outcome)
-                memo.put(h, key, outcome, weight)
+                memo.put(h, key, outcome, state_bytes + weight)
             else:
                 stats.replayed += 1
         if outcome is VOIDED:
@@ -319,7 +327,8 @@ def sampler(adversary, state, ctx: ArgContext, iterations: int, prng: Prng):
         if not knowledge.covers(outcome.positions):
             knowledge.add(outcome.positions, outcome.answers, outcome.proof)
             stats.recorded += 1
-    if state_digest(state) != before:
+    # A value is its own point; any other state was filed under its digest.
+    if state_point is not state and state_digest(state) != state_point:
         raise ProtocolViolation("rewinding mutated the adversary state")
     return knowledge, stats
 
@@ -478,10 +487,11 @@ def run_hybrid_trial(
     params: ArgParams,
     adversary,
     oracle_rounds: int,
-    epsilon: float,
+    share: Fraction,
     prng: Prng,
 ) -> TrialRecord:
-    """One execution with rounds 1..oracle_rounds rewound and extracted.
+    """One execution with rounds 1..oracle_rounds rewound and extracted,
+    each under the experiment's error share (`error_share`).
 
     A zero-oracle trial of an adversary with a view reads its challenge
     vector ahead (`peek_bits`) and looks its outcome up by that vector's
@@ -498,7 +508,7 @@ def run_hybrid_trial(
         raise ParameterError("oracle rounds must lie in [0, k]")
     view = getattr(adversary, "view", None)
     if oracle_rounds or view is None:
-        return _play_trial(protocol, params, adversary, oracle_rounds, epsilon, prng)
+        return _play_trial(protocol, params, adversary, oracle_rounds, share, prng)
     widths = spec.randomness_bits
     raw = _split_bits(prng.peek_bits(sum(widths)), widths)
     memo = outcome_memo(adversary)
@@ -507,7 +517,7 @@ def run_hybrid_trial(
     h, key = hash((protocol, seen)), (params, protocol, seen)
     outcome = memo.get(h, key)
     if outcome is None:
-        record = _play_trial(protocol, params, adversary, 0, epsilon, prng, raw)
+        record = _play_trial(protocol, params, adversary, 0, share, prng, raw)
         record.decision = accept_under_routing(protocol, params, record, 0)
         outcome = (
             len(record.challenges), record.commitments, record.plan, record.response,
@@ -532,7 +542,7 @@ def _play_trial(
     params: ArgParams,
     adversary,
     oracle_rounds: int,
-    epsilon: float,
+    share: Fraction,
     prng: Prng,
     raw: Sequence[Bits] | None = None,
 ) -> TrialRecord:
@@ -540,7 +550,6 @@ def _play_trial(
     comes, or takes it from `raw`, a zero-oracle trial's read-ahead vector."""
     spec = protocol.spec
     k = spec.rounds
-    share = error_share(epsilon, k) if oracle_rounds else None
     challenges: list[Bits] = []
     commitments = []
     oracles: tuple[ExtractedOracle, ...] = ()
@@ -632,11 +641,12 @@ def hybrid_value(
     """Monte-Carlo estimate of the hybrid's acceptance with confidence radius."""
     if trials < 1:
         raise ParameterError("at least one trial required")
+    share = error_share(epsilon, protocol.spec.rounds)
     trial_key = derive_stem(seed_root(seed), label, oracle_rounds)
     successes = 0
     for trial in range(trials):
         prng = Prng(trial_key(trial))
-        record = run_hybrid_trial(protocol, params, adversary, oracle_rounds, epsilon, prng)
+        record = run_hybrid_trial(protocol, params, adversary, oracle_rounds, share, prng)
         successes += accept_under_routing(protocol, params, record, oracle_rounds)
     return Estimate(successes, trials, hoeffding_radius(trials))
 
@@ -651,7 +661,7 @@ def measure_acceptance(
 ) -> Estimate:
     """Plain argument acceptance: the zero-oracle hybrid."""
     return hybrid_value(
-        protocol, params, adversary, 0, trials, seed, epsilon=1.0, label=label
+        protocol, params, adversary, 0, trials, seed, epsilon=1, label=label
     )
 
 
@@ -728,7 +738,7 @@ def run_events_experiment(
     for trial in range(trials):
         counters.trials += 1
         prng = Prng(trial_key(trial))
-        record = run_hybrid_trial(protocol, params, adversary, round_index, epsilon, prng)
+        record = run_hybrid_trial(protocol, params, adversary, round_index, share, prng)
         if record.voided:
             counters.voided += 1
             continue

@@ -16,7 +16,11 @@ adversaries compile their strategies. The caller that drew the challenges
 owns `plan`, the `verifier_query` result for the full challenge vector,
 and the prover only opens it. Prover states are immutable values: each
 call returns a new state and never changes the one it was given, so a
-rewind reuses a state as it is.
+rewind reuses a state as it is. A state built only of ints, bools, strs,
+bytes and None, in tuples, frozensets and frozen dataclasses, is such a
+value by construction (`adversaries.rewind_point`), and the rewinding lab
+keys it by itself; the lab digests any other state before and after its
+rewinds and refuses one that changed. The library's provers build values.
 
 Each prover commits through its own `CommitMemo`, a `memo.BoundedMemo`
 that lives as long as the prover object: one session for the CLI's and the

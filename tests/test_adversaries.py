@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import collections
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import pytest
@@ -17,6 +19,7 @@ from ibcslab.adversaries import (
     make_adversary,
     optimal_gc_cheater,
     optimal_sumcheck_cheater,
+    rewind_point,
     snapshot,
     state_digest,
 )
@@ -94,6 +97,60 @@ def test_adversary_states_are_hashable(request, setup):
                 hash(state)
             except TypeError as exc:
                 pytest.fail(f"{name} state after round {i} is not hashable: {exc}")
+            assert rewind_point(state)[0] is state, (name, i)
+
+
+@dataclass(frozen=True)
+class _Pair:
+    left: object
+    right: object
+
+
+@dataclass(frozen=True)
+class _Uncompared:
+    shown: int
+    hidden: tuple = field(compare=False)
+
+
+@dataclass
+class _Open:
+    cell: int
+
+
+class _PairChild(_Pair):
+    pass
+
+
+_Named = collections.namedtuple("_Named", "a b")
+
+
+def test_a_value_is_its_own_rewind_point_and_weighs_its_bytes():
+    value = _Pair((b"\x00" * 32, "ab", 7, True, None), frozenset({b"xyz", 1}))
+    point, size = rewind_point(value)
+    assert point is value
+    assert size == 32 + 2 + 8 + 8 + 8 + 3 + 8
+
+
+@pytest.mark.parametrize(
+    "state",
+    [
+        (0.0,),  # 0.0 == -0.0, so a float could file two states as one
+        [1],
+        (1, [2]),
+        _Pair(1, object()),
+        _Pair(1, [2]),
+        _Uncompared(1, (2,)),  # `==` would not see `hidden`
+        _Open(1),
+        _PairChild(1, 2),  # a plain subclass may carry attributes `==` does not see
+        _Named(1, 2),
+    ],
+    ids=[
+        "float", "list", "tuple-of-a-list", "frozen-of-an-object", "frozen-of-a-list",
+        "uncompared-field", "unfrozen-dataclass", "subclass", "namedtuple",
+    ],
+)
+def test_any_other_state_is_keyed_by_its_digest(state):
+    assert rewind_point(state) == (state_digest(state), 32)
 
 
 def test_honest_wrapper_accepts_always(k3_setup):

@@ -1,16 +1,19 @@
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
 
+from ibcslab import cli
 from ibcslab.adversaries import (
     Withholder,
     always_abort,
     grinder_on_leading_bits,
     honest_wrapper,
     make_adversary,
+    rewind_point,
 )
 from ibcslab.errors import ParameterError, ProtocolViolation
 from ibcslab.extraction import (
@@ -52,6 +55,18 @@ def test_rewind_budget_example():
     assert rewind_budget_limit(3, error_share(0.5, 1)) == 12
     with pytest.raises(ParameterError):
         RewindBudget(max_rewinds=4, stop_time=5)
+
+
+@pytest.mark.parametrize(
+    "epsilon, limit",
+    [(0.3, 20), (0.6, 10), (0.15, 40), (0.5, 12), (0.25, 24), (0.1, 60), (0.05, 120)],
+)
+def test_a_float_epsilon_is_its_shortest_decimal(epsilon, limit):
+    # 0.3, 0.6 and 0.15 lie just below their decimals as binary floats, so
+    # reading the float's exact value would give one rewind more than the CLI.
+    assert rewind_budget_limit(3, error_share(epsilon, 1)) == limit
+    assert rewind_budget_limit(3, error_share(cli.epsilon_arg(repr(epsilon)), 1)) == limit
+    assert error_share(epsilon, 2) == Fraction(repr(epsilon)) / 4
 
 
 def test_knowledge_set_invariants():
@@ -245,16 +260,18 @@ def test_sampler_counts_crashes_as_voided(k3_setup):
     assert kset.coverage == set()
 
 
-def test_sampler_rejects_mutating_adversaries(k3_setup):
-    """Prover states are immutable values and every rewind reuses the same
-    state, so a prover that scribbles on its state breaks the rewinding
-    contract: the sampler's state digest catches it and raises."""
+def _assert_mutation_is_caught(k3_setup, make_cell, bump, with_view):
+    """A prover whose state holds `make_cell()` and which `bump`s it on
+    every final response is refused by the sampler."""
     protocol, params, witness = k3_setup
     honest = honest_wrapper(protocol, params, witness)
 
     class Mutating:
+        def __init__(self):
+            self.view = honest.view if with_view else None
+
         def start(self):
-            return (honest.start(), [0])
+            return (honest.start(), make_cell())
 
         def next_commitment(self, state, challenge):
             inner, cell = state
@@ -263,18 +280,63 @@ def test_sampler_rejects_mutating_adversaries(k3_setup):
 
         def final_response(self, state, plan):
             inner, cell = state
-            cell[0] += 1  # breaks the contract: changes the state it was given
+            bump(cell)  # breaks the contract: changes the state it was given
             return honest.final_response(inner, plan)
 
     adv = Mutating()
-    state0 = adv.start()
-    cm, rho = adv.next_commitment(state0, None)
+    cm, rho = adv.next_commitment(adv.start(), None)
+    assert rewind_point(rho)[0] is not rho
     ctx = ArgContext(
         params=params, protocol=protocol, round_index=1,
         commitments=(cm,), challenges=(), oracles=(),
     )
     with pytest.raises(ProtocolViolation, match="rewinding mutated the adversary state"):
         sampler(adv, rho, ctx, 20, Prng(seed_root(5)))
+
+
+def _bump_list(cell):
+    cell[0] += 1
+
+
+def test_sampler_rejects_mutating_adversaries(k3_setup):
+    """Prover states are immutable values and every rewind reuses the same
+    state, so a prover that scribbles on its state breaks the rewinding
+    contract: the sampler's state digest catches it and raises."""
+    _assert_mutation_is_caught(k3_setup, lambda: [0], _bump_list, with_view=False)
+
+
+class _Cell:
+    """A plain object: hashable by identity, so `hash` alone would take it
+    for a value."""
+
+    def __init__(self):
+        self.count = 0
+
+
+@dataclass(frozen=True)
+class _FrozenList:
+    cell: list
+
+
+def _bump_cell(cell):
+    cell.count += 1
+
+
+def _bump_frozen_list(frozen):
+    frozen.cell.append(1)
+
+
+@pytest.mark.parametrize("with_view", [False, True], ids=["no-view", "view"])
+@pytest.mark.parametrize(
+    "make_cell, bump",
+    [(_Cell, _bump_cell), (lambda: _FrozenList([0]), _bump_frozen_list)],
+    ids=["plain-object", "frozen-dataclass-of-a-list"],
+)
+def test_sampler_rejects_mutation_that_hashing_would_miss(k3_setup, make_cell, bump, with_view):
+    """A state that holds a plain object or a frozen dataclass of a list is
+    no value: it is digested before and after its rewinds, with or without
+    an outcome memo, and the change is caught."""
+    _assert_mutation_is_caught(k3_setup, make_cell, bump, with_view)
 
 
 def test_reductor_budget_and_fill(k3_setup):
@@ -501,12 +563,11 @@ def test_run_hybrid_trial_records_budgets(sumcheck_true_setup):
     protocol, params = sumcheck_true_setup
     honest = honest_wrapper(protocol, params, ())
     prng = Prng(derive(seed_root(20), "trial"))
-    record = run_hybrid_trial(protocol, params, honest, 2, 0.5, prng)
+    share = error_share(0.5, 2)
+    record = run_hybrid_trial(protocol, params, honest, 2, share, prng)
     assert len(record.oracles) == 2
     assert len(record.budgets) == 2
-    expected_limit = rewind_budget_limit(
-        protocol.spec.max_proof_length, error_share(0.5, 2)
-    )
+    expected_limit = rewind_budget_limit(protocol.spec.max_proof_length, share)
     assert all(b.max_rewinds == expected_limit for b in record.budgets)
 
 

@@ -147,17 +147,19 @@ def test_verify_report_pin(workdir, instance):
 # `validate`, `vc_open` and `round_polynomial`: each distinct per-round
 # query tuple is validated once per protocol object, each (commitment
 # tree, query set) opened once per prover object, and each challenge
-# prefix's round polynomial computed once per protocol object.
+# prefix's round polynomial computed once per protocol object. Every state
+# the lab's provers build is a value, its own rewind point, so no state is
+# pickled for a `state_digest`.
 LAB_WORK = {
     "lab-extract": {
         "rewinds": 211, "skipped": 631, "vc_commit": 18, "reconstruct": 16, "validate": 1,
         "replayed": 51, "routed_decision": 209, "best_coloring": 0, "vc_open": 16,
-        "round_polynomial": 18,
+        "round_polynomial": 18, "state_digest": 0,
     },
     "lab-soundness": {
         "rewinds": 0, "skipped": 0, "vc_commit": 5, "reconstruct": 9, "validate": 6,
         "replayed": 0, "routed_decision": 21, "best_coloring": 1, "vc_open": 12,
-        "round_polynomial": 0,
+        "round_polynomial": 0, "state_digest": 0,
     },
 }
 
@@ -173,6 +175,7 @@ def test_lab_work_counts(workdir, monkeypatch, name):
     real_best = adversaries.best_coloring
     real_open = vc.vc_open
     real_sum_out = toys.SumcheckIop._sum_out
+    real_digest = adversaries.state_digest
 
     def sampler(*args):
         knowledge, stats = real_sampler(*args)
@@ -212,6 +215,10 @@ def test_lab_work_counts(workdir, monkeypatch, name):
         counts["round_polynomial"] += 1
         return real_sum_out(*args)
 
+    def digest(*args):
+        counts["state_digest"] += 1
+        return real_digest(*args)
+
     monkeypatch.setattr(extraction, "sampler", sampler)
     for module in (vc, ibcs, adversaries, extraction, transport, cli):
         if getattr(module, "vc_commit", None) is real_commit:
@@ -223,12 +230,17 @@ def test_lab_work_counts(workdir, monkeypatch, name):
     monkeypatch.setattr(iop.IopProtocol, "_validate_plan", validate)
     monkeypatch.setattr(extraction, "routed_decision", routed)
     monkeypatch.setattr(adversaries, "best_coloring", best)
+    for module in (adversaries, extraction):
+        monkeypatch.setattr(module, "state_digest", digest)
     production = vc._check_memo
     monkeypatch.setattr(vc, "_check_memo", BoundedMemo(production.max_entries, production.max_bytes))
     _report(REPORT_PINS[name][0])
     work = LAB_WORK[name]
     assert counts["rewinds"] + counts["skipped"] == work["rewinds"] + work["skipped"]
-    exact = ("replayed", "routed_decision", "best_coloring", "validate", "vc_open", "round_polynomial")
+    exact = (
+        "replayed", "routed_decision", "best_coloring", "validate", "vc_open", "round_polynomial",
+        "state_digest",
+    )
     for key in exact:
         assert counts[key] == work[key], key
     for key in ("rewinds", "vc_commit", "reconstruct"):

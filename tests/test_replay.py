@@ -19,12 +19,14 @@ import pytest
 from ibcslab import cli, extraction, ibcs, iop, toys
 from ibcslab.adversaries import ScriptedProver
 from ibcslab.extraction import (
+    ArgContext,
     end_to_end_knowledge,
+    error_share,
     hybrid_value,
     run_events_experiment,
     run_hybrid_trial,
 )
-from ibcslab.ibcs import OUTCOME_MEMO_BYTES, structured_view
+from ibcslab.ibcs import OUTCOME_MEMO_BYTES, OUTCOME_MEMO_ENTRIES, structured_view
 from ibcslab.memo import BoundedMemo
 from ibcslab.prng import Prng, derive, map_to_range, seed_root
 from ibcslab.toys import complete_graph, dump_graph_text, dump_sumcheck_text, find_coloring
@@ -177,7 +179,8 @@ def test_a_zero_oracle_replay_is_the_trial_it_replaces(k3_setup, sumcheck_true_s
         for protocol, params, adversary in cases:
             for trial in (0, 0, 1, 0):
                 prng = Prng(derive(seed_root(9), "replay", trial))
-                record = run_hybrid_trial(protocol, params, adversary, 0, 1.0, prng)
+                share = error_share(1.0, protocol.spec.rounds)
+                record = run_hybrid_trial(protocol, params, adversary, 0, share, prng)
                 out.append((record, prng.take_bits(256)))
         return out
 
@@ -191,3 +194,44 @@ def test_a_zero_oracle_replay_is_the_trial_it_replaces(k3_setup, sumcheck_true_s
     for (record, _), (fresh, _) in zip(on, off):
         if record.plan is not None:
             assert record.plan.randomness == record.challenges == fresh.plan.randomness
+
+
+def _kept_tree_bytes(memo: BoundedMemo) -> int:
+    """Bytes of commitment trees held by the rewind states in `memo`'s keys."""
+    total = 0
+    for key, _, _ in memo.entries.values():
+        point = key[0]
+        if isinstance(point, tuple) and isinstance(point[1], ArgContext):
+            auxes = point[0].auxes
+            total += sum(len(digest) for aux in auxes for layer in aux.layers for digest in layer)
+    return total
+
+
+@pytest.mark.parametrize("max_bytes", [200, 4000])
+def test_the_outcome_memo_stays_bounded_when_its_keys_hold_states(
+    sumcheck_true_setup, monkeypatch, max_bytes
+):
+    """A value state is its own rewind point, so the outcome memo's keys keep
+    states alive; each entry weighs its state, so the byte bound covers the
+    commitment trees those states hold. A sumcheck rewind state holds one
+    tree of 224 bytes per round committed: 200 bytes is less than any
+    state's trees, 4000 room for a few states."""
+    protocol, params = sumcheck_true_setup
+    adversary = cli.make_adversary("honest", protocol, params, ())
+    memo = BoundedMemo(OUTCOME_MEMO_ENTRIES, max_bytes)
+    monkeypatch.setattr(extraction, "outcome_memo", lambda _adversary: memo)
+    real_put = memo.put
+    high = 0
+
+    def put(*args):
+        nonlocal high
+        real_put(*args)
+        assert memo.bytes <= memo.max_bytes
+        high = max(high, _kept_tree_bytes(memo))
+
+    monkeypatch.setattr(memo, "put", put)
+    run_events_experiment(protocol, params, adversary, 2, 20, 3, 0.5)
+    assert memo.bytes <= memo.max_bytes
+    assert high <= memo.max_bytes
+    # The larger bound keeps rewind outcomes, the smaller keeps none.
+    assert (high > 0) == (max_bytes == 4000)
