@@ -6,10 +6,8 @@ its whole state in the value passed through those calls, and is
 deterministic given (state, challenge) and (state, plan). The caller owns
 the query plan: whoever drew the challenges computes it once and passes it
 in, and the adversary only decides what to open. States are immutable
-values (frozen dataclasses and tuples), so a snapshot is the state itself.
-`rewind_point` is the one rule for what counts as a value: a value is its
-own rewind point and needs no certificate, and any other state is keyed
-by its `state_digest`, which certifies that a rewind left it untouched.
+values (the contract is in `ibcs`), so a snapshot is the state itself, and
+`rewind_point` is the one rule for what counts as a value.
 
 A scripted adversary is a compiled strategy: `ScriptedProver` is the
 `ibcs.ArgumentProver` of an IOP prover that plays the strategy, so it
@@ -22,10 +20,10 @@ Every compiled prover commits through its own `ibcs.CommitMemo`, a
 the report's trials and rewinds share it, and a message committed before
 is not hashed again. The memo is bounded by `ibcs.COMMIT_MEMO_ENTRIES`
 entries and `ibcs.COMMIT_MEMO_BYTES` bytes of commitment trees; no two
-adversary objects share one. The wrappers hold no memo of their own: they
-commit through the prover they wrap, and `make_adversaries` builds one
-cheat base for all the selectors of a report, so every wrapper among them
-commits through that one base.
+adversary objects share one. The wrappers commit through the prover they
+wrap, and `make_adversaries` builds one cheat base for all the selectors
+of a report, so every wrapper among them commits through that one base.
+Every adversary, wrapper or not, keeps its own `outcomes` memo.
 
 Returning None from `final_response` models an abort: the adversary walks
 away instead of opening, and the verifier rejects.
@@ -50,11 +48,13 @@ import functools
 import hashlib
 import pickle
 from fractions import Fraction
-from typing import Any, Callable, Sequence
+from typing import Callable, Sequence
 
+from . import ibcs
 from .errors import InstanceError, ParameterError
 from .ibcs import ArgParams, ArgumentProver, pad_proof_string, structured_view
 from .iop import IopProtocol, ProofString, QueryPlan
+from .memo import BoundedMemo
 from .prng import Bits, map_to_range
 from .toys import (
     GraphColoringIop,
@@ -82,9 +82,18 @@ def snapshot(state):
 _SCALARS = frozenset((int, bool, type(None)))
 
 
-def _value_bytes(state) -> int | None:
-    """The bytes a value keeps (the length of each byte or text string, 8
-    per other atom), or None when `state` is not a value."""
+def rewind_point(state) -> int:
+    """The bytes a rewind from `state` keeps; `state` must be a value.
+
+    A value is an `int`, `bool`, `str`, `bytes` or None, a tuple or
+    frozenset of values, or a frozen dataclass whose fields are values and
+    are all compared. A value cannot change, so it is its own rewind point:
+    keys built from it hash and compare the state itself, and it weighs the
+    lengths of its byte and text strings plus 8 bytes per other atom. Every
+    state the library's provers build is a value. Any other state raises
+    TypeError, naming the type that is not a value, since a rewind could
+    change it.
+    """
     kind = type(state)
     if kind is tuple or kind is frozenset:
         members = state
@@ -96,13 +105,12 @@ def _value_bytes(state) -> int | None:
         # The class must itself be a frozen dataclass that compares every
         # field, so `==` and `hash` read all of its state.
         declared = vars(kind).get("__dataclass_params__")
-        if declared is None or not (declared.frozen and declared.eq):
-            return None
-        members = []
-        for f in dataclasses.fields(state):
-            if not f.compare:
-                return None
-            members.append(getattr(state, f.name))
+        fields = () if declared is None else dataclasses.fields(state)
+        if declared is None or not (
+            declared.frozen and declared.eq and all(f.compare for f in fields)
+        ):
+            raise TypeError(f"a rewound prover state must be a value; {kind.__name__} is not")
+        members = [getattr(state, f.name) for f in fields]
     total = 0
     for member in members:
         # Atoms inline: most members of a prover state are digests and ints.
@@ -112,30 +120,8 @@ def _value_bytes(state) -> int | None:
         elif kind in _SCALARS:
             total += 8
         else:
-            size = _value_bytes(member)
-            if size is None:
-                return None
-            total += size
+            total += rewind_point(member)
     return total
-
-
-def rewind_point(state) -> tuple[Any, int]:
-    """The point a rewind from `state` is keyed by, and the bytes it keeps.
-
-    A value is an `int`, `bool`, `str`, `bytes` or None, a tuple or
-    frozenset of values, or a frozen dataclass whose fields are values.
-    A value cannot change, so it is its own rewind point and needs no
-    certificate; keys built from it hash and compare the state itself, and
-    it weighs the lengths of its byte and text strings plus 8 bytes per
-    other atom.
-    Every state the library's provers build is a value. Any other state's
-    point is its `state_digest` (32 bytes): the caller must digest the
-    state again when its rewinds are done and refuse a state that changed.
-    """
-    size = _value_bytes(state)
-    if size is None:
-        return state_digest(state), 32
-    return state, size
 
 
 def honest_wrapper(protocol: IopProtocol, params: ArgParams, witness) -> ArgumentProver:
@@ -221,12 +207,13 @@ def optimal_sumcheck_cheater(
 class _WrapperProver:
     """Shared plumbing for adversaries that decorate an inner prover; the
     states and commitments are the inner prover's own, and so is the view
-    unless the wrapper reads more."""
+    unless the wrapper reads more. Its outcomes are its own."""
 
     def __init__(self, protocol: IopProtocol, inner):
         self.protocol = protocol
         self.inner = inner
         self.view = getattr(inner, "view", None)
+        self.outcomes = BoundedMemo(ibcs.OUTCOME_MEMO_ENTRIES, ibcs.OUTCOME_MEMO_BYTES)
 
     def start(self):
         return self.inner.start()

@@ -22,7 +22,7 @@ import functools
 import hashlib
 import json
 import sys
-from contextlib import closing
+from contextlib import closing, contextmanager
 from fractions import Fraction
 from pathlib import Path
 
@@ -54,9 +54,20 @@ DEFAULT_LAMBDA = 128
 DEFAULT_ADVERSARIES = "optimal,withholder,grinder:1,equivocator,abort"
 
 
+@contextmanager
+def cli_file(path: str):
+    """`Path(path)`, for one of the CLI's own reads or writes; an OSError
+    there becomes a ParameterError, so it ends in one error line."""
+    try:
+        yield Path(path)
+    except OSError as exc:
+        raise ParameterError(f"{path}: {exc.strerror or exc}") from None
+
+
 def load_instance_path(path: str, spec_hint: str | None):
     """Sniff a text instance file: graph records or a sumcheck header."""
-    text = Path(path).read_text()
+    with cli_file(path) as file:
+        text = file.read_text()
     first = next(
         (line.strip() for line in text.splitlines() if line.split("#", 1)[0].strip()),
         "",
@@ -83,7 +94,10 @@ def require_security(params, security_bits: int):
 
 
 def parse_witness_flag(value: str):
-    return tuple(int(f) for f in value.replace(",", " ").split())
+    try:
+        return tuple(int(f) for f in value.replace(",", " ").split())
+    except ValueError:
+        raise InstanceError(f"--witness symbols must be integers, got {value!r}") from None
 
 
 def resolve_witness(protocol, file_witness, flag_value):
@@ -109,21 +123,22 @@ def emit(experiment: str, args, argv: list[str], results: dict, **config):
     }
     blob = json.dumps(report, indent=2, sort_keys=True)
     if args.json:
-        Path(args.json).write_text(blob + "\n")
+        with cli_file(args.json) as file:
+            file.write_text(blob + "\n")
     print(blob)
 
 
 def config_block(args, argv: list[str], **extra) -> dict:
+    """The report's config: argv minus the output paths (`--out` and
+    `--json`, spelled `--opt PATH` or `--opt=PATH`; the parser takes no
+    abbreviation), so where a run writes never changes its report."""
     kept = []
-    skip = False
-    for token in argv:
-        if skip:
-            skip = False
-            continue
-        if token == "--out":
-            skip = True
-            continue
-        kept.append(token)
+    tokens = iter(argv)
+    for token in tokens:
+        if token in ("--out", "--json"):
+            next(tokens, None)
+        elif not token.startswith(("--out=", "--json=")):
+            kept.append(token)
     block = {"argv": kept, "seed": args.seed, "lambda": args.security}
     block.update(extra)
     return block
@@ -151,7 +166,8 @@ def _session_results(params, result, decision: int, out_path: str | None) -> dic
     stats = _check_formula(params, result)
     blob = transport.serialize_transcript(params, result.transcript)
     if out_path:
-        Path(out_path).write_bytes(blob)
+        with cli_file(out_path) as file:
+            file.write_bytes(blob)
     return {
         "decision": decision,
         "message_count": result.transcript.message_count,
@@ -186,7 +202,8 @@ def cmd_prove(args, argv) -> int:
 
 def cmd_verify(args, argv) -> int:
     if args.transcript:
-        data = Path(args.transcript).read_bytes()
+        with cli_file(args.transcript) as file:
+            data = file.read_bytes()
         params, protocol, transcript = transport.parse_transcript(data)
         require_security(params, args.security)
         decision = arg_verify(params, protocol, transcript)
@@ -388,6 +405,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="commit-and-open argument sessions and rewinding experiments",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # No abbreviated options: `config_block` drops output paths by their spelling.
+    add_command = functools.partial(sub.add_parser, allow_abbrev=False)
 
     def common(p):
         p.add_argument("--instance", help="instance file (graph or sumcheck text)")
@@ -396,28 +415,28 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--json", help="also write the JSON report to this path")
 
-    p = sub.add_parser("prove", help="run one session as the prover")
+    p = add_command("prove", help="run one session as the prover")
     common(p)
     p.add_argument("--witness", help="witness symbols, comma or space separated")
     p.add_argument("--transport", choices=("memory", "tcp"), default="memory")
     p.add_argument("--connect", help="host:port of the listening verifier")
     p.add_argument("--out", help="write the transcript file here")
 
-    p = sub.add_parser("verify", help="verify live over TCP or replay a transcript")
+    p = add_command("verify", help="verify live over TCP or replay a transcript")
     common(p)
     p.add_argument("--listen", help="host:port to accept one session on")
     p.add_argument("--transcript", help="verify a stored transcript file")
     p.add_argument("--out", help="write the observed transcript file here")
     p.add_argument("--ready-fd", help=argparse.SUPPRESS)  # test hook: report bound port
 
-    p = sub.add_parser("soundness", help="oracle vs scripted adversaries")
+    p = add_command("soundness", help="oracle vs scripted adversaries")
     common(p)
     p.add_argument("--epsilon", type=epsilon_arg, default=Fraction(1, 10))
     p.add_argument("--trials", type=int, default=10_000)
     p.add_argument("--adversary", default=DEFAULT_ADVERSARIES)
     p.add_argument("--force", action="store_true", help="measure even in-language instances")
 
-    p = sub.add_parser("extract", help="hybrid chain, failure events, knowledge pipeline")
+    p = add_command("extract", help="hybrid chain, failure events, knowledge pipeline")
     common(p)
     p.add_argument("--epsilon", type=epsilon_arg, default=Fraction(1, 2))
     p.add_argument("--trials", type=int, default=2_000)

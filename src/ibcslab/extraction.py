@@ -28,14 +28,12 @@ The extractor is grey-box: it relies on each prover being deterministic
 given its view (the `view(randomness)` contract in `ibcs`). A continuation
 from one rewind point ends in one of three outcomes, voided (the adversary
 raised an `IbcsError`), lost, or won with its round-i opening, and that
-outcome depends only on the view of the challenge vector. So each
-adversary with a view gets one `memo.BoundedMemo` of outcomes, bounded by
-`ibcs.OUTCOME_MEMO_ENTRIES` and `ibcs.OUTCOME_MEMO_BYTES` and living as
-long as the adversary object (one report for the CLI), keyed by (rewind
-point, view). A round-i rewind point is (`rewind_point(state)`, ctx): a
-state that is a value is keyed by itself, and its entries weigh its bytes
-too, since the key keeps it alive; any other state is keyed by its
-`state_digest`. A zero-oracle hybrid trial starts from `start()`, which
+outcome depends only on the view of the challenge vector. So an
+adversary with a view keeps its outcomes in its `outcomes` memo (the
+contract is in `ibcs`), keyed by (rewind point, view). A round-i rewind
+point is (state, ctx): the state is a value, keyed by itself, and its
+entries weigh its bytes too (`adversaries.rewind_point`), since the key
+keeps it alive. A zero-oracle hybrid trial starts from `start()`, which
 is deterministic, so its point is (params, protocol). Either way the lab
 draws exactly the bits it would draw anyway, and a repeated view is
 replayed into the same counters, knowledge sets and trial records instead
@@ -53,16 +51,14 @@ which hashes the shared prefix once.
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Sequence
 
-from .adversaries import rewind_point, snapshot, state_digest
-from .errors import IbcsError, ParameterError, ProtocolViolation
-from .ibcs import OUTCOME_MEMO_BYTES, OUTCOME_MEMO_ENTRIES, PAD_SYMBOL, ArgParams, check_openings
+from .adversaries import rewind_point, snapshot
+from .errors import IbcsError, ParameterError
+from .ibcs import PAD_SYMBOL, ArgParams, check_openings
 from .iop import IopProtocol, ProofString, QueryPlan
-from .memo import BoundedMemo
 from .prng import Bits, Prng, derive, derive_stem, seed_root
 from .vc import vc_check
 
@@ -163,19 +159,9 @@ class SamplerStats:
 VOIDED = "voided"
 LOST = "lost"
 
-_outcome_memos: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
-
-def outcome_memo(adversary) -> BoundedMemo:
-    """The adversary's memo of continuation outcomes, made on first use;
-    an outcome is weighed as 32 bytes per digest and 8 per other value,
-    and a rewind's outcome also as the bytes of its rewind point."""
-    memo = _outcome_memos.get(adversary)
-    if memo is None:
-        memo = _outcome_memos[adversary] = BoundedMemo(OUTCOME_MEMO_ENTRIES, OUTCOME_MEMO_BYTES)
-    return memo
-
-
+# An outcome weighs 32 bytes per digest and 8 per other value; a rewind's
+# outcome also weighs the bytes of its rewind point.
 def _opening_weight(opening) -> int:
     return 32 * len(opening.proof) + 8 * (len(opening.positions) + len(opening.answers))
 
@@ -267,14 +253,13 @@ def sampler(adversary, state, ctx: ArgContext, iterations: int, prng: Prng):
     """Collect accepted round-i openings over `iterations` rewinds.
 
     Each rewind runs from a snapshot of the same adversary state. Prover
-    states are immutable values, so the snapshot is the state itself. A
-    state that is a value (`adversaries.rewind_point`) cannot change and
-    is not checked; any other state is digested before and after the
-    rewinds, and a prover that mutated it raises ProtocolViolation.
+    states are values, so the snapshot is the state itself; a state that
+    is not a value raises TypeError (`adversaries.rewind_point`) before
+    any rewind runs.
 
     Each rewind draws its continuation (r_i, ..., r_k) with one
     `take_bits`. An adversary with a view has each outcome looked up by
-    (rewind point, view) in its outcome memo, and a hit is replayed
+    (rewind point, view) in its `outcomes` memo, and a hit is replayed
     (`stats.replayed`) rather than run; a won opening's positions are the
     planned round-i queries, which is what the knowledge set tests.
 
@@ -286,18 +271,18 @@ def sampler(adversary, state, ctx: ArgContext, iterations: int, prng: Prng):
     """
     spec = ctx.protocol.spec
     i = ctx.round_index
-    state_point, state_bytes = rewind_point(state)
+    state_bytes = rewind_point(state)
     knowledge = KnowledgeSet(proof_length=spec.proof_lengths[i - 1])
     stats = SamplerStats()
     widths = spec.randomness_bits[i - 1 :]
     drawn = sum(widths)
     view = getattr(adversary, "view", None)
     if view is not None:
-        memo = outcome_memo(adversary)
-        point = (state_point, ctx)
-        # Equal points have equal first parts, so that part's hash files a
-        # point; the key holds all of it, so unequal points never share a value.
-        point_hash = hash(state_point)
+        memo = adversary.outcomes
+        point = (state, ctx)
+        # Equal points have equal states, so the state's hash files a point;
+        # the key holds all of it, so unequal points never share a value.
+        point_hash = hash(state)
         fixed = ctx.challenges
     for run in range(iterations):
         if len(knowledge.coverage) == knowledge.proof_length:
@@ -327,9 +312,6 @@ def sampler(adversary, state, ctx: ArgContext, iterations: int, prng: Prng):
         if not knowledge.covers(outcome.positions):
             knowledge.add(outcome.positions, outcome.answers, outcome.proof)
             stats.recorded += 1
-    # A value is its own point; any other state was filed under its digest.
-    if state_point is not state and state_digest(state) != state_point:
-        raise ProtocolViolation("rewinding mutated the adversary state")
     return knowledge, stats
 
 
@@ -495,7 +477,7 @@ def run_hybrid_trial(
 
     A zero-oracle trial of an adversary with a view reads its challenge
     vector ahead (`peek_bits`) and looks its outcome up by that vector's
-    view in the adversary's outcome memo; only a miss plays the trial, on
+    view in the adversary's `outcomes` memo; only a miss plays the trial, on
     that vector, and decides it, and the record carries that decision
     (`TrialRecord.decision`), also when it is replayed. Either way the
     stream then moves past the challenges the trial drew, which are all k
@@ -511,7 +493,7 @@ def run_hybrid_trial(
         return _play_trial(protocol, params, adversary, oracle_rounds, share, prng)
     widths = spec.randomness_bits
     raw = _split_bits(prng.peek_bits(sum(widths)), widths)
-    memo = outcome_memo(adversary)
+    memo = adversary.outcomes
     seen = view(raw)
     # Equal keys have equal protocols, so hashing the protocol suffices.
     h, key = hash((protocol, seen)), (params, protocol, seen)

@@ -14,13 +14,15 @@ returning a `ProofString` and the next state) into a session prover with
 plan)`. The honest prover compiles `iop.HonestIopProver`; the scripted
 adversaries compile their strategies. The caller that drew the challenges
 owns `plan`, the `verifier_query` result for the full challenge vector,
-and the prover only opens it. Prover states are immutable values: each
-call returns a new state and never changes the one it was given, so a
-rewind reuses a state as it is. A state built only of ints, bools, strs,
-bytes and None, in tuples, frozensets and frozen dataclasses, is such a
-value by construction (`adversaries.rewind_point`), and the rewinding lab
-keys it by itself; the lab digests any other state before and after its
-rewinds and refuses one that changed. The library's provers build values.
+and the prover only opens it.
+
+The rewind contract: prover states are values. Each call returns a new
+state and never changes the one it was given, so a rewind reuses a state
+as it is, and the rewinding lab keys a rewind by the state itself. A value
+is built only of ints, bools, strs, bytes and None, in tuples, frozensets
+and frozen dataclasses that compare every field (`adversaries.rewind_point`
+is the rule); the lab refuses any other state with a TypeError before it
+rewinds from it. The library's provers build values.
 
 Each prover commits through its own `CommitMemo`, a `memo.BoundedMemo`
 that lives as long as the prover object: one session for the CLI's and the
@@ -41,9 +43,10 @@ widths, that its behaviour reads. Two vectors with equal views must make
 the prover, started from the same state, send the same commitments and
 the same openings for their plans, and must map to the same structured
 challenges, which is all the verifier reads of them. The rewinding lab in
-`extraction` relies on that to run each (rewind point, view) once; it
-keeps the outcomes in one `memo.BoundedMemo` per adversary object, bounded
-by `OUTCOME_MEMO_ENTRIES` entries and `OUTCOME_MEMO_BYTES` bytes. A prover
+`extraction` relies on that to run each (rewind point, view) once. A
+prover that declares a view keeps its outcomes in `outcomes`, a
+`memo.BoundedMemo` built with the prover and bounded by
+`OUTCOME_MEMO_ENTRIES` entries and `OUTCOME_MEMO_BYTES` bytes. A prover
 without a view has `view = None` and is never replayed. `ArgumentProver`
 declares `structured_view(protocol)`, the vector of structured challenges,
 when it compiles the honest prover, which reads each challenge only
@@ -133,7 +136,7 @@ COMMIT_MEMO_BYTES = 4 << 20
 # trees its entries keep plus their proof digests.
 OPENING_MEMO_ENTRIES = 64
 OPENING_MEMO_BYTES = 4 << 20
-# Bounds of one adversary's memo of rewind and trial outcomes in `extraction`:
+# Bounds of one prover's memo of rewind and trial outcomes, `outcomes`:
 # entries, and bytes as `extraction` weighs an outcome.
 OUTCOME_MEMO_ENTRIES = 1 << 12
 OUTCOME_MEMO_BYTES = 1 << 20
@@ -235,6 +238,7 @@ class ArgumentProver:
         self.view = view
         self.commits = CommitMemo(params.vc)
         self.openings = OpeningMemo(params.vc)
+        self.outcomes = BoundedMemo(OUTCOME_MEMO_ENTRIES, OUTCOME_MEMO_BYTES)
 
     def start(self) -> _ProverState:
         return _ProverState(1, None, ())

@@ -10,10 +10,9 @@ The caller hashes the key once and passes the hash with it. An entry is
 filed under that hash and keeps its key, so a hash collision is a miss,
 never a wrong value. One lock keeps the bookkeeping whole when several
 threads share a memo. Its instances: `vc`'s process-wide check memo,
-each prover's `ibcs.CommitMemo` and `ibcs.OpeningMemo`, each protocol
-object's plan cache in `iop`, each sumcheck protocol object's
-round-polynomial memo in `toys`, and each adversary's outcome memo in
-`extraction`.
+each prover's `ibcs.CommitMemo`, `ibcs.OpeningMemo` and `outcomes`
+memo, each protocol object's plan cache in `iop`, and each sumcheck
+protocol object's round-polynomial memo in `toys`.
 """
 
 from __future__ import annotations

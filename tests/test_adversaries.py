@@ -97,7 +97,7 @@ def test_adversary_states_are_hashable(request, setup):
                 hash(state)
             except TypeError as exc:
                 pytest.fail(f"{name} state after round {i} is not hashable: {exc}")
-            assert rewind_point(state)[0] is state, (name, i)
+            rewind_point(state)  # a value: no TypeError
 
 
 @dataclass(frozen=True)
@@ -126,31 +126,32 @@ _Named = collections.namedtuple("_Named", "a b")
 
 def test_a_value_is_its_own_rewind_point_and_weighs_its_bytes():
     value = _Pair((b"\x00" * 32, "ab", 7, True, None), frozenset({b"xyz", 1}))
-    point, size = rewind_point(value)
-    assert point is value
-    assert size == 32 + 2 + 8 + 8 + 8 + 3 + 8
+    assert rewind_point(value) == 32 + 2 + 8 + 8 + 8 + 3 + 8
 
 
 @pytest.mark.parametrize(
-    "state",
+    "state, kind",
     [
-        (0.0,),  # 0.0 == -0.0, so a float could file two states as one
-        [1],
-        (1, [2]),
-        _Pair(1, object()),
-        _Pair(1, [2]),
-        _Uncompared(1, (2,)),  # `==` would not see `hidden`
-        _Open(1),
-        _PairChild(1, 2),  # a plain subclass may carry attributes `==` does not see
-        _Named(1, 2),
+        ((0.0,), "float"),  # 0.0 == -0.0, so a float could file two states as one
+        ([1], "list"),
+        ((1, [2]), "list"),
+        (_Pair(1, object()), "object"),
+        (_Pair(1, [2]), "list"),
+        (_Uncompared(1, (2,)), "_Uncompared"),  # `==` would not see `hidden`
+        (_Open(1), "_Open"),
+        (_PairChild(1, 2), "_PairChild"),  # a plain subclass may carry attributes `==` does not see
+        (_Named(1, 2), "_Named"),
     ],
     ids=[
         "float", "list", "tuple-of-a-list", "frozen-of-an-object", "frozen-of-a-list",
         "uncompared-field", "unfrozen-dataclass", "subclass", "namedtuple",
     ],
 )
-def test_any_other_state_is_keyed_by_its_digest(state):
-    assert rewind_point(state) == (state_digest(state), 32)
+def test_any_other_state_is_keyed_by_its_digest(state, kind):
+    """Only a value has a rewind point, by a digest or otherwise: any other
+    state is refused, naming the type that is no value."""
+    with pytest.raises(TypeError, match=f"must be a value; {kind} is not$"):
+        rewind_point(state)
 
 
 def test_honest_wrapper_accepts_always(k3_setup):
@@ -432,6 +433,31 @@ def test_provers_never_share_a_commit_memo(k3_setup, monkeypatch):
             prover.next_commitment(prover.start(), None)
         assert len(calls) == 2, name
         assert len(provers[0].commits.entries) == len(provers[1].commits.entries) == 1
+
+
+def test_each_adversary_owns_its_outcomes(k3_setup, monkeypatch):
+    """Every adversary object keeps its own outcome memo: two objects built
+    from one selector, and each wrapper over one cheat base, which the
+    wrappers all commit through."""
+    protocol, params, witness = k3_setup
+    for name in ("honest", "optimal", "equivocator", "abort", "withholder", "grinder"):
+        first, second = (make_adversary(name, protocol, params, witness) for _ in range(2))
+        assert first.outcomes is not second.outcomes, name
+    calls = []
+    real = ibcs.vc_commit
+    monkeypatch.setattr(ibcs, "vc_commit", lambda p, m: calls.append(m) or real(p, m))
+    base, *wrappers = make_adversaries(
+        ["honest", "abort", "withholder", "grinder"], protocol, params, witness
+    )
+    memos = [base.outcomes] + [wrapper.outcomes for wrapper in wrappers]
+    assert len({id(memo) for memo in memos}) == len(memos)
+    for wrapper in wrappers:
+        assert wrapper.inner is base
+        wrapper.next_commitment(wrapper.start(), None)
+    assert len(calls) == 1 and len(base.commits.entries) == 1
+    # The lab files a wrapper's outcomes in its own memo only.
+    measure_acceptance(protocol, params, wrappers[-1], 5, seed=1)
+    assert [len(memo.entries) > 0 for memo in memos] == [False, False, False, True]
 
 
 def test_views_follow_what_each_adversary_reads(sumcheck_true_setup):

@@ -538,3 +538,63 @@ def test_usage_errors_exit_2_from_the_shared_parser(capsys, argv, message):
             main(argv)
         assert exc.value.code == 2
         assert capsys.readouterr().err.splitlines()[-1] == f"ibcslab: error: {message}"
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        "missing-instance", "missing-transcript", "instance-is-a-directory",
+        "witness-not-integers", "out-is-a-directory", "json-is-a-directory",
+    ],
+)
+def test_file_and_flag_errors_are_one_error_line(capsys, tmp_path, k3_file, case):
+    """A file the CLI cannot read or write, or a witness that is not
+    integers: one error line and exit 2, not a traceback."""
+    argv = {
+        "missing-instance": ["prove", "--instance", str(tmp_path / "missing.txt")],
+        "missing-transcript": ["verify", "--transcript", str(tmp_path / "nonexist.bin")],
+        "instance-is-a-directory": ["prove", "--instance", str(tmp_path)],
+        "witness-not-integers": ["prove", "--instance", k3_file, "--witness", "a,b"],
+        "out-is-a-directory": ["prove", "--instance", k3_file, "--out", str(tmp_path)],
+        "json-is-a-directory": ["prove", "--instance", k3_file, "--json", str(tmp_path)],
+    }[case]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+
+
+def test_output_paths_in_every_spelling_stay_out_of_the_report(capsys, tmp_path, k3_file, k4_file):
+    """`--out` and `--json`, as `--opt PATH` or `--opt=PATH` and anywhere in
+    the argument vector, leave the report byte-identical to a run without
+    them; the parser takes no abbreviation of either."""
+    transcript, written = tmp_path / "t.bin", tmp_path / "r.json"
+    spellings = [
+        ["--out", str(transcript)], [f"--out={transcript}"],
+        ["--json", str(written)], [f"--json={written}"],
+        ["--out", str(transcript), f"--json={written}"],
+        [f"--out={transcript}", "--json", str(written)],
+    ]
+    bases = {
+        "prove": ["--instance", k3_file, "--seed", "4"],
+        "soundness": ["--instance", k4_file, "--trials", "20"],
+    }
+    for command, base in bases.items():
+        main([command] + base)
+        plain = capsys.readouterr().out
+        for extra in spellings:
+            if command == "soundness" and any(token.startswith("--out") for token in extra):
+                continue
+            for argv in ([command] + base + extra, [command] + extra + base):
+                written.unlink(missing_ok=True)
+                main(argv)
+                assert capsys.readouterr().out == plain, argv
+                if any(token.startswith("--json") for token in extra):
+                    assert written.read_text() == plain
+    for abbreviated in (["--js", str(written)], ["--ou", str(transcript)]):
+        with pytest.raises(SystemExit) as exc:
+            main(["prove"] + bases["prove"] + abbreviated)
+        assert exc.value.code == 2
+        capsys.readouterr()

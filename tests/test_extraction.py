@@ -13,7 +13,6 @@ from ibcslab.adversaries import (
     grinder_on_leading_bits,
     honest_wrapper,
     make_adversary,
-    rewind_point,
 )
 from ibcslab.errors import ParameterError, ProtocolViolation
 from ibcslab.extraction import (
@@ -34,10 +33,13 @@ from ibcslab.extraction import (
     sampler,
     theorem_bounds,
 )
+from ibcslab.ibcs import OUTCOME_MEMO_BYTES, OUTCOME_MEMO_ENTRIES
 from ibcslab.iop import IopSpec, iop_interact
+from ibcslab.memo import BoundedMemo
 from ibcslab.prng import Bits, Prng, derive, seed_root
 from ibcslab.toys import is_proper_coloring
 
+from helpers import run_memory_session
 from sampler_reference import full_sampler
 
 
@@ -260,51 +262,6 @@ def test_sampler_counts_crashes_as_voided(k3_setup):
     assert kset.coverage == set()
 
 
-def _assert_mutation_is_caught(k3_setup, make_cell, bump, with_view):
-    """A prover whose state holds `make_cell()` and which `bump`s it on
-    every final response is refused by the sampler."""
-    protocol, params, witness = k3_setup
-    honest = honest_wrapper(protocol, params, witness)
-
-    class Mutating:
-        def __init__(self):
-            self.view = honest.view if with_view else None
-
-        def start(self):
-            return (honest.start(), make_cell())
-
-        def next_commitment(self, state, challenge):
-            inner, cell = state
-            cm, inner = honest.next_commitment(inner, challenge)
-            return cm, (inner, cell)
-
-        def final_response(self, state, plan):
-            inner, cell = state
-            bump(cell)  # breaks the contract: changes the state it was given
-            return honest.final_response(inner, plan)
-
-    adv = Mutating()
-    cm, rho = adv.next_commitment(adv.start(), None)
-    assert rewind_point(rho)[0] is not rho
-    ctx = ArgContext(
-        params=params, protocol=protocol, round_index=1,
-        commitments=(cm,), challenges=(), oracles=(),
-    )
-    with pytest.raises(ProtocolViolation, match="rewinding mutated the adversary state"):
-        sampler(adv, rho, ctx, 20, Prng(seed_root(5)))
-
-
-def _bump_list(cell):
-    cell[0] += 1
-
-
-def test_sampler_rejects_mutating_adversaries(k3_setup):
-    """Prover states are immutable values and every rewind reuses the same
-    state, so a prover that scribbles on its state breaks the rewinding
-    contract: the sampler's state digest catches it and raises."""
-    _assert_mutation_is_caught(k3_setup, lambda: [0], _bump_list, with_view=False)
-
-
 class _Cell:
     """A plain object: hashable by identity, so `hash` alone would take it
     for a value."""
@@ -318,6 +275,10 @@ class _FrozenList:
     cell: list
 
 
+def _bump_list(cell):
+    cell[0] += 1
+
+
 def _bump_cell(cell):
     cell.count += 1
 
@@ -326,17 +287,112 @@ def _bump_frozen_list(frozen):
     frozen.cell.append(1)
 
 
+# (make_cell, bump, the type the refusal names): states that are no values.
+NO_VALUES = [
+    pytest.param(lambda: [0], _bump_list, "list", id="list"),
+    pytest.param(_Cell, _bump_cell, "_Cell", id="plain-object"),
+    pytest.param(
+        lambda: _FrozenList([0]), _bump_frozen_list, "list", id="frozen-dataclass-of-a-list"
+    ),
+]
+
+
+def _stateful_adversary(k3_setup, make_cell, bump, with_view):
+    """An honest K3 prover whose state also holds `make_cell()`, which it
+    `bump`s on every final response, breaking the rewind contract;
+    `final_calls` counts its final responses."""
+    protocol, params, witness = k3_setup
+    honest = honest_wrapper(protocol, params, witness)
+
+    class Stateful:
+        def __init__(self):
+            self.view = honest.view if with_view else None
+            self.outcomes = BoundedMemo(OUTCOME_MEMO_ENTRIES, OUTCOME_MEMO_BYTES)
+            self.final_calls = 0
+
+        def start(self):
+            return (honest.start(), make_cell())
+
+        def next_commitment(self, state, challenge):
+            inner, cell = state
+            cm, inner = honest.next_commitment(inner, challenge)
+            return cm, (inner, cell)
+
+        def final_response(self, state, plan):
+            self.final_calls += 1
+            inner, cell = state
+            bump(cell)  # breaks the contract: changes the state it was given
+            return honest.final_response(inner, plan)
+
+    return Stateful()
+
+
+def _assert_state_is_refused(k3_setup, make_cell, bump, kind, with_view):
+    """The sampler refuses the adversary's state, naming the type that is
+    no value, before the adversary opens anything."""
+    protocol, params, _ = k3_setup
+    adv = _stateful_adversary(k3_setup, make_cell, bump, with_view)
+    cm, rho = adv.next_commitment(adv.start(), None)
+    ctx = ArgContext(
+        params=params, protocol=protocol, round_index=1,
+        commitments=(cm,), challenges=(), oracles=(),
+    )
+    with pytest.raises(TypeError, match=f"must be a value; {kind} is not"):
+        sampler(adv, rho, ctx, 20, Prng(seed_root(5)))
+    assert adv.final_calls == 0
+
+
+def test_sampler_rejects_mutating_adversaries(k3_setup):
+    """Prover states are values and every rewind reuses the same state, so
+    a state that holds a list, which a prover could scribble on, breaks the
+    rewinding contract: the sampler refuses it before any rewind."""
+    _assert_state_is_refused(k3_setup, lambda: [0], _bump_list, "list", with_view=False)
+
+
 @pytest.mark.parametrize("with_view", [False, True], ids=["no-view", "view"])
-@pytest.mark.parametrize(
-    "make_cell, bump",
-    [(_Cell, _bump_cell), (lambda: _FrozenList([0]), _bump_frozen_list)],
-    ids=["plain-object", "frozen-dataclass-of-a-list"],
-)
-def test_sampler_rejects_mutation_that_hashing_would_miss(k3_setup, make_cell, bump, with_view):
+@pytest.mark.parametrize("make_cell, bump, kind", NO_VALUES[1:])
+def test_sampler_rejects_mutation_that_hashing_would_miss(
+    k3_setup, make_cell, bump, kind, with_view
+):
     """A state that holds a plain object or a frozen dataclass of a list is
-    no value: it is digested before and after its rewinds, with or without
-    an outcome memo, and the change is caught."""
-    _assert_mutation_is_caught(k3_setup, make_cell, bump, with_view)
+    no value, though it hashes: it is refused, with or without an outcome
+    memo."""
+    _assert_state_is_refused(k3_setup, make_cell, bump, kind, with_view)
+
+
+@pytest.mark.parametrize("with_view", [False, True], ids=["no-view", "view"])
+@pytest.mark.parametrize("make_cell, bump, kind", NO_VALUES)
+def test_a_state_that_is_no_value_escapes_every_rewinding_experiment(
+    k3_setup, make_cell, bump, kind, with_view
+):
+    """The refusal is a TypeError, not an `IbcsError`, so no experiment
+    counts it as a voided rewind or trial: it escapes a hybrid value with
+    an oracle round, an events experiment and the knowledge pipeline
+    before the adversary opens anything."""
+    protocol, params, _ = k3_setup
+    experiments = {
+        "hybrid": lambda adv: hybrid_value(protocol, params, adv, 1, 10, 3, 0.5),
+        "events": lambda adv: run_events_experiment(protocol, params, adv, 1, 10, 3, 0.5),
+        "knowledge": lambda adv: end_to_end_knowledge(protocol, params, adv, 0.5, 3),
+    }
+    for name, experiment in experiments.items():
+        adv = _stateful_adversary(k3_setup, make_cell, bump, with_view)
+        with pytest.raises(TypeError, match=f"must be a value; {kind} is not"):
+            experiment(adv)
+        assert adv.final_calls == 0, name
+
+
+@pytest.mark.parametrize("make_cell, bump, kind", NO_VALUES)
+def test_a_state_that_is_no_value_runs_where_nothing_rewinds(k3_setup, make_cell, bump, kind):
+    """Only a rewind needs a value: without a view, such an adversary still
+    runs plain acceptance trials and a memory session."""
+    protocol, params, _ = k3_setup
+    adv = _stateful_adversary(k3_setup, make_cell, bump, with_view=False)
+    assert measure_acceptance(protocol, params, adv, 20, seed=1).value == 1.0
+    assert adv.final_calls == 20
+    _, verifier = run_memory_session(protocol, params, adv, seed=2)
+    assert verifier.decision == 1
+    assert adv.final_calls == 21
 
 
 def test_reductor_budget_and_fill(k3_setup):

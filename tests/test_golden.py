@@ -148,8 +148,8 @@ def test_verify_report_pin(workdir, instance):
 # query tuple is validated once per protocol object, each (commitment
 # tree, query set) opened once per prover object, and each challenge
 # prefix's round polynomial computed once per protocol object. Every state
-# the lab's provers build is a value, its own rewind point, so no state is
-# pickled for a `state_digest`.
+# the lab's provers build is a value, its own rewind point, and the lab
+# refuses any other state, so no state is pickled for a `state_digest`.
 LAB_WORK = {
     "lab-extract": {
         "rewinds": 211, "skipped": 631, "vc_commit": 18, "reconstruct": 16, "validate": 1,
@@ -230,8 +230,7 @@ def test_lab_work_counts(workdir, monkeypatch, name):
     monkeypatch.setattr(iop.IopProtocol, "_validate_plan", validate)
     monkeypatch.setattr(extraction, "routed_decision", routed)
     monkeypatch.setattr(adversaries, "best_coloring", best)
-    for module in (adversaries, extraction):
-        monkeypatch.setattr(module, "state_digest", digest)
+    monkeypatch.setattr(adversaries, "state_digest", digest)
     production = vc._check_memo
     monkeypatch.setattr(vc, "_check_memo", BoundedMemo(production.max_entries, production.max_bytes))
     _report(REPORT_PINS[name][0])

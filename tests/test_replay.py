@@ -1,12 +1,12 @@
 """Differential guard for the lab's memos: the lab with them on and off.
 
-"Outcome memo off" gives every adversary a memo that keeps no entry, so
-every rewind and every zero-oracle trial runs. Replaying an outcome by its
-view must not change a byte of any report, nor any trial record or stream
-position. "Work memos off" builds every prover's opening memo, every
-sumcheck protocol's round-polynomial memo and every protocol's plan cache
-with zero entries, so every opening, round polynomial and plan check is
-done again; that must not change a byte of any report either.
+"Outcome memo off" builds every adversary's `outcomes` memo with zero
+entries, so every rewind and every zero-oracle trial runs. Replaying an
+outcome by its view must not change a byte of any report, nor any trial
+record or stream position. "Work memos off" builds every prover's opening
+memo, every sumcheck protocol's round-polynomial memo and every protocol's
+plan cache with zero entries, so every opening, round polynomial and plan
+check is done again; that must not change a byte of any report either.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from ibcslab.extraction import (
     run_events_experiment,
     run_hybrid_trial,
 )
-from ibcslab.ibcs import OUTCOME_MEMO_BYTES, OUTCOME_MEMO_ENTRIES, structured_view
+from ibcslab.ibcs import structured_view
 from ibcslab.memo import BoundedMemo
 from ibcslab.prng import Prng, derive, map_to_range, seed_root
 from ibcslab.toys import complete_graph, dump_graph_text, dump_sumcheck_text, find_coloring
@@ -46,7 +46,7 @@ INSTANCES = {
 
 
 def _memo_off(monkeypatch):
-    monkeypatch.setattr(extraction, "outcome_memo", lambda _adversary: BoundedMemo(0, OUTCOME_MEMO_BYTES))
+    monkeypatch.setattr(ibcs, "OUTCOME_MEMO_ENTRIES", 0)
 
 
 def _work_memos_off(monkeypatch):
@@ -155,7 +155,7 @@ def test_a_strategy_reading_raw_bits_is_never_replayed(sumcheck_true_setup, monk
     adversary = _parity_prover(protocol, params)
     assert adversary.view is None
     on = _lab_results(protocol, params, adversary)
-    assert adversary not in extraction._outcome_memos
+    assert not adversary.outcomes.entries
     _memo_off(monkeypatch)
     assert _lab_results(protocol, params, _parity_prover(protocol, params)) == on
 
@@ -167,14 +167,17 @@ def test_a_zero_oracle_replay_is_the_trial_it_replaces(k3_setup, sumcheck_true_s
     challenge."""
     k3_protocol, k3_params, witness = k3_setup
     sc_protocol, sc_params = sumcheck_true_setup
-    honest = cli.make_adversary("honest", k3_protocol, k3_params, witness)
     strings = (sc_protocol.round_polynomial(()), (0,))  # round 2 has the wrong length
-    voiding = ScriptedProver(
-        sc_protocol, sc_params, lambda i, _c, _s: strings[i - 1], view=structured_view(sc_protocol)
-    )
-    cases = ((k3_protocol, k3_params, honest), (sc_protocol, sc_params, voiding))
 
-    def trials():
+    def cases():
+        honest = cli.make_adversary("honest", k3_protocol, k3_params, witness)
+        voiding = ScriptedProver(
+            sc_protocol, sc_params, lambda i, _c, _s: strings[i - 1],
+            view=structured_view(sc_protocol),
+        )
+        return (k3_protocol, k3_params, honest), (sc_protocol, sc_params, voiding)
+
+    def trials(cases):
         out = []
         for protocol, params, adversary in cases:
             for trial in (0, 0, 1, 0):
@@ -184,12 +187,12 @@ def test_a_zero_oracle_replay_is_the_trial_it_replaces(k3_setup, sumcheck_true_s
                 out.append((record, prng.take_bits(256)))
         return out
 
-    on = trials()
+    adversaries = cases()
+    on = trials(adversaries)
     assert all(record.voided and len(record.challenges) == 1 for record, _ in on[4:])
-    assert len(extraction.outcome_memo(honest).entries) == 2
-    assert len(extraction.outcome_memo(voiding).entries) == 2
+    assert [len(adversary.outcomes.entries) for _, _, adversary in adversaries] == [2, 2]
     _memo_off(monkeypatch)
-    off = trials()
+    off = trials(cases())
     assert on == off
     for (record, _), (fresh, _) in zip(on, off):
         if record.plan is not None:
@@ -217,9 +220,9 @@ def test_the_outcome_memo_stays_bounded_when_its_keys_hold_states(
     tree of 224 bytes per round committed: 200 bytes is less than any
     state's trees, 4000 room for a few states."""
     protocol, params = sumcheck_true_setup
+    monkeypatch.setattr(ibcs, "OUTCOME_MEMO_BYTES", max_bytes)
     adversary = cli.make_adversary("honest", protocol, params, ())
-    memo = BoundedMemo(OUTCOME_MEMO_ENTRIES, max_bytes)
-    monkeypatch.setattr(extraction, "outcome_memo", lambda _adversary: memo)
+    memo = adversary.outcomes
     real_put = memo.put
     high = 0
 
