@@ -67,12 +67,18 @@ def cli_file(path: str):
 def load_instance_path(path: str, spec_hint: str | None):
     """Sniff a text instance file: graph records or a sumcheck header."""
     with cli_file(path) as file:
-        text = file.read_text()
+        data = file.read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise InstanceError(f"{path}: not UTF-8 text (byte {exc.start})") from None
     first = next(
-        (line.strip() for line in text.splitlines() if line.split("#", 1)[0].strip()),
-        "",
+        (line.split() for line in text.splitlines() if line.split("#", 1)[0].strip()),
+        None,
     )
-    kind = spec_hint or ("gc" if first.split()[0] in ("v", "e", "w") else "sumcheck")
+    if first is None:
+        raise InstanceError(f"{path}: no instance, only blank lines or comments")
+    kind = spec_hint or ("gc" if first[0] in ("v", "e", "w") else "sumcheck")
     if kind == "gc":
         instance, witness = load_graph_text(text)
         return instance, witness
@@ -189,8 +195,7 @@ def cmd_prove(args, argv) -> int:
         result, verifier_result = transport.memory_session(params, protocol, prover, prng)
         decision = verifier_result.decision
     else:
-        host, port = args.connect.rsplit(":", 1)
-        with closing(transport.tcp_connect(host, int(port))) as channel:
+        with closing(transport.tcp_connect(*args.connect)) as channel:
             transport.send_public_setup(channel, params, instance)
             result = transport.run_session("prover", channel, params, protocol, prover=prover)
         decision = result.decision
@@ -227,8 +232,7 @@ def cmd_verify(args, argv) -> int:
         )
     # One connection per run: the listener closes once it has accepted, and
     # the connection closes however the session ends.
-    host, port = args.listen.rsplit(":", 1)
-    with transport.tcp_listen(host, int(port)) as listener:
+    with transport.tcp_listen(*args.listen) as listener:
         if args.ready_fd is not None:
             actual = listener.getsockname()[1]
             with open(args.ready_fd, "w") as fh:
@@ -397,6 +401,14 @@ def epsilon_arg(text: str) -> Fraction:
     return value
 
 
+def host_port_arg(text: str) -> tuple[str, int]:
+    """--listen and --connect as (host, port), the port a decimal in [0, 65535]."""
+    host, colon, port = text.rpartition(":")
+    if not (colon and port.isascii() and port.isdigit() and int(port) <= 0xFFFF):
+        raise argparse.ArgumentTypeError(f"invalid host:port value: {text!r}")
+    return host, int(port)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The CLI's parser, built once per process; `main` runs `cmd_<command>`."""
@@ -419,12 +431,12 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--witness", help="witness symbols, comma or space separated")
     p.add_argument("--transport", choices=("memory", "tcp"), default="memory")
-    p.add_argument("--connect", help="host:port of the listening verifier")
+    p.add_argument("--connect", type=host_port_arg, help="host:port of the listening verifier")
     p.add_argument("--out", help="write the transcript file here")
 
     p = add_command("verify", help="verify live over TCP or replay a transcript")
     common(p)
-    p.add_argument("--listen", help="host:port to accept one session on")
+    p.add_argument("--listen", type=host_port_arg, help="host:port to accept one session on")
     p.add_argument("--transcript", help="verify a stored transcript file")
     p.add_argument("--out", help="write the observed transcript file here")
     p.add_argument("--ready-fd", help=argparse.SUPPRESS)  # test hook: report bound port

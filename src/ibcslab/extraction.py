@@ -492,7 +492,8 @@ def run_hybrid_trial(
     if oracle_rounds or view is None:
         return _play_trial(protocol, params, adversary, oracle_rounds, share, prng)
     widths = spec.randomness_bits
-    raw = _split_bits(prng.peek_bits(sum(widths)), widths)
+    total = sum(widths)
+    raw = _split_bits(prng.peek_bits(total), widths)
     memo = adversary.outcomes
     seen = view(raw)
     # Equal keys have equal protocols, so hashing the protocol suffices.
@@ -513,9 +514,11 @@ def run_hybrid_trial(
         if plan is not None:
             plan = QueryPlan(plan.per_round, plan.structured, raw)
         record = TrialRecord(
-            raw[:drawn], commitments, (), (), (), plan, response, voided, decision
+            raw if drawn == len(raw) else raw[:drawn],
+            commitments, (), (), (), plan, response, voided, decision,
         )
-    prng.skip_bits(sum(widths[: len(record.challenges)]))
+    drawn = len(record.challenges)
+    prng.skip_bits(total if drawn == len(widths) else sum(widths[:drawn]))
     return record
 
 

@@ -139,19 +139,27 @@ class IopProtocol(abc.ABC):
 
     # -- verifier (bit-string view) ----------------------------------------
     def map_challenges(self, randomness: Sequence[Bits]) -> tuple[int, ...]:
-        if len(randomness) != self.spec.rounds:
+        shapes = self._challenge_shapes
+        if len(randomness) != len(shapes):
             raise ProtocolViolation(
-                f"expected {self.spec.rounds} challenges, got {len(randomness)}"
+                f"expected {len(shapes)} challenges, got {len(randomness)}"
             )
         out = []
-        for i, bits in enumerate(randomness):
-            want = self.spec.randomness_bits[i]
+        for i, (bits, (want, space)) in enumerate(zip(randomness, shapes), 1):
             if bits.nbits != want:
                 raise ProtocolViolation(
-                    f"round {i + 1} challenge is {bits.nbits} bits, expected {want}"
+                    f"round {i} challenge is {bits.nbits} bits, expected {want}"
                 )
-            out.append(map_to_range(bits, self.challenge_space(i + 1)))
+            out.append(map_to_range(bits, space))
         return tuple(out)
+
+    @functools.cached_property
+    def _challenge_shapes(self) -> tuple[tuple[int, int], ...]:
+        """Each round's (challenge width in bits, structured space size)."""
+        return tuple(
+            (width, self.challenge_space(i))
+            for i, width in enumerate(self.spec.randomness_bits, 1)
+        )
 
     def verifier_query(self, randomness: Sequence[Bits]) -> QueryPlan:
         """Validated query plan for one challenge vector.

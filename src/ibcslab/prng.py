@@ -22,6 +22,8 @@ from .errors import DecodeError, ParameterError
 
 _DERIVE_PREFIX = b"ibcslab/derive/v1"
 _STREAM_PREFIX = b"ibcslab/stream/v1"
+# The length prefix `_encode_part` gives an integer part's 8 bytes.
+_INT_PART_LENGTH = (8).to_bytes(4, "big")
 
 # Extra bits drawn beyond ceil(log2 m) when mapping a uniform bit string
 # onto a set of size m; keeps the residual bias of the modular reduction
@@ -99,8 +101,10 @@ def derive_stem(key: bytes, *parts) -> Callable[[int], bytes]:
     stem = _absorb(key, parts)
 
     def child(i: int) -> bytes:
+        if i < 0:
+            raise ParameterError("derivation labels must be non-negative integers")
         h = stem.copy()
-        h.update(_encode_part(i))
+        h.update(_INT_PART_LENGTH + i.to_bytes(8, "big"))  # `_encode_part(i)`
         return h.digest()
 
     return child
@@ -120,6 +124,7 @@ class Prng:
         if len(key) != 32:
             raise ParameterError("stream key must be 32 bytes")
         self._key = key
+        self._block_prefix = _STREAM_PREFIX + key
         self._counter = 0
         self._buf = 0
         self._buf_bits = 0
@@ -131,7 +136,7 @@ class Prng:
 
     def _refill(self):
         block = hashlib.sha256(
-            _STREAM_PREFIX + self._key + self._counter.to_bytes(8, "big")
+            self._block_prefix + self._counter.to_bytes(8, "big")
         ).digest()
         self._counter += 1
         self._buf = (self._buf << 256) | int.from_bytes(block, "big")

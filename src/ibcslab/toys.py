@@ -317,7 +317,8 @@ class SumcheckIop(IopProtocol):
     `round_polynomial` computes each challenge prefix's polynomial once while
     it stays in the object's `memo.BoundedMemo` of the
     `ROUND_POLY_MEMO_ENTRIES` most recently used prefixes, which lives as
-    long as the object (one report for the CLI).
+    long as the object (one report for the CLI). `decide` takes g at the
+    challenge point from the same memo, as g_n at r_n.
     """
 
     def __init__(self, instance: SumcheckInstance):
@@ -407,7 +408,10 @@ class SumcheckIop(IopProtocol):
             if (poly_eval(table, 0, p) + poly_eval(table, 1, p)) % p != expected:
                 return 0
             expected = poly_eval(table, structured[i], p)
-        return 1 if expected == inst.evaluate(structured) else 0
+        # g_n(X) = g(r_1..r_{n-1}, X), so g_n(r_n) is g at the challenge
+        # point; its prefix is the one the prover's last round looked up.
+        final = poly_eval(self.round_polynomial(structured[:-1]), structured[-1], p)
+        return 1 if expected == final else 0
 
     def check_witness(self, witness) -> bool:
         if witness not in ((), None):

@@ -475,9 +475,13 @@ class TcpChannel:
 
 def tcp_listen(host: str, port: int) -> socket.socket:
     listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-    listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-    listener.bind((host, port))
-    listener.listen(1)
+    try:
+        listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+        listener.bind((host, port))
+        listener.listen(1)
+    except (OSError, OverflowError) as exc:
+        listener.close()
+        raise TransportError(f"listen on {host}:{port} failed: {exc}") from exc
     return listener
 
 

@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import socket
 import subprocess
 import sys
 import threading
 import time
+import warnings
 
 import pytest
 
@@ -564,6 +566,63 @@ def test_file_and_flag_errors_are_one_error_line(capsys, tmp_path, k3_file, case
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        (b"v 3\n# caf\xe9\ne 1 2\n", "not UTF-8 text (byte 9)"),
+        (bytes(range(128, 256)), "not UTF-8 text (byte 0)"),
+        (b"", "no instance, only blank lines or comments"),
+        (b"# a comment\n\n   # another\n", "no instance, only blank lines or comments"),
+    ],
+    ids=["latin-1", "high-bytes", "empty", "comments-only"],
+)
+def test_instance_files_with_no_instance_text_are_one_error_line(capsys, tmp_path, data, message):
+    path = tmp_path / "instance.txt"
+    path.write_bytes(data)
+    code = main(["prove", "--instance", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: {path}: {message}"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--listen", "127.0.0.1:99999"],
+        ["verify", "--listen", "127.0.0.1:notaport"],
+        ["verify", "--listen", "127.0.0.1:-1"],
+        ["verify", "--listen", "8080"],
+        ["prove", "--instance", "k3.txt", "--transport", "tcp", "--connect", "127.0.0.1:65536"],
+        ["prove", "--instance", "k3.txt", "--transport", "tcp", "--connect", "localhost: 80"],
+    ],
+)
+def test_listen_and_connect_take_host_and_a_port_number(capsys, argv):
+    """A port that is no decimal in [0, 65535], or no port at all, is a usage error."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    option, value = argv[-2:]
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        f"ibcslab {argv[0]}: error: argument {option}: invalid host:port value: {value!r}"
+    )
+
+
+def test_verify_listen_on_a_port_in_use_is_one_error_line(capsys):
+    """The bind fails: one error line, exit 2, and the listener is closed."""
+    with socket.create_server(("127.0.0.1", 0)) as server:
+        port = server.getsockname()[1]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["verify", "--listen", f"127.0.0.1:{port}"])
+            gc.collect()  # a socket left open warns when it is collected
+    captured = capsys.readouterr()
+    assert code == 2
+    (line,) = captured.err.splitlines()
+    assert line.startswith(f"error: listen on 127.0.0.1:{port} failed: ")
+    assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
 
 
 def test_output_paths_in_every_spelling_stay_out_of_the_report(capsys, tmp_path, k3_file, k4_file):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 import sys
 import threading
+import time
 
 from ibcslab.memo import BoundedMemo
 
@@ -89,9 +90,26 @@ def test_a_colliding_hash_is_a_miss():
     assert len(memo.entries) == 1 and memo.bytes == 4
 
 
+class Slow:
+    """A key compared by Python code, hashed as `n % 16`: it shares its hash
+    with the int key n - 16, and its compare lets other threads run."""
+
+    def __init__(self, n: int):
+        self.n = n
+
+    def __hash__(self):
+        return self.n % 16
+
+    def __eq__(self, other):
+        time.sleep(0)  # gives up the GIL between a hit's lookup and its move
+        return isinstance(other, Slow) and other.n == self.n
+
+
 def test_memo_stays_whole_under_threads():
     """With more threads than cores and a short switch interval, every hit
-    returns its own key's value and the byte count equals the weights held."""
+    returns its own key's value and the byte count equals the weights held.
+    Half the keys compare in Python code and collide with the int keys, so
+    a put may replace or evict the entry a lock-free hit has just read."""
     memo = BoundedMemo(5, 40)
     errors = []
 
@@ -99,12 +117,13 @@ def test_memo_stays_whole_under_threads():
         rng = random.Random(seed)
         try:
             for _ in range(4000):
-                key = rng.randrange(16)
+                n = rng.randrange(32)
+                key = n if n < 16 else Slow(n)
                 value = memo.get(hash(key), key)
                 if value is None:
-                    memo.put(hash(key), key, ("value", key), 1 + key % 4 * 5)
-                elif value != ("value", key):
-                    errors.append(f"key {key} read {value}")
+                    memo.put(hash(key), key, ("value", n), 1 + n % 4 * 5)
+                elif value != ("value", n):
+                    errors.append(f"key {n} read {value}")
         except Exception as exc:  # recorded, so the main thread can fail on it
             errors.append(repr(exc))
 

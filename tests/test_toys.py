@@ -265,6 +265,43 @@ def test_sumcheck_decide_identities():
     assert protocol.decide((3, 4), [(0, 1), (0, 4)]) == 0  # final check fails
 
 
+@st.composite
+def _sumcheck_cases(draw):
+    """A small sumcheck instance (true or false claim), a structured
+    challenge vector, and its honest answer tables, perhaps with one entry
+    replaced by any value in [0, p]."""
+    p = draw(st.sampled_from((2, 3, 5, 7, 11)))
+    n, d = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    size = (d + 1) ** n
+    coeffs = tuple(draw(st.lists(st.integers(0, p - 1), min_size=size, max_size=size)))
+    instance = SumcheckInstance(p, n, d, coeffs, 0)
+    claim = draw(st.sampled_from((instance.true_sum(), draw(st.integers(0, p - 1)))))
+    instance = SumcheckInstance(p, n, d, coeffs, claim)
+    structured = tuple(draw(st.lists(st.integers(0, p - 1), min_size=n, max_size=n)))
+    answers = [list(sumcheck_iop(instance).round_polynomial(structured[:i])) for i in range(n)]
+    if draw(st.booleans()):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, d))
+        answers[i][j] = draw(st.integers(0, p))
+    return instance, structured, tuple(map(tuple, answers))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_sumcheck_cases())
+def test_sumcheck_final_check_reads_the_last_round_polynomial(case):
+    """g_n(X) = g(r_1..r_{n-1}, X), so the last round polynomial at r_n is
+    g at the challenge point, and `decide` (which reads it from the round
+    polynomial memo) decides as the reference built on `evaluate`, on a
+    fresh protocol object and on one whose memo is warm."""
+    instance, structured, answers = case
+    protocol = sumcheck_iop(instance)
+    p = instance.prime
+    final = protocol.round_polynomial(structured[:-1])
+    assert poly_eval(final, structured[-1], p) == instance.evaluate(structured)
+    expected = toys_reference.sumcheck_decide(instance, structured, answers)
+    assert sumcheck_iop(instance).decide(structured, answers) == expected
+    assert protocol.decide(structured, answers) == expected
+
+
 def test_sumcheck_prover_rejects_bad_challenge_width(sumcheck_true):
     protocol = sumcheck_iop(sumcheck_true)
     _, state = protocol.prover_init(())

@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
 import random
 import re
 import socket
 import threading
 import time
 import tracemalloc
+import warnings
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -176,6 +178,20 @@ def _tcp_pair():
     thread.join()
     listener.close()
     return client, result["chan"]
+
+
+@pytest.mark.parametrize("case", ["port-out-of-range", "port-in-use"])
+def test_a_failed_listen_closes_its_socket(case):
+    """A bind that fails (a port past 65535, or one another socket listens
+    on) is a TransportError, and the socket it opened is closed."""
+    with socket.create_server(("127.0.0.1", 0)) as server:
+        port = 1 << 16 if case == "port-out-of-range" else server.getsockname()[1]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(TransportError, match=f"listen on 127.0.0.1:{port} failed"):
+                transport.tcp_listen("127.0.0.1", port)
+            gc.collect()  # a socket left open warns when it is collected
+    assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
 
 
 def test_tcp_matches_memory_byte_for_byte(k3_setup):

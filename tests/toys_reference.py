@@ -3,6 +3,8 @@
 These are the straightforward forms of the rules the library checks in
 one pass: a set of seen edges plus a final sort for graphs, and trial
 division for primes. The library must accept exactly what they accept.
+`sumcheck_decide` is sumcheck's decision with its final check as g
+evaluated at the challenge point, term by term.
 """
 
 from __future__ import annotations
@@ -33,3 +35,25 @@ def is_prime_trial(p: int) -> bool:
             return False
         f += 1
     return True
+
+
+def _horner(coeffs, x: int, p: int) -> int:
+    acc = 0
+    for c in reversed(coeffs):
+        acc = (acc * x + c) % p
+    return acc
+
+
+def sumcheck_decide(instance, structured, answers) -> int:
+    """1 when every table is in the field, each g_i(0) + g_i(1) is the
+    previous round's value (the claimed sum first), and the last table at
+    r_n is `instance.evaluate(structured)`; else 0."""
+    p = instance.prime
+    if any(not 0 <= c < p for table in answers for c in table):
+        return 0
+    expected = instance.claimed_sum
+    for r, table in zip(structured, answers):
+        if (_horner(table, 0, p) + _horner(table, 1, p)) % p != expected:
+            return 0
+        expected = _horner(table, r, p)
+    return int(expected == instance.evaluate(structured))
