@@ -61,7 +61,6 @@ from .toys import (
     SumcheckCheatPlan,
     SumcheckIop,
     best_coloring,
-    find_coloring,
     poly_eval,
 )
 from .vc import Opening
@@ -80,6 +79,21 @@ def snapshot(state):
 # Exact types of the atoms of a value other than byte and text strings;
 # float is left out, as 0.0 == -0.0.
 _SCALARS = frozenset((int, bool, type(None)))
+
+
+@functools.lru_cache(maxsize=64)
+def _value_fields(kind: type) -> tuple[str, ...] | None:
+    """The field names of `kind` when the class itself is declared a frozen
+    dataclass that compares every field, so `==` and `hash` read all of its
+    state; None for any other class. One verdict per class, since a rewind
+    rule runs at every node of every state."""
+    declared = vars(kind).get("__dataclass_params__")
+    if declared is None or not (declared.frozen and declared.eq):
+        return None
+    fields = dataclasses.fields(kind)
+    if not all(f.compare for f in fields):
+        return None
+    return tuple(f.name for f in fields)
 
 
 def rewind_point(state) -> int:
@@ -102,15 +116,10 @@ def rewind_point(state) -> int:
     elif kind in _SCALARS:
         return 8
     else:
-        # The class must itself be a frozen dataclass that compares every
-        # field, so `==` and `hash` read all of its state.
-        declared = vars(kind).get("__dataclass_params__")
-        fields = () if declared is None else dataclasses.fields(state)
-        if declared is None or not (
-            declared.frozen and declared.eq and all(f.compare for f in fields)
-        ):
+        names = _value_fields(kind)
+        if names is None:
             raise TypeError(f"a rewound prover state must be a value; {kind.__name__} is not")
-        members = [getattr(state, f.name) for f in fields]
+        members = [getattr(state, name) for name in names]
     total = 0
     for member in members:
         # Atoms inline: most members of a prover state are digests and ints.
@@ -421,7 +430,7 @@ def make_adversaries(names: Sequence[str], protocol: IopProtocol, params: ArgPar
 
 def _find_witness(protocol: IopProtocol):
     if isinstance(protocol, GraphColoringIop):
-        w = find_coloring(protocol.instance)
+        w = protocol.found_coloring
         if w is None:
             raise InstanceError("instance is not 3-colorable; no honest witness exists")
         return w

@@ -43,7 +43,6 @@ from .prng import Prng, derive, seed_root
 from .toys import (
     GraphColoringIop,
     SumcheckIop,
-    find_coloring,
     load_graph_text,
     load_sumcheck_text,
     sumcheck_exact_cheat_value,
@@ -112,7 +111,7 @@ def resolve_witness(protocol, file_witness, flag_value):
     if file_witness is not None and file_witness != ():
         return file_witness
     if isinstance(protocol, GraphColoringIop):
-        found = find_coloring(protocol.instance)
+        found = protocol.found_coloring
         if found is None:
             raise InstanceError("instance is not 3-colorable and no witness was given")
         return found

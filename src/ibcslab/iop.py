@@ -21,6 +21,12 @@ which builds one protocol per report). The same memo keeps the per-round
 query tuples that passed validation, so a tuple that many vectors share
 (every sumcheck vector plans the same one) is validated once while it
 stays there. A plan that failed validation is never kept.
+
+`brute_force_soundness` is the exact oracle: it enumerates every adaptive
+strategy in integer counts and plans each structured vector once. Its last
+round is a table walk by answer pattern: the decision is taken once per
+distinct projection of the last string onto the planned positions, not
+once per candidate string.
 """
 
 from __future__ import annotations
@@ -29,6 +35,7 @@ import abc
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Sequence
@@ -309,6 +316,14 @@ def brute_force_soundness(
     node, so the best acceptance is the root count over the product of the
     challenge-space sizes, one `Fraction` at the end. Each structured
     vector is planned once.
+
+    The last round is a table walk. The decision at a leaf reads only the
+    planned positions of the last string, so under each structured vector
+    every last-round candidate is projected onto those positions, the
+    decision is taken once per distinct answer pattern, and each candidate
+    adds its pattern's decision to its running total; the node's count is
+    the best total. K4's tree has 486 leaves but 54 decisions: each of 6
+    edges reads 2 of 4 positions, 9 patterns of 3 colors.
     """
     cost = oracle_cost(protocol)
     if cost > budget:
@@ -321,18 +336,34 @@ def brute_force_soundness(
         tuple(itertools.product(range(spec.alphabet_size), repeat=length))
         for length in spec.proof_lengths
     ]
+    last = candidates[-1]
     plans: dict[tuple[int, ...], tuple[tuple[int, ...], ...]] = {}
 
-    def best(i: int, structured: tuple[int, ...], proofs: tuple[tuple[int, ...], ...]) -> int:
-        if i == spec.rounds:
-            per_round = plans.get(structured)
+    def last_round(structured: tuple[int, ...], proofs: tuple[tuple[int, ...], ...]) -> int:
+        totals = [0] * len(last)
+        for challenge in range(spaces[-1]):
+            vector = structured + (challenge,)
+            per_round = plans.get(vector)
             if per_round is None:
-                per_round = plans[structured] = protocol.query_plan(structured).per_round
-            answers = tuple(
+                per_round = plans[vector] = protocol.query_plan(vector).per_round
+            earlier = tuple(
                 tuple(proof[q - 1] for q in queries)
                 for proof, queries in zip(proofs, per_round)
             )
-            return protocol.decide(structured, answers)
+            positions = [q - 1 for q in per_round[-1]]
+            patterns = list(map(operator.itemgetter(*positions), last))
+            if len(positions) == 1:  # a one-position getter returns the symbol
+                patterns = [(symbol,) for symbol in patterns]
+            decisions = {
+                pattern: protocol.decide(vector, earlier + (pattern,))
+                for pattern in dict.fromkeys(patterns)
+            }
+            totals = list(map(operator.add, totals, map(decisions.__getitem__, patterns)))
+        return max(totals)
+
+    def best(i: int, structured: tuple[int, ...], proofs: tuple[tuple[int, ...], ...]) -> int:
+        if i == spec.rounds - 1:
+            return last_round(structured, proofs)
         return max(
             sum(
                 best(i + 1, structured + (challenge,), proofs + (candidate,))

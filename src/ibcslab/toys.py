@@ -175,8 +175,14 @@ class GraphColoringIop(IopProtocol):
     def check_witness(self, witness) -> bool:
         return is_proper_coloring(self.instance, tuple(witness))
 
+    @cached_property
+    def found_coloring(self) -> tuple[int, ...] | None:
+        """`find_coloring` of the instance, searched once per protocol
+        object (one report for the CLI); None when it has no 3-coloring."""
+        return find_coloring(self.instance)
+
     def in_language(self) -> bool:
-        return find_coloring(self.instance) is not None
+        return self.found_coloring is not None
 
     def extract_witness(self, oracles):
         # The round-1 oracle string is read verbatim as a coloring.

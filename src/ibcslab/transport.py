@@ -495,6 +495,9 @@ def tcp_accept(listener: socket.socket) -> TcpChannel:
 
 
 def tcp_connect(host: str, port: int) -> TcpChannel:
+    # The socket layer would connect to `port % 65536`.
+    if not 0 <= port <= 65535:
+        raise TransportError(f"connect to {host}:{port} failed: port must be 0-65535")
     try:
         return TcpChannel(socket.create_connection((host, port), timeout=RECV_TIMEOUT_S))
     except OSError as exc:

@@ -154,12 +154,12 @@ LAB_WORK = {
     "lab-extract": {
         "rewinds": 211, "skipped": 631, "vc_commit": 18, "reconstruct": 16, "validate": 1,
         "replayed": 51, "routed_decision": 209, "best_coloring": 0, "vc_open": 16,
-        "round_polynomial": 18, "state_digest": 0,
+        "round_polynomial": 18, "state_digest": 0, "find_coloring": 0,
     },
     "lab-soundness": {
         "rewinds": 0, "skipped": 0, "vc_commit": 5, "reconstruct": 9, "validate": 6,
         "replayed": 0, "routed_decision": 21, "best_coloring": 1, "vc_open": 12,
-        "round_polynomial": 0, "state_digest": 0,
+        "round_polynomial": 0, "state_digest": 0, "find_coloring": 1,
     },
 }
 
@@ -176,6 +176,7 @@ def test_lab_work_counts(workdir, monkeypatch, name):
     real_open = vc.vc_open
     real_sum_out = toys.SumcheckIop._sum_out
     real_digest = adversaries.state_digest
+    real_find = toys.find_coloring
 
     def sampler(*args):
         knowledge, stats = real_sampler(*args)
@@ -219,6 +220,10 @@ def test_lab_work_counts(workdir, monkeypatch, name):
         counts["state_digest"] += 1
         return real_digest(*args)
 
+    def find(*args):
+        counts["find_coloring"] += 1
+        return real_find(*args)
+
     monkeypatch.setattr(extraction, "sampler", sampler)
     for module in (vc, ibcs, adversaries, extraction, transport, cli):
         if getattr(module, "vc_commit", None) is real_commit:
@@ -231,6 +236,7 @@ def test_lab_work_counts(workdir, monkeypatch, name):
     monkeypatch.setattr(extraction, "routed_decision", routed)
     monkeypatch.setattr(adversaries, "best_coloring", best)
     monkeypatch.setattr(adversaries, "state_digest", digest)
+    monkeypatch.setattr(toys, "find_coloring", find)
     production = vc._check_memo
     monkeypatch.setattr(vc, "_check_memo", BoundedMemo(production.max_entries, production.max_bytes))
     _report(REPORT_PINS[name][0])
@@ -238,7 +244,7 @@ def test_lab_work_counts(workdir, monkeypatch, name):
     assert counts["rewinds"] + counts["skipped"] == work["rewinds"] + work["skipped"]
     exact = (
         "replayed", "routed_decision", "best_coloring", "validate", "vc_open", "round_polynomial",
-        "state_digest",
+        "state_digest", "find_coloring",
     )
     for key in exact:
         assert counts[key] == work[key], key

@@ -1,8 +1,12 @@
 from __future__ import annotations
 
+import dataclasses
+import itertools
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ibcslab import iop
 from ibcslab.adversaries import make_adversary
@@ -18,7 +22,14 @@ from ibcslab.iop import (
     oracle_cost,
 )
 from ibcslab.prng import Bits, Prng, derive, map_to_range, seed_root
-from ibcslab.toys import GraphColoringIop, complete_graph, find_coloring, gc_pcp, sumcheck_iop
+from ibcslab.toys import (
+    GraphColoringIop,
+    canonical_graph,
+    complete_graph,
+    find_coloring,
+    gc_pcp,
+    sumcheck_iop,
+)
 from helpers import make_sumcheck
 from iop_reference import fraction_soundness
 
@@ -82,16 +93,33 @@ def test_brute_force_exact_values(k3, k4, sumcheck_false_n1=None):
     assert brute_force_soundness(sumcheck_iop(false_n1)) == Fraction(1, 5)
 
 
+class _OneEndpointIop(GraphColoringIop):
+    """Reads one position: edge j accepts iff its first endpoint has color
+    j mod 3, so the answer to a one-position plan must be a 1-tuple."""
+
+    def __init__(self, instance):
+        super().__init__(instance)
+        self.spec = dataclasses.replace(self.spec, query_counts=(1,))
+
+    def query_plan(self, structured):
+        u, _ = self.instance.edges[structured[0]]
+        return QueryPlan(((u,),))
+
+    def decide(self, structured, answers):
+        return int(tuple(answers[0]) == (structured[0] % 3,))
+
+
 @pytest.mark.parametrize(
     "make",
     [
+        lambda: _OneEndpointIop(complete_graph(4)),
         lambda: gc_pcp(complete_graph(3)),
         lambda: gc_pcp(complete_graph(4)),
         lambda: sumcheck_iop(make_sumcheck(p=5, n=1, d=1, coeffs=(0, 1), false_claim=True)),
         lambda: sumcheck_iop(make_sumcheck(p=5, n=2, d=1, false_claim=True)),
         lambda: sumcheck_iop(make_sumcheck(p=5, n=2, d=1)),
     ],
-    ids=["k3", "k4", "sumcheck-p5-n1-false", "sumcheck-p5-n2-false", "sumcheck-p5-n2-true"],
+    ids=["one-position", "k3", "k4", "sumcheck-p5-n1-false", "sumcheck-p5-n2-false", "sumcheck-p5-n2-true"],
 )
 def test_brute_force_counts_equal_the_fraction_recursion(make):
     """Integer leaf counts over the product of the challenge spaces give
@@ -104,6 +132,45 @@ def test_brute_force_counts_equal_the_fraction_recursion(make):
     assert len(planned) == len(set(planned))
     del protocol.query_plan
     assert value == fraction_soundness(protocol)
+
+
+@st.composite
+def _small_graphs(draw):
+    vertices = draw(st.integers(2, 5))
+    pairs = list(itertools.combinations(range(1, vertices + 1), 2))
+    edges = draw(st.lists(st.sampled_from(pairs), min_size=1, unique=True))
+    return gc_pcp(canonical_graph(vertices, edges))
+
+
+@st.composite
+def _small_sumchecks(draw):
+    p = draw(st.sampled_from([2, 3, 5]))
+    n = draw(st.sampled_from([1, 2]))
+    coeffs = draw(st.lists(st.integers(0, p - 1), min_size=2**n, max_size=2**n))
+    false_claim = draw(st.booleans())
+    return sumcheck_iop(make_sumcheck(p=p, n=n, d=1, coeffs=coeffs, false_claim=false_claim))
+
+
+@settings(max_examples=60, deadline=None)
+@given(protocol=st.one_of(_small_graphs(), _small_sumchecks()))
+def test_brute_force_equals_the_fraction_recursion_on_random_instances(protocol):
+    """On graphs of at most 5 vertices and on d = 1 sumchecks with p in
+    {2, 3, 5} and n in {1, 2}, true claims and false, the table walk
+    gives the node-by-node `Fraction` value."""
+    assert oracle_cost(protocol) <= iop.DEFAULT_ORACLE_BUDGET
+    assert brute_force_soundness(protocol) == fraction_soundness(protocol)
+
+
+def test_brute_force_decides_each_answer_pattern_once():
+    """K4's tree has 81 strings under each of 6 edges, but an edge reads 2
+    positions of a 3-color alphabet: 6 plans and 9 decisions per edge."""
+    protocol = gc_pcp(complete_graph(4))
+    calls = Counter()
+    real_plan, real_decide = protocol.query_plan, protocol.decide
+    protocol.query_plan = lambda s: calls.update(["plan"]) or real_plan(s)
+    protocol.decide = lambda s, a: calls.update(["decide"]) or real_decide(s, a)
+    assert brute_force_soundness(protocol) == Fraction(5, 6)
+    assert calls == {"plan": 6, "decide": 54}
 
 
 def test_brute_force_budget_is_enforced(sumcheck_false):

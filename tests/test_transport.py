@@ -194,6 +194,20 @@ def test_a_failed_listen_closes_its_socket(case):
     assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
 
 
+@pytest.mark.parametrize("offset", [1 << 16, -(1 << 16), None], ids=["above", "below", "minus-one"])
+def test_connect_refuses_a_port_outside_the_range(offset):
+    """A port past 65535 or below 0 is a TransportError before any
+    connection: the listener on the port it names modulo 2**16 gets none."""
+    with socket.create_server(("127.0.0.1", 0)) as server:
+        port = server.getsockname()[1]
+        bad = -1 if offset is None else port + offset
+        with pytest.raises(TransportError, match=f"connect to 127.0.0.1:{bad} failed"):
+            transport.tcp_connect("127.0.0.1", bad)
+        server.setblocking(False)
+        with pytest.raises(BlockingIOError):
+            server.accept()
+
+
 def test_tcp_matches_memory_byte_for_byte(k3_setup):
     protocol, params, witness = k3_setup
     prover = ArgumentProver(protocol, params, witness)
