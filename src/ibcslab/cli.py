@@ -266,6 +266,12 @@ def _iop_soundness_oracle(protocol):
 
 
 def cmd_soundness(args, argv) -> int:
+    # The report keys each adversary by its selector, so a repeated one
+    # would run twice and be reported once.
+    names = [name.strip() for name in args.adversary.split(",")]
+    for j, name in enumerate(names):
+        if name in names[:j]:
+            raise ParameterError(f"adversary {name!r} is selected twice")
     instance, file_witness = load_instance_path(args.instance, args.spec)
     protocol = transport.protocol_for_instance(instance)
     if protocol.in_language() and not args.force:
@@ -300,7 +306,6 @@ def cmd_soundness(args, argv) -> int:
         "threshold_with_slack": threshold,
     }
     all_pass = True
-    names = [name.strip() for name in args.adversary.split(",")]
     adversaries = make_adversaries(names, protocol, params, file_witness or None)
     for name, adversary in zip(names, adversaries):
         estimate = measure_acceptance(

@@ -40,8 +40,12 @@ replayed into the same counters, knowledge sets and trial records instead
 of running the commit/open/plan/check path again. A zero-oracle outcome
 also keeps the trial's full-opening decision, which reads only the
 structured challenges (fixed by the view) and the stored commitments, plan
-and response, so a replayed trial is not decided again either. An
-adversary without a view, and a trial with oracles, is always run.
+and response, so a replayed trial is not decided again either. The outcome
+keeps the plan's shape, (per-round queries, structured vector), and a
+replay builds only its own record: its plan takes this trial's vector as
+its randomness, with no check run again, and its stream skip stays inside
+the bits it read ahead. An adversary without a view, and a trial with
+oracles, is always run.
 
 The per-trial stream keys of a hybrid value or an events experiment are
 `derive(root, label, r, trial)`; they come from one `prng.derive_stem`,
@@ -58,8 +62,8 @@ from typing import Any, Sequence
 from .adversaries import rewind_point, snapshot
 from .errors import IbcsError, ParameterError
 from .ibcs import PAD_SYMBOL, ArgParams, check_openings
-from .iop import IopProtocol, ProofString, QueryPlan
-from .prng import Bits, Prng, derive, derive_stem, seed_root
+from .iop import IopProtocol, ProofString, QueryPlan, _plan
+from .prng import Bits, Prng, _bits, derive, derive_stem, seed_root
 from .vc import vc_check
 
 CONFIDENCE_DELTA = 1e-6
@@ -168,14 +172,16 @@ def _opening_weight(opening) -> int:
 
 def _split_bits(bits: Bits, widths: Sequence[int]) -> tuple[Bits, ...]:
     """`bits` cut into consecutive strings of `widths`, as successive
-    `take_bits` calls would have drawn them."""
+    `take_bits` calls would have drawn them; each piece is masked to its
+    width, so it is built unchecked (`prng._bits`)."""
     if len(widths) == 1:
         return (bits,)
     out = []
     shift = bits.nbits
+    value = bits.value
     for width in widths:
         shift -= width
-        out.append(Bits(width, (bits.value >> shift) & ((1 << width) - 1)))
+        out.append(_bits(width, (value >> shift) & ((1 << width) - 1)))
     return tuple(out)
 
 
@@ -447,7 +453,7 @@ class ExtractorIopProver:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(slots=True)
 class TrialRecord:
     """Everything one hybrid run produces, for any routing to be evaluated."""
 
@@ -484,6 +490,12 @@ def run_hybrid_trial(
     unless the adversary raised before the last one. The record carries
     this trial's own challenges, and its plan's `randomness` is this
     trial's vector.
+
+    A replay hashes only the stream blocks it reads ahead, one for a
+    vector of up to 256 bits: the outcome keeps the plan's (per-round,
+    structured) shape, the replay's plan is built from it and this
+    trial's vector without the dataclass's field setters (`iop._plan`),
+    and the skip past the read-ahead bits stays inside the buffer.
     """
     spec = protocol.spec
     if not 0 <= oracle_rounds <= spec.rounds:
@@ -502,17 +514,18 @@ def run_hybrid_trial(
     if outcome is None:
         record = _play_trial(protocol, params, adversary, 0, share, prng, raw)
         record.decision = accept_under_routing(protocol, params, record, 0)
+        plan = record.plan
         outcome = (
-            len(record.challenges), record.commitments, record.plan, record.response,
-            record.voided, record.decision,
+            len(record.challenges), record.commitments,
+            None if plan is None else (plan.per_round, plan.structured),
+            record.response, record.voided, record.decision,
         )
         weight = 8 * len(raw) + 36 * len(record.commitments) + 8
         weight += sum(map(_opening_weight, record.response or ()))
         memo.put(h, key, outcome, weight)
     else:
-        drawn, commitments, plan, response, voided, decision = outcome
-        if plan is not None:
-            plan = QueryPlan(plan.per_round, plan.structured, raw)
+        drawn, commitments, shape, response, voided, decision = outcome
+        plan = None if shape is None else _plan(shape[0], shape[1], raw)
         record = TrialRecord(
             raw if drawn == len(raw) else raw[:drawn],
             commitments, (), (), (), plan, response, voided, decision,
@@ -628,11 +641,12 @@ def hybrid_value(
         raise ParameterError("at least one trial required")
     share = error_share(epsilon, protocol.spec.rounds)
     trial_key = derive_stem(seed_root(seed), label, oracle_rounds)
+    # Bound once per call, so a wrapper set on the module still sees every trial.
+    run, accept = run_hybrid_trial, accept_under_routing
     successes = 0
     for trial in range(trials):
-        prng = Prng(trial_key(trial))
-        record = run_hybrid_trial(protocol, params, adversary, oracle_rounds, share, prng)
-        successes += accept_under_routing(protocol, params, record, oracle_rounds)
+        record = run(protocol, params, adversary, oracle_rounds, share, Prng(trial_key(trial)))
+        successes += accept(protocol, params, record, oracle_rounds)
     return Estimate(successes, trials, hoeffding_radius(trials))
 
 

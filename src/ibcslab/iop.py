@@ -107,6 +107,22 @@ class QueryPlan:
     randomness: tuple[Bits, ...] = ()
 
 
+_new_plan = object.__new__
+
+
+def _plan(per_round, structured, randomness) -> QueryPlan:
+    """`QueryPlan(per_round, structured, randomness)` built without the
+    frozen dataclass's per-field `__setattr__` calls, for fields that are
+    already a validated plan's tuples: `verifier_query`'s result and a
+    replayed trial's plan."""
+    plan = _new_plan(QueryPlan)
+    fields = plan.__dict__
+    fields["per_round"] = per_round
+    fields["structured"] = structured
+    fields["randomness"] = randomness
+    return plan
+
+
 class IopProtocol(abc.ABC):
     """An IOP bound to a concrete instance."""
 
@@ -190,7 +206,7 @@ class IopProtocol(abc.ABC):
                 self._validate_plan(plan)
                 self._plans.put(hq, per_round, per_round, weight)
             self._plans.put(h, structured, per_round, weight + 8 * len(structured))
-        return QueryPlan(per_round, structured, tuple(randomness))
+        return _plan(per_round, structured, tuple(randomness))
 
     @functools.cached_property
     def _plans(self) -> BoundedMemo:

@@ -10,6 +10,14 @@ A run of streams that differ only in a last integer part, such as one
 key per trial, comes from `derive_stem(root, label, ...)`: it hashes the
 shared parts once and returns the function i -> `derive(root, label, ...,
 i)`, which copies that hash state and adds only the part for i.
+
+A stream is SHA-256 in counter mode with an 8-byte block counter, so it
+holds 2**72 bits; a draw or skip past them is a ParameterError, raised
+before the stream moves. A fresh stream's first read of up to 256 bits
+hashes block 0 straight into its buffer. The bit strings a stream draws
+(and `extraction` splits them into) fit their width by construction, so
+they are built by `_bits` without `Bits`' range check; every other `Bits`,
+a decoded challenge or a caller's value, is checked.
 """
 
 from __future__ import annotations
@@ -24,6 +32,11 @@ _DERIVE_PREFIX = b"ibcslab/derive/v1"
 _STREAM_PREFIX = b"ibcslab/stream/v1"
 # The length prefix `_encode_part` gives an integer part's 8 bytes.
 _INT_PART_LENGTH = (8).to_bytes(4, "big")
+
+# The counter of stream block 0, and the bits a stream holds: 2**64 blocks
+# of 256 bits, as many as an 8-byte block counter numbers.
+_BLOCK_0 = bytes(8)
+STREAM_BITS = 256 << 64
 
 # Extra bits drawn beyond ceil(log2 m) when mapping a uniform bit string
 # onto a set of size m; keeps the residual bias of the modular reduction
@@ -60,6 +73,20 @@ class Bits:
         if raw & ((1 << pad) - 1):
             raise DecodeError("nonzero padding bits in packed bit string")
         return cls(nbits, raw >> pad)
+
+
+_new_bits = object.__new__
+
+
+def _bits(nbits: int, value: int) -> Bits:
+    """`Bits(nbits, value)` without the range check, for a value the caller
+    has cut to `nbits` bits (the stream's draws and their splits). Every
+    other bit string, such as a decoded challenge, goes through `Bits`."""
+    bits = _new_bits(Bits)
+    fields = bits.__dict__
+    fields["nbits"] = nbits
+    fields["value"] = value
+    return bits
 
 
 def _encode_part(part) -> bytes:
@@ -118,7 +145,14 @@ def seed_root(seed: int) -> bytes:
 
 
 class Prng:
-    """SHA-256 counter-mode bit stream. Bits are consumed MSB first."""
+    """SHA-256 counter-mode bit stream. Bits are consumed MSB first.
+
+    Block j is SHA-256(prefix || key || BE64(j)), so a stream holds
+    `STREAM_BITS` bits; a draw or skip past them is refused before the
+    stream moves.
+    """
+
+    __slots__ = ("_key", "_block_prefix", "_counter", "_buf", "_buf_bits")
 
     def __init__(self, key: bytes):
         if len(key) != 32:
@@ -142,45 +176,76 @@ class Prng:
         self._buf = (self._buf << 256) | int.from_bytes(block, "big")
         self._buf_bits += 256
 
-    def take_bits(self, nbits: int) -> Bits:
+    def _refuse_past_end(self, nbits: int, verb: str):
+        used = (self._counter << 8) - self._buf_bits
+        if used + nbits > STREAM_BITS:
+            raise ParameterError(
+                f"cannot {verb} {nbits} bits: a stream holds 2**72 bits "
+                f"(2**64 blocks of 256), and {used} of them are drawn"
+            )
+
+    def _fill(self, nbits: int):
+        """Buffer at least `nbits` bits, or refuse a negative count or one
+        that runs past the stream's end, leaving the stream as it was."""
+        if not self._counter and 0 <= nbits <= 256:
+            # A fresh stream's first read: block 0 is the whole buffer.
+            self._buf = int.from_bytes(
+                hashlib.sha256(self._block_prefix + _BLOCK_0).digest(), "big"
+            )
+            self._buf_bits = 256
+            self._counter = 1
+            return
         if nbits < 0:
             raise ParameterError("cannot draw a negative number of bits")
+        self._refuse_past_end(nbits, "draw")
         while self._buf_bits < nbits:
             self._refill()
+
+    def take_bits(self, nbits: int) -> Bits:
+        if self._buf_bits < nbits or nbits < 0:
+            self._fill(nbits)
         shift = self._buf_bits - nbits
         value = self._buf >> shift
         self._buf &= (1 << shift) - 1
         self._buf_bits = shift
-        return Bits(nbits, value)
+        return _bits(nbits, value)
 
     def peek_bits(self, nbits: int) -> Bits:
         """The next `nbits` bits, left in the stream: `take_bits(nbits)`
-        returns them next, and `skip_bits` moves past any prefix of them."""
-        if nbits < 0:
-            raise ParameterError("cannot draw a negative number of bits")
-        while self._buf_bits < nbits:
-            self._refill()
-        return Bits(nbits, self._buf >> (self._buf_bits - nbits))
+        returns them next, and `skip_bits` moves past any prefix of them.
+
+        A fresh stream reads up to 256 bits from its first block alone.
+        """
+        if self._buf_bits < nbits or nbits < 0:
+            self._fill(nbits)
+        return _bits(nbits, self._buf >> (self._buf_bits - nbits))
 
     def skip_bits(self, nbits: int):
         """Advance the stream past `nbits` bits without producing them.
 
         Leaves the stream exactly where `take_bits(nbits)` would, at the
-        cost of at most one block: the buffered bits go first, whole
-        256-bit blocks are skipped by moving the counter, and the rest is
-        dropped from the next block.
+        cost of at most one block: inside the buffer it drops the bits;
+        past it the buffered bits go first, whole 256-bit blocks are
+        skipped by moving the counter, and the rest is dropped from the
+        next block. A skip past the stream's end is refused before the
+        stream moves.
         """
         if nbits < 0:
             raise ParameterError("cannot skip a negative number of bits")
-        if nbits > self._buf_bits:
-            nbits -= self._buf_bits
-            self._buf, self._buf_bits = 0, 0
-            self._counter += nbits // 256
-            nbits %= 256
-            if nbits:
-                self._refill()
-        self._buf_bits -= nbits
-        self._buf &= (1 << self._buf_bits) - 1
+        rest = self._buf_bits - nbits
+        if rest >= 0:
+            self._buf_bits = rest
+            self._buf &= (1 << rest) - 1
+            return
+        self._refuse_past_end(nbits, "skip")
+        nbits = -rest
+        self._buf, self._buf_bits = 0, 0
+        self._counter += nbits >> 8
+        nbits &= 255
+        if nbits:
+            self._refill()
+            self._buf_bits = 256 - nbits
+            self._buf &= (1 << self._buf_bits) - 1
 
     def take_below(self, m: int) -> int:
         """Uniform draw from [0, m) up to a bias below 2**-64."""

@@ -402,6 +402,37 @@ def test_soundness_refuses_a_bad_adversary_option(capsys, k4_file, adversary):
     assert captured.out == ""
 
 
+def test_soundness_refuses_a_repeated_adversary_before_anything_is_built(
+    capsys, monkeypatch, k4_file
+):
+    """The report keys adversaries by selector, so a repeated selector would
+    run its trials twice and be reported once: it is one error line."""
+    built = []
+    monkeypatch.setattr(cli, "load_instance_path", lambda *args: built.append(args))
+    monkeypatch.setattr(cli, "make_adversaries", lambda *args: built.append(args))
+    code = main(["soundness", "--instance", k4_file, "--adversary", "optimal,abort,optimal"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.splitlines() == ["error: adversary 'optimal' is selected twice"]
+    assert captured.out == "" and built == []
+
+
+def test_extract_past_the_end_of_a_stream_is_an_error_line(capsys, tmp_path):
+    """At epsilon = 1e-30, T is about 1.2e31 rewinds: skipping the rewinds
+    after saturation would run past a stream's 2**64 blocks, which is a
+    parameter error, not an overflow traceback."""
+    path = tmp_path / "sumcheck.txt"
+    path.write_text(dump_sumcheck_text(make_sumcheck()))
+    code = main(["extract", "--instance", str(path), "--trials", "2", "--epsilon", "1e-30",
+                 "--seed", "1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    [line] = captured.err.splitlines()
+    assert line.startswith("error: cannot skip ")
+    assert "a stream holds 2**72 bits" in line
+    assert captured.out == ""
+
+
 def test_extract_refuses_a_withholder_past_the_proof(capsys, k3_file):
     code = main(["extract", "--instance", k3_file, "--trials", "10", "--adversary", "withholder:4"])
     captured = capsys.readouterr()

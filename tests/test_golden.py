@@ -150,16 +150,18 @@ def test_verify_report_pin(workdir, instance):
 # prefix's round polynomial computed once per protocol object. Every state
 # the lab's provers build is a value, its own rewind point, and the lab
 # refuses any other state, so no state is pickled for a `state_digest`.
+# `played` is exact: the zero-oracle trials that ran rather than replayed,
+# one per view that the adversary's outcome memo did not hold.
 LAB_WORK = {
     "lab-extract": {
         "rewinds": 211, "skipped": 631, "vc_commit": 18, "reconstruct": 16, "validate": 1,
         "replayed": 51, "routed_decision": 209, "best_coloring": 0, "vc_open": 16,
-        "round_polynomial": 18, "state_digest": 0, "find_coloring": 0,
+        "round_polynomial": 18, "state_digest": 0, "find_coloring": 0, "played": 19,
     },
     "lab-soundness": {
         "rewinds": 0, "skipped": 0, "vc_commit": 5, "reconstruct": 9, "validate": 6,
         "replayed": 0, "routed_decision": 21, "best_coloring": 1, "vc_open": 12,
-        "round_polynomial": 0, "state_digest": 0, "find_coloring": 1,
+        "round_polynomial": 0, "state_digest": 0, "find_coloring": 1, "played": 36,
     },
 }
 
@@ -177,6 +179,7 @@ def test_lab_work_counts(workdir, monkeypatch, name):
     real_sum_out = toys.SumcheckIop._sum_out
     real_digest = adversaries.state_digest
     real_find = toys.find_coloring
+    real_play = extraction._play_trial
 
     def sampler(*args):
         knowledge, stats = real_sampler(*args)
@@ -224,7 +227,12 @@ def test_lab_work_counts(workdir, monkeypatch, name):
         counts["find_coloring"] += 1
         return real_find(*args)
 
+    def play(*args):
+        counts["played"] += args[3] == 0  # oracle_rounds
+        return real_play(*args)
+
     monkeypatch.setattr(extraction, "sampler", sampler)
+    monkeypatch.setattr(extraction, "_play_trial", play)
     for module in (vc, ibcs, adversaries, extraction, transport, cli):
         if getattr(module, "vc_commit", None) is real_commit:
             monkeypatch.setattr(module, "vc_commit", commit)
@@ -244,7 +252,7 @@ def test_lab_work_counts(workdir, monkeypatch, name):
     assert counts["rewinds"] + counts["skipped"] == work["rewinds"] + work["skipped"]
     exact = (
         "replayed", "routed_decision", "best_coloring", "validate", "vc_open", "round_polynomial",
-        "state_digest", "find_coloring",
+        "state_digest", "find_coloring", "played",
     )
     for key in exact:
         assert counts[key] == work[key], key

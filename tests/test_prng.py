@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 from hypothesis import example, given, strategies as st
 
 from ibcslab.errors import DecodeError, ParameterError
 from ibcslab.prng import (
+    STREAM_BITS,
     Bits,
     Prng,
     derive,
@@ -106,6 +109,74 @@ def test_skip_bits_lands_where_take_bits_does(consumed, n, m):
 def test_skip_bits_rejects_negative():
     with pytest.raises(ParameterError):
         Prng(seed_root(1)).skip_bits(-1)
+
+
+def _reference_bits(key: bytes, start: int, nbits: int) -> int:
+    """Bits [start, start + nbits) of the stream keyed by `key`, hashed block
+    by block straight from the stream's definition."""
+    if not nbits:
+        return 0
+    first, last = start // 256, (start + nbits - 1) // 256
+    blocks = b"".join(
+        hashlib.sha256(b"ibcslab/stream/v1" + key + j.to_bytes(8, "big")).digest()
+        for j in range(first, last + 1)
+    )
+    whole = int.from_bytes(blocks, "big")
+    return (whole >> (256 * (last + 1) - start - nbits)) & ((1 << nbits) - 1)
+
+
+@given(
+    key=st.binary(min_size=32, max_size=32),
+    ops=st.lists(
+        st.tuples(st.sampled_from(("take", "peek", "skip")), st.integers(0, 600)), max_size=12
+    ),
+)
+@example(key=bytes(32), ops=[("peek", 256), ("skip", 256), ("take", 257), ("peek", 600)])
+@example(key=bytes(32), ops=[("take", 0), ("peek", 0), ("skip", 0), ("take", 256)])
+def test_drawn_bits_are_checked_values_of_the_hashed_stream(key, ops):
+    """Every bit string a stream returns, built without `Bits`' range check,
+    is the checked `Bits` of its fields and the bits the stream's blocks
+    hold at that position, across the 256-bit block edges."""
+    prng = Prng(key)
+    position = 0
+    for op, n in ops:
+        if op == "skip":
+            prng.skip_bits(n)
+            position += n
+            continue
+        bits = prng.take_bits(n) if op == "take" else prng.peek_bits(n)
+        assert bits == Bits(bits.nbits, bits.value)
+        assert bits.nbits == n
+        assert bits.value == _reference_bits(key, position, n)
+        if op == "take":
+            position += n
+
+
+def test_a_fresh_stream_peeks_what_it_takes():
+    key = derive(seed_root(5), "fresh")
+    for n in range(1025):
+        assert Prng(key).peek_bits(n) == Prng(key).take_bits(n)
+
+
+@pytest.mark.parametrize("op", ["skip_bits", "take_bits", "peek_bits"])
+def test_a_stream_refuses_to_run_past_its_last_block(op):
+    """A stream holds 2**64 blocks of 256 bits. A draw or skip past them is
+    a ParameterError naming that length, and leaves the stream as it was;
+    the last block itself is read."""
+    key = derive(seed_root(2), "end")
+    prng = Prng(key)
+    prng.take_bits(100)
+    with pytest.raises(ParameterError, match=r"a stream holds 2\*\*72 bits"):
+        getattr(prng, op)(STREAM_BITS - 99)
+    assert prng.take_bits(300).value == _reference_bits(key, 100, 300)
+    prng.skip_bits(STREAM_BITS - 400 - 8)
+    assert prng.peek_bits(8).value == _reference_bits(key, STREAM_BITS - 8, 8)
+    with pytest.raises(ParameterError, match=f"and {STREAM_BITS - 8} of them are drawn"):
+        getattr(prng, op)(9)
+    assert prng.take_bits(8).value == _reference_bits(key, STREAM_BITS - 8, 8)
+    assert prng.take_bits(0) == Bits(0, 0)
+    with pytest.raises(ParameterError):
+        getattr(prng, op)(1)
 
 
 

@@ -199,6 +199,48 @@ def test_a_zero_oracle_replay_is_the_trial_it_replaces(k3_setup, sumcheck_true_s
             assert record.plan.randomness == record.challenges == fresh.plan.randomness
 
 
+REPLAY_CASES = [("k4", name) for name in cli.DEFAULT_ADVERSARIES.split(",")] + [
+    ("sumcheck", "grinder:1"), ("sumcheck", "withholder"),
+]
+
+
+@pytest.mark.parametrize("instance, selector", REPLAY_CASES)
+def test_replayed_trials_are_the_trials_they_replace_for_every_adversary(
+    k4_setup, sumcheck_true_setup, monkeypatch, instance, selector
+):
+    """50 zero-oracle trials give the same records with the outcome memo on
+    and off, for every default soundness adversary on K4 and for a grinder
+    and a withholder on the n=2 sumcheck; each plan's randomness is its
+    trial's own challenges. K4's six structured vectors make most of its
+    trials replays."""
+    protocol, params = (k4_setup if instance == "k4" else sumcheck_true_setup)[:2]
+    share = error_share(1.0, protocol.spec.rounds)
+    played = []
+    real_play = extraction._play_trial
+    monkeypatch.setattr(extraction, "_play_trial", lambda *a: played.append(1) or real_play(*a))
+
+    def records():
+        adversary = cli.make_adversary(selector, protocol, params, None)
+        trial_key = derive(seed_root(4), "replays", selector)
+        played.clear()
+        out = [
+            run_hybrid_trial(protocol, params, adversary, 0, share, Prng(derive(trial_key, trial)))
+            for trial in range(50)
+        ]
+        return out, len(played)
+
+    on, played_on = records()
+    for record in on:
+        if record.plan is not None:
+            assert record.plan.randomness == record.challenges
+    _memo_off(monkeypatch)
+    off, played_off = records()
+    assert on == off
+    assert played_off == 50
+    if instance == "k4":
+        assert played_on < 25
+
+
 def _kept_tree_bytes(memo: BoundedMemo) -> int:
     """Bytes of commitment trees held by the rewind states in `memo`'s keys."""
     total = 0
