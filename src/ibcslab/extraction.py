@@ -47,6 +47,11 @@ its randomness, with no check run again, and its stream skip stays inside
 the bits it read ahead. An adversary without a view, and a trial with
 oracles, is always run.
 
+One round function, `_next_round`, advances the extracted IOP prover
+(and so the knowledge pipeline) and every hybrid and events trial: it
+takes the adversary's next commitment and, in a round the run extracts,
+rewinds it on the run's stream, after commitment i and before challenge i.
+
 The per-trial stream keys of a hybrid value or an events experiment are
 `derive(root, label, r, trial)`; they come from one `prng.derive_stem`,
 which hashes the shared prefix once.
@@ -55,7 +60,7 @@ which hashes the shared prefix once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Any, Sequence
 
@@ -364,27 +369,50 @@ def reductor(
 
 
 # ---------------------------------------------------------------------------
-# the extracted IOP prover
+# the round function and the extracted IOP prover
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class _ExtractorState:
+    """One run's record, which `_next_round` advances in place."""
+
     adversary_state: Any
-    commitments: tuple
-    challenges: tuple[Bits, ...]
-    oracles: tuple[ExtractedOracle, ...]
-    budgets: tuple[RewindBudget, ...]
     rewinds: Prng  # this run's rewind stream
+    commitments: tuple = ()
+    challenges: tuple[Bits, ...] = ()
+    oracles: tuple[ExtractedOracle, ...] = ()
+    knowledge: tuple[KnowledgeSet, ...] = ()
+    budgets: tuple[RewindBudget, ...] = ()
+
+
+def _next_round(params, protocol, adversary, run: _ExtractorState, share, oracle_rounds, stop):
+    """The one round step of every run: the adversary commits on the last
+    challenge, and a round up to `oracle_rounds` is rewound on the run's
+    stream (`reductor`) and its oracle, knowledge set and budget appended.
+    The caller appends the round's challenge."""
+    challenges = run.challenges
+    cm, run.adversary_state = adversary.next_commitment(
+        run.adversary_state, challenges[-1] if challenges else None
+    )
+    run.commitments += (cm,)
+    i = len(run.commitments)
+    if i <= oracle_rounds:
+        ctx = ArgContext(params, protocol, i, run.commitments, challenges, run.oracles)
+        oracle, knowledge, budget, _ = reductor(
+            adversary, run.adversary_state, ctx, share, run.rewinds, stop
+        )
+        run.oracles += (oracle,)
+        run.knowledge += (knowledge,)
+        run.budgets += (budget,)
 
 
 class ExtractorIopProver:
     """IOP prover built from an argument adversary by per-round rewinding.
 
-    Round i: advance the adversary one commitment, run the reductor on the
-    round-i continuation, and emit the reconstructed string as the IOP
-    message. Thanks to exact snapshots the adversary continues from the
-    same state the reductor received.
+    Each round is the round function every hybrid and events trial also
+    uses (`_next_round`), here with every round extracted; its message is
+    the round's extracted string.
 
     `rewinds` names the rewind stream by its key: each run (each `first()`)
     starts a fresh `Prng` on that key and carries it in its state, so a
@@ -407,45 +435,17 @@ class ExtractorIopProver:
         self.rewind_key = rewinds.key
         self.stop = stop
 
-    def _extract_round(self, adv_state, commitments, challenges, oracles, budgets, rewinds):
-        i = len(commitments) + 1
-        prev = challenges[-1] if challenges else None
-        cm, rho = self.adversary.next_commitment(adv_state, prev)
-        ctx = ArgContext(
-            params=self.params,
-            protocol=self.protocol,
-            round_index=i,
-            commitments=commitments + (cm,),
-            challenges=challenges,
-            oracles=oracles,
-        )
-        oracle, _, budget, _ = reductor(
-            self.adversary, rho, ctx, self.share, rewinds, stop=self.stop
-        )
-        state = _ExtractorState(
-            adversary_state=rho,
-            commitments=commitments + (cm,),
-            challenges=challenges,
-            oracles=oracles + (oracle,),
-            budgets=budgets + (budget,),
-            rewinds=rewinds,
-        )
-        return ProofString(i, oracle.symbols), state
+    def _extract(self, run: _ExtractorState):
+        rounds = self.protocol.spec.rounds
+        _next_round(self.params, self.protocol, self.adversary, run, self.share, rounds, self.stop)
+        return ProofString(len(run.oracles), run.oracles[-1].symbols), run
 
     def first(self):
-        return self._extract_round(
-            self.adversary.start(), (), (), (), (), Prng(self.rewind_key)
-        )
+        return self._extract(_ExtractorState(self.adversary.start(), Prng(self.rewind_key)))
 
     def next_round(self, state: _ExtractorState, challenge: Bits):
-        return self._extract_round(
-            state.adversary_state,
-            state.commitments,
-            state.challenges + (challenge,),
-            state.oracles,
-            state.budgets,
-            state.rewinds,
-        )
+        # A copy, so the state handed out for the last round stays as it was.
+        return self._extract(replace(state, challenges=state.challenges + (challenge,)))
 
 
 # ---------------------------------------------------------------------------
@@ -544,48 +544,23 @@ def _play_trial(
     prng: Prng,
     raw: Sequence[Bits] | None = None,
 ) -> TrialRecord:
-    """The trial itself; it draws each challenge from `prng` as its round
-    comes, or takes it from `raw`, a zero-oracle trial's read-ahead vector."""
-    spec = protocol.spec
-    k = spec.rounds
-    challenges: list[Bits] = []
-    commitments = []
-    oracles: tuple[ExtractedOracle, ...] = ()
-    knowledge: tuple[KnowledgeSet, ...] = ()
-    budgets: tuple[RewindBudget, ...] = ()
-    plan = None
-    state = adversary.start()
+    """The trial itself, run by `_next_round` on `prng`; it draws each
+    challenge from `prng` as its round comes, or takes it from `raw`, a
+    zero-oracle trial's read-ahead vector. An `IbcsError` voids it."""
+    run = _ExtractorState(adversary.start(), prng)
+    plan = response = None
+    voided = False
     try:
-        for i in range(1, k + 1):
-            prev = challenges[-1] if challenges else None
-            cm, state = adversary.next_commitment(state, prev)
-            commitments.append(cm)
-            if i <= oracle_rounds:
-                ctx = ArgContext(
-                    params=params,
-                    protocol=protocol,
-                    round_index=i,
-                    commitments=tuple(commitments),
-                    challenges=tuple(challenges),
-                    oracles=oracles,
-                )
-                oracle, kset, budget, _ = reductor(adversary, state, ctx, share, prng)
-                oracles += (oracle,)
-                knowledge += (kset,)
-                budgets += (budget,)
-            if raw is None:
-                challenges.append(prng.take_bits(spec.randomness_bits[i - 1]))
-            else:
-                challenges.append(raw[i - 1])
-        plan = protocol.verifier_query(challenges)
-        response = adversary.final_response(state, plan)
+        for i, width in enumerate(protocol.spec.randomness_bits):
+            _next_round(params, protocol, adversary, run, share, oracle_rounds, "uniform")
+            run.challenges += (prng.take_bits(width) if raw is None else raw[i],)
+        plan = protocol.verifier_query(run.challenges)
+        response = adversary.final_response(run.adversary_state, plan)
     except IbcsError:
-        return TrialRecord(
-            tuple(challenges), tuple(commitments), oracles, knowledge, budgets, plan,
-            response=None, voided=True,
-        )
+        response, voided = None, True
     return TrialRecord(
-        tuple(challenges), tuple(commitments), oracles, knowledge, budgets, plan, response
+        run.challenges, run.commitments, run.oracles, run.knowledge, run.budgets, plan, response,
+        voided,
     )
 
 
@@ -820,17 +795,6 @@ class TheoremBounds:
     iop_knowledge: Any
     transformation_loss: Any
 
-    def to_dict(self) -> dict:
-        out = {
-            "soundness_bound": float(self.soundness_bound),
-            "transformation_loss": float(self.transformation_loss),
-            "iop_soundness": float(self.iop_soundness),
-        }
-        if self.knowledge_bound is not None:
-            out["knowledge_bound"] = float(self.knowledge_bound)
-            out["iop_knowledge"] = float(self.iop_knowledge)
-        return out
-
 
 def theorem_bounds(
     spec,
@@ -873,14 +837,6 @@ class KnowledgeOutcome:
     witness: Any
     oracles: tuple[ExtractedOracle, ...]
     budgets: tuple[RewindBudget, ...]
-
-    def to_dict(self) -> dict:
-        return {
-            "success": self.success,
-            "witness": list(self.witness) if self.witness is not None else None,
-            "covered": [sorted(o.covered) for o in self.oracles],
-            "rewinds": [b.stop_time for b in self.budgets],
-        }
 
 
 def end_to_end_knowledge(

@@ -8,6 +8,7 @@ import pytest
 
 from ibcslab import cli
 from ibcslab.adversaries import (
+    ScriptedProver,
     Withholder,
     always_abort,
     grinder_on_leading_bits,
@@ -625,6 +626,37 @@ def test_run_hybrid_trial_records_budgets(sumcheck_true_setup):
     assert len(record.budgets) == 2
     expected_limit = rewind_budget_limit(protocol.spec.max_proof_length, share)
     assert all(b.max_rewinds == expected_limit for b in record.budgets)
+
+
+def test_a_voided_oracle_routed_trial_keeps_its_extracted_round(sumcheck_true_setup):
+    """A prover whose round-2 string has the wrong length raises at its
+    second commitment, after round 1 was extracted: the voided record keeps
+    round 1's commitment, challenge, oracle, knowledge set and budget, as
+    the reductor gives them on a fresh copy of the trial stream."""
+    protocol, params = sumcheck_true_setup
+    strings = (protocol.round_polynomial(()), (0,))
+
+    def voiding():
+        return ScriptedProver(protocol, params, lambda i, _c, _s: strings[i - 1])
+
+    share = error_share(0.5, protocol.spec.rounds)
+    key = derive(seed_root(23), "voided")
+    record = run_hybrid_trial(protocol, params, voiding(), 1, share, Prng(key))
+    assert record.voided and record.response is None and record.plan is None
+    assert len(record.commitments) == len(record.challenges) == 1
+
+    adversary, fresh = voiding(), Prng(key)
+    cm, state = adversary.next_commitment(adversary.start(), None)
+    ctx = ArgContext(params, protocol, 1, (cm,), (), ())
+    oracle, knowledge, budget, _ = reductor(adversary, state, ctx, share, fresh)
+    assert record.commitments == (cm,)
+    assert record.oracles == (oracle,)
+    assert record.knowledge == (knowledge,)
+    assert record.budgets == (budget,)
+    assert record.challenges == (fresh.take_bits(protocol.spec.randomness_bits[0]),)
+
+    counters = run_events_experiment(protocol, params, voiding(), 1, 6, 23, 0.5)
+    assert counters.trials == counters.voided == 6
 
 
 def test_extractor_reused_reports_each_runs_own_budgets(sumcheck_true_setup):

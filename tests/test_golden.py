@@ -151,17 +151,21 @@ def test_verify_report_pin(workdir, instance):
 # the lab's provers build is a value, its own rewind point, and the lab
 # refuses any other state, so no state is pickled for a `state_digest`.
 # `played` is exact: the zero-oracle trials that ran rather than replayed,
-# one per view that the adversary's outcome memo did not hold.
+# one per view that the adversary's outcome memo did not hold. `reductor`
+# is exact: one call per extracted round, of the extracted IOP prover and
+# of every trial with oracle rounds.
 LAB_WORK = {
     "lab-extract": {
         "rewinds": 211, "skipped": 631, "vc_commit": 18, "reconstruct": 16, "validate": 1,
         "replayed": 51, "routed_decision": 209, "best_coloring": 0, "vc_open": 16,
         "round_polynomial": 18, "state_digest": 0, "find_coloring": 0, "played": 19,
+        "reductor": 62,
     },
     "lab-soundness": {
         "rewinds": 0, "skipped": 0, "vc_commit": 5, "reconstruct": 9, "validate": 6,
         "replayed": 0, "routed_decision": 21, "best_coloring": 1, "vc_open": 12,
         "round_polynomial": 0, "state_digest": 0, "find_coloring": 1, "played": 36,
+        "reductor": 0,
     },
 }
 
@@ -180,6 +184,7 @@ def test_lab_work_counts(workdir, monkeypatch, name):
     real_digest = adversaries.state_digest
     real_find = toys.find_coloring
     real_play = extraction._play_trial
+    real_reductor = extraction.reductor
 
     def sampler(*args):
         knowledge, stats = real_sampler(*args)
@@ -231,7 +236,12 @@ def test_lab_work_counts(workdir, monkeypatch, name):
         counts["played"] += args[3] == 0  # oracle_rounds
         return real_play(*args)
 
+    def reduce(*args, **kwargs):
+        counts["reductor"] += 1
+        return real_reductor(*args, **kwargs)
+
     monkeypatch.setattr(extraction, "sampler", sampler)
+    monkeypatch.setattr(extraction, "reductor", reduce)
     monkeypatch.setattr(extraction, "_play_trial", play)
     for module in (vc, ibcs, adversaries, extraction, transport, cli):
         if getattr(module, "vc_commit", None) is real_commit:
@@ -252,7 +262,7 @@ def test_lab_work_counts(workdir, monkeypatch, name):
     assert counts["rewinds"] + counts["skipped"] == work["rewinds"] + work["skipped"]
     exact = (
         "replayed", "routed_decision", "best_coloring", "validate", "vc_open", "round_polynomial",
-        "state_digest", "find_coloring", "played",
+        "state_digest", "find_coloring", "played", "reductor",
     )
     for key in exact:
         assert counts[key] == work[key], key

@@ -144,7 +144,7 @@ def _lab_results(protocol, params, adversary):
     events = [
         run_events_experiment(protocol, params, adversary, i, 20, 3, 0.5).to_dict() for i in (1, 2)
     ]
-    knowledge = end_to_end_knowledge(protocol, params, adversary, 0.5, 3).to_dict()
+    knowledge = end_to_end_knowledge(protocol, params, adversary, 0.5, 3)
     return chain, events, knowledge
 
 
