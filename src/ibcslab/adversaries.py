@@ -58,7 +58,6 @@ from .memo import BoundedMemo
 from .prng import Bits, map_to_range
 from .toys import (
     GraphColoringIop,
-    SumcheckCheatPlan,
     SumcheckIop,
     best_coloring,
     poly_eval,
@@ -195,11 +194,9 @@ def optimal_gc_cheater(
     return fixed_string_prover(protocol, params, (coloring,))
 
 
-def optimal_sumcheck_cheater(
-    protocol: SumcheckIop, params: ArgParams, plan: SumcheckCheatPlan | None = None
-) -> ScriptedProver:
-    """Plays the exact maximizing strategy of the cheat program."""
-    plan = plan or SumcheckCheatPlan(protocol.instance)
+def optimal_sumcheck_cheater(protocol: SumcheckIop, params: ArgParams) -> ScriptedProver:
+    """Plays the exact maximizing strategy of the protocol's cheat program."""
+    plan = protocol.cheat_plan
     p = protocol.instance.prime
 
     def strategy(i, challenges, strings):
@@ -374,9 +371,10 @@ def make_adversaries(names: Sequence[str], protocol: IopProtocol, params: ArgPar
     a witness is given or found, otherwise the optimal scripted cheat,
     which the optimal selector also returns. The witness search, the best
     coloring and the cheat base are each built at most once for all the
-    selectors, so a report builds one `SumcheckCheatPlan` at most. Each
-    wrapper is its own object, with its own outcome memo; the base's
-    commit memo serves them all.
+    selectors; the sumcheck cheat plays the protocol's `cheat_plan`, which
+    the report's exact oracle also reads, so a report builds one
+    `SumcheckCheatPlan` at most. Each wrapper is its own object, with its
+    own outcome memo; the base's commit memo serves them all.
     """
     selectors = [_parse_selector(name, protocol.spec) for name in names]
     missing = None  # why the instance has no witness

@@ -45,7 +45,6 @@ from .toys import (
     SumcheckIop,
     load_graph_text,
     load_sumcheck_text,
-    sumcheck_exact_cheat_value,
 )
 from . import transport
 
@@ -149,26 +148,28 @@ def config_block(args, argv: list[str], **extra) -> dict:
     return block
 
 
-def _check_formula(params, result) -> dict:
-    """Formula-vs-wire assertion for one session result (prover side)."""
+def _check_formula(params, result, role: str) -> dict:
+    """Formula-vs-wire assertion for one session result of `role`: the
+    prover sends the prover-to-verifier bits, the verifier receives them."""
     stats = comm_stats(params, result.transcript)
     sent = result.counters.sent_protocol_bits
     recv = result.counters.recv_protocol_bits
-    if (sent, recv) not in (
-        (stats.prover_to_verifier_bits, stats.verifier_to_prover_bits),
-        (stats.verifier_to_prover_bits, stats.prover_to_verifier_bits),
-    ):
+    formula = (stats.prover_to_verifier_bits, stats.verifier_to_prover_bits)
+    if role == "verifier":
+        formula = formula[::-1]
+    if (sent, recv) != formula:
         raise ParameterError(
-            "communication accounting mismatch: "
-            f"formula {stats.prover_to_verifier_bits}/{stats.verifier_to_prover_bits} bits, "
+            f"communication accounting mismatch ({role} side): "
+            f"formula {formula[0]}/{formula[1]} bits sent/received, "
             f"wire {sent}/{recv} bits"
         )
     return stats.to_dict()
 
 
-def _session_results(params, result, decision: int, out_path: str | None) -> dict:
-    """Results of one live session; writes its transcript to `out_path`."""
-    stats = _check_formula(params, result)
+def _session_results(params, result, role: str, decision: int, out_path: str | None) -> dict:
+    """Results of one live session seen from `role`; writes its transcript
+    to `out_path`."""
+    stats = _check_formula(params, result, role)
     blob = transport.serialize_transcript(params, result.transcript)
     if out_path:
         with cli_file(out_path) as file:
@@ -199,7 +200,7 @@ def cmd_prove(args, argv) -> int:
             result = transport.run_session("prover", channel, params, protocol, prover=prover)
         decision = result.decision
 
-    results = _session_results(params, result, decision, args.out)
+    results = _session_results(params, result, "prover", decision, args.out)
     emit("prove", args, argv, results, instance=args.instance, transport=args.transport)
     return 0 if decision == 1 else 1
 
@@ -247,7 +248,7 @@ def cmd_verify(args, argv) -> int:
         require_security(params, args.security)
         prng = Prng(derive(seed_root(args.seed), "session", 0))
         result = transport.run_session("verifier", channel, params, protocol, prng=prng)
-    results = _session_results(params, result, result.decision, args.out)
+    results = _session_results(params, result, "verifier", result.decision, args.out)
     emit("verify", args, argv, results, transport="tcp")
     return 0 if result.decision == 1 else 1
 
@@ -259,7 +260,7 @@ def _iop_soundness_oracle(protocol):
     except InfeasibleError:
         if isinstance(protocol, SumcheckIop):
             try:
-                return sumcheck_exact_cheat_value(protocol.instance), "cheat-program"
+                return protocol.cheat_plan.value, "cheat-program"
             except InfeasibleError:
                 pass
         return None, "infeasible"

@@ -28,24 +28,25 @@ The extractor is grey-box: it relies on each prover being deterministic
 given its view (the `view(randomness)` contract in `ibcs`). A continuation
 from one rewind point ends in one of three outcomes, voided (the adversary
 raised an `IbcsError`), lost, or won with its round-i opening, and that
-outcome depends only on the view of the challenge vector. So an
-adversary with a view keeps its outcomes in its `outcomes` memo (the
-contract is in `ibcs`), keyed by (rewind point, view). A round-i rewind
-point is (state, ctx): the state is a value, keyed by itself, and its
-entries weigh its bytes too (`adversaries.rewind_point`), since the key
-keeps it alive. A zero-oracle hybrid trial starts from `start()`, which
-is deterministic, so its point is (params, protocol). Either way the lab
-draws exactly the bits it would draw anyway, and a repeated view is
-replayed into the same counters, knowledge sets and trial records instead
-of running the commit/open/plan/check path again. A zero-oracle outcome
-also keeps the trial's full-opening decision, which reads only the
-structured challenges (fixed by the view) and the stored commitments, plan
-and response, so a replayed trial is not decided again either. The outcome
-keeps the plan's shape, (per-round queries, structured vector), and a
-replay builds only its own record: its plan takes this trial's vector as
-its randomness, with no check run again, and its stream skip stays inside
-the bits it read ahead. An adversary without a view, and a trial with
-oracles, is always run.
+outcome depends only on the view of the challenge vector. So an adversary
+with a view keeps its outcomes in its `outcomes` memo (the contract is in
+`ibcs`), keyed by (rewind point, view). A round-i rewind point is (state,
+ctx): the state is a value, keyed by itself, and its entries weigh its
+bytes too (`adversaries.rewind_point`), since the key keeps it alive. A
+zero-oracle hybrid trial starts from `start()`, which is deterministic, so
+its point is (params, protocol). Either way the lab draws exactly the bits
+it would draw anyway, and a repeated view is replayed into the same
+counters, knowledge sets and trial records instead of running the
+commit/open/plan/check path again. The hybrid verifier is
+`ibcs.routed_decision`, the argument verifier with oracle rounds added. A
+zero-oracle outcome also keeps the trial's full-opening decision, which
+reads only the structured challenges (fixed by the view) and the stored
+commitments, plan and response, so a replayed trial is not decided again
+either. The outcome keeps the plan's shape, (per-round queries, structured
+vector), and a replay builds only its own record: its plan takes this
+trial's vector as its randomness, with no check run again, and its stream
+skip stays inside the bits it read ahead. An adversary without a view, and
+a trial with oracles, is always run.
 
 One round function, `_next_round`, advances the extracted IOP prover
 (and so the knowledge pipeline) and every hybrid and events trial: it
@@ -59,14 +60,15 @@ which hashes the shared prefix once.
 
 from __future__ import annotations
 
+import copy
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from fractions import Fraction
 from typing import Any, Sequence
 
 from .adversaries import rewind_point, snapshot
 from .errors import IbcsError, ParameterError
-from .ibcs import PAD_SYMBOL, ArgParams, check_openings
+from .ibcs import PAD_SYMBOL, ArgParams, check_openings, routed_decision
 from .iop import IopProtocol, ProofString, QueryPlan, _plan
 from .prng import Bits, Prng, _bits, derive, derive_stem, seed_root
 from .vc import vc_check
@@ -207,33 +209,6 @@ def run_continuation(adversary, state, ctx: ArgContext, continuation: Sequence[B
     plan = ctx.protocol.verifier_query(ctx.challenges + tuple(continuation))
     response = adversary.final_response(current, plan)
     return tuple(tail), plan, response
-
-
-def routed_decision(
-    params: ArgParams,
-    protocol: IopProtocol,
-    commitments,
-    plan: QueryPlan,
-    response,
-    oracles: Sequence[ExtractedOracle],
-    checked_rounds,
-) -> int:
-    """The hybrid verifier: the IOP decision with rounds 1..len(oracles)
-    answered by the extracted oracles and the rest by the openings.
-
-    It accepts only if the openings of `checked_rounds` (1-based) pass
-    their commitment checks; a missing or misshapen response rejects.
-    """
-    if response is None or len(response) != protocol.spec.rounds:
-        return 0
-    if not check_openings(params, commitments, plan, response, checked_rounds):
-        return 0
-    m = len(oracles)
-    answers = tuple(
-        tuple(oracles[j].symbols[q - 1] for q in queries) if j < m else response[j].answers
-        for j, queries in enumerate(plan.per_round)
-    )
-    return protocol.verifier_decide(plan, answers)
 
 
 def game_predicate(ctx: ArgContext, plan: QueryPlan, tail_commitments, response) -> bool:
@@ -416,7 +391,8 @@ class ExtractorIopProver:
 
     `rewinds` names the rewind stream by its key: each run (each `first()`)
     starts a fresh `Prng` on that key and carries it in its state, so a
-    reused extractor draws the same stopping times on every run.
+    reused extractor draws the same stopping times on every run. A state
+    is a value: `next_round` advances a copy with its own stream.
     """
 
     def __init__(
@@ -444,8 +420,11 @@ class ExtractorIopProver:
         return self._extract(_ExtractorState(self.adversary.start(), Prng(self.rewind_key)))
 
     def next_round(self, state: _ExtractorState, challenge: Bits):
-        # A copy, so the state handed out for the last round stays as it was.
-        return self._extract(replace(state, challenges=state.challenges + (challenge,)))
+        # A copy, with its own stream at the same position, so the state
+        # handed out for the last round stays as it was.
+        run = replace(state, rewinds=copy.copy(state.rewinds))
+        run.challenges += (challenge,)
+        return self._extract(run)
 
 
 # ---------------------------------------------------------------------------
@@ -593,12 +572,7 @@ class Estimate:
         return self.successes / self.trials
 
     def to_dict(self) -> dict:
-        return {
-            "successes": self.successes,
-            "trials": self.trials,
-            "value": self.value,
-            "radius": self.radius,
-        }
+        return {**asdict(self), "value": self.value}
 
 
 def hybrid_value(
@@ -672,20 +646,9 @@ class EventCounters:
         return Fraction(self.proof_length, self.max_rewinds)
 
     def to_dict(self) -> dict:
-        return {
-            "round_index": self.round_index,
-            "max_rewinds": self.max_rewinds,
-            "proof_length": self.proof_length,
-            "trials": self.trials,
-            "voided": self.voided,
-            "disagreements": self.disagreements,
-            "missing": self.missing,
-            "raw_missing": self.raw_missing,
-            "accept_openings": self.accept_openings,
-            "accept_oracle": self.accept_oracle,
-            "missing_bound": float(self.missing_bound),
-            "binding_breaks": len(self.binding_pairs),
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "binding_pairs"}
+        out.update(missing_bound=float(self.missing_bound), binding_breaks=len(self.binding_pairs))
+        return out
 
 
 def run_events_experiment(

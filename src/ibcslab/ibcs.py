@@ -3,7 +3,8 @@
 Per round the prover commits to its proof string (padded to the longest
 round length with the reserved symbol), the verifier answers with fresh
 randomness, and after the last challenge the prover opens exactly the
-positions the IOP verifier queries. The argument verifier accepts iff the
+positions the IOP verifier queries. The argument verifier, the lab's
+hybrid verifier `routed_decision` with no oracle rounds, accepts iff the
 IOP decision accepts on the opened answers, every opening verifies against
 its commitment, and opened padding positions carry the reserved symbol.
 
@@ -57,7 +58,7 @@ strategy is handed the raw bits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any, Sequence
 
 from .errors import ParameterError, ProtocolViolation
@@ -296,8 +297,29 @@ def check_openings(params: ArgParams, commitments, plan: QueryPlan, response, ro
     return True
 
 
+def routed_decision(
+    params: ArgParams, protocol: IopProtocol, commitments, plan: QueryPlan, response,
+    oracles: Sequence, checked_rounds,
+) -> int:
+    """The hybrid verifier: the IOP decision with rounds 1..len(oracles)
+    answered by the extracted oracles' `symbols`, the rest by the openings.
+    It rejects a missing or misshapen response, and openings of
+    `checked_rounds` (1-based) that fail their commitment checks."""
+    if response is None or len(response) != protocol.spec.rounds:
+        return 0
+    if not check_openings(params, commitments, plan, response, checked_rounds):
+        return 0
+    m = len(oracles)
+    answers = tuple(
+        tuple(oracles[j].symbols[q - 1] for q in queries) if j < m else response[j].answers
+        for j, queries in enumerate(plan.per_round)
+    )
+    return protocol.verifier_decide(plan, answers)
+
+
 def arg_verify(params: ArgParams, protocol: IopProtocol, transcript: Transcript) -> int:
-    """1 iff the transcript is accepting; malformed shapes yield 0."""
+    """1 iff the transcript is accepting, as the zero-oracle hybrid decides
+    it; malformed shapes yield 0."""
     k = protocol.spec.rounds
     if transcript.instance != protocol.instance:
         return 0
@@ -309,10 +331,9 @@ def arg_verify(params: ArgParams, protocol: IopProtocol, transcript: Transcript)
         plan = protocol.verifier_query(transcript.challenges)
     except ProtocolViolation:
         return 0
-    response = transcript.response
-    if not check_openings(params, transcript.commitments, plan, response, range(1, k + 1)):
-        return 0
-    return protocol.verifier_decide(plan, [opening.answers for opening in response])
+    return routed_decision(
+        params, protocol, transcript.commitments, plan, transcript.response, (), range(1, k + 1)
+    )
 
 
 def position_bits(proof_length: int) -> int:
@@ -354,20 +375,10 @@ class CommStats:
 
     def to_dict(self) -> dict:
         return {
+            **asdict(self),
             "prover_to_verifier_bits": self.prover_to_verifier_bits,
             "verifier_to_prover_bits": self.verifier_to_prover_bits,
-            "generator_bits": self.generator_bits,
             "message_count": self.message_count,
-            "challenge_bits": list(self.challenge_bits),
-            "rounds": [
-                {
-                    "commitment_bits": r.commitment_bits,
-                    "position_bits": r.position_bits,
-                    "answer_bits": r.answer_bits,
-                    "proof_bits": r.proof_bits,
-                }
-                for r in self.rounds
-            ],
         }
 
 

@@ -13,20 +13,21 @@ challenge)`, each returning the round's `ProofString` and the next state.
 compiles one into an argument prover; `HonestIopProver` is the protocol's
 own prover in that form.
 
-`verifier_query` maps the challenges on every call but plans each
-structured challenge vector once while it stays in the protocol object's
-plan cache, a `memo.BoundedMemo` of the `PLAN_CACHE_ENTRIES` most recently
-used entries that lives as long as the object (one report for the CLI,
-which builds one protocol per report). The same memo keeps the per-round
-query tuples that passed validation, so a tuple that many vectors share
-(every sumcheck vector plans the same one) is validated once while it
-stays there. A plan that failed validation is never kept.
+`verifier_query` maps the challenges on every call; `plan_queries` plans
+each structured vector once while it stays in the protocol object's plan
+cache, a `memo.BoundedMemo` of the `PLAN_CACHE_ENTRIES` most recently used
+entries that lives as long as the object (one report for the CLI, which
+builds one protocol per report). The same memo keeps the per-round query
+tuples that passed validation, so a tuple that many vectors share (every
+sumcheck vector plans the same one) is validated once while it stays
+there. A plan that failed validation is never kept.
 
 `brute_force_soundness` is the exact oracle: it enumerates every adaptive
-strategy in integer counts and plans each structured vector once. Its last
-round is a table walk by answer pattern: the decision is taken once per
-distinct projection of the last string onto the planned positions, not
-once per candidate string.
+strategy in integer counts and plans through `plan_queries`, so it decides
+on the verifier's validated plans and leaves them in the memo for the
+report's trials. Its last round is a table walk by answer pattern: the
+decision is taken once per distinct projection of the last string onto the
+planned positions, not once per candidate string.
 """
 
 from __future__ import annotations
@@ -185,16 +186,19 @@ class IopProtocol(abc.ABC):
         )
 
     def verifier_query(self, randomness: Sequence[Bits]) -> QueryPlan:
-        """Validated query plan for one challenge vector.
-
-        Raises ProtocolViolation on malformed randomness or an invalid plan.
-        The challenges are mapped on every call; the validated per-round
-        queries are looked up by structured vector in `_plans`, and a
-        planned query tuple is validated unless `_plans` keeps it under
-        itself as one already validated. A plan that fails validation is
-        never kept.
-        """
+        """Validated query plan for one challenge vector; raises
+        ProtocolViolation on malformed randomness or an invalid plan."""
         structured = self.map_challenges(randomness)
+        return _plan(self.plan_queries(structured), structured, tuple(randomness))
+
+    def plan_queries(self, structured: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+        """Validated per-round queries for one structured challenge vector.
+
+        Raises ProtocolViolation on an invalid plan. The queries are looked
+        up by structured vector in `_plans`, and a planned query tuple is
+        validated unless `_plans` keeps it under itself as one already
+        validated. A plan that fails validation is never kept.
+        """
         h = hash(structured)
         per_round = self._plans.get(h, structured)
         if per_round is None:
@@ -206,7 +210,7 @@ class IopProtocol(abc.ABC):
                 self._validate_plan(plan)
                 self._plans.put(hq, per_round, per_round, weight)
             self._plans.put(h, structured, per_round, weight + 8 * len(structured))
-        return _plan(per_round, structured, tuple(randomness))
+        return per_round
 
     @functools.cached_property
     def _plans(self) -> BoundedMemo:
@@ -331,7 +335,7 @@ def brute_force_soundness(
     decision. Each round's challenge space has the same size at every
     node, so the best acceptance is the root count over the product of the
     challenge-space sizes, one `Fraction` at the end. Each structured
-    vector is planned once.
+    vector is planned as the verifier plans it (`plan_queries`).
 
     The last round is a table walk. The decision at a leaf reads only the
     planned positions of the last string, so under each structured vector
@@ -353,15 +357,12 @@ def brute_force_soundness(
         for length in spec.proof_lengths
     ]
     last = candidates[-1]
-    plans: dict[tuple[int, ...], tuple[tuple[int, ...], ...]] = {}
 
     def last_round(structured: tuple[int, ...], proofs: tuple[tuple[int, ...], ...]) -> int:
         totals = [0] * len(last)
         for challenge in range(spaces[-1]):
             vector = structured + (challenge,)
-            per_round = plans.get(vector)
-            if per_round is None:
-                per_round = plans[vector] = protocol.query_plan(vector).per_round
+            per_round = protocol.plan_queries(vector)
             earlier = tuple(
                 tuple(proof[q - 1] for q in queries)
                 for proof, queries in zip(proofs, per_round)

@@ -427,6 +427,12 @@ class SumcheckIop(IopProtocol):
     def in_language(self) -> bool:
         return self.check_witness(())
 
+    @cached_property
+    def cheat_plan(self) -> SumcheckCheatPlan:
+        """The instance's `SumcheckCheatPlan`, built once per protocol
+        object (one report for the CLI); InfeasibleError over its budget."""
+        return SumcheckCheatPlan(self.instance)
+
     def extract_witness(self, oracles):
         return ()
 
@@ -505,12 +511,6 @@ class SumcheckCheatPlan:
         _, table = self._layers[i][tuple(challenges)][required_sum % self._p]
         assert table is not None
         return table
-
-
-def sumcheck_exact_cheat_value(
-    instance: SumcheckInstance, budget: int = DEFAULT_CHEAT_BUDGET
-) -> Fraction:
-    return SumcheckCheatPlan(instance, budget).value
 
 
 # ---------------------------------------------------------------------------

@@ -167,10 +167,6 @@ class _BitWriter:
     def put_bytes(self, data: bytes):
         self.put(int.from_bytes(data, "big"), 8 * len(data))
 
-    @property
-    def bit_length(self) -> int:
-        return self._nbits
-
     def to_bytes(self) -> bytes:
         pad = (-self._nbits) % 8
         total = self._nbits + pad
@@ -660,7 +656,11 @@ def run_session(
             protocol.instance, tuple(commitments), tuple(challenges), tuple(response)
         )
         decision_payload = link.recv(TAG_DECISION, 1)
-        decision = int(decision_payload[0]) if decision_payload else 0
+        if decision_payload not in (b"\x00", b"\x01"):
+            raise ProtocolViolation(
+                f"decision frame must carry one byte, 0 or 1; got {decision_payload.hex()!r}"
+            )
+        decision = decision_payload[0]
     elif role == "verifier":
         if prng is None:
             raise ProtocolViolation("verifier role requires a challenge stream")

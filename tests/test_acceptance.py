@@ -40,11 +40,11 @@ from ibcslab.ibcs import ArgumentProver, arg_setup, comm_stats
 from ibcslab.iop import IopSpec, brute_force_soundness
 from ibcslab.prng import Prng, derive, seed_root
 from ibcslab.toys import (
+    SumcheckCheatPlan,
     complete_graph,
     find_coloring,
     gc_pcp,
     petersen_graph,
-    sumcheck_exact_cheat_value,
     sumcheck_iop,
 )
 from ibcslab.vc import vc_check, vc_commit, vc_gen, vc_open
@@ -255,7 +255,7 @@ def test_criterion_06_argument_soundness():
 
     sc_false = make_sumcheck(false_claim=True)
     protocol, params, _ = _setup(sc_false, protocol_factory=sumcheck_iop)
-    eps_iop_sc = sumcheck_exact_cheat_value(sc_false)
+    eps_iop_sc = SumcheckCheatPlan(sc_false).value
     cheat = optimal_sumcheck_cheater(protocol, params)
     sc_adversaries = {
         "optimal": cheat,

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from ibcslab import adversaries, ibcs, transport
+from ibcslab import ibcs, toys, transport
 from ibcslab.adversaries import (
     Equivocator,
     ScriptedProver,
@@ -28,7 +28,7 @@ from ibcslab.errors import InstanceError, ParameterError, ProtocolViolation
 from ibcslab.extraction import hoeffding_radius, measure_acceptance
 from ibcslab.ibcs import ArgumentProver, arg_setup, arg_verify, Transcript
 from ibcslab.prng import Bits, Prng, derive, map_to_range, seed_root
-from ibcslab.toys import best_coloring, sumcheck_exact_cheat_value, sumcheck_iop
+from ibcslab.toys import SumcheckCheatPlan, best_coloring, sumcheck_iop
 from ibcslab.vc import vc_check
 
 from helpers import make_sumcheck, run_memory_session
@@ -318,7 +318,7 @@ def test_optimal_sumcheck_cheater_matches_cheat_program(sumcheck_false):
     protocol = sumcheck_iop(sumcheck_false)
     params = arg_setup(128, 64, protocol.spec)
     cheat = optimal_sumcheck_cheater(protocol, params)
-    value = float(sumcheck_exact_cheat_value(sumcheck_false))
+    value = float(SumcheckCheatPlan(sumcheck_false).value)
     estimate = measure_acceptance(protocol, params, cheat, 3000, seed=12)
     assert abs(estimate.value - value) <= 3 * hoeffding_radius(3000)
 
@@ -401,12 +401,12 @@ def test_make_adversaries_builds_one_cheat_base(monkeypatch):
     params = arg_setup(128, 64, protocol.spec)
     plans = []
 
-    class CountingPlan(adversaries.SumcheckCheatPlan):
+    class CountingPlan(toys.SumcheckCheatPlan):
         def __init__(self, *args):
             plans.append(1)
             super().__init__(*args)
 
-    monkeypatch.setattr(adversaries, "SumcheckCheatPlan", CountingPlan)
+    monkeypatch.setattr(toys, "SumcheckCheatPlan", CountingPlan)
     names = DEFAULT_ADVERSARIES.split(",")
     with pytest.raises(ParameterError):
         make_adversaries(names + ["nonsense"], protocol, params)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import gc
 import json
 import socket
@@ -12,12 +13,12 @@ import warnings
 
 import pytest
 
-from ibcslab import cli, transport
+from ibcslab import cli, toys, transport
 from ibcslab.cli import main
-from ibcslab.ibcs import arg_setup
+from ibcslab.ibcs import ArgumentProver, arg_setup
 from ibcslab.toys import dump_graph_text, dump_sumcheck_text, find_coloring, gc_pcp
 
-from helpers import make_sumcheck
+from helpers import make_sumcheck, run_memory_session
 
 
 @pytest.fixture
@@ -688,3 +689,48 @@ def test_output_paths_in_every_spelling_stay_out_of_the_report(capsys, tmp_path,
             main(["prove"] + bases["prove"] + abbreviated)
         assert exc.value.code == 2
         capsys.readouterr()
+
+
+def test_formula_check_reads_the_counters_in_the_role_orientation(k3):
+    """The prover sends the prover-to-verifier bits and the verifier
+    receives them; counters in the other orientation are a mismatch."""
+    protocol = gc_pcp(k3)
+    params = arg_setup(128, 64, protocol.spec)
+    prover = ArgumentProver(protocol, params, find_coloring(k3))
+    results = run_memory_session(protocol, params, prover)
+    for role, result in zip(("prover", "verifier"), results):
+        other = "verifier" if role == "prover" else "prover"
+        assert cli._check_formula(params, result, role)["message_count"] == 3
+        with pytest.raises(cli.ParameterError, match="accounting mismatch"):
+            cli._check_formula(params, result, other)
+        counters = result.counters
+        swapped = dataclasses.replace(
+            counters,
+            sent_protocol_bits=counters.recv_protocol_bits,
+            recv_protocol_bits=counters.sent_protocol_bits,
+        )
+        with pytest.raises(cli.ParameterError, match="accounting mismatch"):
+            cli._check_formula(params, dataclasses.replace(result, counters=swapped), role)
+
+
+def test_a_false_sumcheck_soundness_report_builds_one_cheat_plan(capsys, tmp_path, monkeypatch):
+    """Over the oracle's budget, the exact oracle value and the optimal
+    cheat base read the protocol's one `SumcheckCheatPlan`."""
+    plans = []
+    real_init = toys.SumcheckCheatPlan.__init__
+
+    def counting_init(self, *args, **kwargs):
+        plans.append(args[0])
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(toys.SumcheckCheatPlan, "__init__", counting_init)
+    path = tmp_path / "sc17.txt"
+    path.write_text(dump_sumcheck_text(make_sumcheck(p=17, n=2, d=2, false_claim=True)))
+    code, report = run_cli(
+        capsys,
+        ["soundness", "--instance", str(path), "--trials", "4", "--seed", "1",
+         "--adversary", "optimal,abort"],
+    )
+    assert report["results"]["oracle"] == "cheat-program"
+    assert code == 0
+    assert len(plans) == 1

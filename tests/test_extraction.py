@@ -690,3 +690,21 @@ def test_extractor_reused_draws_the_same_stopping_times(sumcheck_true_setup):
         _, state = prover.next_round(state, Bits(protocol.spec.randomness_bits[0], 5))
         runs.append((state.budgets, state.oracles))
     assert runs[0] == runs[1]
+
+
+def test_extractor_state_advanced_twice_draws_the_same_stopping_times(sumcheck_true_setup):
+    """A state is a value: advancing one state twice on one challenge gives
+    the same budgets and oracles, since each advance draws from its own
+    copy of the state's rewind stream."""
+    protocol, params = sumcheck_true_setup
+    honest = honest_wrapper(protocol, params, ())
+    prover = ExtractorIopProver(
+        protocol, params, honest, 0.5, Prng(derive(seed_root(22), "reuse")), stop="uniform"
+    )
+    _, state = prover.first()
+    challenge = Bits(protocol.spec.randomness_bits[0], 5)
+    first = prover.next_round(state, challenge)[1]
+    second = prover.next_round(state, challenge)[1]
+    assert first.budgets == second.budgets
+    assert first.oracles == second.oracles
+    assert state.challenges == () and len(state.budgets) == 1

@@ -312,3 +312,39 @@ def test_plan_checks_with_the_plan_cache_off(sumcheck_true_setup, monkeypatch):
         assert off.verifier_query(vector) == on.verifier_query(vector)
     assert len(validated) == 1 + len(vectors)
     assert len(off._plans.entries) == 0
+
+
+def test_brute_force_refuses_an_invalid_plan_as_the_verifier_does(k3):
+    """The oracle plans through the verifier's validated plans, so a plan
+    that fails validation raises rather than being decided on."""
+
+    class BadPlanIop(GraphColoringIop):
+        def query_plan(self, structured):
+            return QueryPlan(((2, 1),))  # not increasing
+
+    protocol = BadPlanIop(k3)
+    with pytest.raises(ProtocolViolation, match="not increasing"):
+        brute_force_soundness(protocol)
+    with pytest.raises(ProtocolViolation, match="not increasing"):
+        protocol.verifier_query([Bits(protocol.spec.randomness_bits[0], 0)])
+
+
+def test_verifier_finds_the_oracles_plans_in_the_memo(k4):
+    """After the exact oracle runs on K4, the verifier plans none of its 6
+    edge vectors again."""
+    planned = []
+
+    class CountingIop(GraphColoringIop):
+        def query_plan(self, structured):
+            planned.append(structured)
+            return super().query_plan(structured)
+
+    protocol = CountingIop(k4)
+    assert brute_force_soundness(protocol) == Fraction(5, 6)
+    assert len(planned) == 6
+    nbits = protocol.spec.randomness_bits[0]
+    edges = {map_to_range(Bits(nbits, value), 6) for value in range(64)}
+    assert len(edges) == 6
+    for value in range(64):
+        protocol.verifier_query([Bits(nbits, value)])
+    assert len(planned) == 6

@@ -27,7 +27,6 @@ from ibcslab.toys import (
     load_graph_text,
     load_sumcheck_text,
     poly_eval,
-    sumcheck_exact_cheat_value,
     sumcheck_iop,
     table_entries,
 )
@@ -323,11 +322,11 @@ def test_cheat_plan_matches_brute_force_small():
     for claim_shift in (1, 2):
         inst = make_sumcheck(p=5, n=1, d=1, coeffs=(2, 3), false_claim=False)
         inst = SumcheckInstance(5, 1, 1, (2, 3), (inst.claimed_sum + claim_shift) % 5)
-        assert sumcheck_exact_cheat_value(inst) == brute_force_soundness(sumcheck_iop(inst))
+        assert SumcheckCheatPlan(inst).value == brute_force_soundness(sumcheck_iop(inst))
 
 
 def test_cheat_plan_respects_nd_over_p_ceiling(sumcheck_false):
-    value = sumcheck_exact_cheat_value(sumcheck_false)
+    value = SumcheckCheatPlan(sumcheck_false).value
     n, d, p = (
         sumcheck_false.variables,
         sumcheck_false.degree,

@@ -311,6 +311,22 @@ def test_prover_aborts_on_reordered_verifier_frames(k3_setup):
         transport.run_session("prover", chan_prover, params, protocol, prover=prover)
 
 
+@pytest.mark.parametrize("payload", [b"", b"\x07", b"\x02"])
+def test_prover_refuses_a_decision_that_is_not_one_byte_0_or_1(k3_setup, payload):
+    """A scripted verifier answers the commitment with a valid challenge,
+    then ends the session with a decision frame the prover must refuse."""
+    protocol, params, witness = k3_setup
+    prover = ArgumentProver(protocol, params, witness)
+    chan_verifier, chan_prover = transport.memory_channel_pair()
+    challenge = Bits(protocol.spec.randomness_bits[0], 0)
+    chan_verifier.send_bytes(
+        transport.encode_frame(transport.TAG_CHALLENGE, transport.encode_challenge(challenge))
+    )
+    chan_verifier.send_bytes(transport.encode_frame(transport.TAG_DECISION, payload))
+    with pytest.raises(ProtocolViolation, match="decision frame"):
+        transport.run_session("prover", chan_prover, params, protocol, prover=prover)
+
+
 def test_public_coin_challenges_independent_of_prover(k4_setup, k4):
     """Same seed, different provers: the verifier's coins are identical."""
     from ibcslab.adversaries import optimal_gc_cheater
