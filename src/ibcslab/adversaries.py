@@ -28,17 +28,16 @@ Every adversary, wrapper or not, keeps its own `outcomes` memo.
 Returning None from `final_response` models an abort: the adversary walks
 away instead of opening, and the verifier rejects.
 
-An adversary may declare `view(randomness)`, the hashable part of a raw
+Every adversary declares `view(randomness)`, the hashable part of a raw
 challenge vector that its behaviour reads (the contract is in `ibcs`), and
-`extraction` then runs each continuation from one rewind point once per
-view. The honest prover, `fixed_string_prover`, `optimal_sumcheck_cheater`
-and `Equivocator` declare the structured vector: they ignore their
-challenges or read them through `map_to_range`. A general
-`ScriptedProver(strategy)` declares none, since its strategy is handed the
-raw bits. `Withholder` passes its inner prover's view through, since it
-reads only the plan; `Grinder` adds its predicate bit to the inner view,
-since the predicate reads the raw bits of the challenges. A wrapper of a
-prover without a view has none.
+`extraction` runs each continuation from one rewind point once per view.
+The honest prover, `fixed_string_prover`, `optimal_sumcheck_cheater` and
+`Equivocator` declare the structured vector: they ignore their challenges
+or read them through `map_to_range`. A general `ScriptedProver(strategy)`
+declares the raw vector, since its strategy is handed the raw bits.
+`Withholder` passes its inner prover's view through, since it reads only
+the plan; `Grinder` adds its predicate bit to the inner view, since the
+predicate reads the raw bits of the challenges.
 """
 
 from __future__ import annotations
@@ -47,7 +46,6 @@ import dataclasses
 import functools
 import hashlib
 import pickle
-from fractions import Fraction
 from typing import Callable, Sequence
 
 from . import ibcs
@@ -169,7 +167,7 @@ class ScriptedProver(ArgumentProver):
     next_commitment = ArgumentProver.next_commitment
     final_response = ArgumentProver.final_response
 
-    def __init__(self, protocol: IopProtocol, params: ArgParams, strategy: Strategy, view=None):
+    def __init__(self, protocol: IopProtocol, params: ArgParams, strategy: Strategy, view=tuple):
         super().__init__(protocol, params, iop_prover=_StrategyIopProver(strategy), view=view)
 
 
@@ -218,7 +216,7 @@ class _WrapperProver:
     def __init__(self, protocol: IopProtocol, inner):
         self.protocol = protocol
         self.inner = inner
-        self.view = getattr(inner, "view", None)
+        self.view = inner.view
         self.outcomes = BoundedMemo(ibcs.OUTCOME_MEMO_ENTRIES, ibcs.OUTCOME_MEMO_BYTES)
 
     def start(self):
@@ -251,19 +249,11 @@ class Withholder(_WrapperProver):
 class Grinder(_WrapperProver):
     """Finishes the protocol only on challenge vectors in its accept set."""
 
-    def __init__(
-        self,
-        protocol: IopProtocol,
-        inner,
-        predicate: Callable[[tuple[Bits, ...]], bool],
-        measure: Fraction | None = None,
-    ):
+    def __init__(self, protocol: IopProtocol, inner, predicate: Callable[[tuple[Bits, ...]], bool]):
         super().__init__(protocol, inner)
         self.predicate = predicate
-        self.measure = measure
         inner_view = self.view
-        if inner_view is not None:
-            self.view = lambda randomness: (inner_view(randomness), bool(predicate(randomness)))
+        self.view = lambda randomness: (inner_view(randomness), bool(predicate(randomness)))
 
     def final_response(self, state, plan: QueryPlan):
         if not self.predicate(plan.randomness):
@@ -283,11 +273,11 @@ def grinder_on_leading_bits(
         first = challenges[0]
         return first.value >> (first.nbits - zero_bits) == 0 if zero_bits else True
 
-    return Grinder(protocol, inner, predicate, measure=Fraction(1, 2**zero_bits))
+    return Grinder(protocol, inner, predicate)
 
 
 def always_abort(protocol: IopProtocol, inner) -> Grinder:
-    return Grinder(protocol, inner, lambda _c: False, measure=Fraction(0))
+    return Grinder(protocol, inner, lambda _c: False)
 
 
 class Equivocator(ScriptedProver):

@@ -62,7 +62,7 @@ def cli_file(path: str):
         raise ParameterError(f"{path}: {exc.strerror or exc}") from None
 
 
-def load_instance_path(path: str, spec_hint: str | None):
+def load_instance_path(path: str):
     """Sniff a text instance file: graph records or a sumcheck header."""
     with cli_file(path) as file:
         data = file.read_bytes()
@@ -76,13 +76,9 @@ def load_instance_path(path: str, spec_hint: str | None):
     )
     if first is None:
         raise InstanceError(f"{path}: no instance, only blank lines or comments")
-    kind = spec_hint or ("gc" if first[0] in ("v", "e", "w") else "sumcheck")
-    if kind == "gc":
-        instance, witness = load_graph_text(text)
-        return instance, witness
-    if kind == "sumcheck":
-        return load_sumcheck_text(text), ()
-    raise InstanceError(f"unknown spec selector {kind!r}")
+    if first[0] in ("v", "e", "w"):
+        return load_graph_text(text)
+    return load_sumcheck_text(text), ()
 
 
 def setup_for(instance, protocol, security_bits: int):
@@ -184,7 +180,7 @@ def _session_results(params, result, role: str, decision: int, out_path: str | N
 
 
 def cmd_prove(args, argv) -> int:
-    instance, file_witness = load_instance_path(args.instance, args.spec)
+    instance, file_witness = load_instance_path(args.instance)
     protocol = transport.protocol_for_instance(instance)
     params = setup_for(instance, protocol, args.security)
     witness = resolve_witness(protocol, file_witness, args.witness)
@@ -206,11 +202,26 @@ def cmd_prove(args, argv) -> int:
 
 
 def cmd_verify(args, argv) -> int:
+    # The verifier's own instance, when it has one, must be the peer's or
+    # the transcript's, under the parameters it derives for it at --lambda.
+    own_instance = own_params = None
+    if args.instance:
+        own_instance, _ = load_instance_path(args.instance)
+        own_params = setup_for(
+            own_instance, transport.protocol_for_instance(own_instance), args.security
+        )
     if args.transcript:
         with cli_file(args.transcript) as file:
             data = file.read_bytes()
         params, protocol, transcript = transport.parse_transcript(data)
         require_security(params, args.security)
+        if own_instance is not None and own_instance != transcript.instance:
+            raise InstanceError("transcript holds a different instance than configured")
+        if own_params is not None and own_params != params:
+            raise ParameterError(
+                f"transcript parameters differ from the verifier's own: instance bound "
+                f"{params.instance_bound} stored, {own_params.instance_bound} expected"
+            )
         decision = arg_verify(params, protocol, transcript)
         results = {
             "decision": decision,
@@ -220,16 +231,11 @@ def cmd_verify(args, argv) -> int:
         emit("verify", args, argv, results, transcript=str(args.transcript))
         return 0 if decision == 1 else 1
 
-    # The verifier's own instance, when it has one, sizes the read of the
-    # peer's, and the peer's parameter frame must be the one it derives.
-    own_instance = own_params = None
+    # The own instance also sizes the read of the peer's, and the peer's
+    # parameter frame must be the one the verifier derives.
     max_instance_bytes = transport.INSTANCE_MAX_BYTES
-    if args.instance:
-        own_instance, _ = load_instance_path(args.instance, args.spec)
+    if own_instance is not None:
         max_instance_bytes = len(transport.encode_instance(own_instance))
-        own_params = setup_for(
-            own_instance, transport.protocol_for_instance(own_instance), args.security
-        )
     # One connection per run: the listener closes once it has accepted, and
     # the connection closes however the session ends.
     with transport.tcp_listen(*args.listen) as listener:
@@ -273,7 +279,7 @@ def cmd_soundness(args, argv) -> int:
     for j, name in enumerate(names):
         if name in names[:j]:
             raise ParameterError(f"adversary {name!r} is selected twice")
-    instance, file_witness = load_instance_path(args.instance, args.spec)
+    instance, file_witness = load_instance_path(args.instance)
     protocol = transport.protocol_for_instance(instance)
     if protocol.in_language() and not args.force:
         print(
@@ -323,7 +329,7 @@ def cmd_soundness(args, argv) -> int:
 def cmd_extract(args, argv) -> int:
     if args.knowledge_trials < 1:
         raise ParameterError("at least one knowledge trial required")
-    instance, file_witness = load_instance_path(args.instance, args.spec)
+    instance, file_witness = load_instance_path(args.instance)
     protocol = transport.protocol_for_instance(instance)
     params = setup_for(instance, protocol, args.security)
     adversary = make_adversary(args.adversary, protocol, params, file_witness or None)
@@ -427,7 +433,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--instance", help="instance file (graph or sumcheck text)")
-        p.add_argument("--spec", choices=("gc", "sumcheck"), help="instance kind override")
         p.add_argument("--lambda", dest="security", type=int, default=DEFAULT_LAMBDA)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--json", help="also write the JSON report to this path")
@@ -472,6 +477,13 @@ def main(argv=None) -> int:
         parser.error("verify requires --listen or --transcript")
     if args.command == "prove" and args.transport == "tcp" and not args.connect:
         parser.error("tcp transport requires --connect")
+    if args.command == "prove" and args.connect and args.transport != "tcp":
+        parser.error("--connect requires --transport tcp")
+    if args.command == "verify" and args.transcript:
+        ignored = {"--listen": args.listen, "--out": args.out, "--ready-fd": args.ready_fd}
+        for flag, value in ignored.items():
+            if value is not None:
+                parser.error(f"--transcript takes no {flag}")
     # Looked up by name on every call, so a replaced `cmd_*` is the one that runs.
     command = globals()[f"cmd_{args.command}"]
     try:

@@ -25,14 +25,15 @@ with an explicit confidence radius, so the analytic bounds can be checked
 against measured frequencies at desk scale.
 
 The extractor is grey-box: it relies on each prover being deterministic
-given its view (the `view(randomness)` contract in `ibcs`). A continuation
-from one rewind point ends in one of three outcomes, voided (the adversary
-raised an `IbcsError`), lost, or won with its round-i opening, and that
-outcome depends only on the view of the challenge vector. So an adversary
-with a view keeps its outcomes in its `outcomes` memo (the contract is in
-`ibcs`), keyed by (rewind point, view). A round-i rewind point is (state,
-ctx): the state is a value, keyed by itself, and its entries weigh its
-bytes too (`adversaries.rewind_point`), since the key keeps it alive. A
+given its view (the `view(randomness)` contract in `ibcs`; every adversary
+declares one, the raw vector if none narrower). A continuation from one
+rewind point ends in one of three outcomes, voided (the adversary raised
+an `IbcsError`), lost, or won with its round-i opening, and that outcome
+depends only on the view of the challenge vector. So every adversary
+keeps its outcomes in its `outcomes` memo (the contract is in `ibcs`),
+keyed by (rewind point, view). A round-i rewind point is (state, ctx):
+the state is a value, keyed by itself, and its entries weigh its bytes
+too (`adversaries.rewind_point`), since the key keeps it alive. A
 zero-oracle hybrid trial starts from `start()`, which is deterministic, so
 its point is (params, protocol). Either way the lab draws exactly the bits
 it would draw anyway, and a repeated view is replayed into the same
@@ -45,8 +46,8 @@ commitments, plan and response, so a replayed trial is not decided again
 either. The outcome keeps the plan's shape, (per-round queries, structured
 vector), and a replay builds only its own record: its plan takes this
 trial's vector as its randomness, with no check run again, and its stream
-skip stays inside the bits it read ahead. An adversary without a view, and
-a trial with oracles, is always run.
+skip stays inside the bits it read ahead. A trial with oracles is always
+run.
 
 One round function, `_next_round`, advances the extracted IOP prover
 (and so the knowledge pipeline) and every hybrid and events trial: it
@@ -76,11 +77,11 @@ from .vc import vc_check
 CONFIDENCE_DELTA = 1e-6
 
 
-def hoeffding_radius(trials: int, delta: float = CONFIDENCE_DELTA) -> float:
-    """Two-sided deviation radius at confidence 1 - delta."""
+def hoeffding_radius(trials: int) -> float:
+    """Two-sided deviation radius at confidence 1 - `CONFIDENCE_DELTA`."""
     if trials < 1:
         raise ParameterError("radius needs at least one trial")
-    return math.sqrt(math.log(2.0 / delta) / (2.0 * trials))
+    return math.sqrt(math.log(2.0 / CONFIDENCE_DELTA) / (2.0 * trials))
 
 
 @dataclass
@@ -244,10 +245,10 @@ def sampler(adversary, state, ctx: ArgContext, iterations: int, prng: Prng):
     any rewind runs.
 
     Each rewind draws its continuation (r_i, ..., r_k) with one
-    `take_bits`. An adversary with a view has each outcome looked up by
-    (rewind point, view) in its `outcomes` memo, and a hit is replayed
-    (`stats.replayed`) rather than run; a won opening's positions are the
-    planned round-i queries, which is what the knowledge set tests.
+    `take_bits` and is looked up by (rewind point, view) in the
+    adversary's `outcomes` memo; a hit is replayed (`stats.replayed`)
+    rather than run. A won opening's positions are the planned round-i
+    queries, which is what the knowledge set tests.
 
     Once coverage holds all l_i positions, every later rewind is covered,
     so it can record nothing: the remaining rewinds are skipped, and
@@ -262,14 +263,12 @@ def sampler(adversary, state, ctx: ArgContext, iterations: int, prng: Prng):
     stats = SamplerStats()
     widths = spec.randomness_bits[i - 1 :]
     drawn = sum(widths)
-    view = getattr(adversary, "view", None)
-    if view is not None:
-        memo = adversary.outcomes
-        point = (state, ctx)
-        # Equal points have equal states, so the state's hash files a point;
-        # the key holds all of it, so unequal points never share a value.
-        point_hash = hash(state)
-        fixed = ctx.challenges
+    view, memo = adversary.view, adversary.outcomes
+    point = (state, ctx)
+    # Equal points have equal states, so the state's hash files a point;
+    # the key holds all of it, so unequal points never share a value.
+    point_hash = hash(state)
+    fixed = ctx.challenges
     for run in range(iterations):
         if len(knowledge.coverage) == knowledge.proof_length:
             stats.skipped = iterations - run
@@ -277,18 +276,15 @@ def sampler(adversary, state, ctx: ArgContext, iterations: int, prng: Prng):
             break
         stats.rewinds += 1
         continuation = _split_bits(prng.take_bits(drawn), widths)
-        if view is None:
+        seen = view(fixed + continuation)
+        h, key = hash((point_hash, seen)), (point, seen)
+        outcome = memo.get(h, key)
+        if outcome is None:
             outcome = _rewind(adversary, state, ctx, continuation)
+            weight = 8 if outcome is VOIDED or outcome is LOST else _opening_weight(outcome)
+            memo.put(h, key, outcome, state_bytes + weight)
         else:
-            seen = view(fixed + continuation)
-            h, key = hash((point_hash, seen)), (point, seen)
-            outcome = memo.get(h, key)
-            if outcome is None:
-                outcome = _rewind(adversary, state, ctx, continuation)
-                weight = 8 if outcome is VOIDED or outcome is LOST else _opening_weight(outcome)
-                memo.put(h, key, outcome, state_bytes + weight)
-            else:
-                stats.replayed += 1
+            stats.replayed += 1
         if outcome is VOIDED:
             stats.voided += 1
             continue
@@ -445,7 +441,7 @@ class TrialRecord:
     response: tuple | None
     voided: bool = False
     # A zero-oracle trial's full-opening decision, `accept_under_routing(...,
-    # 0)`, when the trial went through the outcome memo; None otherwise.
+    # 0)`, kept with its outcome; None for a trial with oracles.
     decision: int | None = None
 
 
@@ -460,10 +456,10 @@ def run_hybrid_trial(
     """One execution with rounds 1..oracle_rounds rewound and extracted,
     each under the experiment's error share (`error_share`).
 
-    A zero-oracle trial of an adversary with a view reads its challenge
-    vector ahead (`peek_bits`) and looks its outcome up by that vector's
-    view in the adversary's `outcomes` memo; only a miss plays the trial, on
-    that vector, and decides it, and the record carries that decision
+    A zero-oracle trial reads its challenge vector ahead (`peek_bits`) and
+    looks its outcome up by that vector's view in the adversary's
+    `outcomes` memo; only a miss plays the trial, on that vector, and
+    decides it, and the record carries that decision
     (`TrialRecord.decision`), also when it is replayed. Either way the
     stream then moves past the challenges the trial drew, which are all k
     unless the adversary raised before the last one. The record carries
@@ -479,14 +475,13 @@ def run_hybrid_trial(
     spec = protocol.spec
     if not 0 <= oracle_rounds <= spec.rounds:
         raise ParameterError("oracle rounds must lie in [0, k]")
-    view = getattr(adversary, "view", None)
-    if oracle_rounds or view is None:
+    if oracle_rounds:
         return _play_trial(protocol, params, adversary, oracle_rounds, share, prng)
     widths = spec.randomness_bits
     total = sum(widths)
     raw = _split_bits(prng.peek_bits(total), widths)
     memo = adversary.outcomes
-    seen = view(raw)
+    seen = adversary.view(raw)
     # Equal keys have equal protocols, so hashing the protocol suffices.
     h, key = hash((protocol, seen)), (params, protocol, seen)
     outcome = memo.get(h, key)
@@ -659,7 +654,6 @@ def run_events_experiment(
     trials: int,
     seed: int,
     epsilon: float,
-    label: str = "events",
 ) -> EventCounters:
     """Couple the opening-routed and oracle-routed verifiers at one round."""
     spec = protocol.spec
@@ -671,7 +665,7 @@ def run_events_experiment(
         max_rewinds=rewind_budget_limit(spec.max_proof_length, share),
         proof_length=spec.proof_lengths[round_index - 1],
     )
-    trial_key = derive_stem(seed_root(seed), label, round_index)
+    trial_key = derive_stem(seed_root(seed), "events", round_index)
     for trial in range(trials):
         counters.trials += 1
         prng = Prng(trial_key(trial))

@@ -38,22 +38,21 @@ is opened once; it holds at most `OPENING_MEMO_ENTRIES` openings and
 `OPENING_MEMO_BYTES`, counting each entry as the tree it keeps alive plus
 its proof digests.
 
-A session prover may also declare a view: `view(randomness)` returns the
+Every session prover declares a view: `view(randomness)` returns the
 hashable part of a raw challenge vector (r_1, ..., r_k), of the spec's
 widths, that its behaviour reads. Two vectors with equal views must make
 the prover, started from the same state, send the same commitments and
 the same openings for their plans, and must map to the same structured
 challenges, which is all the verifier reads of them. The rewinding lab in
-`extraction` relies on that to run each (rewind point, view) once. A
-prover that declares a view keeps its outcomes in `outcomes`, a
-`memo.BoundedMemo` built with the prover and bounded by
-`OUTCOME_MEMO_ENTRIES` entries and `OUTCOME_MEMO_BYTES` bytes. A prover
-without a view has `view = None` and is never replayed. `ArgumentProver`
+`extraction` relies on that to run each (rewind point, view) once, and
+every prover keeps its outcomes in `outcomes`, a `memo.BoundedMemo` built
+with it and bounded by `OUTCOME_MEMO_ENTRIES` entries and
+`OUTCOME_MEMO_BYTES` bytes. The raw vector, `tuple(randomness)`, is always
+a view, and a prover handed raw bits declares it, as a compiled strategy
+does unless its caller passes a narrower view. `ArgumentProver`
 declares `structured_view(protocol)`, the vector of structured challenges,
 when it compiles the honest prover, which reads each challenge only
-through `map_to_range` onto its round's challenge space; a compiled
-strategy declares a view only when its caller passes one, since a
-strategy is handed the raw bits.
+through `map_to_range` onto its round's challenge space.
 """
 
 from __future__ import annotations
@@ -220,14 +219,14 @@ class ArgumentProver:
 
     It compiles `iop_prover`, by default the protocol's honest prover on
     `witness`, whose view is `structured_view(protocol)`; a caller that
-    passes its own `iop_prover` passes its `view`, if it has one. Every
-    compiled prover gets the same checks: the parameters fit the protocol's
-    shape, a challenge arrives exactly from round 2 on, and each round's
-    string has the round's length l_i.
+    passes its own `iop_prover` may pass a `view` narrower than the raw
+    vector, `tuple`. Every compiled prover gets the same checks: the
+    parameters fit the protocol's shape, a challenge arrives exactly from
+    round 2 on, and each round's string has the round's length l_i.
     """
 
     def __init__(
-        self, protocol: IopProtocol, params: ArgParams, witness=None, *, iop_prover=None, view=None
+        self, protocol: IopProtocol, params: ArgParams, witness=None, *, iop_prover=None, view=tuple
     ):
         if params.iop_spec != protocol.spec:
             raise ParameterError("parameters were generated for a different IOP shape")

@@ -321,14 +321,13 @@ def oracle_cost(protocol: IopProtocol) -> int:
     return cost
 
 
-def brute_force_soundness(
-    protocol: IopProtocol, budget: int = DEFAULT_ORACLE_BUDGET
-) -> Fraction:
+def brute_force_soundness(protocol: IopProtocol) -> Fraction:
     """Exact best acceptance probability over all adaptive proof strategies.
 
     Maximizes round by round: the strategy may pick each proof string as a
     function of all previous structured challenges. Raises InfeasibleError
-    rather than returning an approximation when the tree exceeds `budget`.
+    rather than returning an approximation when the tree needs more than
+    `DEFAULT_ORACLE_BUDGET` decisions.
 
     The enumeration counts in integers: a node's count is the best, over
     its proof strings, of the summed counts below it, and a leaf counts the
@@ -346,9 +345,9 @@ def brute_force_soundness(
     edges reads 2 of 4 positions, 9 patterns of 3 colors.
     """
     cost = oracle_cost(protocol)
-    if cost > budget:
+    if cost > DEFAULT_ORACLE_BUDGET:
         raise InfeasibleError(
-            f"strategy tree needs {cost} decision evaluations, budget is {budget}"
+            f"strategy tree needs {cost} decision evaluations, budget is {DEFAULT_ORACLE_BUDGET}"
         )
     spec = protocol.spec
     spaces = [protocol.challenge_space(i) for i in range(1, spec.rounds + 1)]

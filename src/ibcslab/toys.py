@@ -23,6 +23,8 @@ from .memo import BoundedMemo
 from .prng import Bits, map_to_range, randomness_length
 
 GC_COLORS = 3
+# The most vertices whose colorings `best_coloring` enumerates.
+BEST_COLORING_MAX_VERTICES = 13
 
 
 # ---------------------------------------------------------------------------
@@ -116,11 +118,9 @@ def find_coloring(instance: GraphColoringInstance) -> tuple[int, ...] | None:
     return tuple(colors)  # type: ignore[arg-type]
 
 
-def best_coloring(
-    instance: GraphColoringInstance, max_vertices: int = 13
-) -> tuple[tuple[int, ...], Fraction]:
+def best_coloring(instance: GraphColoringInstance) -> tuple[tuple[int, ...], Fraction]:
     """Coloring maximizing satisfied edges, with its exact acceptance rate."""
-    if instance.vertex_count > max_vertices:
+    if instance.vertex_count > BEST_COLORING_MAX_VERTICES:
         raise InfeasibleError(
             f"coloring enumeration over {GC_COLORS}**{instance.vertex_count} is over budget"
         )
@@ -464,13 +464,13 @@ class SumcheckCheatPlan:
     doubles as a scripted adversary strategy.
     """
 
-    def __init__(self, instance: SumcheckInstance, budget: int = DEFAULT_CHEAT_BUDGET):
+    def __init__(self, instance: SumcheckInstance):
         p, d, n = instance.prime, instance.degree, instance.variables
         cost = sum(p ** (i - 1) * p ** (d + 1) * p for i in range(1, n + 1))
-        if cost > budget:
+        if cost > DEFAULT_CHEAT_BUDGET:
             raise InfeasibleError(
                 f"cheat-strategy program needs about {cost} table evaluations, "
-                f"budget is {budget}"
+                f"budget is {DEFAULT_CHEAT_BUDGET}"
             )
         self.instance = instance
         self._p, self._n = p, n

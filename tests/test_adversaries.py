@@ -226,9 +226,9 @@ def test_grinder_measure(k3_setup):
     honest = honest_wrapper(protocol, params, witness)
     for zero_bits in (0, 1, 2):
         grinder = grinder_on_leading_bits(protocol, honest, zero_bits)
-        assert grinder.measure == Fraction(1, 2**zero_bits)
+        measure = Fraction(1, 2**zero_bits)
         estimate = measure_acceptance(protocol, params, grinder, 4000, seed=9 + zero_bits)
-        assert abs(estimate.value - float(grinder.measure)) <= 3 * hoeffding_radius(4000)
+        assert abs(estimate.value - float(measure)) <= 3 * hoeffding_radius(4000)
 
 
 def test_always_abort(k3_setup):
@@ -464,7 +464,8 @@ def test_views_follow_what_each_adversary_reads(sumcheck_true_setup):
     """The compiled honest prover and the scripted cheats that map their
     challenges declare the structured vector; a wrapper passes its inner
     view through, and a grinder adds its predicate bit; a general strategy,
-    handed raw bits, declares none, and so does any wrapper of it."""
+    handed raw bits, declares the raw vector, and its wrappers build on
+    that."""
     protocol, params = sumcheck_true_setup
     spec = protocol.spec
     prng = Prng(derive(seed_root(12), "views"))
@@ -478,6 +479,8 @@ def test_views_follow_what_each_adversary_reads(sumcheck_true_setup):
             else:
                 assert adversary.view(r) == structured
     scripted = ScriptedProver(protocol, params, lambda i, _c, _s: (0,) * spec.proof_lengths[i - 1])
-    assert scripted.view is None
-    assert Withholder(protocol, scripted, lambda _r, _q: False).view is None
-    assert grinder_on_leading_bits(protocol, scripted, 1).view is None
+    withholder = Withholder(protocol, scripted, lambda _r, _q: False)
+    grinder = grinder_on_leading_bits(protocol, scripted, 1)
+    for r in vectors:
+        assert scripted.view(r) == withholder.view(r) == r
+        assert grinder.view(r) == (r, grinder.predicate(r))

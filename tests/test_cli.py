@@ -109,6 +109,40 @@ def test_verify_transcript_rejects_another_lambda(capsys, tmp_path, k3_file):
     assert "lambda=128, but --lambda is 256" in captured.err
 
 
+@pytest.mark.parametrize("case", ["same-instance", "other-instance", "other-bound"])
+def test_verify_transcript_checks_the_configured_instance(
+    capsys, tmp_path, k3_file, k4_file, k3, case
+):
+    """With --instance, a stored transcript must carry that instance, under
+    the parameters derived for it at --lambda: otherwise one error line and
+    exit 2, else the same results as without --instance."""
+    out = tmp_path / "transcript.bin"
+    if case == "other-bound":
+        protocol = gc_pcp(k3)
+        own = len(transport.encode_instance(k3))
+        params = arg_setup(128, own + 1, protocol.spec)
+        prover = ArgumentProver(protocol, params, find_coloring(k3))
+        result, _ = run_memory_session(protocol, params, prover, seed=3)
+        out.write_bytes(transport.serialize_transcript(params, result.transcript))
+    else:
+        run_cli(capsys, ["prove", "--instance", k3_file, "--seed", "3", "--out", str(out)])
+    instance = k4_file if case == "other-instance" else k3_file
+    code, plain = run_cli(capsys, ["verify", "--transcript", str(out)])
+    assert code == 0
+    code = main(["verify", "--transcript", str(out), "--instance", instance])
+    captured = capsys.readouterr()
+    if case == "same-instance":
+        assert code == 0
+        assert json.loads(captured.out)["results"] == plain["results"]
+        return
+    assert code == 2 and captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+    if case == "other-instance":
+        assert "different instance" in captured.err
+    else:
+        assert f"instance bound {own + 1} stored, {own} expected" in captured.err
+
+
 def test_verify_corrupted_transcript_fails(capsys, tmp_path, k3_file):
     out = tmp_path / "transcript.bin"
     run_cli(capsys, ["prove", "--instance", k3_file, "--seed", "3", "--out", str(out)])
@@ -564,6 +598,13 @@ def test_the_parser_is_built_once_and_commands_dispatch_by_name(
         (["extract"], "extract requires --instance"),
         (["prove"], "prove requires --instance"),
         (["verify"], "verify requires --listen or --transcript"),
+        (["prove", "--instance", "k3.txt", "--connect", "127.0.0.1:9"],
+         "--connect requires --transport tcp"),
+        (["verify", "--transcript", "t.bin", "--listen", "127.0.0.1:0"],
+         "--transcript takes no --listen"),
+        (["verify", "--transcript", "t.bin", "--out", "o.bin"], "--transcript takes no --out"),
+        (["verify", "--transcript", "t.bin", "--ready-fd", "3"],
+         "--transcript takes no --ready-fd"),
     ],
 )
 def test_usage_errors_exit_2_from_the_shared_parser(capsys, argv, message):

@@ -165,10 +165,14 @@ def _context_at(protocol, params, adversary, round_index):
 
 
 class _Crashing:
-    """Commits like `inner`, then crashes instead of opening."""
+    """Commits like `inner`, then crashes instead of opening; it reads the
+    raw challenge vector and keeps its own outcomes."""
+
+    view = tuple
 
     def __init__(self, inner):
         self.inner = inner
+        self.outcomes = BoundedMemo(OUTCOME_MEMO_ENTRIES, OUTCOME_MEMO_BYTES)
 
     def start(self):
         return self.inner.start()
@@ -207,8 +211,8 @@ def test_sampler_matches_the_full_loop(name, k3_setup, sumcheck_true_setup):
     neither the knowledge set nor where the shared stream stands afterwards.
 
     The same adversary object is sampled twice from the same point on the
-    same stream: with a view, every rewind of the second call is replayed;
-    without one (`crashing`), none is."""
+    same stream, so every rewind of the second call is replayed, also for
+    `crashing`, whose view is the raw vector."""
     adversary, protocol, params, round_index = _sampler_case(name, k3_setup, sumcheck_true_setup)
     ctx, state = _context_at(protocol, params, adversary, round_index)
     iterations = 60
@@ -224,10 +228,7 @@ def test_sampler_matches_the_full_loop(name, k3_setup, sumcheck_true_setup):
         assert fast.take_bits(512) == after
         assert stats.rewinds + stats.skipped == iterations
         assert stats.recorded == recorded
-    if getattr(adversary, "view", None) is None:
-        assert stats.replayed == 0
-    else:
-        assert stats.replayed == stats.rewinds > 0
+    assert stats.replayed == stats.rewinds > 0
     if name.startswith("honest"):
         assert stats.skipped > 0
         assert len(knowledge.coverage) == knowledge.proof_length
@@ -247,6 +248,9 @@ def test_sampler_counts_crashes_as_voided(k3_setup):
     honest = honest_wrapper(protocol, params, witness)
 
     class Crashing:
+        view = tuple
+        outcomes = BoundedMemo(OUTCOME_MEMO_ENTRIES, OUTCOME_MEMO_BYTES)
+
         def start(self):
             return honest.start()
 
@@ -300,14 +304,15 @@ NO_VALUES = [
 
 def _stateful_adversary(k3_setup, make_cell, bump, with_view):
     """An honest K3 prover whose state also holds `make_cell()`, which it
-    `bump`s on every final response, breaking the rewind contract;
+    `bump`s on every final response, breaking the rewind contract; its
+    view is the honest one `with_view`, else the raw vector, and
     `final_calls` counts its final responses."""
     protocol, params, witness = k3_setup
     honest = honest_wrapper(protocol, params, witness)
 
     class Stateful:
         def __init__(self):
-            self.view = honest.view if with_view else None
+            self.view = honest.view if with_view else tuple
             self.outcomes = BoundedMemo(OUTCOME_MEMO_ENTRIES, OUTCOME_MEMO_BYTES)
             self.final_calls = 0
 
@@ -385,8 +390,8 @@ def test_a_state_that_is_no_value_escapes_every_rewinding_experiment(
 
 @pytest.mark.parametrize("make_cell, bump, kind", NO_VALUES)
 def test_a_state_that_is_no_value_runs_where_nothing_rewinds(k3_setup, make_cell, bump, kind):
-    """Only a rewind needs a value: without a view, such an adversary still
-    runs plain acceptance trials and a memory session."""
+    """Only a rewind needs a value: with the raw view, such an adversary
+    still runs plain acceptance trials and a memory session."""
     protocol, params, _ = k3_setup
     adv = _stateful_adversary(k3_setup, make_cell, bump, with_view=False)
     assert measure_acceptance(protocol, params, adv, 20, seed=1).value == 1.0

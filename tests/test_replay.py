@@ -28,7 +28,7 @@ from ibcslab.extraction import (
 )
 from ibcslab.ibcs import structured_view
 from ibcslab.memo import BoundedMemo
-from ibcslab.prng import Prng, derive, map_to_range, seed_root
+from ibcslab.prng import Bits, Prng, derive, map_to_range, seed_root
 from ibcslab.toys import complete_graph, dump_graph_text, dump_sumcheck_text, find_coloring
 
 from helpers import make_sumcheck
@@ -149,13 +149,38 @@ def _lab_results(protocol, params, adversary):
 
 
 def test_a_strategy_reading_raw_bits_is_never_replayed(sumcheck_true_setup, monkeypatch):
-    """A general strategy gets raw bits, so it declares no view: the lab
-    never keeps its outcomes and its results equal the memo-off run."""
+    """A general strategy gets raw bits, so it declares the raw vector: the
+    lab's fresh coins never repeat one, so no rewind is replayed, every
+    zero-oracle trial is played, and its results equal the memo-off run."""
     protocol, params = sumcheck_true_setup
     adversary = _parity_prover(protocol, params)
-    assert adversary.view is None
-    on = _lab_results(protocol, params, adversary)
-    assert not adversary.outcomes.entries
+    vector = tuple(Bits(width, 1) for width in protocol.spec.randomness_bits)
+    assert adversary.view(vector) == vector
+    calls = {"samplers": 0, "trials": 0, "played": 0}
+    real_sampler, real_trial, real_play = (
+        extraction.sampler, extraction.run_hybrid_trial, extraction._play_trial
+    )
+
+    def sampler(*args):
+        knowledge, stats = real_sampler(*args)
+        calls["samplers"] += 1
+        assert stats.replayed == 0
+        return knowledge, stats
+
+    def trial(protocol, params, adversary, oracle_rounds, *rest):
+        calls["trials"] += oracle_rounds == 0
+        return real_trial(protocol, params, adversary, oracle_rounds, *rest)
+
+    def play(protocol, params, adversary, oracle_rounds, *rest):
+        calls["played"] += oracle_rounds == 0
+        return real_play(protocol, params, adversary, oracle_rounds, *rest)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(extraction, "sampler", sampler)
+        patched.setattr(extraction, "run_hybrid_trial", trial)
+        patched.setattr(extraction, "_play_trial", play)
+        on = _lab_results(protocol, params, adversary)
+    assert calls["samplers"] > 0 and calls["played"] == calls["trials"] > 0
     _memo_off(monkeypatch)
     assert _lab_results(protocol, params, _parity_prover(protocol, params)) == on
 
