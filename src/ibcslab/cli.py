@@ -239,10 +239,9 @@ def cmd_verify(args, argv) -> int:
     # One connection per run: the listener closes once it has accepted, and
     # the connection closes however the session ends.
     with transport.tcp_listen(*args.listen) as listener:
-        if args.ready_fd is not None:
-            actual = listener.getsockname()[1]
-            with open(args.ready_fd, "w") as fh:
-                fh.write(str(actual))
+        if args.ready_file is not None:
+            with cli_file(args.ready_file) as file:
+                file.write_text(str(listener.getsockname()[1]))
         channel = transport.tcp_accept(listener)
     with closing(channel):
         bound, vc_params, instance = transport.recv_public_setup(
@@ -449,7 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--listen", type=host_port_arg, help="host:port to accept one session on")
     p.add_argument("--transcript", help="verify a stored transcript file")
     p.add_argument("--out", help="write the observed transcript file here")
-    p.add_argument("--ready-fd", help=argparse.SUPPRESS)  # test hook: report bound port
+    p.add_argument("--ready-file", help=argparse.SUPPRESS)  # test hook: write the bound port here
 
     p = add_command("soundness", help="oracle vs scripted adversaries")
     common(p)
@@ -480,7 +479,7 @@ def main(argv=None) -> int:
     if args.command == "prove" and args.connect and args.transport != "tcp":
         parser.error("--connect requires --transport tcp")
     if args.command == "verify" and args.transcript:
-        ignored = {"--listen": args.listen, "--out": args.out, "--ready-fd": args.ready_fd}
+        ignored = {"--listen": args.listen, "--out": args.out, "--ready-file": args.ready_file}
         for flag, value in ignored.items():
             if value is not None:
                 parser.error(f"--transcript takes no {flag}")

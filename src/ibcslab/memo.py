@@ -13,12 +13,13 @@ each prover's `ibcs.CommitMemo`, `ibcs.OpeningMemo` and `outcomes`
 memo, each protocol object's plan cache in `iop`, and each sumcheck
 protocol object's round-polynomial memo in `toys`.
 
-Threads may share a memo (an in-memory session's prover and verifier
-threads share a protocol object's plan and round-polynomial memos, and
-every thread shares the check memo). A hit takes no lock; a put takes
-one. This is safe because entries are filed under ints: each
-`OrderedDict` operation on an int key runs no Python code, so under the
-GIL it is atomic, and a hit reads an entry whole, as one immutable
+The library starts no thread, but its callers may: a benchmark driver or
+a test that runs a session's two ends in threads shares one protocol
+object's plan and round-polynomial memos between them, and every thread
+shares the check memo. So a hit takes no lock, and a put keeps one.
+This is safe because entries are filed under ints: each `OrderedDict`
+operation on an int key runs no Python code, so under the GIL it is
+atomic, and a hit reads an entry whole, as one immutable
 (key, value, weight) tuple. `put` is the only writer of `bytes` and the
 only code that evicts, so under its lock the byte count stays the sum of
 the weights held. Between a hit's lookup and its `move_to_end` (the key

@@ -100,22 +100,22 @@ def find_coloring(instance: GraphColoringInstance) -> tuple[int, ...] | None:
     for u, v in instance.edges:
         neighbours[u - 1].append(v - 1)
         neighbours[v - 1].append(u - 1)
-    colors: list[int | None] = [None] * n
-
-    def place(v: int) -> bool:
-        if v == n:
-            return True
-        for c in range(GC_COLORS):
-            if all(colors[w] != c for w in neighbours[v]):
-                colors[v] = c
-                if place(v + 1):
-                    return True
-        colors[v] = None
-        return False
-
-    if not place(0):
-        return None
-    return tuple(colors)  # type: ignore[arg-type]
+    # Depth first, vertex by vertex in order, each trying colors 0, 1, 2;
+    # -1 marks a vertex not yet colored. A loop, not recursion, so a long
+    # path is no deeper than a short one.
+    colors = [-1] * n
+    v = 0
+    while 0 <= v < n:
+        c = colors[v] + 1
+        while c < GC_COLORS and any(colors[w] == c for w in neighbours[v]):
+            c += 1
+        if c < GC_COLORS:
+            colors[v] = c
+            v += 1
+        else:
+            colors[v] = -1
+            v -= 1
+    return tuple(colors) if v == n else None
 
 
 def best_coloring(instance: GraphColoringInstance) -> tuple[tuple[int, ...], Fraction]:

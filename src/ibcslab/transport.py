@@ -18,16 +18,24 @@ separately from protocol bits.
 Sessions drive the mandated message order (commit, challenge, repeated,
 then one batched response) over any reliable ordered channel; in-memory
 queues and TCP sockets are provided and produce identical frame bytes
-under identical seeds. A stored transcript is read by the live verifier's
-setup check, frame reader and round reader, through a byte cursor.
+under identical seeds.
+
+Each session end is a generator: it yields the (tag, payload cap) of each
+frame it reads, is sent that frame whole, and sends its own frames itself.
+Three drivers run the same ends. `run_session` reads their frames off a
+channel: a TCP socket, or a memory channel whose peer runs in another
+thread. `memory_session` steps the verifier end and the prover end in
+turn in the calling thread; the exchange alternates strictly, so every
+read finds its frame already queued. `parse_transcript` drives the
+verifier's round reader over a stored transcript, after the live
+verifier's setup check, through a byte cursor.
 
 An in-memory channel carries each direction on one `queue.SimpleQueue`,
-the cheapest cross-thread handoff, since every protocol message crosses
-it between the prover and verifier threads (see `MemoryChannel`). TCP
-channels set `TCP_NODELAY`: the prover writes three small frames
-(parameters, instance, first commitment) before its first read, and
-Nagle's algorithm could hold each one after the first until the previous
-one is acknowledged.
+the cheapest cross-thread handoff, for callers that run the two ends in
+threads (see `MemoryChannel`). TCP channels set `TCP_NODELAY`: the prover
+writes three small frames (parameters, instance, first commitment) before
+its first read, and Nagle's algorithm could hold each one after the first
+until the previous one is acknowledged.
 """
 
 from __future__ import annotations
@@ -35,7 +43,6 @@ from __future__ import annotations
 import queue
 import socket
 import struct
-import threading
 from dataclasses import dataclass
 from typing import Any
 
@@ -393,15 +400,13 @@ class MemoryChannel:
 
     Each direction is one `queue.SimpleQueue`: it hands a frame over under
     one lock in C, where a `queue.Queue` builds a mutex and three
-    `Condition`s per queue and counts unfinished tasks on every put, and
-    every message of a session makes that handoff. `close` queues an
-    end-of-stream marker (None) that fails the peer's next read that needs
-    more bytes at once.
+    `Condition`s per queue and counts unfinished tasks on every put. The
+    handoff serves callers that run the two ends in threads, such as a
+    benchmark driver or a test; `memory_session` queues every frame before
+    it is read, so its reads never wait.
     """
 
-    def __init__(
-        self, inbox: "queue.SimpleQueue[bytes | None]", outbox: "queue.SimpleQueue[bytes | None]"
-    ):
+    def __init__(self, inbox: "queue.SimpleQueue[bytes]", outbox: "queue.SimpleQueue[bytes]"):
         self._inbox = inbox
         self._outbox = outbox
         self._buffer = b""
@@ -412,22 +417,16 @@ class MemoryChannel:
     def recv_exact(self, n: int) -> bytes:
         while len(self._buffer) < n:
             try:
-                chunk = self._inbox.get(timeout=RECV_TIMEOUT_S)
+                self._buffer += self._inbox.get(timeout=RECV_TIMEOUT_S)
             except queue.Empty as exc:
                 raise TransportError(f"peer sent nothing for {RECV_TIMEOUT_S:g} s") from exc
-            if chunk is None:
-                raise TransportError("peer closed the channel")
-            self._buffer += chunk
         out, self._buffer = self._buffer[:n], self._buffer[n:]
         return out
 
-    def close(self):
-        self._outbox.put(None)
-
 
 def memory_channel_pair() -> tuple[MemoryChannel, MemoryChannel]:
-    a_to_b: queue.SimpleQueue[bytes | None] = queue.SimpleQueue()
-    b_to_a: queue.SimpleQueue[bytes | None] = queue.SimpleQueue()
+    a_to_b: queue.SimpleQueue[bytes] = queue.SimpleQueue()
+    b_to_a: queue.SimpleQueue[bytes] = queue.SimpleQueue()
     return MemoryChannel(b_to_a, a_to_b), MemoryChannel(a_to_b, b_to_a)
 
 
@@ -535,7 +534,11 @@ class SessionResult:
 
 
 class _FrameLink:
-    """Orders frames over a channel and keeps the running byte tallies."""
+    """Orders a session end's frames and keeps the running byte tallies.
+
+    It sends over `channel`; `recv` yields the (tag, payload cap) of the
+    frame it reads to the end's driver and is sent that frame whole.
+    """
 
     def __init__(self, channel):
         self.channel = channel
@@ -554,8 +557,8 @@ class _FrameLink:
             self.counters.sent_payload_bytes += len(payload)
             self.counters.overhead_bytes += FRAME_HEADER_BYTES
 
-    def recv(self, expected_tag: int, max_payload: int, is_protocol: bool = False) -> bytes:
-        frame = _recv_frame(self.channel, expected_tag, max_payload)
+    def recv(self, expected_tag: int, max_payload: int, is_protocol: bool = False):
+        frame = yield expected_tag, max_payload
         self.log += frame
         self.counters.recv_frames += 1
         payload = frame[FRAME_HEADER_BYTES:]
@@ -578,8 +581,8 @@ def _undecodable(channel, what: str, payload: bytes, exc: DecodeError) -> IbcsEr
     return _violation(channel, f"undecodable {what}: {exc.reason}", back)
 
 
-def _recv_challenge(link: _FrameLink, nbits: int) -> Bits:
-    payload = link.recv(TAG_CHALLENGE, (nbits + 7) // 8, is_protocol=True)
+def _recv_challenge(link: _FrameLink, nbits: int):
+    payload = yield from link.recv(TAG_CHALLENGE, (nbits + 7) // 8, is_protocol=True)
     link.counters.recv_protocol_bits += nbits
     try:
         return decode_challenge(payload, nbits)
@@ -587,32 +590,90 @@ def _recv_challenge(link: _FrameLink, nbits: int) -> Bits:
         raise _undecodable(link.channel, "challenge", payload, exc) from exc
 
 
-def _read_rounds(
-    link: _FrameLink, params: ArgParams, protocol: IopProtocol, challenge
-) -> Transcript:
+def _read_rounds(link: _FrameLink, params: ArgParams, protocol: IopProtocol, prng: Prng | None):
     """Read the k commitment/challenge pairs and the final response, each
-    frame capped by its exact maximum.
+    frame capped by its exact maximum: the verifier's round reader.
 
-    `challenge(link, nbits)` supplies each round's challenge: a live
-    verifier draws and sends it, a stored transcript reads its frame.
+    A live verifier draws each challenge from `prng` and sends it; a
+    stored transcript (`prng` None) reads the challenge's frame.
     """
     commitments = []
     challenges = []
     for nbits in protocol.spec.randomness_bits:
-        payload = link.recv(TAG_COMMIT, COMMITMENT_WIRE_BYTES, is_protocol=True)
+        payload = yield from link.recv(TAG_COMMIT, COMMITMENT_WIRE_BYTES, is_protocol=True)
         try:
             commitments.append(decode_commitment(payload))
         except DecodeError as exc:
             raise _undecodable(link.channel, "commitment", payload, exc) from exc
         link.counters.recv_protocol_bits += COMMITMENT_WIRE_BITS
-        challenges.append(challenge(link, nbits))
-    payload = link.recv(TAG_FINAL, final_response_max_bytes(params), is_protocol=True)
+        if prng is None:
+            challenges.append((yield from _recv_challenge(link, nbits)))
+        else:
+            # Public coin: the challenge is read straight off the stream,
+            # before anything of the commitment is interpreted.
+            challenges.append(prng.take_bits(nbits))
+            link.send(TAG_CHALLENGE, encode_challenge(challenges[-1]), nbits)
+    payload = yield from link.recv(TAG_FINAL, final_response_max_bytes(params), is_protocol=True)
     try:
         response = decode_final_response(params, [cm.length for cm in commitments], payload)
     except DecodeError as exc:
         raise _undecodable(link.channel, "final response", payload, exc) from exc
     link.counters.recv_protocol_bits += final_response_bits(params, response)
     return Transcript(protocol.instance, tuple(commitments), tuple(challenges), response)
+
+
+def _session_end(role: str, channel, params: ArgParams, protocol: IopProtocol, prover, prng):
+    """One end of an argument session, as a generator (see the module
+    docstring); it returns the end's SessionResult."""
+    link = _FrameLink(channel)
+    if role == "prover":
+        if prover is None:
+            raise ProtocolViolation("prover role requires a session prover")
+        state = prover.start()
+        commitments = []
+        challenges: list[Bits] = []
+        for nbits in protocol.spec.randomness_bits:
+            cm, state = prover.next_commitment(state, challenges[-1] if challenges else None)
+            commitments.append(cm)
+            link.send(TAG_COMMIT, encode_commitment(cm), COMMITMENT_WIRE_BITS)
+            challenges.append((yield from _recv_challenge(link, nbits)))
+        response = prover.final_response(state, protocol.verifier_query(challenges))
+        if response is None:
+            raise ProtocolViolation("prover aborted instead of opening")
+        link.send(
+            TAG_FINAL,
+            encode_final_response(params, response),
+            final_response_bits(params, response),
+        )
+        transcript = Transcript(
+            protocol.instance, tuple(commitments), tuple(challenges), tuple(response)
+        )
+        decision_payload = yield from link.recv(TAG_DECISION, 1)
+        if decision_payload not in (b"\x00", b"\x01"):
+            raise ProtocolViolation(
+                f"decision frame must carry one byte, 0 or 1; got {decision_payload.hex()!r}"
+            )
+        decision = decision_payload[0]
+    elif role == "verifier":
+        if prng is None:
+            raise ProtocolViolation("verifier role requires a challenge stream")
+        transcript = yield from _read_rounds(link, params, protocol, prng)
+        decision = arg_verify(params, protocol, transcript)
+        link.send(TAG_DECISION, bytes([decision]), None)
+    else:
+        raise ProtocolViolation(f"unknown session role {role!r}")
+    return SessionResult(decision, transcript, link.counters, bytes(link.log))
+
+
+def _drive(end, channel):
+    """Run a session end to its return value, reading each frame it asks
+    for off `channel` (a live channel or a byte cursor)."""
+    try:
+        asked = next(end)
+        while True:
+            asked = end.send(_recv_frame(channel, *asked))
+    except StopIteration as stop:
+        return stop.value
 
 
 def run_session(
@@ -632,83 +693,32 @@ def run_session(
     unexpected frame aborts with ProtocolViolation before a decision is
     reached: a reordered or malformed session can never accept.
     """
-    link = _FrameLink(channel)
-    if role == "prover":
-        if prover is None:
-            raise ProtocolViolation("prover role requires a session prover")
-        state = prover.start()
-        commitments = []
-        challenges: list[Bits] = []
-        for nbits in protocol.spec.randomness_bits:
-            cm, state = prover.next_commitment(state, challenges[-1] if challenges else None)
-            commitments.append(cm)
-            link.send(TAG_COMMIT, encode_commitment(cm), COMMITMENT_WIRE_BITS)
-            challenges.append(_recv_challenge(link, nbits))
-        response = prover.final_response(state, protocol.verifier_query(challenges))
-        if response is None:
-            raise ProtocolViolation("prover aborted instead of opening")
-        link.send(
-            TAG_FINAL,
-            encode_final_response(params, response),
-            final_response_bits(params, response),
-        )
-        transcript = Transcript(
-            protocol.instance, tuple(commitments), tuple(challenges), tuple(response)
-        )
-        decision_payload = link.recv(TAG_DECISION, 1)
-        if decision_payload not in (b"\x00", b"\x01"):
-            raise ProtocolViolation(
-                f"decision frame must carry one byte, 0 or 1; got {decision_payload.hex()!r}"
-            )
-        decision = decision_payload[0]
-    elif role == "verifier":
-        if prng is None:
-            raise ProtocolViolation("verifier role requires a challenge stream")
-
-        def draw(link: _FrameLink, nbits: int) -> Bits:
-            # Public coin: the challenge is read straight off the stream,
-            # before anything of the commitment is interpreted.
-            r_i = prng.take_bits(nbits)
-            link.send(TAG_CHALLENGE, encode_challenge(r_i), r_i.nbits)
-            return r_i
-
-        transcript = _read_rounds(link, params, protocol, draw)
-        decision = arg_verify(params, protocol, transcript)
-        link.send(TAG_DECISION, bytes([decision]), None)
-    else:
-        raise ProtocolViolation(f"unknown session role {role!r}")
-    return SessionResult(decision, transcript, link.counters, bytes(link.log))
+    return _drive(_session_end(role, channel, params, protocol, prover, prng), channel)
 
 
 def memory_session(params: ArgParams, protocol: IopProtocol, prover, prng: Prng):
-    """One in-process session, the verifier in a thread: (prover, verifier) results.
+    """One in-process session in the calling thread: (prover, verifier) results.
 
-    Each end closes its channel when it stops, so a failure ends the other
-    end's wait at once; a failed verifier's error is raised over the
-    prover's closed-channel error.
+    The verifier end and the prover end step in turn, each up to its next
+    read, whose frame the other end has just queued; an error of either
+    end is raised where it happens.
     """
-    chan_p, chan_v = memory_channel_pair()
-    outcome: dict = {}
-
-    def verifier():
+    channels = memory_channel_pair()
+    ends = [
+        _session_end("prover", channels[0], params, protocol, prover, None),
+        _session_end("verifier", channels[1], params, protocol, None, prng),
+    ]
+    asked = [next(end) for end in ends]
+    results = [None, None]
+    turn = 1
+    # The prover commits first and reads last: the decision.
+    while results[0] is None:
         try:
-            outcome["result"] = run_session("verifier", chan_v, params, protocol, prng=prng)
-        except Exception as exc:
-            outcome["error"] = exc
-        finally:
-            chan_v.close()
-
-    thread = threading.Thread(target=verifier)
-    thread.start()
-    try:
-        prover_result = run_session("prover", chan_p, params, protocol, prover=prover)
-    finally:
-        chan_p.close()
-        thread.join()
-        error = outcome.get("error")
-        if error is not None and not isinstance(error, TransportError):
-            raise error
-    return prover_result, outcome["result"]
+            asked[turn] = ends[turn].send(_recv_frame(channels[turn], *asked[turn]))
+        except StopIteration as stop:
+            results[turn] = stop.value
+        turn ^= 1
+    return tuple(results)
 
 
 # ---------------------------------------------------------------------------
@@ -803,7 +813,7 @@ def parse_transcript(data: bytes) -> tuple[ArgParams, IopProtocol, Transcript]:
         raise DecodeError("not a transcript file (bad magic)", offset=0)
     cursor = _ByteCursor(data, len(TRANSCRIPT_MAGIC))
     params, protocol = verifier_setup(*recv_public_setup(cursor))
-    transcript = _read_rounds(_FrameLink(cursor), params, protocol, _recv_challenge)
+    transcript = _drive(_read_rounds(_FrameLink(cursor), params, protocol, None), cursor)
     if cursor.offset != len(data):
         raise DecodeError("trailing bytes after transcript", offset=cursor.offset)
     return params, protocol, transcript

@@ -16,7 +16,7 @@ import pytest
 from ibcslab import cli, toys, transport
 from ibcslab.cli import main
 from ibcslab.ibcs import ArgumentProver, arg_setup
-from ibcslab.toys import dump_graph_text, dump_sumcheck_text, find_coloring, gc_pcp
+from ibcslab.toys import canonical_graph, dump_graph_text, dump_sumcheck_text, find_coloring, gc_pcp
 
 from helpers import make_sumcheck, run_memory_session
 
@@ -47,6 +47,17 @@ def run_cli(capsys, argv):
     code = main(argv)
     out = capsys.readouterr().out
     return code, json.loads(out) if out.strip() else None
+
+
+def test_prove_finds_a_witness_for_a_long_path(capsys, tmp_path):
+    """With no `w` line, `prove` searches for a coloring; on a 3000-vertex
+    path that search must not exhaust the interpreter's recursion limit."""
+    n = 3000
+    path = tmp_path / "path.txt"
+    path.write_text(dump_graph_text(canonical_graph(n, [(v, v + 1) for v in range(1, n)])))
+    code, report = run_cli(capsys, ["prove", "--instance", str(path)])
+    assert code == 0
+    assert report["results"]["decision"] == 1
 
 
 def test_prove_memory_accepts(capsys, tmp_path, k3_file):
@@ -156,7 +167,7 @@ def test_verify_corrupted_transcript_fails(capsys, tmp_path, k3_file):
 
 
 def _wait_for_port(port_file) -> str:
-    """The port a `verify --listen --ready-fd` process wrote, once written."""
+    """The port a `verify --listen --ready-file` process wrote, once written."""
     for _ in range(100):
         if port_file.exists() and port_file.read_text().strip():
             break
@@ -176,7 +187,7 @@ def test_tcp_split_matches_memory(tmp_path, k3_file):
     verifier_out = tmp_path / "tcp_verifier.bin"
     with subprocess.Popen(
         [sys.executable, "-m", "ibcslab.cli", "verify", "--listen", "127.0.0.1:0",
-         "--ready-fd", str(port_file), "--seed", "11", "--out", str(verifier_out)],
+         "--ready-file", str(port_file), "--seed", "11", "--out", str(verifier_out)],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
     ) as verifier:
@@ -204,7 +215,7 @@ def test_verify_listen_rejects_another_lambda(tmp_path, k3_file):
     port_file = tmp_path / "port.txt"
     with subprocess.Popen(
         [sys.executable, "-m", "ibcslab.cli", "verify", "--listen", "127.0.0.1:0",
-         "--ready-fd", str(port_file), "--lambda", "256"],
+         "--ready-file", str(port_file), "--lambda", "256"],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
     ) as verifier:
@@ -250,7 +261,7 @@ def test_verify_listen_closes_its_sockets_when_the_session_fails(
 
     thread = threading.Thread(target=peer)
     thread.start()
-    code = main(["verify", "--listen", "127.0.0.1:0", "--ready-fd", str(port_file),
+    code = main(["verify", "--listen", "127.0.0.1:0", "--ready-file", str(port_file),
                  "--instance", k3_file])
     thread.join(timeout=30)
     assert not thread.is_alive()
@@ -288,7 +299,7 @@ def _listen_with_instance(tmp_path, instance_file, data: bytes) -> tuple[int, st
     port_file = tmp_path / "port.txt"
     with subprocess.Popen(
         [sys.executable, "-m", "ibcslab.cli", "verify", "--listen", "127.0.0.1:0",
-         "--ready-fd", str(port_file), "--instance", instance_file],
+         "--ready-file", str(port_file), "--instance", instance_file],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
     ) as verifier:
@@ -603,8 +614,8 @@ def test_the_parser_is_built_once_and_commands_dispatch_by_name(
         (["verify", "--transcript", "t.bin", "--listen", "127.0.0.1:0"],
          "--transcript takes no --listen"),
         (["verify", "--transcript", "t.bin", "--out", "o.bin"], "--transcript takes no --out"),
-        (["verify", "--transcript", "t.bin", "--ready-fd", "3"],
-         "--transcript takes no --ready-fd"),
+        (["verify", "--transcript", "t.bin", "--ready-file", "3"],
+         "--transcript takes no --ready-file"),
     ],
 )
 def test_usage_errors_exit_2_from_the_shared_parser(capsys, argv, message):
@@ -620,6 +631,7 @@ def test_usage_errors_exit_2_from_the_shared_parser(capsys, argv, message):
     [
         "missing-instance", "missing-transcript", "instance-is-a-directory",
         "witness-not-integers", "out-is-a-directory", "json-is-a-directory",
+        "ready-file-is-a-directory",
     ],
 )
 def test_file_and_flag_errors_are_one_error_line(capsys, tmp_path, k3_file, case):
@@ -632,6 +644,9 @@ def test_file_and_flag_errors_are_one_error_line(capsys, tmp_path, k3_file, case
         "witness-not-integers": ["prove", "--instance", k3_file, "--witness", "a,b"],
         "out-is-a-directory": ["prove", "--instance", k3_file, "--out", str(tmp_path)],
         "json-is-a-directory": ["prove", "--instance", k3_file, "--json", str(tmp_path)],
+        "ready-file-is-a-directory": [
+            "verify", "--listen", "127.0.0.1:0", "--ready-file", str(tmp_path)
+        ],
     }[case]
     code = main(argv)
     captured = capsys.readouterr()

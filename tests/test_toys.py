@@ -175,6 +175,26 @@ def test_single_edge_graph_is_satisfiable():
     assert best_coloring(graph)[1] == 1
 
 
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_find_coloring_matches_the_recursive_search(data):
+    n = data.draw(st.integers(2, 9), label="n")
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    edges = sorted(data.draw(st.sets(st.sampled_from(pairs), min_size=1), label="edges"))
+    graph = canonical_graph(n, edges)
+    assert find_coloring(graph) == toys_reference.find_coloring(n, graph.edges)
+
+
+def test_find_coloring_on_a_long_path_needs_no_recursion():
+    """A path's search goes one vertex deeper per vertex; the loop has no
+    depth limit, where one call per vertex passed Python's."""
+    n = 3000
+    path = canonical_graph(n, [(v, v + 1) for v in range(1, n)])
+    coloring = find_coloring(path)
+    assert coloring == (0, 1) * (n // 2)
+    assert is_proper_coloring(path, coloring)
+
+
 def test_petersen_is_three_colorable(petersen):
     coloring = find_coloring(petersen)
     assert coloring is not None

@@ -129,28 +129,63 @@ def test_memory_session_accepts(k3_setup):
     assert p_res.frame_bytes == v_res.frame_bytes
 
 
+class _ExtraDigest(ArgumentProver):
+    """Opens like the honest prover, with one digest too many per round."""
+
+    def final_response(self, state, plan):
+        return tuple(
+            dataclasses.replace(o, proof=o.proof + (bytes(32),))
+            for o in super().final_response(state, plan)
+        )
+
+
+class _Aborting(ArgumentProver):
+    """Commits like the honest prover, then refuses to open."""
+
+    def final_response(self, state, plan):
+        return None
+
+
 def test_memory_session_raises_the_verifiers_error_at_once(k3_setup):
-    """A verifier that fails closes its end, so the prover waiting for the
-    decision stops at once and the verifier's error is the one raised."""
+    """A verifier that fails raises its error where it fails, so the
+    session stops at once, with the verifier's error."""
     protocol, params, witness = k3_setup
-    honest = ArgumentProver(protocol, params, witness)
-
-    class ExtraDigest:
-        start = honest.start
-        next_commitment = honest.next_commitment
-
-        def final_response(self, state, plan):
-            return tuple(
-                dataclasses.replace(o, proof=o.proof + (bytes(32),))
-                for o in honest.final_response(state, plan)
-            )
-
     threads = threading.active_count()
     start = time.monotonic()
     with pytest.raises(ProtocolViolation, match="undecodable final response"):
-        run_memory_session(protocol, params, ExtraDigest(), seed=5)
+        run_memory_session(protocol, params, _ExtraDigest(protocol, params, witness), seed=5)
     assert time.monotonic() - start < 2
     assert threading.active_count() == threads
+
+
+def test_a_memory_session_starts_no_thread_and_never_waits(
+    k3_setup, sumcheck_true_setup, monkeypatch
+):
+    """Both ends step in the calling thread and every read finds its frame
+    already queued: with threads refused and a zero read timeout, sessions
+    run as before, and each end's error is raised as it is."""
+    setups = [k3_setup, (*sumcheck_true_setup, ())]
+    unpatched = [
+        run_memory_session(protocol, params, ArgumentProver(protocol, params, witness), seed=5)
+        for protocol, params, witness in setups
+    ]
+
+    def no_thread(*args, **kwargs):
+        raise AssertionError("an in-memory session started a thread")
+
+    monkeypatch.setattr(threading, "Thread", no_thread)
+    monkeypatch.setattr(transport, "RECV_TIMEOUT_S", 0)
+    for (protocol, params, witness), (_, v_ref) in zip(setups, unpatched):
+        prover = ArgumentProver(protocol, params, witness)
+        p_res, v_res = run_memory_session(protocol, params, prover, seed=5)
+        assert p_res.decision == v_res.decision == 1
+        assert p_res.frame_bytes == v_res.frame_bytes == v_ref.frame_bytes
+
+    protocol, params, witness = k3_setup
+    with pytest.raises(ProtocolViolation, match="undecodable final response"):
+        run_memory_session(protocol, params, _ExtraDigest(protocol, params, witness), seed=5)
+    with pytest.raises(ProtocolViolation, match="prover aborted instead of opening"):
+        run_memory_session(protocol, params, _Aborting(protocol, params, witness), seed=5)
 
 
 def test_session_frame_count(k3_setup, sumcheck_true_setup):
@@ -258,19 +293,6 @@ def test_memory_channel_delivers_bytes_whole_and_in_order(data):
         got += receiver.recv_exact(min(size, len(payload) - len(got)))
     got += receiver.recv_exact(len(payload) - len(got))
     assert got == payload
-
-
-def test_memory_channel_close_fails_only_the_read_that_needs_more_bytes():
-    sender, receiver = transport.memory_channel_pair()
-    sender.send_bytes(b"ab")
-    sender.send_bytes(b"cde")
-    sender.close()
-    assert receiver.recv_exact(3) == b"abc"
-    assert receiver.recv_exact(1) == b"d"
-    start = time.monotonic()
-    with pytest.raises(TransportError, match="peer closed the channel"):
-        receiver.recv_exact(2)
-    assert time.monotonic() - start < transport.RECV_TIMEOUT_S / 10
 
 
 def test_memory_channel_times_out_on_an_empty_inbox(monkeypatch):

@@ -4,7 +4,9 @@ These are the straightforward forms of the rules the library checks in
 one pass: a set of seen edges plus a final sort for graphs, and trial
 division for primes. The library must accept exactly what they accept.
 `sumcheck_decide` is sumcheck's decision with its final check as g
-evaluated at the challenge point, term by term.
+evaluated at the challenge point, term by term. `find_coloring` is the
+3-coloring search as plain recursion, one call per vertex: the library's
+loop must find the same coloring.
 """
 
 from __future__ import annotations
@@ -24,6 +26,26 @@ def graph_edges_valid(vertex_count: int, edges) -> bool:
             return False
         seen.add((u, v))
     return tuple(sorted(edges)) == tuple(edges)
+
+
+def find_coloring(vertex_count: int, edges):
+    """The first proper 3-coloring in lexicographic order, or None."""
+    colors = [None] * vertex_count
+
+    def place(v: int) -> bool:
+        if v == vertex_count:
+            return True
+        for c in range(3):
+            if all(colors[w - 1] != c for u, w in edges if u - 1 == v) and all(
+                colors[u - 1] != c for u, w in edges if w - 1 == v
+            ):
+                colors[v] = c
+                if place(v + 1):
+                    return True
+        colors[v] = None
+        return False
+
+    return tuple(colors) if place(0) else None
 
 
 def is_prime_trial(p: int) -> bool:
