@@ -34,6 +34,7 @@ from .extraction import (
     hoeffding_radius,
     hybrid_value,
     measure_acceptance,
+    rewind_allowance,
     run_events_experiment,
     theorem_bounds,
 )
@@ -203,7 +204,8 @@ def cmd_prove(args, argv) -> int:
 
 def cmd_verify(args, argv) -> int:
     # The verifier's own instance, when it has one, must be the peer's or
-    # the transcript's, under the parameters it derives for it at --lambda.
+    # the transcript's, under the parameters it derives for it at --lambda,
+    # byte for byte; their instance bound then caps the instance's read.
     own_instance = own_params = None
     if args.instance:
         own_instance, _ = load_instance_path(args.instance)
@@ -213,15 +215,10 @@ def cmd_verify(args, argv) -> int:
     if args.transcript:
         with cli_file(args.transcript) as file:
             data = file.read_bytes()
-        params, protocol, transcript = transport.parse_transcript(data)
+        params, protocol, transcript = transport.parse_transcript(data, own_params)
         require_security(params, args.security)
         if own_instance is not None and own_instance != transcript.instance:
             raise InstanceError("transcript holds a different instance than configured")
-        if own_params is not None and own_params != params:
-            raise ParameterError(
-                f"transcript parameters differ from the verifier's own: instance bound "
-                f"{params.instance_bound} stored, {own_params.instance_bound} expected"
-            )
         decision = arg_verify(params, protocol, transcript)
         results = {
             "decision": decision,
@@ -231,11 +228,6 @@ def cmd_verify(args, argv) -> int:
         emit("verify", args, argv, results, transcript=str(args.transcript))
         return 0 if decision == 1 else 1
 
-    # The own instance also sizes the read of the peer's, and the peer's
-    # parameter frame must be the one the verifier derives.
-    max_instance_bytes = transport.INSTANCE_MAX_BYTES
-    if own_instance is not None:
-        max_instance_bytes = len(transport.encode_instance(own_instance))
     # One connection per run: the listener closes once it has accepted, and
     # the connection closes however the session ends.
     with transport.tcp_listen(*args.listen) as listener:
@@ -244,9 +236,7 @@ def cmd_verify(args, argv) -> int:
                 file.write_text(str(listener.getsockname()[1]))
         channel = transport.tcp_accept(listener)
     with closing(channel):
-        bound, vc_params, instance = transport.recv_public_setup(
-            channel, max_instance_bytes, own_params
-        )
+        bound, vc_params, instance = transport.recv_public_setup(channel, own=own_params)
         if own_instance is not None and own_instance != instance:
             raise InstanceError("peer proposed a different instance than configured")
         params, protocol = transport.verifier_setup(bound, vc_params, instance)
@@ -334,42 +324,43 @@ def cmd_extract(args, argv) -> int:
     adversary = make_adversary(args.adversary, protocol, params, file_witness or None)
     k = protocol.spec.rounds
 
-    chain = {}
-    for oracle_rounds in range(k + 1):
-        est = hybrid_value(
-            protocol,
-            params,
-            adversary,
-            oracle_rounds,
-            args.trials,
-            args.seed,
-            args.epsilon,
-        )
-        chain[str(oracle_rounds)] = est.to_dict()
-    slack = 3 * (chain["0"]["radius"] + chain[str(k)]["radius"])
-    chain_ok = chain["0"]["value"] <= chain[str(k)]["value"] + args.epsilon + slack
+    with rewind_allowance():
+        chain = {}
+        for oracle_rounds in range(k + 1):
+            est = hybrid_value(
+                protocol,
+                params,
+                adversary,
+                oracle_rounds,
+                args.trials,
+                args.seed,
+                args.epsilon,
+            )
+            chain[str(oracle_rounds)] = est.to_dict()
+        slack = 3 * (chain["0"]["radius"] + chain[str(k)]["radius"])
+        chain_ok = chain["0"]["value"] <= chain[str(k)]["value"] + args.epsilon + slack
 
-    events = {}
-    events_ok = True
-    for round_index in range(1, k + 1):
-        counters = run_events_experiment(
-            protocol, params, adversary, round_index, args.trials, args.seed, args.epsilon
-        )
-        rate = counters.missing / counters.trials
-        bound = float(counters.missing_bound) + 3 * hoeffding_radius(counters.trials)
-        ok = rate <= bound and not counters.binding_pairs
-        events_ok = events_ok and ok
-        entry = counters.to_dict()
-        entry.update({"missing_rate": rate, "missing_threshold": bound, "pass": ok})
-        events[str(round_index)] = entry
+        events = {}
+        events_ok = True
+        for round_index in range(1, k + 1):
+            counters = run_events_experiment(
+                protocol, params, adversary, round_index, args.trials, args.seed, args.epsilon
+            )
+            rate = counters.missing / counters.trials
+            bound = float(counters.missing_bound) + 3 * hoeffding_radius(counters.trials)
+            ok = rate <= bound and not counters.binding_pairs
+            events_ok = events_ok and ok
+            entry = counters.to_dict()
+            entry.update({"missing_rate": rate, "missing_threshold": bound, "pass": ok})
+            events[str(round_index)] = entry
 
-    acceptance = measure_acceptance(protocol, params, adversary, args.trials, args.seed)
-    outcomes = [
-        end_to_end_knowledge(
-            protocol, params, adversary, args.epsilon, args.seed, label=f"knowledge:{i}"
-        )
-        for i in range(args.knowledge_trials)
-    ]
+        acceptance = measure_acceptance(protocol, params, adversary, args.trials, args.seed)
+        outcomes = [
+            end_to_end_knowledge(
+                protocol, params, adversary, args.epsilon, args.seed, label=f"knowledge:{i}"
+            )
+            for i in range(args.knowledge_trials)
+        ]
     successes = sum(1 for o in outcomes if o.success)
     rate = successes / args.knowledge_trials
     k_radius = hoeffding_radius(args.knowledge_trials)

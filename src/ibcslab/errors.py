@@ -40,4 +40,4 @@ class TransportError(IbcsError):
 
 
 class InfeasibleError(IbcsError):
-    """An exhaustive oracle refused to run because its budget is exceeded."""
+    """A search or experiment refused to run because its budget is exceeded."""

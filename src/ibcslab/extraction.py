@@ -63,12 +63,14 @@ from __future__ import annotations
 
 import copy
 import math
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import asdict, dataclass, field, fields, replace
 from fractions import Fraction
 from typing import Any, Sequence
 
 from .adversaries import rewind_point, snapshot
-from .errors import IbcsError, ParameterError
+from .errors import IbcsError, InfeasibleError, ParameterError
 from .ibcs import PAD_SYMBOL, ArgParams, check_openings, routed_decision
 from .iop import IopProtocol, ProofString, QueryPlan, _plan
 from .prng import Bits, Prng, _bits, derive, derive_stem, seed_root
@@ -139,6 +141,43 @@ def error_share(epsilon: float | Fraction, rounds: int) -> Fraction:
         raise ParameterError("epsilon must be in (0, 1]")
     exact = Fraction(repr(epsilon)) if isinstance(epsilon, float) else Fraction(epsilon)
     return exact / (2 * rounds)
+
+
+# Most rewinds one `extract` report may run (`rewind_allowance`). Each
+# bound below is a report's worst case, T*k*((k+1)*trials + knowledge
+# trials) at T = `rewind_budget_limit`, which the rewinds it runs never
+# pass: the largest acceptance configuration, criterion 7's events on the
+# n=2 sumcheck at round 2 and epsilon 1/4, 960,000 (10,000 trials of 2
+# rounds of T = 48); the default `extract` on that sumcheck 297,600; every
+# tier-1 `extract` report at most 9,720; the bench `lab` report 1,488. The
+# budget is 4.3 times the largest of them.
+DEFAULT_REWIND_BUDGET = 1 << 22
+
+
+# The running report's budget and the rewinds its sampler calls have run.
+@dataclass
+class _Allowance:
+    budget: int
+    used: int = 0
+
+
+_ALLOWANCE: ContextVar[_Allowance | None] = ContextVar("rewind_allowance", default=None)
+
+
+@contextmanager
+def rewind_allowance():
+    """Within the block, the sampler counts the rewinds it runs and raises
+    InfeasibleError once they pass `DEFAULT_REWIND_BUDGET`.
+
+    A rewind skipped at saturation is not run, so not counted: an
+    adversary that wins stops early at any epsilon, and only one that never
+    covers a round runs all T = `rewind_budget_limit` of each round.
+    """
+    token = _ALLOWANCE.set(_Allowance(DEFAULT_REWIND_BUDGET))
+    try:
+        yield
+    finally:
+        _ALLOWANCE.reset(token)
 
 
 @dataclass(frozen=True)
@@ -255,6 +294,9 @@ def sampler(adversary, state, ctx: ArgContext, iterations: int, prng: Prng):
     `skip_bits` moves the stream past the continuation bits they would
     have drawn. The stream ends where the full loop leaves it, so the
     caller's later draws are unchanged.
+
+    Within `rewind_allowance`, the rewinds run count against the report's
+    budget, and the loop stops one past it to raise.
     """
     spec = ctx.protocol.spec
     i = ctx.round_index
@@ -269,7 +311,11 @@ def sampler(adversary, state, ctx: ArgContext, iterations: int, prng: Prng):
     # the key holds all of it, so unequal points never share a value.
     point_hash = hash(state)
     fixed = ctx.challenges
-    for run in range(iterations):
+    allowance = _ALLOWANCE.get()
+    runs = iterations
+    if allowance is not None:
+        runs = min(iterations, allowance.budget - allowance.used + 1)
+    for run in range(runs):
         if len(knowledge.coverage) == knowledge.proof_length:
             stats.skipped = iterations - run
             prng.skip_bits(stats.skipped * drawn)
@@ -294,6 +340,10 @@ def sampler(adversary, state, ctx: ArgContext, iterations: int, prng: Prng):
         if not knowledge.covers(outcome.positions):
             knowledge.add(outcome.positions, outcome.answers, outcome.proof)
             stats.recorded += 1
+    if allowance is not None:
+        allowance.used += stats.rewinds
+        if allowance.used > allowance.budget:
+            raise InfeasibleError(f"extract ran past its budget of {allowance.budget} rewinds")
     return knowledge, stats
 
 

@@ -94,28 +94,51 @@ def is_proper_coloring(instance: GraphColoringInstance, coloring: Sequence[int])
 
 
 def find_coloring(instance: GraphColoringInstance) -> tuple[int, ...] | None:
-    """Backtracking 3-coloring search; None when the graph is not 3-colorable."""
+    """Backtracking 3-coloring search; None when the graph is not 3-colorable.
+
+    The first coloring in lexicographic order. Each connected component is
+    searched on its own, in vertex order, each vertex trying colors 0, 1, 2:
+    components share no edge, so the whole graph's first coloring is each
+    component's first coloring, and an obstruction in one component never
+    makes the search retry another.
+    """
     n = instance.vertex_count
     neighbours: list[list[int]] = [[] for _ in range(n)]
     for u, v in instance.edges:
         neighbours[u - 1].append(v - 1)
         neighbours[v - 1].append(u - 1)
-    # Depth first, vertex by vertex in order, each trying colors 0, 1, 2;
     # -1 marks a vertex not yet colored. A loop, not recursion, so a long
     # path is no deeper than a short one.
     colors = [-1] * n
-    v = 0
-    while 0 <= v < n:
-        c = colors[v] + 1
-        while c < GC_COLORS and any(colors[w] == c for w in neighbours[v]):
-            c += 1
-        if c < GC_COLORS:
-            colors[v] = c
-            v += 1
-        else:
-            colors[v] = -1
-            v -= 1
-    return tuple(colors) if v == n else None
+    seen = [False] * n
+    for root in range(n):
+        if seen[root]:
+            continue
+        seen[root] = True
+        component, stack = [], [root]
+        while stack:
+            u = stack.pop()
+            component.append(u)
+            for w in neighbours[u]:
+                if not seen[w]:
+                    seen[w] = True
+                    stack.append(w)
+        component.sort()
+        i = 0
+        while 0 <= i < len(component):
+            v = component[i]
+            c = colors[v] + 1
+            while c < GC_COLORS and any(colors[w] == c for w in neighbours[v]):
+                c += 1
+            if c < GC_COLORS:
+                colors[v] = c
+                i += 1
+            else:
+                colors[v] = -1
+                i -= 1
+        if i < 0:
+            return None
+    return tuple(colors)
 
 
 def best_coloring(instance: GraphColoringInstance) -> tuple[tuple[int, ...], Fraction]:

@@ -20,15 +20,19 @@ then one batched response) over any reliable ordered channel; in-memory
 queues and TCP sockets are provided and produce identical frame bytes
 under identical seeds.
 
-Each session end is a generator: it yields the (tag, payload cap) of each
-frame it reads, is sent that frame whole, and sends its own frames itself.
-Three drivers run the same ends. `run_session` reads their frames off a
-channel: a TCP socket, or a memory channel whose peer runs in another
-thread. `memory_session` steps the verifier end and the prover end in
-turn in the calling thread; the exchange alternates strictly, so every
-read finds its frame already queued. `parse_transcript` drives the
-verifier's round reader over a stored transcript, after the live
-verifier's setup check, through a byte cursor.
+The session ends and the setup reader do no I/O. Each is a generator: it
+yields each frame it sends (bytes) and the (tag, payload cap) of each
+frame it reads, and is sent that frame whole. A frame it refuses, by its
+header or by a payload that does not decode, is raised with its position
+and no channel. Three drivers run the same ends, and each turns a refusal
+into its error in one place. `_drive` reads frames off a channel (a TCP
+socket, or a memory channel whose peer runs in another thread), where a
+refusal is a ProtocolViolation, or off a stored transcript's byte cursor,
+where it is a DecodeError at the file offset (`run_session`,
+`recv_public_setup`, `parse_transcript`). `memory_session` steps the
+prover end and the verifier end in turn in the calling thread and hands
+each frame straight from one to the other, after the reader's header
+check; a refusal is a ProtocolViolation.
 
 An in-memory channel carries each direction on one `queue.SimpleQueue`,
 the cheapest cross-thread handoff, for callers that run the two ends in
@@ -48,7 +52,6 @@ from typing import Any
 
 from .errors import (
     DecodeError,
-    IbcsError,
     InstanceError,
     ParameterError,
     ProtocolViolation,
@@ -114,45 +117,59 @@ class _ByteCursor:
         return self._data[self.offset - n : self.offset]
 
 
-def _violation(channel, message: str, back: int) -> IbcsError:
-    """A ProtocolViolation on a live channel; on a stored transcript, a
-    DecodeError naming the offset `back` bytes before the cursor."""
-    if isinstance(channel, _ByteCursor):
-        return DecodeError(message, offset=channel.offset - back)
-    return ProtocolViolation(message)
+class _Refusal(Exception):
+    """A frame a reader refuses, raised with no channel attached; `back`
+    places the fault that many bytes before the reader's position, the end
+    of what it has read. A driver turns it into its own error."""
+
+    def __init__(self, message: str, back: int):
+        super().__init__(message)
+        self.back = back
 
 
-def _recv_frame(channel, expected_tag: int | None, max_payload: int) -> bytes:
-    """Read one whole frame, header and payload, off a channel or a cursor.
-
-    The tag (any known tag when `expected_tag` is None) and the declared
-    length are checked before any payload byte is read, so a length field
-    never sizes a read past `max_payload`.
-    """
-    header = channel.recv_exact(FRAME_HEADER_BYTES)
+def _check_header(header: bytes, expected_tag: int | None, max_payload: int) -> int:
+    """The payload length a frame header declares, once its tag (any known
+    tag when `expected_tag` is None) and its length, at most `max_payload`,
+    pass; `header` may run on into the payload."""
     length = int.from_bytes(header[:4], "big")
     tag = header[4]
     if expected_tag is None:
         if tag not in _KNOWN_TAGS:
-            raise _violation(channel, f"unknown frame tag {tag:#x}", back=1)
+            raise _Refusal(f"unknown frame tag {tag:#x}", back=1)
     elif tag != expected_tag:
-        raise _violation(
-            channel, f"expected frame tag {expected_tag:#x}, received {tag:#x}", back=1
-        )
+        raise _Refusal(f"expected frame tag {expected_tag:#x}, received {tag:#x}", back=1)
     if length > max_payload:
-        raise _violation(
-            channel,
+        raise _Refusal(
             f"frame tag {tag:#x} declares {length} payload bytes, at most {max_payload} allowed",
             back=FRAME_HEADER_BYTES,
         )
+    return length
+
+
+def _recv_frame(channel, expected_tag: int | None, max_payload: int) -> bytes:
+    """Read one whole frame, header and payload, off a channel or a cursor;
+    the header is checked before any payload byte is read, so a length
+    field never sizes a read past `max_payload`."""
+    header = channel.recv_exact(FRAME_HEADER_BYTES)
+    length = _check_header(header, expected_tag, max_payload)
     return header + channel.recv_exact(length) if length else header
+
+
+def _decoded(what: str, decode, payload: bytes, *args):
+    """`decode(payload, *args)`; a payload that does not decode is refused
+    at the decoder's offset in it, or at its start when it fails as a whole."""
+    try:
+        return decode(payload, *args)
+    except DecodeError as exc:
+        back = len(payload) - (exc.offset or 0)
+        raise _Refusal(f"undecodable {what}: {exc.reason}", back) from exc
 
 
 def decode_frame(data: bytes, offset: int = 0) -> tuple[int, bytes, int]:
     """Decode one frame of any known tag at `offset`; returns (tag, payload, next offset)."""
     cursor = _ByteCursor(data, offset)
-    frame = _recv_frame(cursor, None, len(data))
-    return frame[4], frame[FRAME_HEADER_BYTES:], cursor.offset
+    payload = _drive(_FrameLink().recv(None, len(data)), cursor)
+    return data[offset + 4], payload, cursor.offset
 
 
 # ---------------------------------------------------------------------------
@@ -400,10 +417,11 @@ class MemoryChannel:
 
     Each direction is one `queue.SimpleQueue`: it hands a frame over under
     one lock in C, where a `queue.Queue` builds a mutex and three
-    `Condition`s per queue and counts unfinished tasks on every put. The
-    handoff serves callers that run the two ends in threads, such as a
-    benchmark driver or a test; `memory_session` queues every frame before
-    it is read, so its reads never wait.
+    `Condition`s per queue and counts unfinished tasks on every put. It
+    serves only callers that run the two ends in threads, such as a
+    benchmark driver, and tests that queue a peer's bytes up front;
+    `memory_session` hands each frame from one end to the other and uses
+    no channel.
     """
 
     def __init__(self, inbox: "queue.SimpleQueue[bytes]", outbox: "queue.SimpleQueue[bytes]"):
@@ -536,18 +554,16 @@ class SessionResult:
 class _FrameLink:
     """Orders a session end's frames and keeps the running byte tallies.
 
-    It sends over `channel`; `recv` yields the (tag, payload cap) of the
-    frame it reads to the end's driver and is sent that frame whole.
+    `send` returns the frame for its end to yield; `recv` yields the (tag,
+    payload cap) of the frame it reads and is sent that frame whole.
     """
 
-    def __init__(self, channel):
-        self.channel = channel
+    def __init__(self):
         self.counters = SessionCounters()
         self.log = bytearray()
 
-    def send(self, tag: int, payload: bytes, protocol_bits: int | None):
+    def send(self, tag: int, payload: bytes, protocol_bits: int | None) -> bytes:
         frame = encode_frame(tag, payload)
-        self.channel.send_bytes(frame)
         self.log += frame
         self.counters.sent_frames += 1
         if protocol_bits is None:
@@ -556,8 +572,9 @@ class _FrameLink:
             self.counters.sent_protocol_bits += protocol_bits
             self.counters.sent_payload_bytes += len(payload)
             self.counters.overhead_bytes += FRAME_HEADER_BYTES
+        return frame
 
-    def recv(self, expected_tag: int, max_payload: int, is_protocol: bool = False):
+    def recv(self, expected_tag: int | None, max_payload: int, is_protocol: bool = False):
         frame = yield expected_tag, max_payload
         self.log += frame
         self.counters.recv_frames += 1
@@ -570,24 +587,10 @@ class _FrameLink:
         return payload
 
 
-def _undecodable(channel, what: str, payload: bytes, exc: DecodeError) -> IbcsError:
-    """The error for a payload just read that does not decode.
-
-    Decoders name offsets within their payload, or none when the payload
-    fails as a whole; a stored transcript's error names one file offset,
-    the payload's start plus the decoder's offset.
-    """
-    back = len(payload) - (exc.offset or 0)
-    return _violation(channel, f"undecodable {what}: {exc.reason}", back)
-
-
 def _recv_challenge(link: _FrameLink, nbits: int):
     payload = yield from link.recv(TAG_CHALLENGE, (nbits + 7) // 8, is_protocol=True)
     link.counters.recv_protocol_bits += nbits
-    try:
-        return decode_challenge(payload, nbits)
-    except DecodeError as exc:
-        raise _undecodable(link.channel, "challenge", payload, exc) from exc
+    return _decoded("challenge", decode_challenge, payload, nbits)
 
 
 def _read_rounds(link: _FrameLink, params: ArgParams, protocol: IopProtocol, prng: Prng | None):
@@ -601,10 +604,7 @@ def _read_rounds(link: _FrameLink, params: ArgParams, protocol: IopProtocol, prn
     challenges = []
     for nbits in protocol.spec.randomness_bits:
         payload = yield from link.recv(TAG_COMMIT, COMMITMENT_WIRE_BYTES, is_protocol=True)
-        try:
-            commitments.append(decode_commitment(payload))
-        except DecodeError as exc:
-            raise _undecodable(link.channel, "commitment", payload, exc) from exc
+        commitments.append(_decoded("commitment", decode_commitment, payload))
         link.counters.recv_protocol_bits += COMMITMENT_WIRE_BITS
         if prng is None:
             challenges.append((yield from _recv_challenge(link, nbits)))
@@ -612,20 +612,20 @@ def _read_rounds(link: _FrameLink, params: ArgParams, protocol: IopProtocol, prn
             # Public coin: the challenge is read straight off the stream,
             # before anything of the commitment is interpreted.
             challenges.append(prng.take_bits(nbits))
-            link.send(TAG_CHALLENGE, encode_challenge(challenges[-1]), nbits)
+            yield link.send(TAG_CHALLENGE, encode_challenge(challenges[-1]), nbits)
     payload = yield from link.recv(TAG_FINAL, final_response_max_bytes(params), is_protocol=True)
-    try:
-        response = decode_final_response(params, [cm.length for cm in commitments], payload)
-    except DecodeError as exc:
-        raise _undecodable(link.channel, "final response", payload, exc) from exc
+    lengths = [cm.length for cm in commitments]
+    response = _decoded(
+        "final response", lambda p: decode_final_response(params, lengths, p), payload
+    )
     link.counters.recv_protocol_bits += final_response_bits(params, response)
     return Transcript(protocol.instance, tuple(commitments), tuple(challenges), response)
 
 
-def _session_end(role: str, channel, params: ArgParams, protocol: IopProtocol, prover, prng):
+def _session_end(role: str, params: ArgParams, protocol: IopProtocol, prover, prng):
     """One end of an argument session, as a generator (see the module
     docstring); it returns the end's SessionResult."""
-    link = _FrameLink(channel)
+    link = _FrameLink()
     if role == "prover":
         if prover is None:
             raise ProtocolViolation("prover role requires a session prover")
@@ -635,12 +635,12 @@ def _session_end(role: str, channel, params: ArgParams, protocol: IopProtocol, p
         for nbits in protocol.spec.randomness_bits:
             cm, state = prover.next_commitment(state, challenges[-1] if challenges else None)
             commitments.append(cm)
-            link.send(TAG_COMMIT, encode_commitment(cm), COMMITMENT_WIRE_BITS)
+            yield link.send(TAG_COMMIT, encode_commitment(cm), COMMITMENT_WIRE_BITS)
             challenges.append((yield from _recv_challenge(link, nbits)))
         response = prover.final_response(state, protocol.verifier_query(challenges))
         if response is None:
             raise ProtocolViolation("prover aborted instead of opening")
-        link.send(
+        yield link.send(
             TAG_FINAL,
             encode_final_response(params, response),
             final_response_bits(params, response),
@@ -659,21 +659,31 @@ def _session_end(role: str, channel, params: ArgParams, protocol: IopProtocol, p
             raise ProtocolViolation("verifier role requires a challenge stream")
         transcript = yield from _read_rounds(link, params, protocol, prng)
         decision = arg_verify(params, protocol, transcript)
-        link.send(TAG_DECISION, bytes([decision]), None)
+        yield link.send(TAG_DECISION, bytes([decision]), None)
     else:
         raise ProtocolViolation(f"unknown session role {role!r}")
     return SessionResult(decision, transcript, link.counters, bytes(link.log))
 
 
 def _drive(end, channel):
-    """Run a session end to its return value, reading each frame it asks
-    for off `channel` (a live channel or a byte cursor)."""
+    """Run a generator `end` to its return value over `channel`: send each
+    frame it yields, and hand it each frame it asks for, read off `channel`.
+    A refused frame is a DecodeError at its file offset when `channel` is
+    a stored transcript's cursor, else a ProtocolViolation."""
     try:
-        asked = next(end)
+        step = next(end)
         while True:
-            asked = end.send(_recv_frame(channel, *asked))
+            if type(step) is bytes:
+                channel.send_bytes(step)
+                step = next(end)
+            else:
+                step = end.send(_recv_frame(channel, *step))
     except StopIteration as stop:
         return stop.value
+    except _Refusal as refusal:
+        if isinstance(channel, _ByteCursor):
+            raise DecodeError(str(refusal), channel.offset - refusal.back) from refusal.__cause__
+        raise ProtocolViolation(str(refusal)) from refusal.__cause__
 
 
 def run_session(
@@ -693,31 +703,38 @@ def run_session(
     unexpected frame aborts with ProtocolViolation before a decision is
     reached: a reordered or malformed session can never accept.
     """
-    return _drive(_session_end(role, channel, params, protocol, prover, prng), channel)
+    return _drive(_session_end(role, params, protocol, prover, prng), channel)
 
 
 def memory_session(params: ArgParams, protocol: IopProtocol, prover, prng: Prng):
     """One in-process session in the calling thread: (prover, verifier) results.
 
-    The verifier end and the prover end step in turn, each up to its next
-    read, whose frame the other end has just queued; an error of either
-    end is raised where it happens.
+    The ends alternate strictly, one frame each way: each frame one end
+    yields is checked against the other end's ask (`_check_header`) and
+    handed to it as it is, and the sender then steps on to its next ask.
+    An error of either end is raised where it happens.
     """
-    channels = memory_channel_pair()
     ends = [
-        _session_end("prover", channels[0], params, protocol, prover, None),
-        _session_end("verifier", channels[1], params, protocol, None, prng),
+        _session_end("prover", params, protocol, prover, None),
+        _session_end("verifier", params, protocol, None, prng),
     ]
-    asked = [next(end) for end in ends]
+    # The prover's first step is its first commitment, the verifier's its ask for it.
+    steps = [next(end) for end in ends]
     results = [None, None]
-    turn = 1
-    # The prover commits first and reads last: the decision.
-    while results[0] is None:
-        try:
-            asked[turn] = ends[turn].send(_recv_frame(channels[turn], *asked[turn]))
-        except StopIteration as stop:
-            results[turn] = stop.value
-        turn ^= 1
+    sender = 0
+    try:
+        # The prover reads last: the decision.
+        while results[0] is None:
+            reader, frame = sender ^ 1, steps[sender]
+            _check_header(frame, *steps[reader])
+            for i, value in ((reader, frame), (sender, None)):
+                try:
+                    steps[i] = ends[i].send(value)
+                except StopIteration as stop:
+                    results[i] = stop.value
+            sender = reader
+    except _Refusal as refusal:
+        raise ProtocolViolation(str(refusal)) from refusal.__cause__
     return tuple(results)
 
 
@@ -739,39 +756,41 @@ def send_public_setup(channel, params: ArgParams, instance):
 INSTANCE_MAX_BYTES = 1 << 24
 
 
-def recv_public_setup(
-    channel, max_instance_bytes: int = INSTANCE_MAX_BYTES, own: ArgParams | None = None
-) -> tuple[int, VcParams, Any]:
+def _read_setup(max_instance_bytes: int, own: ArgParams | None):
     """Read the parameter frame, then an instance frame of at most
-    min(the peer's bound, `max_instance_bytes`) bytes.
+    min(the peer's bound, `max_instance_bytes`) bytes, or with `own` its
+    bound; returns (bound, vc_params, instance).
 
-    A verifier that holds the instance passes its encoding's length, so a
-    peer's length field never sizes its memory past what it expects, and
-    `own`, the parameters it derives for that instance: the peer's
-    parameter payload must then equal `encode_params(own)` byte for byte,
-    or a ParameterError is raised before the instance frame is read.
+    A verifier that holds the instance passes `own`, the parameters it
+    derives for that instance: the parameter payload must then equal
+    `encode_params(own)` byte for byte, or a ParameterError is raised
+    before the instance frame is read, and the instance frame is read up
+    to own's bound, its instance's encoding length, so a peer's length
+    field never sizes its memory past what the verifier expects.
     """
-    payload = _recv_frame(channel, TAG_PARAMS, _PARAMS_MAX_BYTES)[FRAME_HEADER_BYTES:]
-    try:
-        bound, vc_params = decode_params_fields(payload)
-    except DecodeError as exc:
-        raise _undecodable(channel, "parameters", payload, exc) from exc
+    payload = (yield TAG_PARAMS, _PARAMS_MAX_BYTES)[FRAME_HEADER_BYTES:]
+    bound, vc_params = _decoded("parameters", decode_params_fields, payload)
     if own is not None and payload != (expected := encode_params(own)):
         at = next(
             (j for j, (x, y) in enumerate(zip(payload, expected)) if x != y),
             min(len(payload), len(expected)),
         )
         raise ParameterError(
-            f"peer parameters differ from the verifier's own at payload byte {at}: "
+            f"parameters differ from the verifier's own at payload byte {at}: "
             f"instance bound {bound}, lambda={vc_params.security_bits} proposed; "
             f"instance bound {own.instance_bound}, lambda={own.vc.security_bits} expected"
         )
-    payload = _recv_frame(channel, TAG_INSTANCE, min(bound, max_instance_bytes))[FRAME_HEADER_BYTES:]
-    try:
-        instance = decode_instance(payload)
-    except DecodeError as exc:
-        raise _undecodable(channel, "instance", payload, exc) from exc
-    return bound, vc_params, instance
+    cap = bound if own is not None else min(bound, max_instance_bytes)
+    payload = (yield TAG_INSTANCE, cap)[FRAME_HEADER_BYTES:]
+    return bound, vc_params, _decoded("instance", decode_instance, payload)
+
+
+def recv_public_setup(
+    channel, max_instance_bytes: int = INSTANCE_MAX_BYTES, own: ArgParams | None = None
+) -> tuple[int, VcParams, Any]:
+    """The setup frames read off `channel` by `_read_setup`: (bound,
+    vc_params, instance)."""
+    return _drive(_read_setup(max_instance_bytes, own), channel)
 
 
 def verifier_setup(bound: int, vc_params: VcParams, instance) -> tuple[ArgParams, IopProtocol]:
@@ -806,14 +825,18 @@ def serialize_transcript(params: ArgParams, transcript: Transcript) -> bytes:
     )
 
 
-def parse_transcript(data: bytes) -> tuple[ArgParams, IopProtocol, Transcript]:
+def parse_transcript(
+    data: bytes, own: ArgParams | None = None
+) -> tuple[ArgParams, IopProtocol, Transcript]:
     """Read a stored transcript with the live verifier's setup, frame and
-    round readers; a malformed file raises DecodeError naming its offset."""
+    round readers, the setup checked against `own` as a live one is
+    (`_read_setup`); a malformed file raises DecodeError naming its
+    offset."""
     if not data.startswith(TRANSCRIPT_MAGIC):
         raise DecodeError("not a transcript file (bad magic)", offset=0)
     cursor = _ByteCursor(data, len(TRANSCRIPT_MAGIC))
-    params, protocol = verifier_setup(*recv_public_setup(cursor))
-    transcript = _drive(_read_rounds(_FrameLink(cursor), params, protocol, None), cursor)
+    params, protocol = verifier_setup(*recv_public_setup(cursor, own=own))
+    transcript = _drive(_read_rounds(_FrameLink(), params, protocol, None), cursor)
     if cursor.offset != len(data):
         raise DecodeError("trailing bytes after transcript", offset=cursor.offset)
     return params, protocol, transcript

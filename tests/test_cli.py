@@ -13,7 +13,7 @@ import warnings
 
 import pytest
 
-from ibcslab import cli, toys, transport
+from ibcslab import cli, extraction, toys, transport
 from ibcslab.cli import main
 from ibcslab.ibcs import ArgumentProver, arg_setup
 from ibcslab.toys import canonical_graph, dump_graph_text, dump_sumcheck_text, find_coloring, gc_pcp
@@ -120,38 +120,52 @@ def test_verify_transcript_rejects_another_lambda(capsys, tmp_path, k3_file):
     assert "lambda=128, but --lambda is 256" in captured.err
 
 
-@pytest.mark.parametrize("case", ["same-instance", "other-instance", "other-bound"])
+@pytest.mark.parametrize("case", ["same-instance", "other-instance", "other-bound", "other-edges"])
 def test_verify_transcript_checks_the_configured_instance(
-    capsys, tmp_path, k3_file, k4_file, k3, case
+    capsys, tmp_path, k3_file, k4_file, k3, k4, case
 ):
     """With --instance, a stored transcript must carry that instance, under
-    the parameters derived for it at --lambda: otherwise one error line and
-    exit 2, else the same results as without --instance."""
+    the parameters derived for it at --lambda, byte for byte: otherwise one
+    error line and exit 2, else the same results as without --instance.
+    K4's encoding is longer than K3's, so its parameters differ first; two
+    paths on 3 vertices encode to the same length under equal parameters."""
     out = tmp_path / "transcript.bin"
+    own = len(transport.encode_instance(k3))
+    instance = k4_file if case == "other-instance" else k3_file
     if case == "other-bound":
         protocol = gc_pcp(k3)
-        own = len(transport.encode_instance(k3))
         params = arg_setup(128, own + 1, protocol.spec)
         prover = ArgumentProver(protocol, params, find_coloring(k3))
         result, _ = run_memory_session(protocol, params, prover, seed=3)
         out.write_bytes(transport.serialize_transcript(params, result.transcript))
+    elif case == "other-edges":
+        proved, instance = tmp_path / "path.txt", tmp_path / "other-path.txt"
+        proved.write_text(dump_graph_text(canonical_graph(3, [(1, 2), (2, 3)])))
+        instance.write_text(dump_graph_text(canonical_graph(3, [(1, 2), (1, 3)])))
+        run_cli(capsys, ["prove", "--instance", str(proved), "--seed", "3", "--out", str(out)])
     else:
         run_cli(capsys, ["prove", "--instance", k3_file, "--seed", "3", "--out", str(out)])
-    instance = k4_file if case == "other-instance" else k3_file
     code, plain = run_cli(capsys, ["verify", "--transcript", str(out)])
     assert code == 0
-    code = main(["verify", "--transcript", str(out), "--instance", instance])
+    code = main(["verify", "--transcript", str(out), "--instance", str(instance)])
     captured = capsys.readouterr()
     if case == "same-instance":
         assert code == 0
         assert json.loads(captured.out)["results"] == plain["results"]
         return
     assert code == 2 and captured.out == ""
-    assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
-    if case == "other-instance":
-        assert "different instance" in captured.err
+    if case == "other-edges":
+        message = "transcript holds a different instance than configured"
     else:
-        assert f"instance bound {own + 1} stored, {own} expected" in captured.err
+        stored, expected = (
+            (own, len(transport.encode_instance(k4))) if case == "other-instance" else (own + 1, own)
+        )
+        message = (
+            f"parameters differ from the verifier's own at payload byte 3: "
+            f"instance bound {stored}, lambda=128 proposed; "
+            f"instance bound {expected}, lambda=128 expected"
+        )
+    assert captured.err.splitlines() == [f"error: {message}"]
 
 
 def test_verify_corrupted_transcript_fails(capsys, tmp_path, k3_file):
@@ -477,6 +491,28 @@ def test_extract_past_the_end_of_a_stream_is_an_error_line(capsys, tmp_path):
     assert line.startswith("error: cannot skip ")
     assert "a stream holds 2**72 bits" in line
     assert captured.out == ""
+
+
+def test_extract_stops_once_its_rewinds_pass_the_budget(capsys, monkeypatch, tmp_path):
+    """At epsilon = 1e-7 on the n=2 sumcheck, T = 1.2e8 rewinds per round,
+    which an adversary that never wins runs in full: the report stops one
+    rewind past its budget, lowered here from 2**22 (about 20 s of such
+    rewinds) to 10**4, as one error line. An honest adversary's report at
+    the same epsilon skips its rewinds at saturation and runs to its end."""
+    monkeypatch.setattr(extraction, "DEFAULT_REWIND_BUDGET", 10**4)
+    path = tmp_path / "sumcheck.txt"
+    path.write_text(dump_sumcheck_text(make_sumcheck()))
+    argv = ["extract", "--instance", str(path), "--trials", "2", "--knowledge-trials", "1",
+            "--seed", "1", "--epsilon", "1e-7"]
+    start = time.perf_counter()
+    code = main(argv + ["--adversary", "abort"])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.splitlines() == ["error: extract ran past its budget of 10000 rewinds"]
+    assert elapsed < 1
+    code, report = run_cli(capsys, argv)
+    assert code == 0 and report["results"]["pass"]
 
 
 def test_extract_refuses_a_withholder_past_the_proof(capsys, k3_file):

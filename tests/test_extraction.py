@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from ibcslab import cli
+from ibcslab import cli, extraction
 from ibcslab.adversaries import (
     ScriptedProver,
     Withholder,
@@ -15,7 +15,7 @@ from ibcslab.adversaries import (
     honest_wrapper,
     make_adversary,
 )
-from ibcslab.errors import ParameterError, ProtocolViolation
+from ibcslab.errors import InfeasibleError, ParameterError, ProtocolViolation
 from ibcslab.extraction import (
     ArgContext,
     ExtractorIopProver,
@@ -28,6 +28,7 @@ from ibcslab.extraction import (
     hybrid_value,
     measure_acceptance,
     reductor,
+    rewind_allowance,
     rewind_budget_limit,
     run_events_experiment,
     run_hybrid_trial,
@@ -38,9 +39,9 @@ from ibcslab.ibcs import OUTCOME_MEMO_BYTES, OUTCOME_MEMO_ENTRIES
 from ibcslab.iop import IopSpec, iop_interact
 from ibcslab.memo import BoundedMemo
 from ibcslab.prng import Bits, Prng, derive, seed_root
-from ibcslab.toys import is_proper_coloring
+from ibcslab.toys import complete_graph, gc_pcp, is_proper_coloring, petersen_graph, sumcheck_iop
 
-from helpers import run_memory_session
+from helpers import make_sumcheck, run_memory_session
 from sampler_reference import full_sampler
 
 
@@ -58,6 +59,50 @@ def test_rewind_budget_example():
     assert rewind_budget_limit(3, error_share(0.5, 1)) == 12
     with pytest.raises(ParameterError):
         RewindBudget(max_rewinds=4, stop_time=5)
+
+
+def test_the_rewind_budget_admits_every_acceptance_configuration():
+    """Each acceptance criterion's rewinding configuration, counted as a
+    whole `extract` report at its worst, T*k*((k+1)*trials + knowledge
+    trials), and `extract`'s defaults stay inside the budget."""
+    sumcheck = sumcheck_iop(make_sumcheck(false_claim=True)).spec
+    k4, petersen = gc_pcp(complete_graph(4)).spec, gc_pcp(petersen_graph()).spec
+    for spec, epsilon, trials, knowledge_trials in (
+        (sumcheck, Fraction(1, 4), 10_000, 0),  # criterion 7
+        (k4, Fraction(1, 4), 10_000, 0),
+        (sumcheck, Fraction(1, 2), 5_000, 0),  # criterion 8
+        (petersen, Fraction(1, 10), 0, 1_000),  # criterion 9
+        (sumcheck, Fraction(1, 2), 2_000, 200),  # extract's defaults
+        (petersen, Fraction(1, 2), 2_000, 200),
+    ):
+        k = spec.rounds
+        limit = rewind_budget_limit(spec.max_proof_length, error_share(epsilon, k))
+        worst = limit * k * ((k + 1) * trials + knowledge_trials)
+        assert worst <= extraction.DEFAULT_REWIND_BUDGET
+
+
+def test_the_rewind_allowance_counts_only_the_rewinds_run(k3_setup, monkeypatch):
+    """Within `rewind_allowance`, an adversary that never wins is stopped
+    one rewind past the budget, while one that saturates in a few rewinds
+    skips the rest of a far larger stop time uncharged."""
+    monkeypatch.setattr(extraction, "DEFAULT_REWIND_BUDGET", 30)
+    protocol, params, witness = k3_setup
+    honest = honest_wrapper(protocol, params, witness)
+    ctx, rho = _round1_context(protocol, params, honest)
+    with rewind_allowance():
+        for _ in range(2):
+            _, stats = sampler(honest, rho, ctx, 10**6, Prng(seed_root(2)))
+            assert stats.rewinds < 15 and stats.rewinds + stats.skipped == 10**6
+    adv = always_abort(protocol, honest)
+    ctx, rho = _round1_context(protocol, params, adv)
+    stopped, ran = Prng(seed_root(3)), Prng(seed_root(3))
+    with rewind_allowance():
+        with pytest.raises(InfeasibleError, match="ran past its budget of 30 rewinds"):
+            sampler(adv, rho, ctx, 100, stopped)
+    sampler(adv, rho, ctx, 31, ran)
+    assert stopped.take_bits(64) == ran.take_bits(64)
+    _, stats = sampler(adv, rho, ctx, 100, Prng(seed_root(3)))
+    assert stats.rewinds == 100
 
 
 @pytest.mark.parametrize(

@@ -7,7 +7,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from ibcslab import toys
 from ibcslab.errors import InstanceError, ProtocolViolation
@@ -183,6 +183,36 @@ def test_find_coloring_matches_the_recursive_search(data):
     edges = sorted(data.draw(st.sets(st.sampled_from(pairs), min_size=1), label="edges"))
     graph = canonical_graph(n, edges)
     assert find_coloring(graph) == toys_reference.find_coloring(n, graph.edges)
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_find_coloring_matches_the_recursive_search_on_several_components(data):
+    """Graphs of several components whose vertices interleave in vertex
+    order: each vertex joins one of 2 or 3 groups, and edges run only
+    within a group."""
+    n = data.draw(st.integers(2, 9), label="n")
+    parts = data.draw(st.integers(2, 3), label="parts")
+    groups = data.draw(st.lists(st.integers(0, parts - 1), min_size=n, max_size=n), label="groups")
+    pairs = [
+        (u, v) for u, v in itertools.combinations(range(1, n + 1), 2)
+        if groups[u - 1] == groups[v - 1]
+    ]
+    assume(pairs)
+    edges = sorted(data.draw(st.sets(st.sampled_from(pairs), min_size=1), label="edges"))
+    graph = canonical_graph(n, edges)
+    assert find_coloring(graph) == toys_reference.find_coloring(n, graph.edges)
+
+
+def test_find_coloring_refuses_a_separate_k4_after_a_long_path_at_once():
+    """The K4 is its own component, so its failure ends the search without
+    retrying the 40-vertex path before it (3**40 assignments in one search)."""
+    m = 40
+    k4 = list(itertools.combinations(range(m + 1, m + 5), 2))
+    graph = canonical_graph(m + 4, [(v, v + 1) for v in range(1, m)] + k4)
+    start = time.perf_counter()
+    assert find_coloring(graph) is None
+    assert time.perf_counter() - start < 1
 
 
 def test_find_coloring_on_a_long_path_needs_no_recursion():

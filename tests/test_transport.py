@@ -130,11 +130,13 @@ def test_memory_session_accepts(k3_setup):
 
 
 class _ExtraDigest(ArgumentProver):
-    """Opens like the honest prover, with one digest too many per round."""
+    """Opens like the honest prover, with `extra` digests too many per round."""
+
+    extra = 1
 
     def final_response(self, state, plan):
         return tuple(
-            dataclasses.replace(o, proof=o.proof + (bytes(32),))
+            dataclasses.replace(o, proof=o.proof + (bytes(32),) * self.extra)
             for o in super().final_response(state, plan)
         )
 
@@ -161,9 +163,10 @@ def test_memory_session_raises_the_verifiers_error_at_once(k3_setup):
 def test_a_memory_session_starts_no_thread_and_never_waits(
     k3_setup, sumcheck_true_setup, monkeypatch
 ):
-    """Both ends step in the calling thread and every read finds its frame
-    already queued: with threads refused and a zero read timeout, sessions
-    run as before, and each end's error is raised as it is."""
+    """Both ends step in the calling thread and each frame goes straight
+    from one end to the other: with threads and channels refused and a zero
+    read timeout, sessions run as before, and each end's error is raised as
+    it is."""
     setups = [k3_setup, (*sumcheck_true_setup, ())]
     unpatched = [
         run_memory_session(protocol, params, ArgumentProver(protocol, params, witness), seed=5)
@@ -173,7 +176,11 @@ def test_a_memory_session_starts_no_thread_and_never_waits(
     def no_thread(*args, **kwargs):
         raise AssertionError("an in-memory session started a thread")
 
+    def no_channel(*args, **kwargs):
+        raise AssertionError("an in-memory session built a channel")
+
     monkeypatch.setattr(threading, "Thread", no_thread)
+    monkeypatch.setattr(transport, "memory_channel_pair", no_channel)
     monkeypatch.setattr(transport, "RECV_TIMEOUT_S", 0)
     for (protocol, params, witness), (_, v_ref) in zip(setups, unpatched):
         prover = ArgumentProver(protocol, params, witness)
@@ -186,6 +193,38 @@ def test_a_memory_session_starts_no_thread_and_never_waits(
         run_memory_session(protocol, params, _ExtraDigest(protocol, params, witness), seed=5)
     with pytest.raises(ProtocolViolation, match="prover aborted instead of opening"):
         run_memory_session(protocol, params, _Aborting(protocol, params, witness), seed=5)
+
+
+def test_an_oversized_final_response_is_refused_alike_in_memory_and_over_a_channel(k3_setup):
+    """A final response with more digests than any opening needs declares
+    more payload bytes than the verifier's cap: an in-memory session and a
+    threaded session over a channel pair raise the same ProtocolViolation."""
+    protocol, params, witness = k3_setup
+    cap = transport.final_response_max_bytes(params)
+    prover = _ExtraDigest(protocol, params, witness)
+    prover.extra = cap // 32 + 1
+    refused = f"declares \\d+ payload bytes, at most {cap} allowed"
+    with pytest.raises(ProtocolViolation, match=refused) as in_memory:
+        run_memory_session(protocol, params, prover, seed=5)
+
+    chan_p, chan_v = transport.memory_channel_pair()
+    box = {}
+
+    def prove():
+        box["result"] = transport.run_session("prover", chan_p, params, protocol, prover=prover)
+
+    thread = threading.Thread(target=prove)
+    thread.start()
+    try:
+        prng = Prng(derive(seed_root(5), "session", 0))
+        with pytest.raises(ProtocolViolation, match=refused) as threaded:
+            transport.run_session("verifier", chan_v, params, protocol, prng=prng)
+    finally:
+        # The prover end waits for a decision: a rejection ends its session.
+        chan_v.send_bytes(transport.encode_frame(transport.TAG_DECISION, b"\x00"))
+        thread.join()
+    assert str(threaded.value) == str(in_memory.value)
+    assert box["result"].decision == 0
 
 
 def test_session_frame_count(k3_setup, sumcheck_true_setup):
@@ -765,6 +804,22 @@ def test_setup_with_own_parameters_refuses_other_bytes_before_the_instance(k3_se
         transport.encode_frame(transport.TAG_PARAMS, transport.encode_params(own)) + instance_frame
     )
     assert transport.recv_public_setup(channel, bound, own) == (bound, own.vc, protocol.instance)
+
+
+def test_stored_setup_with_own_parameters_refuses_other_bytes_before_the_instance(k3_setup):
+    """A stored transcript checked against the verifier's own parameters is
+    refused at its parameter frame, as a live peer is: under another
+    instance bound, an undecodable instance frame after it is never read."""
+    protocol, params, witness = k3_setup
+    _, v_res = run_memory_session(protocol, params, ArgumentProver(protocol, params, witness))
+    other = arg_setup(128, params.instance_bound + 1, protocol.spec)
+    blob = transport.serialize_transcript(other, v_res.transcript)
+    (start,) = [s for t, s in _frame_offsets(blob) if t == transport.TAG_INSTANCE]
+    bad = _shortened(blob, start)
+    with pytest.raises(DecodeError, match="undecodable instance"):
+        transport.parse_transcript(bad)
+    with pytest.raises(ParameterError, match="differ from the verifier's own at payload byte 3"):
+        transport.parse_transcript(bad, own=params)
 
 
 def _graph_payload(vertex_count: int, edges) -> bytes:
