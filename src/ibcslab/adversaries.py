@@ -33,11 +33,11 @@ challenge vector that its behaviour reads (the contract is in `ibcs`), and
 `extraction` runs each continuation from one rewind point once per view.
 The honest prover, `fixed_string_prover`, `optimal_sumcheck_cheater` and
 `Equivocator` declare the structured vector: they ignore their challenges
-or read them through `map_to_range`. A general `ScriptedProver(strategy)`
-declares the raw vector, since its strategy is handed the raw bits.
-`Withholder` passes its inner prover's view through, since it reads only
-the plan; `Grinder` adds its predicate bit to the inner view, since the
-predicate reads the raw bits of the challenges.
+or read them only mod their rounds' challenge spaces. A general
+`ScriptedProver(strategy)` declares the raw vector, since its strategy is
+handed the raw challenges. `Withholder` passes its inner prover's view
+through, since it reads only the plan; `Grinder` adds its predicate bit to
+the inner view, since the predicate reads the raw challenges.
 """
 
 from __future__ import annotations
@@ -53,7 +53,6 @@ from .errors import InstanceError, ParameterError
 from .ibcs import ArgParams, ArgumentProver, pad_proof_string, structured_view
 from .iop import IopProtocol, ProofString, QueryPlan
 from .memo import BoundedMemo
-from .prng import Bits, map_to_range
 from .toys import (
     GraphColoringIop,
     SumcheckIop,
@@ -138,7 +137,7 @@ def honest_wrapper(protocol: IopProtocol, params: ArgParams, witness) -> Argumen
 
 
 # strategy(round_index, challenges so far, previously sent unpadded strings)
-Strategy = Callable[[int, tuple[Bits, ...], tuple[tuple[int, ...], ...]], Sequence[int]]
+Strategy = Callable[[int, tuple[int, ...], tuple[tuple[int, ...], ...]], Sequence[int]]
 
 
 class _StrategyIopProver:
@@ -151,7 +150,7 @@ class _StrategyIopProver:
         symbols = tuple(self.strategy(1, (), ()))
         return ProofString(1, symbols), ((), (symbols,))
 
-    def next_round(self, state, challenge: Bits):
+    def next_round(self, state, challenge: int):
         challenges, strings = state
         challenges += (challenge,)
         i = len(strings) + 1
@@ -198,7 +197,7 @@ def optimal_sumcheck_cheater(protocol: SumcheckIop, params: ArgParams) -> Script
     p = protocol.instance.prime
 
     def strategy(i, challenges, strings):
-        structured = tuple(map_to_range(c, p) for c in challenges)
+        structured = tuple(c % p for c in challenges)
         if i == 1:
             required = protocol.instance.claimed_sum
         else:
@@ -222,7 +221,7 @@ class _WrapperProver:
     def start(self):
         return self.inner.start()
 
-    def next_commitment(self, state, challenge: Bits | None):
+    def next_commitment(self, state, challenge: int | None):
         return self.inner.next_commitment(state, challenge)
 
 
@@ -249,7 +248,7 @@ class Withholder(_WrapperProver):
 class Grinder(_WrapperProver):
     """Finishes the protocol only on challenge vectors in its accept set."""
 
-    def __init__(self, protocol: IopProtocol, inner, predicate: Callable[[tuple[Bits, ...]], bool]):
+    def __init__(self, protocol: IopProtocol, inner, predicate: Callable[[tuple[int, ...]], bool]):
         super().__init__(protocol, inner)
         self.predicate = predicate
         inner_view = self.view
@@ -264,16 +263,13 @@ class Grinder(_WrapperProver):
 def grinder_on_leading_bits(
     protocol: IopProtocol, inner, zero_bits: int
 ) -> Grinder:
-    """Accept set: the first `zero_bits` bits of r_1 are all zero (measure 2**-n)."""
+    """Accept set: the first `zero_bits` of r_1's w_1 bits are all zero
+    (measure 2**-n), that is r_1 >> (w_1 - n) == 0."""
     width = protocol.spec.randomness_bits[0]
     if not 0 <= zero_bits <= width:
         raise ParameterError(f"zero-bit count must lie in [0, {width}], got {zero_bits}")
-
-    def predicate(challenges: tuple[Bits, ...]) -> bool:
-        first = challenges[0]
-        return first.value >> (first.nbits - zero_bits) == 0 if zero_bits else True
-
-    return Grinder(protocol, inner, predicate)
+    shift = width - zero_bits
+    return Grinder(protocol, inner, lambda challenges: challenges[0] >> shift == 0)
 
 
 def always_abort(protocol: IopProtocol, inner) -> Grinder:
@@ -447,7 +443,6 @@ def _honest_strings(protocol: IopProtocol, witness, coloring):
     proof, state = protocol.prover_init(witness)
     strings.append(proof.symbols)
     for i in range(2, protocol.spec.rounds + 1):
-        zero = Bits(protocol.spec.randomness_bits[i - 2], 0)
-        proof, state = protocol.prover_next(state, zero)
+        proof, state = protocol.prover_next(state, 0)
         strings.append(proof.symbols)
     return strings

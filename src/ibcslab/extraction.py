@@ -56,7 +56,10 @@ rewinds it on the run's stream, after commitment i and before challenge i.
 
 The per-trial stream keys of a hybrid value or an events experiment are
 `derive(root, label, r, trial)`; they come from one `prng.derive_stem`,
-which hashes the shared prefix once.
+which hashes the shared prefix once. A rewind's continuation (r_i, ...,
+r_k), like a zero-oracle trial's whole vector, is one draw of the rounds'
+summed widths, cut into one int per round by shifts and masks
+(`_cut_draw`), as one draw per round would have returned them.
 """
 
 from __future__ import annotations
@@ -73,7 +76,7 @@ from .adversaries import rewind_point, snapshot
 from .errors import IbcsError, InfeasibleError, ParameterError
 from .ibcs import PAD_SYMBOL, ArgParams, check_openings, routed_decision
 from .iop import IopProtocol, ProofString, QueryPlan, _plan
-from .prng import Bits, Prng, _bits, derive, derive_stem, seed_root
+from .prng import Prng, derive, derive_stem, seed_root
 from .vc import vc_check
 
 CONFIDENCE_DELTA = 1e-6
@@ -188,7 +191,7 @@ class ArgContext:
     protocol: IopProtocol
     round_index: int
     commitments: tuple  # cm_1 .. cm_i
-    challenges: tuple[Bits, ...]  # r_1 .. r_{i-1}
+    challenges: tuple[int, ...]  # r_1 .. r_{i-1}
     oracles: tuple[ExtractedOracle, ...]  # rounds 1 .. i-1
 
 
@@ -217,22 +220,20 @@ def _opening_weight(opening) -> int:
     return 32 * len(opening.proof) + 8 * (len(opening.positions) + len(opening.answers))
 
 
-def _split_bits(bits: Bits, widths: Sequence[int]) -> tuple[Bits, ...]:
-    """`bits` cut into consecutive strings of `widths`, as successive
-    `take_bits` calls would have drawn them; each piece is masked to its
-    width, so it is built unchecked (`prng._bits`)."""
+def _cut_draw(value: int, widths: Sequence[int]) -> tuple[int, ...]:
+    """A draw of sum(`widths`) bits cut into consecutive challenges of
+    `widths`, as successive `take_bits` calls would have drawn them."""
     if len(widths) == 1:
-        return (bits,)
+        return (value,)
     out = []
-    shift = bits.nbits
-    value = bits.value
+    shift = sum(widths)
     for width in widths:
         shift -= width
-        out.append(_bits(width, (value >> shift) & ((1 << width) - 1)))
+        out.append((value >> shift) & ((1 << width) - 1))
     return tuple(out)
 
 
-def run_continuation(adversary, state, ctx: ArgContext, continuation: Sequence[Bits]):
+def run_continuation(adversary, state, ctx: ArgContext, continuation: Sequence[int]):
     """Play rounds i+1..k and the final opening from a snapshot.
 
     `continuation` supplies (r_i, ..., r_k). Returns the tail commitments,
@@ -264,7 +265,7 @@ def game_predicate(ctx: ArgContext, plan: QueryPlan, tail_commitments, response)
     )
 
 
-def _rewind(adversary, state, ctx: ArgContext, continuation: tuple[Bits, ...]):
+def _rewind(adversary, state, ctx: ArgContext, continuation: tuple[int, ...]):
     """One continuation's outcome: VOIDED, LOST or the won round-i opening."""
     try:
         tail, plan, response = run_continuation(adversary, snapshot(state), ctx, continuation)
@@ -321,7 +322,7 @@ def sampler(adversary, state, ctx: ArgContext, iterations: int, prng: Prng):
             prng.skip_bits(stats.skipped * drawn)
             break
         stats.rewinds += 1
-        continuation = _split_bits(prng.take_bits(drawn), widths)
+        continuation = _cut_draw(prng.take_bits(drawn), widths)
         seen = view(fixed + continuation)
         h, key = hash((point_hash, seen)), (point, seen)
         outcome = memo.get(h, key)
@@ -401,7 +402,7 @@ class _ExtractorState:
     adversary_state: Any
     rewinds: Prng  # this run's rewind stream
     commitments: tuple = ()
-    challenges: tuple[Bits, ...] = ()
+    challenges: tuple[int, ...] = ()
     oracles: tuple[ExtractedOracle, ...] = ()
     knowledge: tuple[KnowledgeSet, ...] = ()
     budgets: tuple[RewindBudget, ...] = ()
@@ -465,7 +466,7 @@ class ExtractorIopProver:
     def first(self):
         return self._extract(_ExtractorState(self.adversary.start(), Prng(self.rewind_key)))
 
-    def next_round(self, state: _ExtractorState, challenge: Bits):
+    def next_round(self, state: _ExtractorState, challenge: int):
         # A copy, with its own stream at the same position, so the state
         # handed out for the last round stays as it was.
         run = replace(state, rewinds=copy.copy(state.rewinds))
@@ -482,7 +483,7 @@ class ExtractorIopProver:
 class TrialRecord:
     """Everything one hybrid run produces, for any routing to be evaluated."""
 
-    challenges: tuple[Bits, ...]
+    challenges: tuple[int, ...]
     commitments: tuple
     oracles: tuple[ExtractedOracle, ...]
     knowledge: tuple[KnowledgeSet, ...]
@@ -529,7 +530,7 @@ def run_hybrid_trial(
         return _play_trial(protocol, params, adversary, oracle_rounds, share, prng)
     widths = spec.randomness_bits
     total = sum(widths)
-    raw = _split_bits(prng.peek_bits(total), widths)
+    raw = _cut_draw(prng.peek_bits(total), widths)
     memo = adversary.outcomes
     seen = adversary.view(raw)
     # Equal keys have equal protocols, so hashing the protocol suffices.
@@ -566,7 +567,7 @@ def _play_trial(
     oracle_rounds: int,
     share: Fraction,
     prng: Prng,
-    raw: Sequence[Bits] | None = None,
+    raw: Sequence[int] | None = None,
 ) -> TrialRecord:
     """The trial itself, run by `_next_round` on `prng`; it draws each
     challenge from `prng` as its round comes, or takes it from `raw`, a

@@ -38,21 +38,29 @@ is opened once; it holds at most `OPENING_MEMO_ENTRIES` openings and
 `OPENING_MEMO_BYTES`, counting each entry as the tree it keeps alive plus
 its proof digests.
 
+A challenge is a public coin: r_i is an int in [0, 2**w_i), where w_i is
+the round's `IopSpec.randomness_bits`, the same width everywhere it goes.
+Only the wire codec (`transport`) packs it into bits; every other layer
+holds the int and reads its width from the spec. The verifier reads r_i
+only as r_i mod m_i, m_i the round's structured challenge space
+(`IopProtocol.map_challenges`, which refuses an r_i out of range). Test a
+challenge against None, never for truth: 0 is a challenge.
+
 Every session prover declares a view: `view(randomness)` returns the
-hashable part of a raw challenge vector (r_1, ..., r_k), of the spec's
-widths, that its behaviour reads. Two vectors with equal views must make
-the prover, started from the same state, send the same commitments and
-the same openings for their plans, and must map to the same structured
+hashable part of a raw challenge vector (r_1, ..., r_k) that its
+behaviour reads. Two vectors with equal views must make the prover,
+started from the same state, send the same commitments and the same
+openings for their plans, and must map to the same structured
 challenges, which is all the verifier reads of them. The rewinding lab in
 `extraction` relies on that to run each (rewind point, view) once, and
 every prover keeps its outcomes in `outcomes`, a `memo.BoundedMemo` built
 with it and bounded by `OUTCOME_MEMO_ENTRIES` entries and
 `OUTCOME_MEMO_BYTES` bytes. The raw vector, `tuple(randomness)`, is always
-a view, and a prover handed raw bits declares it, as a compiled strategy
-does unless its caller passes a narrower view. `ArgumentProver`
+a view, and a prover handed the raw ints declares it, as a compiled
+strategy does unless its caller passes a narrower view. `ArgumentProver`
 declares `structured_view(protocol)`, the vector of structured challenges,
-when it compiles the honest prover, which reads each challenge only
-through `map_to_range` onto its round's challenge space.
+when it compiles the honest prover, which reads each challenge only mod
+its round's challenge space.
 """
 
 from __future__ import annotations
@@ -63,7 +71,6 @@ from typing import Any, Sequence
 from .errors import ParameterError, ProtocolViolation
 from .iop import HonestIopProver, IopProtocol, IopSpec, QueryPlan
 from .memo import BoundedMemo
-from .prng import Bits
 from .vc import (
     Commitment,
     CommitAux,
@@ -116,7 +123,7 @@ def pad_proof_string(spec: IopSpec, symbols: Sequence[int]) -> tuple[int, ...]:
 class Transcript:
     instance: Any
     commitments: tuple[Commitment, ...]
-    challenges: tuple[Bits, ...]
+    challenges: tuple[int, ...]
     response: tuple[Opening, ...]
 
     @property
@@ -198,17 +205,18 @@ class _ProverState:
 
 def structured_view(protocol: IopProtocol):
     """The view of a prover that reads each challenge only as its structured
-    value: the vector of `map_to_range(r_i, challenge_space(i))`.
+    value: the vector of r_i mod `challenge_space(i)`.
 
-    Bits of the spec's widths always have the slack `map_to_range` checks
-    for, so the view reduces them without that check.
+    It reduces by the shapes `IopProtocol.map_challenges` reduces by, so
+    building it checks their slack; the lab hands it only vectors it drew
+    at the spec's widths, so it checks no range.
     """
-    spaces = tuple(protocol.challenge_space(i) for i in range(1, protocol.spec.rounds + 1))
+    spaces = tuple(space for _, space in protocol._challenge_shapes)
 
-    def view(randomness: Sequence[Bits]) -> tuple[int, ...]:
+    def view(randomness: Sequence[int]) -> tuple[int, ...]:
         structured = ()
-        for bits, m in zip(randomness, spaces):
-            structured += (bits.value % m,)
+        for r, m in zip(randomness, spaces):
+            structured += (r % m,)
         return structured
 
     return view
@@ -243,7 +251,7 @@ class ArgumentProver:
     def start(self) -> _ProverState:
         return _ProverState(1, None, ())
 
-    def next_commitment(self, state: _ProverState, challenge: Bits | None):
+    def next_commitment(self, state: _ProverState, challenge: int | None):
         spec = self.protocol.spec
         i = state.next_round
         if i > spec.rounds:
@@ -386,8 +394,9 @@ def comm_stats(params: ArgParams, transcript: Transcript) -> CommStats:
 
     Prover-to-verifier: sum over rounds of |cm_i| plus q_i times
     (ceil(log2 l_i) plus the symbol width) plus the opening proof digests.
-    Verifier-to-prover: the challenge widths. The transport layer counts
-    the same quantities on the wire; sessions assert they agree exactly.
+    Verifier-to-prover: the spec's challenge widths. The transport layer
+    counts the same quantities on the wire; sessions assert they agree
+    exactly.
     """
     spec = params.iop_spec
     rounds = []
@@ -404,6 +413,6 @@ def comm_stats(params: ArgParams, transcript: Transcript) -> CommStats:
         )
     return CommStats(
         rounds=tuple(rounds),
-        challenge_bits=tuple(bits.nbits for bits in transcript.challenges),
+        challenge_bits=spec.randomness_bits,
         generator_bits=8 * len(params.vc.to_bytes()),
     )

@@ -1,11 +1,12 @@
 """Public-coin IOP interface with a non-adaptive verifier.
 
 The verifier is split into a query function and a decision function, both
-deterministic in the instance and the per-round randomness. Challenges are
-uniform bit strings; protocols map them onto structured spaces (an edge
-index, a field element) with `map_to_range`, which is why each round also
-declares the size of its structured challenge space: exhaustive oracles
-enumerate that space directly.
+deterministic in the instance and the per-round randomness. A round's
+challenge is a uniform int of the round's width in bits (the contract is
+in `ibcs`); `map_challenges` reduces it mod the size of the round's
+structured challenge space (an edge index, a field element), which each
+round declares so that exhaustive oracles can enumerate that space
+directly.
 
 An IOP prover is any object with `first()` and `next_round(state,
 challenge)`, each returning the round's `ProofString` and the next state.
@@ -43,7 +44,7 @@ from typing import Any, Sequence
 
 from .errors import InfeasibleError, ParameterError, ProtocolViolation
 from .memo import BoundedMemo
-from .prng import Bits, Prng, map_to_range
+from .prng import RANGE_SLACK_BITS, Prng
 
 
 @dataclass(frozen=True)
@@ -105,7 +106,7 @@ class QueryPlan:
 
     per_round: tuple[tuple[int, ...], ...]
     structured: tuple[int, ...] = ()
-    randomness: tuple[Bits, ...] = ()
+    randomness: tuple[int, ...] = ()
 
 
 _new_plan = object.__new__
@@ -136,7 +137,7 @@ class IopProtocol(abc.ABC):
         """First proof string and the state carried into round 2."""
 
     @abc.abstractmethod
-    def prover_next(self, state, challenge: Bits) -> tuple[ProofString, Any]:
+    def prover_next(self, state, challenge: int) -> tuple[ProofString, Any]:
         """Proof string for the state's round, given the previous challenge."""
 
     # -- verifier (structured view) ---------------------------------------
@@ -161,31 +162,48 @@ class IopProtocol(abc.ABC):
         """IOP extractor: map per-round (covered positions, string) to a witness."""
         raise NotImplementedError
 
-    # -- verifier (bit-string view) ----------------------------------------
-    def map_challenges(self, randomness: Sequence[Bits]) -> tuple[int, ...]:
+    # -- verifier (raw view) ------------------------------------------------
+    def map_challenges(self, randomness: Sequence[int]) -> tuple[int, ...]:
+        """The structured challenges of a raw vector: each r_i mod its
+        round's space size. Raises ProtocolViolation, naming the round, on a
+        vector of the wrong length or an r_i outside [0, 2**w_i)."""
         shapes = self._challenge_shapes
         if len(randomness) != len(shapes):
             raise ProtocolViolation(
                 f"expected {len(shapes)} challenges, got {len(randomness)}"
             )
-        out = []
-        for i, (bits, (want, space)) in enumerate(zip(randomness, shapes), 1):
-            if bits.nbits != want:
-                raise ProtocolViolation(
-                    f"round {i} challenge is {bits.nbits} bits, expected {want}"
-                )
-            out.append(map_to_range(bits, space))
-        return tuple(out)
+        structured = ()
+        for i, (r, (width, space)) in enumerate(zip(randomness, shapes), 1):
+            if r >> width:  # nonzero for r < 0 and for r >= 2**width
+                raise ProtocolViolation(f"round {i} challenge lies outside [0, 2**{width})")
+            structured += (r % space,)
+        return structured
 
     @functools.cached_property
     def _challenge_shapes(self) -> tuple[tuple[int, int], ...]:
-        """Each round's (challenge width in bits, structured space size)."""
-        return tuple(
+        """Each round's (challenge width in bits, structured space size).
+
+        Reducing a uniform w-bit int mod m is within 2**-64 total variation
+        of uniform on [0, m) when w >= ceil(log2 m) + `RANGE_SLACK_BITS`; a
+        round whose width falls short raises ParameterError here, once per
+        protocol object.
+        """
+        shapes = tuple(
             (width, self.challenge_space(i))
             for i, width in enumerate(self.spec.randomness_bits, 1)
         )
+        for i, (width, space) in enumerate(shapes, 1):
+            if space < 1:
+                raise ParameterError(f"round {i} challenge space must be nonempty")
+            need = (space - 1).bit_length() + RANGE_SLACK_BITS
+            if space > 1 and width < need:
+                raise ParameterError(
+                    f"round {i} challenge is too short to map onto {space} values: "
+                    f"{width} < {need} bits"
+                )
+        return shapes
 
-    def verifier_query(self, randomness: Sequence[Bits]) -> QueryPlan:
+    def verifier_query(self, randomness: Sequence[int]) -> QueryPlan:
         """Validated query plan for one challenge vector; raises
         ProtocolViolation on malformed randomness or an invalid plan."""
         structured = self.map_challenges(randomness)
@@ -253,7 +271,7 @@ class HonestIopProver:
     def first(self) -> tuple[ProofString, Any]:
         return self.protocol.prover_init(self.witness)
 
-    def next_round(self, state, challenge: Bits) -> tuple[ProofString, Any]:
+    def next_round(self, state, challenge: int) -> tuple[ProofString, Any]:
         return self.protocol.prover_next(state, challenge)
 
 
@@ -261,11 +279,11 @@ class HonestIopProver:
 class InteractionResult:
     accept: int
     proofs: tuple[ProofString, ...]
-    challenges: tuple[Bits, ...]
+    challenges: tuple[int, ...]
     violation: str | None = None
 
 
-def _collect_round(protocol: IopProtocol, prover, state, i: int, prev: Bits | None):
+def _collect_round(protocol: IopProtocol, prover, state, i: int, prev: int | None):
     if i == 1:
         proof, state = prover.first()
     else:
@@ -293,7 +311,7 @@ def iop_interact(protocol: IopProtocol, prover, prng: Prng) -> InteractionResult
     """Canonical execution: all proof strings collected, queries postponed."""
     spec = protocol.spec
     proofs: list[ProofString] = []
-    challenges: list[Bits] = []
+    challenges: list[int] = []
     state = None
     try:
         for i in range(1, spec.rounds + 1):

@@ -1,4 +1,4 @@
-"""Deterministic randomness: bit strings, stream derivation, range mapping.
+"""Deterministic randomness: stream derivation and uniform draws.
 
 Every random choice in the package flows through a `Prng` keyed by a
 32-byte value derived from the master seed and a label path, e.g.
@@ -14,19 +14,16 @@ i)`, which copies that hash state and adds only the part for i.
 A stream is SHA-256 in counter mode with an 8-byte block counter, so it
 holds 2**72 bits; a draw or skip past them is a ParameterError, raised
 before the stream moves. A fresh stream's first read of up to 256 bits
-hashes block 0 straight into its buffer. The bit strings a stream draws
-(and `extraction` splits them into) fit their width by construction, so
-they are built by `_bits` without `Bits`' range check; every other `Bits`,
-a decoded challenge or a caller's value, is checked.
+hashes block 0 straight into its buffer. A draw of n bits is an int in
+[0, 2**n), its bits MSB first in stream order.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
 from typing import Callable
 
-from .errors import DecodeError, ParameterError
+from .errors import ParameterError
 
 _DERIVE_PREFIX = b"ibcslab/derive/v1"
 _STREAM_PREFIX = b"ibcslab/stream/v1"
@@ -38,55 +35,9 @@ _INT_PART_LENGTH = (8).to_bytes(4, "big")
 _BLOCK_0 = bytes(8)
 STREAM_BITS = 256 << 64
 
-# Extra bits drawn beyond ceil(log2 m) when mapping a uniform bit string
-# onto a set of size m; keeps the residual bias of the modular reduction
-# below 2**-64.
+# Extra bits drawn beyond ceil(log2 m) when mapping a uniform draw onto a
+# set of size m by reduction mod m; keeps the residual bias below 2**-64.
 RANGE_SLACK_BITS = 64
-
-
-@dataclass(frozen=True)
-class Bits:
-    """An immutable bit string: `value` holds the bits, MSB first."""
-
-    nbits: int
-    value: int
-
-    def __post_init__(self):
-        if self.nbits < 0:
-            raise ParameterError("negative bit length")
-        if self.value < 0 or self.value >> self.nbits:
-            raise ParameterError("bit value out of range for declared length")
-
-    def to_bytes(self) -> bytes:
-        """Pack MSB-first; the final partial byte is zero-padded."""
-        nbytes = (self.nbits + 7) // 8
-        pad = 8 * nbytes - self.nbits
-        return (self.value << pad).to_bytes(nbytes, "big")
-
-    @classmethod
-    def from_bytes(cls, data: bytes, nbits: int) -> "Bits":
-        nbytes = (nbits + 7) // 8
-        if len(data) != nbytes:
-            raise DecodeError(f"expected {nbytes} bytes for {nbits} bits, got {len(data)}")
-        raw = int.from_bytes(data, "big")
-        pad = 8 * nbytes - nbits
-        if raw & ((1 << pad) - 1):
-            raise DecodeError("nonzero padding bits in packed bit string")
-        return cls(nbits, raw >> pad)
-
-
-_new_bits = object.__new__
-
-
-def _bits(nbits: int, value: int) -> Bits:
-    """`Bits(nbits, value)` without the range check, for a value the caller
-    has cut to `nbits` bits (the stream's draws and their splits). Every
-    other bit string, such as a decoded challenge, goes through `Bits`."""
-    bits = _new_bits(Bits)
-    fields = bits.__dict__
-    fields["nbits"] = nbits
-    fields["value"] = value
-    return bits
 
 
 def _encode_part(part) -> bytes:
@@ -138,9 +89,9 @@ def derive_stem(key: bytes, *parts) -> Callable[[int], bytes]:
 
 
 def seed_root(seed: int) -> bytes:
-    """Map an integer master seed to the root derivation key."""
-    if seed < 0:
-        raise ParameterError("seed must be non-negative")
+    """Map an integer master seed in [0, 2**128) to the root derivation key."""
+    if not 0 <= seed < 1 << 128:
+        raise ParameterError(f"seed {seed} is outside [0, 2**128)")
     return hashlib.sha256(b"ibcslab/seed/v1" + seed.to_bytes(16, "big")).digest()
 
 
@@ -201,16 +152,17 @@ class Prng:
         while self._buf_bits < nbits:
             self._refill()
 
-    def take_bits(self, nbits: int) -> Bits:
+    def take_bits(self, nbits: int) -> int:
+        """The next `nbits` bits, as an int in [0, 2**nbits)."""
         if self._buf_bits < nbits or nbits < 0:
             self._fill(nbits)
         shift = self._buf_bits - nbits
         value = self._buf >> shift
         self._buf &= (1 << shift) - 1
         self._buf_bits = shift
-        return _bits(nbits, value)
+        return value
 
-    def peek_bits(self, nbits: int) -> Bits:
+    def peek_bits(self, nbits: int) -> int:
         """The next `nbits` bits, left in the stream: `take_bits(nbits)`
         returns them next, and `skip_bits` moves past any prefix of them.
 
@@ -218,7 +170,7 @@ class Prng:
         """
         if self._buf_bits < nbits or nbits < 0:
             self._fill(nbits)
-        return _bits(nbits, self._buf >> (self._buf_bits - nbits))
+        return self._buf >> (self._buf_bits - nbits)
 
     def skip_bits(self, nbits: int):
         """Advance the stream past `nbits` bits without producing them.
@@ -253,8 +205,7 @@ class Prng:
             raise ParameterError("range must be positive")
         if m == 1:
             return 0
-        bits = self.take_bits((m - 1).bit_length() + RANGE_SLACK_BITS)
-        return bits.value % m
+        return self.take_bits((m - 1).bit_length() + RANGE_SLACK_BITS) % m
 
 
 def randomness_length(space_size: int) -> int:
@@ -267,24 +218,3 @@ def randomness_length(space_size: int) -> int:
         raise ParameterError("challenge space must be nonempty")
     raw = (space_size - 1).bit_length() + RANGE_SLACK_BITS
     return ((raw + 7) // 8) * 8
-
-
-def map_to_range(bits: Bits, space_size: int) -> int:
-    """Map a uniform bit string onto [0, space_size).
-
-    Oversampled reduction: with nbits >= ceil(log2 m) + 64 the output
-    distribution is within 2**-64 total variation of uniform. The map is a
-    pure function of the bit string, so prover and verifier agree on the
-    structured challenge without further interaction.
-    """
-    if space_size < 1:
-        raise ParameterError("challenge space must be nonempty")
-    if space_size == 1:
-        return 0
-    need = (space_size - 1).bit_length() + RANGE_SLACK_BITS
-    if bits.nbits < need:
-        raise ParameterError(
-            f"bit string too short to map onto {space_size} values: "
-            f"{bits.nbits} < {need}"
-        )
-    return bits.value % space_size

@@ -20,11 +20,14 @@ from typing import Sequence
 from .errors import InfeasibleError, InstanceError, ProtocolViolation
 from .iop import IopProtocol, IopSpec, ProofString, QueryPlan
 from .memo import BoundedMemo
-from .prng import Bits, map_to_range, randomness_length
+from .prng import randomness_length
 
 GC_COLORS = 3
 # The most vertices whose colorings `best_coloring` enumerates.
 BEST_COLORING_MAX_VERTICES = 13
+# The most steps `find_coloring` takes, about a second of CPython time; a
+# step colors or uncolors one vertex.
+COLORING_STEP_BUDGET = 1 << 20
 
 
 # ---------------------------------------------------------------------------
@@ -49,6 +52,9 @@ class GraphColoringInstance:
         n = self.vertex_count
         if n < 1:
             raise InstanceError("graph needs at least one vertex")
+        # The wire carries the vertex count in 4 bytes; a larger one cannot be sent.
+        if n >= 1 << 32:
+            raise InstanceError(f"vertex count {n} does not fit in 32 bits")
         if not self.edges:
             raise InstanceError("graph needs at least one edge")
         pu = pv = 0  # the previous edge; (0, 0) precedes every valid edge
@@ -101,8 +107,17 @@ def find_coloring(instance: GraphColoringInstance) -> tuple[int, ...] | None:
     components share no edge, so the whole graph's first coloring is each
     component's first coloring, and an obstruction in one component never
     makes the search retry another.
+
+    Backtracking can take exponentially many steps, so the search raises
+    InfeasibleError once it has taken `COLORING_STEP_BUDGET` steps over
+    all components. Each vertex takes at least one step, so a graph of
+    more vertices is refused before anything is allocated per vertex.
     """
     n = instance.vertex_count
+    if n > COLORING_STEP_BUDGET:
+        raise InfeasibleError(
+            f"coloring search needs at least {n} steps, past its budget of {COLORING_STEP_BUDGET}"
+        )
     neighbours: list[list[int]] = [[] for _ in range(n)]
     for u, v in instance.edges:
         neighbours[u - 1].append(v - 1)
@@ -111,6 +126,7 @@ def find_coloring(instance: GraphColoringInstance) -> tuple[int, ...] | None:
     # path is no deeper than a short one.
     colors = [-1] * n
     seen = [False] * n
+    steps = 0
     for root in range(n):
         if seen[root]:
             continue
@@ -126,6 +142,11 @@ def find_coloring(instance: GraphColoringInstance) -> tuple[int, ...] | None:
         component.sort()
         i = 0
         while 0 <= i < len(component):
+            steps += 1
+            if steps > COLORING_STEP_BUDGET:
+                raise InfeasibleError(
+                    f"coloring search passed its budget of {COLORING_STEP_BUDGET} steps"
+                )
             v = component[i]
             c = colors[v] + 1
             while c < GC_COLORS and any(colors[w] == c for w in neighbours[v]):
@@ -179,7 +200,7 @@ class GraphColoringIop(IopProtocol):
             raise InstanceError("witness contains a non-color value")
         return ProofString(1, coloring), ("gc-done",)
 
-    def prover_next(self, state, challenge: Bits):
+    def prover_next(self, state, challenge: int):
         raise ProtocolViolation("one-round protocol has no second prover move")
 
     def challenge_space(self, round_index: int) -> int:
@@ -406,14 +427,14 @@ class SumcheckIop(IopProtocol):
             raise InstanceError("sumcheck is a language-type relation; witness is empty")
         return ProofString(1, self.round_polynomial(())), (1, ())
 
-    def prover_next(self, state, challenge: Bits):
+    def prover_next(self, state, challenge: int):
         round_done, fixed = state
         if round_done >= self.spec.rounds:
             raise ProtocolViolation("prover already sent its final round")
-        if challenge.nbits != self.spec.randomness_bits[round_done - 1]:
-            raise ProtocolViolation("challenge has the wrong bit length")
-        r = map_to_range(challenge, self.instance.prime)
-        fixed = fixed + (r,)
+        width = self.spec.randomness_bits[round_done - 1]
+        if challenge >> width:  # nonzero for r < 0 and for r >= 2**width
+            raise ProtocolViolation(f"round {round_done} challenge lies outside [0, 2**{width})")
+        fixed = fixed + (challenge % self.instance.prime,)
         return ProofString(round_done + 1, self.round_polynomial(fixed)), (
             round_done + 1,
             fixed,

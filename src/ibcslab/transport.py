@@ -5,7 +5,9 @@ Tags: 0x01 commitment, 0x02 challenge, 0x03 final response, 0x04 decision,
 0x10 instance, 0x11 public parameters.
 
 Payload conventions are big-endian throughout; bit fields are packed MSB
-first with the final partial byte zero-padded. The final-response payload
+first with the final partial byte zero-padded. A challenge payload packs
+the challenge int at its round's width, `IopSpec.randomness_bits`, the
+one place a challenge is a bit string. The final-response payload
 is the bit-exact realization of the communication formula: for each round,
 the queried positions at ceil(log2 l_i) bits each (0-based, ascending),
 the answers at the symbol width, then the opening digests. No counts are
@@ -67,7 +69,7 @@ from .ibcs import (
     position_bits,
 )
 from .iop import IopProtocol
-from .prng import Bits, Prng
+from .prng import Prng
 from .toys import (
     GraphColoringInstance,
     SumcheckInstance,
@@ -241,12 +243,24 @@ def decode_commitment(payload: bytes) -> Commitment:
     return Commitment(root=payload[:DIGEST_BYTES], length=int.from_bytes(payload[DIGEST_BYTES:], "big"))
 
 
-def encode_challenge(bits: Bits) -> bytes:
-    return bits.to_bytes()
+def encode_challenge(value: int, nbits: int) -> bytes:
+    """A challenge in [0, 2**nbits), packed MSB first at its round's width."""
+    writer = _BitWriter()
+    writer.put(value, nbits)
+    return writer.to_bytes()
 
 
-def decode_challenge(payload: bytes, nbits: int) -> Bits:
-    return Bits.from_bytes(payload, nbits)
+def decode_challenge(payload: bytes, nbits: int) -> int:
+    """The challenge an `nbits`-wide payload packs; a payload of the wrong
+    length or with nonzero padding fails as a whole."""
+    nbytes = (nbits + 7) // 8
+    if len(payload) != nbytes:
+        raise DecodeError(f"expected {nbytes} bytes for {nbits} bits, got {len(payload)}")
+    raw = int.from_bytes(payload, "big")
+    pad = 8 * nbytes - nbits
+    if raw & ((1 << pad) - 1):
+        raise DecodeError("nonzero padding bits in packed bit string")
+    return raw >> pad
 
 
 def final_response_bits(params: ArgParams, response) -> int:
@@ -612,7 +626,7 @@ def _read_rounds(link: _FrameLink, params: ArgParams, protocol: IopProtocol, prn
             # Public coin: the challenge is read straight off the stream,
             # before anything of the commitment is interpreted.
             challenges.append(prng.take_bits(nbits))
-            yield link.send(TAG_CHALLENGE, encode_challenge(challenges[-1]), nbits)
+            yield link.send(TAG_CHALLENGE, encode_challenge(challenges[-1], nbits), nbits)
     payload = yield from link.recv(TAG_FINAL, final_response_max_bytes(params), is_protocol=True)
     lengths = [cm.length for cm in commitments]
     response = _decoded(
@@ -631,7 +645,7 @@ def _session_end(role: str, params: ArgParams, protocol: IopProtocol, prover, pr
             raise ProtocolViolation("prover role requires a session prover")
         state = prover.start()
         commitments = []
-        challenges: list[Bits] = []
+        challenges: list[int] = []
         for nbits in protocol.spec.randomness_bits:
             cm, state = prover.next_commitment(state, challenges[-1] if challenges else None)
             commitments.append(cm)
@@ -809,9 +823,10 @@ def verifier_setup(bound: int, vc_params: VcParams, instance) -> tuple[ArgParams
 def protocol_frames(params: ArgParams, transcript: Transcript) -> bytes:
     """The 2k+1 protocol frames of a transcript, in the mandated order."""
     out = bytearray()
-    for cm, r in zip(transcript.commitments, transcript.challenges):
+    widths = params.iop_spec.randomness_bits
+    for cm, r, nbits in zip(transcript.commitments, transcript.challenges, widths, strict=True):
         out += encode_frame(TAG_COMMIT, encode_commitment(cm))
-        out += encode_frame(TAG_CHALLENGE, encode_challenge(r))
+        out += encode_frame(TAG_CHALLENGE, encode_challenge(r, nbits))
     out += encode_frame(TAG_FINAL, encode_final_response(params, transcript.response))
     return bytes(out)
 

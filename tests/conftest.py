@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import os
+
 import pytest
 
+import ibcslab
 from ibcslab.ibcs import arg_setup
 from ibcslab.toys import (
     complete_graph,
@@ -12,6 +15,11 @@ from ibcslab.toys import (
 )
 
 from helpers import make_sumcheck
+
+# The CLI tests start `python -m ibcslab.cli` in subprocesses, which must
+# import the package these tests import, however pytest found it.
+_SRC = os.path.dirname(os.path.dirname(ibcslab.__file__))
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (_SRC, os.environ.get("PYTHONPATH"))))
 
 
 @pytest.fixture(scope="session")

@@ -27,7 +27,7 @@ from ibcslab.cli import DEFAULT_ADVERSARIES
 from ibcslab.errors import InstanceError, ParameterError, ProtocolViolation
 from ibcslab.extraction import hoeffding_radius, measure_acceptance
 from ibcslab.ibcs import ArgumentProver, arg_setup, arg_verify, Transcript
-from ibcslab.prng import Bits, Prng, derive, map_to_range, seed_root
+from ibcslab.prng import Prng, derive, seed_root
 from ibcslab.toys import SumcheckCheatPlan, best_coloring, sumcheck_iop
 from ibcslab.vc import vc_check
 
@@ -71,7 +71,7 @@ def test_snapshot_fidelity(k3_setup, all_adversaries):
         cm, state = adversary.next_commitment(state, None)
         before = state_digest(state)
         copy_ = snapshot(state)
-        plan = protocol.verifier_query([Bits(72, 77)])
+        plan = protocol.verifier_query([77])
         response = adversary.final_response(copy_, plan)
         assert state_digest(state) == before, name
         # replaying from the untouched state gives identical output
@@ -285,13 +285,8 @@ def test_equivocator_answers_from_b_when_a_is_served_from_the_memo(k3_setup, mon
     monkeypatch.setattr(ibcs, "vc_open", lambda *a: opened.append(a) or real_open(*a))
     _, state = adv.next_commitment(adv.start(), None)
     edge = next(j for j, e in enumerate(protocol.instance.edges) if 1 in e)
-    nbits = protocol.spec.randomness_bits[0]
-    bits = next(
-        Bits(nbits, v)
-        for v in range(1 << 12)
-        if map_to_range(Bits(nbits, v), protocol.challenge_space(1)) == edge
-    )
-    plan = protocol.verifier_query([bits])
+    r = next(v for v in range(1 << 12) if v % protocol.challenge_space(1) == edge)
+    plan = protocol.verifier_query([r])
     responses = [adv.final_response(state, plan) for _ in range(3)]
     assert len(opened) == 1
     honest = adv._open_a(state, plan)[0]
@@ -338,7 +333,7 @@ def test_compiled_provers_share_the_round_checks(sumcheck_true_setup, name):
     from round 2 on and open only after the last commitment."""
     protocol, params = sumcheck_true_setup
     prover = make_adversary(name, protocol, params, ())
-    challenge = Bits(protocol.spec.randomness_bits[0], 0)
+    challenge = 0
     with pytest.raises(ProtocolViolation):
         prover.next_commitment(prover.start(), challenge)
     _, state = prover.next_commitment(prover.start(), None)
@@ -356,7 +351,7 @@ def _honest_strategy_cases(k3_setup):
     params = arg_setup(128, len(transport.encode_instance(protocol.instance)), protocol.spec)
     p = protocol.instance.prime
     yield protocol, params, (), lambda _i, c, _s: protocol.round_polynomial(
-        tuple(map_to_range(r, p) for r in c)
+        tuple(r % p for r in c)
     )
 
 
@@ -464,7 +459,7 @@ def test_views_follow_what_each_adversary_reads(sumcheck_true_setup):
     """The compiled honest prover and the scripted cheats that map their
     challenges declare the structured vector; a wrapper passes its inner
     view through, and a grinder adds its predicate bit; a general strategy,
-    handed raw bits, declares the raw vector, and its wrappers build on
+    handed raw challenges, declares the raw vector, and its wrappers build on
     that."""
     protocol, params = sumcheck_true_setup
     spec = protocol.spec

@@ -4,6 +4,7 @@ import argparse
 import dataclasses
 import gc
 import json
+import re
 import socket
 import subprocess
 import sys
@@ -47,6 +48,21 @@ def run_cli(capsys, argv):
     code = main(argv)
     out = capsys.readouterr().out
     return code, json.loads(out) if out.strip() else None
+
+
+@pytest.mark.parametrize(
+    "text", ["v 4294967296\ne 1 2\n", "v 4294967297\ne 1 4294967297\n"], ids=["2**32", "2**32+1"]
+)
+def test_a_vertex_count_the_wire_cannot_carry_is_one_error_line(capsys, tmp_path, text):
+    """The wire carries a vertex count in 4 bytes, so a graph of 2**32
+    vertices or more is refused as an instance, before any search."""
+    path = tmp_path / "big.txt"
+    path.write_text(text)
+    code = main(["prove", "--instance", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert re.fullmatch(r"error: .*vertex count \d+ does not fit in 32 bits\n", captured.err)
 
 
 def test_prove_finds_a_witness_for_a_long_path(capsys, tmp_path):
@@ -667,12 +683,13 @@ def test_usage_errors_exit_2_from_the_shared_parser(capsys, argv, message):
     [
         "missing-instance", "missing-transcript", "instance-is-a-directory",
         "witness-not-integers", "out-is-a-directory", "json-is-a-directory",
-        "ready-file-is-a-directory",
+        "ready-file-is-a-directory", "seed-past-128-bits",
     ],
 )
 def test_file_and_flag_errors_are_one_error_line(capsys, tmp_path, k3_file, case):
-    """A file the CLI cannot read or write, or a witness that is not
-    integers: one error line and exit 2, not a traceback."""
+    """A file the CLI cannot read or write, a witness that is not integers,
+    or a seed outside [0, 2**128): one error line and exit 2, not a
+    traceback."""
     argv = {
         "missing-instance": ["prove", "--instance", str(tmp_path / "missing.txt")],
         "missing-transcript": ["verify", "--transcript", str(tmp_path / "nonexist.bin")],
@@ -683,6 +700,7 @@ def test_file_and_flag_errors_are_one_error_line(capsys, tmp_path, k3_file, case
         "ready-file-is-a-directory": [
             "verify", "--listen", "127.0.0.1:0", "--ready-file", str(tmp_path)
         ],
+        "seed-past-128-bits": ["prove", "--instance", k3_file, "--seed", str(1 << 128)],
     }[case]
     code = main(argv)
     captured = capsys.readouterr()

@@ -38,7 +38,7 @@ from ibcslab.extraction import (
 from ibcslab.ibcs import OUTCOME_MEMO_BYTES, OUTCOME_MEMO_ENTRIES
 from ibcslab.iop import IopSpec, iop_interact
 from ibcslab.memo import BoundedMemo
-from ibcslab.prng import Bits, Prng, derive, seed_root
+from ibcslab.prng import Prng, derive, seed_root
 from ibcslab.toys import complete_graph, gc_pcp, is_proper_coloring, petersen_graph, sumcheck_iop
 
 from helpers import make_sumcheck, run_memory_session
@@ -206,7 +206,7 @@ def _context_at(protocol, params, adversary, round_index):
             adversary, state, ctx, share, Prng(derive(seed_root(41), "lower", i)), stop="full"
         )
         commitments, oracles = ctx.commitments, oracles + (oracle,)
-        challenges += (Bits(spec.randomness_bits[i - 1], 5 * i),)
+        challenges += (5 * i,)
 
 
 class _Crashing:
@@ -720,7 +720,7 @@ def test_extractor_reused_reports_each_runs_own_budgets(sumcheck_true_setup):
     runs = []
     for _ in range(2):
         _, state = prover.first()
-        _, state = prover.next_round(state, Bits(protocol.spec.randomness_bits[0], 5))
+        _, state = prover.next_round(state, 5)
         runs.append(state.budgets)
     assert len(runs[0]) == protocol.spec.rounds == 2
     assert runs[0] == runs[1]
@@ -737,7 +737,7 @@ def test_extractor_reused_draws_the_same_stopping_times(sumcheck_true_setup):
     runs = []
     for _ in range(2):
         _, state = prover.first()
-        _, state = prover.next_round(state, Bits(protocol.spec.randomness_bits[0], 5))
+        _, state = prover.next_round(state, 5)
         runs.append((state.budgets, state.oracles))
     assert runs[0] == runs[1]
 
@@ -752,7 +752,7 @@ def test_extractor_state_advanced_twice_draws_the_same_stopping_times(sumcheck_t
         protocol, params, honest, 0.5, Prng(derive(seed_root(22), "reuse")), stop="uniform"
     )
     _, state = prover.first()
-    challenge = Bits(protocol.spec.randomness_bits[0], 5)
+    challenge = 5
     first = prover.next_round(state, challenge)[1]
     second = prover.next_round(state, challenge)[1]
     assert first.budgets == second.budgets

@@ -19,7 +19,7 @@ from ibcslab.ibcs import (
     position_bits,
 )
 from ibcslab.iop import IopProtocol, IopSpec, ProofString, QueryPlan
-from ibcslab.prng import Bits, Prng, derive, seed_root
+from ibcslab.prng import Prng, derive, seed_root
 from ibcslab.toys import gc_pcp, sumcheck_iop
 from ibcslab.vc import vc_commit, vc_open
 
@@ -107,7 +107,7 @@ def test_padding_rule_fills_reserved_symbol():
     assert pad_proof_string(protocol.spec, protocol.strings[1]) == protocol.strings[1]
     prover = ArgumentProver(protocol, params, None)
     state = prover.start()
-    for symbols, challenge in zip(protocol.strings, (None, Bits(72, 5))):
+    for symbols, challenge in zip(protocol.strings, (None, 5)):
         cm, state = prover.next_commitment(state, challenge)
         assert cm == vc_commit(params.vc, pad_proof_string(protocol.spec, symbols))[0]
 
@@ -118,7 +118,7 @@ def test_commit_deterministic_under_snapshot(sumcheck_true):
     prover = ArgumentProver(protocol, params, ())
     _, state = prover.next_commitment(prover.start(), None)
     snap = copy.deepcopy(state)
-    challenge = Bits(72, 999)
+    challenge = 999
     cm_a, _ = prover.next_commitment(state, challenge)
     cm_b, _ = prover.next_commitment(snap, challenge)
     assert cm_a == cm_b
@@ -279,10 +279,10 @@ def test_prover_state_machine(k3_setup):
     prover = ArgumentProver(protocol, params, witness)
     state = prover.start()
     with pytest.raises(ProtocolViolation):
-        prover.final_response(state, protocol.verifier_query([Bits(72, 0)]))
+        prover.final_response(state, protocol.verifier_query([0]))
     cm, state = prover.next_commitment(state, None)
     with pytest.raises(ProtocolViolation):
-        prover.next_commitment(state, Bits(72, 0))
+        prover.next_commitment(state, 0)
 
 
 def test_commit_memo_holds_its_entry_and_byte_bounds(k3_setup, monkeypatch):

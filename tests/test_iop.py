@@ -21,7 +21,7 @@ from ibcslab.iop import (
     iop_interact,
     oracle_cost,
 )
-from ibcslab.prng import Bits, Prng, derive, map_to_range, seed_root
+from ibcslab.prng import Prng, derive, seed_root
 from ibcslab.toys import (
     GraphColoringIop,
     canonical_graph,
@@ -79,7 +79,7 @@ def test_fixed_seed_fixed_transcript(k3):
 def test_snapshot_replay_is_deterministic(sumcheck_true):
     protocol = sumcheck_iop(sumcheck_true)
     proof, state = protocol.prover_init(())
-    challenge = Bits(protocol.spec.randomness_bits[0], 12345)
+    challenge = 12345
     first = protocol.prover_next(state, challenge)
     # states are immutable values: replaying from the same state is a rewind
     second = protocol.prover_next(state, challenge)
@@ -181,16 +181,37 @@ def test_brute_force_budget_is_enforced(sumcheck_false):
 
 
 def test_verifier_rejects_malformed_randomness(k3):
+    """A vector of the wrong length, or a challenge outside [0, 2**w_1), is
+    refused by name."""
     protocol = gc_pcp(k3)
-    with pytest.raises(ProtocolViolation):
-        protocol.verifier_query([Bits(8, 0)])
-    with pytest.raises(ProtocolViolation):
+    width = protocol.spec.randomness_bits[0]
+    for r in (-1, 1 << width):
+        message = rf"round 1 challenge lies outside \[0, 2\*\*{width}\)"
+        with pytest.raises(ProtocolViolation, match=message):
+            protocol.verifier_query([r])
+    protocol.verifier_query([(1 << width) - 1])
+    with pytest.raises(ProtocolViolation, match="expected 1 challenges, got 0"):
         protocol.verifier_query([])
+
+
+def test_a_round_width_without_slack_is_refused(k3):
+    """A round's width must hold 64 bits beyond ceil(log2 m) for its reduction
+    mod m to be near uniform; a shorter one is refused when the protocol
+    first maps a challenge, whatever the challenge."""
+
+    class ShortIop(GraphColoringIop):
+        def __init__(self, instance):
+            super().__init__(instance)
+            self.spec = dataclasses.replace(self.spec, randomness_bits=(65,))
+
+    with pytest.raises(ParameterError, match="too short to map onto 3 values: 65 < 66 bits"):
+        ShortIop(k3).verifier_query([5])
+    assert ShortIop(complete_graph(2)).verifier_query([5]).structured == (0,)
 
 
 def test_decide_shape_mismatch_returns_zero(k3):
     protocol = gc_pcp(k3)
-    plan = protocol.verifier_query([Bits(protocol.spec.randomness_bits[0], 0)])
+    plan = protocol.verifier_query([0])
     assert protocol.verifier_decide(plan, [(0,)]) == 0
     assert protocol.verifier_decide(plan, [(0, 1), (2,)]) == 0
 
@@ -226,7 +247,7 @@ def test_invalid_plan_raises_on_every_call(k3):
             return QueryPlan(((2, 1),))  # not increasing
 
     protocol = BadPlanIop(k3)
-    challenge = [Bits(protocol.spec.randomness_bits[0], 0)]
+    challenge = [0]
     for _ in range(3):
         with pytest.raises(ProtocolViolation, match="not increasing"):
             protocol.verifier_query(challenge)
@@ -234,8 +255,8 @@ def test_invalid_plan_raises_on_every_call(k3):
 
 
 def test_cached_plan_carries_the_callers_randomness(k3):
-    """Two challenge bit strings that map to one edge share its cached plan,
-    but each plan carries its own bit string, which the grinder reads."""
+    """Two challenges that map to one edge share its cached plan, but each
+    plan carries its own challenge, which the grinder reads."""
     planned = []
 
     class CountingIop(GraphColoringIop):
@@ -247,18 +268,16 @@ def test_cached_plan_carries_the_callers_randomness(k3):
     params = arg_setup(128, 64, protocol.spec)
     nbits = protocol.spec.randomness_bits[0]
     edges = protocol.challenge_space(1)
-    low = Bits(nbits, 0)  # leading bit 0: grinder:1 opens
+    low = 0  # leading bit 0: grinder:1 opens
     high = next(  # leading bit 1: grinder:1 aborts
-        bits
-        for bits in (Bits(nbits, (1 << (nbits - 1)) + j) for j in range(64))
-        if map_to_range(bits, edges) == map_to_range(low, edges)
+        r for r in ((1 << (nbits - 1)) + j for j in range(64)) if r % edges == low % edges
     )
     grinder = make_adversary("grinder:1", protocol, params, find_coloring(k3))
     _, state = grinder.next_commitment(grinder.start(), None)
-    for bits, opens in ((low, True), (high, False), (low, True)):
-        plan = protocol.verifier_query([bits])
-        assert plan.randomness == (bits,)
-        assert plan == gc_pcp(k3).verifier_query([bits])
+    for r, opens in ((low, True), (high, False), (low, True)):
+        plan = protocol.verifier_query([r])
+        assert plan.randomness == (r,)
+        assert plan == gc_pcp(k3).verifier_query([r])
         assert (grinder.final_response(state, plan) is not None) == opens
     assert len(planned) == 1
 
@@ -289,7 +308,7 @@ def test_each_distinct_query_tuple_is_validated_once(sumcheck_true_setup, monkey
     protocol = gc_pcp(complete_graph(5))
     nbits = protocol.spec.randomness_bits[0]
     for value in range(200):
-        protocol.verifier_query([Bits(nbits, value)])
+        protocol.verifier_query([value])
     assert len(validated) == protocol.challenge_space(1)
 
 
@@ -326,7 +345,7 @@ def test_brute_force_refuses_an_invalid_plan_as_the_verifier_does(k3):
     with pytest.raises(ProtocolViolation, match="not increasing"):
         brute_force_soundness(protocol)
     with pytest.raises(ProtocolViolation, match="not increasing"):
-        protocol.verifier_query([Bits(protocol.spec.randomness_bits[0], 0)])
+        protocol.verifier_query([0])
 
 
 def test_verifier_finds_the_oracles_plans_in_the_memo(k4):
@@ -342,9 +361,8 @@ def test_verifier_finds_the_oracles_plans_in_the_memo(k4):
     protocol = CountingIop(k4)
     assert brute_force_soundness(protocol) == Fraction(5, 6)
     assert len(planned) == 6
-    nbits = protocol.spec.randomness_bits[0]
-    edges = {map_to_range(Bits(nbits, value), 6) for value in range(64)}
+    edges = {value % 6 for value in range(64)}
     assert len(edges) == 6
     for value in range(64):
-        protocol.verifier_query([Bits(nbits, value)])
+        protocol.verifier_query([value])
     assert len(planned) == 6

@@ -5,41 +5,51 @@ import hashlib
 import pytest
 from hypothesis import example, given, strategies as st
 
-from ibcslab.errors import DecodeError, ParameterError
+from ibcslab import transport
+from ibcslab.errors import DecodeError, ParameterError, ProtocolViolation
 from ibcslab.prng import (
     STREAM_BITS,
-    Bits,
     Prng,
     derive,
     derive_stem,
-    map_to_range,
     randomness_length,
     seed_root,
 )
 
 
+# A challenge is a drawn int everywhere but the wire, where the challenge
+# codec packs it at its round's width.
 @given(st.integers(min_value=0, max_value=512).flatmap(
     lambda n: st.tuples(st.just(n), st.integers(min_value=0, max_value=(1 << n) - 1 if n else 0))
 ))
 def test_bits_pack_roundtrip(pair):
     nbits, value = pair
-    bits = Bits(nbits, value)
-    assert Bits.from_bytes(bits.to_bytes(), nbits) == bits
+    payload = transport.encode_challenge(value, nbits)
+    assert len(payload) == (nbits + 7) // 8
+    assert transport.decode_challenge(payload, nbits) == value
 
 
 def test_bits_rejects_out_of_range():
-    with pytest.raises(ParameterError):
-        Bits(3, 8)
-    with pytest.raises(ParameterError):
-        Bits(0, 1)
+    for value, nbits in ((8, 3), (1, 0), (-1, 8)):
+        with pytest.raises(ProtocolViolation, match="exceeds its declared width"):
+            transport.encode_challenge(value, nbits)
 
 
 def test_bits_packing_is_msb_first():
-    assert Bits(8, 0b10100000).to_bytes() == b"\xa0"
-    # 4-bit value packs into the high nibble, low bits zero-padded
-    assert Bits(4, 0b1010).to_bytes() == b"\xa0"
-    with pytest.raises(DecodeError):
-        Bits.from_bytes(b"\xa1", 4)  # nonzero padding
+    # a 4-bit value packs into the high nibble, low bits zero-padded
+    assert transport.encode_challenge(0b1010, 4) == b"\xa0"
+    with pytest.raises(DecodeError, match="nonzero padding bits"):
+        transport.decode_challenge(b"\xa1", 4)
+    with pytest.raises(DecodeError, match="expected 1 bytes for 4 bits, got 2"):
+        transport.decode_challenge(b"\xa0\x00", 4)
+    # a draw packs as the stream's bits in stream order: 256 bits are block 0
+    key = derive(seed_root(4), "pack")
+    block = hashlib.sha256(b"ibcslab/stream/v1" + key + bytes(8)).digest()
+    assert transport.encode_challenge(Prng(key).take_bits(256), 256) == block
+    assert transport.encode_challenge(Prng(key).take_bits(12), 12) == bytes(
+        (block[0], block[1] & 0xF0)
+    )
+
 
 
 def test_stream_is_deterministic_and_label_separated():
@@ -47,9 +57,9 @@ def test_stream_is_deterministic_and_label_separated():
     a = Prng(derive(root, "x", 0))
     b = Prng(derive(root, "x", 0))
     c = Prng(derive(root, "x", 1))
-    seq_a = [a.take_bits(13).value for _ in range(50)]
-    seq_b = [b.take_bits(13).value for _ in range(50)]
-    seq_c = [c.take_bits(13).value for _ in range(50)]
+    seq_a = [a.take_bits(13) for _ in range(50)]
+    seq_b = [b.take_bits(13) for _ in range(50)]
+    seq_c = [c.take_bits(13) for _ in range(50)]
     assert seq_a == seq_b
     assert seq_a != seq_c
 
@@ -63,18 +73,12 @@ def test_randomness_length_is_byte_aligned_and_sized():
         assert randomness_length(m) >= (m - 1).bit_length() + 64
 
 
-def test_map_to_range_requires_slack():
-    with pytest.raises(ParameterError):
-        map_to_range(Bits(8, 5), 17)
-    assert map_to_range(Bits(72, 3), 17) == 3
-
-
-def test_map_to_range_covers_space_nearly_uniformly():
+def test_reduction_covers_space_nearly_uniformly():
     prng = Prng(derive(seed_root(7), "uniform"))
     counts = [0] * 6
     trials = 6000
     for _ in range(trials):
-        counts[map_to_range(prng.take_bits(randomness_length(6)), 6)] += 1
+        counts[prng.take_bits(randomness_length(6)) % 6] += 1
     for c in counts:
         assert abs(c - trials / 6) < 150
 
@@ -134,9 +138,8 @@ def _reference_bits(key: bytes, start: int, nbits: int) -> int:
 @example(key=bytes(32), ops=[("peek", 256), ("skip", 256), ("take", 257), ("peek", 600)])
 @example(key=bytes(32), ops=[("take", 0), ("peek", 0), ("skip", 0), ("take", 256)])
 def test_drawn_bits_are_checked_values_of_the_hashed_stream(key, ops):
-    """Every bit string a stream returns, built without `Bits`' range check,
-    is the checked `Bits` of its fields and the bits the stream's blocks
-    hold at that position, across the 256-bit block edges."""
+    """Every draw of n bits is an int in [0, 2**n) holding the bits the
+    stream's blocks hold at that position, across the 256-bit block edges."""
     prng = Prng(key)
     position = 0
     for op, n in ops:
@@ -144,10 +147,9 @@ def test_drawn_bits_are_checked_values_of_the_hashed_stream(key, ops):
             prng.skip_bits(n)
             position += n
             continue
-        bits = prng.take_bits(n) if op == "take" else prng.peek_bits(n)
-        assert bits == Bits(bits.nbits, bits.value)
-        assert bits.nbits == n
-        assert bits.value == _reference_bits(key, position, n)
+        value = prng.take_bits(n) if op == "take" else prng.peek_bits(n)
+        assert 0 <= value < 1 << n
+        assert value == _reference_bits(key, position, n)
         if op == "take":
             position += n
 
@@ -168,13 +170,13 @@ def test_a_stream_refuses_to_run_past_its_last_block(op):
     prng.take_bits(100)
     with pytest.raises(ParameterError, match=r"a stream holds 2\*\*72 bits"):
         getattr(prng, op)(STREAM_BITS - 99)
-    assert prng.take_bits(300).value == _reference_bits(key, 100, 300)
+    assert prng.take_bits(300) == _reference_bits(key, 100, 300)
     prng.skip_bits(STREAM_BITS - 400 - 8)
-    assert prng.peek_bits(8).value == _reference_bits(key, STREAM_BITS - 8, 8)
+    assert prng.peek_bits(8) == _reference_bits(key, STREAM_BITS - 8, 8)
     with pytest.raises(ParameterError, match=f"and {STREAM_BITS - 8} of them are drawn"):
         getattr(prng, op)(9)
-    assert prng.take_bits(8).value == _reference_bits(key, STREAM_BITS - 8, 8)
-    assert prng.take_bits(0) == Bits(0, 0)
+    assert prng.take_bits(8) == _reference_bits(key, STREAM_BITS - 8, 8)
+    assert prng.take_bits(0) == 0
     with pytest.raises(ParameterError):
         getattr(prng, op)(1)
 
@@ -197,7 +199,7 @@ def test_peek_bits_leaves_the_stream_where_it_was(consumed, n, prefix):
     taken.take_bits(consumed)
     ahead = peeked.peek_bits(n)
     assert peeked.peek_bits(n) == ahead
-    assert taken.take_bits(prefix).value == ahead.value >> (n - prefix)
+    assert taken.take_bits(prefix) == ahead >> (n - prefix)
     peeked.skip_bits(prefix)
     assert peeked.take_bits(n) == taken.take_bits(n)
 

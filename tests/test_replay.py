@@ -28,7 +28,7 @@ from ibcslab.extraction import (
 )
 from ibcslab.ibcs import structured_view
 from ibcslab.memo import BoundedMemo
-from ibcslab.prng import Bits, Prng, derive, map_to_range, seed_root
+from ibcslab.prng import Prng, derive, seed_root
 from ibcslab.toys import complete_graph, dump_graph_text, dump_sumcheck_text, find_coloring
 
 from helpers import make_sumcheck
@@ -131,8 +131,8 @@ def _parity_prover(protocol, params):
     p = protocol.instance.prime
 
     def strategy(i, challenges, _strings):
-        symbols = list(protocol.round_polynomial(tuple(map_to_range(c, p) for c in challenges)))
-        if challenges and challenges[-1].value & 1:
+        symbols = list(protocol.round_polynomial(tuple(c % p for c in challenges)))
+        if challenges and challenges[-1] & 1:
             symbols[0] = (symbols[0] + 1) % p
         return symbols
 
@@ -149,12 +149,12 @@ def _lab_results(protocol, params, adversary):
 
 
 def test_a_strategy_reading_raw_bits_is_never_replayed(sumcheck_true_setup, monkeypatch):
-    """A general strategy gets raw bits, so it declares the raw vector: the
+    """A general strategy gets raw challenges, so it declares the raw vector: the
     lab's fresh coins never repeat one, so no rewind is replayed, every
     zero-oracle trial is played, and its results equal the memo-off run."""
     protocol, params = sumcheck_true_setup
     adversary = _parity_prover(protocol, params)
-    vector = tuple(Bits(width, 1) for width in protocol.spec.randomness_bits)
+    vector = (1,) * protocol.spec.rounds
     assert adversary.view(vector) == vector
     calls = {"samplers": 0, "trials": 0, "played": 0}
     real_sampler, real_trial, real_play = (

@@ -10,8 +10,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from ibcslab import toys
-from ibcslab.errors import InstanceError, ProtocolViolation
-from ibcslab.prng import Bits
+from ibcslab.errors import InfeasibleError, InstanceError, ProtocolViolation
 from ibcslab.toys import (
     GraphColoringInstance,
     SumcheckCheatPlan,
@@ -151,7 +150,7 @@ def test_gc_prover_emits_witness(k3):
     proof, _ = protocol.prover_init((0, 1, 2))
     assert proof.symbols == (0, 1, 2)
     with pytest.raises(ProtocolViolation):
-        protocol.prover_next(("gc-done",), Bits(72, 0))
+        protocol.prover_next(("gc-done",), 0)
     with pytest.raises(InstanceError):
         protocol.prover_init((0, 1))
 
@@ -213,6 +212,27 @@ def test_find_coloring_refuses_a_separate_k4_after_a_long_path_at_once():
     start = time.perf_counter()
     assert find_coloring(graph) is None
     assert time.perf_counter() - start < 1
+
+
+def test_find_coloring_stops_at_its_step_budget(monkeypatch, petersen):
+    """A path joined to a K4 makes the search double its backtracking per
+    path vertex (589,819 steps at 14 vertices); past the budget it raises.
+    A step colors or uncolors a vertex: Petersen is colored in 10."""
+    m = 14
+    k4 = list(itertools.combinations(range(m + 1, m + 5), 2))
+    graph = canonical_graph(m + 4, [(v, v + 1) for v in range(1, m)] + k4 + [(m, m + 1)])
+    monkeypatch.setattr(toys, "COLORING_STEP_BUDGET", 1 << 16)
+    with pytest.raises(InfeasibleError, match="budget of 65536 steps"):
+        find_coloring(graph)
+    monkeypatch.setattr(toys, "COLORING_STEP_BUDGET", 10)
+    assert find_coloring(petersen) is not None
+    monkeypatch.setattr(toys, "COLORING_STEP_BUDGET", 9)
+    with pytest.raises(InfeasibleError):
+        find_coloring(petersen)
+    # More vertices than steps: refused before one list per vertex is built.
+    monkeypatch.setattr(toys, "COLORING_STEP_BUDGET", 1 << 20)
+    with pytest.raises(InfeasibleError, match=f"needs at least {(1 << 32) - 1} steps"):
+        find_coloring(canonical_graph((1 << 32) - 1, [(1, 2)]))
 
 
 def test_find_coloring_on_a_long_path_needs_no_recursion():
@@ -300,7 +320,7 @@ def test_sumcheck_round_polynomials():
     protocol = sumcheck_iop(inst)
     proof, state = protocol.prover_init(())
     assert proof.symbols == (0, 1)
-    proof2, _ = protocol.prover_next(state, Bits(protocol.spec.randomness_bits[0], 3))
+    proof2, _ = protocol.prover_next(state, 3)
     assert proof2.symbols == (0, 3)
 
 
@@ -352,10 +372,15 @@ def test_sumcheck_final_check_reads_the_last_round_polynomial(case):
 
 
 def test_sumcheck_prover_rejects_bad_challenge_width(sumcheck_true):
+    """A challenge outside [0, 2**w_1) is refused by name."""
     protocol = sumcheck_iop(sumcheck_true)
     _, state = protocol.prover_init(())
-    with pytest.raises(ProtocolViolation):
-        protocol.prover_next(state, Bits(8, 0))
+    width = protocol.spec.randomness_bits[0]
+    for r in (-1, 1 << width):
+        message = rf"round 1 challenge lies outside \[0, 2\*\*{width}\)"
+        with pytest.raises(ProtocolViolation, match=message):
+            protocol.prover_next(state, r)
+    protocol.prover_next(state, (1 << width) - 1)
 
 
 def test_sumcheck_zero_polynomial_accepts_everywhere():

@@ -17,7 +17,7 @@ from ibcslab import transport, vc
 from ibcslab.errors import DecodeError, IbcsError, ParameterError, ProtocolViolation, TransportError
 from ibcslab.ibcs import ArgumentProver, arg_setup, arg_verify
 from ibcslab.memo import BoundedMemo
-from ibcslab.prng import Bits, Prng, derive, seed_root
+from ibcslab.prng import Prng, derive, seed_root
 from ibcslab.toys import SumcheckInstance, canonical_graph, gc_pcp, sumcheck_iop
 from ibcslab.vc import Commitment, proof_digest_count
 
@@ -38,8 +38,8 @@ def test_frame_roundtrip_and_errors():
 
 def test_challenge_payload_length():
     # an 8-bit challenge packs into exactly one payload byte
-    assert transport.encode_challenge(Bits(8, 0xA5)) == b"\xa5"
-    assert transport.decode_challenge(b"\xa5", 8) == Bits(8, 0xA5)
+    assert transport.encode_challenge(0xA5, 8) == b"\xa5"
+    assert transport.decode_challenge(b"\xa5", 8) == 0xA5
 
 
 def test_commitment_codec_roundtrip():
@@ -67,10 +67,10 @@ def test_codec_fuzz_roundtrip(k3_setup, sumcheck_true_setup):
                 commitments.append(cm)
                 payload = transport.encode_commitment(cm)
                 assert transport.decode_commitment(payload) == cm
-                prev = Bits(spec.randomness_bits[i], rng.getrandbits(spec.randomness_bits[i]))
+                prev = rng.getrandbits(spec.randomness_bits[i])
                 challenges.append(prev)
-                payload = transport.encode_challenge(prev)
-                assert transport.decode_challenge(payload, prev.nbits) == prev
+                payload = transport.encode_challenge(prev, spec.randomness_bits[i])
+                assert transport.decode_challenge(payload, spec.randomness_bits[i]) == prev
             response = prover.final_response(state, protocol.verifier_query(challenges))
             payload = transport.encode_final_response(params, response)
             decoded = transport.decode_final_response(
@@ -87,7 +87,7 @@ def test_final_response_decode_rejects_trailing_garbage(k3_setup):
     prover = ArgumentProver(protocol, params, witness)
     state = prover.start()
     cm, state = prover.next_commitment(state, None)
-    response = prover.final_response(state, protocol.verifier_query([Bits(72, 11)]))
+    response = prover.final_response(state, protocol.verifier_query([11]))
     payload = transport.encode_final_response(params, response)
     with pytest.raises(DecodeError):
         transport.decode_final_response(params, [cm.length], payload + b"\x00")
@@ -379,10 +379,8 @@ def test_prover_refuses_a_decision_that_is_not_one_byte_0_or_1(k3_setup, payload
     protocol, params, witness = k3_setup
     prover = ArgumentProver(protocol, params, witness)
     chan_verifier, chan_prover = transport.memory_channel_pair()
-    challenge = Bits(protocol.spec.randomness_bits[0], 0)
-    chan_verifier.send_bytes(
-        transport.encode_frame(transport.TAG_CHALLENGE, transport.encode_challenge(challenge))
-    )
+    challenge = transport.encode_challenge(0, protocol.spec.randomness_bits[0])
+    chan_verifier.send_bytes(transport.encode_frame(transport.TAG_CHALLENGE, challenge))
     chan_verifier.send_bytes(transport.encode_frame(transport.TAG_DECISION, payload))
     with pytest.raises(ProtocolViolation, match="decision frame"):
         transport.run_session("prover", chan_prover, params, protocol, prover=prover)
@@ -447,9 +445,9 @@ def test_codec_identity_large_fuzz(k3_setup):
     samples = 0
     while samples < 100_000:
         nbits = spec.randomness_bits[0]
-        challenge = Bits(nbits, rng.getrandbits(nbits))
+        challenge = rng.getrandbits(nbits)
         assert transport.decode_challenge(
-            transport.encode_challenge(challenge), nbits
+            transport.encode_challenge(challenge, nbits), nbits
         ) == challenge
         samples += 1
         if samples % 10 == 0:
@@ -490,7 +488,9 @@ def _session_prefixes(params, protocol, witness):
     cm, _ = prover.next_commitment(prover.start(), None)
     commit = transport.encode_frame(transport.TAG_COMMIT, transport.encode_commitment(cm))
     nbits = protocol.spec.randomness_bits[0]
-    challenge = transport.encode_frame(transport.TAG_CHALLENGE, Bits(nbits, 1).to_bytes())
+    challenge = transport.encode_frame(
+        transport.TAG_CHALLENGE, transport.encode_challenge(1, nbits)
+    )
     return {
         ("verifier", transport.TAG_COMMIT): b"",
         ("verifier", transport.TAG_FINAL): commit,
