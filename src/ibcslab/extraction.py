@@ -53,6 +53,11 @@ One round function, `_next_round`, advances the extracted IOP prover
 (and so the knowledge pipeline) and every hybrid and events trial: it
 takes the adversary's next commitment and, in a round the run extracts,
 rewinds it on the run's stream, after commitment i and before challenge i.
+What an extracted round produced is one `ExtractedOracle`: its proof
+string, the knowledge set that string was filled from, and the sampler's
+counts (`SamplerStats`), whose rewinds run plus skipped are the round's
+stop time. A run, a trial record and the knowledge outcome each carry one
+tuple of them, round by round.
 
 The per-trial stream keys of a hybrid value or an events experiment are
 `derive(root, label, r, trial)`; they come from one `prng.derive_stem`,
@@ -113,21 +118,36 @@ class KnowledgeSet:
         assert len(self.triples) <= self.proof_length
 
 
+@dataclass
+class SamplerStats:
+    """Per-call sampler counts: `rewinds` drawn, of which `replayed` were
+    served from the outcome memo, and `skipped` left out at saturation."""
+
+    rewinds: int = 0
+    accepted: int = 0
+    recorded: int = 0
+    voided: int = 0
+    skipped: int = 0
+    replayed: int = 0
+
+
 @dataclass(frozen=True)
 class ExtractedOracle:
+    """The one record of an extracted round: its proof string (`covered`
+    positions and `symbols`), the knowledge set it was filled from, and the
+    sampler's counts, whose stop time is `stats.rewinds + stats.skipped`.
+
+    A verifier reads only (round_index, covered, symbols), so only they
+    compare and hash. `knowledge` and `stats` do not: a rewind replayed
+    from the outcome memo differs from the rewind it replaces only in
+    `stats.replayed`, so an oracle is the same with the memo on and off.
+    """
+
     round_index: int
     covered: frozenset
     symbols: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class RewindBudget:
-    max_rewinds: int
-    stop_time: int
-
-    def __post_init__(self):
-        if not 0 <= self.stop_time <= self.max_rewinds:
-            raise ParameterError("stop time must lie in [0, T]")
+    knowledge: KnowledgeSet = field(compare=False)
+    stats: SamplerStats = field(compare=False)
 
 
 def rewind_budget_limit(max_proof_length: int, error_share: Fraction) -> int:
@@ -193,19 +213,6 @@ class ArgContext:
     commitments: tuple  # cm_1 .. cm_i
     challenges: tuple[int, ...]  # r_1 .. r_{i-1}
     oracles: tuple[ExtractedOracle, ...]  # rounds 1 .. i-1
-
-
-@dataclass
-class SamplerStats:
-    """Per-call sampler counts: `rewinds` drawn, of which `replayed` were
-    served from the outcome memo, and `skipped` left out at saturation."""
-
-    rewinds: int = 0
-    accepted: int = 0
-    recorded: int = 0
-    voided: int = 0
-    skipped: int = 0
-    replayed: int = 0
 
 
 # Outcomes of a rewind that records nothing; a won rewind's outcome is its
@@ -348,16 +355,16 @@ def sampler(adversary, state, ctx: ArgContext, iterations: int, prng: Prng):
     return knowledge, stats
 
 
-def fill_oracle(round_index: int, proof_length: int, knowledge: KnowledgeSet) -> ExtractedOracle:
+def fill_oracle(round_index: int, knowledge: KnowledgeSet, stats: SamplerStats) -> ExtractedOracle:
     """First write wins: later triples never overwrite earlier positions."""
-    symbols = [PAD_SYMBOL] * proof_length
+    symbols = [PAD_SYMBOL] * knowledge.proof_length
     covered: set[int] = set()
     for positions, answers, _ in knowledge.triples:
         for q, a in zip(positions, answers):
             if q not in covered:
                 covered.add(q)
                 symbols[q - 1] = a
-    return ExtractedOracle(round_index, frozenset(covered), tuple(symbols))
+    return ExtractedOracle(round_index, frozenset(covered), tuple(symbols), knowledge, stats)
 
 
 def reductor(
@@ -367,7 +374,7 @@ def reductor(
     share: Fraction,
     prng: Prng,
     stop: str = "uniform",
-):
+) -> ExtractedOracle:
     """Rewind round i and rebuild its proof string from the knowledge set.
 
     `stop="uniform"` draws the stopping time uniformly from [0, T], which
@@ -375,19 +382,15 @@ def reductor(
     all T rewinds and is what the knowledge extractor uses, since coverage
     only grows with more rewinds.
     """
-    spec = ctx.protocol.spec
-    i = ctx.round_index
-    limit = rewind_budget_limit(spec.max_proof_length, share)
+    limit = rewind_budget_limit(ctx.protocol.spec.max_proof_length, share)
     if stop == "uniform":
         stop_time = prng.take_below(limit + 1)
     elif stop == "full":
         stop_time = limit
     else:
         raise ParameterError(f"unknown stopping rule {stop!r}")
-    budget = RewindBudget(max_rewinds=limit, stop_time=stop_time)
     knowledge, stats = sampler(adversary, state, ctx, stop_time, prng)
-    oracle = fill_oracle(i, spec.proof_lengths[i - 1], knowledge)
-    return oracle, knowledge, budget, stats
+    return fill_oracle(ctx.round_index, knowledge, stats)
 
 
 # ---------------------------------------------------------------------------
@@ -404,15 +407,13 @@ class _ExtractorState:
     commitments: tuple = ()
     challenges: tuple[int, ...] = ()
     oracles: tuple[ExtractedOracle, ...] = ()
-    knowledge: tuple[KnowledgeSet, ...] = ()
-    budgets: tuple[RewindBudget, ...] = ()
 
 
 def _next_round(params, protocol, adversary, run: _ExtractorState, share, oracle_rounds, stop):
     """The one round step of every run: the adversary commits on the last
     challenge, and a round up to `oracle_rounds` is rewound on the run's
-    stream (`reductor`) and its oracle, knowledge set and budget appended.
-    The caller appends the round's challenge."""
+    stream (`reductor`) and its oracle appended. The caller appends the
+    round's challenge."""
     challenges = run.challenges
     cm, run.adversary_state = adversary.next_commitment(
         run.adversary_state, challenges[-1] if challenges else None
@@ -421,12 +422,7 @@ def _next_round(params, protocol, adversary, run: _ExtractorState, share, oracle
     i = len(run.commitments)
     if i <= oracle_rounds:
         ctx = ArgContext(params, protocol, i, run.commitments, challenges, run.oracles)
-        oracle, knowledge, budget, _ = reductor(
-            adversary, run.adversary_state, ctx, share, run.rewinds, stop
-        )
-        run.oracles += (oracle,)
-        run.knowledge += (knowledge,)
-        run.budgets += (budget,)
+        run.oracles += (reductor(adversary, run.adversary_state, ctx, share, run.rewinds, stop),)
 
 
 class ExtractorIopProver:
@@ -486,8 +482,6 @@ class TrialRecord:
     challenges: tuple[int, ...]
     commitments: tuple
     oracles: tuple[ExtractedOracle, ...]
-    knowledge: tuple[KnowledgeSet, ...]
-    budgets: tuple[RewindBudget, ...]
     plan: QueryPlan | None  # the plan of `challenges` the adversary opened
     response: tuple | None
     voided: bool = False
@@ -553,7 +547,7 @@ def run_hybrid_trial(
         plan = None if shape is None else _plan(shape[0], shape[1], raw)
         record = TrialRecord(
             raw if drawn == len(raw) else raw[:drawn],
-            commitments, (), (), (), plan, response, voided, decision,
+            commitments, (), plan, response, voided, decision,
         )
     drawn = len(record.challenges)
     prng.skip_bits(total if drawn == len(widths) else sum(widths[:drawn]))
@@ -583,10 +577,7 @@ def _play_trial(
         response = adversary.final_response(run.adversary_state, plan)
     except IbcsError:
         response, voided = None, True
-    return TrialRecord(
-        run.challenges, run.commitments, run.oracles, run.knowledge, run.budgets, plan, response,
-        voided,
-    )
+    return TrialRecord(run.challenges, run.commitments, run.oracles, plan, response, voided)
 
 
 def accept_under_routing(
@@ -766,7 +757,7 @@ def run_events_experiment(
             ]
             if conflicts:
                 counters.disagreements += 1
-                pair = _binding_pair(params, record.knowledge[i - 1], cm, opening, conflicts)
+                pair = _binding_pair(params, oracle.knowledge, cm, opening, conflicts)
                 if pair is not None:
                     counters.binding_pairs.append(pair)
     return counters
@@ -844,7 +835,6 @@ class KnowledgeOutcome:
     success: bool
     witness: Any
     oracles: tuple[ExtractedOracle, ...]
-    budgets: tuple[RewindBudget, ...]
 
 
 def end_to_end_knowledge(
@@ -874,9 +864,4 @@ def end_to_end_knowledge(
     oracles = state.oracles
     witness = protocol.extract_witness([(o.covered, o.symbols) for o in oracles])
     success = protocol.check_witness(witness)
-    return KnowledgeOutcome(
-        success=success,
-        witness=witness if success else None,
-        oracles=oracles,
-        budgets=state.budgets,
-    )
+    return KnowledgeOutcome(success=success, witness=witness if success else None, oracles=oracles)

@@ -343,11 +343,11 @@ class SumcheckInstance:
         return total
 
     def true_sum(self) -> int:
-        p = self.prime
-        total = 0
-        for point in itertools.product((0, 1), repeat=self.variables):
-            total = (total + self.evaluate(point)) % p
-        return total
+        """g summed over the boolean cube, in one pass over the table: x**e
+        summed over x in {0, 1} is 2 for e = 0 and 1 otherwise, so the term
+        of exponents e adds c_e * 2**(number of zeros in e)."""
+        terms = zip(self.coefficients, self.exponent_tuples())
+        return sum(c << exps.count(0) for c, exps in terms) % self.prime
 
 
 def poly_eval(coeffs: Sequence[int], x: int, p: int) -> int:
@@ -510,10 +510,13 @@ class SumcheckCheatPlan:
 
     def __init__(self, instance: SumcheckInstance):
         p, d, n = instance.prime, instance.degree, instance.variables
+        # Each layer scores every table against p successors; the last
+        # layer also evaluates g, a walk of all (d+1)**n terms, at p**n points.
         cost = sum(p ** (i - 1) * p ** (d + 1) * p for i in range(1, n + 1))
+        cost += p**n * (d + 1) ** n
         if cost > DEFAULT_CHEAT_BUDGET:
             raise InfeasibleError(
-                f"cheat-strategy program needs about {cost} table evaluations, "
+                f"cheat-strategy program needs about {cost} table and term evaluations, "
                 f"budget is {DEFAULT_CHEAT_BUDGET}"
             )
         self.instance = instance

@@ -382,6 +382,22 @@ def test_soundness_refuses_satisfiable(capsys, k3_file):
     assert code == 2
 
 
+def test_soundness_refuses_a_14_variable_true_sumcheck_at_once(capsys, tmp_path):
+    """Membership sums the coefficient table in one pass, so a true claim
+    over 14 variables (16,384 coefficients) is found in the language at
+    once, not by evaluating g, a walk of the whole table, at each of the
+    2**14 cube points."""
+    path = tmp_path / "sumcheck-14.txt"
+    path.write_text(dump_sumcheck_text(make_sumcheck(p=17, n=14, d=1)))
+    start = time.perf_counter()
+    code = main(["soundness", "--instance", str(path), "--trials", "10", "--seed", "1"])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "instance is in the language" in captured.err
+    assert elapsed < 5
+
+
 def test_soundness_force_overrides(capsys, k3_file):
     code, report = run_cli(
         capsys,

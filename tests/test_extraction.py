@@ -20,7 +20,7 @@ from ibcslab.extraction import (
     ArgContext,
     ExtractorIopProver,
     KnowledgeSet,
-    RewindBudget,
+    SamplerStats,
     end_to_end_knowledge,
     error_share,
     fill_oracle,
@@ -57,8 +57,6 @@ def test_rewind_budget_example():
     # l_max = 64, epsilon = 0.5, k = 2: T = 64 / 0.125 = 512
     assert rewind_budget_limit(64, error_share(0.5, 2)) == 512
     assert rewind_budget_limit(3, error_share(0.5, 1)) == 12
-    with pytest.raises(ParameterError):
-        RewindBudget(max_rewinds=4, stop_time=5)
 
 
 def test_the_rewind_budget_admits_every_acceptance_configuration():
@@ -134,13 +132,13 @@ def test_fill_oracle_first_write_wins():
     kset = KnowledgeSet(proof_length=4)
     kset.add((1, 2), (5, 6), ())
     kset.add((2, 3), (9, 7), ())  # overlaps position 2 with a new answer
-    oracle = fill_oracle(1, 4, kset)
+    oracle = fill_oracle(1, kset, SamplerStats())
     assert oracle.symbols == (5, 6, 7, 0)
     assert oracle.covered == frozenset({1, 2, 3})
 
 
 def test_fill_oracle_empty_knowledge():
-    oracle = fill_oracle(2, 3, KnowledgeSet(proof_length=3))
+    oracle = fill_oracle(2, KnowledgeSet(proof_length=3), SamplerStats())
     assert oracle.symbols == (0, 0, 0)
     assert oracle.covered == frozenset()
 
@@ -148,8 +146,17 @@ def test_fill_oracle_empty_knowledge():
 def test_fill_oracle_single_triple():
     kset = KnowledgeSet(proof_length=3)
     kset.add((2,), (1,), ())
-    oracle = fill_oracle(1, 3, kset)
+    oracle = fill_oracle(1, kset, SamplerStats())
     assert oracle.symbols == (0, 1, 0)
+
+
+def _stop_time(oracle):
+    """The round's stopping time: the sampler runs or skips each rewind."""
+    return oracle.stats.rewinds + oracle.stats.skipped
+
+
+def _stop_times(oracles):
+    return tuple(map(_stop_time, oracles))
 
 
 def _round1_context(protocol, params, adversary):
@@ -202,7 +209,7 @@ def _context_at(protocol, params, adversary, round_index):
         ctx = ArgContext(params, protocol, i, commitments + (cm,), challenges, oracles)
         if i == round_index:
             return ctx, state
-        oracle, *_ = reductor(
+        oracle = reductor(
             adversary, state, ctx, share, Prng(derive(seed_root(41), "lower", i)), stop="full"
         )
         commitments, oracles = ctx.commitments, oracles + (oracle,)
@@ -451,11 +458,9 @@ def test_reductor_budget_and_fill(k3_setup):
     honest = honest_wrapper(protocol, params, witness)
     ctx, rho = _round1_context(protocol, params, honest)
     share = error_share(0.5, 1)
-    oracle, knowledge, budget, _ = reductor(
-        honest, rho, ctx, share, Prng(derive(seed_root(6), "red"))
-    )
-    assert budget.max_rewinds == rewind_budget_limit(3, share)
-    assert 0 <= budget.stop_time <= budget.max_rewinds
+    oracle = reductor(honest, rho, ctx, share, Prng(derive(seed_root(6), "red")))
+    assert 0 <= _stop_time(oracle) <= rewind_budget_limit(3, share)
+    assert oracle.covered == oracle.knowledge.coverage
     for q in oracle.covered:
         assert oracle.symbols[q - 1] == witness[q - 1]
     for q in set(range(1, 4)) - oracle.covered:
@@ -469,10 +474,8 @@ def test_reductor_stop_time_spans_range(k3_setup):
     share = error_share(0.5, 1)
     stops = set()
     for i in range(200):
-        _, _, budget, _ = reductor(
-            honest, rho, ctx, share, Prng(derive(seed_root(7), "stop", i))
-        )
-        stops.add(budget.stop_time)
+        oracle = reductor(honest, rho, ctx, share, Prng(derive(seed_root(7), "stop", i)))
+        stops.add(_stop_time(oracle))
     assert min(stops) == 0
     assert max(stops) == rewind_budget_limit(3, share)
 
@@ -673,16 +676,16 @@ def test_run_hybrid_trial_records_budgets(sumcheck_true_setup):
     share = error_share(0.5, 2)
     record = run_hybrid_trial(protocol, params, honest, 2, share, prng)
     assert len(record.oracles) == 2
-    assert len(record.budgets) == 2
     expected_limit = rewind_budget_limit(protocol.spec.max_proof_length, share)
-    assert all(b.max_rewinds == expected_limit for b in record.budgets)
+    assert all(0 <= _stop_time(oracle) <= expected_limit for oracle in record.oracles)
 
 
 def test_a_voided_oracle_routed_trial_keeps_its_extracted_round(sumcheck_true_setup):
     """A prover whose round-2 string has the wrong length raises at its
     second commitment, after round 1 was extracted: the voided record keeps
-    round 1's commitment, challenge, oracle, knowledge set and budget, as
-    the reductor gives them on a fresh copy of the trial stream."""
+    round 1's commitment, challenge and oracle, with its knowledge set and
+    sampler counts, as the reductor gives them on a fresh copy of the trial
+    stream."""
     protocol, params = sumcheck_true_setup
     strings = (protocol.round_polynomial(()), (0,))
 
@@ -698,11 +701,11 @@ def test_a_voided_oracle_routed_trial_keeps_its_extracted_round(sumcheck_true_se
     adversary, fresh = voiding(), Prng(key)
     cm, state = adversary.next_commitment(adversary.start(), None)
     ctx = ArgContext(params, protocol, 1, (cm,), (), ())
-    oracle, knowledge, budget, _ = reductor(adversary, state, ctx, share, fresh)
+    oracle = reductor(adversary, state, ctx, share, fresh)
     assert record.commitments == (cm,)
     assert record.oracles == (oracle,)
-    assert record.knowledge == (knowledge,)
-    assert record.budgets == (budget,)
+    assert record.oracles[0].knowledge == oracle.knowledge
+    assert record.oracles[0].stats == oracle.stats
     assert record.challenges == (fresh.take_bits(protocol.spec.randomness_bits[0]),)
 
     counters = run_events_experiment(protocol, params, voiding(), 1, 6, 23, 0.5)
@@ -710,8 +713,9 @@ def test_a_voided_oracle_routed_trial_keeps_its_extracted_round(sumcheck_true_se
 
 
 def test_extractor_reused_reports_each_runs_own_budgets(sumcheck_true_setup):
-    """Budgets live in the extractor's returned state, so a second run from
-    the same extractor object reports its own k budgets, not 2k."""
+    """Oracles, each with its stop time, live in the extractor's returned
+    state, so a second run from the same extractor object reports its own k
+    rounds, not 2k."""
     protocol, params = sumcheck_true_setup
     honest = honest_wrapper(protocol, params, ())
     prover = ExtractorIopProver(
@@ -721,14 +725,15 @@ def test_extractor_reused_reports_each_runs_own_budgets(sumcheck_true_setup):
     for _ in range(2):
         _, state = prover.first()
         _, state = prover.next_round(state, 5)
-        runs.append(state.budgets)
-    assert len(runs[0]) == protocol.spec.rounds == 2
+        runs.append(_stop_times(state.oracles))
+    limit = rewind_budget_limit(protocol.spec.max_proof_length, error_share(0.5, 2))
+    assert runs[0] == (limit, limit)  # stop="full" runs or skips all T
     assert runs[0] == runs[1]
 
 
 def test_extractor_reused_draws_the_same_stopping_times(sumcheck_true_setup):
     """Each run restarts the rewind stream from its key, so a reused
-    extractor with uniform stopping times repeats its budgets and oracles."""
+    extractor with uniform stopping times repeats its stop times and oracles."""
     protocol, params = sumcheck_true_setup
     honest = honest_wrapper(protocol, params, ())
     prover = ExtractorIopProver(
@@ -738,13 +743,13 @@ def test_extractor_reused_draws_the_same_stopping_times(sumcheck_true_setup):
     for _ in range(2):
         _, state = prover.first()
         _, state = prover.next_round(state, 5)
-        runs.append((state.budgets, state.oracles))
+        runs.append((_stop_times(state.oracles), state.oracles))
     assert runs[0] == runs[1]
 
 
 def test_extractor_state_advanced_twice_draws_the_same_stopping_times(sumcheck_true_setup):
     """A state is a value: advancing one state twice on one challenge gives
-    the same budgets and oracles, since each advance draws from its own
+    the same stop times and oracles, since each advance draws from its own
     copy of the state's rewind stream."""
     protocol, params = sumcheck_true_setup
     honest = honest_wrapper(protocol, params, ())
@@ -755,6 +760,6 @@ def test_extractor_state_advanced_twice_draws_the_same_stopping_times(sumcheck_t
     challenge = 5
     first = prover.next_round(state, challenge)[1]
     second = prover.next_round(state, challenge)[1]
-    assert first.budgets == second.budgets
+    assert _stop_times(first.oracles) == _stop_times(second.oracles)
     assert first.oracles == second.oracles
-    assert state.challenges == () and len(state.budgets) == 1
+    assert state.challenges == () and len(state.oracles) == 1

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+from dataclasses import replace
 
 import pytest
 
@@ -23,6 +24,7 @@ from ibcslab.extraction import (
     end_to_end_knowledge,
     error_share,
     hybrid_value,
+    rewind_budget_limit,
     run_events_experiment,
     run_hybrid_trial,
 )
@@ -264,6 +266,37 @@ def test_replayed_trials_are_the_trials_they_replace_for_every_adversary(
     assert played_off == 50
     if instance == "k4":
         assert played_on < 25
+
+
+def test_an_oracle_routed_trial_is_the_same_with_the_memo_off(sumcheck_true_setup, monkeypatch):
+    """Trials with both rounds of the n=2 sumcheck extracted give equal
+    records with the outcome memo on and off. Each round's oracle keeps its
+    knowledge set and sampler counts: the stop time, rewinds run plus
+    skipped, lies in [0, T], and the counts differ only in `replayed`,
+    which some rounds have with the memo on and none has with it off."""
+    protocol, params = sumcheck_true_setup
+    share = error_share(0.5, protocol.spec.rounds)
+    limit = rewind_budget_limit(protocol.spec.max_proof_length, share)
+
+    def records():
+        adversary = cli.make_adversary("grinder:1", protocol, params, None)
+        keys = (derive(seed_root(11), "oracle-routed", trial) for trial in range(8))
+        return [run_hybrid_trial(protocol, params, adversary, 2, share, Prng(k)) for k in keys]
+
+    on = records()
+    _memo_off(monkeypatch)
+    off = records()
+    assert on == off
+    rounds_on = [oracle for record in on for oracle in record.oracles]
+    rounds_off = [oracle for record in off for oracle in record.oracles]
+    assert len(rounds_on) == len(rounds_off) == 2 * len(on)
+    for oracle, fresh in zip(rounds_on, rounds_off):
+        stats = oracle.stats
+        assert 0 <= stats.rewinds + stats.skipped <= limit
+        assert oracle.knowledge == fresh.knowledge
+        assert replace(stats, replayed=0) == fresh.stats
+    assert sum(oracle.stats.replayed for oracle in rounds_on) > 0
+    assert all(fresh.stats.replayed == 0 for fresh in rounds_off)
 
 
 def _kept_tree_bytes(memo: BoundedMemo) -> int:

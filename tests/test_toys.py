@@ -391,6 +391,19 @@ def test_sumcheck_zero_polynomial_accepts_everywhere():
     assert protocol.in_language()
 
 
+def test_true_sum_is_the_cube_sum_of_evaluate():
+    """The one-pass true sum equals g evaluated at every point of the
+    boolean cube and summed, on random small instances."""
+    rng = random.Random(28)
+    for _ in range(60):
+        p = rng.choice((2, 3, 5, 17, 97, (1 << 61) - 1))
+        n, d = rng.randint(1, 4), rng.randint(1, 3)
+        coeffs = tuple(rng.randrange(p) for _ in range((d + 1) ** n))
+        inst = SumcheckInstance(p, n, d, coeffs, 0)
+        cube = itertools.product((0, 1), repeat=n)
+        assert inst.true_sum() == sum(inst.evaluate(point) for point in cube) % p
+
+
 def test_cheat_plan_matches_brute_force_small():
     from ibcslab.iop import brute_force_soundness
 
@@ -408,6 +421,20 @@ def test_cheat_plan_respects_nd_over_p_ceiling(sumcheck_false):
         sumcheck_false.prime,
     )
     assert 0 < value <= Fraction(n * d, p)
+
+
+def test_cheat_plan_counts_its_last_layer(monkeypatch):
+    """The last layer evaluates g, all (d+1)**n terms, at p**n points, so
+    p = 2, d = 1, n = 12 (2**24 term walks) is refused before any of them."""
+    calls = []
+    real_evaluate = SumcheckInstance.evaluate
+    monkeypatch.setattr(
+        SumcheckInstance, "evaluate", lambda self, point: calls.append(1) or real_evaluate(self, point)
+    )
+    inst = make_sumcheck(p=2, n=12, d=1, false_claim=True)
+    with pytest.raises(InfeasibleError, match="budget is 16777216"):
+        SumcheckCheatPlan(inst)
+    assert calls == []
 
 
 def test_cheat_plan_tables_obey_constraints(sumcheck_false):
