@@ -30,15 +30,16 @@ declares one, the raw vector if none narrower). A continuation from one
 rewind point ends in one of three outcomes, voided (the adversary raised
 an `IbcsError`), lost, or won with its round-i opening, and that outcome
 depends only on the view of the challenge vector. So every adversary
-keeps its outcomes in its `outcomes` memo (the contract is in `ibcs`),
-keyed by (rewind point, view). A round-i rewind point is (state, ctx):
-the state is a value, keyed by itself, and its entries weigh its bytes
-too (`adversaries.rewind_point`), since the key keeps it alive. A
-zero-oracle hybrid trial starts from `start()`, which is deterministic, so
-its point is (params, protocol). Either way the lab draws exactly the bits
-it would draw anyway, and a repeated view is replayed into the same
-counters, knowledge sets and trial records instead of running the
-commit/open/plan/check path again. The hybrid verifier is
+keeps its outcomes in its `outcomes` memo (the contract is in `ibcs`), one
+table per rewind point: a plain dict from view to outcome, kept with the
+bytes it weighs. A round-i rewind point is (state, ctx): the state is a
+value, keyed by itself, and its table weighs its bytes once
+(`adversaries.rewind_point`), since the key keeps it alive, plus each
+outcome. A zero-oracle hybrid trial starts from `start()`, which is
+deterministic, so its point is (params, protocol). Either way the lab
+draws exactly the bits it would draw anyway, and a repeated view is
+replayed into the same counters, knowledge sets and trial records instead
+of running the commit/open/plan/check path again. The hybrid verifier is
 `ibcs.routed_decision`, the argument verifier with oracle rounds added. A
 zero-oracle outcome also keeps the trial's full-opening decision, which
 reads only the structured challenges (fixed by the view) and the stored
@@ -291,11 +292,17 @@ def sampler(adversary, state, ctx: ArgContext, iterations: int, prng: Prng):
     is not a value raises TypeError (`adversaries.rewind_point`) before
     any rewind runs.
 
-    Each rewind draws its continuation (r_i, ..., r_k) with one
-    `take_bits` and is looked up by (rewind point, view) in the
-    adversary's `outcomes` memo; a hit is replayed (`stats.replayed`)
-    rather than run. A won opening's positions are the planned round-i
-    queries, which is what the knowledge set tests.
+    The call looks its rewind point (state, ctx) up once in the
+    adversary's `outcomes` memo, filed under the state's hash, and walks
+    the state only when the point misses. Each rewind draws its
+    continuation (r_i, ..., r_k) with one `take_bits` and looks its view
+    up in the point's table, a plain dict; a hit is replayed
+    (`stats.replayed`) rather than run. The table weighs the state once
+    plus each outcome, keeps a new outcome only while that stays within
+    the memo's byte bound, and is put back once, if it grew. No table is
+    kept, so nothing is replayed, when the memo keeps no entry or the
+    state alone outweighs its byte bound. A won opening's positions are
+    the planned round-i queries, which is what the knowledge set tests.
 
     Once coverage holds all l_i positions, every later rewind is covered,
     so it can record nothing: the remaining rewinds are skipped, and
@@ -308,7 +315,6 @@ def sampler(adversary, state, ctx: ArgContext, iterations: int, prng: Prng):
     """
     spec = ctx.protocol.spec
     i = ctx.round_index
-    state_bytes = rewind_point(state)
     knowledge = KnowledgeSet(proof_length=spec.proof_lengths[i - 1])
     stats = SamplerStats()
     widths = spec.randomness_bits[i - 1 :]
@@ -316,38 +322,57 @@ def sampler(adversary, state, ctx: ArgContext, iterations: int, prng: Prng):
     view, memo = adversary.view, adversary.outcomes
     point = (state, ctx)
     # Equal points have equal states, so the state's hash files a point;
-    # the key holds all of it, so unequal points never share a value.
-    point_hash = hash(state)
+    # the key holds all of it, so unequal points never share a table.
+    try:
+        point_hash = hash(state)
+    except TypeError:
+        rewind_point(state)  # raises the TypeError that names what is no value
+        raise
+    kept = memo.get(point_hash, point)
+    if kept is None:
+        weight = rewind_point(state)
+        table = {} if memo.max_entries and weight <= memo.max_bytes else None
+    else:
+        table, weight = kept
+    grown = False
     fixed = ctx.challenges
     allowance = _ALLOWANCE.get()
     runs = iterations
     if allowance is not None:
         runs = min(iterations, allowance.budget - allowance.used + 1)
-    for run in range(runs):
-        if len(knowledge.coverage) == knowledge.proof_length:
-            stats.skipped = iterations - run
-            prng.skip_bits(stats.skipped * drawn)
-            break
-        stats.rewinds += 1
-        continuation = _cut_draw(prng.take_bits(drawn), widths)
-        seen = view(fixed + continuation)
-        h, key = hash((point_hash, seen)), (point, seen)
-        outcome = memo.get(h, key)
-        if outcome is None:
-            outcome = _rewind(adversary, state, ctx, continuation)
-            weight = 8 if outcome is VOIDED or outcome is LOST else _opening_weight(outcome)
-            memo.put(h, key, outcome, state_bytes + weight)
-        else:
-            stats.replayed += 1
-        if outcome is VOIDED:
-            stats.voided += 1
-            continue
-        if outcome is LOST:
-            continue
-        stats.accepted += 1
-        if not knowledge.covers(outcome.positions):
-            knowledge.add(outcome.positions, outcome.answers, outcome.proof)
-            stats.recorded += 1
+    try:
+        for run in range(runs):
+            if len(knowledge.coverage) == knowledge.proof_length:
+                stats.skipped = iterations - run
+                prng.skip_bits(stats.skipped * drawn)
+                break
+            stats.rewinds += 1
+            continuation = _cut_draw(prng.take_bits(drawn), widths)
+            seen = view(fixed + continuation)
+            outcome = None if table is None else table.get(seen)
+            if outcome is None:
+                outcome = _rewind(adversary, state, ctx, continuation)
+                if table is not None:
+                    cost = 8 if outcome is VOIDED or outcome is LOST else _opening_weight(outcome)
+                    if weight + cost <= memo.max_bytes:
+                        table[seen] = outcome
+                        weight += cost
+                        grown = True
+            else:
+                stats.replayed += 1
+            if outcome is VOIDED:
+                stats.voided += 1
+                continue
+            if outcome is LOST:
+                continue
+            stats.accepted += 1
+            if not knowledge.covers(outcome.positions):
+                knowledge.add(outcome.positions, outcome.answers, outcome.proof)
+                stats.recorded += 1
+    finally:
+        # The kept table grows in place; its weight must follow, even on a raise.
+        if grown:
+            memo.put(point_hash, point, (table, weight), weight)
     if allowance is not None:
         allowance.used += stats.rewinds
         if allowance.used > allowance.budget:
@@ -502,10 +527,12 @@ def run_hybrid_trial(
     each under the experiment's error share (`error_share`).
 
     A zero-oracle trial reads its challenge vector ahead (`peek_bits`) and
-    looks its outcome up by that vector's view in the adversary's
-    `outcomes` memo; only a miss plays the trial, on that vector, and
-    decides it, and the record carries that decision
-    (`TrialRecord.decision`), also when it is replayed. Either way the
+    looks its outcome up by that vector's view in the table the
+    adversary's `outcomes` memo keeps for (params, protocol), filed under
+    the protocol's hash; only a miss plays the trial, on that vector, and
+    decides it, adds its outcome if the table then stays within the
+    memo's byte bound, and puts the table back. The record carries that
+    decision (`TrialRecord.decision`), also when it is replayed. Either way the
     stream then moves past the challenges the trial drew, which are all k
     unless the adversary raised before the last one. The record carries
     this trial's own challenges, and its plan's `randomness` is this
@@ -527,9 +554,10 @@ def run_hybrid_trial(
     raw = _cut_draw(prng.peek_bits(total), widths)
     memo = adversary.outcomes
     seen = adversary.view(raw)
-    # Equal keys have equal protocols, so hashing the protocol suffices.
-    h, key = hash((protocol, seen)), (params, protocol, seen)
-    outcome = memo.get(h, key)
+    # Equal points have equal protocols, so the protocol's hash files a point.
+    h, point = hash(protocol), (params, protocol)
+    table, weight = memo.get(h, point) or ({}, 0)
+    outcome = table.get(seen)
     if outcome is None:
         record = _play_trial(protocol, params, adversary, 0, share, prng, raw)
         record.decision = accept_under_routing(protocol, params, record, 0)
@@ -539,9 +567,11 @@ def run_hybrid_trial(
             None if plan is None else (plan.per_round, plan.structured),
             record.response, record.voided, record.decision,
         )
-        weight = 8 * len(raw) + 36 * len(record.commitments) + 8
+        weight += 8 * len(raw) + 36 * len(record.commitments) + 8
         weight += sum(map(_opening_weight, record.response or ()))
-        memo.put(h, key, outcome, weight)
+        if weight <= memo.max_bytes:
+            table[seen] = outcome
+            memo.put(h, point, (table, weight), weight)
     else:
         drawn, commitments, shape, response, voided, decision = outcome
         plan = None if shape is None else _plan(shape[0], shape[1], raw)

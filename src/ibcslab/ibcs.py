@@ -54,13 +54,15 @@ openings for their plans, and must map to the same structured
 challenges, which is all the verifier reads of them. The rewinding lab in
 `extraction` relies on that to run each (rewind point, view) once, and
 every prover keeps its outcomes in `outcomes`, a `memo.BoundedMemo` built
-with it and bounded by `OUTCOME_MEMO_ENTRIES` entries and
-`OUTCOME_MEMO_BYTES` bytes. The raw vector, `tuple(randomness)`, is always
-a view, and a prover handed the raw ints declares it, as a compiled
-strategy does unless its caller passes a narrower view. `ArgumentProver`
-declares `structured_view(protocol)`, the vector of structured challenges,
-when it compiles the honest prover, which reads each challenge only mod
-its round's challenge space.
+with it: one entry per rewind point or zero-oracle trial point, whose
+value is a table from view to outcome. It holds at most
+`OUTCOME_MEMO_ENTRIES` such tables and `OUTCOME_MEMO_BYTES` bytes, a
+rewind table weighing its state once plus each outcome. The raw vector,
+`tuple(randomness)`, is always a view, and a prover handed the raw ints
+declares it, as a compiled strategy does unless its caller passes a
+narrower view. `ArgumentProver` declares `structured_view(protocol)`, the
+vector of structured challenges, when it compiles the honest prover,
+which reads each challenge only mod its round's challenge space.
 """
 
 from __future__ import annotations
@@ -144,7 +146,8 @@ COMMIT_MEMO_BYTES = 4 << 20
 OPENING_MEMO_ENTRIES = 64
 OPENING_MEMO_BYTES = 4 << 20
 # Bounds of one prover's memo of rewind and trial outcomes, `outcomes`:
-# entries, and bytes as `extraction` weighs an outcome.
+# tables (one per rewind point or zero-oracle trial point), and bytes as
+# `extraction` weighs a table, a rewind point's state once plus each outcome.
 OUTCOME_MEMO_ENTRIES = 1 << 12
 OUTCOME_MEMO_BYTES = 1 << 20
 

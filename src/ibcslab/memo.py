@@ -10,8 +10,10 @@ The caller hashes the key once and passes the hash with it. An entry is
 filed under that hash and keeps its key, so a hash collision is a miss,
 never a wrong value. Its instances: `vc`'s process-wide check memo,
 each prover's `ibcs.CommitMemo`, `ibcs.OpeningMemo` and `outcomes`
-memo, each protocol object's plan cache in `iop`, and each sumcheck
-protocol object's round-polynomial memo in `toys`.
+memo (one table of outcomes by view per rewind point or trial point,
+which `extraction` grows in place and puts back with its new weight),
+each protocol object's plan cache in `iop`, and each sumcheck protocol
+object's round-polynomial memo in `toys`.
 
 The library starts no thread, but its callers may: a benchmark driver or
 a test that runs a session's two ends in threads shares one protocol

@@ -139,8 +139,8 @@ def test_verify_report_pin(workdir, instance):
 # the commit and reconstruction counts; raising one brings back work the
 # sampler, the per-prover commit memo or the check memo saves. Drawn plus
 # skipped rewinds are fixed by the report. `replayed` is exact: the drawn
-# rewinds served from the adversary's outcome memo, whose keys (rewind
-# point, view) the report fixes. `routed_decision` (hybrid-verifier calls)
+# rewinds served from the adversary's outcome memo, whose (rewind point,
+# view) pairs the report fixes. `routed_decision` (hybrid-verifier calls)
 # and `best_coloring` (cheat-base searches) are exact too: a zero-oracle
 # trial decides once per view and keeps its decision with its outcome, and
 # a report builds its cheat base once for all of its adversaries. So are

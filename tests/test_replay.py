@@ -18,7 +18,7 @@ from dataclasses import replace
 import pytest
 
 from ibcslab import cli, extraction, ibcs, iop, toys
-from ibcslab.adversaries import ScriptedProver
+from ibcslab.adversaries import ScriptedProver, always_abort, rewind_point
 from ibcslab.extraction import (
     ArgContext,
     end_to_end_knowledge,
@@ -27,6 +27,7 @@ from ibcslab.extraction import (
     rewind_budget_limit,
     run_events_experiment,
     run_hybrid_trial,
+    sampler,
 )
 from ibcslab.ibcs import structured_view
 from ibcslab.memo import BoundedMemo
@@ -49,6 +50,12 @@ INSTANCES = {
 
 def _memo_off(monkeypatch):
     monkeypatch.setattr(ibcs, "OUTCOME_MEMO_ENTRIES", 0)
+
+
+def _points_too_heavy(monkeypatch):
+    """Every sumcheck rewind point outweighs the byte bound: its state holds
+    a commitment tree of 224 bytes per round committed."""
+    monkeypatch.setattr(ibcs, "OUTCOME_MEMO_BYTES", 200)
 
 
 def _work_memos_off(monkeypatch):
@@ -217,7 +224,11 @@ def test_a_zero_oracle_replay_is_the_trial_it_replaces(k3_setup, sumcheck_true_s
     adversaries = cases()
     on = trials(adversaries)
     assert all(record.voided and len(record.challenges) == 1 for record, _ in on[4:])
-    assert [len(adversary.outcomes.entries) for _, _, adversary in adversaries] == [2, 2]
+    kept = [
+        sum(len(table) for _, (table, _), _ in adversary.outcomes.entries.values())
+        for _, _, adversary in adversaries
+    ]
+    assert kept == [2, 2]
     _memo_off(monkeypatch)
     off = trials(cases())
     assert on == off
@@ -270,10 +281,12 @@ def test_replayed_trials_are_the_trials_they_replace_for_every_adversary(
 
 def test_an_oracle_routed_trial_is_the_same_with_the_memo_off(sumcheck_true_setup, monkeypatch):
     """Trials with both rounds of the n=2 sumcheck extracted give equal
-    records with the outcome memo on and off. Each round's oracle keeps its
-    knowledge set and sampler counts: the stop time, rewinds run plus
-    skipped, lies in [0, T], and the counts differ only in `replayed`,
-    which some rounds have with the memo on and none has with it off."""
+    records with the outcome memo on and off, whether the memo keeps no
+    entry or every rewind point outweighs its byte bound. Each round's
+    oracle keeps its knowledge set and sampler counts: the stop time,
+    rewinds run plus skipped, lies in [0, T], and the counts differ only in
+    `replayed`, which some rounds have with the memo on and none has with
+    it off."""
     protocol, params = sumcheck_true_setup
     share = error_share(0.5, protocol.spec.rounds)
     limit = rewind_budget_limit(protocol.spec.max_proof_length, share)
@@ -284,28 +297,30 @@ def test_an_oracle_routed_trial_is_the_same_with_the_memo_off(sumcheck_true_setu
         return [run_hybrid_trial(protocol, params, adversary, 2, share, Prng(k)) for k in keys]
 
     on = records()
-    _memo_off(monkeypatch)
-    off = records()
-    assert on == off
     rounds_on = [oracle for record in on for oracle in record.oracles]
-    rounds_off = [oracle for record in off for oracle in record.oracles]
-    assert len(rounds_on) == len(rounds_off) == 2 * len(on)
-    for oracle, fresh in zip(rounds_on, rounds_off):
-        stats = oracle.stats
-        assert 0 <= stats.rewinds + stats.skipped <= limit
-        assert oracle.knowledge == fresh.knowledge
-        assert replace(stats, replayed=0) == fresh.stats
     assert sum(oracle.stats.replayed for oracle in rounds_on) > 0
-    assert all(fresh.stats.replayed == 0 for fresh in rounds_off)
+    for turn_off in (_memo_off, _points_too_heavy):
+        with monkeypatch.context() as patch:
+            turn_off(patch)
+            off = records()
+        assert on == off
+        rounds_off = [oracle for record in off for oracle in record.oracles]
+        assert len(rounds_on) == len(rounds_off) == 2 * len(on)
+        for oracle, fresh in zip(rounds_on, rounds_off):
+            stats = oracle.stats
+            assert 0 <= stats.rewinds + stats.skipped <= limit
+            assert oracle.knowledge == fresh.knowledge
+            assert replace(stats, replayed=0) == fresh.stats
+        assert all(fresh.stats.replayed == 0 for fresh in rounds_off)
 
 
 def _kept_tree_bytes(memo: BoundedMemo) -> int:
-    """Bytes of commitment trees held by the rewind states in `memo`'s keys."""
+    """Bytes of commitment trees held by the rewind states in `memo`'s keys,
+    each the rewind point (state, ctx) of one table."""
     total = 0
     for key, _, _ in memo.entries.values():
-        point = key[0]
-        if isinstance(point, tuple) and isinstance(point[1], ArgContext):
-            auxes = point[0].auxes
+        if isinstance(key[1], ArgContext):
+            auxes = key[0].auxes
             total += sum(len(digest) for aux in auxes for layer in aux.layers for digest in layer)
     return total
 
@@ -315,8 +330,8 @@ def test_the_outcome_memo_stays_bounded_when_its_keys_hold_states(
     sumcheck_true_setup, monkeypatch, max_bytes
 ):
     """A value state is its own rewind point, so the outcome memo's keys keep
-    states alive; each entry weighs its state, so the byte bound covers the
-    commitment trees those states hold. A sumcheck rewind state holds one
+    states alive; each point's table weighs its state, so the byte bound
+    covers the commitment trees those states hold. A sumcheck rewind state holds one
     tree of 224 bytes per round committed: 200 bytes is less than any
     state's trees, 4000 room for a few states."""
     protocol, params = sumcheck_true_setup
@@ -338,3 +353,29 @@ def test_the_outcome_memo_stays_bounded_when_its_keys_hold_states(
     assert high <= memo.max_bytes
     # The larger bound keeps rewind outcomes, the smaller keeps none.
     assert (high > 0) == (max_bytes == 4000)
+
+
+def test_one_rewind_point_keeps_an_outcome_per_view_under_one_state_weight(
+    k3_setup, monkeypatch
+):
+    """A point's table weighs its state once and each outcome on top: with
+    room for the state and eight outcomes, but not for two (state, outcome)
+    pairs, one sampler call keeps an outcome for every view of its point,
+    within the byte bound, and replays every view it meets again."""
+    protocol, params, witness = k3_setup
+    honest = cli.make_adversary("honest", protocol, params, witness)
+    cm, state = honest.next_commitment(honest.start(), None)
+    ctx = ArgContext(params, protocol, 1, (cm,), (), ())
+    state_bytes = rewind_point(state)
+    max_bytes = state_bytes + 8 * 8  # a lost rewind's outcome weighs 8 bytes
+    assert max_bytes < 2 * (state_bytes + 8)
+    monkeypatch.setattr(ibcs, "OUTCOME_MEMO_BYTES", max_bytes)
+    adversary = always_abort(protocol, honest)
+    memo = adversary.outcomes
+    _, stats = sampler(adversary, state, ctx, 50, Prng(derive(seed_root(6), "table")))
+    [(key, (table, weight), _)] = memo.entries.values()
+    assert key == (state, ctx)
+    assert len(table) == len(protocol.instance.edges) > 1  # one view per queried edge
+    assert memo.bytes == weight == state_bytes + 8 * len(table) <= memo.max_bytes
+    assert stats.rewinds == 50
+    assert stats.replayed == stats.rewinds - len(table)
