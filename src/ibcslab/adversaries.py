@@ -116,17 +116,7 @@ def rewind_point(state) -> int:
         if names is None:
             raise TypeError(f"a rewound prover state must be a value; {kind.__name__} is not")
         members = [getattr(state, name) for name in names]
-    total = 0
-    for member in members:
-        # Atoms inline: most members of a prover state are digests and ints.
-        kind = type(member)
-        if kind is bytes or kind is str:
-            total += len(member)
-        elif kind in _SCALARS:
-            total += 8
-        else:
-            total += rewind_point(member)
-    return total
+    return sum(map(rewind_point, members))
 
 
 def honest_wrapper(protocol: IopProtocol, params: ArgParams, witness) -> ArgumentProver:

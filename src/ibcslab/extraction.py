@@ -41,13 +41,14 @@ draws exactly the bits it would draw anyway, and a repeated view is
 replayed into the same counters, knowledge sets and trial records instead
 of running the commit/open/plan/check path again. The hybrid verifier is
 `ibcs.routed_decision`, the argument verifier with oracle rounds added. A
-zero-oracle outcome also keeps the trial's full-opening decision, which
-reads only the structured challenges (fixed by the view) and the stored
-commitments, plan and response, so a replayed trial is not decided again
-either. The outcome keeps the plan's shape, (per-round queries, structured
-vector), and a replay builds only its own record: its plan takes this
-trial's vector as its randomness, with no check run again, and its stream
-skip stays inside the bits it read ahead. A trial with oracles is always
+zero-oracle outcome is the played `TrialRecord` itself, its full-opening
+decision included, which reads only the structured challenges (fixed by
+the view) and the stored commitments, plan and response, so a replayed
+trial is not decided again either. A replay builds its own record from
+the stored one: this trial's challenges, and a plan with the stored
+queries and structured vector and this trial's vector as its randomness,
+with no check run again; its stream skip stays inside the bits it read
+ahead. No caller holds a stored record. A trial with oracles is always
 run.
 
 One round function, `_next_round`, advances the extracted IOP prover
@@ -81,7 +82,7 @@ from typing import Any, Sequence
 from .adversaries import rewind_point, snapshot
 from .errors import IbcsError, InfeasibleError, ParameterError
 from .ibcs import PAD_SYMBOL, ArgParams, check_openings, routed_decision
-from .iop import IopProtocol, ProofString, QueryPlan, _plan
+from .iop import IopProtocol, ProofString, QueryPlan
 from .prng import Prng, derive, derive_stem, seed_root
 from .vc import vc_check
 
@@ -527,22 +528,20 @@ def run_hybrid_trial(
     each under the experiment's error share (`error_share`).
 
     A zero-oracle trial reads its challenge vector ahead (`peek_bits`) and
-    looks its outcome up by that vector's view in the table the
-    adversary's `outcomes` memo keeps for (params, protocol), filed under
-    the protocol's hash; only a miss plays the trial, on that vector, and
-    decides it, adds its outcome if the table then stays within the
-    memo's byte bound, and puts the table back. The record carries that
-    decision (`TrialRecord.decision`), also when it is replayed. Either way the
+    looks its outcome, the record a trial with that view played, up in
+    the table the adversary's `outcomes` memo keeps for (params, protocol),
+    filed under the protocol's hash; only a miss plays the trial, on that
+    vector, and decides it (`TrialRecord.decision`), adds the record if the
+    table then stays within the memo's byte bound, and puts the table back.
+    Either way the caller gets a new record built from the played one, so
+    no caller holds a stored record: it carries this trial's own
+    challenges, and its plan's `randomness` is this trial's vector. The
     stream then moves past the challenges the trial drew, which are all k
-    unless the adversary raised before the last one. The record carries
-    this trial's own challenges, and its plan's `randomness` is this
-    trial's vector.
+    unless the adversary raised before the last one.
 
     A replay hashes only the stream blocks it reads ahead, one for a
-    vector of up to 256 bits: the outcome keeps the plan's (per-round,
-    structured) shape, the replay's plan is built from it and this
-    trial's vector without the dataclass's field setters (`iop._plan`),
-    and the skip past the read-ahead bits stays inside the buffer.
+    vector of up to 256 bits, and the skip past the read-ahead bits stays
+    inside the buffer.
     """
     spec = protocol.spec
     if not 0 <= oracle_rounds <= spec.rounds:
@@ -557,29 +556,23 @@ def run_hybrid_trial(
     # Equal points have equal protocols, so the protocol's hash files a point.
     h, point = hash(protocol), (params, protocol)
     table, weight = memo.get(h, point) or ({}, 0)
-    outcome = table.get(seen)
-    if outcome is None:
-        record = _play_trial(protocol, params, adversary, 0, share, prng, raw)
-        record.decision = accept_under_routing(protocol, params, record, 0)
-        plan = record.plan
-        outcome = (
-            len(record.challenges), record.commitments,
-            None if plan is None else (plan.per_round, plan.structured),
-            record.response, record.voided, record.decision,
-        )
-        weight += 8 * len(raw) + 36 * len(record.commitments) + 8
-        weight += sum(map(_opening_weight, record.response or ()))
+    played = table.get(seen)
+    if played is None:
+        played = _play_trial(protocol, params, adversary, 0, share, prng, raw)
+        played.decision = accept_under_routing(protocol, params, played, 0)
+        weight += 8 * len(raw) + 36 * len(played.commitments) + 8
+        weight += sum(map(_opening_weight, played.response or ()))
         if weight <= memo.max_bytes:
-            table[seen] = outcome
+            table[seen] = played
             memo.put(h, point, (table, weight), weight)
-    else:
-        drawn, commitments, shape, response, voided, decision = outcome
-        plan = None if shape is None else _plan(shape[0], shape[1], raw)
-        record = TrialRecord(
-            raw if drawn == len(raw) else raw[:drawn],
-            commitments, (), plan, response, voided, decision,
-        )
-    drawn = len(record.challenges)
+    drawn = len(played.challenges)
+    plan = played.plan
+    if plan is not None:
+        plan = QueryPlan(plan.per_round, plan.structured, raw)
+    record = TrialRecord(
+        raw if drawn == len(raw) else raw[:drawn],
+        played.commitments, (), plan, played.response, played.voided, played.decision,
+    )
     prng.skip_bits(total if drawn == len(widths) else sum(widths[:drawn]))
     return record
 
@@ -657,12 +650,11 @@ def hybrid_value(
         raise ParameterError("at least one trial required")
     share = error_share(epsilon, protocol.spec.rounds)
     trial_key = derive_stem(seed_root(seed), label, oracle_rounds)
-    # Bound once per call, so a wrapper set on the module still sees every trial.
-    run, accept = run_hybrid_trial, accept_under_routing
     successes = 0
     for trial in range(trials):
-        record = run(protocol, params, adversary, oracle_rounds, share, Prng(trial_key(trial)))
-        successes += accept(protocol, params, record, oracle_rounds)
+        prng = Prng(trial_key(trial))
+        record = run_hybrid_trial(protocol, params, adversary, oracle_rounds, share, prng)
+        successes += accept_under_routing(protocol, params, record, oracle_rounds)
     return Estimate(successes, trials, hoeffding_radius(trials))
 
 
@@ -767,7 +759,6 @@ def run_events_experiment(
             )
         queries = plan.per_round[i - 1]
         oracle = record.oracles[i - 1]
-        opening = response[i - 1]
         new_positions = [q for q in queries if q not in oracle.covered]
         if new_positions:
             counters.raw_missing += 1
@@ -780,6 +771,7 @@ def run_events_experiment(
         # game against this same commitment: the round-i check then says
         # exactly that the opening verifies at the planned positions.
         if checked[i - 1]:
+            opening = response[i - 1]
             conflicts = [
                 q
                 for q, a in zip(opening.positions, opening.answers)

@@ -40,7 +40,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Sequence
+from typing import Any, NamedTuple, Sequence
 
 from .errors import InfeasibleError, ParameterError, ProtocolViolation
 from .memo import BoundedMemo
@@ -96,33 +96,23 @@ class ProofString:
 PLAN_CACHE_ENTRIES = 1 << 9
 
 
-@dataclass(frozen=True)
-class QueryPlan:
+class QueryPlan(NamedTuple):
     """Per-round query sets, each a strictly increasing 1-based sequence.
 
     `verifier_query` fills in `randomness`, the challenge vector, and
     `structured`, its mapped challenges, which `verifier_decide` reads.
+
+    A named tuple, so its one constructor is also the fast one: the lab
+    builds a plan on every rewind, trial and session, and a frozen
+    dataclass's field setters cost twice as much. A plan never sits in a
+    prover state (a prover sees one only in `final_response`, which
+    returns no state), so it need not be a value in the sense of
+    `adversaries.rewind_point`, which a named tuple is not.
     """
 
     per_round: tuple[tuple[int, ...], ...]
     structured: tuple[int, ...] = ()
     randomness: tuple[int, ...] = ()
-
-
-_new_plan = object.__new__
-
-
-def _plan(per_round, structured, randomness) -> QueryPlan:
-    """`QueryPlan(per_round, structured, randomness)` built without the
-    frozen dataclass's per-field `__setattr__` calls, for fields that are
-    already a validated plan's tuples: `verifier_query`'s result and a
-    replayed trial's plan."""
-    plan = _new_plan(QueryPlan)
-    fields = plan.__dict__
-    fields["per_round"] = per_round
-    fields["structured"] = structured
-    fields["randomness"] = randomness
-    return plan
 
 
 class IopProtocol(abc.ABC):
@@ -207,7 +197,7 @@ class IopProtocol(abc.ABC):
         """Validated query plan for one challenge vector; raises
         ProtocolViolation on malformed randomness or an invalid plan."""
         structured = self.map_challenges(randomness)
-        return _plan(self.plan_queries(structured), structured, tuple(randomness))
+        return QueryPlan(self.plan_queries(structured), structured, tuple(randomness))
 
     def plan_queries(self, structured: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
         """Validated per-round queries for one structured challenge vector.
@@ -329,14 +319,32 @@ def iop_interact(protocol: IopProtocol, prover, prng: Prng) -> InteractionResult
 DEFAULT_ORACLE_BUDGET = 1 << 24
 
 
+def bounded_count(terms, budget: int) -> int:
+    """The sum over `terms` of each term's product of factors, counted only
+    while it stays within `budget`: past it, the first partial sum or
+    product that passes it is returned as it stands. A count far past the
+    budget so costs a few steps, never a huge integer; every factor is at
+    least 1."""
+    total = 0
+    for factors in terms:
+        product = 1
+        for factor in factors:
+            product *= factor
+            if total + product > budget:
+                return total + product
+        total += product
+    return total
+
+
 def oracle_cost(protocol: IopProtocol) -> int:
-    """Decision evaluations a full strategy-tree enumeration would need."""
+    """Decision evaluations a full strategy-tree enumeration would need,
+    counted up to `DEFAULT_ORACLE_BUDGET` (`bounded_count`)."""
     spec = protocol.spec
-    cost = 1
-    for i in range(spec.rounds):
-        cost *= spec.alphabet_size ** spec.proof_lengths[i]
-        cost *= protocol.challenge_space(i + 1)
-    return cost
+    factors = itertools.chain.from_iterable(
+        itertools.chain(itertools.repeat(spec.alphabet_size, l), (protocol.challenge_space(i),))
+        for i, l in enumerate(spec.proof_lengths, 1)
+    )
+    return bounded_count((factors,), DEFAULT_ORACLE_BUDGET)
 
 
 def brute_force_soundness(protocol: IopProtocol) -> Fraction:
@@ -362,10 +370,10 @@ def brute_force_soundness(protocol: IopProtocol) -> Fraction:
     the best total. K4's tree has 486 leaves but 54 decisions: each of 6
     edges reads 2 of 4 positions, 9 patterns of 3 colors.
     """
-    cost = oracle_cost(protocol)
-    if cost > DEFAULT_ORACLE_BUDGET:
+    if oracle_cost(protocol) > DEFAULT_ORACLE_BUDGET:
         raise InfeasibleError(
-            f"strategy tree needs {cost} decision evaluations, budget is {DEFAULT_ORACLE_BUDGET}"
+            "strategy tree needs more decision evaluations than its budget; "
+            f"budget is {DEFAULT_ORACLE_BUDGET}"
         )
     spec = protocol.spec
     spaces = [protocol.challenge_space(i) for i in range(1, spec.rounds + 1)]

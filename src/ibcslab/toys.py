@@ -18,7 +18,7 @@ from functools import cached_property, lru_cache
 from typing import Sequence
 
 from .errors import InfeasibleError, InstanceError, ProtocolViolation
-from .iop import IopProtocol, IopSpec, ProofString, QueryPlan
+from .iop import IopProtocol, IopSpec, ProofString, QueryPlan, bounded_count
 from .memo import BoundedMemo
 from .prng import randomness_length
 
@@ -277,18 +277,14 @@ def table_entries(variables: int, degree: int, room: int) -> int | None:
     """(degree + 1) ** variables, the entries of a coefficient table, or None
     when that exceeds `room`, the entries there is room for.
 
-    It multiplies only while the product fits, so a header that claims a
-    huge table costs a few steps, never a huge integer. `variables` and
-    `degree` are at least 0.
+    It multiplies only while the product fits (`iop.bounded_count`), so a
+    header that claims a huge table costs a few steps, never a huge
+    integer. `variables` and `degree` are at least 0.
     """
     if degree == 0:
         return 1
-    size = 1
-    for _ in range(variables):
-        size *= degree + 1
-        if size > room:
-            return None
-    return size
+    size = bounded_count((itertools.repeat(degree + 1, variables),), room)
+    return size if size <= room else None
 
 
 @dataclass(frozen=True)
@@ -310,6 +306,10 @@ class SumcheckInstance:
         # The wire carries the prime in 8 bytes; a larger one cannot be sent.
         if self.prime >= 1 << 64:
             raise InstanceError(f"prime {self.prime} does not fit in 64 bits")
+        # It carries n and d in 2 bytes each.
+        for name, value in (("variables", self.variables), ("degree", self.degree)):
+            if value >= 1 << 16:
+                raise InstanceError(f"{name} {value} does not fit in 16 bits")
         if not is_prime(self.prime):
             raise InstanceError(f"{self.prime} is not prime")
         if self.variables < 1:
@@ -510,14 +510,16 @@ class SumcheckCheatPlan:
 
     def __init__(self, instance: SumcheckInstance):
         p, d, n = instance.prime, instance.degree, instance.variables
-        # Each layer scores every table against p successors; the last
-        # layer also evaluates g, a walk of all (d+1)**n terms, at p**n points.
-        cost = sum(p ** (i - 1) * p ** (d + 1) * p for i in range(1, n + 1))
-        cost += p**n * (d + 1) ** n
-        if cost > DEFAULT_CHEAT_BUDGET:
+        # Layer i scores each of p**(d+1) tables against p successors at
+        # p**(i-1) prefixes; the last layer also evaluates g, a walk of all
+        # (d+1)**n terms, at p**n points.
+        layers = (itertools.repeat(p, i + d + 1) for i in range(1, n + 1))
+        last = itertools.chain(itertools.repeat(p, n), itertools.repeat(d + 1, n))
+        terms = itertools.chain(layers, (last,))
+        if bounded_count(terms, DEFAULT_CHEAT_BUDGET) > DEFAULT_CHEAT_BUDGET:
             raise InfeasibleError(
-                f"cheat-strategy program needs about {cost} table and term evaluations, "
-                f"budget is {DEFAULT_CHEAT_BUDGET}"
+                "cheat-strategy program needs more table and term evaluations than its "
+                f"budget; budget is {DEFAULT_CHEAT_BUDGET}"
             )
         self.instance = instance
         self._p, self._n = p, n

@@ -621,6 +621,48 @@ def test_soundness_infeasible_oracle_reports_explicitly(capsys, tmp_path):
     assert report["results"]["iop_soundness"] is None
 
 
+# A false claim whose cheat program and strategy tree both count p**(d+1)
+# tables, an int of over 65,000 digits: p = 2**61 - 1, n = 1, d = 65535.
+DEGREE_65535_SUMCHECK = f"{(1 << 61) - 1} 1 65535 5\n" + "0\n" * 65536
+
+
+@pytest.mark.parametrize("instance", ["k4-and-path", "sumcheck-d-65535"])
+def test_a_strategy_tree_far_past_the_budget_reports_infeasible(capsys, tmp_path, instance):
+    """A count far past the oracle's budget is never built or printed: a K4
+    beside a path, 10,000 vertices in all, and a degree-65535 sumcheck get
+    the infeasible report and exit 2."""
+    if instance == "k4-and-path":
+        edges = [(u, v) for u in range(1, 5) for v in range(u + 1, 5)]
+        edges += [(u, u + 1) for u in range(5, 10_000)]
+        text = "v 10000\n" + "".join(f"e {u} {v}\n" for u, v in edges)
+    else:
+        text = DEGREE_65535_SUMCHECK
+    path = tmp_path / "instance.txt"
+    path.write_text(text)
+    code, report = run_cli(capsys, ["soundness", "--instance", str(path), "--trials", "10"])
+    assert code == 2
+    assert report["results"]["oracle"] == "infeasible"
+    assert report["results"]["iop_soundness"] is None
+
+
+@pytest.mark.parametrize("command", ["prove", "soundness", "extract"])
+@pytest.mark.parametrize(
+    "text, field",
+    [("17 1 65536 3\n" + "0\n" * 65537, "degree 65536"), ("17 65536 1 0\n0\n", "variables 65536")],
+    ids=["degree", "variables"],
+)
+def test_a_sumcheck_the_wire_cannot_carry_is_one_error_line(capsys, tmp_path, command, text, field):
+    """The wire carries n and d in 2 bytes each, so a sumcheck with either
+    at 2**16 or more is refused as an instance, naming the field."""
+    path = tmp_path / "wide.txt"
+    path.write_text(text)
+    code = main([command, "--instance", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: {field} does not fit in 16 bits"]
+
+
 def test_a_sumcheck_header_claiming_a_huge_table_is_an_error_line(capsys, tmp_path):
     """(d+1)**n with 5001 digits: one error line and exit 2, not a traceback
     about printing a huge integer."""
@@ -699,13 +741,13 @@ def test_usage_errors_exit_2_from_the_shared_parser(capsys, argv, message):
     [
         "missing-instance", "missing-transcript", "instance-is-a-directory",
         "witness-not-integers", "out-is-a-directory", "json-is-a-directory",
-        "ready-file-is-a-directory", "seed-past-128-bits",
+        "ready-file-is-a-directory", "seed-past-128-bits", "cheat-plan-past-its-budget",
     ],
 )
 def test_file_and_flag_errors_are_one_error_line(capsys, tmp_path, k3_file, case):
     """A file the CLI cannot read or write, a witness that is not integers,
-    or a seed outside [0, 2**128): one error line and exit 2, not a
-    traceback."""
+    a seed outside [0, 2**128), or a cheat program whose work count runs
+    far past its budget: one error line and exit 2, not a traceback."""
     argv = {
         "missing-instance": ["prove", "--instance", str(tmp_path / "missing.txt")],
         "missing-transcript": ["verify", "--transcript", str(tmp_path / "nonexist.bin")],
@@ -717,7 +759,12 @@ def test_file_and_flag_errors_are_one_error_line(capsys, tmp_path, k3_file, case
             "verify", "--listen", "127.0.0.1:0", "--ready-file", str(tmp_path)
         ],
         "seed-past-128-bits": ["prove", "--instance", k3_file, "--seed", str(1 << 128)],
+        "cheat-plan-past-its-budget": [
+            "extract", "--instance", str(tmp_path / "wide.txt"), "--adversary", "optimal",
+            "--trials", "2", "--knowledge-trials", "1",
+        ],
     }[case]
+    (tmp_path / "wide.txt").write_text(DEGREE_65535_SUMCHECK)
     code = main(argv)
     captured = capsys.readouterr()
     assert code == 2

@@ -10,6 +10,7 @@ from ibcslab import cli, extraction
 from ibcslab.adversaries import (
     ScriptedProver,
     Withholder,
+    _WrapperProver,
     always_abort,
     grinder_on_leading_bits,
     honest_wrapper,
@@ -576,6 +577,29 @@ def test_events_rate_nonincreasing_with_larger_budget(k3_setup):
     slack = 3 * (hoeffding_radius(3000) + hoeffding_radius(3000))
     assert tight.missing / tight.trials <= wide.missing / wide.trials + slack
     assert tight.max_rewinds == 2 * wide.max_rewinds
+
+
+class _FirstOpeningOnly(_WrapperProver):
+    """Commits like the inner prover, then sends only its first opening."""
+
+    def final_response(self, state, plan):
+        response = self.inner.final_response(state, plan)
+        return None if response is None else response[:1]
+
+
+def test_events_read_no_opening_of_a_response_that_lacks_it(sumcheck_true_setup):
+    """A response with fewer openings than rounds fails the round-i check,
+    so the events experiment never reads its round-i opening: every
+    counter that needs a passing run stays 0, as the hybrid verifier
+    rejects every trial."""
+    protocol, params = sumcheck_true_setup
+    adversary = _FirstOpeningOnly(protocol, honest_wrapper(protocol, params, ()))
+    counters = run_events_experiment(protocol, params, adversary, 2, 20, seed=17, epsilon=0.5)
+    assert counters.trials == 20 and counters.voided == 0
+    assert counters.accept_openings == counters.accept_oracle == 0
+    assert counters.missing == counters.disagreements == 0
+    for routing in (0, 2):
+        assert hybrid_value(protocol, params, adversary, routing, 20, 17, 0.5).value == 0
 
 
 def test_theorem_bounds_pinned_example():
