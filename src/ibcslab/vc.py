@@ -7,6 +7,11 @@ set of positions with a single proof. Hash inputs are domain separated:
     internal node : H(tag || 0x01 || left || right)
     padding leaf  : H(tag || 0x02 || zero block)
 
+A call builds one SHA-256 state per layout it hashes, that has absorbed
+tag || mark, and hashes each leaf or node from a `copy()` of it: a warm
+`vc_commit` or a `vc_check` miss builds two states (leaf and node) at any
+width. States are never kept across calls or shared between threads.
+
 Positions are 1-based. The tree width is the least power of two at or
 above the capacity; leaves past the committed length are padding leaves,
 so the tree shape is independent of the message length. A padding leaf
@@ -189,23 +194,32 @@ def vc_gen(
 
 def _leaf_layer(params: VcParams, positions: Iterable[int], symbols: Iterable[int]) -> list[bytes]:
     """H(tag || 0x00 || BE64(j) || symbol block) for each (j, symbol) pair."""
-    prefix = params.domain_tag + _LEAF_MARK
-    width = params.symbol_bytes
+    copy = hashlib.sha256(params.domain_tag + _LEAF_MARK).copy
+    shift = 8 * params.symbol_bytes
+    size = 8 + params.symbol_bytes
     out = []
     for j, s in zip(positions, symbols):
-        tail = j.to_bytes(8, "big") + s.to_bytes(width, "big")
-        out.append(hashlib.sha256(prefix + tail).digest())
+        h = copy()
+        h.update((j << shift | s).to_bytes(size, "big"))  # BE64(j) || symbol block
+        out.append(h.digest())
     return out
 
 
-def _node_layer(params: VcParams, children: Iterable[bytes]) -> list[bytes]:
-    """H(tag || 0x01 || left || right) for each consecutive pair of children."""
-    prefix = params.domain_tag + _NODE_MARK
-    out = []
-    it = iter(children)
-    for left, right in zip(it, it):
-        out.append(hashlib.sha256(prefix + left + right).digest())
-    return out
+def _node_hasher(params: VcParams):
+    """The function that maps a level's children, in pairs, to their parents
+    H(tag || 0x01 || left || right); every call to it hashes from one state."""
+    copy = hashlib.sha256(params.domain_tag + _NODE_MARK).copy
+
+    def layer(children: Iterable[bytes]) -> list[bytes]:
+        out = []
+        it = iter(children)
+        for left, right in zip(it, it):
+            h = copy()
+            h.update(left + right)
+            out.append(h.digest())
+        return out
+
+    return layer
 
 
 @functools.lru_cache(maxsize=PADDING_CACHE_SIZE)
@@ -213,8 +227,9 @@ def _padding_digests(params: VcParams) -> tuple[bytes, ...]:
     """(Z_0, ..., Z_levels): the digest of an all-padding node on each level."""
     z = hashlib.sha256(params.domain_tag + _PAD_MARK + bytes(params.symbol_bytes)).digest()
     digests = [z]
+    layer = _node_hasher(params)
     for _ in range(params.levels):
-        z = _node_layer(params, (z, z))[0]
+        z = layer((z, z))[0]
         digests.append(z)
     return tuple(digests)
 
@@ -233,11 +248,12 @@ def vc_commit(params: VcParams, message: Sequence[int]) -> tuple[Commitment, Com
 
     # `layer` holds the nodes of a level that cover a data leaf; the rest are Z_h.
     layer = _leaf_layer(params, range(1, len(message) + 1), message)
+    node_layer = _node_hasher(params)
     layers = []
     for level, z in enumerate(_padding_digests(params)):
         layers.append(tuple(layer) + (z,) * ((params.width >> level) - len(layer)))
         # An odd data part pairs its last node with Z_h; an even one drops it.
-        layer = _node_layer(params, layers[-1][: len(layer) + 1])
+        layer = node_layer(layers[-1][: len(layer) + 1])
     aux = CommitAux(layers=tuple(layers), message=tuple(message))
     return Commitment(root=layers[-1][0], length=len(message)), aux
 
@@ -341,7 +357,7 @@ def vc_check(
         if leaves is None or any(len(d) != DIGEST_BYTES for d in pf):
             return 0
         digests = iter(pf)
-        layer = functools.partial(_node_layer, params)
+        layer = _node_hasher(params)
         try:
             root = _walk(params, cm.length, leaves, lambda level, index: next(digests), layer)
         except StopIteration:  # the proof is short

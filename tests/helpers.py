@@ -25,11 +25,30 @@ def run_memory_session(protocol, params, prover, seed=0, session=0):
 
 
 class CountingHashlib:
-    """Stands in for a module's `hashlib`, counting its sha256 calls."""
+    """Stands in for a module's `hashlib`: `calls` counts every digest taken
+    from a SHA-256 state it built or from any copy of one, and `states`
+    counts the states it built."""
 
     def __init__(self):
         self.calls = 0
+        self.states = 0
 
     def sha256(self, *args):
-        self.calls += 1
-        return hashlib.sha256(*args)
+        self.states += 1
+        return _CountedHash(self, hashlib.sha256(*args))
+
+
+class _CountedHash:
+    def __init__(self, counter: CountingHashlib, inner):
+        self._counter = counter
+        self._inner = inner
+
+    def update(self, data):
+        self._inner.update(data)
+
+    def copy(self):
+        return _CountedHash(self._counter, self._inner.copy())
+
+    def digest(self):
+        self._counter.calls += 1
+        return self._inner.digest()

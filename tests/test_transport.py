@@ -97,6 +97,11 @@ def test_instance_codec_roundtrip(k3, petersen, sumcheck_true):
     for instance in (k3, petersen, sumcheck_true):
         payload = transport.encode_instance(instance)
         assert transport.decode_instance(payload) == instance
+    # A graph is its kind byte, BE32 vertex and edge counts, then BE32 (u, v) per edge.
+    assert transport.encode_instance(petersen) == b"".join(
+        [b"\x01", (10).to_bytes(4, "big"), (15).to_bytes(4, "big")]
+        + [u.to_bytes(4, "big") + v.to_bytes(4, "big") for u, v in petersen.edges]
+    )
     with pytest.raises(DecodeError):
         transport.decode_instance(b"")
     with pytest.raises(DecodeError):

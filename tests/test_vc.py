@@ -326,13 +326,23 @@ def test_every_capacity_and_length_matches_reference():
             _assert_matches_reference(rng, params, message, queries, tampered=2)
 
 
+# Tag lengths that put tag || mark, the prefix a copied state has absorbed,
+# next to SHA-256's 56-byte padding limit (54-56, 119-120) or its 64-byte
+# block edge (63-65), and the longest tag allowed; None is the default tag.
+_TAG_LENGTHS = [None, 1, 54, 55, 56, 63, 64, 65, 119, 120, 255]
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_sparse_paths_match_reference(data):
     capacity = data.draw(
         st.one_of(st.sampled_from([1, 2, 4, 8, 16, 32, 64]), st.integers(1, 80)), label="capacity"
     )
-    symbol_bits = data.draw(st.sampled_from([1, 2, 5, 8]), label="symbol_bits")
+    symbol_bits = data.draw(st.sampled_from([1, 2, 5, 8, 9, 16]), label="symbol_bits")
+    tag_length = data.draw(st.sampled_from(_TAG_LENGTHS), label="tag length")
+    tag = DEFAULT_DOMAIN_TAG if tag_length is None else data.draw(
+        st.binary(min_size=tag_length, max_size=tag_length), label="tag"
+    )
     length = data.draw(st.integers(1, capacity), label="length")
     message = data.draw(
         st.lists(
@@ -345,7 +355,7 @@ def test_sparse_paths_match_reference(data):
         pool = range(length + 1, capacity + 1)
     queries = sorted(data.draw(st.sets(st.sampled_from(pool), min_size=1), label="queries"))
     rng = random.Random(data.draw(st.integers(0, 2**32), label="tamper seed"))
-    params = vc_gen(128, capacity, symbol_bits=symbol_bits)
+    params = vc_gen(128, capacity, symbol_bits=symbol_bits, domain_tag=tag)
     _assert_matches_reference(rng, params, message, queries)
 
 
@@ -388,8 +398,8 @@ def test_short_message_check_reads_padding_from_cache(monkeypatch):
 @pytest.mark.parametrize("length", [1, 5, 13, 16])
 def test_commit_hashes_each_node_once_through_the_module_hashlib(monkeypatch, length):
     """A warm commit hashes only the data leaves and their ancestors, and a
-    cold one adds the levels + 1 padding digests, each as one
-    `vc.hashlib.sha256` call (the benchmark counts hashes there)."""
+    cold one adds the levels + 1 padding digests: one digest per node, taken
+    from states built through `vc.hashlib`."""
     params = vc_gen(128, 16, symbol_bits=3, domain_tag=b"count/%d" % length)
     message = [j % 8 for j in range(length)]
     warm_calls = sum(-(-length >> h) for h in range(params.levels + 1))
@@ -403,6 +413,28 @@ def test_commit_hashes_each_node_once_through_the_module_hashlib(monkeypatch, le
     monkeypatch.undo()
     assert cold == warm
     assert cold.root == vc_reference.commit_layers(params, message)[-1][0]
+
+
+@pytest.mark.parametrize("capacity", [1, 2, 5, 16, 33, 4097])
+def test_a_call_hashes_from_at_most_two_states(monkeypatch, capacity):
+    """Each leaf and node is hashed from a copy of a state that has absorbed
+    its tag and mark, so the states a call builds do not grow with the tree."""
+    params = vc_gen(128, capacity, symbol_bits=3, domain_tag=b"states/%d" % capacity)
+    message = [j % 8 for j in range(max(1, capacity - capacity // 3))]
+    vc_module._padding_digests.cache_clear()
+    counter = CountingHashlib()
+    monkeypatch.setattr(vc_module, "hashlib", counter)
+    vc_module._padding_digests(params)
+    assert counter.states <= 2
+    assert counter.calls == params.levels + 1
+    counter.states = 0
+    cm, aux = vc_commit(params, message)
+    assert counter.states == 2
+    opening = vc_open(params, aux, sorted({1, len(message), capacity}))
+    _fresh_memo(monkeypatch)
+    counter.states = 0
+    assert vc_check(params, cm, opening.positions, opening.answers, opening.proof) == 1
+    assert counter.states <= 2
 
 
 def test_padding_digests_are_keyed_by_params_alone(monkeypatch):
