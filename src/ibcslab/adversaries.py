@@ -51,7 +51,7 @@ from typing import Callable, Sequence
 from . import ibcs
 from .errors import InstanceError, ParameterError
 from .ibcs import ArgParams, ArgumentProver, pad_proof_string, structured_view
-from .iop import IopProtocol, ProofString, QueryPlan
+from .iop import IopProtocol, QueryPlan
 from .memo import BoundedMemo
 from .toys import (
     GraphColoringIop,
@@ -138,14 +138,13 @@ class _StrategyIopProver:
 
     def first(self):
         symbols = tuple(self.strategy(1, (), ()))
-        return ProofString(1, symbols), ((), (symbols,))
+        return symbols, ((), (symbols,))
 
     def next_round(self, state, challenge: int):
         challenges, strings = state
         challenges += (challenge,)
-        i = len(strings) + 1
-        symbols = tuple(self.strategy(i, challenges, strings))
-        return ProofString(i, symbols), (challenges, strings + (symbols,))
+        symbols = tuple(self.strategy(len(strings) + 1, challenges, strings))
+        return symbols, (challenges, strings + (symbols,))
 
 
 class ScriptedProver(ArgumentProver):
@@ -429,10 +428,9 @@ def _honest_strings(protocol: IopProtocol, witness, coloring):
             witness = ()
         else:
             raise ParameterError(f"cannot derive strings for {type(protocol)!r}")
-    strings = []
-    proof, state = protocol.prover_init(witness)
-    strings.append(proof.symbols)
-    for i in range(2, protocol.spec.rounds + 1):
-        proof, state = protocol.prover_next(state, 0)
-        strings.append(proof.symbols)
+    symbols, state = protocol.prover_init(witness)
+    strings = [symbols]
+    for _ in range(2, protocol.spec.rounds + 1):
+        symbols, state = protocol.prover_next(state, 0)
+        strings.append(symbols)
     return strings

@@ -82,7 +82,7 @@ from typing import Any, Sequence
 from .adversaries import rewind_point, snapshot
 from .errors import IbcsError, InfeasibleError, ParameterError
 from .ibcs import PAD_SYMBOL, ArgParams, check_openings, routed_decision
-from .iop import IopProtocol, ProofString, QueryPlan
+from .iop import IopProtocol, QueryPlan
 from .prng import Prng, derive, derive_stem, seed_root
 from .vc import vc_check
 
@@ -483,7 +483,7 @@ class ExtractorIopProver:
     def _extract(self, run: _ExtractorState):
         rounds = self.protocol.spec.rounds
         _next_round(self.params, self.protocol, self.adversary, run, self.share, rounds, self.stop)
-        return ProofString(len(run.oracles), run.oracles[-1].symbols), run
+        return run.oracles[-1].symbols, run
 
     def first(self):
         return self._extract(_ExtractorState(self.adversary.start(), Prng(self.rewind_key)))
@@ -879,10 +879,9 @@ def end_to_end_knowledge(
     rewinds = Prng(derive(root, label, "rewind"))
     prover = ExtractorIopProver(protocol, params, adversary, epsilon, rewinds, stop="full")
     driver = Prng(derive(root, label, "challenges"))
-    proof, state = prover.first()
-    for i in range(2, protocol.spec.rounds + 1):
-        challenge = driver.take_bits(protocol.spec.randomness_bits[i - 2])
-        proof, state = prover.next_round(state, challenge)
+    _, state = prover.first()
+    for width in protocol.spec.randomness_bits[:-1]:
+        _, state = prover.next_round(state, driver.take_bits(width))
     oracles = state.oracles
     witness = protocol.extract_witness([(o.covered, o.symbols) for o in oracles])
     success = protocol.check_witness(witness)

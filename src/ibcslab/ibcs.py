@@ -10,12 +10,18 @@ its commitment, and opened padding positions carry the reserved symbol.
 
 `ArgumentProver` is that compilation, written once: it turns any IOP
 prover (an object with `first()` and `next_round(state, challenge)`, each
-returning a `ProofString` and the next state) into a session prover with
-`start()`, `next_commitment(state, challenge)` and `final_response(state,
-plan)`. The honest prover compiles `iop.HonestIopProver`; the scripted
-adversaries compile their strategies. The caller that drew the challenges
-owns `plan`, the `verifier_query` result for the full challenge vector,
-and the prover only opens it.
+returning a proof string, a tuple of ints, and the next state) into a
+session prover with `start()`, `next_commitment(state, challenge)` and
+`final_response(state, plan)`. The honest prover compiles
+`iop.HonestIopProver`; the scripted adversaries compile their strategies.
+The caller that drew the challenges owns `plan`, the `verifier_query`
+result for the full challenge vector, and the prover only opens it.
+
+Before it commits a round's string, the compiled prover checks it with
+`iop.check_proof_string` (length l_i, every symbol an int in the IOP's
+alphabet), so a prover that breaks the IOP's shape raises
+ProtocolViolation there; `vc_commit` then checks only the commitment's
+bit width.
 
 The rewind contract: prover states are values. Each call returns a new
 state and never changes the one it was given, so a rewind reuses a state
@@ -71,7 +77,7 @@ from dataclasses import asdict, dataclass
 from typing import Any, Sequence
 
 from .errors import ParameterError, ProtocolViolation
-from .iop import HonestIopProver, IopProtocol, IopSpec, QueryPlan
+from .iop import HonestIopProver, IopProtocol, IopSpec, QueryPlan, check_proof_string
 from .memo import BoundedMemo
 from .vc import (
     Commitment,
@@ -233,7 +239,7 @@ class ArgumentProver:
     passes its own `iop_prover` may pass a `view` narrower than the raw
     vector, `tuple`. Every compiled prover gets the same checks: the
     parameters fit the protocol's shape, a challenge arrives exactly from
-    round 2 on, and each round's string has the round's length l_i.
+    round 2 on, and each round's string passes `iop.check_proof_string`.
     """
 
     def __init__(
@@ -262,15 +268,11 @@ class ArgumentProver:
         if (challenge is None) != (i == 1):
             raise ProtocolViolation("challenge expected exactly from round 2 on")
         if i == 1:
-            proof, iop_state = self.iop_prover.first()
+            symbols, iop_state = self.iop_prover.first()
         else:
-            proof, iop_state = self.iop_prover.next_round(state.iop_state, challenge)
-        if len(proof.symbols) != spec.proof_lengths[i - 1]:
-            raise ProtocolViolation(
-                f"round {i} string has length {len(proof.symbols)}, "
-                f"expected {spec.proof_lengths[i - 1]}"
-            )
-        cm, aux = self.commits.commit(pad_proof_string(spec, proof.symbols))
+            symbols, iop_state = self.iop_prover.next_round(state.iop_state, challenge)
+        check_proof_string(spec, i, symbols)
+        cm, aux = self.commits.commit(pad_proof_string(spec, symbols))
         return cm, _ProverState(i + 1, iop_state, state.auxes + (aux,))
 
     def final_response(self, state: _ProverState, plan: QueryPlan):

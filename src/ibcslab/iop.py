@@ -9,10 +9,17 @@ round declares so that exhaustive oracles can enumerate that space
 directly.
 
 An IOP prover is any object with `first()` and `next_round(state,
-challenge)`, each returning the round's `ProofString` and the next state.
-`iop_interact` runs one against the verifier, and `ibcs.ArgumentProver`
-compiles one into an argument prover; `HonestIopProver` is the protocol's
-own prover in that form.
+challenge)`, each returning the round's proof string and the next state. A
+proof string is a tuple of ints; its round is its position in the
+interaction. `ibcs.ArgumentProver` compiles an IOP prover into an argument
+prover; `HonestIopProver` is the protocol's own prover in that form.
+
+Which layer checks what: `check_proof_string` is the IOP's one shape rule
+for a round's string (its length l_i, and every symbol an int in the
+alphabet, by `vc.first_bad_symbol`), with ProtocolViolation; the compiled
+prover calls it on every round before committing. `vc.vc_commit` checks
+only the commitment's bit width, and a protocol's constructor or
+`prover_init` checks its own witness or coefficient table.
 
 `verifier_query` maps the challenges on every call; `plan_queries` plans
 each structured vector once while it stays in the protocol object's plan
@@ -44,7 +51,8 @@ from typing import Any, NamedTuple, Sequence
 
 from .errors import InfeasibleError, ParameterError, ProtocolViolation
 from .memo import BoundedMemo
-from .prng import RANGE_SLACK_BITS, Prng
+from .prng import RANGE_SLACK_BITS
+from .vc import first_bad_symbol
 
 
 @dataclass(frozen=True)
@@ -85,12 +93,6 @@ class IopSpec:
         return max(self.proof_lengths)
 
 
-@dataclass(frozen=True)
-class ProofString:
-    round_index: int
-    symbols: tuple[int, ...]
-
-
 # Entries of one protocol object's plan cache: structured challenge vectors
 # with their validated plans, and validated per-round query tuples.
 PLAN_CACHE_ENTRIES = 1 << 9
@@ -123,11 +125,11 @@ class IopProtocol(abc.ABC):
 
     # -- prover ----------------------------------------------------------
     @abc.abstractmethod
-    def prover_init(self, witness) -> tuple[ProofString, Any]:
+    def prover_init(self, witness) -> tuple[tuple[int, ...], Any]:
         """First proof string and the state carried into round 2."""
 
     @abc.abstractmethod
-    def prover_next(self, state, challenge: int) -> tuple[ProofString, Any]:
+    def prover_next(self, state, challenge: int) -> tuple[tuple[int, ...], Any]:
         """Proof string for the state's round, given the previous challenge."""
 
     # -- verifier (structured view) ---------------------------------------
@@ -251,6 +253,21 @@ class IopProtocol(abc.ABC):
                 raise ProtocolViolation(f"round {i + 1} query outside proof string")
 
 
+def check_proof_string(spec: IopSpec, round_index: int, symbols: Sequence[int]) -> None:
+    """Raise ProtocolViolation unless `symbols` is a round `round_index`
+    string of `spec`: l_i symbols, each an int in [0, |alphabet|)."""
+    length = spec.proof_lengths[round_index - 1]
+    if len(symbols) != length:
+        raise ProtocolViolation(
+            f"round {round_index} proof string has length {len(symbols)}, expected {length}"
+        )
+    bad = first_bad_symbol(symbols, spec.alphabet_size)
+    if bad:
+        raise ProtocolViolation(
+            f"round {round_index} proof string has an out-of-alphabet symbol at position {bad}"
+        )
+
+
 class HonestIopProver:
     """The protocol's honest prover as an IOP prover, on a fixed witness."""
 
@@ -258,62 +275,11 @@ class HonestIopProver:
         self.protocol = protocol
         self.witness = witness
 
-    def first(self) -> tuple[ProofString, Any]:
+    def first(self) -> tuple[tuple[int, ...], Any]:
         return self.protocol.prover_init(self.witness)
 
-    def next_round(self, state, challenge: int) -> tuple[ProofString, Any]:
+    def next_round(self, state, challenge: int) -> tuple[tuple[int, ...], Any]:
         return self.protocol.prover_next(state, challenge)
-
-
-@dataclass(frozen=True)
-class InteractionResult:
-    accept: int
-    proofs: tuple[ProofString, ...]
-    challenges: tuple[int, ...]
-    violation: str | None = None
-
-
-def _collect_round(protocol: IopProtocol, prover, state, i: int, prev: int | None):
-    if i == 1:
-        proof, state = prover.first()
-    else:
-        proof, state = prover.next_round(state, prev)
-    if proof.round_index != i:
-        raise ProtocolViolation(f"prover answered round {proof.round_index} during round {i}")
-    if len(proof.symbols) != protocol.spec.proof_lengths[i - 1]:
-        raise ProtocolViolation(
-            f"round {i} proof string has length {len(proof.symbols)}, "
-            f"expected {protocol.spec.proof_lengths[i - 1]}"
-        )
-    if any(not 0 <= s < protocol.spec.alphabet_size for s in proof.symbols):
-        raise ProtocolViolation(f"round {i} proof string has out-of-alphabet symbol")
-    return proof, state
-
-
-def _read_answers(plan: QueryPlan, proofs: Sequence[ProofString]):
-    return tuple(
-        tuple(proof.symbols[q - 1] for q in queries)
-        for proof, queries in zip(proofs, plan.per_round)
-    )
-
-
-def iop_interact(protocol: IopProtocol, prover, prng: Prng) -> InteractionResult:
-    """Canonical execution: all proof strings collected, queries postponed."""
-    spec = protocol.spec
-    proofs: list[ProofString] = []
-    challenges: list[int] = []
-    state = None
-    try:
-        for i in range(1, spec.rounds + 1):
-            prev = challenges[-1] if challenges else None
-            proof, state = _collect_round(protocol, prover, state, i, prev)
-            proofs.append(proof)
-            challenges.append(prng.take_bits(spec.randomness_bits[i - 1]))
-    except ProtocolViolation as exc:
-        return InteractionResult(0, tuple(proofs), tuple(challenges), violation=str(exc))
-    plan = protocol.verifier_query(challenges)
-    accept = protocol.verifier_decide(plan, _read_answers(plan, proofs))
-    return InteractionResult(accept, tuple(proofs), tuple(challenges))
 
 
 DEFAULT_ORACLE_BUDGET = 1 << 24

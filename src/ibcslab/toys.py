@@ -18,9 +18,10 @@ from functools import cached_property, lru_cache
 from typing import Sequence
 
 from .errors import InfeasibleError, InstanceError, ProtocolViolation
-from .iop import IopProtocol, IopSpec, ProofString, QueryPlan, bounded_count
+from .iop import IopProtocol, IopSpec, QueryPlan, bounded_count
 from .memo import BoundedMemo
 from .prng import randomness_length
+from .vc import first_bad_symbol
 
 GC_COLORS = 3
 # The most vertices whose colorings `best_coloring` enumerates.
@@ -92,9 +93,7 @@ def petersen_graph() -> GraphColoringInstance:
 
 
 def is_proper_coloring(instance: GraphColoringInstance, coloring: Sequence[int]) -> bool:
-    if len(coloring) != instance.vertex_count:
-        return False
-    if any(not 0 <= c < GC_COLORS for c in coloring):
+    if len(coloring) != instance.vertex_count or first_bad_symbol(coloring, GC_COLORS):
         return False
     return all(coloring[u - 1] != coloring[v - 1] for u, v in instance.edges)
 
@@ -192,13 +191,14 @@ class GraphColoringIop(IopProtocol):
             relation_id="gc3",
         )
 
-    def prover_init(self, witness) -> tuple[ProofString, object]:
+    def prover_init(self, witness) -> tuple[tuple[int, ...], object]:
         coloring = tuple(witness)
         if len(coloring) != self.instance.vertex_count:
             raise InstanceError("witness length does not match the vertex count")
-        if any(not 0 <= c < GC_COLORS for c in coloring):
-            raise InstanceError("witness contains a non-color value")
-        return ProofString(1, coloring), ("gc-done",)
+        bad = first_bad_symbol(coloring, GC_COLORS)
+        if bad:
+            raise InstanceError(f"witness value at vertex {bad} is not a color")
+        return coloring, ("gc-done",)
 
     def prover_next(self, state, challenge: int):
         raise ProtocolViolation("one-round protocol has no second prover move")
@@ -211,9 +211,9 @@ class GraphColoringIop(IopProtocol):
         return QueryPlan(((u, v),))
 
     def decide(self, structured, answers) -> int:
-        a, b = answers[0]
-        if not (0 <= a < GC_COLORS and 0 <= b < GC_COLORS):
+        if first_bad_symbol(answers[0], GC_COLORS):
             return 0
+        a, b = answers[0]
         return 1 if a != b else 0
 
     def check_witness(self, witness) -> bool:
@@ -322,10 +322,11 @@ class SumcheckInstance:
                 f"coefficient table must have (d+1)**n entries for d={self.degree}, "
                 f"n={self.variables}, got {got}"
             )
-        if any(not 0 <= c < self.prime for c in self.coefficients):
-            raise InstanceError("coefficient outside the field")
-        if not 0 <= self.claimed_sum < self.prime:
-            raise InstanceError("claimed sum outside the field")
+        bad = first_bad_symbol(self.coefficients, self.prime)
+        if bad:
+            raise InstanceError(f"coefficient {bad} is not an int in the field")
+        if first_bad_symbol((self.claimed_sum,), self.prime):
+            raise InstanceError("claimed sum is not an int in the field")
 
     def exponent_tuples(self):
         return itertools.product(range(self.degree + 1), repeat=self.variables)
@@ -422,10 +423,10 @@ class SumcheckIop(IopProtocol):
             coeffs[exps[i - 1]] = (coeffs[exps[i - 1]] + c) % p
         return tuple(coeffs)
 
-    def prover_init(self, witness) -> tuple[ProofString, object]:
+    def prover_init(self, witness) -> tuple[tuple[int, ...], object]:
         if witness not in ((), None):
             raise InstanceError("sumcheck is a language-type relation; witness is empty")
-        return ProofString(1, self.round_polynomial(())), (1, ())
+        return self.round_polynomial(()), (1, ())
 
     def prover_next(self, state, challenge: int):
         round_done, fixed = state
@@ -435,10 +436,7 @@ class SumcheckIop(IopProtocol):
         if challenge >> width:  # nonzero for r < 0 and for r >= 2**width
             raise ProtocolViolation(f"round {round_done} challenge lies outside [0, 2**{width})")
         fixed = fixed + (challenge % self.instance.prime,)
-        return ProofString(round_done + 1, self.round_polynomial(fixed)), (
-            round_done + 1,
-            fixed,
-        )
+        return self.round_polynomial(fixed), (round_done + 1, fixed)
 
     def challenge_space(self, round_index: int) -> int:
         return self.instance.prime
@@ -451,7 +449,7 @@ class SumcheckIop(IopProtocol):
         inst = self.instance
         p = inst.prime
         tables = [tuple(a) for a in answers]
-        if any(not 0 <= c < p for table in tables for c in table):
+        if any(first_bad_symbol(table, p) for table in tables):
             return 0
         expected = inst.claimed_sum
         for i, table in enumerate(tables):

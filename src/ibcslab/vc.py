@@ -1,7 +1,10 @@
 """Merkle-tree vector commitment with batched, deduplicated multi-openings.
 
 The scheme commits to a sequence of alphabet symbols and later opens any
-set of positions with a single proof. Hash inputs are domain separated:
+set of positions with a single proof. A symbol is an int in
+[0, 2**symbol_bits): `vc_commit` refuses any other with MessageError and
+`vc_check` answers 0 for one, both by `first_bad_symbol`, the library's
+one symbol rule. Hash inputs are domain separated:
 
     data leaf j   : H(tag || 0x00 || BE64(j) || symbol block)
     internal node : H(tag || 0x01 || left || right)
@@ -182,6 +185,30 @@ class Opening:
             raise ParameterError("positions must be strictly increasing")
 
 
+def first_bad_symbol(values: Sequence, bound: int) -> int:
+    """The 1-based position of the first element of `values` that is not an
+    int in [0, bound), or 0 when every element is one; a bool is an int.
+
+    This is the one symbol rule: the commitment's messages and answers, an
+    IOP's proof strings and the toy protocols' witnesses, coefficient
+    tables and answer tables are all checked by it. A clean sequence is
+    checked in C: a sum of ints is an int, while a sum with any other
+    built-in type is not or raises, and then only the least and greatest
+    distinct values are compared with the bounds. Only a sequence that
+    fails there, or is empty, is walked, to name the position.
+    """
+    try:
+        distinct = sorted(set(values))
+        if type(sum(values)) is int and distinct[0] >= 0 and distinct[-1] < bound:
+            return 0
+    except (TypeError, IndexError):  # a str, None or unhashable element; no element
+        pass
+    for j, value in enumerate(values, 1):
+        if not isinstance(value, int) or not 0 <= value < bound:
+            return j
+    return 0
+
+
 def vc_gen(
     security_bits: int,
     capacity: int,
@@ -241,10 +268,10 @@ def vc_commit(params: VcParams, message: Sequence[int]) -> tuple[Commitment, Com
         )
     if len(message) < 1:
         raise MessageError("cannot commit to an empty message")
-    bound = 1 << params.symbol_bits
-    for j, symbol in enumerate(message, start=1):
-        if not 0 <= symbol < bound:
-            raise MessageError(f"symbol at position {j} outside alphabet range")
+    width = params.symbol_bits
+    bad = first_bad_symbol(message, 1 << width)
+    if bad:
+        raise MessageError(f"symbol at position {bad} is not an int in [0, 2**{width})")
 
     # `layer` holds the nodes of a level that cover a data leaf; the rest are Z_h.
     layer = _leaf_layer(params, range(1, len(message) + 1), message)
@@ -373,11 +400,12 @@ def _opened_leaves(params, length, pos, ans) -> list[tuple[int, bytes]] | None:
     """(index, digest) of each opened data leaf, None for a malformed opening."""
     if not pos or len(pos) != len(ans) or not 1 <= length <= params.capacity:
         return None
-    bound = 1 << params.symbol_bits
+    if first_bad_symbol(ans, 1 << params.symbol_bits):
+        return None
     data = []
     last = 0
     for q, a in zip(pos, ans):
-        if not last < q <= params.capacity or not 0 <= a < bound:
+        if not last < q <= params.capacity:
             return None
         last = q
         if q <= length:

@@ -159,8 +159,9 @@ def test_honest_wrapper_accepts_always(k3_setup):
     honest = honest_wrapper(protocol, params, witness)
     estimate = measure_acceptance(protocol, params, honest, 300, seed=1)
     assert estimate.value == 1.0
-    with pytest.raises(InstanceError):
-        honest_wrapper(protocol, params, (0, 0, 0))
+    for improper in ((0, 0, 0), (0.5, 1, 2)):
+        with pytest.raises(InstanceError):
+            honest_wrapper(protocol, params, improper)
 
 
 def test_withholder_acceptance_drop_matches_enumeration(k3_setup):

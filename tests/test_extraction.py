@@ -37,12 +37,13 @@ from ibcslab.extraction import (
     theorem_bounds,
 )
 from ibcslab.ibcs import OUTCOME_MEMO_BYTES, OUTCOME_MEMO_ENTRIES
-from ibcslab.iop import IopSpec, iop_interact
+from ibcslab.iop import IopSpec
 from ibcslab.memo import BoundedMemo
 from ibcslab.prng import Prng, derive, seed_root
 from ibcslab.toys import complete_graph, gc_pcp, is_proper_coloring, petersen_graph, sumcheck_iop
 
 from helpers import make_sumcheck, run_memory_session
+from iop_reference import iop_interact
 from sampler_reference import full_sampler
 
 
@@ -490,8 +491,8 @@ def test_extracted_prover_emits_proper_coloring_mostly(k3_setup):
     for i in range(trials):
         prng = Prng(derive(seed_root(8), "build", i))
         prover = ExtractorIopProver(protocol, params, honest, epsilon, prng)
-        proof, _ = prover.first()
-        proper += is_proper_coloring(protocol.instance, proof.symbols)
+        symbols, _ = prover.first()
+        proper += is_proper_coloring(protocol.instance, symbols)
     rate = proper / trials
     assert rate >= 1 - epsilon - 3 * hoeffding_radius(trials)
 
@@ -501,8 +502,8 @@ def test_extracted_prover_from_abort_is_blank_and_rejected(k3_setup):
     adv = always_abort(protocol, honest_wrapper(protocol, params, witness))
     prng = Prng(derive(seed_root(9), "blank"))
     prover = ExtractorIopProver(protocol, params, adv, 0.5, prng)
-    proof, _ = prover.first()
-    assert proof.symbols == (0, 0, 0)
+    symbols, _ = prover.first()
+    assert symbols == (0, 0, 0)
     result = iop_interact(protocol, ExtractorIopProver(
         protocol, params, adv, 0.5, Prng(derive(seed_root(9), "blank2"))
     ), Prng(derive(seed_root(9), "verify")))

@@ -18,7 +18,7 @@ from ibcslab.ibcs import (
     pad_proof_string,
     position_bits,
 )
-from ibcslab.iop import IopProtocol, IopSpec, ProofString, QueryPlan
+from ibcslab.iop import IopProtocol, IopSpec, QueryPlan
 from ibcslab.prng import Prng, derive, seed_root
 from ibcslab.toys import gc_pcp, sumcheck_iop
 from ibcslab.vc import vc_commit, vc_open
@@ -43,10 +43,10 @@ class MixedLengthIop(IopProtocol):
         self.strings = ((1, 2, 3), (3, 1, 2, 1, 3))
 
     def prover_init(self, witness):
-        return ProofString(1, self.strings[0]), 2
+        return self.strings[0], 2
 
     def prover_next(self, state, challenge):
-        return ProofString(2, self.strings[1]), 3
+        return self.strings[1], 3
 
     def challenge_space(self, round_index):
         return 4
@@ -341,8 +341,8 @@ def test_honest_prover_state_holds_the_memo_pair(k3_setup):
     protocol, params, witness = k3_setup
     prover = ArgumentProver(protocol, params, witness)
     cm, state = prover.next_commitment(prover.start(), None)
-    proof, _ = protocol.prover_init(witness)
-    memo_cm, memo_aux = prover.commits.commit(pad_proof_string(protocol.spec, proof.symbols))
+    symbols, _ = protocol.prover_init(witness)
+    memo_cm, memo_aux = prover.commits.commit(pad_proof_string(protocol.spec, symbols))
     assert memo_cm is cm
     assert memo_aux is state.auxes[0]
 

@@ -11,14 +11,12 @@ from hypothesis import given, settings, strategies as st
 from ibcslab import iop
 from ibcslab.adversaries import make_adversary
 from ibcslab.errors import InfeasibleError, ParameterError, ProtocolViolation
-from ibcslab.ibcs import arg_setup
+from ibcslab.ibcs import ArgumentProver, arg_setup
 from ibcslab.iop import (
     HonestIopProver,
     IopSpec,
-    ProofString,
     QueryPlan,
     brute_force_soundness,
-    iop_interact,
     oracle_cost,
 )
 from ibcslab.prng import Prng, derive, seed_root
@@ -31,7 +29,7 @@ from ibcslab.toys import (
     sumcheck_iop,
 )
 from helpers import make_sumcheck
-from iop_reference import fraction_soundness
+from iop_reference import fraction_soundness, iop_interact
 
 
 def test_spec_validation():
@@ -59,11 +57,39 @@ def test_wrong_length_proof_rejected(k3):
 
     class ShortProver:
         def first(self):
-            return ProofString(1, (0, 1)), None
+            return (0, 1), None
 
     result = iop_interact(protocol, ShortProver(), Prng(seed_root(0)))
     assert result.accept == 0
     assert result.violation is not None
+
+
+@pytest.mark.parametrize(
+    "symbols, fault",
+    [
+        ((0, 1), "has length 2, expected 3"),
+        ((0, 1, 2, 0), "has length 4, expected 3"),
+        ((0, 3, 1), "has an out-of-alphabet symbol at position 2"),  # 3 < 2**2, outside {0, 1, 2}
+        ((0, 1, 1.5), "has an out-of-alphabet symbol at position 3"),
+        (("a", 1, 2), "has an out-of-alphabet symbol at position 1"),
+    ],
+)
+def test_compiled_prover_and_interaction_refuse_a_misshapen_string_alike(k3, symbols, fault):
+    """One rule, `iop.check_proof_string`, refuses the string in the
+    argument prover's commit step and in the IOP interaction loop."""
+    protocol = gc_pcp(k3)
+
+    class FixedProver:
+        def first(self):
+            return symbols, None
+
+    prover = ArgumentProver(protocol, arg_setup(128, 64, protocol.spec), iop_prover=FixedProver())
+    with pytest.raises(ProtocolViolation, match=f"^round 1 proof string {fault}$") as refused:
+        prover.next_commitment(prover.start(), None)
+    result = iop_interact(protocol, FixedProver(), Prng(seed_root(0)))
+    assert result.accept == 0 and result.proofs == ()
+    assert isinstance(result.violation, ProtocolViolation)
+    assert str(result.violation) == str(refused.value)
 
 
 def test_fixed_seed_fixed_transcript(k3):
@@ -227,7 +253,7 @@ def test_scripted_cheater_never_beats_oracle(k4):
 
     class FixedProver:
         def first(self):
-            return ProofString(1, coloring), None
+            return coloring, None
 
     oracle = brute_force_soundness(protocol)
     trials = 4000

@@ -143,16 +143,23 @@ def test_gc_decide(k3):
     assert protocol.decide((0,), [(0, 1)]) == 1
     assert protocol.decide((0,), [(2, 2)]) == 0
     assert protocol.decide((0,), [(3, 1)]) == 0  # out-of-alphabet symbol
+    assert protocol.decide((0,), [(0.5, 1)]) == 0  # not an int
 
 
 def test_gc_prover_emits_witness(k3):
     protocol = gc_pcp(k3)
-    proof, _ = protocol.prover_init((0, 1, 2))
-    assert proof.symbols == (0, 1, 2)
+    symbols, _ = protocol.prover_init((0, 1, 2))
+    assert symbols == (0, 1, 2)
     with pytest.raises(ProtocolViolation):
         protocol.prover_next(("gc-done",), 0)
     with pytest.raises(InstanceError):
         protocol.prover_init((0, 1))
+    assert is_proper_coloring(k3, (0, 1, 2))
+    for witness, vertex in (((0.5, 1, 2), 1), ((0, "a", 2), 2), ((0, 1, None), 3), ((0, 1, 3), 3)):
+        named = f"^witness value at vertex {vertex} is not a color$"
+        with pytest.raises(InstanceError, match=named):
+            protocol.prover_init(witness)
+        assert not is_proper_coloring(k3, witness)
 
 
 def test_gc_knowledge_threshold(k4):
@@ -265,6 +272,10 @@ def test_sumcheck_instance_validation():
         SumcheckInstance(5, 1, 1, (0,), 0)  # wrong table size
     with pytest.raises(InstanceError):
         SumcheckInstance(5, 1, 1, (0, 9), 0)  # out of field
+    with pytest.raises(InstanceError, match="^coefficient 1 is not an int in the field$"):
+        SumcheckInstance(17, 1, 1, (1.5, 2), 3)  # not an int
+    with pytest.raises(InstanceError, match="^claimed sum is not an int in the field$"):
+        SumcheckInstance(17, 1, 1, (1, 2), 3.5)
 
 
 def test_a_huge_claimed_table_is_refused_by_name():
@@ -318,10 +329,10 @@ def test_sumcheck_round_polynomials():
     # g(X1, X2) = X1*X2 over F5: g_1(X) = X, then g_2(X) = 3X after r1 = 3
     inst = SumcheckInstance(5, 2, 1, (0, 0, 0, 1), 1)
     protocol = sumcheck_iop(inst)
-    proof, state = protocol.prover_init(())
-    assert proof.symbols == (0, 1)
-    proof2, _ = protocol.prover_next(state, 3)
-    assert proof2.symbols == (0, 3)
+    symbols, state = protocol.prover_init(())
+    assert symbols == (0, 1)
+    symbols, _ = protocol.prover_next(state, 3)
+    assert symbols == (0, 3)
 
 
 def test_sumcheck_decide_identities():
@@ -386,8 +397,8 @@ def test_sumcheck_prover_rejects_bad_challenge_width(sumcheck_true):
 def test_sumcheck_zero_polynomial_accepts_everywhere():
     inst = SumcheckInstance(5, 2, 1, (0, 0, 0, 0), 0)
     protocol = sumcheck_iop(inst)
-    proof, _ = protocol.prover_init(())
-    assert proof.symbols == (0, 0)
+    symbols, _ = protocol.prover_init(())
+    assert symbols == (0, 0)
     assert protocol.in_language()
 
 

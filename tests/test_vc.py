@@ -85,6 +85,19 @@ def test_commit_rejects_bad_messages():
         vc_commit(params, [4])  # out of range
     with pytest.raises(MessageError):
         vc_commit(params, [])
+    # Each symbol that is not an int in [0, 2**2) is named by its position.
+    params = vc_gen(128, 5, symbol_bits=2)
+    for bad in (-1, 2.5, "a", 4):
+        for position in (1, 3, 5):
+            message = [1] * 5
+            message[position - 1] = bad
+            named = rf"^symbol at position {position} is not an int in \[0, 2\*\*2\)$"
+            with pytest.raises(MessageError, match=named):
+                vc_commit(params, message)
+    for message in ((1, 2.5, 3), (1, "a", 2), (1, 1.0, 2)):
+        with pytest.raises(MessageError, match="^symbol at position 2 "):
+            vc_commit(params, message)
+    assert vc_commit(params, (True, 0)) == vc_commit(params, (1, 0))  # a bool is an int
 
 
 def test_single_leaf_opening_has_empty_proof():
@@ -152,6 +165,12 @@ def test_check_never_raises_on_malformed_input():
     assert vc_check(params, cm, (2, 1), (1, 2), ()) == 0
     assert vc_check(params, cm, (1,), (1, 2), ()) == 0
     assert vc_check(params, cm, (9,), (1,), ()) == 0
+    # An answer that is not an int in [0, 2**4), in the first or last place.
+    o = vc_open(params, aux, [2, 3])
+    for bad in ("a", None, 2.5, -1, 16):
+        assert vc_check(params, cm, o.positions, (bad, o.answers[1]), o.proof) == 0
+        assert vc_check(params, cm, o.positions, (o.answers[0], bad), o.proof) == 0
+    assert vc_check(params, cm, o.positions, o.answers, o.proof) == 1
 
 
 @settings(max_examples=150, deadline=None)
