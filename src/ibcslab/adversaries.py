@@ -28,16 +28,20 @@ Every adversary, wrapper or not, keeps its own `outcomes` memo.
 Returning None from `final_response` models an abort: the adversary walks
 away instead of opening, and the verifier rejects.
 
+The module knows no protocol by name: the honest witness and the cheat
+strategy are the protocol's own (`IopProtocol.honest_witness` and
+`cheat_strategy`).
+
 Every adversary declares `view(randomness)`, the hashable part of a raw
 challenge vector that its behaviour reads (the contract is in `ibcs`), and
 `extraction` runs each continuation from one rewind point once per view.
-The honest prover, `fixed_string_prover`, `optimal_sumcheck_cheater` and
-`Equivocator` declare the structured vector: they ignore their challenges
-or read them only mod their rounds' challenge spaces. A general
-`ScriptedProver(strategy)` declares the raw vector, since its strategy is
-handed the raw challenges. `Withholder` passes its inner prover's view
-through, since it reads only the plan; `Grinder` adds its predicate bit to
-the inner view, since the predicate reads the raw challenges.
+The honest prover, `optimal_cheater` and `Equivocator` declare the
+structured vector: they ignore their challenges or read them only mod
+their rounds' challenge spaces. A general `ScriptedProver(strategy)`
+declares the raw vector, since its strategy is handed the raw challenges.
+`Withholder` passes its inner prover's view through, since it reads only
+the plan; `Grinder` adds its predicate bit to the inner view, since the
+predicate reads the raw challenges.
 """
 
 from __future__ import annotations
@@ -51,14 +55,8 @@ from typing import Callable, Sequence
 from . import ibcs
 from .errors import InstanceError, ParameterError
 from .ibcs import ArgParams, ArgumentProver, pad_proof_string, structured_view
-from .iop import IopProtocol, QueryPlan
+from .iop import HonestIopProver, IopProtocol, QueryPlan, Strategy
 from .memo import BoundedMemo
-from .toys import (
-    GraphColoringIop,
-    SumcheckIop,
-    best_coloring,
-    poly_eval,
-)
 from .vc import Opening
 
 
@@ -126,10 +124,6 @@ def honest_wrapper(protocol: IopProtocol, params: ArgParams, witness) -> Argumen
     return ArgumentProver(protocol, params, witness)
 
 
-# strategy(round_index, challenges so far, previously sent unpadded strings)
-Strategy = Callable[[int, tuple[int, ...], tuple[tuple[int, ...], ...]], Sequence[int]]
-
-
 class _StrategyIopProver:
     """An IOP prover that plays a strategy; its state is (challenges, strings)."""
 
@@ -159,41 +153,15 @@ class ScriptedProver(ArgumentProver):
         super().__init__(protocol, params, iop_prover=_StrategyIopProver(strategy), view=view)
 
 
-def fixed_string_prover(
-    protocol: IopProtocol, params: ArgParams, strings: Sequence[Sequence[int]]
-) -> ScriptedProver:
-    frozen = tuple(tuple(s) for s in strings)
-    if len(frozen) != protocol.spec.rounds:
-        raise ParameterError("one scripted string required per round")
+def optimal_cheater(protocol: IopProtocol, params: ArgParams) -> ScriptedProver:
+    """Plays the protocol's `cheat_strategy`; acceptance is the oracle value."""
     return ScriptedProver(
-        protocol, params, lambda i, _c, _s: frozen[i - 1], view=structured_view(protocol)
+        protocol, params, protocol.cheat_strategy(), view=structured_view(protocol)
     )
 
 
-def optimal_gc_cheater(
-    protocol: GraphColoringIop, params: ArgParams, coloring: Sequence[int] | None = None
-) -> ScriptedProver:
-    """Commits the coloring maximizing satisfied edges (`best_coloring`'s
-    unless given); acceptance is the oracle value."""
-    if coloring is None:
-        coloring, _ = best_coloring(protocol.instance)
-    return fixed_string_prover(protocol, params, (coloring,))
-
-
-def optimal_sumcheck_cheater(protocol: SumcheckIop, params: ArgParams) -> ScriptedProver:
-    """Plays the exact maximizing strategy of the protocol's cheat program."""
-    plan = protocol.cheat_plan
-    p = protocol.instance.prime
-
-    def strategy(i, challenges, strings):
-        structured = tuple(c % p for c in challenges)
-        if i == 1:
-            required = protocol.instance.claimed_sum
-        else:
-            required = poly_eval(strings[i - 2], structured[i - 2], p)
-        return plan.table_for(structured, required)
-
-    return ScriptedProver(protocol, params, strategy, view=structured_view(protocol))
+# Its names for the graph-coloring and sumcheck protocols.
+optimal_gc_cheater = optimal_sumcheck_cheater = optimal_cheater
 
 
 class _WrapperProver:
@@ -343,36 +311,25 @@ def make_adversaries(names: Sequence[str], protocol: IopProtocol, params: ArgPar
 
     Every selector is validated before anything is built. The wrappers
     (abort, withholder, grinder) decorate one cheat base: honest play when
-    a witness is given or found, otherwise the optimal scripted cheat,
-    which the optimal selector also returns. The witness search, the best
-    coloring and the cheat base are each built at most once for all the
-    selectors; the sumcheck cheat plays the protocol's `cheat_plan`, which
-    the report's exact oracle also reads, so a report builds one
-    `SumcheckCheatPlan` at most. Each wrapper is its own object, with its
-    own outcome memo; the base's commit memo serves them all.
+    a witness is given or the protocol's `honest_witness` is in the
+    language, otherwise `optimal_cheater`, which the optimal selector also
+    returns. The cheat base is built at most once for all the selectors,
+    and the protocol object builds its cheat strategy's data once (the
+    best coloring, or the sumcheck `cheat_plan` that the report's exact
+    oracle also reads). Each wrapper is its own object, with its own
+    outcome memo; the base's commit memo serves them all.
     """
     selectors = [_parse_selector(name, protocol.spec) for name in names]
-    missing = None  # why the instance has no witness
     if any(kind != "optimal" for kind, _ in selectors):
         if witness is None:
-            try:
-                witness = _find_witness(protocol)
-            except InstanceError as exc:
-                missing = exc
+            if protocol.in_language():
+                witness = protocol.honest_witness()
         elif not protocol.check_witness(witness):
             raise InstanceError("honest wrapper needs a valid witness")
 
     @functools.cache
-    def coloring():
-        return best_coloring(protocol.instance)[0]
-
-    @functools.cache
     def optimal():
-        if isinstance(protocol, GraphColoringIop):
-            return optimal_gc_cheater(protocol, params, coloring())
-        if isinstance(protocol, SumcheckIop):
-            return optimal_sumcheck_cheater(protocol, params)
-        raise ParameterError(f"no optimal cheat for {type(protocol)!r}")
+        return optimal_cheater(protocol, params)
 
     @functools.cache
     def base():
@@ -382,7 +339,9 @@ def make_adversaries(names: Sequence[str], protocol: IopProtocol, params: ArgPar
     for kind, option in selectors:
         if kind == "honest":
             if witness is None:
-                raise missing
+                raise InstanceError(
+                    f"the {protocol.spec.relation_id} instance has no honest witness"
+                )
             adversary = base()
         elif kind == "optimal":
             adversary = optimal()
@@ -393,7 +352,7 @@ def make_adversaries(names: Sequence[str], protocol: IopProtocol, params: ArgPar
         elif kind == "grinder":
             adversary = grinder_on_leading_bits(protocol, base(), option)
         else:
-            strings = _honest_strings(protocol, witness, coloring)
+            strings = _honest_strings(protocol, witness)
             altered = [list(s) for s in strings]
             altered[0][0] = (altered[0][0] + 1) % protocol.spec.alphabet_size
             adversary = Equivocator(protocol, params, strings, [tuple(s) for s in altered])
@@ -401,36 +360,19 @@ def make_adversaries(names: Sequence[str], protocol: IopProtocol, params: ArgPar
     return adversaries
 
 
-def _find_witness(protocol: IopProtocol):
-    if isinstance(protocol, GraphColoringIop):
-        w = protocol.found_coloring
-        if w is None:
-            raise InstanceError("instance is not 3-colorable; no honest witness exists")
-        return w
-    if isinstance(protocol, SumcheckIop):
-        if not protocol.in_language():
-            raise InstanceError("claimed sum is false; no honest witness exists")
-        return ()
-    raise ParameterError(f"cannot derive a witness for {type(protocol)!r}")
-
-
-def _honest_strings(protocol: IopProtocol, witness, coloring):
-    """Round strings the honest prover sends under all-zero challenges.
-
-    Falls back to `coloring()`, the best coloring (or to the empty
-    sumcheck witness), when no valid witness exists; the equivocator only
-    needs some fixed strings to commit to.
-    """
+def _honest_strings(protocol: IopProtocol, witness):
+    """Round strings sent under all-zero challenges: the honest prover's on
+    `witness`, or on `honest_witness` when none is given, else the cheat
+    strategy's; the equivocator only needs some fixed strings to commit to."""
     if witness is None:
-        if isinstance(protocol, GraphColoringIop):
-            witness = coloring()
-        elif isinstance(protocol, SumcheckIop):
-            witness = ()
-        else:
-            raise ParameterError(f"cannot derive strings for {type(protocol)!r}")
-    symbols, state = protocol.prover_init(witness)
+        witness = protocol.honest_witness()
+    if witness is None:
+        prover = _StrategyIopProver(protocol.cheat_strategy())
+    else:
+        prover = HonestIopProver(protocol, witness)
+    symbols, state = prover.first()
     strings = [symbols]
     for _ in range(2, protocol.spec.rounds + 1):
-        symbols, state = protocol.prover_next(state, 0)
+        symbols, state = prover.next_round(state, 0)
         strings.append(symbols)
     return strings

@@ -28,7 +28,7 @@ from pathlib import Path
 
 from . import __version__
 from .adversaries import make_adversaries, make_adversary
-from .errors import IbcsError, InfeasibleError, InstanceError, ParameterError
+from .errors import IbcsError, InstanceError, ParameterError
 from .extraction import (
     end_to_end_knowledge,
     hoeffding_radius,
@@ -39,14 +39,8 @@ from .extraction import (
     theorem_bounds,
 )
 from .ibcs import ArgumentProver, arg_setup, arg_verify, comm_stats
-from .iop import brute_force_soundness
 from .prng import Prng, derive, seed_root
-from .toys import (
-    GraphColoringIop,
-    SumcheckIop,
-    load_graph_text,
-    load_sumcheck_text,
-)
+from .toys import load_graph_text, load_sumcheck_text
 from . import transport
 
 DEFAULT_LAMBDA = 128
@@ -106,12 +100,12 @@ def resolve_witness(protocol, file_witness, flag_value):
         return parse_witness_flag(flag_value)
     if file_witness is not None and file_witness != ():
         return file_witness
-    if isinstance(protocol, GraphColoringIop):
-        found = protocol.found_coloring
-        if found is None:
-            raise InstanceError("instance is not 3-colorable and no witness was given")
-        return found
-    return ()
+    witness = protocol.honest_witness()
+    if witness is None:
+        raise InstanceError(
+            f"the {protocol.spec.relation_id} instance has no known witness and none was given"
+        )
+    return witness
 
 
 def emit(experiment: str, args, argv: list[str], results: dict, **config):
@@ -248,19 +242,6 @@ def cmd_verify(args, argv) -> int:
     return 0 if result.decision == 1 else 1
 
 
-def _iop_soundness_oracle(protocol):
-    """Exact oracle value with the method that produced it."""
-    try:
-        return brute_force_soundness(protocol), "strategy-enumeration"
-    except InfeasibleError:
-        if isinstance(protocol, SumcheckIop):
-            try:
-                return protocol.cheat_plan.value, "cheat-program"
-            except InfeasibleError:
-                pass
-        return None, "infeasible"
-
-
 def cmd_soundness(args, argv) -> int:
     # The report keys each adversary by its selector, so a repeated one
     # would run twice and be reported once.
@@ -278,7 +259,7 @@ def cmd_soundness(args, argv) -> int:
         )
         return 2
     params = setup_for(instance, protocol, args.security)
-    oracle_value, oracle_kind = _iop_soundness_oracle(protocol)
+    oracle_value, oracle_kind = protocol.exact_soundness()
     radius = hoeffding_radius(args.trials)
     results: dict = {
         "iop_soundness": None

@@ -97,9 +97,6 @@ COMMITMENT_WIRE_BYTES = _vc.DIGEST_BYTES + 4
 COMMITMENT_WIRE_BITS = 8 * COMMITMENT_WIRE_BYTES
 DIGEST_BITS = 8 * _vc.DIGEST_BYTES
 
-FinalResponse = tuple  # tuple[Opening, ...], one opening per round
-
-
 @dataclass(frozen=True)
 class ArgParams:
     vc: VcParams

@@ -14,6 +14,12 @@ proof string is a tuple of ints; its round is its position in the
 interaction. `ibcs.ArgumentProver` compiles an IOP prover into an argument
 prover; `HonestIopProver` is the protocol's own prover in that form.
 
+A protocol answers for its own instance: `honest_witness` names the
+witness the honest prover plays, `in_language` checks it, `cheat_strategy`
+is the best play without one, and `exact_soundness` is the exact oracle
+value with the method that produced it. The adversaries and the CLI read
+only these, so a new protocol needs no edit there.
+
 Which layer checks what: `check_proof_string` is the IOP's one shape rule
 for a round's string (its length l_i, and every symbol an int in the
 alphabet, by `vc.first_bad_symbol`), with ProtocolViolation; the compiled
@@ -47,7 +53,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, NamedTuple, Sequence
+from typing import Any, Callable, NamedTuple, Sequence
 
 from .errors import InfeasibleError, ParameterError, ProtocolViolation
 from .memo import BoundedMemo
@@ -117,6 +123,11 @@ class QueryPlan(NamedTuple):
     randomness: tuple[int, ...] = ()
 
 
+# strategy(round_index, challenges so far, previously sent unpadded strings):
+# the round's string, for a prover that plays a script rather than a witness.
+Strategy = Callable[[int, tuple[int, ...], tuple[tuple[int, ...], ...]], Sequence[int]]
+
+
 class IopProtocol(abc.ABC):
     """An IOP bound to a concrete instance."""
 
@@ -153,6 +164,31 @@ class IopProtocol(abc.ABC):
     def extract_witness(self, oracles: Sequence[tuple[frozenset, tuple[int, ...]]]):
         """IOP extractor: map per-round (covered positions, string) to a witness."""
         raise NotImplementedError
+
+    def honest_witness(self):
+        """The witness the honest prover plays on this instance, or None
+        when none is known; `in_language` checks it."""
+        return None
+
+    def in_language(self) -> bool:
+        """Whether `honest_witness` exists and passes `check_witness`."""
+        witness = self.honest_witness()
+        return witness is not None and self.check_witness(witness)
+
+    def cheat_strategy(self) -> Strategy:
+        """The best play without a witness, as a `Strategy` whose acceptance
+        is `exact_soundness`; it reads each challenge only mod its round's
+        challenge space, so a prover playing it declares the structured view."""
+        raise ParameterError(f"no cheat strategy for {type(self).__name__}")
+
+    def exact_soundness(self) -> tuple[Fraction | None, str]:
+        """The exact best acceptance over all strategies with the method
+        that produced it: `brute_force_soundness`, or (None, "infeasible")
+        past its budget."""
+        try:
+            return brute_force_soundness(self), "strategy-enumeration"
+        except InfeasibleError:
+            return None, "infeasible"
 
     # -- verifier (raw view) ------------------------------------------------
     def map_challenges(self, randomness: Sequence[int]) -> tuple[int, ...]:

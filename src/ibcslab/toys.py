@@ -225,8 +225,18 @@ class GraphColoringIop(IopProtocol):
         object (one report for the CLI); None when it has no 3-coloring."""
         return find_coloring(self.instance)
 
-    def in_language(self) -> bool:
-        return self.found_coloring is not None
+    def honest_witness(self) -> tuple[int, ...] | None:
+        return self.found_coloring
+
+    def cheat_strategy(self):
+        """Commit the coloring that satisfies the most edges, whatever the challenges."""
+        coloring = self._best_coloring
+        return lambda _i, _c, _s: coloring
+
+    @cached_property
+    def _best_coloring(self) -> tuple[int, ...]:
+        """`best_coloring` of the instance, enumerated once per protocol object."""
+        return best_coloring(self.instance)[0]
 
     def extract_witness(self, oracles):
         # The round-1 oracle string is read verbatim as a coloring.
@@ -466,14 +476,42 @@ class SumcheckIop(IopProtocol):
             return False
         return self.instance.true_sum() == self.instance.claimed_sum
 
-    def in_language(self) -> bool:
-        return self.check_witness(())
+    def honest_witness(self) -> tuple[()]:
+        return ()
 
     @cached_property
     def cheat_plan(self) -> SumcheckCheatPlan:
         """The instance's `SumcheckCheatPlan`, built once per protocol
         object (one report for the CLI); InfeasibleError over its budget."""
         return SumcheckCheatPlan(self.instance)
+
+    def cheat_strategy(self):
+        """Play the maximizing tables of `cheat_plan`: each round's table
+        must sum over {0, 1} to the previous table at its challenge."""
+        plan = self.cheat_plan
+        p = self.instance.prime
+        claimed_sum = self.instance.claimed_sum
+
+        def strategy(i, challenges, strings):
+            structured = tuple(c % p for c in challenges)
+            if i == 1:
+                required = claimed_sum
+            else:
+                required = poly_eval(strings[i - 2], structured[i - 2], p)
+            return plan.table_for(structured, required)
+
+        return strategy
+
+    def exact_soundness(self):
+        """The strategy enumeration's value, or past its budget `cheat_plan`'s
+        value as "cheat-program"; (None, "infeasible") past both budgets."""
+        value, kind = super().exact_soundness()
+        if value is None:
+            try:
+                return self.cheat_plan.value, "cheat-program"
+            except InfeasibleError:
+                pass
+        return value, kind
 
     def extract_witness(self, oracles):
         return ()

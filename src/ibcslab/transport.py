@@ -773,9 +773,9 @@ def send_public_setup(channel, params: ArgParams, instance):
 INSTANCE_MAX_BYTES = 1 << 24
 
 
-def _read_setup(max_instance_bytes: int, own: ArgParams | None):
+def _read_setup(own: ArgParams | None):
     """Read the parameter frame, then an instance frame of at most
-    min(the peer's bound, `max_instance_bytes`) bytes, or with `own` its
+    min(the peer's bound, `INSTANCE_MAX_BYTES`) bytes, or with `own` its
     bound; returns (bound, vc_params, instance).
 
     A verifier that holds the instance passes `own`, the parameters it
@@ -797,17 +797,15 @@ def _read_setup(max_instance_bytes: int, own: ArgParams | None):
             f"instance bound {bound}, lambda={vc_params.security_bits} proposed; "
             f"instance bound {own.instance_bound}, lambda={own.vc.security_bits} expected"
         )
-    cap = bound if own is not None else min(bound, max_instance_bytes)
+    cap = bound if own is not None else min(bound, INSTANCE_MAX_BYTES)
     payload = (yield TAG_INSTANCE, cap)[FRAME_HEADER_BYTES:]
     return bound, vc_params, _decoded("instance", decode_instance, payload)
 
 
-def recv_public_setup(
-    channel, max_instance_bytes: int = INSTANCE_MAX_BYTES, own: ArgParams | None = None
-) -> tuple[int, VcParams, Any]:
+def recv_public_setup(channel, own: ArgParams | None = None) -> tuple[int, VcParams, Any]:
     """The setup frames read off `channel` by `_read_setup`: (bound,
     vc_params, instance)."""
-    return _drive(_read_setup(max_instance_bytes, own), channel)
+    return _drive(_read_setup(own), channel)
 
 
 def verifier_setup(bound: int, vc_params: VcParams, instance) -> tuple[ArgParams, IopProtocol]:

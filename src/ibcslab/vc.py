@@ -44,12 +44,14 @@ The walk derives at most q + 1 nodes per level for q positions, so:
     vc_commit                              : hashes the data leaves and the
                                             nodes above them, about 2 * length
 
-`vc_check` first looks its full input (parameters, root, committed length,
+`vc_check` runs the symbol rule on its answers and positions (ints, in
+range), then looks its full input (parameters, root, committed length,
 positions, answers and proof) up in a process-wide `memo.BoundedMemo`, so a
-repeated check costs one lookup; verifiers in the laboratory check the same
-few openings thousands of times per report. Only a miss runs the shape
-checks (positions, answers, digest sizes) and the walk, and only an input
-whose proof is exactly as long as the walk asks is kept.
+repeated check costs two rule calls and one lookup; verifiers in the
+laboratory check the same few openings thousands of times per report. Only
+a miss runs the shape checks (position order, answer count, digest sizes)
+and the walk, and only an input whose proof is exactly as long as the walk
+asks is kept.
 An entry counts 32 bytes per proof digest and per opened position; the
 memo holds at most `CHECK_MEMO_BYTES` of them, and so at most
 `CHECK_MEMO_BYTES // 32` entries, whatever a peer sends.
@@ -189,9 +191,9 @@ def first_bad_symbol(values: Sequence, bound: int) -> int:
     """The 1-based position of the first element of `values` that is not an
     int in [0, bound), or 0 when every element is one; a bool is an int.
 
-    This is the one symbol rule: the commitment's messages and answers, an
-    IOP's proof strings and the toy protocols' witnesses, coefficient
-    tables and answer tables are all checked by it. A clean sequence is
+    This is the one symbol rule: the commitment's messages, answers and
+    positions, an IOP's proof strings and the toy protocols' witnesses,
+    coefficient tables and answer tables are all checked by it. A clean sequence is
     checked in C: a sum of ints is an int, while a sum with any other
     built-in type is not or raises, and then only the least and greatest
     distinct values are compared with the bounds. Only a sequence that
@@ -293,11 +295,12 @@ def _canonical_positions(params: VcParams, positions: Sequence[int]) -> tuple[in
     pos = tuple(positions)
     if not pos:
         raise QueryError("query set must be nonempty")
+    bad = first_bad_symbol(pos, params.capacity + 1)  # an int in [0, capacity]
+    if bad or 0 in pos:
+        q = pos[bad - 1] if bad else 0
+        raise QueryError(f"position {q!r} is not an int in [1, {params.capacity}]")
     if len(set(pos)) != len(pos):
         raise QueryError("query set contains duplicate positions")
-    for q in pos:
-        if not 1 <= q <= params.capacity:
-            raise QueryError(f"position {q} outside [1, {params.capacity}]")
     return tuple(sorted(pos))
 
 
@@ -371,11 +374,17 @@ def vc_check(
     """1 iff (positions, answers, proof) reconstructs exactly cm's root.
 
     Malformed inputs yield 0 rather than raising: a bad proof is a
-    verification failure, not a fault.
+    verification failure, not a fault. Answers and positions pass the
+    symbol rule before the memo is read, so the memo, whose keys compare
+    with `==` (2.0 == 2), only ever skips the walk of a well-typed input.
     """
     pos = tuple(positions)
     ans = tuple(answers)
     pf = tuple(proof)
+    if first_bad_symbol(ans, 1 << params.symbol_bits) or first_bad_symbol(
+        pos, params.capacity + 1
+    ):
+        return 0
     key = (params, cm.root, cm.length, pos, ans, pf)
     h = hash(key)
     result = _check_memo.get(h, key)
@@ -397,10 +406,9 @@ def vc_check(
 
 
 def _opened_leaves(params, length, pos, ans) -> list[tuple[int, bytes]] | None:
-    """(index, digest) of each opened data leaf, None for a malformed opening."""
+    """(index, digest) of each opened data leaf, None for a malformed opening;
+    `pos` and `ans` hold only ints, as `vc_check` has checked."""
     if not pos or len(pos) != len(ans) or not 1 <= length <= params.capacity:
-        return None
-    if first_bad_symbol(ans, 1 << params.symbol_bits):
         return None
     data = []
     last = 0

@@ -1,18 +1,19 @@
 from __future__ import annotations
 
+import ast
 import collections
 from dataclasses import dataclass, field
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from ibcslab import ibcs, toys, transport
+from ibcslab import adversaries, ibcs, toys, transport
 from ibcslab.adversaries import (
     Equivocator,
     ScriptedProver,
     Withholder,
     always_abort,
-    fixed_string_prover,
     grinder_on_leading_bits,
     honest_wrapper,
     make_adversaries,
@@ -27,6 +28,7 @@ from ibcslab.cli import DEFAULT_ADVERSARIES
 from ibcslab.errors import InstanceError, ParameterError, ProtocolViolation
 from ibcslab.extraction import hoeffding_radius, measure_acceptance
 from ibcslab.ibcs import ArgumentProver, arg_setup, arg_verify, Transcript
+from ibcslab.iop import IopProtocol, IopSpec, QueryPlan
 from ibcslab.prng import Prng, derive, seed_root
 from ibcslab.toys import SumcheckCheatPlan, best_coloring, sumcheck_iop
 from ibcslab.vc import vc_check
@@ -321,8 +323,6 @@ def test_optimal_sumcheck_cheater_matches_cheat_program(sumcheck_false):
 
 def test_scripted_prover_validates_lengths(k3_setup):
     protocol, params, _ = k3_setup
-    with pytest.raises(ParameterError):
-        fixed_string_prover(protocol, params, [(0, 1, 2), (0, 1, 2)])
     bad = ScriptedProver(protocol, params, lambda i, c, s: (0,))
     with pytest.raises(ProtocolViolation):
         bad.next_commitment(bad.start(), None)
@@ -480,3 +480,104 @@ def test_views_follow_what_each_adversary_reads(sumcheck_true_setup):
     for r in vectors:
         assert scripted.view(r) == withholder.view(r) == r
         assert grinder.view(r) == (r, grinder.predicate(r))
+
+
+def test_adversaries_and_cli_know_no_protocol_by_name():
+    """Neither module names a toy protocol class, and no library module
+    asks a protocol its type: each protocol answers for itself through
+    `IopProtocol`."""
+    package = Path(adversaries.__file__).parent
+    toy_names = {
+        name
+        for name, value in vars(toys).items()
+        if isinstance(value, type) and issubclass(value, IopProtocol) and value is not IopProtocol
+    }
+    assert {"GraphColoringIop", "SumcheckIop"} <= toy_names
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if path.name in ("adversaries.py", "cli.py"):
+                names = (
+                    [node.id] if isinstance(node, ast.Name)
+                    else [node.attr] if isinstance(node, ast.Attribute)
+                    else [alias.name for alias in node.names] if isinstance(node, ast.ImportFrom)
+                    else []
+                )
+                assert not toy_names & set(names), f"{path.name}:{node.lineno} names {names}"
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id == "isinstance"
+                and ast.unparse(node.args[0]).endswith("protocol")
+            ):
+                raise AssertionError(f"{path.name}:{node.lineno} asks a protocol its type")
+
+
+class _EchoIop(IopProtocol):
+    """A protocol the library does not know: two rounds of two bits, each
+    read at the position the first challenge picks. Round 1 must show a 1
+    there; round 2 must show the first challenge's bit on an instance that
+    holds, the second's (not yet drawn when round 2 is sent) on one that
+    does not."""
+
+    def __init__(self, holds: bool):
+        self.instance = ("echo", holds)
+        self.spec = IopSpec(
+            rounds=2,
+            alphabet_size=2,
+            symbol_bits=1,
+            proof_lengths=(2, 2),
+            randomness_bits=(72, 72),
+            query_counts=(1, 1),
+            relation_id="echo",
+        )
+
+    def prover_init(self, witness):
+        return (1, 1), ()
+
+    def prover_next(self, state, challenge):
+        bit = challenge % 2
+        return (bit, bit), ()
+
+    def challenge_space(self, round_index):
+        return 2
+
+    def query_plan(self, structured):
+        return QueryPlan(((structured[0] + 1,),) * 2)
+
+    def decide(self, structured, answers):
+        (first,), (second,) = answers
+        return int(first == 1 and second == structured[0 if self.instance[1] else 1])
+
+    def check_witness(self, witness):
+        return self.instance[1] and witness == "echo"
+
+    def honest_witness(self):
+        return "echo"
+
+    def cheat_strategy(self):
+        return lambda i, challenges, _s: (1, 1) if i == 1 else (challenges[0] % 2,) * 2
+
+
+@pytest.mark.parametrize("holds", [True, False])
+def test_a_protocol_defined_here_runs_every_default_adversary_and_the_oracle(holds):
+    """A protocol defined only in this test answers the soundness report's
+    questions by itself: every default selector builds and runs, and its
+    exact oracle has a value (1 when the claim holds, 1/2 otherwise)."""
+    protocol = _EchoIop(holds)
+    params = arg_setup(128, 64, protocol.spec)
+    assert protocol.in_language() is holds
+    value = Fraction(1) if holds else Fraction(1, 2)
+    assert protocol.exact_soundness() == (value, "strategy-enumeration")
+    names = DEFAULT_ADVERSARIES.split(",") + (["honest"] if holds else [])
+    built = dict(zip(names, make_adversaries(names, protocol, params)))
+    assert set(built) == set(names)
+    for adversary in built.values():
+        assert 0 <= measure_acceptance(protocol, params, adversary, 64, seed=3).value <= 1
+    assert measure_acceptance(protocol, params, built["optimal"], 64, seed=3).value == (
+        1 if holds else pytest.approx(0.5, abs=3 * hoeffding_radius(64))
+    )
+    assert measure_acceptance(protocol, params, built["abort"], 64, seed=3).value == 0
+    if not holds:
+        with pytest.raises(InstanceError, match="echo instance has no honest witness"):
+            make_adversary("honest", protocol, params)

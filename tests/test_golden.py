@@ -178,7 +178,7 @@ def test_lab_work_counts(workdir, monkeypatch, name):
     real_walk = vc._walk
     real_validate = iop.IopProtocol._validate_plan
     real_routed = extraction.routed_decision
-    real_best = adversaries.best_coloring
+    real_best = toys.best_coloring
     real_open = vc.vc_open
     real_sum_out = toys.SumcheckIop._sum_out
     real_digest = adversaries.state_digest
@@ -252,7 +252,7 @@ def test_lab_work_counts(workdir, monkeypatch, name):
     monkeypatch.setattr(vc, "_walk", walk)
     monkeypatch.setattr(iop.IopProtocol, "_validate_plan", validate)
     monkeypatch.setattr(extraction, "routed_decision", routed)
-    monkeypatch.setattr(adversaries, "best_coloring", best)
+    monkeypatch.setattr(toys, "best_coloring", best)
     monkeypatch.setattr(adversaries, "state_digest", digest)
     monkeypatch.setattr(toys, "find_coloring", find)
     production = vc._check_memo

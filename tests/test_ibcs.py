@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import copy
+import dataclasses
 
 import pytest
 
@@ -172,6 +173,16 @@ def test_tampered_answer_rejected(k3_setup):
         response=(mutated,),
     )
     assert arg_verify(params, protocol, bad) == 0
+
+
+def test_a_transcript_with_one_commitment_too_many_or_no_openings_is_rejected(k3_setup):
+    protocol, params, witness = k3_setup
+    transcript = _honest_transcript(protocol, params, witness, 3)
+    assert arg_verify(params, protocol, transcript) == 1
+    extra = dataclasses.replace(transcript, commitments=transcript.commitments * 2)
+    assert len(extra.commitments) == protocol.spec.rounds + 1
+    assert arg_verify(params, protocol, extra) == 0
+    assert arg_verify(params, protocol, dataclasses.replace(transcript, response=())) == 0
 
 
 def test_wrong_instance_rejected(k3_setup, k4):

@@ -8,6 +8,7 @@ import socket
 import threading
 import time
 import tracemalloc
+import types
 import warnings
 
 import pytest
@@ -768,23 +769,59 @@ def test_undecodable_stored_payload_names_one_file_offset(k3_setup, tag, what, f
     assert str(info.value).endswith(f"(offset {offset})")
 
 
+def test_swapped_positions_are_refused_live_and_at_the_final_payload_offset(k3_setup):
+    """A final response whose round-1 positions are in decreasing order is
+    a DecodeError at the final-response payload's offset in a stored file,
+    and a ProtocolViolation for a live verifier reading the same frames."""
+    protocol, params, witness = k3_setup
+    _, v_res = run_memory_session(protocol, params, ArgumentProver(protocol, params, witness))
+    (opening,) = v_res.transcript.response
+    swapped = types.SimpleNamespace(
+        positions=opening.positions[::-1], answers=opening.answers[::-1], proof=opening.proof
+    )
+    blob = transport.serialize_transcript(params, v_res.transcript)
+    (start,) = [s for t, s in _frame_offsets(blob) if t == transport.TAG_FINAL]
+    _, _, end = transport.decode_frame(blob, start)
+    final = transport.encode_frame(
+        transport.TAG_FINAL, transport.encode_final_response(params, (swapped,))
+    )
+    bad = blob[:start] + final + blob[end:]
+    refused = "undecodable final response: round 1 positions not strictly increasing"
+    with pytest.raises(DecodeError, match=refused) as info:
+        transport.parse_transcript(bad)
+    assert info.value.offset == start + transport.FRAME_HEADER_BYTES
+
+    (commit,) = [s for t, s in _frame_offsets(blob) if t == transport.TAG_COMMIT]
+    _, _, commit_end = transport.decode_frame(blob, commit)
+    channel = _ScriptedChannel(blob[commit:commit_end] + final)
+    with pytest.raises(ProtocolViolation, match=refused):
+        transport.run_session(
+            "verifier", channel, params, protocol, prng=Prng(derive(seed_root(0), "session", 0))
+        )
+
+
 @pytest.mark.parametrize("own_instance", [False, True])
 def test_setup_never_reads_a_declared_huge_instance(k3_setup, own_instance):
-    """A peer declares a 2**31-byte instance under a 2**31 bound: the
-    verifier's own cap rejects the frame before any payload byte is read."""
+    """A peer declares a 2**31-byte instance: the verifier's cap, its own
+    instance's bound when it has one and `INSTANCE_MAX_BYTES` otherwise,
+    rejects the frame before any payload byte is read."""
     protocol, params, _ = k3_setup
     declared = 1 << 31
-    blob = params.vc.to_bytes()
-    fields = declared.to_bytes(4, "big") + len(blob).to_bytes(2, "big") + blob
+    cap = len(transport.encode_instance(protocol.instance))
+    if own_instance:
+        own = arg_setup(128, cap, protocol.spec)
+        fields = transport.encode_params(own)
+    else:
+        own, cap = None, transport.INSTANCE_MAX_BYTES
+        blob = params.vc.to_bytes()
+        fields = declared.to_bytes(4, "big") + len(blob).to_bytes(2, "big") + blob
     channel = _ScriptedChannel(
         transport.encode_frame(transport.TAG_PARAMS, fields)
         + _header(declared, transport.TAG_INSTANCE)
         + bytes(64)
     )
-    own = len(transport.encode_instance(protocol.instance))
-    args, cap = ((own,), own) if own_instance else ((), transport.INSTANCE_MAX_BYTES)
     with pytest.raises(ProtocolViolation, match=f"at most {cap} allowed"):
-        transport.recv_public_setup(channel, *args)
+        transport.recv_public_setup(channel, own=own)
     assert channel.reads == [5, len(fields), 5]
 
 
@@ -803,12 +840,12 @@ def test_setup_with_own_parameters_refuses_other_bytes_before_the_instance(k3_se
     fields = transport.encode_params(other)
     channel = _ScriptedChannel(transport.encode_frame(transport.TAG_PARAMS, fields) + instance_frame)
     with pytest.raises(ParameterError, match="differ from the verifier's own at payload byte 3"):
-        transport.recv_public_setup(channel, bound, own)
+        transport.recv_public_setup(channel, own=own)
     assert channel.reads == [5, len(fields)]
     channel = _ScriptedChannel(
         transport.encode_frame(transport.TAG_PARAMS, transport.encode_params(own)) + instance_frame
     )
-    assert transport.recv_public_setup(channel, bound, own) == (bound, own.vc, protocol.instance)
+    assert transport.recv_public_setup(channel, own=own) == (bound, own.vc, protocol.instance)
 
 
 def test_stored_setup_with_own_parameters_refuses_other_bytes_before_the_instance(k3_setup):

@@ -137,6 +137,9 @@ def test_open_rejects_bad_queries():
         vc_open(params, aux, [5])
     with pytest.raises(QueryError):
         vc_open(params, aux, [2, 2])
+    for position in (2.0, "2", None, 1.5):
+        with pytest.raises(QueryError, match=r"is not an int in \[1, 4\]"):
+            vc_open(params, aux, [1, position])
 
 
 def test_check_rejects_flipped_answer():
@@ -171,6 +174,24 @@ def test_check_never_raises_on_malformed_input():
         assert vc_check(params, cm, o.positions, (bad, o.answers[1]), o.proof) == 0
         assert vc_check(params, cm, o.positions, (o.answers[0], bad), o.proof) == 0
     assert vc_check(params, cm, o.positions, o.answers, o.proof) == 1
+
+
+@pytest.mark.parametrize("good_first", [False, True], ids=["cold", "warm"])
+def test_check_answers_a_float_position_or_answer_with_0_cold_and_warm(monkeypatch, good_first):
+    """2.0 == 2 and they hash alike, so a memo keyed on the input would
+    answer a float position or answer from a well-formed check; the symbol
+    rule runs first, so both are 0 before and after that check, and a
+    cold float position does not reach the leaf hashing."""
+    monkeypatch.setattr(vc_module, "_check_memo", BoundedMemo(64, 1 << 12))
+    params = vc_gen(128, 4, symbol_bits=4)
+    cm, aux = vc_commit(params, [1, 2, 3, 4])
+    o = vc_open(params, aux, [2])
+    if good_first:
+        assert vc_check(params, cm, (2,), (2,), o.proof) == 1
+    assert vc_check(params, cm, (2.0,), (2,), o.proof) == 0
+    assert vc_check(params, cm, (2,), (2.0,), o.proof) == 0
+    assert vc_check(params, cm, (2.0,), (2.0,), o.proof) == 0
+    assert vc_check(params, cm, (2,), (2,), o.proof) == 1
 
 
 @settings(max_examples=150, deadline=None)
