@@ -7,17 +7,29 @@ Two protocols drive every end-to-end experiment:
 * sumcheck over a prime field, a genuinely multi-round protocol: round i
   sends the coefficient table of the partial-sum polynomial g_i, the
   verifier reads every table in full and checks the telescoping identities.
+
+An instance has two formats, both defined here next to the validation they
+feed. The text format (`load_graph_text`, `dump_graph_text`, and the
+sumcheck loaders) is what instance files hold. The binary layout is what
+the wire carries: a kind byte, then big-endian fields, a graph's vertex
+and edge counts and its edges, or a sumcheck header and its coefficients.
+Each instance encodes itself once: `encoding` is a cached property that
+lives and dies with the instance object, and `instance_from_bytes` keeps
+the payload an instance was read from as its `encoding`. The layout is
+canonical, every field at a fixed width, so encoding a decoded instance
+again would give the payload's bytes.
 """
 
 from __future__ import annotations
 
 import itertools
+import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Sequence
 
-from .errors import InfeasibleError, InstanceError, ProtocolViolation
+from .errors import DecodeError, InfeasibleError, InstanceError, ProtocolViolation
 from .iop import IopProtocol, IopSpec, QueryPlan, bounded_count
 from .memo import BoundedMemo
 from .prng import randomness_length
@@ -73,6 +85,21 @@ class GraphColoringInstance:
                     f"edge ({u}, {v}) not lexicographically after ({pu}, {pv})"
                 )
             pu, pv = u, v
+
+    @cached_property
+    def encoding(self) -> bytes:
+        """The binary layout (`layout`), computed on first use; a decoded
+        instance keeps the payload it was read from."""
+        return self.layout()
+
+    def layout(self) -> bytes:
+        """Kind byte 0x01, BE32 vertex and edge counts, then BE32 (u, v) per
+        edge, in one pack: per-edge `to_bytes` pairs cost about three times
+        as much on a graph of 12k edges."""
+        m = len(self.edges)
+        ends = itertools.chain.from_iterable(self.edges)
+        fmt = f"{_GRAPH_HEADER.format}{2 * m}I"
+        return struct.pack(fmt, GRAPH_KIND, self.vertex_count, m, *ends)
 
 
 def canonical_graph(vertex_count: int, edges) -> GraphColoringInstance:
@@ -338,6 +365,19 @@ class SumcheckInstance:
         if first_bad_symbol((self.claimed_sum,), self.prime):
             raise InstanceError("claimed sum is not an int in the field")
 
+    @cached_property
+    def encoding(self) -> bytes:
+        """The binary layout (`layout`), computed on first use; a decoded
+        instance keeps the payload it was read from."""
+        return self.layout()
+
+    def layout(self) -> bytes:
+        """Kind byte 0x02, BE64 prime, BE16 variables and degree, BE64
+        claimed sum, then BE64 per coefficient."""
+        header = (SUMCHECK_KIND, self.prime, self.variables, self.degree, self.claimed_sum)
+        fmt = f"{_SUMCHECK_HEADER.format}{len(self.coefficients)}Q"
+        return struct.pack(fmt, *header, *self.coefficients)
+
     def exponent_tuples(self):
         return itertools.product(range(self.degree + 1), repeat=self.variables)
 
@@ -599,8 +639,51 @@ class SumcheckCheatPlan:
 
 
 # ---------------------------------------------------------------------------
-# text instance files
+# instance formats: binary layout and text files
 # ---------------------------------------------------------------------------
+
+GRAPH_KIND = 0x01
+SUMCHECK_KIND = 0x02
+
+# The fixed fields of each layout, kind byte first; BE32 edge ends or BE64
+# coefficients follow.
+_GRAPH_HEADER = struct.Struct(">BII")
+_SUMCHECK_HEADER = struct.Struct(">BQHHQ")
+
+
+def instance_from_bytes(payload: bytes) -> GraphColoringInstance | SumcheckInstance:
+    """The instance a binary layout encodes, which keeps `payload` as its
+    `encoding`. A malformed payload raises DecodeError with no offset (it
+    fails as a whole), and an instance its constructor refuses (a
+    self-loop, a duplicate edge, a composite prime) InstanceError."""
+    payload = bytes(payload)
+    if not payload:
+        raise DecodeError("empty instance payload")
+    kind = payload[0]
+    if kind == GRAPH_KIND:
+        if len(payload) < _GRAPH_HEADER.size:
+            raise DecodeError("truncated graph instance")
+        _, n, m = _GRAPH_HEADER.unpack_from(payload)
+        if len(payload) != _GRAPH_HEADER.size + 8 * m:
+            raise DecodeError("graph instance length mismatch")
+        edges = tuple(struct.iter_unpack(">II", payload[_GRAPH_HEADER.size :]))
+        instance = GraphColoringInstance(n, edges)
+    elif kind == SUMCHECK_KIND:
+        if len(payload) < _SUMCHECK_HEADER.size:
+            raise DecodeError("truncated sumcheck instance")
+        _, p, n, d, s = _SUMCHECK_HEADER.unpack_from(payload)
+        room = (len(payload) - _SUMCHECK_HEADER.size) // 8
+        count = table_entries(n, d, room)
+        if count is None or len(payload) != _SUMCHECK_HEADER.size + 8 * count:
+            raise DecodeError("sumcheck instance length mismatch")
+        coeffs = struct.unpack_from(f">{count}Q", payload, _SUMCHECK_HEADER.size)
+        instance = SumcheckInstance(p, n, d, coeffs, s)
+    else:
+        raise DecodeError(f"unknown instance kind {kind:#x}")
+    # Filled in as `encoding` would be: the layout is canonical, so these
+    # are the bytes `layout` would give.
+    vars(instance)["encoding"] = payload
+    return instance
 
 
 def load_graph_text(text: str) -> tuple[GraphColoringInstance, tuple[int, ...] | None]:

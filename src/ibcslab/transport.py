@@ -1,5 +1,11 @@
 """Bit-exact wire protocol: framing, payload codecs, channels, sessions.
 
+This module owns frames, the protocol messages' payloads, channels and
+sessions. An instance's payload is its binary layout, which lives in
+`toys` with the instance's text format and validation; each instance
+encodes itself once and keeps the bytes, so `encode_instance` reads them
+and `decode_instance` frames a refused payload as a DecodeError.
+
 Frame layout: 4-byte big-endian payload length, 1-byte tag, payload.
 Tags: 0x01 commitment, 0x02 challenge, 0x03 final response, 0x04 decision,
 0x10 instance, 0x11 public parameters.
@@ -46,10 +52,8 @@ until the previous one is acknowledged.
 
 from __future__ import annotations
 
-import itertools
 import queue
 import socket
-import struct
 from dataclasses import dataclass
 from typing import Any
 
@@ -75,8 +79,8 @@ from .toys import (
     GraphColoringInstance,
     SumcheckInstance,
     gc_pcp,
+    instance_from_bytes,
     sumcheck_iop,
-    table_entries,
 )
 from .vc import DIGEST_BYTES, Commitment, Opening, VcParams, params_from_bytes, proof_digest_count
 
@@ -327,64 +331,21 @@ def decode_final_response(
     return tuple(openings)
 
 
-_GC_KIND = 0x01
-_SC_KIND = 0x02
-
-
 def encode_instance(instance) -> bytes:
-    if isinstance(instance, GraphColoringInstance):
-        # One pack for the whole edge list: per-edge `to_bytes` pairs cost
-        # about three times as much on a graph of 12k edges.
-        m = len(instance.edges)
-        ends = itertools.chain.from_iterable(instance.edges)
-        return struct.pack(f">BII{2 * m}I", _GC_KIND, instance.vertex_count, m, *ends)
-    if isinstance(instance, SumcheckInstance):
-        body = [
-            instance.prime.to_bytes(8, "big"),
-            instance.variables.to_bytes(2, "big"),
-            instance.degree.to_bytes(2, "big"),
-            instance.claimed_sum.to_bytes(8, "big"),
-        ]
-        body += [c.to_bytes(8, "big") for c in instance.coefficients]
-        return bytes([_SC_KIND]) + b"".join(body)
-    raise ProtocolViolation(f"cannot encode instance of type {type(instance)!r}")
+    """The instance's payload: the binary layout it keeps (`toys`)."""
+    encoding = getattr(instance, "encoding", None)
+    if type(encoding) is not bytes:
+        raise ProtocolViolation(f"cannot encode instance of type {type(instance)!r}")
+    return encoding
 
 
 def decode_instance(payload: bytes):
-    """The instance a payload encodes. A payload that is malformed, or that
-    decodes into an instance its constructor refuses (a self-loop, a
-    duplicate edge, a composite prime), raises DecodeError with no offset:
-    the payload fails as a whole."""
-    if not payload:
-        raise DecodeError("empty instance payload")
-    kind, body = payload[0], payload[1:]
-    if kind == _GC_KIND:
-        if len(body) < 8:
-            raise DecodeError("truncated graph instance")
-        n = int.from_bytes(body[0:4], "big")
-        m = int.from_bytes(body[4:8], "big")
-        if len(body) != 8 + 8 * m:
-            raise DecodeError("graph instance length mismatch")
-        edges = tuple(struct.iter_unpack(">II", body[8:]))
-        make, fields = GraphColoringInstance, (n, edges)
-    elif kind == _SC_KIND:
-        if len(body) < 20:
-            raise DecodeError("truncated sumcheck instance")
-        p = int.from_bytes(body[0:8], "big")
-        n = int.from_bytes(body[8:10], "big")
-        d = int.from_bytes(body[10:12], "big")
-        s = int.from_bytes(body[12:20], "big")
-        count = table_entries(n, d, (len(body) - 20) // 8)
-        if count is None or len(body) != 20 + 8 * count:
-            raise DecodeError("sumcheck instance length mismatch")
-        coeffs = tuple(
-            int.from_bytes(body[20 + 8 * j : 28 + 8 * j], "big") for j in range(count)
-        )
-        make, fields = SumcheckInstance, (p, n, d, coeffs, s)
-    else:
-        raise DecodeError(f"unknown instance kind {kind:#x}")
+    """The instance a payload encodes (`toys.instance_from_bytes`), which
+    keeps the payload as its encoding. A payload that is malformed, or
+    that decodes into an instance its constructor refuses, raises
+    DecodeError with no offset: the payload fails as a whole."""
     try:
-        return make(*fields)
+        return instance_from_bytes(payload)
     except InstanceError as exc:
         raise DecodeError(f"invalid instance: {exc}") from exc
 

@@ -45,13 +45,14 @@ The walk derives at most q + 1 nodes per level for q positions, so:
                                             nodes above them, about 2 * length
 
 `vc_check` runs the symbol rule on its answers and positions (ints, in
-range), then looks its full input (parameters, root, committed length,
-positions, answers and proof) up in a process-wide `memo.BoundedMemo`, so a
-repeated check costs two rule calls and one lookup; verifiers in the
-laboratory check the same few openings thousands of times per report. Only
-a miss runs the shape checks (position order, answer count, digest sizes)
-and the walk, and only an input whose proof is exactly as long as the walk
-asks is kept.
+range) and checks that the committed length is an int and the root and
+each proof digest 32 bytes of `bytes`. Then it looks its full input
+(parameters, root, committed length, positions, answers and proof) up in a
+process-wide `memo.BoundedMemo`, so a repeated check costs these checks
+and one lookup; verifiers in the laboratory check the same few openings
+thousands of times per report. Only a miss runs the shape checks (position
+order, answer count, committed length in range) and the walk, and only an
+input whose proof is exactly as long as the walk asks is kept.
 An entry counts 32 bytes per proof digest and per opened position; the
 memo holds at most `CHECK_MEMO_BYTES` of them, and so at most
 `CHECK_MEMO_BYTES // 32` entries, whatever a peer sends.
@@ -187,24 +188,31 @@ class Opening:
             raise ParameterError("positions must be strictly increasing")
 
 
+# The longest sequence `first_bad_symbol` walks without the C pass.
+SHORT_SYMBOLS = 32
+
+
 def first_bad_symbol(values: Sequence, bound: int) -> int:
     """The 1-based position of the first element of `values` that is not an
     int in [0, bound), or 0 when every element is one; a bool is an int.
 
     This is the one symbol rule: the commitment's messages, answers and
     positions, an IOP's proof strings and the toy protocols' witnesses,
-    coefficient tables and answer tables are all checked by it. A clean sequence is
-    checked in C: a sum of ints is an int, while a sum with any other
-    built-in type is not or raises, and then only the least and greatest
-    distinct values are compared with the bounds. Only a sequence that
-    fails there, or is empty, is walked, to name the position.
+    coefficient tables and answer tables are all checked by it. A sequence
+    of at most `SHORT_SYMBOLS` values, such as a toy protocol's 2- or
+    3-symbol answer table, is walked: that costs less than the C pass. A
+    longer clean sequence is checked in C: a sum of ints is an int, while a
+    sum with any other built-in type is not or raises, and then only the
+    least and greatest distinct values are compared with the bounds. Only a
+    sequence that fails there is walked, to name the position.
     """
-    try:
-        distinct = sorted(set(values))
-        if type(sum(values)) is int and distinct[0] >= 0 and distinct[-1] < bound:
-            return 0
-    except (TypeError, IndexError):  # a str, None or unhashable element; no element
-        pass
+    if len(values) > SHORT_SYMBOLS:
+        try:
+            distinct = sorted(set(values))
+            if type(sum(values)) is int and distinct[0] >= 0 and distinct[-1] < bound:
+                return 0
+        except TypeError:  # a str, None or unhashable element
+            pass
     for j, value in enumerate(values, 1):
         if not isinstance(value, int) or not 0 <= value < bound:
             return j
@@ -375,14 +383,20 @@ def vc_check(
 
     Malformed inputs yield 0 rather than raising: a bad proof is a
     verification failure, not a fault. Answers and positions pass the
-    symbol rule before the memo is read, so the memo, whose keys compare
-    with `==` (2.0 == 2), only ever skips the walk of a well-typed input.
+    symbol rule, the committed length must be an int, and the root and
+    every proof digest must be 32 bytes of `bytes`, all before the memo is
+    read, so the memo, whose keys compare with `==` (2.0 == 2), only ever
+    skips the walk of a well-typed input.
     """
     pos = tuple(positions)
     ans = tuple(answers)
     pf = tuple(proof)
-    if first_bad_symbol(ans, 1 << params.symbol_bits) or first_bad_symbol(
-        pos, params.capacity + 1
+    if (
+        first_bad_symbol(ans, 1 << params.symbol_bits)
+        or first_bad_symbol(pos, params.capacity + 1)
+        or not isinstance(cm.length, int)
+        or type(cm.root) is not bytes
+        or not all(type(d) is bytes and len(d) == DIGEST_BYTES for d in pf)
     ):
         return 0
     key = (params, cm.root, cm.length, pos, ans, pf)
@@ -390,7 +404,7 @@ def vc_check(
     result = _check_memo.get(h, key)
     if result is None:
         leaves = _opened_leaves(params, cm.length, pos, ans)
-        if leaves is None or any(len(d) != DIGEST_BYTES for d in pf):
+        if leaves is None:
             return 0
         digests = iter(pf)
         layer = _node_hasher(params)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import gc
 import json
@@ -17,6 +18,7 @@ import pytest
 from ibcslab import cli, extraction, toys, transport
 from ibcslab.cli import main
 from ibcslab.ibcs import ArgumentProver, arg_setup
+from ibcslab.prng import Prng, derive, seed_root
 from ibcslab.toys import canonical_graph, dump_graph_text, dump_sumcheck_text, find_coloring, gc_pcp
 
 from helpers import make_sumcheck, run_memory_session
@@ -321,6 +323,75 @@ def test_prove_tcp_closes_its_socket_when_the_session_fails(monkeypatch, capsys,
     assert code == 2
     (channel,) = opened
     assert channel._sock.fileno() == -1
+
+
+def _count_layouts(monkeypatch) -> list:
+    """The instances whose binary layout is computed from here on, in order."""
+    computed = []
+    for cls in (toys.GraphColoringInstance, toys.SumcheckInstance):
+
+        def counted(self, layout=cls.layout):
+            computed.append(self)
+            return layout(self)
+
+        monkeypatch.setattr(cls, "layout", counted)
+    return computed
+
+
+@pytest.fixture
+def petersen_file(tmp_path, petersen):
+    path = tmp_path / "petersen.txt"
+    path.write_text(dump_graph_text(petersen))
+    return str(path)
+
+
+def test_prove_out_encodes_its_instance_once(monkeypatch, capsys, tmp_path, petersen_file):
+    """`setup_for` sizes the bound and `serialize_transcript` writes the
+    instance frame from one layout; a parsed transcript re-serializes from
+    the payload it was read from, with no layout at all."""
+    computed = _count_layouts(monkeypatch)
+    out = tmp_path / "petersen.bin"
+    code, _ = run_cli(capsys, ["prove", "--instance", petersen_file, "--seed", "2", "--out", str(out)])
+    assert code == 0
+    assert len(computed) == 1
+    blob = out.read_bytes()
+    params, _, transcript = transport.parse_transcript(blob)
+    assert transport.serialize_transcript(params, transcript) == blob
+    assert len(computed) == 1
+
+
+def test_tcp_prover_encodes_its_instance_once(monkeypatch, capsys, tmp_path, petersen_file):
+    """The TCP prover's `setup_for`, `send_public_setup` and
+    `serialize_transcript` share one layout; the verifier re-serializes the
+    instance `recv_public_setup` decoded without computing one."""
+    computed = _count_layouts(monkeypatch)
+    listener = transport.tcp_listen("127.0.0.1", 0)
+    box = {}
+
+    def verifier():
+        with contextlib.closing(transport.tcp_accept(listener)) as channel:
+            setup = transport.recv_public_setup(channel)
+            params, protocol = transport.verifier_setup(*setup)
+            prng = Prng(derive(seed_root(2), "session", 0))
+            result = transport.run_session("verifier", channel, params, protocol, prng=prng)
+            box["blob"] = transport.serialize_transcript(params, result.transcript)
+
+    thread = threading.Thread(target=verifier)
+    thread.start()
+    try:
+        out = tmp_path / "petersen_tcp.bin"
+        port = listener.getsockname()[1]
+        code, _ = run_cli(
+            capsys,
+            ["prove", "--instance", petersen_file, "--seed", "2", "--transport", "tcp",
+             "--connect", f"127.0.0.1:{port}", "--out", str(out)],
+        )
+        thread.join(timeout=30)
+    finally:
+        listener.close()
+    assert code == 0 and not thread.is_alive()
+    assert box["blob"] == out.read_bytes()
+    assert len(computed) == 1
 
 
 def _listen_with_instance(tmp_path, instance_file, data: bytes) -> tuple[int, str]:

@@ -19,7 +19,18 @@ from ibcslab.errors import DecodeError, IbcsError, ParameterError, ProtocolViola
 from ibcslab.ibcs import ArgumentProver, arg_setup, arg_verify
 from ibcslab.memo import BoundedMemo
 from ibcslab.prng import Prng, derive, seed_root
-from ibcslab.toys import SumcheckInstance, canonical_graph, gc_pcp, sumcheck_iop
+from ibcslab.toys import (
+    GRAPH_KIND,
+    GraphColoringInstance,
+    SumcheckInstance,
+    canonical_graph,
+    dump_graph_text,
+    dump_sumcheck_text,
+    gc_pcp,
+    load_graph_text,
+    load_sumcheck_text,
+    sumcheck_iop,
+)
 from ibcslab.vc import Commitment, proof_digest_count
 
 from helpers import CountingHashlib, make_sumcheck, run_memory_session
@@ -107,6 +118,54 @@ def test_instance_codec_roundtrip(k3, petersen, sumcheck_true):
         transport.decode_instance(b"")
     with pytest.raises(DecodeError):
         transport.decode_instance(b"\x7f")
+
+
+@st.composite
+def _graph_instances(draw):
+    n = draw(st.integers(min_value=2, max_value=40))
+    pairs = st.tuples(st.integers(1, n), st.integers(1, n)).filter(lambda e: e[0] != e[1])
+    return canonical_graph(n, draw(st.lists(pairs, min_size=1, max_size=60)))
+
+
+@st.composite
+def _sumcheck_instances(draw):
+    p = draw(st.sampled_from([2, 3, 17, 65537, (1 << 61) - 1]))
+    n, d = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    field = st.integers(0, p - 1)
+    coeffs = tuple(draw(st.lists(field, min_size=(d + 1) ** n, max_size=(d + 1) ** n)))
+    return SumcheckInstance(p, n, d, coeffs, draw(field))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(_graph_instances(), _sumcheck_instances()), st.data())
+def test_instance_codec_property(instance, data):
+    """Round trip, one encoding however an instance was built, and a
+    decoded instance keeps exactly the payload it was read from, also for
+    byte-flipped and cut payloads that still decode."""
+    payload = transport.encode_instance(instance)
+    assert payload == instance.layout()
+    decoded = transport.decode_instance(payload)
+    assert decoded == instance
+    assert decoded.encoding == payload
+    if isinstance(instance, GraphColoringInstance):
+        from_text = load_graph_text(dump_graph_text(instance))[0]
+        from_tuples = GraphColoringInstance(instance.vertex_count, instance.edges)
+    else:
+        from_text = load_sumcheck_text(dump_sumcheck_text(instance))
+        from_tuples = SumcheckInstance(*dataclasses.astuple(instance))
+    for built in (from_text, from_tuples, decoded):
+        assert transport.encode_instance(built) == payload
+
+    at = data.draw(st.integers(0, len(payload) - 1))
+    flipped = bytearray(payload)
+    flipped[at] ^= data.draw(st.integers(1, 255))
+    for variant in (bytes(flipped), payload[:at]):
+        try:
+            kept = transport.decode_instance(variant)
+        except DecodeError:
+            continue
+        assert transport.encode_instance(kept) == variant
+        assert kept.layout() == variant
 
 
 def test_a_sumcheck_header_claiming_a_huge_table_is_refused_in_small_memory(sumcheck_true):
@@ -869,7 +928,7 @@ def _graph_payload(vertex_count: int, edges) -> bytes:
     carry an edge list the instance constructor refuses."""
     body = vertex_count.to_bytes(4, "big") + len(edges).to_bytes(4, "big")
     body += b"".join(u.to_bytes(4, "big") + v.to_bytes(4, "big") for u, v in edges)
-    return bytes([transport._GC_KIND]) + body
+    return bytes([GRAPH_KIND]) + body
 
 
 @pytest.mark.parametrize(

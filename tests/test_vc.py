@@ -194,6 +194,68 @@ def test_check_answers_a_float_position_or_answer_with_0_cold_and_warm(monkeypat
     assert vc_check(params, cm, (2,), (2,), o.proof) == 1
 
 
+def _malformed_commitment_or_proof(case, cm, proof):
+    """(commitment, proof) with one field of the wrong type."""
+    if case == "float length":
+        return Commitment(cm.root, float(cm.length)), proof
+    if case == "bytearray root":
+        return Commitment(bytearray(cm.root), cm.length), proof
+    if case == "int digest":
+        return cm, (int.from_bytes(proof[0], "big"),) + proof[1:]
+    return cm, (bytearray(proof[0]),) + proof[1:]
+
+
+@pytest.mark.parametrize("case", ["float length", "bytearray root", "int digest", "bytearray digest"])
+@pytest.mark.parametrize("good_first", [False, True], ids=["cold", "warm"])
+def test_check_answers_a_malformed_commitment_or_proof_with_0_cold_and_warm(
+    monkeypatch, case, good_first
+):
+    """A float committed length would reach the walk's bit arithmetic on a
+    cold memo and, as 4.0 == 4, hit a well-formed check's entry on a warm
+    one; an int or `bytearray` digest (or root) would fail `len` or the key
+    hash. Each is 0 before and after the well-formed check, which stays 1."""
+    monkeypatch.setattr(vc_module, "_check_memo", BoundedMemo(64, 1 << 12))
+    params = vc_gen(128, 4, symbol_bits=4)
+    cm, aux = vc_commit(params, [1, 2, 3, 4])
+    o = vc_open(params, aux, [2])
+    bad_cm, bad_proof = _malformed_commitment_or_proof(case, cm, o.proof)
+    if good_first:
+        assert vc_check(params, cm, o.positions, o.answers, o.proof) == 1
+    assert vc_check(params, bad_cm, o.positions, o.answers, bad_proof) == 0
+    assert vc_check(params, cm, o.positions, o.answers, o.proof) == 1
+    assert vc_check(params, bad_cm, o.positions, o.answers, bad_proof) == 0
+
+
+def _first_bad_symbol_by_walk(values, bound):
+    return next(
+        (j for j, v in enumerate(values, 1) if not isinstance(v, int) or not 0 <= v < bound), 0
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.one_of(
+            st.integers(min_value=-2, max_value=9),
+            st.booleans(),
+            st.sampled_from([2.0, 2.5, "a", None, b"\x01", (1,), [1]]),
+        ),
+        max_size=2 * vc_module.SHORT_SYMBOLS + 2,
+    ),
+    st.integers(min_value=1, max_value=8),
+)
+def test_first_bad_symbol_agrees_with_a_walk_on_either_side_of_the_cut_off(values, bound):
+    """Short sequences are walked and long ones take the C pass; both name
+    the same first bad position, for a list or a tuple."""
+    expected = _first_bad_symbol_by_walk(values, bound)
+    assert vc_module.first_bad_symbol(values, bound) == expected
+    assert vc_module.first_bad_symbol(tuple(values), bound) == expected
+    clean = [v % bound for v in range(len(values))]
+    assert vc_module.first_bad_symbol(clean, bound) == 0
+    mixed = clean + values
+    assert vc_module.first_bad_symbol(mixed, bound) == _first_bad_symbol_by_walk(mixed, bound)
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_completeness_property(data):
