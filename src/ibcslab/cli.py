@@ -13,6 +13,12 @@ vector it was produced from, so any report can be reproduced exactly:
 All numbers are deterministic functions of the config (one master seed
 expands into per-session and per-trial streams by labeled derivation), and
 no timestamps are embedded.
+
+This module names no instance kind. It reads an instance file and names
+the file in any error; `toys.load_instance_text` tells the kinds apart and
+`transport.protocol_for_instance` maps an instance to its protocol. With
+`--instance`, `verify` passes its own setup to `transport`, which requires
+the peer's or the transcript's to be that setup byte for byte.
 """
 
 from __future__ import annotations
@@ -40,7 +46,7 @@ from .extraction import (
 )
 from .ibcs import ArgumentProver, arg_setup, arg_verify, comm_stats
 from .prng import Prng, derive, seed_root
-from .toys import load_graph_text, load_sumcheck_text
+from .toys import load_instance_text
 from . import transport
 
 DEFAULT_LAMBDA = 128
@@ -58,22 +64,16 @@ def cli_file(path: str):
 
 
 def load_instance_path(path: str):
-    """Sniff a text instance file: graph records or a sumcheck header."""
+    """The instance an instance file holds, with its witness or None
+    (`toys.load_instance_text`); an InstanceError names the file."""
     with cli_file(path) as file:
         data = file.read_bytes()
     try:
-        text = data.decode("utf-8")
+        return load_instance_text(data.decode("utf-8"))
     except UnicodeDecodeError as exc:
         raise InstanceError(f"{path}: not UTF-8 text (byte {exc.start})") from None
-    first = next(
-        (line.split() for line in text.splitlines() if line.split("#", 1)[0].strip()),
-        None,
-    )
-    if first is None:
-        raise InstanceError(f"{path}: no instance, only blank lines or comments")
-    if first[0] in ("v", "e", "w"):
-        return load_graph_text(text)
-    return load_sumcheck_text(text), ()
+    except InstanceError as exc:
+        raise InstanceError(f"{path}: {exc}") from exc
 
 
 def setup_for(instance, protocol, security_bits: int):
@@ -98,9 +98,7 @@ def parse_witness_flag(value: str):
 def resolve_witness(protocol, file_witness, flag_value):
     if flag_value is not None:
         return parse_witness_flag(flag_value)
-    if file_witness is not None and file_witness != ():
-        return file_witness
-    witness = protocol.honest_witness()
+    witness = protocol.honest_witness() if file_witness is None else file_witness
     if witness is None:
         raise InstanceError(
             f"the {protocol.spec.relation_id} instance has no known witness and none was given"
@@ -197,22 +195,19 @@ def cmd_prove(args, argv) -> int:
 
 
 def cmd_verify(args, argv) -> int:
-    # The verifier's own instance, when it has one, must be the peer's or
-    # the transcript's, under the parameters it derives for it at --lambda,
-    # byte for byte; their instance bound then caps the instance's read.
-    own_instance = own_params = None
+    # The verifier's own setup, when it has an instance: the peer's or the
+    # transcript's must be that instance, under the parameters it derives
+    # for it at --lambda, byte for byte (`transport._read_setup`).
+    own = None
     if args.instance:
-        own_instance, _ = load_instance_path(args.instance)
-        own_params = setup_for(
-            own_instance, transport.protocol_for_instance(own_instance), args.security
-        )
+        instance, _ = load_instance_path(args.instance)
+        protocol = transport.protocol_for_instance(instance)
+        own = setup_for(instance, protocol, args.security), instance
     if args.transcript:
         with cli_file(args.transcript) as file:
             data = file.read_bytes()
-        params, protocol, transcript = transport.parse_transcript(data, own_params)
+        params, protocol, transcript = transport.parse_transcript(data, own)
         require_security(params, args.security)
-        if own_instance is not None and own_instance != transcript.instance:
-            raise InstanceError("transcript holds a different instance than configured")
         decision = arg_verify(params, protocol, transcript)
         results = {
             "decision": decision,
@@ -230,10 +225,7 @@ def cmd_verify(args, argv) -> int:
                 file.write_text(str(listener.getsockname()[1]))
         channel = transport.tcp_accept(listener)
     with closing(channel):
-        bound, vc_params, instance = transport.recv_public_setup(channel, own=own_params)
-        if own_instance is not None and own_instance != instance:
-            raise InstanceError("peer proposed a different instance than configured")
-        params, protocol = transport.verifier_setup(bound, vc_params, instance)
+        params, protocol = transport.verifier_setup(*transport.recv_public_setup(channel, own))
         require_security(params, args.security)
         prng = Prng(derive(seed_root(args.seed), "session", 0))
         result = transport.run_session("verifier", channel, params, protocol, prng=prng)
@@ -283,7 +275,7 @@ def cmd_soundness(args, argv) -> int:
         "threshold_with_slack": threshold,
     }
     all_pass = True
-    adversaries = make_adversaries(names, protocol, params, file_witness or None)
+    adversaries = make_adversaries(names, protocol, params, file_witness)
     for name, adversary in zip(names, adversaries):
         estimate = measure_acceptance(
             protocol, params, adversary, args.trials, args.seed, label=f"accept:{name}"
@@ -302,7 +294,7 @@ def cmd_extract(args, argv) -> int:
     instance, file_witness = load_instance_path(args.instance)
     protocol = transport.protocol_for_instance(instance)
     params = setup_for(instance, protocol, args.security)
-    adversary = make_adversary(args.adversary, protocol, params, file_witness or None)
+    adversary = make_adversary(args.adversary, protocol, params, file_witness)
     k = protocol.spec.rounds
 
     with rewind_allowance():

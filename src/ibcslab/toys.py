@@ -8,16 +8,19 @@ Two protocols drive every end-to-end experiment:
   sends the coefficient table of the partial-sum polynomial g_i, the
   verifier reads every table in full and checks the telescoping identities.
 
-An instance has two formats, both defined here next to the validation they
-feed. The text format (`load_graph_text`, `dump_graph_text`, and the
-sumcheck loaders) is what instance files hold. The binary layout is what
-the wire carries: a kind byte, then big-endian fields, a graph's vertex
-and edge counts and its edges, or a sumcheck header and its coefficients.
-Each instance encodes itself once: `encoding` is a cached property that
-lives and dies with the instance object, and `instance_from_bytes` keeps
-the payload an instance was read from as its `encoding`. The layout is
-canonical, every field at a fixed width, so encoding a decoded instance
-again would give the payload's bytes.
+This module owns the instance kinds: no other module names one. Each kind
+has two formats, both defined here next to the validation they feed, and
+one protocol (`protocol_for_instance`). The text format is what instance
+files hold: `load_instance_text` tells a graph file from a sumcheck file
+by its first record and returns the instance with its witness or None,
+and `dump_graph_text` and `dump_sumcheck_text` write them. The binary
+layout is what the wire carries: a kind byte, then big-endian fields, a
+graph's vertex and edge counts and its edges, or a sumcheck header and its
+coefficients. Each instance encodes itself once: `encoding` is a cached
+property that lives and dies with the instance object, and
+`instance_from_bytes` keeps the payload an instance was read from as its
+`encoding`. The layout is canonical, every field at a fixed width, so
+encoding a decoded instance again would give the payload's bytes.
 """
 
 from __future__ import annotations
@@ -63,6 +66,8 @@ class GraphColoringInstance:
 
     def __post_init__(self):
         n = self.vertex_count
+        if not isinstance(n, int):
+            raise InstanceError(f"vertex count {n!r} is not an int")
         if n < 1:
             raise InstanceError("graph needs at least one vertex")
         # The wire carries the vertex count in 4 bytes; a larger one cannot be sent.
@@ -95,11 +100,20 @@ class GraphColoringInstance:
     def layout(self) -> bytes:
         """Kind byte 0x01, BE32 vertex and edge counts, then BE32 (u, v) per
         edge, in one pack: per-edge `to_bytes` pairs cost about three times
-        as much on a graph of 12k edges."""
+        as much on a graph of 12k edges.
+
+        The constructor only compares edge ends, so a float end passes it;
+        the pack refuses one, and that is an InstanceError naming the first
+        such edge. A type test per edge in the constructor would cost every
+        decoded graph a third more, though decoders make only ints."""
         m = len(self.edges)
         ends = itertools.chain.from_iterable(self.edges)
         fmt = f"{_GRAPH_HEADER.format}{2 * m}I"
-        return struct.pack(fmt, GRAPH_KIND, self.vertex_count, m, *ends)
+        try:
+            return struct.pack(fmt, GRAPH_KIND, self.vertex_count, m, *ends)
+        except struct.error:
+            u, v = next(e for e in self.edges if not all(isinstance(end, int) for end in e))
+            raise InstanceError(f"edge ({u!r}, {v!r}) has an end that is not an int") from None
 
 
 def canonical_graph(vertex_count: int, edges) -> GraphColoringInstance:
@@ -639,8 +653,18 @@ class SumcheckCheatPlan:
 
 
 # ---------------------------------------------------------------------------
-# instance formats: binary layout and text files
+# instance kinds: protocol, binary layout and text files
 # ---------------------------------------------------------------------------
+
+
+def protocol_for_instance(instance) -> IopProtocol:
+    """The toy protocol that proves an instance of either kind."""
+    if isinstance(instance, GraphColoringInstance):
+        return gc_pcp(instance)
+    if isinstance(instance, SumcheckInstance):
+        return sumcheck_iop(instance)
+    raise ProtocolViolation(f"no protocol registered for {type(instance)!r}")
+
 
 GRAPH_KIND = 0x01
 SUMCHECK_KIND = 0x02
@@ -686,16 +710,34 @@ def instance_from_bytes(payload: bytes) -> GraphColoringInstance | SumcheckInsta
     return instance
 
 
+def _records(text: str):
+    """(line number, line, fields) of each record line of an instance file:
+    a `#` starts a comment, and a line with no field before it is skipped."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        fields = raw.split("#", 1)[0].split()
+        if fields:
+            yield lineno, raw, fields
+
+
+def load_instance_text(text: str):
+    """The instance an instance file holds, with its witness or None: graph
+    records when the first record is a `v`, `e` or `w` line, else a sumcheck
+    header and coefficient table, which has no witness."""
+    first = next(_records(text), None)
+    if first is None:
+        raise InstanceError("no instance, only blank lines or comments")
+    if first[2][0] in ("v", "e", "w"):
+        return load_graph_text(text)
+    return load_sumcheck_text(text), None
+
+
 def load_graph_text(text: str) -> tuple[GraphColoringInstance, tuple[int, ...] | None]:
-    """Parse "v <n>" / "e <u> <v>" lines, optional "w <c1> ... <cn>" witness."""
+    """Parse "v <n>" / "e <u> <v>" lines, optional "w <c1> ... <cn>" witness;
+    an empty "w" line gives no witness, as no "w" line does."""
     vertex_count = None
     edges: list[tuple[int, int]] = []
     witness: tuple[int, ...] | None = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        fields = line.split()
+    for lineno, raw, fields in _records(text):
         kind = fields[0]
         try:
             if kind == "v":
@@ -703,7 +745,7 @@ def load_graph_text(text: str) -> tuple[GraphColoringInstance, tuple[int, ...] |
             elif kind == "e":
                 edges.append((int(fields[1]), int(fields[2])))
             elif kind == "w":
-                witness = tuple(int(f) for f in fields[1:])
+                witness = tuple(int(f) for f in fields[1:]) or None
             else:
                 raise InstanceError(f"line {lineno}: unknown record {kind!r}")
         except (IndexError, ValueError) as exc:
@@ -724,12 +766,9 @@ def dump_graph_text(instance: GraphColoringInstance, witness=None) -> str:
 def load_sumcheck_text(text: str) -> SumcheckInstance:
     """Parse a "p n d S" header followed by (d+1)**n coefficients."""
     tokens: list[int] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, raw, fields in _records(text):
         try:
-            tokens.extend(int(f) for f in line.split())
+            tokens.extend(int(f) for f in fields)
         except ValueError as exc:
             raise InstanceError(f"line {lineno}: malformed number in {raw!r}") from exc
     if len(tokens) < 4:

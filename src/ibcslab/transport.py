@@ -1,10 +1,18 @@
 """Bit-exact wire protocol: framing, payload codecs, channels, sessions.
 
-This module owns frames, the protocol messages' payloads, channels and
-sessions. An instance's payload is its binary layout, which lives in
-`toys` with the instance's text format and validation; each instance
-encodes itself once and keeps the bytes, so `encode_instance` reads them
-and `decode_instance` frames a refused payload as a DecodeError.
+This module owns frames, the protocol messages' payloads, channels,
+sessions and the wire setup. It names no instance kind: an instance's
+payload is its binary layout, which lives in `toys` with the instance's
+text format, validation and protocol (`protocol_for_instance`, imported
+here for callers of this module). Each instance encodes itself once and
+keeps the bytes, so `encode_instance` reads them and `decode_instance`
+frames a refused payload as a DecodeError.
+
+The setup is the parameter frame, then the instance frame. One writer
+builds both for `send_public_setup` and `serialize_transcript`, and one
+reader checks them (`_read_setup`): a verifier that holds its own
+instance requires the peer's or the file's setup to equal its own byte
+for byte, and never decodes the peer's instance.
 
 Frame layout: 4-byte big-endian payload length, 1-byte tag, payload.
 Tags: 0x01 commitment, 0x02 challenge, 0x03 final response, 0x04 decision,
@@ -45,9 +53,9 @@ check; a refusal is a ProtocolViolation.
 An in-memory channel carries each direction on one `queue.SimpleQueue`,
 the cheapest cross-thread handoff, for callers that run the two ends in
 threads (see `MemoryChannel`). TCP channels set `TCP_NODELAY`: the prover
-writes three small frames (parameters, instance, first commitment) before
-its first read, and Nagle's algorithm could hold each one after the first
-until the previous one is acknowledged.
+makes two small writes before its first read (the two setup frames in
+one, then its first commitment), and Nagle's algorithm could hold the
+second until the first is acknowledged.
 """
 
 from __future__ import annotations
@@ -75,13 +83,7 @@ from .ibcs import (
 )
 from .iop import IopProtocol
 from .prng import Prng
-from .toys import (
-    GraphColoringInstance,
-    SumcheckInstance,
-    gc_pcp,
-    instance_from_bytes,
-    sumcheck_iop,
-)
+from .toys import instance_from_bytes, protocol_for_instance
 from .vc import DIGEST_BYTES, Commitment, Opening, VcParams, params_from_bytes, proof_digest_count
 
 TAG_COMMIT = 0x01
@@ -348,14 +350,6 @@ def decode_instance(payload: bytes):
         return instance_from_bytes(payload)
     except InstanceError as exc:
         raise DecodeError(f"invalid instance: {exc}") from exc
-
-
-def protocol_for_instance(instance) -> IopProtocol:
-    if isinstance(instance, GraphColoringInstance):
-        return gc_pcp(instance)
-    if isinstance(instance, SumcheckInstance):
-        return sumcheck_iop(instance)
-    raise ProtocolViolation(f"no protocol registered for {type(instance)!r}")
 
 
 def encode_params(params: ArgParams) -> bytes:
@@ -721,12 +715,15 @@ def memory_session(params: ArgParams, protocol: IopProtocol, prover, prng: Prng)
 # ---------------------------------------------------------------------------
 
 
+def _setup_frames(params: ArgParams, instance) -> bytes:
+    """The parameter frame, then the instance frame: a public setup as a
+    prover sends it and a transcript file stores it."""
+    frames = encode_frame(TAG_PARAMS, encode_params(params))
+    return frames + encode_frame(TAG_INSTANCE, encode_instance(instance))
+
+
 def send_public_setup(channel, params: ArgParams, instance):
-    for tag, payload in (
-        (TAG_PARAMS, encode_params(params)),
-        (TAG_INSTANCE, encode_instance(instance)),
-    ):
-        channel.send_bytes(encode_frame(tag, payload))
+    channel.send_bytes(_setup_frames(params, instance))
 
 
 # Largest instance frame a verifier reads when it has no instance of its
@@ -734,37 +731,53 @@ def send_public_setup(channel, params: ArgParams, instance):
 INSTANCE_MAX_BYTES = 1 << 24
 
 
-def _read_setup(own: ArgParams | None):
-    """Read the parameter frame, then an instance frame of at most
-    min(the peer's bound, `INSTANCE_MAX_BYTES`) bytes, or with `own` its
-    bound; returns (bound, vc_params, instance).
+def _first_difference(payload: bytes, expected: bytes) -> int:
+    """The first byte at which two unequal payloads differ, or the end of
+    the shorter one when it is a prefix of the other."""
+    return next(
+        (j for j, (x, y) in enumerate(zip(payload, expected)) if x != y),
+        min(len(payload), len(expected)),
+    )
 
-    A verifier that holds the instance passes `own`, the parameters it
-    derives for that instance: the parameter payload must then equal
-    `encode_params(own)` byte for byte, or a ParameterError is raised
-    before the instance frame is read, and the instance frame is read up
-    to own's bound, its instance's encoding length, so a peer's length
-    field never sizes its memory past what the verifier expects.
+
+def _read_setup(own: tuple | None):
+    """Read the parameter frame, then an instance frame of at most
+    min(the peer's bound, `INSTANCE_MAX_BYTES`) bytes; returns (bound,
+    vc_params, instance).
+
+    A verifier that holds the instance passes `own`: that instance and the
+    parameters it derives for it. The peer's setup must then be its own
+    byte for byte. The parameter payload must equal `encode_params(params)`,
+    or a ParameterError is raised before the instance frame is read. The
+    instance frame is read up to own's bound, its instance's encoding
+    length, so a peer's length field never sizes its memory past what the
+    verifier expects, and its payload must equal that encoding, or an
+    InstanceError is raised. The peer's instance is never decoded: the
+    verifier's own is returned.
     """
     payload = (yield TAG_PARAMS, _PARAMS_MAX_BYTES)[FRAME_HEADER_BYTES:]
     bound, vc_params = _decoded("parameters", decode_params_fields, payload)
-    if own is not None and payload != (expected := encode_params(own)):
-        at = next(
-            (j for j, (x, y) in enumerate(zip(payload, expected)) if x != y),
-            min(len(payload), len(expected)),
-        )
+    if own is None:
+        payload = (yield TAG_INSTANCE, min(bound, INSTANCE_MAX_BYTES))[FRAME_HEADER_BYTES:]
+        return bound, vc_params, _decoded("instance", decode_instance, payload)
+    params, instance = own
+    if payload != (expected := encode_params(params)):
+        at = _first_difference(payload, expected)
         raise ParameterError(
             f"parameters differ from the verifier's own at payload byte {at}: "
             f"instance bound {bound}, lambda={vc_params.security_bits} proposed; "
-            f"instance bound {own.instance_bound}, lambda={own.vc.security_bits} expected"
+            f"instance bound {params.instance_bound}, lambda={params.vc.security_bits} expected"
         )
-    cap = bound if own is not None else min(bound, INSTANCE_MAX_BYTES)
-    payload = (yield TAG_INSTANCE, cap)[FRAME_HEADER_BYTES:]
-    return bound, vc_params, _decoded("instance", decode_instance, payload)
+    payload = (yield TAG_INSTANCE, bound)[FRAME_HEADER_BYTES:]
+    if payload != (expected := encode_instance(instance)):
+        at = _first_difference(payload, expected)
+        raise InstanceError(f"instance differs from the verifier's own at payload byte {at}")
+    return bound, vc_params, instance
 
 
-def recv_public_setup(channel, own: ArgParams | None = None) -> tuple[int, VcParams, Any]:
-    """The setup frames read off `channel` by `_read_setup`: (bound,
+def recv_public_setup(channel, own: tuple | None = None) -> tuple[int, VcParams, Any]:
+    """The setup frames read off `channel` by `_read_setup`, checked against
+    the verifier's own (params, instance) when it passes one: (bound,
     vc_params, instance)."""
     return _drive(_read_setup(own), channel)
 
@@ -796,19 +809,18 @@ def protocol_frames(params: ArgParams, transcript: Transcript) -> bytes:
 def serialize_transcript(params: ArgParams, transcript: Transcript) -> bytes:
     return (
         TRANSCRIPT_MAGIC
-        + encode_frame(TAG_PARAMS, encode_params(params))
-        + encode_frame(TAG_INSTANCE, encode_instance(transcript.instance))
+        + _setup_frames(params, transcript.instance)
         + protocol_frames(params, transcript)
     )
 
 
 def parse_transcript(
-    data: bytes, own: ArgParams | None = None
+    data: bytes, own: tuple | None = None
 ) -> tuple[ArgParams, IopProtocol, Transcript]:
     """Read a stored transcript with the live verifier's setup, frame and
-    round readers, the setup checked against `own` as a live one is
-    (`_read_setup`); a malformed file raises DecodeError naming its
-    offset."""
+    round readers, the setup checked against the verifier's own (params,
+    instance) `own` as a live one is (`_read_setup`); a malformed file
+    raises DecodeError naming its offset."""
     if not data.startswith(TRANSCRIPT_MAGIC):
         raise DecodeError("not a transcript file (bad magic)", offset=0)
     cursor = _ByteCursor(data, len(TRANSCRIPT_MAGIC))

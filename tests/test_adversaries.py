@@ -386,6 +386,11 @@ def test_make_adversary_selector(k3_setup, k4_setup):
         make_adversary("nonsense", protocol, params, witness)
     with pytest.raises(InstanceError):
         make_adversary("honest", k4_protocol, k4_params, None)
+    width = protocol.spec.randomness_bits[0]
+    with pytest.raises(ParameterError, match=rf"zero-bit count must lie in \[0, {width}\]"):
+        grinder_on_leading_bits(protocol, None, width + 1)
+    with pytest.raises(ParameterError, match="one A and one B string required per round"):
+        Equivocator(protocol, params, [witness, witness], [witness])
 
 
 def test_make_adversaries_builds_one_cheat_base(monkeypatch):
@@ -483,8 +488,10 @@ def test_views_follow_what_each_adversary_reads(sumcheck_true_setup):
 
 
 def test_adversaries_and_cli_know_no_protocol_by_name():
-    """Neither module names a toy protocol class, and no library module
-    asks a protocol its type: each protocol answers for itself through
+    """Neither module names a toy protocol class, neither `cli` nor
+    `transport` names an instance kind, its protocol factory or its text
+    loader (`toys` owns the instance kinds), and no library module asks a
+    protocol its type: each protocol answers for itself through
     `IopProtocol`."""
     package = Path(adversaries.__file__).parent
     toy_names = {
@@ -493,17 +500,28 @@ def test_adversaries_and_cli_know_no_protocol_by_name():
         if isinstance(value, type) and issubclass(value, IopProtocol) and value is not IopProtocol
     }
     assert {"GraphColoringIop", "SumcheckIop"} <= toy_names
+    kind_names = {
+        "GraphColoringInstance", "SumcheckInstance", "gc_pcp", "sumcheck_iop",
+        "load_graph_text", "load_sumcheck_text",
+    }
+    assert kind_names <= set(vars(toys))
+    unnamed = {
+        "adversaries.py": toy_names,
+        "cli.py": toy_names | kind_names,
+        "transport.py": kind_names,
+    }
     for path in sorted(package.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         for node in ast.walk(tree):
-            if path.name in ("adversaries.py", "cli.py"):
+            if path.name in unnamed:
                 names = (
                     [node.id] if isinstance(node, ast.Name)
                     else [node.attr] if isinstance(node, ast.Attribute)
                     else [alias.name for alias in node.names] if isinstance(node, ast.ImportFrom)
                     else []
                 )
-                assert not toy_names & set(names), f"{path.name}:{node.lineno} names {names}"
+                found = unnamed[path.name] & set(names)
+                assert not found, f"{path.name}:{node.lineno} names {sorted(found)}"
             if (
                 isinstance(node, ast.Call)
                 and isinstance(node.func, ast.Name)

@@ -138,6 +138,13 @@ def test_verify_transcript_rejects_another_lambda(capsys, tmp_path, k3_file):
     assert "lambda=128, but --lambda is 256" in captured.err
 
 
+# Two paths on 3 vertices: equal parameters, and encodings of equal length
+# that differ first at payload byte 20, the second edge's lower end.
+THREE_PATH = canonical_graph(3, [(1, 2), (2, 3)])
+OTHER_THREE_PATH = canonical_graph(3, [(1, 2), (1, 3)])
+OTHER_PATH_MESSAGE = "instance differs from the verifier's own at payload byte 20"
+
+
 @pytest.mark.parametrize("case", ["same-instance", "other-instance", "other-bound", "other-edges"])
 def test_verify_transcript_checks_the_configured_instance(
     capsys, tmp_path, k3_file, k4_file, k3, k4, case
@@ -158,8 +165,8 @@ def test_verify_transcript_checks_the_configured_instance(
         out.write_bytes(transport.serialize_transcript(params, result.transcript))
     elif case == "other-edges":
         proved, instance = tmp_path / "path.txt", tmp_path / "other-path.txt"
-        proved.write_text(dump_graph_text(canonical_graph(3, [(1, 2), (2, 3)])))
-        instance.write_text(dump_graph_text(canonical_graph(3, [(1, 2), (1, 3)])))
+        proved.write_text(dump_graph_text(THREE_PATH))
+        instance.write_text(dump_graph_text(OTHER_THREE_PATH))
         run_cli(capsys, ["prove", "--instance", str(proved), "--seed", "3", "--out", str(out)])
     else:
         run_cli(capsys, ["prove", "--instance", k3_file, "--seed", "3", "--out", str(out)])
@@ -173,7 +180,7 @@ def test_verify_transcript_checks_the_configured_instance(
         return
     assert code == 2 and captured.out == ""
     if case == "other-edges":
-        message = "transcript holds a different instance than configured"
+        message = OTHER_PATH_MESSAGE
     else:
         stored, expected = (
             (own, len(transport.encode_instance(k4))) if case == "other-instance" else (own + 1, own)
@@ -445,6 +452,81 @@ def test_verify_listen_with_instance_refuses_other_parameter_bytes(tmp_path, k3_
     assert err.count("\n") == 1 and err.startswith("error: ")
     assert f"instance bound {own + 1}, lambda=128 proposed" in err
     assert f"instance bound {own}, lambda=128 expected" in err
+
+
+def test_verify_listen_checks_the_configured_instance(tmp_path):
+    """A peer that proves another path on 3 vertices, whose parameters are
+    the verifier's own and whose encoding has the same length, is refused
+    at its instance frame with the stored transcript's one error line."""
+    proved, own = tmp_path / "path.txt", tmp_path / "other-path.txt"
+    proved.write_text(dump_graph_text(THREE_PATH))
+    own.write_text(dump_graph_text(OTHER_THREE_PATH))
+    port_file = tmp_path / "port.txt"
+    with subprocess.Popen(
+        [sys.executable, "-m", "ibcslab.cli", "verify", "--listen", "127.0.0.1:0",
+         "--ready-file", str(port_file), "--instance", str(own)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    ) as verifier:
+        try:
+            port = _wait_for_port(port_file)
+            prover = subprocess.run(
+                [sys.executable, "-m", "ibcslab.cli", "prove", "--instance", str(proved),
+                 "--transport", "tcp", "--connect", f"127.0.0.1:{port}"],
+                capture_output=True,
+                timeout=30,
+            )
+            out, err = verifier.communicate(timeout=30)
+        finally:
+            if verifier.poll() is None:
+                verifier.kill()
+    assert verifier.returncode == 2 and out == b""
+    assert err.decode().splitlines() == [f"error: {OTHER_PATH_MESSAGE}"]
+    assert prover.returncode == 2
+
+
+@pytest.mark.parametrize("mode", ["transcript", "listen"])
+def test_a_verifier_with_its_own_instance_never_decodes_the_peers(
+    monkeypatch, capsys, tmp_path, k3_file, k3, mode
+):
+    """`verify --instance` compares the instance payload with its own
+    instance's encoding and decodes nothing: with `decode_instance` made to
+    fail, a stored and a live session still verify, to the same transcript."""
+    out = tmp_path / "k3.bin"
+    code, _ = run_cli(capsys, ["prove", "--instance", k3_file, "--seed", "5", "--out", str(out)])
+    assert code == 0
+
+    def decode_instance(payload):
+        raise AssertionError("the verifier decoded the peer's instance")
+
+    monkeypatch.setattr(transport, "decode_instance", decode_instance)
+    if mode == "transcript":
+        code, report = run_cli(capsys, ["verify", "--transcript", str(out), "--instance", k3_file])
+        assert code == 0 and report["results"]["decision"] == 1
+        return
+    protocol = gc_pcp(k3)
+    params = cli.setup_for(k3, protocol, cli.DEFAULT_LAMBDA)
+    port_file = tmp_path / "port.txt"
+
+    def peer():
+        port = int(_wait_for_port(port_file))
+        with contextlib.closing(transport.tcp_connect("127.0.0.1", port)) as channel:
+            transport.send_public_setup(channel, params, k3)
+            prover = ArgumentProver(protocol, params, find_coloring(k3))
+            transport.run_session("prover", channel, params, protocol, prover=prover)
+
+    thread = threading.Thread(target=peer)
+    thread.start()
+    observed = tmp_path / "observed.bin"
+    code, report = run_cli(
+        capsys,
+        ["verify", "--listen", "127.0.0.1:0", "--ready-file", str(port_file),
+         "--instance", k3_file, "--seed", "5", "--out", str(observed)],
+    )
+    thread.join(timeout=30)
+    assert not thread.is_alive()
+    assert code == 0 and report["results"]["decision"] == 1
+    assert observed.read_bytes() == out.read_bytes()
 
 
 def test_soundness_refuses_satisfiable(capsys, k3_file):
@@ -731,7 +813,7 @@ def test_a_sumcheck_the_wire_cannot_carry_is_one_error_line(capsys, tmp_path, co
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
-    assert captured.err.splitlines() == [f"error: {field} does not fit in 16 bits"]
+    assert captured.err.splitlines() == [f"error: {path}: {field} does not fit in 16 bits"]
 
 
 def test_a_sumcheck_header_claiming_a_huge_table_is_an_error_line(capsys, tmp_path):
@@ -797,6 +879,7 @@ def test_the_parser_is_built_once_and_commands_dispatch_by_name(
         (["verify", "--transcript", "t.bin", "--out", "o.bin"], "--transcript takes no --out"),
         (["verify", "--transcript", "t.bin", "--ready-file", "3"],
          "--transcript takes no --ready-file"),
+        (["prove", "--instance", "k3.txt", "--transport", "tcp"], "tcp transport requires --connect"),
     ],
 )
 def test_usage_errors_exit_2_from_the_shared_parser(capsys, argv, message):
@@ -813,12 +896,14 @@ def test_usage_errors_exit_2_from_the_shared_parser(capsys, argv, message):
         "missing-instance", "missing-transcript", "instance-is-a-directory",
         "witness-not-integers", "out-is-a-directory", "json-is-a-directory",
         "ready-file-is-a-directory", "seed-past-128-bits", "cheat-plan-past-its-budget",
+        "invalid-file-witness",
     ],
 )
-def test_file_and_flag_errors_are_one_error_line(capsys, tmp_path, k3_file, case):
+def test_file_and_flag_errors_are_one_error_line(capsys, tmp_path, k3_file, k4, case):
     """A file the CLI cannot read or write, a witness that is not integers,
-    a seed outside [0, 2**128), or a cheat program whose work count runs
-    far past its budget: one error line and exit 2, not a traceback."""
+    a seed outside [0, 2**128), a cheat program whose work count runs far
+    past its budget, or a file witness that does not color the graph: one
+    error line and exit 2, not a traceback."""
     argv = {
         "missing-instance": ["prove", "--instance", str(tmp_path / "missing.txt")],
         "missing-transcript": ["verify", "--transcript", str(tmp_path / "nonexist.bin")],
@@ -834,8 +919,10 @@ def test_file_and_flag_errors_are_one_error_line(capsys, tmp_path, k3_file, case
             "extract", "--instance", str(tmp_path / "wide.txt"), "--adversary", "optimal",
             "--trials", "2", "--knowledge-trials", "1",
         ],
+        "invalid-file-witness": ["soundness", "--instance", str(tmp_path / "k4w.txt")],
     }[case]
     (tmp_path / "wide.txt").write_text(DEGREE_65535_SUMCHECK)
+    (tmp_path / "k4w.txt").write_text(dump_graph_text(k4, (0, 1, 2, 0)))
     code = main(argv)
     captured = capsys.readouterr()
     assert code == 2

@@ -5,7 +5,7 @@ import dataclasses
 
 import pytest
 
-from ibcslab import ibcs, vc
+from ibcslab import ibcs, transport, vc
 from ibcslab.errors import ParameterError, ProtocolViolation
 from ibcslab.ibcs import (
     ArgumentProver,
@@ -195,6 +195,27 @@ def test_wrong_instance_rejected(k3_setup, k4):
         response=transcript.response,
     )
     assert arg_verify(params, protocol, moved) == 0
+
+
+@pytest.mark.parametrize("challenge, edge", [(0, (1, 2)), (2, (2, 3))])
+def test_a_commitment_short_of_the_capacity_is_rejected(k3_setup, challenge, edge):
+    """K3's coloring committed without its last symbol: the opening of the
+    challenged edge passes `vc_check` and the IOP accepts its answers, but
+    the commitment does not cover the capacity, so the argument rejects,
+    in memory and after a transcript file round trip."""
+    protocol, params, witness = k3_setup
+    cm, aux = vc_commit(params.vc, witness[:-1])
+    assert cm.length == params.vc.capacity - 1
+    plan = protocol.verifier_query([challenge])
+    assert plan.per_round == (edge,)
+    opening = vc_open(params.vc, aux, edge)
+    assert vc.vc_check(params.vc, cm, edge, opening.answers, opening.proof) == 1
+    assert protocol.verifier_decide(plan, (opening.answers,)) == 1
+    transcript = Transcript(protocol.instance, (cm,), (challenge,), (opening,))
+    assert arg_verify(params, protocol, transcript) == 0
+    stored = transport.parse_transcript(transport.serialize_transcript(params, transcript))
+    assert stored[2] == transcript
+    assert arg_verify(*stored) == 0
 
 
 def test_padding_violation_rejected():

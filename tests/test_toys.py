@@ -24,6 +24,7 @@ from ibcslab.toys import (
     is_prime,
     is_proper_coloring,
     load_graph_text,
+    load_instance_text,
     load_sumcheck_text,
     poly_eval,
     sumcheck_iop,
@@ -43,6 +44,15 @@ def test_graph_instance_validation():
     with pytest.raises(InstanceError):
         GraphColoringInstance(2, ((1, 3),))
     assert canonical_graph(3, [(3, 1), (2, 1)]).edges == ((1, 2), (1, 3))
+    with pytest.raises(InstanceError, match=r"^vertex count 3\.0 is not an int$"):
+        GraphColoringInstance(3.0, ((1, 2), (2, 3)))
+    # A float edge end passes the constructor's comparisons; the binary
+    # layout refuses it, naming the edge.
+    graph = GraphColoringInstance(3, ((1.0, 2), (2, 3)))
+    message = r"^edge \(1\.0, 2\) has an end that is not an int$"
+    for encode in (GraphColoringInstance.layout, lambda g: g.encoding):
+        with pytest.raises(InstanceError, match=message):
+            encode(graph)
 
 
 @st.composite
@@ -464,6 +474,12 @@ def test_graph_text_roundtrip(petersen):
     instance, parsed_witness = load_graph_text(text)
     assert instance == petersen
     assert parsed_witness == witness
+    assert load_instance_text(text) == (petersen, witness)
+    # Comments and blank lines hold no record, and an empty "w" line is no witness.
+    assert load_instance_text("# a path\n\n v 2  # header\ne 1 2\nw\n") == (
+        canonical_graph(2, [(1, 2)]),
+        None,
+    )
     with pytest.raises(InstanceError):
         load_graph_text("e 1 2\n")  # missing header
     with pytest.raises(InstanceError):
@@ -473,5 +489,6 @@ def test_graph_text_roundtrip(petersen):
 def test_sumcheck_text_roundtrip(sumcheck_true):
     text = dump_sumcheck_text(sumcheck_true)
     assert load_sumcheck_text(text) == sumcheck_true
+    assert load_instance_text("# a sumcheck\n" + text) == (sumcheck_true, None)
     with pytest.raises(InstanceError):
         load_sumcheck_text("5 1\n")

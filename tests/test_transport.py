@@ -868,8 +868,8 @@ def test_setup_never_reads_a_declared_huge_instance(k3_setup, own_instance):
     declared = 1 << 31
     cap = len(transport.encode_instance(protocol.instance))
     if own_instance:
-        own = arg_setup(128, cap, protocol.spec)
-        fields = transport.encode_params(own)
+        own = arg_setup(128, cap, protocol.spec), protocol.instance
+        fields = transport.encode_params(own[0])
     else:
         own, cap = None, transport.INSTANCE_MAX_BYTES
         blob = params.vc.to_bytes()
@@ -899,12 +899,13 @@ def test_setup_with_own_parameters_refuses_other_bytes_before_the_instance(k3_se
     fields = transport.encode_params(other)
     channel = _ScriptedChannel(transport.encode_frame(transport.TAG_PARAMS, fields) + instance_frame)
     with pytest.raises(ParameterError, match="differ from the verifier's own at payload byte 3"):
-        transport.recv_public_setup(channel, own=own)
+        transport.recv_public_setup(channel, own=(own, protocol.instance))
     assert channel.reads == [5, len(fields)]
     channel = _ScriptedChannel(
         transport.encode_frame(transport.TAG_PARAMS, transport.encode_params(own)) + instance_frame
     )
-    assert transport.recv_public_setup(channel, own=own) == (bound, own.vc, protocol.instance)
+    setup = transport.recv_public_setup(channel, own=(own, protocol.instance))
+    assert setup == (bound, own.vc, protocol.instance)
 
 
 def test_stored_setup_with_own_parameters_refuses_other_bytes_before_the_instance(k3_setup):
@@ -920,7 +921,7 @@ def test_stored_setup_with_own_parameters_refuses_other_bytes_before_the_instanc
     with pytest.raises(DecodeError, match="undecodable instance"):
         transport.parse_transcript(bad)
     with pytest.raises(ParameterError, match="differ from the verifier's own at payload byte 3"):
-        transport.parse_transcript(bad, own=params)
+        transport.parse_transcript(bad, own=(params, protocol.instance))
 
 
 def _graph_payload(vertex_count: int, edges) -> bytes:
