@@ -45,6 +45,7 @@ from .extraction import (
     theorem_bounds,
 )
 from .ibcs import ArgumentProver, arg_setup, arg_verify, comm_stats
+from .iop import DEFAULT_ORACLE_BUDGET
 from .prng import Prng, derive, seed_root
 from .toys import load_instance_text
 from . import transport
@@ -267,6 +268,12 @@ def cmd_soundness(args, argv) -> int:
     if oracle_value is None:
         results["note"] = "exhaustive oracle infeasible at the configured budget"
         emit("soundness", args, argv, results, **config)
+        # Exit 2 prints one error line, as every other refusal does.
+        print(
+            f"error: exhaustive oracle infeasible past its budget of "
+            f"{DEFAULT_ORACLE_BUDGET} evaluations",
+            file=sys.stderr,
+        )
         return 2
     bounds = theorem_bounds(protocol.spec, Fraction(0), Fraction(0), args.epsilon, oracle_value)
     threshold = float(bounds.soundness_bound) + 3 * radius

@@ -20,17 +20,23 @@ coefficients. Each instance encodes itself once: `encoding` is a cached
 property that lives and dies with the instance object, and
 `instance_from_bytes` keeps the payload an instance was read from as its
 `encoding`. The layout is canonical, every field at a fixed width, so
-encoding a decoded instance again would give the payload's bytes.
+encoding a decoded instance again would give the payload's bytes. A
+decoded graph keeps its edges packed as the wire carries them: its
+`edges` is an `EdgePairs`, a read-only sequence of (u, v) pairs over one
+array of edge ends, so a decode builds no object per edge. The one edge
+rule of `GraphColoringInstance` checks it as it checks a tuple of pairs.
 """
 
 from __future__ import annotations
 
 import itertools
 import struct
+import sys
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Sequence
 
 from .errors import DecodeError, InfeasibleError, InstanceError, ProtocolViolation
 from .iop import IopProtocol, IopSpec, QueryPlan, bounded_count
@@ -51,6 +57,44 @@ COLORING_STEP_BUDGET = 1 << 20
 # ---------------------------------------------------------------------------
 
 
+class EdgePairs(Sequence):
+    """The (u, v) edges of a decoded graph, read on demand from one array of
+    their ends, u1, v1, u2, v2, ..., as the wire carries them.
+
+    A read-only sequence of int pairs that builds a pair only when it is
+    read. It compares and hashes as the tuple of its pairs does, so a
+    decoded graph equals, and hashes as, the one built from tuples.
+    """
+
+    __slots__ = ("_ends",)
+
+    def __init__(self, ends: array):
+        self._ends = ends
+
+    def __len__(self) -> int:
+        return len(self._ends) // 2
+
+    def __getitem__(self, i: int) -> tuple[int, int]:
+        # Ends 2i and 2i + 1 are edge i's, for a negative i too.
+        ends = self._ends
+        return ends[2 * i], ends[2 * i + 1]
+
+    def __iter__(self):
+        ends = iter(self._ends)
+        return zip(ends, ends)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (EdgePairs, tuple)):
+            return tuple(self) == tuple(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return f"EdgePairs({tuple(self)!r})"
+
+
 @dataclass(frozen=True)
 class GraphColoringInstance:
     """Simple graph with 1-based vertices and lexicographically sorted edges.
@@ -59,10 +103,12 @@ class GraphColoringInstance:
     lexicographic order with 1 <= u < v <= vertex_count for each edge
     (u, v): strict increase rules out duplicates and unsorted lists alike,
     so one pass that carries the previous edge checks the whole rule.
+    `edges` is any sequence of pairs: a tuple when built in code or from
+    text, an `EdgePairs` when decoded, and the rule is the same for both.
     """
 
     vertex_count: int
-    edges: tuple[tuple[int, int], ...]
+    edges: Sequence[tuple[int, int]]
 
     def __post_init__(self):
         n = self.vertex_count
@@ -677,9 +723,11 @@ _SUMCHECK_HEADER = struct.Struct(">BQHHQ")
 
 def instance_from_bytes(payload: bytes) -> GraphColoringInstance | SumcheckInstance:
     """The instance a binary layout encodes, which keeps `payload` as its
-    `encoding`. A malformed payload raises DecodeError with no offset (it
-    fails as a whole), and an instance its constructor refuses (a
-    self-loop, a duplicate edge, a composite prime) InstanceError."""
+    `encoding`; a graph keeps its edges packed, as an `EdgePairs` over one
+    copy of the payload's edge ends. A malformed payload raises DecodeError
+    with no offset (it fails as a whole), and an instance its constructor
+    refuses (a self-loop, a duplicate edge, a composite prime)
+    InstanceError."""
     payload = bytes(payload)
     if not payload:
         raise DecodeError("empty instance payload")
@@ -690,8 +738,13 @@ def instance_from_bytes(payload: bytes) -> GraphColoringInstance | SumcheckInsta
         _, n, m = _GRAPH_HEADER.unpack_from(payload)
         if len(payload) != _GRAPH_HEADER.size + 8 * m:
             raise DecodeError("graph instance length mismatch")
-        edges = tuple(struct.iter_unpack(">II", payload[_GRAPH_HEADER.size :]))
-        instance = GraphColoringInstance(n, edges)
+        # One copy of the BE32 edge ends into an array of 4-byte unsigned
+        # ints, in host byte order.
+        ends = array("I")
+        ends.frombytes(memoryview(payload)[_GRAPH_HEADER.size :])
+        if sys.byteorder == "little":
+            ends.byteswap()
+        instance = GraphColoringInstance(n, EdgePairs(ends))
     elif kind == SUMCHECK_KIND:
         if len(payload) < _SUMCHECK_HEADER.size:
             raise DecodeError("truncated sumcheck instance")

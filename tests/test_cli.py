@@ -757,6 +757,10 @@ def test_extract_withholder_reports_bound(capsys, k3_file):
     assert report["results"]["chain_check"]["pass"] is True
 
 
+# The one error line of an infeasible soundness report; it names the budget.
+INFEASIBLE_ERROR_LINE = "error: exhaustive oracle infeasible past its budget of 16777216 evaluations\n"
+
+
 def test_soundness_infeasible_oracle_reports_explicitly(capsys, tmp_path):
     # 16 vertices: both the strategy enumeration and the coloring search
     # exceed their budgets, so the report must say so rather than guess
@@ -767,11 +771,12 @@ def test_soundness_infeasible_oracle_reports_explicitly(capsys, tmp_path):
     path.write_text(dump_graph_text(big))
     code = main(["soundness", "--instance", str(path), "--trials", "10",
                  "--seed", "1", "--force"])
-    out = capsys.readouterr().out
+    out, err = capsys.readouterr()
     report = json.loads(out)
     assert code == 2
     assert report["results"]["oracle"] == "infeasible"
     assert report["results"]["iop_soundness"] is None
+    assert err == INFEASIBLE_ERROR_LINE
 
 
 # A false claim whose cheat program and strategy tree both count p**(d+1)
@@ -783,7 +788,7 @@ DEGREE_65535_SUMCHECK = f"{(1 << 61) - 1} 1 65535 5\n" + "0\n" * 65536
 def test_a_strategy_tree_far_past_the_budget_reports_infeasible(capsys, tmp_path, instance):
     """A count far past the oracle's budget is never built or printed: a K4
     beside a path, 10,000 vertices in all, and a degree-65535 sumcheck get
-    the infeasible report and exit 2."""
+    the infeasible report, its one error line and exit 2."""
     if instance == "k4-and-path":
         edges = [(u, v) for u in range(1, 5) for v in range(u + 1, 5)]
         edges += [(u, u + 1) for u in range(5, 10_000)]
@@ -792,10 +797,13 @@ def test_a_strategy_tree_far_past_the_budget_reports_infeasible(capsys, tmp_path
         text = DEGREE_65535_SUMCHECK
     path = tmp_path / "instance.txt"
     path.write_text(text)
-    code, report = run_cli(capsys, ["soundness", "--instance", str(path), "--trials", "10"])
+    code = main(["soundness", "--instance", str(path), "--trials", "10"])
+    out, err = capsys.readouterr()
+    report = json.loads(out)
     assert code == 2
     assert report["results"]["oracle"] == "infeasible"
     assert report["results"]["iop_soundness"] is None
+    assert err == INFEASIBLE_ERROR_LINE
 
 
 @pytest.mark.parametrize("command", ["prove", "soundness", "extract"])

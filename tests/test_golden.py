@@ -76,6 +76,8 @@ VERIFY_PINS = {
     "petersen.txt": "d14694270f94f73e4fb13e0649110abd5828f321fd055ff62b02daabbd4a57aa",
     "sumcheck-p17-n3-d2.txt": "3d4d89fac5cce097e904e257e55d42c080a0a06dc3f8ab171e08263ea098e536",
     "cycle-33.txt": "06e1e9e3ab78e763fcf5923c752b9feeda8ac7a6b8000a6cb4dc2537c2d3cbf5",
+    # A 257-vertex graph decoded from the transcript, its ends kept packed.
+    "cycle-257.txt": "eb5c17702431e00e2cc1f0efc0d2b4c70b27d40afc12a732c1866de1a7f39f62",
 }
 
 

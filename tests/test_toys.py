@@ -3,6 +3,7 @@ from __future__ import annotations
 import itertools
 import random
 import re
+import struct
 import time
 from fractions import Fraction
 
@@ -17,6 +18,7 @@ from ibcslab.toys import (
     SumcheckInstance,
     best_coloring,
     canonical_graph,
+    complete_graph,
     dump_graph_text,
     dump_sumcheck_text,
     find_coloring,
@@ -26,6 +28,7 @@ from ibcslab.toys import (
     load_graph_text,
     load_instance_text,
     load_sumcheck_text,
+    petersen_graph,
     poly_eval,
     sumcheck_iop,
     table_entries,
@@ -79,16 +82,31 @@ def _edge_lists(draw):
     return n, tuple(edges)
 
 
+def _packed(n: int, edges) -> bytes:
+    """The binary layout of a graph's fields, written here without the
+    constructor's checks, so it can carry an edge list the rule refuses."""
+    ends = itertools.chain.from_iterable(edges)
+    return struct.pack(f">BII{2 * len(edges)}I", toys.GRAPH_KIND, n, len(edges), *ends)
+
+
+def _refusal(build):
+    """The message of the InstanceError `build()` raises, or None."""
+    try:
+        build()
+    except InstanceError as exc:
+        return str(exc)
+    return None
+
+
 @settings(max_examples=600, deadline=None)
 @given(_edge_lists())
 def test_graph_validation_accepts_exactly_what_the_reference_accepts(case):
+    """Built from tuples or decoded from packed ends, a graph meets one rule
+    with one message."""
     n, edges = case
-    try:
-        GraphColoringInstance(n, edges)
-        accepted = True
-    except InstanceError:
-        accepted = False
-    assert accepted == toys_reference.graph_edges_valid(n, edges)
+    refused = _refusal(lambda: GraphColoringInstance(n, edges))
+    assert (refused is None) == toys_reference.graph_edges_valid(n, edges)
+    assert _refusal(lambda: toys.instance_from_bytes(_packed(n, edges))) == refused
 
 
 @pytest.mark.parametrize(
@@ -111,6 +129,31 @@ def test_graph_validation_names_the_first_offending_edge(edges, message):
     assert not toys_reference.graph_edges_valid(4, edges)
     with pytest.raises(InstanceError, match=f"^{re.escape(message)}$"):
         GraphColoringInstance(4, edges)
+    with pytest.raises(InstanceError, match=f"^{re.escape(message)}$"):
+        toys.instance_from_bytes(_packed(4, edges))
+
+
+def test_a_decoded_graph_reads_its_packed_ends_as_pairs():
+    """A decoded graph's edges read as the tuple-built graph's do: by index,
+    negative ones too, in order, and by the searches that walk them."""
+    graph = petersen_graph()
+    decoded = toys.instance_from_bytes(graph.encoding)
+    edges = decoded.edges
+    assert isinstance(edges, toys.EdgePairs) and decoded == graph
+    assert len(edges) == len(graph.edges) == 15
+    assert list(edges) == list(graph.edges)
+    assert [edges[i] for i in range(-15, 15)] == [graph.edges[i] for i in range(-15, 15)]
+    for i in (15, -16):
+        with pytest.raises(IndexError):
+            edges[i]
+    assert edges == toys.instance_from_bytes(graph.layout()).edges
+    assert edges != graph.edges[:-1] and edges != list(graph.edges)
+    assert find_coloring(decoded) == find_coloring(graph)
+    assert is_proper_coloring(decoded, find_coloring(graph))
+    assert dump_graph_text(decoded) == dump_graph_text(graph)
+    assert GraphColoringInstance(graph.vertex_count, edges) == graph
+    k4 = complete_graph(4)
+    assert best_coloring(toys.instance_from_bytes(k4.encoding)) == best_coloring(k4)
 
 
 def test_is_prime_matches_trial_division():

@@ -15,7 +15,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ibcslab import transport, vc
-from ibcslab.errors import DecodeError, IbcsError, ParameterError, ProtocolViolation, TransportError
+from ibcslab.errors import (
+    DecodeError,
+    IbcsError,
+    InstanceError,
+    ParameterError,
+    ProtocolViolation,
+    TransportError,
+)
 from ibcslab.ibcs import ArgumentProver, arg_setup, arg_verify
 from ibcslab.memo import BoundedMemo
 from ibcslab.prng import Prng, derive, seed_root
@@ -145,9 +152,18 @@ def test_instance_codec_property(instance, data):
     payload = transport.encode_instance(instance)
     assert payload == instance.layout()
     decoded = transport.decode_instance(payload)
-    assert decoded == instance
+    assert decoded == instance and instance == decoded
+    assert hash(decoded) == hash(instance)
     assert decoded.encoding == payload
     if isinstance(instance, GraphColoringInstance):
+        # A decoded graph keeps its ends packed; it yields the same pairs,
+        # and its protocol plans every edge index as the tuple-built one's.
+        assert tuple(decoded.edges) == instance.edges
+        assert [decoded.edges[i] for i in range(len(instance.edges))] == list(instance.edges)
+        built, read = gc_pcp(instance), gc_pcp(decoded)
+        assert all(
+            read.query_plan((i,)) == built.query_plan((i,)) for i in range(len(instance.edges))
+        )
         from_text = load_graph_text(dump_graph_text(instance))[0]
         from_tuples = GraphColoringInstance(instance.vertex_count, instance.edges)
     else:
@@ -166,6 +182,61 @@ def test_instance_codec_property(instance, data):
             continue
         assert transport.encode_instance(kept) == variant
         assert kept.layout() == variant
+
+
+def _wide_graph() -> GraphColoringInstance:
+    """4097 vertices, each joined to the next three: 12,285 edges."""
+    n = 4097
+    return canonical_graph(n, [(u, w) for u in range(1, n) for w in range(u + 1, min(u + 4, n + 1))])
+
+
+@pytest.mark.parametrize(
+    "mutation", ["u-zero", "v-past-n", "self-loop", "u-after-v", "duplicate", "swapped"]
+)
+def test_a_mutated_edge_body_is_refused_with_the_constructors_message(mutation):
+    """Edge records mutated in place, the payload length kept: the decode
+    refuses each with exactly the message the constructor gives the same
+    pairs, after "invalid instance: "."""
+    graph = _wide_graph()
+    n, pairs = graph.vertex_count, list(graph.edges)
+    header = len(graph.encoding) - 8 * len(pairs)
+    i = len(pairs) // 2
+    u, v = pairs[i]
+    if mutation == "u-zero":
+        pairs[i] = (0, v)
+    elif mutation == "v-past-n":
+        pairs[i] = (u, n + 1)
+    elif mutation == "self-loop":
+        pairs[i] = (u, u)
+    elif mutation == "u-after-v":
+        pairs[i] = (v, u)
+    elif mutation == "duplicate":
+        pairs[i] = pairs[i - 1]
+    else:
+        pairs[i], pairs[i + 1] = pairs[i + 1], pairs[i]
+    body = b"".join(a.to_bytes(4, "big") + b.to_bytes(4, "big") for a, b in pairs)
+    payload = graph.encoding[:header] + body
+    assert len(payload) == len(graph.encoding)
+    with pytest.raises(InstanceError) as refused:
+        GraphColoringInstance(n, tuple(pairs))
+    with pytest.raises(DecodeError) as exc:
+        transport.decode_instance(payload)
+    assert str(exc.value) == f"invalid instance: {refused.value}"
+
+
+def test_a_decoded_graph_keeps_no_object_per_edge():
+    """Decoding a graph of 12k edges allocates about its payload, the packed
+    ends, at its peak: a tuple per edge would take over ten times that."""
+    payload = _wide_graph().encoding
+    assert len(payload) > 12_000 * 8
+    tracemalloc.start()
+    try:
+        decoded = transport.decode_instance(payload)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert decoded.encoding is payload
+    assert peak < 2 * len(payload)
 
 
 def test_a_sumcheck_header_claiming_a_huge_table_is_refused_in_small_memory(sumcheck_true):
